@@ -59,11 +59,8 @@ _ALLOWED_PREFIX = "repro.harness"
 #: module here, with its reason) rather than silent drift.
 HARNESS_HOSTCLOCK_ALLOWLIST = frozenset({
     "repro.harness.cli",           # per-experiment wall-time reporting
-    "repro.harness.hotpath",       # the counting-kernel benchmark
-    "repro.harness.simbench",      # the sim-kernel throughput benchmark
     "repro.harness.wallclock",     # PhaseWallClock, the profiler itself
     "repro.harness.sweep.engine",  # sweep wall-clock accounting
-    "repro.harness.sweep.bench",   # sweep benchmark timings
     "repro.harness.sweep.queue",   # lease deadlines, --store-gc file ages
     "repro.harness.sweep.worker",  # lease renewal + idle-exit timers
 })

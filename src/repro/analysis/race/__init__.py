@@ -1,7 +1,7 @@
 """Schedule-race sanitizer for the simulation kernel.
 
-Everything this repro guarantees — the 12-config goldens, the hotpath
-result hash, byte-identical distributed sweeps — rests on one invariant
+Everything this repro guarantees — the 12-config goldens, the pinned
+result hashes, byte-identical distributed sweeps — rests on one invariant
 the kernel never checked: events processed at the same scheduling epoch
 ``(sim_time, priority)`` must not make conflicting accesses to shared
 simulation state, or results silently depend on queue insertion order.

@@ -35,11 +35,7 @@ from repro.analysis.report.experiment_results import (
     ExperimentResults,
     default_seeds,
 )
-from repro.analysis.report.rendering import (
-    bench_warnings,
-    render_html,
-    render_markdown,
-)
+from repro.analysis.report.rendering import render_html, render_markdown
 from repro.errors import HarnessError
 from repro.harness.scales import SCALES
 
@@ -96,13 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list restricting the artifacts "
         f"({', '.join(ExperimentResults.ARTIFACTS)}; opt-in extras: "
         f"{', '.join(ExperimentResults.EXTRA_ARTIFACTS)})",
-    )
-    parser.add_argument(
-        "--bench",
-        metavar="FILE",
-        default=None,
-        help="a BENCH_sweep.json whose host-validity warnings "
-        "(degraded CPU affinity, ...) are surfaced in the report",
     )
     parser.add_argument(
         "--diff",
@@ -215,15 +204,14 @@ def _run_diff(args: argparse.Namespace, seeds: "tuple[int, ...]") -> int:
 
 
 def _run_render(args: argparse.Namespace, seeds: "tuple[int, ...]") -> int:
-    bench = _load_payload(args.bench) if args.bench is not None else None
     with _store_session(args.store) as store:
         results = ExperimentResults(args.scale, seeds, jobs=args.jobs)
         only = args.only.split(",") if args.only else None
         artifacts = results.artifacts(only)
         payload = results.payload(only)
         acct = results.accounting()
-        markdown = render_markdown(args.scale, seeds, artifacts, bench)
-        html = render_html(args.scale, seeds, artifacts, bench)
+        markdown = render_markdown(args.scale, seeds, artifacts)
+        html = render_html(args.scale, seeds, artifacts)
         store_stats = store.stats() if store is not None else None
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,8 +226,6 @@ def _run_render(args: argparse.Namespace, seeds: "tuple[int, ...]") -> int:
             f"  {name:8s} {art.exp_id:4s} {len(art.cells):3d} cells, "
             f"{len(art.comparisons)} rank tests"
         )
-    for warning in bench_warnings(bench):
-        print(f"warning: {warning}")
     print(
         f"[report: {len(artifacts)} artifacts, {n_cells} cells from "
         f"{len(seeds)} seed(s); sweeps resolved {acct['cached']} cached / "

@@ -23,12 +23,12 @@ same metrics registry as everything else.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.report.samples import ArtifactStats, CellStats
 from repro.obs import current_telemetry
 
-__all__ = ["bench_warnings", "render_html", "render_markdown"]
+__all__ = ["render_html", "render_markdown"]
 
 
 # ---------------------------------------------------------------------------
@@ -52,26 +52,6 @@ def _emit_render(fmt: str, n_cells: int) -> None:
     telemetry = current_telemetry()
     if telemetry is not None:
         telemetry.bus.emit("report-render", -1, fmt, fmt=fmt, n_cells=n_cells)
-
-
-def bench_warnings(bench: "Optional[Mapping]") -> "list[str]":
-    """Host-validity warnings derived from a ``BENCH_sweep.json``
-    payload (the satellite blind-spot fix): benchmark numbers taken on
-    a host with fewer effective CPUs than worker processes measure
-    scheduler contention, not the sweep engine."""
-    if not bench:
-        return []
-    host = bench.get("host", {})
-    out: "list[str]" = []
-    if host.get("host_degraded"):
-        out.append(
-            f"benchmark host was degraded: {host.get('effective_cpus', '?')} "
-            f"effective CPU(s) for {bench.get('parallel', {}).get('jobs', '?')} "
-            f"worker process(es) — parallel speedup "
-            f"({_fmt(bench.get('speedup', 0.0))}x) reflects CPU contention, "
-            "not engine overhead."
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +112,6 @@ def render_markdown(
     scale: str,
     seeds: "Sequence[int]",
     artifacts: "Mapping[str, ArtifactStats]",
-    bench: "Optional[Mapping]" = None,
 ) -> str:
     """The markdown report for one scale/seed-set."""
     seed_list = ", ".join(str(s) for s in seeds)
@@ -144,9 +123,6 @@ def render_markdown(
         "spread across seeds is workload variability, not measurement "
         "noise (the simulation itself is deterministic).",
     ]
-    for warning in bench_warnings(bench):
-        parts.append("")
-        parts.append(f"> **Warning:** {warning}")
     for art in artifacts.values():
         parts.append("")
         parts.append(_md_artifact(art))
@@ -439,7 +415,6 @@ def render_html(
     scale: str,
     seeds: "Sequence[int]",
     artifacts: "Mapping[str, ArtifactStats]",
-    bench: "Optional[Mapping]" = None,
 ) -> str:
     """The self-contained HTML report for one scale/seed-set."""
     css = (
@@ -456,8 +431,6 @@ def render_html(
         "scenario; spread across seeds is workload variability, not "
         "measurement noise.</p>",
     ]
-    for warning in bench_warnings(bench):
-        body.append(f'<p class="warning">Warning: {_esc(warning)}</p>')
     for art in artifacts.values():
         body.append(_html_artifact(art))
     html = (

@@ -64,65 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write <DIR>/<experiment>.json with the raw data",
     )
     parser.add_argument(
-        "--hotpath-json",
-        metavar="DIR",
-        default=None,
-        help="run the counting-kernel hot-path benchmark at --scale and "
-        "write <DIR>/BENCH_hotpath.json; exits non-zero if the kernel "
-        "and naive runs disagree",
-    )
-    parser.add_argument(
         "--race",
         action="store_true",
         help="run the schedule-race sanitizer over the golden suite and "
         "the dynamic scenarios (same as the repro-race tool); exits "
         "non-zero on unaudited same-epoch conflicts",
-    )
-    parser.add_argument(
-        "--simkernel-json",
-        metavar="DIR",
-        default=None,
-        help="run the sim-kernel throughput benchmark (events/sec and "
-        "wall per simulated second across node counts) and write "
-        "<DIR>/BENCH_simkernel.json; compares against the committed "
-        "artifact's baseline when present",
-    )
-    parser.add_argument(
-        "--simkernel-nodes",
-        metavar="N[,N...]",
-        default=None,
-        help="restrict --simkernel-json to these node counts "
-        "(e.g. 16,32 for the CI smoke job)",
-    )
-    parser.add_argument(
-        "--simkernel-paper",
-        action="store_true",
-        help="with --simkernel-json, also run the paper-scale (100-node, "
-        "1M-transaction) pass-2 proof and embed it in the artifact; "
-        "exits non-zero if it misses the 10-minute budget",
-    )
-    parser.add_argument(
-        "--simkernel-baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline BENCH_simkernel.json to embed and compare against "
-        "(default: the committed benchmarks/BENCH_simkernel.json when "
-        "it exists)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="SCENARIO",
-        default=None,
-        help="run the named scenario under cProfile and print the "
-        "top-N cumulative hot spots as sorted JSON "
-        "(see --list-scenarios for names)",
-    )
-    parser.add_argument(
-        "--profile-top",
-        type=int,
-        default=25,
-        metavar="N",
-        help="number of hot spots --profile prints (default: 25)",
     )
     parser.add_argument(
         "--trace",
@@ -151,13 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reuse results persisted by a previous invocation; shorthand "
         "for --store .repro-store when --store is not given",
-    )
-    parser.add_argument(
-        "--sweep-json",
-        metavar="FILE",
-        default=None,
-        help="write per-experiment wall-clock and cache accounting "
-        "(the BENCH_sweep.json row format) to <FILE>",
     )
     parser.add_argument(
         "--seed",
@@ -328,65 +267,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"{s.replacement:7s} {churn:10s} {s.description}"
             )
         return 0
-    if args.profile is not None:
-        import json
-
-        from repro.harness.profile import profile_scenario, render_profile
-
-        data = profile_scenario(args.profile, top_n=args.profile_top, seed=args.seed)
-        print(render_profile(data), file=sys.stderr)
-        print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
-    if args.simkernel_json is not None:
-        import json
-        import pathlib
-
-        from repro.harness.simbench import (
-            render_simbench,
-            run_simbench,
-            write_simbench_json,
-        )
-
-        node_counts = None
-        if args.simkernel_nodes:
-            node_counts = [int(n) for n in args.simkernel_nodes.split(",")]
-        baseline_path = args.simkernel_baseline
-        if baseline_path is None:
-            committed = pathlib.Path(__file__).resolve().parents[3] / (
-                "benchmarks/BENCH_simkernel.json"
-            )
-            if committed.exists():
-                baseline_path = str(committed)
-        baseline = None
-        if baseline_path is not None:
-            raw = json.loads(pathlib.Path(baseline_path).read_text())
-            # The committed artifact embeds its own pre-rebuild baseline
-            # section; compare fresh runs against *that* so the speedup
-            # is always relative to the heapq kernel, while hashes are
-            # checked against the committed (current-kernel) cells too.
-            baseline = raw.get("baseline", raw)
-        data = run_simbench(node_counts, baseline=baseline)
-        if args.simkernel_paper:
-            from repro.harness.simbench import run_paper_proof
-
-            data["paper_scale"] = run_paper_proof()
-        path = write_simbench_json(args.simkernel_json, data)
-        print(render_simbench(data))
-        print(f"[simkernel bench written to {path}]")
-        if data.get("equivalent") is False:
-            print(
-                "simkernel bench: result hashes diverged from the baseline",
-                file=sys.stderr,
-            )
-            return 1
-        if data.get("paper_scale", {}).get("under_budget") is False:
-            print(
-                "simkernel bench: paper-scale proof missed the wall budget",
-                file=sys.stderr,
-            )
-            return 1
-        if args.experiment is None:
-            return 0
     if args.race:
         from repro.analysis.race.cli import main as race_main
 
@@ -394,26 +274,6 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.json is not None:
             race_args += ["--output", f"{args.json}/repro-race.json"]
         return race_main(race_args)
-    if args.hotpath_json is not None:
-        from repro.harness.hotpath import (
-            render_hotpath,
-            run_hotpath,
-            write_hotpath_json,
-        )
-
-        data = run_hotpath(args.scale)
-        path = write_hotpath_json(args.hotpath_json, data)
-        print(render_hotpath(data))
-        print(f"[hotpath bench written to {path}]")
-        if not data["equivalent"]:
-            print(
-                "hotpath bench: kernel and naive runs disagree "
-                "(result-hash mismatch)",
-                file=sys.stderr,
-            )
-            return 1
-        if args.experiment is None:
-            return 0
     if args.store_stats and args.store is None and not args.resume:
         print(
             "repro-bench: --store-stats needs a store (--store/--resume)",
@@ -471,7 +331,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     from repro.harness.sweep import run_sweep_outcome, shutdown_pools
 
-    outcomes = []
     wall_start = time.perf_counter()
     try:
         with session, store_session:
@@ -484,7 +343,6 @@ def main(argv: "list[str] | None" = None) -> int:
                     lease_ttl_s=args.lease_ttl,
                 )
                 elapsed = time.perf_counter() - start
-                outcomes.append(outcome)
                 print(outcome.report)
                 print(
                     f"[{name} completed in {elapsed:.1f}s wall; "
@@ -516,22 +374,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 indent=2,
                 sort_keys=True,
             ))
-    if args.sweep_json is not None:
-        import json
-        import pathlib
-
-        payload = {
-            "scale": args.scale,
-            "jobs": args.jobs,
-            "wall_s": time.perf_counter() - wall_start,
-            "store": store.stats() if store is not None else None,
-            "experiments": [o.timing_dict() for o in outcomes],
-        }
-        sweep_out = pathlib.Path(args.sweep_json)
-        sweep_out.parent.mkdir(parents=True, exist_ok=True)
-        sweep_out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"[sweep timings written to {sweep_out}]")
-
     if telemetry is not None:
         import platform
 
@@ -543,7 +385,7 @@ def main(argv: "list[str] | None" = None) -> int:
         manifest = {
             "experiments": names,
             "scale": args.scale,
-            "seed": SCALES[args.scale].seed,
+            "seed": SCALES[args.scale].seed if args.seed is None else args.seed,
             "versions": {
                 "repro": getattr(repro, "__version__", "unknown"),
                 "python": platform.python_version(),

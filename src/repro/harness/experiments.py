@@ -57,7 +57,6 @@ __all__ = [
     "exp_ablation_loss",
     "exp_scaling",
     "exp_npa_comparison",
-    "exp_hotpath",
     "ALL_SWEEPS",
     "ALL_EXPERIMENTS",
 ]
@@ -856,31 +855,6 @@ def _report_scaling(scale: str, results: Results) -> ExperimentReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# Hot path — host wall-clock of the counting kernels vs the naive loops
-# ---------------------------------------------------------------------------
-
-def _report_hotpath(scale: str, results: Results) -> ExperimentReport:
-    """Benchmark the vectorized counting kernels against the naive
-    per-occurrence loops and verify bit-identical simulated behaviour.
-
-    Unlike every other experiment here, this one measures *host*
-    wall-clock, not simulated time — the kernels are required to leave
-    every simulated quantity untouched, which the result hash checks.
-    """
-    from repro.harness.hotpath import render_hotpath, run_hotpath
-
-    data = run_hotpath(scale)
-    return ExperimentReport(
-        exp_id="HP",
-        title="Counting-kernel hot-path speedup (host wall-clock)",
-        text=render_hotpath(data),
-        data=data,
-        paper_shape="simulated results identical between kernels; host "
-        "wall-clock of pass-2 counting drops >=3x at the default scale.",
-    )
-
-
 def _empty_grid(scale: str) -> "dict[str, Scenario]":
     """Grid of the analytic experiments (no simulated runs)."""
     return {}
@@ -1231,20 +1205,6 @@ n× HPA's; under any of the paper's limits it lives almost entirely in
 remote memory and runs ~25× slower. "HPA effectively utilizes the
 whole memory space of all the processors" — reproduced.""",
         ),
-        Sweep(
-            name="hotpath",
-            exp_id="HP",
-            title="Hot path — counting-kernel wall-clock speedup",
-            grid=_empty_grid,
-            report=_report_hotpath,
-            doc="""\
-Host wall-clock of the vectorized counting kernels
-(`repro.mining.kernels`) against the naive per-occurrence loops, with
-bit-identical simulated behaviour enforced through the result hash —
-see `BENCH_hotpath.json` and DESIGN.md §9. Unlike every other
-experiment, the measured quantity is real seconds, so this sweep's
-report is intentionally excluded from byte-identity comparisons.""",
-        ),
     )
 }
 
@@ -1268,4 +1228,3 @@ exp_ablation_eld = ALL_SWEEPS["eld"]
 exp_ablation_loss = ALL_SWEEPS["loss"]
 exp_scaling = ALL_SWEEPS["scaling"]
 exp_npa_comparison = ALL_SWEEPS["npa"]
-exp_hotpath = ALL_SWEEPS["hotpath"]

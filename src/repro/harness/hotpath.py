@@ -1,43 +1,20 @@
-"""Hot-path wall-clock benchmark: naive vs vectorized counting kernels.
+"""The result-equivalence digest shared by the benchmark and the tests.
 
-Runs the same HPA configuration twice — ``kernel="naive"`` and
-``kernel="vector"`` — and reports host wall-clock per phase, the pass-2
-counting speedup, and a result-equivalence hash covering everything the
-kernels must not change: mined itemsets, support counts, per-pass
-simulated times, and message counts.  ``repro-bench --hotpath-json DIR``
-writes the report as ``DIR/BENCH_hotpath.json`` so later PRs have a
-perf trajectory to regress against.
-
-Wall-clock here is *host* time (``time.perf_counter``), entirely
-distinct from the simulated virtual clock — see DESIGN.md's kernel-layer
-section for why the two must never mix.  Per-phase host times come from a
-:class:`~repro.harness.wallclock.PhaseWallClock` subscribed to the run's
-phase-boundary events: the drivers themselves never read a host clock
-(``repro-lint`` RPL101), so cached results cannot embed one.
+:func:`result_hash` covers everything a host-side optimisation must not
+change — mined itemsets, support counts, per-pass simulated times and
+message counts — so two runs that differ only in host wall-clock hash
+identically.  ``benchmarks/perf`` checks it across reps and between
+lean, telemetry-on and traced passes; the equivalence tests pin it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
-import time
 
-from repro.mining.hpa import HPAConfig, HPAResult, HPARun
-from repro.harness.scales import prepare_workload
-from repro.harness.wallclock import PhaseWallClock
+from repro.mining.hpa import HPAResult
 
-__all__ = [
-    "result_hash",
-    "dominant_phase",
-    "run_hotpath",
-    "write_hotpath_json",
-    "render_hotpath",
-]
-
-#: Acceptance target: wall-clock speedup of the pass-2 counting phase at
-#: the default benchmark scale.
-TARGET_COUNTING_SPEEDUP = 3.0
+__all__ = ["result_hash"]
 
 
 def result_hash(res: HPAResult) -> str:
@@ -73,109 +50,3 @@ def result_hash(res: HPAResult) -> str:
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def dominant_phase(phases: "dict[str, float]") -> str:
-    """Name of the pass-2 phase with the largest host wall share.
-
-    Returns ``"candgen"`` / ``"counting"`` / ``"determine"``.  On the
-    vectorized kernel the answer should be ``"counting"`` — when candidate
-    generation overtakes it, the kernel work has been optimized past the
-    point where the harness around it is the bottleneck, and further
-    kernel tuning is wasted effort (the bench warns on this).
-    """
-    return max(phases, key=lambda name: phases[name]).removesuffix("_wall_s")
-
-
-def _one_run(scale_name: str, kernel: str) -> dict:
-    prep = prepare_workload(scale_name)
-    s = prep.scale
-    cfg = HPAConfig(
-        minsup=s.minsup,
-        n_app_nodes=s.n_app_nodes,
-        total_lines=s.total_lines,
-        max_k=2,  # pass 2 is the paper's (and the kernels') hot path
-        seed=s.seed,
-        kernel=kernel,
-    )
-    run = HPARun(prep.db, cfg)
-    profiler = PhaseWallClock().attach(run)
-    start = time.perf_counter()
-    res = run.run()
-    wall_s = time.perf_counter() - start
-    p2 = res.pass_result(2)
-    phases = profiler.pass_walls(2)
-    return {
-        "kernel": kernel,
-        "wall_s": wall_s,
-        "phases": phases,
-        "dominant_phase": dominant_phase(phases),
-        "sim_pass2_s": p2.duration_s,
-        "count_messages": p2.count_messages,
-        "n_large": len(res.large_itemsets),
-        "result_hash": result_hash(res),
-    }
-
-
-def run_hotpath(scale_name: str = "small") -> dict:
-    """Benchmark naive vs kernel counting at one scale; returns the
-    BENCH_hotpath.json payload."""
-    naive = _one_run(scale_name, "naive")
-    vector = _one_run(scale_name, "vector")
-    counting_speedup = (
-        naive["phases"]["counting_wall_s"] / vector["phases"]["counting_wall_s"]
-        if vector["phases"]["counting_wall_s"] > 0
-        else float("inf")
-    )
-    total_speedup = (
-        naive["wall_s"] / vector["wall_s"] if vector["wall_s"] > 0 else float("inf")
-    )
-    prep = prepare_workload(scale_name)
-    return {
-        "bench": "hotpath",
-        "scale": scale_name,
-        "workload": prep.scale.workload,
-        "target_counting_speedup": TARGET_COUNTING_SPEEDUP,
-        "runs": {"naive": naive, "vector": vector},
-        "counting_speedup": counting_speedup,
-        "total_speedup": total_speedup,
-        "dominant_phase": vector["dominant_phase"],
-        "equivalent": naive["result_hash"] == vector["result_hash"],
-    }
-
-
-def write_hotpath_json(out_dir: "str | pathlib.Path", data: dict) -> pathlib.Path:
-    """Write ``BENCH_hotpath.json`` under ``out_dir``; returns the path."""
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "BENCH_hotpath.json"
-    path.write_text(json.dumps(data, indent=2) + "\n")
-    return path
-
-
-def render_hotpath(data: dict) -> str:
-    """Human-readable summary of a :func:`run_hotpath` payload."""
-    naive, vector = data["runs"]["naive"], data["runs"]["vector"]
-    lines = [
-        f"hotpath bench — scale {data['scale']} ({data['workload']})",
-        f"  pass-2 counting wall: naive {naive['phases']['counting_wall_s']:.3f}s"
-        f" -> vector {vector['phases']['counting_wall_s']:.3f}s"
-        f"  ({data['counting_speedup']:.1f}x, target"
-        f" {data['target_counting_speedup']:g}x)",
-        f"  total wall: naive {naive['wall_s']:.3f}s"
-        f" -> vector {vector['wall_s']:.3f}s  ({data['total_speedup']:.1f}x)",
-        f"  simulated pass-2 time: {vector['sim_pass2_s']:.4f}s"
-        f" (naive {naive['sim_pass2_s']:.4f}s — must be identical)",
-        f"  result hash: {'MATCH' if data['equivalent'] else 'MISMATCH'}"
-        f" ({vector['result_hash'][:16]}…)",
-        f"  dominant pass-2 phase (vector): {data['dominant_phase']}",
-    ]
-    walls = vector["phases"]
-    if walls["candgen_wall_s"] > walls["counting_wall_s"]:
-        lines.append(
-            "  WARNING: candidate generation "
-            f"({walls['candgen_wall_s']:.3f}s) now outweighs counting "
-            f"({walls['counting_wall_s']:.3f}s) — the counting kernel is "
-            "no longer the bottleneck at this scale"
-        )
-    return "\n".join(lines)

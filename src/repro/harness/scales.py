@@ -86,7 +86,7 @@ SCALES: dict[str, Scale] = {
     # universe is scaled 5000 -> 2000 to stay inside the dense pair-
     # kernel regime).  A full pass-2 HPA run at this scale completes in
     # minutes on one box — the sim-kernel fast path's acceptance proof
-    # (see ``repro-bench --simkernel-paper``).
+    # (see ``examples/paper_scale.py``).
     "paper": Scale(
         name="paper",
         workload="T10.I4.D1000K",

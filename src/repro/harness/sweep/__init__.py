@@ -15,8 +15,6 @@ is byte-identical regardless of worker count or completion order.
 
 :mod:`~repro.harness.sweep.serve` answers scenario and sweep-report
 queries from a warm store over HTTP (``repro-bench --serve``);
-:mod:`~repro.harness.sweep.bench` measures the serial-vs-workers
-wall-clock of the whole suite (the ``BENCH_sweep.json`` artifact);
 :mod:`~repro.harness.sweep.docs` regenerates ``EXPERIMENTS.md`` from
 the sweep definitions.
 """

@@ -26,7 +26,7 @@ PAPER_SECTIONS = (
 )
 
 #: Our additions beyond the paper's artifacts.
-EXTENSION_SECTIONS = ("churn", "eld", "loss", "npa", "scaling", "hotpath")
+EXTENSION_SECTIONS = ("churn", "eld", "loss", "npa", "scaling")
 
 INTRO = """\
 # EXPERIMENTS — paper vs. measured

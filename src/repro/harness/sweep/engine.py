@@ -86,13 +86,8 @@ class RunRecord:
 class SweepOutcome:
     """One sweep execution: the report plus its execution accounting."""
 
-    name: str
-    exp_id: str
-    scale: str
-    jobs: int
     report: ExperimentReport
     records: list[RunRecord]
-    wall_s: float
 
     @property
     def n_cached(self) -> int:
@@ -101,23 +96,6 @@ class SweepOutcome:
     @property
     def n_executed(self) -> int:
         return len(self.records) - self.n_cached
-
-    def timing_dict(self) -> dict:
-        """JSON-safe accounting entry (the ``BENCH_sweep.json`` rows)."""
-        return {
-            "experiment": self.name,
-            "exp_id": self.exp_id,
-            "scale": self.scale,
-            "jobs": self.jobs,
-            "wall_s": self.wall_s,
-            "n_scenarios": len(self.records),
-            "n_cached": self.n_cached,
-            "n_executed": self.n_executed,
-            "runs": [
-                {"key": r.key, "source": r.source, "wall_s": r.wall_s}
-                for r in self.records
-            ],
-        }
 
 
 # Locally-spawned worker processes, keyed by the resolved store path
@@ -402,17 +380,9 @@ def run_sweep_outcome(
             spawn_workers=spawn_workers, lease_ttl_s=lease_ttl_s,
         ))
     report = sweep.report(scale, results)
-    wall_s = time.perf_counter() - start
-    _emit("sweep-done", sweep, scale, n_cells=len(records), wall_s=wall_s)
-    return SweepOutcome(
-        name=sweep.name,
-        exp_id=sweep.exp_id,
-        scale=scale,
-        jobs=jobs,
-        report=report,
-        records=records,
-        wall_s=wall_s,
-    )
+    _emit("sweep-done", sweep, scale, n_cells=len(records),
+          wall_s=time.perf_counter() - start)
+    return SweepOutcome(report=report, records=records)
 
 
 def run_sweep(

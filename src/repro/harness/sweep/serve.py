@@ -95,17 +95,10 @@ class StoreHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: "tuple[str, int]", store: ResultStore) -> None:
         super().__init__(address, _StoreRequestHandler)
         self.store = store
-        #: Sweeps answerable from the store.  Host-wall-clock sweeps
-        #: (``hotpath``) are excluded: their reports are measurements of
-        #: the serving host, not store contents.
         from repro.harness.experiments import ALL_EXPERIMENTS
-        from repro.harness.sweep.bench import IDENTITY_EXEMPT
 
-        self.sweeps = {
-            name: sweep
-            for name, sweep in ALL_EXPERIMENTS.items()
-            if name not in IDENTITY_EXEMPT
-        }
+        #: Sweeps answerable from the store.
+        self.sweeps = ALL_EXPERIMENTS
 
 
 class _StoreRequestHandler(BaseHTTPRequestHandler):

@@ -5,6 +5,7 @@ select, exit codes) behaves."""
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -13,8 +14,14 @@ import pytest
 from repro.analysis.lint.cli import ALL_CHECKERS, build_checkers, main
 from repro.analysis.lint.framework import (
     collect_files,
+    import_aliases,
     lint_paths,
     module_name_for,
+    resolve_call,
+)
+from repro.analysis.lint.hostclock import (
+    HARNESS_HOSTCLOCK_ALLOWLIST,
+    HOST_CLOCK_CALLS,
 )
 
 FIXTURES = Path(__file__).parent / "lint_fixtures" / "repro"
@@ -112,6 +119,22 @@ def test_every_code_has_exactly_one_checker():
         "RPL401", "RPL501", "RPL601", "RPL602",
     ]
     assert len(ALL_CHECKERS) == 8
+
+
+@pytest.mark.parametrize("module", sorted(HARNESS_HOSTCLOCK_ALLOWLIST))
+def test_hostclock_allowlist_entries_are_live(module):
+    """An allowlist entry whose module is gone, or no longer reads a host
+    clock, is a standing exemption nobody audits: drop it."""
+    src = Path(__file__).parents[2] / "src"
+    path = src.joinpath(*module.split(".")).with_suffix(".py")
+    assert path.is_file(), f"allowlisted module {module} does not exist"
+    tree = ast.parse(path.read_text())
+    aliases = import_aliases(tree)
+    assert any(
+        isinstance(node, ast.Call)
+        and resolve_call(node, aliases) in HOST_CLOCK_CALLS
+        for node in ast.walk(tree)
+    ), f"allowlisted module {module} reads no host clock"
 
 
 def test_line_pragma_suppresses_exactly_that_code(tmp_path):

@@ -19,7 +19,6 @@ from repro.analysis.report import (
     summarize,
 )
 from repro.analysis.report.experiment_results import default_seeds
-from repro.analysis.report.rendering import bench_warnings
 from repro.analysis.report.samples import (
     aggregate_series,
     compare_groups,
@@ -201,24 +200,6 @@ def test_render_html_is_self_contained():
     assert "--series-1:" in html and "data-theme" in html
     assert "<script src=" not in html and "@import" not in html
     assert "&lt;" not in arts["fig4"].title  # sanity: escaping is ours
-
-
-def test_bench_warnings_flag_degraded_hosts():
-    assert bench_warnings(None) == []
-    assert bench_warnings({"host": {"host_degraded": False}}) == []
-    warns = bench_warnings({
-        "host": {"host_degraded": True, "effective_cpus": 1},
-        "parallel": {"jobs": 4},
-        "speedup": 0.97,
-    })
-    assert len(warns) == 1
-    assert "contention" in warns[0]
-    md = render_markdown("tiny", (42,), {}, bench={
-        "host": {"host_degraded": True, "effective_cpus": 1},
-        "parallel": {"jobs": 4},
-        "speedup": 0.97,
-    })
-    assert "> **Warning:**" in md
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.harness.experiments import (
 def test_registry_covers_every_paper_artifact():
     assert {"table2", "table3", "table4", "fig3", "fig4", "fig5", "disk",
             "monitor", "policy", "churn", "blocksize", "eld", "scaling",
-            "loss", "npa", "hotpath"} == set(ALL_EXPERIMENTS)
+            "loss", "npa"} == set(ALL_EXPERIMENTS)
 
 
 def test_table2_report():

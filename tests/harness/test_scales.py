@@ -23,6 +23,13 @@ def test_scales_registry():
         assert s.limits_mb == (12.0, 13.0, 14.0, 15.0)
 
 
+def test_paper_scale_registered():
+    scale = SCALES["paper"]
+    assert scale.n_app_nodes == 100
+    assert scale.workload == "T10.I4.D1000K"  # the paper's 1M transactions
+    assert scale.minsup == 0.001
+
+
 def test_prepare_workload_tiny():
     prep = prepare_workload("tiny")
     assert len(prep.db) == 300

@@ -87,8 +87,7 @@ def test_stats_and_sweeps(base_url):
     status, body = _get(f"{base_url}/sweeps")
     assert status == 200
     names = {s["name"] for s in json.loads(body)["sweeps"]}
-    assert "disk" in names
-    assert "hotpath" not in names  # host-wall-clock sweep: not servable
+    assert names == set(ALL_SWEEPS)  # every registered sweep is servable
 
 
 def test_sweep_report_bytes_identical_to_serial(base_url, warm):

@@ -48,7 +48,7 @@ def _toy_sweep(**overrides):
 
 
 def test_every_experiment_is_a_sweep():
-    assert len(ALL_SWEEPS) == 16
+    assert len(ALL_SWEEPS) == 15
     for name, sweep in ALL_SWEEPS.items():
         assert isinstance(sweep, Sweep)
         assert sweep.name == name
@@ -183,13 +183,3 @@ def test_sweep_events_reach_telemetry():
     assert {labels["source"] for _, labels, _ in runs} <= {"cached", "executed"}
     hist = telemetry.registry.merged_histogram("sweep_run_wall_s")
     assert hist is not None and hist.count == 3
-
-
-def test_timing_dict_is_json_safe():
-    import json
-
-    outcome = run_sweep_outcome(_toy_sweep(), "tiny")
-    payload = json.loads(json.dumps(outcome.timing_dict()))
-    assert payload["experiment"] == "toy"
-    assert payload["n_scenarios"] == 3
-    assert payload["n_cached"] + payload["n_executed"] == 3

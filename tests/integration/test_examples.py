@@ -4,7 +4,9 @@ Two layers:
 
 - a parametrised in-process test importing each example and calling its
   ``main(fast=True)`` at tiny scale — cheap enough for every CI run;
-- the full subprocess run at default scale with a generous timeout.
+- the full subprocess run at default scale with a generous timeout
+  (``paper_scale.py`` takes minutes at its default, so its subprocess
+  run is ``--fast`` too).
 
 Failures here mean the public API drifted under the documentation.
 """
@@ -18,6 +20,8 @@ import pytest
 
 ROOT = Path(__file__).parents[2]
 EXAMPLES = sorted(p.name for p in (ROOT / "examples").glob("*.py"))
+#: Examples whose default scale is too long for the suite.
+FAST_ONLY = {"paper_scale.py"}
 
 
 def load_example(script: str):
@@ -35,6 +39,7 @@ def test_all_examples_discovered():
     assert len(EXAMPLES) >= 8
     assert "quickstart.py" in EXAMPLES
     assert "custom_scenario.py" in EXAMPLES
+    assert FAST_ONLY <= set(EXAMPLES)
 
 
 @pytest.mark.parametrize("script", EXAMPLES)
@@ -61,7 +66,8 @@ def test_example_tiny_scale(script, capsys):
 @pytest.mark.parametrize("script", EXAMPLES)
 def test_example_runs(script):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "examples" / script)],
+        [sys.executable, str(ROOT / "examples" / script)]
+        + (["--fast"] if script in FAST_ONLY else []),
         capture_output=True,
         text=True,
         timeout=600,
