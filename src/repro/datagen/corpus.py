@@ -35,6 +35,11 @@ class TransactionDatabase:
             raise DataGenError("offsets must be non-decreasing")
         if items.size and (items.min() < 0 or items.max() >= n_items):
             raise DataGenError("item ids out of range")
+        rising = np.diff(items) > 0
+        starts = offsets[1:-1]  # a row's first item may be below its predecessor
+        rising[starts[(starts > 0) & (starts < items.size)] - 1] = True
+        if not rising.all():
+            raise DataGenError("item ids must be strictly increasing within a transaction")
         self.items = items
         self.offsets = offsets
         self.n_items = int(n_items)
@@ -111,15 +116,16 @@ class TransactionDatabase:
         """
         if n_parts <= 0:
             raise DataGenError(f"n_parts must be positive, got {n_parts}")
-        parts: list[list[np.ndarray]] = [[] for _ in range(n_parts)]
-        for i in range(len(self)):
-            parts[i % n_parts].append(self[i])
-        return [
-            TransactionDatabase.from_arrays(
-                p, n_items=self.n_items, name=f"{self.name}/part{j}"
-            )
-            for j, p in enumerate(parts)
-        ]
+        starts, lengths = self.offsets[:-1], np.diff(self.offsets)
+        parts = []
+        for j in range(n_parts):
+            lens = lengths[j::n_parts]
+            offsets = np.concatenate([[0], np.cumsum(lens)])
+            # A row's items move from starts[row] to offsets[row]: shift each position by that.
+            gather = np.repeat(starts[j::n_parts] - offsets[:-1], lens) + np.arange(offsets[-1])
+            name = f"{self.name}/part{j}"
+            parts.append(TransactionDatabase(self.items[gather], offsets, self.n_items, name))
+        return parts
 
     # -- persistence ------------------------------------------------------------
 
@@ -137,23 +143,15 @@ class TransactionDatabase:
         """Read the classic text format.
 
         ``n_items`` of 0 infers the item universe as ``max id + 1``.
-        Blank lines are skipped; duplicate ids within a line rejected via
-        the CSR validator.
+        Blank lines are skipped; the ids of a line are sorted and
+        duplicates among them dropped.
         """
-        txns: list[np.ndarray] = []
-        max_id = -1
         with open(Path(path), "r", encoding="ascii") as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                arr = np.array(sorted({int(p) for p in parts}), dtype=np.int32)
-                if arr.size:
-                    max_id = max(max_id, int(arr[-1]))
-                txns.append(arr)
+            rows = [line.split() for line in fh]
+        txns = [[int(p) for p in row] for row in rows if row]
         if n_items <= 0:
-            n_items = max_id + 1
-        return cls.from_arrays(txns, n_items=n_items, name=name or str(path))
+            n_items = max((max(t) for t in txns), default=-1) + 1
+        return cls.from_lists(txns, n_items=n_items, name=name or str(path))
 
     def save(self, path: "str | Path") -> None:
         """Persist to ``.npz``."""

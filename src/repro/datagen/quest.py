@@ -22,6 +22,8 @@ transactions.
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,9 @@ import numpy as np
 from repro.errors import DataGenError
 
 __all__ = ["QuestParams", "QuestGenerator", "parse_workload_name"]
+
+#: Uniform doubles per refill; more only raises peak memory.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -97,9 +102,6 @@ class QuestGenerator:
     def __init__(self, params: QuestParams) -> None:
         self.params = params
         self._rng = np.random.default_rng(params.seed)
-        self._patterns: list[np.ndarray] = []
-        self._weights: np.ndarray | None = None
-        self._corruption: np.ndarray | None = None
         self._build_patterns()
 
     # -- pattern pool -----------------------------------------------------
@@ -128,7 +130,7 @@ class QuestGenerator:
             pat = np.array(sorted(items), dtype=np.int32)
             patterns.append(pat)
             prev = pat
-        self._patterns = patterns
+        self._patterns: list[np.ndarray] = patterns
 
         weights = rng.exponential(1.0, size=p.n_patterns)
         self._weights = weights / weights.sum()
@@ -143,45 +145,85 @@ class QuestGenerator:
 
     # -- transactions ------------------------------------------------------
 
+    def _seek(self, base: dict, n_doubles: int) -> None:
+        """Put the stream ``n_doubles`` 64-bit steps past the state ``base``,
+        keeping the 32-bit half-word an earlier ``rng.integers`` buffered
+        there for the next one — ``advance`` would drop it."""
+        bit_generator = self._rng.bit_generator
+        bit_generator.state = base
+        bit_generator.advance(n_doubles)
+        buffered = {key: base[key] for key in ("has_uint32", "uinteger")}
+        bit_generator.state = {**bit_generator.state, **buffered}
+
     def generate(self) -> "TransactionDatabase":
-        """Produce the full database described by the parameters."""
+        """Produce the full database described by the parameters.
+
+        After the target sizes every draw is one uniform double — the
+        pattern pick (inverse CDF, exactly ``Generator.choice(p=...)``),
+        one per pattern item for corruption, the overflow coin — so they
+        are drawn ``_BLOCK`` at a time and read by index.  The database
+        and the generator's final state equal those of one NumPy call per
+        draw (``tests/datagen/reference_quest.py``).
+        """
         from repro.datagen.corpus import TransactionDatabase
 
         p = self.params
         rng = self._rng
-        assert self._weights is not None and self._corruption is not None
+        cdf = self._weights.cumsum()
+        cdf = (cdf / cdf[-1]).tolist()
+        patterns = [pat.tolist() for pat in self._patterns]
+        corruption = self._corruption.tolist()
+        # One pick reads at most this many doubles: index, items, coin.
+        need = max(map(len, patterns)) + 2
 
-        txns: list[np.ndarray] = []
-        carry: np.ndarray | None = None  # pattern postponed to the next txn
-        pattern_idx = np.arange(p.n_patterns)
-
-        target_sizes = np.maximum(1, rng.poisson(p.avg_txn_len, size=p.n_transactions))
-        for target in target_sizes:
-            target = int(target)
-            items: set[int] = set()
-            if carry is not None:
-                items.update(carry.tolist())
-                carry = None
+        rows = array("i")
+        offsets = array("q", [0])
+        carry: list[int] = []  # pattern postponed to the next txn
+        targets = np.maximum(1, rng.poisson(p.avg_txn_len, size=p.n_transactions))
+        # The stream stands ``i`` doubles past ``base``, and ``block`` holds
+        # the doubles that follow ``base``.
+        base = rng.bit_generator.state
+        block: list[float] = []
+        i = 0
+        for target in targets.tolist():
+            items = set(carry)
+            carry = []
             guard = 0
             while len(items) < target and guard < 50:
                 guard += 1
-                pi = int(rng.choice(pattern_idx, p=self._weights))
-                pat = self._patterns[pi]
-                c = float(self._corruption[pi])
-                kept = pat[rng.random(pat.size) >= c]
-                if kept.size == 0:
+                if len(block) - i < need:
+                    self._seek(base, i)
+                    base, i = rng.bit_generator.state, 0
+                    block = rng.random(max(_BLOCK, need)).tolist()
+                pi = bisect_right(cdf, block[i])
+                pat = patterns[pi]
+                c = corruption[pi]
+                end = i + 1 + len(pat)
+                kept = [x for x, u in zip(pat, block[i + 1 : end]) if u >= c]
+                i = end
+                if not kept:
                     continue
-                if len(items) + kept.size > target and items:
+                if len(items) + len(kept) > target and items:
                     # Doesn't fit: insert anyway half the time, otherwise
                     # postpone to the next transaction (VLDB'94 rule).
-                    if rng.random() < 0.5:
-                        items.update(kept.tolist())
+                    i += 1  # the coin, block[end]
+                    if block[end] < 0.5:
+                        items.update(kept)
                     else:
                         carry = kept
                     break
-                items.update(kept.tolist())
+                items.update(kept)
             if not items:
+                # ``integers`` reads a data-dependent count of 32-bit words.
+                self._seek(base, i)
                 items.add(int(rng.integers(0, p.n_items)))
-            txns.append(np.array(sorted(items), dtype=np.int32))
-
-        return TransactionDatabase.from_arrays(txns, n_items=p.n_items, name=p.workload_name())
+                base, block, i = rng.bit_generator.state, [], 0
+            rows.extend(sorted(items))
+            offsets.append(len(rows))
+        self._seek(base, i)
+        return TransactionDatabase(
+            np.frombuffer(rows, dtype=np.intc),
+            np.frombuffer(offsets, dtype=np.int64),
+            n_items=p.n_items,
+            name=p.workload_name(),
+        )

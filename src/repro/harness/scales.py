@@ -146,7 +146,7 @@ def prepare_workload(
     if seed is None:
         seed = scale.seed
     db = generate(scale.workload, n_items=scale.n_items, seed=seed)
-    ref = apriori(db, minsup=scale.minsup, max_k=2)
+    ref = apriori(db, minsup=scale.minsup, max_k=1)
     l1 = sorted(ref.large_of_size(1))
     from repro.mining.candidates import generate_candidates
 

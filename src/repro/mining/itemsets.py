@@ -16,6 +16,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import MiningError
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "ITEMSET_BYTES",
     "make_itemset",
     "itemset_hash",
+    "itemset_hashes",
     "k_subsets",
     "is_valid_itemset",
 ]
@@ -74,6 +77,16 @@ def itemset_hash(itemset: Sequence[int]) -> int:
         h = (h * _FNV_PRIME) & _MASK64
         # extra avalanche: fold high bits down so modulo partitioning is fair
         h ^= h >> 29
+    return h
+
+
+def itemset_hashes(itemsets: np.ndarray) -> np.ndarray:
+    """:func:`itemset_hash` of every row of an ``[n, k]`` item-id array."""
+    h = np.full(len(itemsets), _FNV_OFFSET, dtype=np.uint64)
+    for column in itemsets.T.astype(np.uint64):
+        h ^= column
+        h *= np.uint64(_FNV_PRIME)  # wraps mod 2**64, the scalar's mask
+        h ^= h >> np.uint64(29)
     return h
 
 

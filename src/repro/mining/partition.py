@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import MiningError
-from repro.mining.itemsets import Itemset, itemset_hash
+from repro.mining.itemsets import Itemset, itemset_hash, itemset_hashes
 
 __all__ = ["HashPartitioner", "SkewStats", "skew_statistics"]
 
@@ -59,12 +59,14 @@ class HashPartitioner:
             raise MiningError(f"node {node} out of range")
         return range(node, self.total_lines, self.n_nodes)
 
+    def lines_of(self, itemsets: np.ndarray) -> np.ndarray:
+        """:meth:`line_of` of every row of an ``[n, k]`` item-id array."""
+        return (itemset_hashes(itemsets) % np.uint64(self.total_lines)).astype(np.int64)
+
     def partition_counts(self, candidates: Iterable[Itemset]) -> np.ndarray:
-        """Per-node candidate counts — the paper's Table 3 row."""
-        counts = np.zeros(self.n_nodes, dtype=np.int64)
-        for cand in candidates:
-            counts[self.node_of(cand)] += 1
-        return counts
+        """Per-node counts of one pass's candidates — the paper's Table 3 row."""
+        lines = self.lines_of(np.array(list(candidates), dtype=np.int64))
+        return np.bincount(lines % self.n_nodes, minlength=self.n_nodes)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datagen import TransactionDatabase, generate
 from repro.errors import DataGenError
@@ -79,6 +81,27 @@ def test_partition_item_counts_sum():
     assert np.array_equal(summed, db.item_counts())
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    txns=st.lists(st.sets(st.integers(0, 30), max_size=6), max_size=40),
+    n_parts=st.integers(1, 12),
+)
+def test_partition_equals_slicing_every_nth_transaction(txns, n_parts):
+    # Empty transactions, and more parts than transactions, included.
+    db = TransactionDatabase.from_lists(txns, n_items=31, name="db")
+    parts = db.partition(n_parts)
+    assert len(parts) == n_parts
+    for j, part in enumerate(parts):
+        want = TransactionDatabase.from_arrays(
+            [db[i] for i in range(j, len(db), n_parts)], n_items=31, name=f"db/part{j}"
+        )
+        assert part.items.dtype == want.items.dtype
+        assert part.offsets.dtype == want.offsets.dtype
+        assert part.items.tobytes() == want.items.tobytes()
+        assert part.offsets.tobytes() == want.offsets.tobytes()
+        assert (part.n_items, part.name) == (want.n_items, want.name)
+
+
 def test_save_load_roundtrip(tmp_path):
     db = tiny_db()
     path = tmp_path / "db.npz"
@@ -102,6 +125,29 @@ def test_invalid_offsets_rejected():
 def test_out_of_range_items_rejected():
     with pytest.raises(DataGenError):
         TransactionDatabase(np.array([0, 9]), np.array([0, 2]), n_items=4)
+
+
+@pytest.mark.parametrize(
+    "items, offsets",
+    [
+        ([0, 2, 1], [0, 3]),  # unsorted row
+        ([1, 1], [0, 2]),  # duplicate item
+        ([0, 3, 1, 1], [0, 2, 4]),  # bad second row
+        ([2, 1], [0, 0, 2, 2]),  # bad row between empty rows
+    ],
+)
+def test_rows_must_be_strictly_increasing(items, offsets):
+    with pytest.raises(DataGenError, match="strictly increasing"):
+        TransactionDatabase(np.array(items), np.array(offsets), n_items=4)
+
+
+def test_row_check_looks_inside_rows_only():
+    # A row may start below where the previous one ended, next to empty
+    # rows at the front, in the middle and at the back.
+    db = TransactionDatabase(np.array([2, 3, 0, 3, 0]), np.array([0, 0, 2, 2, 4, 5, 5]), n_items=4)
+    assert [t.tolist() for t in db] == [[], [2, 3], [], [0, 3], [0], []]
+    assert len(TransactionDatabase(np.array([3]), np.array([0, 1]), n_items=4)) == 1
+    assert len(TransactionDatabase(np.array([]), np.array([0, 0, 0]), n_items=4)) == 2
 
 
 def test_empty_database():

@@ -1,5 +1,7 @@
 """Tests for benchmark scales and the paper-MB limit mapping."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import HarnessError
@@ -36,6 +38,35 @@ def test_prepare_workload_tiny():
     assert prep.n_candidates_2 == prep.n_large_1 * (prep.n_large_1 - 1) // 2
     assert sum(prep.per_node_candidates) == prep.n_candidates_2
     assert prep.busiest_node_bytes > max(prep.per_node_candidates) * 24
+
+
+# Recorded on the commit before the generator drew its uniforms in
+# blocks: sha256 of the database bytes, and the candidate geometry.
+PINNED = {
+    "tiny": (
+        "306a28366579934f9369bca520a544b8337c5c23078ee60e70613db92d00b29c",
+        (98, 4753, (2386, 2367), 61360),
+    ),
+    "small": (
+        "295b150eadacc4305d80a2cedd68579dd30e36bf837537ffa2a3fa9a0f1a390a",
+        (187, 17391, (4336, 4325, 4381, 4349), 121528),
+    ),
+    "full": (
+        "837f11f86d7c875e01ea4a3fbb1327bca6ae393ea29599cd62e029729f296932",
+        (318, 50403, (6337, 6267, 6264, 6281, 6269, 6293, 6340, 6352), 185216),
+    ),
+}
+
+
+@pytest.mark.parametrize("scale_name", sorted(PINNED))
+def test_prepared_workload_bytes_and_geometry_pinned(scale_name):
+    prep = prepare_workload(scale_name)
+    digest = hashlib.sha256(prep.db.items.tobytes() + prep.db.offsets.tobytes())
+    geometry = (
+        prep.n_large_1, prep.n_candidates_2,
+        prep.per_node_candidates, prep.busiest_node_bytes,
+    )
+    assert (digest.hexdigest(), geometry) == PINNED[scale_name]
 
 
 def test_prepare_workload_cached():

@@ -1,11 +1,13 @@
 """Tests for hash partitioning and skew statistics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MiningError
-from repro.mining import HashPartitioner, skew_statistics
+from repro.mining import HashPartitioner, itemset_hash, skew_statistics
+from repro.mining.itemsets import itemset_hashes
 
 
 def test_line_determines_node():
@@ -89,3 +91,25 @@ def test_property_routing_stable_and_in_range(total_lines, n_nodes, items):
         node = part.node_of(itemset)
         assert 0 <= node < n_nodes
         assert part.node_of(itemset) == node  # stable
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    total_lines=st.integers(min_value=8, max_value=10**6),
+    n_nodes=st.integers(min_value=1, max_value=8),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_property_lines_of_is_line_of_per_row(total_lines, n_nodes, k, data):
+    itemsets = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 2**31 - 1)] * k), max_size=30)
+    )
+    part = HashPartitioner(total_lines, n_nodes)
+    rows = np.array(itemsets, dtype=np.int64).reshape(-1, k)
+    assert itemset_hashes(rows).tolist() == [itemset_hash(i) for i in itemsets]
+    assert part.lines_of(rows).tolist() == [part.line_of(i) for i in itemsets]
+    counts = part.partition_counts(itemsets)
+    want = [0] * n_nodes
+    for itemset in itemsets:
+        want[part.node_of(itemset)] += 1
+    assert counts.tolist() == want
