@@ -19,7 +19,7 @@ proportional to faults, not to itemsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.core.memory_table import LineState, MemoryManagementTable
 from repro.core.pager import Pager
 from repro.core.policies import LRUPolicy, ReplacementPolicy
 from repro.errors import MiningError, SwapError
-from repro.mining.hash_table import CandidateHashTable, HashLine
+from repro.mining.hash_table import LINE_HEADER_BYTES, CandidateHashTable, HashLine
 from repro.mining.itemsets import ITEMSET_BYTES, Itemset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,6 +64,13 @@ class SpanIndex:
         self.lines = lines
         self.n_items = n_items
         self.pending: list[np.ndarray] = []
+
+
+def _last_occurrence_order(line_ids: "list[int]") -> "list[int]":
+    """Distinct ``line_ids`` ordered by last occurrence: touching them in
+    this order leaves a replacement policy where touching every
+    occurrence in turn would."""
+    return list(reversed(dict.fromkeys(reversed(line_ids))))
 
 
 @dataclass
@@ -162,6 +169,50 @@ class SwapManager:
             return self.pager.buffer_update(line_id, itemset, 0)
         return self._insert_slow(itemset, line_id)
 
+    def insert_resident_prefix(
+        self, itemsets: Sequence[Itemset], line_ids: np.ndarray
+    ) -> int:
+        """Insert the longest prefix of an aligned candidate list that
+        stays on :meth:`insert_candidate`'s fast path; returns its length.
+
+        The prefix ends before the first insert that targets a
+        non-resident line or leaves the node over its limit (that insert
+        evicts, and everything after it may fault or buffer).  Up to
+        there the per-candidate sequence reads nothing but this
+        manager's own ledger, so it folds into one pass: fresh lines are
+        created, and entered into the policy, in first-occurrence order;
+        each line's dict grows in list order; and the policy is touched
+        once per distinct line in last-occurrence order — the
+        per-candidate end state (see :meth:`count_resident_batch`).  The
+        caller runs the remainder through :meth:`insert_candidate`.
+        """
+        resident = self.mm_table.resident_mask(line_ids)
+        head = len(line_ids) if resident.all() else int(np.argmin(resident))
+        if self.limit_bytes is not None and head:
+            # Bytes in use after each insert: a fresh line's header is
+            # paid at its first occurrence.
+            distinct, first = np.unique(line_ids[:head], return_index=True)
+            fresh = np.array([lid not in self.table for lid in distinct.tolist()])
+            grow = np.full(head, ITEMSET_BYTES, dtype=np.int64)
+            grow[first[fresh]] += LINE_HEADER_BYTES
+            used = self.resident_bytes + self.pinned_bytes + np.cumsum(grow)
+            head = int(np.searchsorted(used, self.limit_bytes, side="right"))
+        ids = line_ids[:head].tolist()
+        adders: dict[int, Callable[[Itemset], None]] = {}
+        for line_id in dict.fromkeys(ids):
+            if self._race is not None:
+                self._race.write(self, ("line", line_id))
+            if line_id not in self.table:
+                self.policy.insert(line_id)
+                self.resident_bytes += LINE_HEADER_BYTES
+            adders[line_id] = self.table.line(line_id).add
+        for itemset, line_id in zip(itemsets, ids):
+            adders[line_id](itemset)
+        self.resident_bytes += ITEMSET_BYTES * head
+        self.policy.touch_batch(_last_occurrence_order(ids))
+        self.stats.inserts += head
+        return head
+
     def _insert_resident(self, itemset: Itemset, line_id: int) -> None:
         if self._race is not None:
             self._race.write(self, ("line", line_id))
@@ -210,30 +261,49 @@ class SwapManager:
             return self.pager.buffer_update(line_id, itemset, 1)
         return self._count_slow(itemset, line_id)
 
-    def count_resident_bulk(self, itemset: Itemset, line_id: int, n: int) -> None:
-        """Fold ``n`` occurrences of one candidate in a single call.
+    def count_resident_bulk(
+        self,
+        itemsets: Sequence[Itemset],
+        line_ids: Sequence[int],
+        counts: Sequence[int],
+    ) -> None:
+        """Fold ``counts[i]`` occurrences of ``itemsets[i]`` (on hash line
+        ``line_ids[i]``) for a whole aligned batch in one call.
 
         Only valid on a pager-less node (every line permanently
         resident): there the fast path of :meth:`count_itemset` never
-        yields, so occurrence order is unobservable and ``n`` separate
-        increments collapse to one.  Statistics advance exactly as the
-        per-occurrence path would have advanced them.
+        yields, so occurrence order is unobservable and a pass's
+        occurrences collapse to one increment per candidate.  Statistics
+        advance exactly as the per-occurrence path would have advanced
+        them.
         """
         if self.pager is not None:
             raise SwapError("bulk counting requires a pager-less node")
-        if n <= 0:
-            raise MiningError(f"bulk count must be positive, got {n}")
+        if counts and min(counts) <= 0:
+            raise MiningError(f"bulk count must be positive, got {min(counts)}")
+        distinct = list(dict.fromkeys(line_ids))
         if self._race is not None:
-            self._race.write(self, ("line", line_id))
-        self.stats.counts += n
-        line = self.table.get(line_id)
-        if line is None or not line.increment(itemset, by=n):
+            for line_id in distinct:
+                self._race.write(self, ("line", line_id))
+        # A line this node does not hold has no entry, so it fails the
+        # lookup below like a candidate missing from its line does.
+        held = {
+            line.line_id: line.counts
+            for line in map(self.table.get, distinct)
+            if line is not None
+        }
+        try:
+            for itemset, line_id, n in zip(itemsets, line_ids, counts):
+                held[line_id][itemset] += n
+        except KeyError:
             raise MiningError(
                 f"itemset {itemset} routed to line {line_id} is not a "
                 f"candidate there"
-            )
-        self.policy.touch(line_id)
-        self.stats.fast_counts += n
+            ) from None
+        self.policy.touch_batch(distinct)
+        total = sum(counts)
+        self.stats.counts += total
+        self.stats.fast_counts += total
 
     def count_resident_batch(
         self, itemsets: "list[Itemset]", line_ids: "list[int]"
@@ -258,11 +328,7 @@ class SwapManager:
                     f"itemset {itemset} routed to line {line_id} is not a "
                     f"candidate there"
                 )
-        # dict.fromkeys(reversed(...)) keeps distinct lines in
-        # last-occurrence-first order; reversing touches oldest first.
-        self.policy.touch_batch(
-            list(reversed(dict.fromkeys(reversed(line_ids))))
-        )
+        self.policy.touch_batch(_last_occurrence_order(line_ids))
         n = len(line_ids)
         self.stats.counts += n
         self.stats.fast_counts += n
@@ -287,11 +353,7 @@ class SwapManager:
         if self._race is not None:
             self._race.write(self, "span-pending")
         index.pending.append(codes)
-        # Same touch ceremony as count_resident_batch: each distinct line
-        # once, ordered by last occurrence.
-        self.policy.touch_batch(
-            list(reversed(dict.fromkeys(reversed(line_ids.tolist()))))
-        )
+        self.policy.touch_batch(_last_occurrence_order(line_ids.tolist()))
         n = codes.size
         self.stats.counts += n
         self.stats.fast_counts += n

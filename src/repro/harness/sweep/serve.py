@@ -112,17 +112,20 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
     def _respond(self, status: int, body: bytes,
                  content_type: str = "application/json") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Recorded before the body goes out: a client that holds its reply
+        # may leave its telemetry session at once, and this runs on the
+        # server thread.
         telemetry = current_telemetry()
         if telemetry is not None:
             telemetry.bus.emit(
                 "serve-request", -1, self.path, status=status,
                 bytes=len(body),
             )
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
     def _json(self, status: int, payload: dict) -> None:
         self._respond(

@@ -32,6 +32,7 @@ sender/receiver counting phase, and the determination broadcast.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Generator, Optional
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro.datagen.corpus import TransactionDatabase
 from repro.mining.candidates import generate_candidates
-from repro.mining.itemsets import ITEMSET_BYTES, Itemset
+from repro.mining.itemsets import ITEMSET_BYTES, Itemset, itemset_rows
 from repro.mining.kernels import (
     OWNER_DUPLICATED,
     CountingKernel,
@@ -95,40 +96,34 @@ class HPARun(MiningDriver):
         # object).
         candidates = generate_candidates(sorted(l_prev), k)
 
+        # Routing is resolved once per pass, as arrays aligned with the
+        # candidate list; the counting phase never re-hashes per occurrence.
+        lines = self.partitioner.lines_of(itemset_rows(candidates, k))
+        owners = lines % cfg.n_app_nodes
+
         # HPA-ELD: duplicate the candidates with the highest estimated
         # frequency on every node; they are counted locally and never
         # routed, removing the heaviest share of itemset traffic.  The
         # ranking key (min support over (k-1)-subsets) is computed once
         # per candidate, not once per comparison.
         dup_set: set[Itemset] = set()
-        if cfg.eld_fraction > 0 and candidates:
-            n_dup = int(cfg.eld_fraction * len(candidates))
-            if n_dup:
-                scores = eld_scores(candidates, l_prev, k)
-                ranked = sorted(
-                    range(len(candidates)), key=scores.__getitem__, reverse=True
-                )
-                dup_set = {candidates[i] for i in ranked[:n_dup]}
+        n_dup = int(cfg.eld_fraction * len(candidates))
+        if n_dup:
+            scores = eld_scores(candidates, l_prev, k)
+            ranked = sorted(
+                range(len(candidates)), key=scores.__getitem__, reverse=True
+            )[:n_dup]
+            dup_set = {candidates[i] for i in ranked}
+            lines[ranked] = -1
+            owners[ranked] = OWNER_DUPLICATED
 
-        # Routing is resolved once per candidate here; the counting phase
-        # never re-hashes `line_of`/`node_of_line` per occurrence.
-        per_node_cands = [0] * cfg.n_app_nodes
-        node_candidates: list[list[tuple[Itemset, int]]] = [
-            [] for _ in range(cfg.n_app_nodes)
-        ]
-        entries: list[tuple[Itemset, int, Optional[int]]] = []
-        for cand in candidates:
-            if cand in dup_set:
-                entries.append((cand, -1, OWNER_DUPLICATED))
-                continue
-            line = self.partitioner.line_of(cand)
-            owner = self.partitioner.node_of_line(line)
-            per_node_cands[owner] += 1
-            node_candidates[owner].append((cand, line))
-            entries.append((cand, line, owner))
+        routed = owners != OWNER_DUPLICATED
+        per_node_cands = np.bincount(
+            owners[routed], minlength=cfg.n_app_nodes
+        ).tolist()
         kernel: Optional[CountingKernel] = None
         if cfg.kernel == "vector" and candidates:
-            kernel = CountingKernel(k, self.db.n_items, entries)
+            kernel = CountingKernel(k, self.db.n_items, candidates, lines, owners)
         dup_counts: list[dict[Itemset, int]] = [
             dict.fromkeys(dup_set, 0) for _ in range(cfg.n_app_nodes)
         ]
@@ -141,7 +136,7 @@ class HPARun(MiningDriver):
         yield from self._barrier(
             [
                 self._candgen_node(
-                    a, len(candidates), node_candidates[a], len(dup_set)
+                    a, candidates, lines, np.flatnonzero(owners == a), len(dup_set)
                 )
                 for a in self.app_ids
             ]
@@ -271,11 +266,13 @@ class HPARun(MiningDriver):
     def _candgen_node(
         self,
         a: int,
-        n_total_candidates: int,
-        owned: "list[tuple[Itemset, int]]",
+        candidates: "list[Itemset]",
+        lines: np.ndarray,
+        owned: np.ndarray,
         n_duplicated: int = 0,
     ) -> Generator:
-        """Generate all candidates (CPU), insert the owned ones.
+        """Generate all candidates (CPU), insert the owned ones
+        (``owned`` indexes ``candidates``/``lines``).
 
         Duplicated (ELD) candidates live outside the hash table but their
         footprint still counts against the node's memory-usage limit.
@@ -284,11 +281,13 @@ class HPARun(MiningDriver):
         mgr = self.managers[a]
         cost = self.config.cost
         mgr.pinned_bytes = ITEMSET_BYTES * n_duplicated
-        if n_total_candidates:
+        if candidates:
             yield from node.compute(
-                cost.cpu_candgen_per_candidate_s * n_total_candidates
+                cost.cpu_candgen_per_candidate_s * len(candidates)
             )
-        yield from self._insert_candidates(a, owned)
+        yield from self._insert_candidates(
+            a, [candidates[i] for i in owned.tolist()], lines[owned]
+        )
 
     def _sender_node(
         self,
@@ -322,16 +321,6 @@ class HPARun(MiningDriver):
             )
         return (yield from self._sender_subsets(a, kernel, dup_counts))
 
-    def _sender_blocks(self, a: int) -> "list[tuple[int, int]]":
-        """(start, end) transaction ranges of one 64 KB disk block each
-        (shared geometry of every sender variant)."""
-        part = self.partitions[a]
-        cost = self.config.cost
-        n = len(part)
-        avg_txn_bytes = max(1.0, part.size_bytes() / max(1, n))
-        txns_per_block = max(1, int(cost.disk_io_block_bytes / avg_txn_bytes))
-        return [(i, min(n, i + txns_per_block)) for i in range(0, n, txns_per_block)]
-
     def _sender_naive(
         self,
         a: int,
@@ -350,7 +339,7 @@ class HPARun(MiningDriver):
         items_per_msg = max(1, cost.message_block_bytes // ITEMSET_BYTES)
         buffers: dict[int, list] = {b: [] for b in self.app_ids if b != a}
 
-        for i, j in self._sender_blocks(a):
+        for i, j in self._block_ranges(a):
             yield from node.data_disk.read(cost.disk_io_block_bytes, sequential=True)
             generated = 0
             local_counted = 0
@@ -455,7 +444,7 @@ class HPARun(MiningDriver):
         local_codes: list[np.ndarray] = []
         dup_codes: list[np.ndarray] = []
 
-        for i, j in self._sender_blocks(a):
+        for i, j in self._block_ranges(a):
             yield from node.data_disk.read(cost.disk_io_block_bytes, sequential=True)
             block = part.items[offsets[i] : offsets[j]]
             rel = offsets[i : j + 1] - offsets[i]
@@ -544,7 +533,7 @@ class HPARun(MiningDriver):
         fill: dict[int, int] = {b: 0 for b in dests}
         offsets = part.offsets
 
-        for i, j in self._sender_blocks(a):
+        for i, j in self._block_ranges(a):
             yield from node.data_disk.read(cost.disk_io_block_bytes, sequential=True)
             block = part.items[offsets[i] : offsets[j]]
             rel = offsets[i : j + 1] - offsets[i]
@@ -686,7 +675,10 @@ class HPARun(MiningDriver):
         self, a: int, kernel: CountingKernel, dup_counts: "dict[Itemset, int]"
     ) -> Generator:
         """k >= 3 (or oversized-universe k == 2) sender: prefix-index
-        subset walk plus precomputed routing, per-occurrence loop."""
+        subset walk plus precomputed routing.  Remote occurrences fill the
+        per-destination buffers one by one (message boundaries and order
+        are the naive sender's); local ones are tallied and folded once
+        when the node has no pager, counted in place otherwise."""
         n_messages = 0
         part = self.partitions[a]
         node = self.cluster[a]
@@ -695,8 +687,11 @@ class HPARun(MiningDriver):
         window = SendWindow(self.env, self.config.send_window)
         items_per_msg = max(1, cost.message_block_bytes // ITEMSET_BYTES)
         buffers: dict[int, list] = {b: [] for b in self.app_ids if b != a}
+        route = kernel.route
+        bulk = mgr.pager is None
+        local: list[Itemset] = []
 
-        for i, j in self._sender_blocks(a):
+        for i, j in self._block_ranges(a):
             yield from node.data_disk.read(cost.disk_io_block_bytes, sequential=True)
             generated = 0
             local_counted = 0
@@ -707,11 +702,14 @@ class HPARun(MiningDriver):
                         dup_counts[itemset] += 1
                         local_counted += 1
                         continue
-                    line, owner = kernel.route_of(itemset)
+                    line, owner = route[itemset]
                     if owner == a:
-                        op = mgr.count_itemset(itemset, line)
-                        if op is not None:
-                            yield from op
+                        if bulk:
+                            local.append(itemset)
+                        else:
+                            op = mgr.count_itemset(itemset, line)
+                            if op is not None:
+                                yield from op
                         local_counted += 1
                     else:
                         buf = buffers[owner]
@@ -749,6 +747,7 @@ class HPARun(MiningDriver):
                 self.cluster.transport.send(a, b, "count", _EOF, 16)
             )
         yield from window.drain()
+        kernel.apply_local_tally(mgr, Counter(local))
         return n_messages
 
     def _receiver_node(
@@ -758,17 +757,18 @@ class HPARun(MiningDriver):
 
         Kernel senders ship dense pair codes as ``int64`` arrays; tuple
         lists arrive from the naive and k >= 3 paths.  Without a pager
-        the decoded codes are accumulated and folded in bulk once every
-        stream has closed (occurrence order is unobservable then); with a
-        pager each occurrence is counted in arrival order.
+        both are accumulated and folded in bulk once every stream has
+        closed (occurrence order is unobservable then); with a pager each
+        occurrence is counted in arrival order.
         """
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
         transport = self.cluster.transport
         remaining_eofs = len(self.app_ids) - 1
-        bulk = kernel is not None and kernel.dense and mgr.pager is None
+        bulk = kernel is not None and mgr.pager is None
         pending: list[np.ndarray] = []
+        tally: Counter[Itemset] = Counter()
         while remaining_eofs > 0:
             msg = yield transport.recv(a, "count")
             payload = msg.payload
@@ -809,6 +809,8 @@ class HPARun(MiningDriver):
                             yield from op
                             if i < n_occ:
                                 mask[i:] = mm.resident_mask(lines[i:])
+            elif bulk:
+                tally.update(payload)
             elif kernel is not None:
                 for itemset in payload:
                     line, _ = kernel.route_of(itemset)
@@ -821,9 +823,9 @@ class HPARun(MiningDriver):
                     op = mgr.count_itemset(itemset, line)
                     if op is not None:
                         yield from op
-        if pending:
-            assert kernel is not None
+        if kernel is not None:
             kernel.apply_local_pairs(mgr, pending)
+            kernel.apply_local_tally(mgr, tally)
 
     def _determine_node(self, a: int) -> Generator:
         """Find locally large itemsets and broadcast them."""

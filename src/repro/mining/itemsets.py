@@ -13,7 +13,7 @@ so we use an explicit FNV-1a-style mix rather than Python's builtin
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +26,7 @@ __all__ = [
     "make_itemset",
     "itemset_hash",
     "itemset_hashes",
+    "itemset_rows",
     "k_subsets",
     "is_valid_itemset",
 ]
@@ -78,6 +79,12 @@ def itemset_hash(itemset: Sequence[int]) -> int:
         # extra avalanche: fold high bits down so modulo partitioning is fair
         h ^= h >> 29
     return h
+
+
+def itemset_rows(itemsets: Sequence[Itemset], k: int) -> np.ndarray:
+    """``k``-itemsets as an ``int64[n, k]`` array, one per row (``n`` may be 0)."""
+    n = len(itemsets)
+    return np.fromiter(chain.from_iterable(itemsets), np.int64, n * k).reshape(n, k)
 
 
 def itemset_hashes(itemsets: np.ndarray) -> np.ndarray:

@@ -18,33 +18,37 @@ module replaces that hot path with three shared kernels:
    exactly the candidates contained in the transaction, in the same
    lexicographic order the naive ``combinations``-then-prune loop
    produces, without enumerating C(|txn|, k) subsets.
-3. **Routing table** — ``itemset -> (line_id, owner)`` computed once per
-   pass at candidate-generation time, so counting never re-hashes
-   ``partitioner.line_of`` per occurrence.
+3. **Routing table** — ``itemset -> (line_id, owner)`` for the whole
+   pass, hashed by one ``HashPartitioner.lines_of`` call over the
+   candidates as an ``int64[n, k]`` array; the lookup tables here are
+   filled from the aligned ``lines``/``owners`` arrays, so neither
+   placement nor counting ever hashes per itemset.
 
 Everything here is *host-side* optimisation only: the kernels must not
 change simulated costs (CPU seconds charged, message counts and sizes,
 pagefault behaviour) or mined results.  The drivers therefore consume
-them in two regimes: when a node has **no pager**, occurrence order
-cannot influence the virtual clock and counting is applied in bulk; with
-a pager, the kernels still precompute generation and routing but the
-per-occurrence loop is preserved so LRU touches and faults replay
-bit-identically.  :class:`OwnerStreams` reproduces the naive sender's
-per-destination buffer-fill boundaries exactly, so message counts,
-payload contents, and send *order* are unchanged.
+them in two regimes, for every k: when a node has **no pager**,
+occurrence order cannot influence the virtual clock and local counting
+is accumulated and folded in bulk; with a pager, the kernels still
+precompute generation and routing but the per-occurrence order is
+preserved so LRU touches and faults replay bit-identically.
+:class:`OwnerStreams` reproduces the naive sender's per-destination
+buffer-fill boundaries exactly, so message counts, payload contents, and
+send *order* are unchanged.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.swap_manager import SpanIndex, SwapManager
 from repro.datagen.corpus import TransactionDatabase
 from repro.errors import MiningError
-from repro.mining.itemsets import Itemset
+from repro.mining.itemsets import Itemset, itemset_rows
 
 __all__ = [
     "OWNER_DUPLICATED",
@@ -129,12 +133,11 @@ def encode_pairs(first: np.ndarray, second: np.ndarray, n_items: int) -> np.ndar
     return first.astype(np.int64) * n_items + second.astype(np.int64)
 
 
-def item_mask(itemsets: Iterable[Itemset], n_items: int) -> np.ndarray:
-    """Boolean mask over the item universe: appears in any itemset."""
+def item_mask(itemsets: "Sequence[Itemset] | np.ndarray", n_items: int) -> np.ndarray:
+    """Boolean mask over the item universe: appears in any itemset
+    (``itemsets`` as same-size tuples or as an ``[n, k]`` row array)."""
     mask = np.zeros(n_items, dtype=bool)
-    for itemset in itemsets:
-        for item in itemset:
-            mask[item] = True
+    mask[np.asarray(itemsets, dtype=np.int64).ravel()] = True
     return mask
 
 
@@ -266,45 +269,46 @@ class OwnerStreams:
 class CountingKernel:
     """One pass's shared counting kernel: routing plus subset generation.
 
-    Built once per pass from ``(itemset, line, owner)`` routing entries
-    (owner :data:`OWNER_DUPLICATED` marks ELD-duplicated candidates;
-    ``owner=None`` entries are allowed for NPA, where every candidate is
-    local and only the line matters).  All nodes share one instance —
-    the structures are read-only during counting.
+    Built once per pass from the candidate list and its aligned routing
+    arrays — ``lines[i]``/``owners[i]`` are candidate ``i``'s hash line
+    and owning node (owner :data:`OWNER_DUPLICATED` with line -1 marks an
+    ELD-duplicated candidate; NPA, where every candidate is local, passes
+    all-zero owners).  All nodes share one instance — the structures are
+    read-only during counting.
     """
 
     def __init__(
         self,
         k: int,
         n_items: int,
-        entries: Sequence["tuple[Itemset, int, Optional[int]]"],
+        candidates: Sequence[Itemset],
+        lines: np.ndarray,
+        owners: np.ndarray,
         dense_limit: int = DENSE_PAIR_LIMIT,
     ) -> None:
         self.k = k
         self.n_items = n_items
         self.dense = k == 2 and n_items <= dense_limit
-        #: itemset -> (line, owner); owner is None for NPA-style entries.
-        self.route: dict[Itemset, tuple[int, Optional[int]]] = {}
+        #: itemset -> (line, owner), for the non-dense paths.
+        self.route: dict[Itemset, tuple[int, int]] = {}
         self.prefix: Optional[PrefixIndex] = None
         self.pair_owner: Optional[np.ndarray] = None
         self.pair_line: Optional[np.ndarray] = None
-        itemsets = [e[0] for e in entries]
+        cand = itemset_rows(candidates, k)
         if self.dense:
             size = n_items * n_items
+            codes = cand[:, 0] * n_items + cand[:, 1]
             self.pair_owner = np.full(size, _OWNER_NONE, dtype=np.int32)
+            self.pair_owner[codes] = owners
             self.pair_line = np.full(size, -1, dtype=np.int32)
-            for itemset, line, owner in entries:
-                code = itemset[0] * n_items + itemset[1]
-                self.pair_owner[code] = _OWNER_NONE if owner is None else owner
-                self.pair_line[code] = line
+            self.pair_line[codes] = lines
         else:
-            for itemset, line, owner in entries:
-                self.route[itemset] = (line, owner)
+            self.route = dict(zip(candidates, zip(lines.tolist(), owners.tolist())))
             if k >= 3:
-                self.prefix = PrefixIndex(itemsets, k)
+                self.prefix = PrefixIndex(candidates, k)
         #: Items occurring in any candidate — transactions are restricted
         #: to this mask before subset generation (k >= 3 path).
-        self.mask = item_mask(itemsets, n_items)
+        self.mask = item_mask(cand, n_items)
         #: code -> itemset tuple, filled on demand (candidate codes only,
         #: so this stays small and saturates within the first few blocks).
         self._pair_cache: dict[int, Itemset] = {}
@@ -396,7 +400,7 @@ class CountingKernel:
         assert self.prefix is not None
         return self.prefix.subsets_of(filtered.tolist())
 
-    def route_of(self, itemset: Itemset) -> "tuple[int, Optional[int]]":
+    def route_of(self, itemset: Itemset) -> "tuple[int, int]":
         """(line, owner) of a candidate via the precomputed table."""
         if self.dense:
             code = itemset[0] * self.n_items + itemset[1]
@@ -420,10 +424,18 @@ class CountingKernel:
         if codes.size == 0:
             return
         uniq, counts = np.unique(codes, return_counts=True)
-        lines = self.lines_of(uniq)
-        pairs = self.decode_pairs(uniq)
-        for itemset, line, n in zip(pairs, lines.tolist(), counts.tolist()):
-            mgr.count_resident_bulk(itemset, line, n)
+        mgr.count_resident_bulk(
+            self.decode_pairs(uniq), self.lines_of(uniq).tolist(), counts.tolist()
+        )
+
+    def apply_local_tally(self, mgr: SwapManager, tally: "Counter[Itemset]") -> None:
+        """Fold accumulated local occurrences of the non-dense paths
+        (same pager-less precondition as :meth:`apply_local_pairs`)."""
+        if tally:
+            route = self.route
+            mgr.count_resident_bulk(
+                list(tally), [route[c][0] for c in tally], list(tally.values())
+            )
 
     def fold_dup_pairs(
         self, dup_counts: "dict[Itemset, int]", code_arrays: "list[np.ndarray]"

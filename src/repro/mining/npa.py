@@ -19,6 +19,7 @@ counting/reduction phases.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Generator, Optional
@@ -29,8 +30,9 @@ from repro.datagen.corpus import TransactionDatabase
 from repro.errors import ConfigError
 from repro.mining.candidates import generate_candidates
 from repro.mining.hpa import HPAConfig
-from repro.mining.itemsets import Itemset, itemset_hash
+from repro.mining.itemsets import Itemset, itemset_rows
 from repro.mining.kernels import CountingKernel
+from repro.mining.partition import HashPartitioner
 from repro.runtime.driver import MiningDriver, SendWindow
 from repro.runtime.results import PassResult, RunResult
 
@@ -55,8 +57,10 @@ class NPARun(MiningDriver):
     driver_name = "npa"
     pass1_channel = "npa-pass1"
 
-    def _line_of(self, itemset: Itemset) -> int:
-        return itemset_hash(itemset) % self.config.total_lines
+    def __init__(self, db: TransactionDatabase, config: NPAConfig) -> None:
+        super().__init__(db, config)
+        # One owner: every node holds every line, only the line matters.
+        self.partitioner = HashPartitioner(config.total_lines, 1)
 
     # -- orchestration ---------------------------------------------------------
 
@@ -65,20 +69,18 @@ class NPARun(MiningDriver):
         t0 = self.env.now
         self._trace_phase(f"pass {k} start")
         candidates = generate_candidates(sorted(l_prev), k)
-        with_lines = [(c, self._line_of(c)) for c in candidates]
-        # Every candidate is local in NPA: entries carry no owner, only
-        # the precomputed hash line the counting loop would re-derive.
+        lines = self.partitioner.lines_of(itemset_rows(candidates, k))
         kernel: Optional[CountingKernel] = None
         if cfg.kernel == "vector" and candidates:
             kernel = CountingKernel(
-                k, self.db.n_items, [(c, line, None) for c, line in with_lines]
+                k, self.db.n_items, candidates, lines, np.zeros_like(lines)
             )
 
         stats_before = {a: self._pager_snapshot(a) for a in self.app_ids}
 
         # Phase 1: EVERY node inserts EVERY candidate (the defining cost).
         yield from self._barrier(
-            [self._candgen_node(a, with_lines) for a in self.app_ids]
+            [self._candgen_node(a, candidates, lines) for a in self.app_ids]
         )
         t_candgen = self.env.now
         self._trace_phase(f"pass {k} candidates generated")
@@ -150,15 +152,15 @@ class NPARun(MiningDriver):
     # -- per-node phases ----------------------------------------------------
 
     def _candgen_node(
-        self, a: int, with_lines: "list[tuple[Itemset, int]]"
+        self, a: int, candidates: "list[Itemset]", lines: np.ndarray
     ) -> Generator:
         node = self.cluster[a]
         cost = self.config.cost
-        if with_lines:
+        if candidates:
             yield from node.compute(
-                cost.cpu_candgen_per_candidate_s * len(with_lines)
+                cost.cpu_candgen_per_candidate_s * len(candidates)
             )
-        yield from self._insert_candidates(a, with_lines)
+        yield from self._insert_candidates(a, candidates, lines)
 
     def _count_node(
         self,
@@ -172,18 +174,14 @@ class NPARun(MiningDriver):
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
-        n = len(part)
-        avg = max(1.0, part.size_bytes() / max(1, n))
-        per_block = max(1, int(cost.disk_io_block_bytes / avg))
-        # Vectorized pair counting: without a pager occurrence order is
-        # unobservable (the fast path never yields), so pair codes are
-        # accumulated per block and folded in bulk after the scan.
-        bulk = kernel is not None and kernel.dense and mgr.pager is None
+        # Without a pager occurrence order is unobservable (the fast
+        # path never yields), so occurrences are accumulated per block
+        # and folded in bulk after the scan.
+        bulk = kernel is not None and mgr.pager is None
         pending: list[np.ndarray] = []
+        tally: Counter[Itemset] = Counter()
         offsets = part.offsets
-        i = 0
-        while i < n:
-            j = min(n, i + per_block)
+        for i, j in self._block_ranges(a):
             yield from node.data_disk.read(cost.disk_io_block_bytes, sequential=True)
             counted = 0
             if kernel is not None and kernel.dense:
@@ -201,13 +199,18 @@ class NPARun(MiningDriver):
                             yield from op
             elif kernel is not None:
                 for t in range(i, j):
-                    for itemset in kernel.subsets_of(part[t]):
-                        counted += 1
-                        line, _ = kernel.route_of(itemset)
-                        op = mgr.count_itemset(itemset, line)
-                        if op is not None:
-                            yield from op
+                    subsets = kernel.subsets_of(part[t])
+                    counted += len(subsets)
+                    if bulk:
+                        tally.update(subsets)
+                    else:
+                        for itemset in subsets:
+                            line, _ = kernel.route_of(itemset)
+                            op = mgr.count_itemset(itemset, line)
+                            if op is not None:
+                                yield from op
             else:
+                line_of = self.partitioner.line_of
                 for t in range(i, j):
                     txn = part[t]
                     if k == 2:
@@ -223,7 +226,7 @@ class NPARun(MiningDriver):
                         )
                     for itemset in subsets:
                         counted += 1
-                        op = mgr.count_itemset(itemset, self._line_of(itemset))
+                        op = mgr.count_itemset(itemset, line_of(itemset))
                         if op is not None:
                             yield from op
             if counted:
@@ -231,10 +234,9 @@ class NPARun(MiningDriver):
                     (cost.cpu_generate_per_itemset_s + cost.cpu_count_per_itemset_s)
                     * counted
                 )
-            i = j
-        if pending:
-            assert kernel is not None
+        if kernel is not None:
             kernel.apply_local_pairs(mgr, pending)
+            kernel.apply_local_tally(mgr, tally)
 
     def _reduce(self, n_candidates: int) -> Generator:
         """Gather every node's full count table at node 0, merge, broadcast.

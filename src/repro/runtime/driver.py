@@ -16,7 +16,7 @@ surface.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -277,26 +277,21 @@ class MiningDriver:
 
     # -- shared per-node phase processes -----------------------------------
 
-    def _scan_blocks(self, a: int) -> Generator:
-        """Sequential disk scan of the local partition, yielding per-block
-        transaction index ranges."""
+    def _block_ranges(self, a: int) -> "list[tuple[int, int]]":
+        """(start, end) transaction ranges of the local partition, one
+        per 64 KB sequential disk read — the geometry every scan shares."""
         part = self.partitions[a]
-        node = self.cluster[a]
-        cost = self.config.cost
-        block_bytes = cost.disk_io_block_bytes
         n = len(part)
-        if n == 0:
-            return []
-        avg_txn_bytes = max(1.0, part.size_bytes() / n)
-        txns_per_block = max(1, int(block_bytes / avg_txn_bytes))
-        ranges = []
-        i = 0
-        while i < n:
-            j = min(n, i + txns_per_block)
-            yield from node.data_disk.read(block_bytes, sequential=True)
-            ranges.append((i, j))
-            i = j
-        return ranges
+        avg_txn_bytes = max(1.0, part.size_bytes() / max(1, n))
+        step = max(1, int(self.config.cost.disk_io_block_bytes / avg_txn_bytes))
+        return [(i, min(n, i + step)) for i in range(0, n, step)]
+
+    def _scan_blocks(self, a: int) -> Generator:
+        """Sequential disk scan of the local partition."""
+        disk = self.cluster[a].data_disk
+        block_bytes = self.config.cost.disk_io_block_bytes
+        for _ in self._block_ranges(a):
+            yield from disk.read(block_bytes, sequential=True)
 
     def _pass1_node(self, a: int) -> Generator:
         """Scan the partition, count items, exchange count vectors."""
@@ -323,23 +318,33 @@ class MiningDriver:
             yield self.cluster.transport.recv(a, self.pass1_channel)
         return counts
 
-    def _insert_candidates(self, a: int, owned) -> Generator:
-        """Insert ``(itemset, line)`` pairs through the swap manager,
-        charging CPU in :data:`CPU_CHUNK` batches."""
+    def _insert_candidates(
+        self, a: int, itemsets: "Sequence[Itemset]", lines: np.ndarray
+    ) -> Generator:
+        """Insert aligned ``(itemset, line)`` candidates through the swap
+        manager, charging CPU in :data:`CPU_CHUNK` batches.
+
+        The prefix that cannot evict, fault or buffer goes in as one
+        grouped pass; its CPU is then charged by the same sequence of
+        compute calls the per-candidate walk interleaves, and the walk
+        resumes at the same chunk alignment for the remainder.
+        """
         node = self.cluster[a]
         mgr = self.managers[a]
-        cost = self.config.cost
-        inserted = 0
-        for itemset, line in owned:
+        chunk_cpu = self.config.cost.cpu_count_per_itemset_s * CPU_CHUNK
+        inserted = mgr.insert_resident_prefix(itemsets, lines)
+        for _ in range(inserted // CPU_CHUNK):
+            yield from node.compute(chunk_cpu)
+        for itemset, line in zip(itemsets[inserted:], lines[inserted:].tolist()):
             op = mgr.insert_candidate(itemset, line)
             if op is not None:
                 yield from op
             inserted += 1
             if inserted % CPU_CHUNK == 0:
-                yield from node.compute(cost.cpu_count_per_itemset_s * CPU_CHUNK)
+                yield from node.compute(chunk_cpu)
         if inserted % CPU_CHUNK:
             yield from node.compute(
-                cost.cpu_count_per_itemset_s * (inserted % CPU_CHUNK)
+                self.config.cost.cpu_count_per_itemset_s * (inserted % CPU_CHUNK)
             )
 
     # -- helpers -----------------------------------------------------------

@@ -241,3 +241,41 @@ def test_property_invariants_hold_under_random_ops(ops, limit_lines):
 
     rig.env.process(proc(rig.env))
     rig.env.run(until=1000)
+
+
+# -- aligned bulk counting (pager-less fold) ----------------------------------
+
+def _bulk_manager():
+    rig = make_rig(pager_kind="none", limit_bytes=None)
+    mgr = rig.managers[0]
+    for itemset, line_id in [((1, 2), 0), ((1, 3), 0), ((2, 3), 5)]:
+        assert mgr.insert_candidate(itemset, line_id) is None
+    return mgr
+
+
+def test_bulk_count_matches_per_occurrence_totals():
+    mgr = _bulk_manager()
+    mgr.count_resident_bulk([(1, 2), (2, 3), (1, 3)], [0, 5, 0], [4, 1, 2])
+    assert mgr.table.all_counts() == {(1, 2): 4, (1, 3): 2, (2, 3): 1}
+    assert mgr.stats.counts == mgr.stats.fast_counts == 7
+    mgr.count_resident_bulk([], [], [])
+    assert mgr.stats.counts == 7
+    mgr.check_invariants()
+
+
+def test_bulk_count_rejects_non_candidates_and_bad_counts():
+    mgr = _bulk_manager()
+    with pytest.raises(MiningError):  # right line, not a candidate there
+        mgr.count_resident_bulk([(1, 2), (2, 3)], [0, 0], [1, 1])
+    with pytest.raises(MiningError):  # a line this node never created
+        mgr.count_resident_bulk([(1, 2)], [9], [1])
+    with pytest.raises(MiningError):
+        mgr.count_resident_bulk([(1, 2)], [0], [0])
+
+
+def test_bulk_count_refuses_a_pager():
+    rig = make_rig(pager_kind="disk", limit_bytes=10_000)
+    mgr = rig.managers[0]
+    assert mgr.insert_candidate((1, 2), 0) is None
+    with pytest.raises(SwapError):
+        mgr.count_resident_bulk([(1, 2)], [0], [1])

@@ -161,3 +161,30 @@ def test_serve_requests_reach_telemetry(base_url):
     requests = telemetry.registry.collect("serve_requests")
     by_status = {labels["status"]: m.value for _, labels, m in requests}
     assert by_status == {"200": 1, "404": 1}
+
+
+def test_serve_request_is_recorded_before_the_reply_is_written():
+    """The handler runs on the server thread: a client that already has
+    its reply can leave its telemetry session before an event emitted
+    *after* the write lands (seen as ``assert 1 == 2`` above).  Every
+    byte of the reply must find the event already on the bus."""
+    from repro.harness.sweep.serve import _StoreRequestHandler
+
+    telemetry = Telemetry()
+    recorded_at_write = []
+
+    class Wire:
+        def write(self, data):
+            recorded_at_write.append(
+                telemetry.counts_by_kind().get("serve-request", 0)
+            )
+
+    handler = _StoreRequestHandler.__new__(_StoreRequestHandler)
+    handler.path = "/healthz"
+    handler.requestline = "GET /healthz HTTP/1.1"
+    handler.request_version = "HTTP/1.1"
+    handler.client_address = ("127.0.0.1", 0)
+    handler.wfile = Wire()
+    with telemetry_session(telemetry):
+        handler._respond(200, b"{}")
+    assert recorded_at_write and set(recorded_at_write) == {1}

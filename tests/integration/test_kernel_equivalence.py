@@ -11,8 +11,8 @@ so the k >= 3 prefix-index path is exercised too.
 import pytest
 
 from repro.datagen import generate
-from repro.mining.hpa import HPAConfig, run_hpa
-from repro.mining.npa import NPAConfig, run_npa
+from repro.mining.hpa import HPAConfig, HPARun
+from repro.mining.npa import NPAConfig, NPARun
 
 DB = generate("T8.I3.D600", n_items=100, seed=7)
 # Busiest-node pass-2 footprint, for sizing paging limits (as test_hpa).
@@ -39,20 +39,30 @@ PASS_FIELDS = (
 )
 
 
-def _sim_view(res):
+def _sim_view(run):
+    """Everything simulated about a finished run, plus every node's
+    swap-manager counters: the bulk folds must advance them exactly as
+    the naive per-occurrence walk does, not just mine the same result."""
+    res = run.result
     return {
         "large": res.large_itemsets,
         "total_time_s": res.total_time_s,
         "passes": [
             {f: getattr(p, f) for f in PASS_FIELDS} for p in res.passes
         ],
+        "swap_stats": {
+            a: (mgr.stats.counts, mgr.stats.fast_counts, mgr.stats.inserts)
+            for a, mgr in run.managers.items()
+        },
     }
 
 
 def _hpa(kernel, **kw):
     base = dict(minsup=0.02, n_app_nodes=4, total_lines=256, seed=1, kernel=kernel)
     base.update(kw)
-    return run_hpa(DB, HPAConfig(**base))
+    run = HPARun(DB, HPAConfig(**base))
+    run.run()
+    return run
 
 
 @pytest.mark.parametrize(
@@ -85,7 +95,7 @@ def test_hpa_vector_naive_identical(overrides):
 def test_hpa_reaches_prefix_index_passes():
     """Guard the workload: pass 4+ must exist or the k >= 3 prefix-index
     path silently stops being covered above."""
-    res = _hpa("vector")
+    res = _hpa("vector").result
     assert max(p.k for p in res.passes) >= 4
 
 
@@ -100,7 +110,9 @@ def test_npa_vector_naive_identical(overrides):
             minsup=0.02, n_app_nodes=4, total_lines=256, seed=1, kernel=kernel
         )
         base.update(overrides)
-        return run_npa(DB, NPAConfig(**base))
+        npa = NPARun(DB, NPAConfig(**base))
+        npa.run()
+        return npa
 
     assert _sim_view(run("vector")) == _sim_view(run("naive"))
 

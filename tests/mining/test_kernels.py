@@ -178,14 +178,11 @@ def test_kernel_pair_stream_matches_naive_routing(large1, txn, n_dup):
     candidates = generate_candidates(l1, 2)
     part = HashPartitioner(64, 4)
     dup = set(candidates[:n_dup])
-    entries = []
-    for cand in candidates:
-        if cand in dup:
-            entries.append((cand, -1, OWNER_DUPLICATED))
-        else:
-            line = part.line_of(cand)
-            entries.append((cand, line, part.node_of_line(line)))
-    kernel = CountingKernel(2, n_items, entries)
+    lines = np.array([part.line_of(c) for c in candidates], dtype=np.int64)
+    owners = lines % part.n_nodes
+    lines[: len(dup)] = -1
+    owners[: len(dup)] = OWNER_DUPLICATED
+    kernel = CountingKernel(2, n_items, candidates, lines, owners)
     assert kernel.dense
 
     l1_mask = np.zeros(n_items, dtype=bool)
@@ -215,14 +212,15 @@ def test_kernel_pair_stream_matches_naive_routing(large1, txn, n_dup):
 
 
 def test_kernel_owners_of_rejects_non_candidate():
-    kernel = CountingKernel(2, 10, [((1, 2), 0, 0)])
+    kernel = CountingKernel(2, 10, [(1, 2)], np.array([0]), np.array([0]))
     with pytest.raises(MiningError):
         kernel.owners_of(np.array([1 * 10 + 3], dtype=np.int64))
 
 
 def test_kernel_sparse_fallback_above_dense_limit():
-    entries = [((1, 2), 0, 0), ((1, 3), 1, 1)]
-    kernel = CountingKernel(2, 10, entries, dense_limit=5)
+    kernel = CountingKernel(
+        2, 10, [(1, 2), (1, 3)], np.array([0, 1]), np.array([0, 1]), dense_limit=5
+    )
     assert not kernel.dense
     txn = np.array([1, 2, 3], dtype=np.int32)
     assert kernel.subsets_of(txn) == [(1, 2), (1, 3), (2, 3)]

@@ -172,3 +172,18 @@ def test_run_scenario_populates_and_reuses_the_store(tmp_path):
         assert stats["misses"] == 0
         assert stats["writes"] == 0  # nothing re-executed, nothing rewritten
     clear_cache()
+
+
+def test_per_node_candidates_are_python_ints_and_store_round_trips(tmp_path):
+    """``per_node_candidates`` comes out of a ``np.bincount``; a NumPy
+    integer leaking into a result breaks ``json.dumps`` in ``put``."""
+    store = ResultStore(tmp_path)
+    for driver in ("hpa", "npa"):
+        scenario = Scenario(scale="tiny", driver=driver)
+        res = scenario.execute()
+        assert len(res.passes) >= 2
+        for p in res.passes:
+            assert all(type(n) is int for n in p.per_node_candidates), (driver, p.k)
+        store.put(scenario, res)
+        assert store.get(scenario) == res
+    assert len(store) == 2
