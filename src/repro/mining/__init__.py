@@ -3,7 +3,6 @@
 from repro.mining.apriori import AprioriResult, PassProfile, apriori
 from repro.mining.candidates import generate_candidates, join, prune
 from repro.mining.hash_table import LINE_HEADER_BYTES, CandidateHashTable, HashLine
-from repro.mining.hash_tree import HashTree, count_with_hash_tree
 from repro.mining.itemsets import (
     ITEMSET_BYTES,
     Itemset,
@@ -38,8 +37,6 @@ __all__ = [
     "is_valid_itemset",
     "HashLine",
     "CandidateHashTable",
-    "HashTree",
-    "count_with_hash_tree",
     "OWNER_DUPLICATED",
     "CountingKernel",
     "OwnerStreams",

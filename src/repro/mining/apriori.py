@@ -102,8 +102,8 @@ def apriori(
     percentages, e.g. "minimum support 0.7" meaning 0.7 %: pass
     ``0.007``).  ``max_k`` optionally caps the pass count (0 = unlimited).
     ``method`` selects the counting structure: ``"dict"`` (flat hash
-    table, default), ``"hashtree"`` (the VLDB'94 hash tree), or
-    ``"kernel"`` (the vectorized counting kernels of
+    table, default; shares no code with the kernels, so it can check
+    them) or ``"kernel"`` (the vectorized counting kernels of
     :mod:`repro.mining.kernels`).  The iteration stops when a pass yields
     no large (or no candidate) itemsets, exactly as described in §2.1.
     """
@@ -111,7 +111,7 @@ def apriori(
         raise MiningError(f"minsup must be in (0, 1], got {minsup}")
     if len(db) == 0:
         raise MiningError("cannot mine an empty database")
-    if method not in ("dict", "hashtree", "kernel"):
+    if method not in ("dict", "kernel"):
         raise MiningError(f"unknown counting method {method!r}")
 
     minsup_count = max(1, int(np.ceil(minsup * len(db))))
@@ -127,11 +127,7 @@ def apriori(
     k = 2
     while large_prev and (max_k <= 0 or k <= max_k):
         candidates = generate_candidates(sorted(large_prev), k)
-        if method == "hashtree":
-            from repro.mining.hash_tree import count_with_hash_tree
-
-            counts = count_with_hash_tree(db, candidates, k)
-        elif method == "kernel":
+        if method == "kernel":
             from repro.mining.kernels import count_candidates
 
             counts = count_candidates(db, candidates, k)

@@ -1,47 +1,52 @@
-"""Vectorized counting kernels and the per-pass candidate routing index.
+"""Vectorized counting kernels and the per-pass occurrence-code index.
 
-Pass 2 of HPA is the paper's whole motivation: millions of tiny
-candidate occurrences are generated, hash-routed, and counted per
-transaction (§2.2/§3.3).  In this reproduction that phase is also the
-dominant *host wall-clock* cost — executed naively it is a pure-Python
-``combinations`` loop with a per-occurrence FNV hash for routing.  This
-module replaces that hot path with three shared kernels:
+Counting is the paper's whole motivation: millions of tiny candidate
+occurrences are generated, hash-routed, and counted per transaction
+(§2.2/§3.3).  In this reproduction that phase is also the dominant
+*host wall-clock* cost — executed per occurrence it is a pure-Python
+``combinations`` loop with an FNV hash per occurrence for routing (that
+implementation is kept as the oracle in ``tests/mining/reference_hpa.py``).
+Here every occurrence of a pass is one ``int64`` **code**, and a block of
+transactions becomes one code array that is routed, shipped and counted
+as an array:
 
-1. **Pair kernel (k = 2)** — all 2-subsets of every transaction in a
+1. **Pair codes (k = 2)** — all 2-subsets of every transaction in a
    disk block are produced by closed-form triangular index math over the
-   CSR arrays (:func:`ragged_pairs`), encoded as dense ``a * n_items + b``
-   codes, and routed through precomputed lookup arrays.  Counts are
-   accumulated with ``np.bincount`` and applied in bulk.
-2. **Candidate prefix index (k >= 3)** — C_k organised by its
-   (k-1)-prefix (the join structure apriori-gen already produces).
-   Subset generation walks transaction items against the index and emits
-   exactly the candidates contained in the transaction, in the same
-   lexicographic order the naive ``combinations``-then-prune loop
-   produces, without enumerating C(|txn|, k) subsets.
-3. **Routing table** — ``itemset -> (line_id, owner)`` for the whole
-   pass, hashed by one ``HashPartitioner.lines_of`` call over the
-   candidates as an ``int64[n, k]`` array; the lookup tables here are
-   filled from the aligned ``lines``/``owners`` arrays, so neither
-   placement nor counting ever hashes per itemset.
+   CSR arrays (:func:`ragged_pairs`) and encoded as dense
+   ``a * n_items + b`` codes; routing is two lookup arrays over the code
+   space.
+2. **Candidate-index codes (k >= 3, or k = 2 over an item universe too
+   large for the dense tables)** — C_k organised by its (k-1)-prefix
+   (:class:`PrefixIndex`, the join structure apriori-gen already
+   produces).  Subset generation walks transaction items against the
+   index and emits exactly the candidates contained in the transaction,
+   in the lexicographic order the naive ``combinations``-then-prune loop
+   produces, without enumerating C(|txn|, k) subsets; the code is the
+   candidate's position in C_k, and routing is the pass's aligned
+   ``lines``/``owners`` arrays themselves.
+
+:class:`CountingKernel` hides which of the two a pass uses.  Routing is
+hashed once per pass (one ``HashPartitioner.lines_of`` call over the
+candidates as an ``int64[n, k]`` array), so neither placement nor
+counting ever hashes per itemset.
 
 Everything here is *host-side* optimisation only: the kernels must not
 change simulated costs (CPU seconds charged, message counts and sizes,
 pagefault behaviour) or mined results.  The drivers therefore consume
-them in two regimes, for every k: when a node has **no pager**,
-occurrence order cannot influence the virtual clock and local counting
-is accumulated and folded in bulk; with a pager, the kernels still
-precompute generation and routing but the per-occurrence order is
-preserved so LRU touches and faults replay bit-identically.
-:class:`OwnerStreams` reproduces the naive sender's per-destination
-buffer-fill boundaries exactly, so message counts, payload contents, and
-send *order* are unchanged.
+codes in two regimes, selected by what the simulation can observe: when
+a node has **no pager**, occurrence order cannot influence the virtual
+clock and local counting is accumulated and folded in bulk; with a
+pager, per-occurrence order is preserved (resident runs batched, faults
+taken singly) so LRU touches and faults replay bit-identically.
+:class:`OwnerStreams` reproduces the per-occurrence sender's
+per-destination buffer-fill boundaries exactly, so message counts,
+payload contents, and send *order* are unchanged.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,12 +74,12 @@ OWNER_DUPLICATED = -1
 
 #: Owner sentinel for "this pair is not a candidate" in the dense lookup
 #: tables.  Hitting it during routing means sender-side pruning is broken
-#: (the naive path would raise the same error at count time).
+#: (the per-occurrence walk would raise the same error at count time).
 _OWNER_NONE = -9
 
 #: Above this item-universe size the dense ``n_items**2`` pair lookup
-#: arrays stop being worth their memory; the kernel falls back to the
-#: dict-based route table.
+#: arrays stop being worth their memory; k = 2 then runs on
+#: candidate-index codes like every k >= 3 pass.
 DENSE_PAIR_LIMIT = 2048
 
 
@@ -225,13 +230,17 @@ class OwnerStreams:
 
     def extend(
         self, codes: np.ndarray, owners: np.ndarray
-    ) -> "list[tuple[int, np.ndarray]]":
-        """Append one block's remote stream; return due flushes in order.
+    ) -> "list[tuple[int, int, np.ndarray]]":
+        """Append one block's occurrences; return due flushes in order.
 
-        ``codes``/``owners`` are aligned arrays of the block's *remote*
-        occurrences in emission order.  Returns ``(dest, payload_codes)``
-        pairs, each payload exactly ``items_per_msg`` long, ordered as
-        the naive per-occurrence sender would have posted them.
+        ``codes``/``owners`` are aligned arrays of *all* the block's
+        occurrences in emission order; those owned by none of the
+        destinations (local or duplicated candidates) are skipped.
+        Returns ``(position, dest, payload_codes)`` triples sorted by
+        ``position`` — the index into ``codes`` of the occurrence that
+        completed the buffer, i.e. where in the block the naive
+        per-occurrence sender would have posted it.  Each payload is
+        exactly ``items_per_msg`` long.
         """
         ipm = self.items_per_msg
         events: list[tuple[int, int, np.ndarray]] = []
@@ -243,13 +252,11 @@ class OwnerStreams:
             stream = np.concatenate((self._pending[b], codes[idx]))
             n_flush = stream.size // ipm
             for t in range(n_flush):
-                # The new occurrence that completed this chunk fixes the
-                # flush's position in the global emission order.
                 pos = int(idx[(t + 1) * ipm - fill - 1])
                 events.append((pos, b, stream[t * ipm : (t + 1) * ipm]))
             self._pending[b] = stream[n_flush * ipm :]
         events.sort(key=lambda ev: ev[0])
-        return [(b, payload) for _, b, payload in events]
+        return events
 
     def residual(self) -> "list[tuple[int, np.ndarray]]":
         """Leftover partial buffers, in destination order (the order the
@@ -267,14 +274,19 @@ class OwnerStreams:
 # ---------------------------------------------------------------------------
 
 class CountingKernel:
-    """One pass's shared counting kernel: routing plus subset generation.
+    """One pass's shared counting kernel: occurrence codes plus routing.
 
     Built once per pass from the candidate list and its aligned routing
     arrays — ``lines[i]``/``owners[i]`` are candidate ``i``'s hash line
     and owning node (owner :data:`OWNER_DUPLICATED` with line -1 marks an
     ELD-duplicated candidate; NPA, where every candidate is local, passes
-    all-zero owners).  All nodes share one instance — the structures are
-    read-only during counting.
+    all-zero owners).  Every occurrence of the pass is one ``int64``
+    *code*: the dense ``a * n_items + b`` pair code when :attr:`dense`,
+    otherwise the candidate's index into C_k.  Which of the two is in
+    use is private to this class — drivers only generate
+    (:meth:`occurrences`), route (:meth:`owners_of`, :meth:`lines_of`),
+    decode and fold codes.  All nodes share one instance — the structures
+    are read-only during counting.
     """
 
     def __init__(
@@ -289,31 +301,26 @@ class CountingKernel:
         self.k = k
         self.n_items = n_items
         self.dense = k == 2 and n_items <= dense_limit
-        #: itemset -> (line, owner), for the non-dense paths.
-        self.route: dict[Itemset, tuple[int, int]] = {}
-        self.prefix: Optional[PrefixIndex] = None
-        self.pair_owner: Optional[np.ndarray] = None
-        self.pair_line: Optional[np.ndarray] = None
         cand = itemset_rows(candidates, k)
+        #: Items occurring in any candidate — transactions are restricted
+        #: to this mask before subset generation (for k == 2 it is the
+        #: L1 mask: C_2 pairs every large item with every other).
+        self.mask = item_mask(cand, n_items)
         if self.dense:
             size = n_items * n_items
             codes = cand[:, 0] * n_items + cand[:, 1]
-            self.pair_owner = np.full(size, _OWNER_NONE, dtype=np.int32)
-            self.pair_owner[codes] = owners
-            self.pair_line = np.full(size, -1, dtype=np.int32)
-            self.pair_line[codes] = lines
+            self._owner = np.full(size, _OWNER_NONE, dtype=np.int32)
+            self._owner[codes] = owners
+            self._line = np.full(size, -1, dtype=np.int32)
+            self._line[codes] = lines
         else:
-            self.route = dict(zip(candidates, zip(lines.tolist(), owners.tolist())))
-            if k >= 3:
-                self.prefix = PrefixIndex(candidates, k)
-        #: Items occurring in any candidate — transactions are restricted
-        #: to this mask before subset generation (k >= 3 path).
-        self.mask = item_mask(cand, n_items)
-        #: code -> itemset tuple, filled on demand (candidate codes only,
-        #: so this stays small and saturates within the first few blocks).
-        self._pair_cache: dict[int, Itemset] = {}
+            self._owner = owners
+            self._line = lines
+            self._candidates = candidates
+            self._code = {c: i for i, c in enumerate(candidates)}
+            self._prefix = PrefixIndex(candidates, k)
 
-    # -- k == 2 dense path --------------------------------------------------
+    # -- occurrence generation ----------------------------------------------
 
     def pair_block(
         self, items: np.ndarray, rel_offsets: np.ndarray, l1_mask: np.ndarray
@@ -323,10 +330,32 @@ class CountingKernel:
         first, second = ragged_pairs(filtered, lengths)
         return encode_pairs(first, second, self.n_items)
 
+    def occurrences(self, part: TransactionDatabase, i: int, j: int) -> np.ndarray:
+        """Codes of every candidate occurrence in transactions
+        ``[i, j)`` of ``part``, in the order the naive
+        ``combinations``-then-prune walk emits them."""
+        offsets = part.offsets
+        if self.dense:
+            return self.pair_block(
+                part.items[offsets[i] : offsets[j]],
+                offsets[i : j + 1] - offsets[i],
+                self.mask,
+            )
+        k, mask, code = self.k, self.mask, self._code
+        subsets_of = self._prefix.subsets_of
+        out: list[int] = []
+        for t in range(i, j):
+            txn = part[t]
+            filtered = txn[mask[txn]]
+            if filtered.size >= k:
+                out.extend([code[s] for s in subsets_of(filtered.tolist())])
+        return np.array(out, dtype=np.int64)
+
+    # -- routing and decoding -----------------------------------------------
+
     def owners_of(self, codes: np.ndarray) -> np.ndarray:
-        """Owner of every pair code (``OWNER_DUPLICATED`` for ELD)."""
-        assert self.pair_owner is not None
-        owners = self.pair_owner[codes]
+        """Owner of every code (``OWNER_DUPLICATED`` for ELD)."""
+        owners = self._owner[codes]
         if owners.size and int(owners.min()) == _OWNER_NONE:
             bad = int(codes[np.argmin(owners)])
             raise MiningError(
@@ -336,22 +365,22 @@ class CountingKernel:
         return owners
 
     def lines_of(self, codes: np.ndarray) -> np.ndarray:
-        """Hash line of every pair code."""
-        assert self.pair_line is not None
-        return self.pair_line[codes]
+        """Hash line of every code."""
+        return self._line[codes]
 
-    def decode_pairs(self, codes: np.ndarray) -> "list[Itemset]":
-        """Materialise pair tuples (Python ints) from codes."""
-        first, second = divmod(codes, self.n_items)
-        return list(zip(first.tolist(), second.tolist()))
+    def decode(self, codes: np.ndarray) -> "list[Itemset]":
+        """Materialise itemset tuples (Python ints) from codes."""
+        if self.dense:
+            first, second = divmod(codes, self.n_items)
+            return list(zip(first.tolist(), second.tolist()))
+        candidates = self._candidates
+        return [candidates[i] for i in codes.tolist()]
 
-    def pair_of(self, code: int) -> Itemset:
-        """Cached single-code decode (hot on the pager-present paths)."""
-        cached = self._pair_cache.get(code)
-        if cached is None:
-            cached = (code // self.n_items, code % self.n_items)
-            self._pair_cache[code] = cached
-        return cached
+    def itemset_of(self, code: int) -> Itemset:
+        """Single-code :meth:`decode` (the per-fault slow path)."""
+        return divmod(code, self.n_items) if self.dense else self._candidates[code]
+
+    # -- counting into a swap manager -----------------------------------------
 
     def count_resident_span(
         self, mgr: SwapManager, codes: np.ndarray, lines: np.ndarray
@@ -369,87 +398,38 @@ class CountingKernel:
         if codes.size == 0:
             return
         if mgr.span_index is None:
-            assert self.pair_owner is not None
-            mgr.span_index = self._build_span_index(int(self.pair_owner[codes[0]]))
+            owner = int(self._owner[codes[0]])
+            owned = np.flatnonzero(self._owner == owner).astype(np.int64)
+            mgr.span_index = SpanIndex(
+                owned,
+                self.decode(owned),
+                self._line[owned].astype(np.int64),
+                self.n_items,
+            )
         mgr.count_span_codes(codes, lines)
 
-    def _build_span_index(self, owner: int) -> SpanIndex:
-        """Sorted owned-code array + decoded fold targets for one node."""
-        assert self.pair_owner is not None and self.pair_line is not None
-        owned = np.flatnonzero(self.pair_owner == owner).astype(np.int64)
-        return SpanIndex(
-            owned,
-            self.decode_pairs(owned),
-            self.pair_line[owned].astype(np.int64),
-            self.n_items,
-        )
-
-    # -- k >= 3 / sparse path -----------------------------------------------
-
-    def subsets_of(self, txn: np.ndarray) -> "list[Itemset]":
-        """Candidate subsets of one transaction, naive order.
-
-        Used for k >= 3 (prefix-index walk) and for the k == 2 fallback
-        when the item universe is too large for the dense tables.
-        """
-        filtered = txn[self.mask[txn]]
-        if filtered.size < self.k:
-            return []
-        if self.k == 2:
-            return list(combinations(filtered.tolist(), 2))
-        assert self.prefix is not None
-        return self.prefix.subsets_of(filtered.tolist())
-
-    def route_of(self, itemset: Itemset) -> "tuple[int, int]":
-        """(line, owner) of a candidate via the precomputed table."""
-        if self.dense:
-            code = itemset[0] * self.n_items + itemset[1]
-            return int(self.pair_line[code]), int(self.pair_owner[code])
-        return self.route[itemset]
-
-    # -- bulk application -----------------------------------------------------
+    def tally(
+        self, code_arrays: "list[np.ndarray]"
+    ) -> "tuple[list[Itemset], list[int], list[int]]":
+        """Collapse accumulated code arrays to one aligned ``(itemsets,
+        lines, counts)`` entry per distinct candidate."""
+        if not code_arrays:
+            return [], [], []
+        uniq, counts = np.unique(np.concatenate(code_arrays), return_counts=True)
+        return self.decode(uniq), self.lines_of(uniq).tolist(), counts.tolist()
 
     def apply_local_pairs(
         self, mgr: SwapManager, code_arrays: "list[np.ndarray]"
     ) -> None:
-        """Fold accumulated local pair codes into a swap manager.
+        """Fold accumulated local codes into a swap manager.
 
         Only valid when the node has no pager (every line permanently
         resident): occurrence order then cannot influence the virtual
         clock, so counts collapse to one bulk increment per candidate.
         """
-        if not code_arrays:
-            return
-        codes = np.concatenate(code_arrays)
-        if codes.size == 0:
-            return
-        uniq, counts = np.unique(codes, return_counts=True)
-        mgr.count_resident_bulk(
-            self.decode_pairs(uniq), self.lines_of(uniq).tolist(), counts.tolist()
-        )
-
-    def apply_local_tally(self, mgr: SwapManager, tally: "Counter[Itemset]") -> None:
-        """Fold accumulated local occurrences of the non-dense paths
-        (same pager-less precondition as :meth:`apply_local_pairs`)."""
-        if tally:
-            route = self.route
-            mgr.count_resident_bulk(
-                list(tally), [route[c][0] for c in tally], list(tally.values())
-            )
-
-    def fold_dup_pairs(
-        self, dup_counts: "dict[Itemset, int]", code_arrays: "list[np.ndarray]"
-    ) -> None:
-        """Fold accumulated ELD-duplicated pair codes into the per-node
-        duplicated-candidate count dict."""
-        if not code_arrays:
-            return
-        codes = np.concatenate(code_arrays)
-        if codes.size == 0:
-            return
-        uniq, counts = np.unique(codes, return_counts=True)
-        for itemset, n in zip(self.decode_pairs(uniq), counts.tolist()):
-            dup_counts[itemset] += n
+        itemsets, lines, counts = self.tally(code_arrays)
+        if itemsets:
+            mgr.count_resident_bulk(itemsets, lines, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +461,7 @@ def eld_scores(
 
 
 # ---------------------------------------------------------------------------
-# sequential counting (apriori / hash-tree alternative backend)
+# sequential counting (apriori's alternative backend)
 # ---------------------------------------------------------------------------
 
 #: Transactions per vectorised chunk when scanning a whole database — the

@@ -19,10 +19,8 @@ counting/reduction phases.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
@@ -70,13 +68,8 @@ class NPARun(MiningDriver):
         self._trace_phase(f"pass {k} start")
         candidates = generate_candidates(sorted(l_prev), k)
         lines = self.partitioner.lines_of(itemset_rows(candidates, k))
-        kernel: Optional[CountingKernel] = None
-        if cfg.kernel == "vector" and candidates:
-            kernel = CountingKernel(
-                k, self.db.n_items, candidates, lines, np.zeros_like(lines)
-            )
 
-        stats_before = {a: self._pager_snapshot(a) for a in self.app_ids}
+        stats_before = [self._pager_snapshot(a) for a in self.app_ids]
 
         # Phase 1: EVERY node inserts EVERY candidate (the defining cost).
         yield from self._barrier(
@@ -98,14 +91,13 @@ class NPARun(MiningDriver):
                 {},
             )
 
-        # Phase 2: purely local counting.
-        l_prev_keys = set(l_prev)
-        l1_mask = self._l1_mask(l_prev) if k == 2 else None
+        # Phase 2: purely local counting (every candidate owned by "node 0"
+        # of the one-owner partitioner, i.e. by whoever counts it).
+        kernel = CountingKernel(
+            k, self.db.n_items, candidates, lines, np.zeros_like(lines)
+        )
         yield from self._barrier(
-            [
-                self._count_node(a, k, l_prev_keys, l1_mask, kernel)
-                for a in self.app_ids
-            ]
+            [self._count_node(a, kernel) for a in self.app_ids]
         )
         yield from self._barrier([self.managers[a].drain() for a in self.app_ids])
         t_count = self.env.now
@@ -115,34 +107,18 @@ class NPARun(MiningDriver):
         # Phase 3: global reduction of the full count tables.
         merged = yield from self._reduce(len(candidates))
         l_now = {i: c for i, c in merged.items() if c >= self.minsup_count}
-        t_det = self.env.now
-        self._span(f"pass{k}/determine", t_count, t_det)
-        self._span(f"pass{k}", t0, t_det)
-
-        stats_after = {a: self._pager_snapshot(a) for a in self.app_ids}
-        delta = {
-            a: tuple(x - y for x, y in zip(stats_after[a], stats_before[a]))
-            for a in self.app_ids
-        }
-
-        self.runtime.reset_pass()
 
         return (
-            PassResult(
-                k=k,
+            self._finish_pass(
+                k,
+                t0,
+                t_candgen,
+                t_count,
+                stats_before,
                 n_candidates=len(candidates),
                 # NPA duplicates the full set everywhere.
                 per_node_candidates=[len(candidates)] * cfg.n_app_nodes,
                 n_large=len(l_now),
-                start_time=t0,
-                end_time=self.env.now,
-                candgen_time_s=t_candgen - t0,
-                counting_time_s=t_count - t_candgen,
-                determine_time_s=t_det - t_count,
-                faults_per_node=[delta[a][0] for a in self.app_ids],
-                swap_outs_per_node=[delta[a][1] for a in self.app_ids],
-                update_msgs_per_node=[delta[a][2] for a in self.app_ids],
-                fault_time_per_node=[delta[a][3] for a in self.app_ids],
                 n_duplicated=len(candidates),
                 count_messages=0,
             ),
@@ -162,81 +138,30 @@ class NPARun(MiningDriver):
             )
         yield from self._insert_candidates(a, candidates, lines)
 
-    def _count_node(
-        self,
-        a: int,
-        k: int,
-        l_prev_keys: set,
-        l1_mask: "Optional[np.ndarray]",
-        kernel: Optional[CountingKernel] = None,
-    ) -> Generator:
+    def _count_node(self, a: int, kernel: CountingKernel) -> Generator:
+        """The HPA sender's loop with nothing remote: every occurrence of
+        a block is local, folded in bulk after the scan when the node has
+        no pager (order unobservable) and counted in order otherwise."""
         part = self.partitions[a]
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
-        # Without a pager occurrence order is unobservable (the fast
-        # path never yields), so occurrences are accumulated per block
-        # and folded in bulk after the scan.
-        bulk = kernel is not None and mgr.pager is None
+        bulk = mgr.pager is None
         pending: list[np.ndarray] = []
-        tally: Counter[Itemset] = Counter()
-        offsets = part.offsets
         for i, j in self._block_ranges(a):
             yield from node.data_disk.read(cost.disk_io_block_bytes, sequential=True)
-            counted = 0
-            if kernel is not None and kernel.dense:
-                block = part.items[offsets[i] : offsets[j]]
-                rel = offsets[i : j + 1] - offsets[i]
-                codes = kernel.pair_block(block, rel, l1_mask)
-                counted = int(codes.size)
-                if counted and bulk:
-                    pending.append(codes)
-                elif counted:
-                    lines = kernel.lines_of(codes).tolist()
-                    for itemset, line in zip(kernel.decode_pairs(codes), lines):
-                        op = mgr.count_itemset(itemset, line)
-                        if op is not None:
-                            yield from op
-            elif kernel is not None:
-                for t in range(i, j):
-                    subsets = kernel.subsets_of(part[t])
-                    counted += len(subsets)
-                    if bulk:
-                        tally.update(subsets)
-                    else:
-                        for itemset in subsets:
-                            line, _ = kernel.route_of(itemset)
-                            op = mgr.count_itemset(itemset, line)
-                            if op is not None:
-                                yield from op
+            codes = kernel.occurrences(part, i, j)
+            counted = int(codes.size)
+            if bulk:
+                pending.append(codes)
             else:
-                line_of = self.partitioner.line_of
-                for t in range(i, j):
-                    txn = part[t]
-                    if k == 2:
-                        subsets = combinations(txn[l1_mask[txn]].tolist(), 2)
-                    else:
-                        subsets = (
-                            s
-                            for s in combinations(txn.tolist(), k)
-                            if all(
-                                sub in l_prev_keys
-                                for sub in combinations(s, k - 1)
-                            )
-                        )
-                    for itemset in subsets:
-                        counted += 1
-                        op = mgr.count_itemset(itemset, line_of(itemset))
-                        if op is not None:
-                            yield from op
+                yield from self._count_ordered(a, kernel, codes)
             if counted:
                 yield from node.compute(
                     (cost.cpu_generate_per_itemset_s + cost.cpu_count_per_itemset_s)
                     * counted
                 )
-        if kernel is not None:
-            kernel.apply_local_pairs(mgr, pending)
-            kernel.apply_local_tally(mgr, tally)
+        kernel.apply_local_pairs(mgr, pending)
 
     def _reduce(self, n_candidates: int) -> Generator:
         """Gather every node's full count table at node 0, merge, broadcast.

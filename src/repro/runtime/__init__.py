@@ -26,7 +26,6 @@ drivers (:mod:`repro.mining.hpa`, :mod:`repro.mining.npa`):
 """
 
 from repro.runtime.config import (
-    KERNELS,
     PAGERS,
     PLACEMENT_POLICIES,
     REPLACEMENT_POLICIES,
@@ -64,7 +63,6 @@ __all__ = [
     "PAGERS",
     "REPLACEMENT_POLICIES",
     "PLACEMENT_POLICIES",
-    "KERNELS",
     "PassResult",
     "RunResult",
     "ClusterRuntime",

@@ -26,7 +26,6 @@ __all__ = [
     "PAGERS",
     "REPLACEMENT_POLICIES",
     "PLACEMENT_POLICIES",
-    "KERNELS",
 ]
 
 #: Valid ``pager`` values: the paper's three §5 mechanisms plus "none".
@@ -43,9 +42,6 @@ PLACEMENT_POLICIES = (
     "load-balancing",
     "migrate-ahead",
 )
-
-#: Valid ``kernel`` values (see :mod:`repro.mining.kernels`).
-KERNELS = ("vector", "naive")
 
 
 @dataclass(frozen=True)
@@ -78,13 +74,6 @@ class RunConfig:
     #: UBR cell-loss probability per message attempt (companion-study
     #: extension); lost segments are retransmitted after TCP's RTO.
     loss_probability: float = 0.0
-    #: Counting-kernel selection: ``"vector"`` runs the hot path through
-    #: :mod:`repro.mining.kernels` (vectorized pair generation, candidate
-    #: prefix index, precomputed routing); ``"naive"`` keeps the
-    #: per-occurrence ``combinations`` loop.  Results, simulated times,
-    #: and message counts are bit-identical — only host wall-clock
-    #: differs (pinned by the kernel-equivalence tests).
-    kernel: str = "vector"
     #: Background-load trace driving every memory node's ledger over
     #: simulated time (see :func:`repro.cluster.dynamics.parse_trace`):
     #: ``"none"`` (default, the static pre-dynamics cluster) or a spec
@@ -148,8 +137,6 @@ def validate_config(config: RunConfig) -> None:
             f"unknown placement policy {config.placement!r}; "
             f"have {PLACEMENT_POLICIES}"
         )
-    if config.kernel not in KERNELS:
-        raise ConfigError(f"unknown kernel {config.kernel!r}; have {KERNELS}")
     if config.pager in ("remote", "remote-update") and config.n_memory_nodes <= 0:
         raise ConfigError(f"pager {config.pager!r} needs memory-available nodes")
     if config.memory_limit_bytes is not None:

@@ -33,6 +33,7 @@ from repro.sim import Environment
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.corpus import TransactionDatabase
     from repro.mining.itemsets import Itemset
+    from repro.mining.kernels import CountingKernel
 
 __all__ = ["MiningDriver", "SendWindow"]
 
@@ -347,6 +348,41 @@ class MiningDriver:
                 self.config.cost.cpu_count_per_itemset_s * (inserted % CPU_CHUNK)
             )
 
+    def _count_ordered(
+        self, a: int, kernel: "CountingKernel", codes: np.ndarray
+    ) -> Generator:
+        """Count occurrences node ``a`` owns, in order, under a pager.
+
+        Each run of consecutive occurrences on resident lines is batched
+        (no yields inside a run, so residency and policy state cannot
+        change under it); every occurrence on a non-resident line goes
+        through the slow path singly, in order, and may fault.  Pager-less
+        nodes never need this: their occurrence order is unobservable and
+        folds in bulk (:meth:`CountingKernel.apply_local_pairs`).
+        """
+        mgr = self.managers[a]
+        mm = mgr.mm_table
+        n_occ = len(codes)
+        lines = kernel.lines_of(codes)
+        mask = mm.resident_mask(lines)
+        i = 0
+        while i < n_occ:
+            if mask[i]:
+                rel = np.flatnonzero(~mask[i:])
+                end = i + (int(rel[0]) if rel.size else n_occ - i)
+                kernel.count_resident_span(mgr, codes[i:end], lines[i:end])
+                i = end
+            else:
+                op = mgr.count_itemset(
+                    kernel.itemset_of(int(codes[i])), int(lines[i])
+                )
+                i += 1
+                if op is not None:
+                    # A fault ran: residency may have shifted.
+                    yield from op
+                    if i < n_occ:
+                        mask[i:] = mm.resident_mask(lines[i:])
+
     # -- helpers -----------------------------------------------------------
 
     def _pager_snapshot(self, a: int) -> tuple:
@@ -356,8 +392,48 @@ class MiningDriver:
         s = pager.stats
         return (s.faults, s.swap_outs, s.update_messages, s.fault_time_s)
 
-    def _l1_mask(self, l_prev: "dict[Itemset, int]") -> np.ndarray:
-        mask = np.zeros(self.db.n_items, dtype=bool)
-        for itemset in l_prev:
-            mask[itemset[0]] = True
-        return mask
+    def _finish_pass(
+        self,
+        k: int,
+        t0: float,
+        t_candgen: float,
+        t_count: float,
+        stats_before: "list[tuple]",
+        *,
+        n_candidates: int,
+        per_node_candidates: "list[int]",
+        n_large: int,
+        n_duplicated: int,
+        count_messages: int,
+    ) -> PassResult:
+        """Close pass ``k`` at the current instant: determine/pass spans,
+        per-node pager deltas since ``stats_before`` (one
+        :meth:`_pager_snapshot` per application node), per-pass cleanup,
+        and the result row.
+        """
+        t_det = self.env.now
+        self._span(f"pass{k}/determine", t_count, t_det)
+        self._span(f"pass{k}", t0, t_det)
+        delta = [
+            tuple(after - before for after, before in zip(self._pager_snapshot(a), snap))
+            for a, snap in zip(self.app_ids, stats_before)
+        ]
+        # Per-pass cleanup: hash tables, guest stores.
+        self.runtime.reset_pass()
+        return PassResult(
+            k=k,
+            n_candidates=n_candidates,
+            per_node_candidates=per_node_candidates,
+            n_large=n_large,
+            start_time=t0,
+            end_time=self.env.now,
+            candgen_time_s=t_candgen - t0,
+            counting_time_s=t_count - t_candgen,
+            determine_time_s=t_det - t_count,
+            faults_per_node=[d[0] for d in delta],
+            swap_outs_per_node=[d[1] for d in delta],
+            update_msgs_per_node=[d[2] for d in delta],
+            fault_time_per_node=[d[3] for d in delta],
+            n_duplicated=n_duplicated,
+            count_messages=count_messages,
+        )

@@ -8,8 +8,8 @@ That invariance is what the integration tests pin against sequential
 Apriori, and what the golden-value runtime-equivalence test pins across
 refactors.
 
-The historical names ``HPAPassResult`` / ``HPAResult`` remain importable
-from :mod:`repro.mining.hpa` as aliases.
+The historical name ``HPAResult`` remains importable from
+:mod:`repro.mining.hpa` as an alias.
 
 Every field here is simulated state: results are pure functions of the
 configuration, which is what lets the

@@ -53,8 +53,9 @@ __all__ = [
 #: treated as misses and overwritten.  Format 2 removed the per-pass
 #: ``*_wall_s`` host wall-clock fields: stored results are now pure
 #: functions of the scenario, with host timing measured harness-side
-#: (:mod:`repro.harness.wallclock`).
-STORE_FORMAT = 2
+#: (:mod:`repro.harness.wallclock`).  Format 3 dropped the config's
+#: ``kernel`` field (one counting implementation left, so no option).
+STORE_FORMAT = 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,38 @@
+"""Every callable the benchmark's traced pass wraps must still exist
+where ``benchmarks/perf/perfbench/layers.py`` says it does.
+
+``Tracer.patch_method`` replaces ``cls.__dict__[attr]`` (the class that
+*defines* the method) and ``patch_function`` starts from
+``getattr(module, attr)``; a rename or a hoist into a base class breaks
+the traced pass only, which tier-1 does not run.  The target tables are
+read from the source with ``ast`` — the benchmark is not imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+LAYERS = Path(__file__).parents[2] / "benchmarks" / "perf" / "perfbench" / "layers.py"
+
+
+def _targets():
+    tables = {}
+    for node in ast.parse(LAYERS.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("METHOD_TARGETS", "FUNCTION_TARGETS"):
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_every_traced_target_resolves():
+    tables = _targets()
+    assert len(tables["METHOD_TARGETS"]) >= 30 and len(tables["FUNCTION_TARGETS"]) >= 10
+    missing = []
+    for module, cls_name, attr, _span in tables["METHOD_TARGETS"]:
+        cls = getattr(importlib.import_module(module), cls_name, None)
+        if cls is None or attr not in vars(cls):
+            missing.append(f"{module}.{cls_name}.{attr}")
+    for module, attr, _span in tables["FUNCTION_TARGETS"]:
+        if not callable(getattr(importlib.import_module(module), attr, None)):
+            missing.append(f"{module}.{attr}")
+    assert not missing, f"benchmark targets no longer defined there: {missing}"

@@ -1,6 +1,6 @@
 """Cross-validation matrix: every miner in the repository must agree.
 
-Sequential Apriori (dict counting), sequential Apriori (hash tree),
+Sequential Apriori (dict counting), the reference hash tree (tests/),
 HPA (all pagers), HPA-ELD, and NPA are independent implementations of
 the same mathematical object; this module pins them against each other
 on a shared workload.
@@ -10,9 +10,10 @@ import pytest
 
 from repro.datagen import generate
 from repro.errors import MiningError
-from repro.mining import apriori
+from repro.mining import apriori, generate_candidates
 from repro.mining.hpa import HPAConfig, HPARun, run_hpa
 from repro.mining.npa import NPAConfig, run_npa
+from tests.mining.reference_hash_tree import count_with_hash_tree
 
 DB = generate("T9.I3.D700", n_items=110, seed=13)
 REF = apriori(DB, minsup=0.02)
@@ -20,8 +21,18 @@ C2 = REF.passes[1].n_candidates
 LIMIT = int(((C2 // 3) * 24 + 100 * 16) * 0.55)
 
 
+def _hash_tree_apriori():
+    """Every pass's candidates counted through the reference hash tree."""
+    found = REF.large_of_size(1)
+    for k in range(2, REF.max_k() + 2):
+        candidates = generate_candidates(sorted(REF.large_of_size(k - 1)), k)
+        counts = count_with_hash_tree(DB, candidates, k)
+        found.update((i, c) for i, c in counts.items() if c >= REF.minsup_count)
+    return found
+
+
 def all_miners():
-    yield "apriori/hashtree", apriori(DB, minsup=0.02, method="hashtree").large_itemsets
+    yield "apriori/hashtree", _hash_tree_apriori()
     yield "hpa/none", run_hpa(
         DB, HPAConfig(minsup=0.02, n_app_nodes=3, total_lines=300, seed=2)
     ).large_itemsets

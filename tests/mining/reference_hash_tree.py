@@ -8,15 +8,15 @@ companion material tunes ("hash tree balancing"), and an alternative to
 the flat hash-line table used by the cluster miner — exact same counts,
 different constant factors.
 
-:func:`count_with_hash_tree` is a drop-in replacement for the dictionary
-counting inside :func:`repro.mining.apriori.apriori`, selectable via the
-``method`` parameter there.
+It is not part of this paper's design, so it lives here rather than in
+``src/``: an independent third counting implementation the
+cross-validation and structure tests compare ``apriori`` and the
+kernels against (it shares no code with either).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
-
 
 from repro.datagen.corpus import TransactionDatabase
 from repro.errors import MiningError
@@ -159,31 +159,11 @@ class HashTree:
 
 
 def count_with_hash_tree(
-    db: TransactionDatabase,
-    candidates: Iterable[Itemset],
-    k: int,
-    fanout: int = 8,
-    leaf_capacity: int = 16,
-    backend: str = "tree",
+    db: TransactionDatabase, candidates: Iterable[Itemset], k: int
 ) -> dict[Itemset, int]:
-    """Count candidate supports by one database scan through a hash tree.
-
-    Equivalent to dictionary counting; used by
-    ``apriori(..., method="hashtree")`` and by the structure tests.
-    ``backend="kernel"`` answers the same query through the vectorized
-    counting kernels instead of walking the tree — same counts, useful
-    as a fast cross-check of either structure.
-    """
-    if backend not in ("tree", "kernel"):
-        raise MiningError(f"unknown hash-tree backend {backend!r}")
-    candidates = list(candidates)
-    if backend == "kernel":
-        from repro.mining.kernels import count_candidates
-
-        if not candidates:
-            return {}
-        return count_candidates(db, candidates, k)
-    tree = HashTree(k, fanout=fanout, leaf_capacity=leaf_capacity)
+    """Count candidate supports by one database scan through a hash tree
+    (equivalent to dictionary counting)."""
+    tree = HashTree(k)
     for cand in candidates:
         tree.insert(cand)
     if not len(tree):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from repro.datagen import TransactionDatabase, generate
 from repro.errors import MiningError
-from repro.mining import HashTree, apriori, count_with_hash_tree
+from repro.mining import apriori, generate_candidates
 from repro.mining.apriori import _count_candidates
+from tests.mining.reference_hash_tree import HashTree, count_with_hash_tree
 
 
 def test_insert_and_len():
@@ -82,8 +83,6 @@ def test_matches_dict_counting_on_workload():
     db = generate("T8.I3.D400", n_items=60, seed=6)
     ref = apriori(db, minsup=0.03)
     l1 = sorted(ref.large_of_size(1))
-    from repro.mining.candidates import generate_candidates
-
     for k in (2, 3):
         cands = generate_candidates(
             sorted(ref.large_of_size(k - 1)) if k > 2 else l1, k
@@ -96,11 +95,22 @@ def test_matches_dict_counting_on_workload():
 
 
 def test_apriori_method_hashtree_identical():
+    """Level-wise mining with hash-tree counting (no longer an
+    ``apriori`` method — the loop is spelled out here) finds what
+    ``apriori`` finds, pass by pass."""
     db = generate("T8.I3.D400", n_items=60, seed=6)
     a = apriori(db, minsup=0.03)
-    b = apriori(db, minsup=0.03, method="hashtree")
-    assert a.large_itemsets == b.large_itemsets
-    assert a.table2_rows() == b.table2_rows()
+    large = a.large_of_size(1)
+    rows = [a.table2_rows()[0]]
+    k = 2
+    while large:
+        cands = generate_candidates(sorted(large), k)
+        counts = count_with_hash_tree(db, cands, k)
+        large = {i for i, c in counts.items() if c >= a.minsup_count}
+        assert large == set(a.large_of_size(k))
+        rows.append((k, len(cands), len(large)))
+        k += 1
+    assert rows == a.table2_rows()
 
 
 def test_apriori_unknown_method_rejected():
@@ -125,9 +135,12 @@ def test_property_tree_equals_brute_force(txns, fanout, leaf_capacity):
     candidates = list(combinations(items, 2))
     if not candidates:
         return
-    tree_counts = count_with_hash_tree(
-        db, candidates, 2, fanout=fanout, leaf_capacity=leaf_capacity
-    )
+    tree = HashTree(2, fanout=fanout, leaf_capacity=leaf_capacity)
+    for cand in candidates:
+        tree.insert(cand)
+    for txn in db:
+        tree.count_transaction(txn.tolist())
+    tree_counts = tree.counts
     brute = {c: 0 for c in candidates}
     for t in txns:
         tset = set(t)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datagen import generate
+from repro.datagen import TransactionDatabase, generate
 from repro.errors import MiningError
 from repro.mining import HashPartitioner, generate_candidates
 from repro.mining.apriori import _count_candidates, apriori
@@ -152,7 +152,11 @@ def test_owner_streams_matches_naive_buffers(blocks, ipm):
         for block in blocks
     ]
     for codes, owners in pairs:
-        for dest, payload in streams.extend(codes, owners):
+        flushes = streams.extend(codes, owners)
+        # Each flush is positioned at the occurrence that filled its buffer.
+        assert [pos for pos, _, _ in flushes] == sorted(pos for pos, _, _ in flushes)
+        for pos, dest, payload in flushes:
+            assert owners[pos] == dest and codes[pos] == payload[-1]
             got.append((dest, payload.tolist()))
     for dest, payload in streams.residual():
         got.append((dest, payload.tolist()))
@@ -192,7 +196,7 @@ def test_kernel_pair_stream_matches_naive_routing(large1, txn, n_dup):
     codes = kernel.pair_block(txn_arr, rel, l1_mask)
     got = list(
         zip(
-            kernel.decode_pairs(codes),
+            kernel.decode(codes),
             kernel.lines_of(codes).tolist(),
             kernel.owners_of(codes).tolist(),
         )
@@ -206,9 +210,7 @@ def test_kernel_pair_stream_matches_naive_routing(large1, txn, n_dup):
             line = part.line_of(pair)
             want.append((pair, line, part.node_of_line(line)))
     assert got == want
-    for itemset, line, owner in want:
-        if owner != OWNER_DUPLICATED:
-            assert kernel.route_of(itemset) == (line, owner)
+    assert [kernel.itemset_of(c) for c in codes.tolist()] == [w[0] for w in want]
 
 
 def test_kernel_owners_of_rejects_non_candidate():
@@ -218,13 +220,29 @@ def test_kernel_owners_of_rejects_non_candidate():
 
 
 def test_kernel_sparse_fallback_above_dense_limit():
-    kernel = CountingKernel(
-        2, 10, [(1, 2), (1, 3)], np.array([0, 1]), np.array([0, 1]), dense_limit=5
-    )
-    assert not kernel.dense
-    txn = np.array([1, 2, 3], dtype=np.int32)
-    assert kernel.subsets_of(txn) == [(1, 2), (1, 3), (2, 3)]
-    assert kernel.route_of((1, 2)) == (0, 0)
+    """Above the dense limit k == 2 runs on candidate-index codes like
+    any k >= 3 pass — same occurrences, routing and decode as dense."""
+    candidates = [(1, 2), (1, 3), (2, 3)]
+    lines, owners = np.array([0, 1, 2]), np.array([0, 1, OWNER_DUPLICATED])
+    db = TransactionDatabase.from_lists([[1, 2, 3], [0, 2], [4, 1, 3]], n_items=10)
+    views = []
+    for limit in (5, 10):
+        kernel = CountingKernel(2, 10, candidates, lines, owners, dense_limit=limit)
+        codes = kernel.occurrences(db, 0, len(db))
+        views.append(
+            (
+                kernel.decode(codes),
+                [kernel.itemset_of(c) for c in codes.tolist()],
+                kernel.lines_of(codes).tolist(),
+                kernel.owners_of(codes).tolist(),
+                kernel.tally([codes, codes[:1]]),
+            )
+        )
+    sparse, dense = views
+    assert not CountingKernel(2, 10, candidates, lines, owners, dense_limit=5).dense
+    assert sparse == dense
+    assert sparse[0] == [(1, 2), (1, 3), (2, 3), (1, 3)]
+    assert sparse[4] == ([(1, 2), (1, 3), (2, 3)], [0, 1, 2], [2, 2, 1])
 
 
 # -- ELD scores ---------------------------------------------------------------

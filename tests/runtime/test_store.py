@@ -75,6 +75,36 @@ def test_corrupt_and_mismatched_entries_are_misses(tmp_path):
     assert store.get(TINY) is None
 
 
+def test_format_2_entry_with_kernel_field_is_a_clean_miss(tmp_path):
+    """Format 2 stored ``"kernel"`` in the config; the field is gone, so
+    such an entry must read as a miss (not leak ``RunConfig``'s
+    ``TypeError``), be overwritten by the next put, and go at gc."""
+    store = ResultStore(tmp_path)
+    res = TINY.execute()
+    assert "kernel" not in result_to_dict(res)["config"]
+    old = result_to_dict(res)
+    old["config"]["kernel"] = "vector"
+    stale = json.dumps({"format": 2, "scenario": TINY.to_dict(), "result": old})
+    path = store.path_for(TINY)
+
+    path.write_text(stale)
+    assert store.get(TINY) is None
+    assert store.read_payload(store.key_for(TINY)) is None
+    assert (store.hits, store.misses) == (0, 1)
+    # Even relabelled as the current format the dropped field is a miss.
+    path.write_text(stale.replace('"format": 2', f'"format": {STORE_FORMAT}'))
+    assert store.get(TINY) is None
+
+    path.write_text(stale)
+    store.put(TINY, res)
+    assert json.loads(path.read_text())["format"] == STORE_FORMAT == 3
+    assert store.get(TINY) == res
+
+    path.write_text(stale)
+    summary = store.gc(now=path.stat().st_mtime)
+    assert summary["entries_removed"] == 1 and not path.exists()
+
+
 def test_store_clear(tmp_path):
     store = ResultStore(tmp_path)
     store.put(TINY, TINY.execute())
