@@ -1,11 +1,11 @@
 """Ablation A2: message block size (the paper fixes 4 KB, §5.1)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_ablation_blocksize
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_ablation_blocksize(benchmark, scale):
-    report = run_once(benchmark, exp_ablation_blocksize, scale)
+    report = run_once(benchmark, ALL_SWEEPS["blocksize"], scale)
     print()
     print(report)
     simple = report.data["simple swapping"]

@@ -2,11 +2,11 @@
 method the paper cites in §5.1)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_ablation_eld
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_ablation_eld(benchmark, scale):
-    report = run_once(benchmark, exp_ablation_eld, scale)
+    report = run_once(benchmark, ALL_SWEEPS["eld"], scale)
     print()
     print(report)
     data = report.data

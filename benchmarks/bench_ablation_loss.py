@@ -1,11 +1,11 @@
 """Ablation A4: UBR segment loss / TCP retransmission sensitivity."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_ablation_loss
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_ablation_loss(benchmark, scale):
-    report = run_once(benchmark, exp_ablation_loss, scale)
+    report = run_once(benchmark, ALL_SWEEPS["loss"], scale)
     print()
     print(report)
     data = report.data

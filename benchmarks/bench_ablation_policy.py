@@ -1,11 +1,11 @@
 """Ablation A1: replacement policy (the paper mandates LRU, §4.3)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_ablation_policy
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_ablation_policy(benchmark, scale):
-    report = run_once(benchmark, exp_ablation_policy, scale)
+    report = run_once(benchmark, ALL_SWEEPS["policy"], scale)
     print()
     print(report)
     data = report.data

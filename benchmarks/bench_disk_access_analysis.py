@@ -1,11 +1,11 @@
 """Benchmark §5.2: the paper's remote-memory vs disk access-time analysis."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_disk_access_analysis
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_disk_access_analysis(benchmark, scale):
-    report = run_once(benchmark, exp_disk_access_analysis, scale)
+    report = run_once(benchmark, ALL_SWEEPS["disk"], scale)
     print()
     print(report)
     data = report.data

@@ -1,12 +1,12 @@
 """Benchmark F3: regenerate Figure 3 (exec time vs memory-available nodes)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_fig3_memory_nodes
+from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
 
 
 def test_fig3_memory_nodes(benchmark, scale):
-    report = run_once(benchmark, exp_fig3_memory_nodes, scale)
+    report = run_once(benchmark, ALL_SWEEPS["fig3"], scale)
     print()
     print(report)
     s = SCALES[scale]

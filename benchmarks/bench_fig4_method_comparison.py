@@ -2,12 +2,12 @@
 update)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_fig4_method_comparison
+from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
 
 
 def test_fig4_method_comparison(benchmark, scale):
-    report = run_once(benchmark, exp_fig4_method_comparison, scale)
+    report = run_once(benchmark, ALL_SWEEPS["fig4"], scale)
     print()
     print(report)
     s = SCALES[scale]

@@ -1,12 +1,12 @@
 """Benchmark F5: regenerate Figure 5 (dynamic memory migration)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_fig5_migration
+from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
 
 
 def test_fig5_migration(benchmark, scale):
-    report = run_once(benchmark, exp_fig5_migration, scale)
+    report = run_once(benchmark, ALL_SWEEPS["fig5"], scale)
     print()
     print(report)
     s = SCALES[scale]

@@ -1,11 +1,11 @@
 """Benchmark §5.4: sensitivity to the availability-monitoring interval."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_monitor_interval
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_monitor_interval(benchmark, scale):
-    report = run_once(benchmark, exp_monitor_interval, scale)
+    report = run_once(benchmark, ALL_SWEEPS["monitor"], scale)
     print()
     print(report)
     times = report.data["times"]

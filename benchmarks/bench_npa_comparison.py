@@ -2,11 +2,11 @@
 quantifies §2.2's motivation for hash partitioning."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_npa_comparison
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_npa_comparison(benchmark, scale):
-    report = run_once(benchmark, exp_npa_comparison, scale)
+    report = run_once(benchmark, ALL_SWEEPS["npa"], scale)
     print()
     print(report)
     data = report.data

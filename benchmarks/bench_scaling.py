@@ -1,11 +1,11 @@
 """Scaling benchmark: HPA speedup with application nodes (paper §3.3)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_scaling
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_scaling(benchmark, scale):
-    report = run_once(benchmark, exp_scaling, scale)
+    report = run_once(benchmark, ALL_SWEEPS["scaling"], scale)
     print()
     print(report)
     speedup = report.data["speedup"]

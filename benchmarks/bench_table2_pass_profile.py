@@ -1,11 +1,11 @@
 """Benchmark T2: regenerate the paper's Table 2 (per-pass itemset counts)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_table2_pass_profile
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_table2_pass_profile(benchmark, scale):
-    report = run_once(benchmark, exp_table2_pass_profile, scale)
+    report = run_once(benchmark, ALL_SWEEPS["table2"], scale)
     print()
     print(report)
     # Paper shape: the pass-2 candidate explosion dominates the run.

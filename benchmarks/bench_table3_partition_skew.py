@@ -1,11 +1,11 @@
 """Benchmark T3: regenerate Table 3 (per-node candidate counts + skew)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_table3_partition_skew
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_table3_partition_skew(benchmark, scale):
-    report = run_once(benchmark, exp_table3_partition_skew, scale)
+    report = run_once(benchmark, ALL_SWEEPS["table3"], scale)
     print()
     print(report)
     counts = report.data["per_node"]

@@ -1,11 +1,11 @@
 """Benchmark T4: regenerate Table 4 (per-pagefault execution time)."""
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import exp_table4_pagefault_cost
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_table4_pagefault_cost(benchmark, scale):
-    report = run_once(benchmark, exp_table4_pagefault_cost, scale)
+    report = run_once(benchmark, ALL_SWEEPS["table4"], scale)
     print()
     print(report)
     per_fault = report.data["per_fault_ms"]

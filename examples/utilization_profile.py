@@ -3,8 +3,8 @@
 
 The paper's companion work analyses CPU usage and network behaviour of
 the cluster during HPA execution; this example shows the reproduction's
-equivalent: attach a trace collector and a periodic utilisation sampler
-to a run, then print a timeline — pagefault rate per interval, network
+equivalent: enable telemetry with a periodic utilisation sampler on a
+run, then print a timeline — pagefault rate per interval, network
 throughput, and the busiest nodes' CPU utilisation — annotated with the
 phase boundaries.
 
@@ -43,21 +43,22 @@ def main(fast: bool = False) -> None:
             pager="remote", n_memory_nodes=n_mem, memory_limit_bytes=limit,
         ),
     )
-    trace = run.enable_instrumentation(sample_interval_s=0.1)
+    tel = run.enable_telemetry(sample_interval_s=0.1)
     res = run.run()
     sampler = run.sampler
     assert sampler is not None
 
+    kinds = tel.counts_by_kind()
     print(f"run finished at t={res.total_time_s:.2f}s virtual; "
-          f"{trace.counts_by_kind().get('fault', 0)} faults, "
-          f"{trace.counts_by_kind().get('swap-out', 0)} swap-outs\n")
+          f"{kinds.get('fault', 0)} faults, "
+          f"{kinds.get('swap-out', 0)} swap-outs\n")
 
     print("phase boundaries:")
-    for e in trace.of_kind("phase"):
+    for e in tel.events_of_kind("phase"):
         print(f"  t={e.time:7.3f}s  {e.detail}")
 
     print("\npagefault rate (faults per 0.25 s bucket):")
-    series = trace.rate_series("fault", bucket_s=0.25)
+    series = tel.rate_series("fault", bucket_s=0.25)
     peak = max((c for _, c in series), default=1)
     for t, count in series:
         print(f"  t={t:6.2f}s  {bar(count / peak)}  {count}")

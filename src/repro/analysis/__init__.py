@@ -4,12 +4,6 @@ from repro.analysis.cost_model import PAPER_COSTS, CostModel
 from repro.analysis.diskmath import DiskComparisonRow, disk_comparison
 from repro.analysis.pagefault import PagefaultRow, pagefault_row, predicted_fault_time_s
 from repro.analysis.reporting import render_kv, render_series, render_table
-from repro.analysis.trace import (
-    TraceCollector,
-    TraceEvent,
-    UtilizationSample,
-    UtilizationSampler,
-)
 
 __all__ = [
     "CostModel",
@@ -22,8 +16,4 @@ __all__ = [
     "render_table",
     "render_series",
     "render_kv",
-    "TraceCollector",
-    "TraceEvent",
-    "UtilizationSampler",
-    "UtilizationSample",
 ]

@@ -7,21 +7,19 @@ it renders and every expensive sweep runs at most once per seed.  The
 pattern follows FuzzBench's ``ExperimentResults``: the facade *is* the
 template context, and caching makes property access idempotent.
 
-Each seed is an independent replication: the workload generator
-(:func:`repro.harness.scales.prepare_workload`) rebuilds the synthetic
-transaction database and its candidate geometry from that seed, and the
-whole sweep re-runs against it (through the scenario cache and the
-ambient :class:`~repro.runtime.store.ResultStore`, so warm stores
-re-execute nothing).  The scale's own default seed is passed to the
-engine as "no override" so those runs share store entries with
-single-seed sweeps and benchmarks.
+Each seed is an independent replication: the whole sweep re-runs with
+that seed (through the scenario cache and the ambient
+:class:`~repro.runtime.store.ResultStore`, so warm stores re-execute
+nothing).  The scale's own default seed is passed to the engine as "no
+override" so those runs share store entries with single-seed sweeps
+and benchmarks.
 
-Figure artifacts (F3-F5) aggregate the sweep reports' ``series`` data;
-Tables 2-3 are analytic (their sweeps execute no scenarios), so this
-module replays the same mining per seed directly; Table 4 and the
-replacement-policy ablation come from their sweeps' machine-readable
-``data``.  The policy artifact carries the pagers-x-policies rank
-tests the regression gate consumes.
+Every artifact is a fold over its sweep's machine-readable report
+``data`` — ``series`` for the figures, ``rows`` / ``per_node`` for
+Tables 2-3, the per-limit and per-policy dicts for Table 4 and the
+ablations — so nothing here generates, mines or prepares a workload.
+The policy artifact carries the pagers-x-policies rank tests the
+regression gate consumes.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.analysis.report.samples import (
     format_x,
 )
 from repro.errors import HarnessError
-from repro.harness.scales import SCALES, prepare_workload
+from repro.harness.scales import SCALES
 
 __all__ = ["REPORT_FORMAT", "ExperimentResults", "default_seeds"]
 
@@ -124,32 +122,27 @@ class ExperimentResults:
             for seed in self.seeds
         ]
 
-    # -- analytic artifacts (no scenario runs) -----------------------------
+    # -- workload-derived artifacts (sweeps with no scenario runs) ---------
 
     @cached_property
     def table2(self) -> ArtifactStats:
         """Candidate/large itemset counts per pass, mined per seed."""
-        from repro.datagen import generate
         from repro.harness.experiments import TABLE2_MINSUP_FACTOR
-        from repro.mining import apriori
 
-        s = SCALES[self.scale]
-        minsup = s.minsup * TABLE2_MINSUP_FACTOR
         per_seed: "list[dict]" = []
         pass_counts: "list[int]" = []
         for seed in self.seeds:
-            db = generate(s.workload, n_items=s.n_items, seed=seed)
-            res = apriori(db, minsup=minsup)
+            rows = self._outcome("table2", seed).report.data["rows"]
             candidates: "dict[str, float]" = {}
             large: "dict[str, float]" = {}
-            for k, c, l in res.table2_rows():
+            for k, c, l in rows:
                 if c is not None:
                     candidates[f"pass {k}"] = float(c)
                 large[f"pass {k}"] = float(l)
             per_seed.append(
                 {"candidates": candidates, "large itemsets": large}
             )
-            pass_counts.append(len(res.passes))
+            pass_counts.append(len(rows))
         notes = [
             "C2 dominates every later pass; iteration dies out naturally "
             "(paper Table 2).",
@@ -183,8 +176,7 @@ class ExperimentResults:
 
         per_seed: "list[dict]" = []
         for seed in self.seeds:
-            prep = prepare_workload(self.scale, seed)
-            counts = prep.per_node_candidates
+            counts = self._outcome("table3", seed).report.data["per_node"]
             stats = skew_statistics(counts)
             per_seed.append({
                 "per-node candidate 2-itemsets": {

@@ -113,10 +113,6 @@ class Summary:
     ci_low: float
     ci_high: float
 
-    @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,

@@ -356,7 +356,6 @@ class NodeDynamics:
         if self.bus is not None:
             self.bus.emit(
                 "churn-level", monitor.node.node_id,
-                f"background load {level} B ({self.trace.kind})",
                 level_bytes=level, trace=self.trace.kind,
             )
         if level >= memory.capacity_bytes:
@@ -460,11 +459,7 @@ class ClusterDynamics:
         node_id = self.mem_ids[failure.node_index]
         monitor = self.monitors[node_id]
         if self.bus is not None:
-            self.bus.emit(
-                "node-fail", node_id,
-                f"node {node_id} down for {failure.down_s:g}s",
-                down_s=failure.down_s,
-            )
+            self.bus.emit("node-fail", node_id, down_s=failure.down_s)
         monitor.signal_shortage()
         try:
             yield env.timeout(failure.down_s)

@@ -163,8 +163,7 @@ class Network:
                 self.stats.retransmissions += 1
                 if self.bus is not None:
                     self.bus.emit(
-                        "net-retransmit", msg.src,
-                        f"msg {msg.msg_id} -> node {msg.dst} lost on {msg.channel}",
+                        "net-retransmit", msg.src, msg_id=msg.msg_id,
                         dst=msg.dst, channel=msg.channel,
                     )
                 yield self.env.timeout(self.retransmission_timeout_s)
@@ -176,18 +175,9 @@ class Network:
         self.stats.record(msg, wire_bytes)
         if self.bus is not None:
             self.bus.emit(
-                "net-msg", msg.src,
-                f"msg {msg.msg_id} -> node {msg.dst} on {msg.channel}",
+                "net-msg", msg.src, msg_id=msg.msg_id,
                 dst=msg.dst, channel=msg.channel, size_bytes=msg.size_bytes,
                 wire_bytes=wire_bytes,
                 duration_s=msg.deliver_time - msg.send_time,
             )
         return msg
-
-    def egress_queue_length(self, node_id: int) -> int:
-        """Sends waiting on ``node_id``'s transmit side."""
-        return len(self._egress[node_id].queue)
-
-    def ingress_queue_length(self, node_id: int) -> int:
-        """Deliveries waiting on ``node_id``'s receive side."""
-        return len(self._ingress[node_id].queue)

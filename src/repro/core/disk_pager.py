@@ -42,14 +42,13 @@ class DiskPager(Pager):
         self.table.set_disk(line.line_id)
         self.stats.swap_outs += 1
         self.stats.bytes_swapped_out += block
-        self._emit("swap-out", f"line {line.line_id} -> disk", bytes=block)
+        self._emit("swap-out", line=line.line_id, bytes=block)
         return self._pay_evict(block)
 
     def _pay_evict(self, block: int) -> Generator:
         start = self.node.env.now
         yield from self.node.swap_disk.write(block)
-        self._emit("swap-cost", "disk write", duration_s=self.node.env.now - start,
-                   bytes=block)
+        self._emit("swap-cost", duration_s=self.node.env.now - start, bytes=block)
 
     def fault_in(self, line_id: int) -> Generator:
         if self.table.state(line_id) is not LineState.DISK:
@@ -63,8 +62,7 @@ class DiskPager(Pager):
         self.stats.bytes_faulted_in += block
         duration = self.node.env.now - start
         self.stats.fault_time_s += duration
-        self._emit("fault", f"line {line_id} <- disk", duration_s=duration,
-                   bytes=block)
+        self._emit("fault", line=line_id, duration_s=duration, bytes=block)
         return line
 
     def peek_line(self, line_id: int) -> Generator:

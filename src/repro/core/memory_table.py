@@ -130,12 +130,6 @@ class MemoryManagementTable:
         self._ensure(top - 1 if top else 0)
         return self._state[line_ids] == RESIDENT
 
-    def state_codes(self, line_ids: np.ndarray) -> np.ndarray:
-        """Integer state codes for a whole array of line ids."""
-        top = int(line_ids.max()) + 1 if len(line_ids) else 0
-        self._ensure(top - 1 if top else 0)
-        return self._state[line_ids]
-
     # -- location API ------------------------------------------------------
 
     def location(self, line_id: int) -> LineLocation:

@@ -103,7 +103,7 @@ class MemoryMonitor:
         self._shortage = True
         self.node.memory.set_external_pressure(self.node.memory.capacity_bytes)
         if self.bus is not None:
-            self.bus.emit("shortage", self.node.node_id, "memory shortage signalled")
+            self.bus.emit("shortage", self.node.node_id)
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("broadcast-now")
 
@@ -118,9 +118,7 @@ class MemoryMonitor:
         self._shortage = False
         self.node.memory.set_external_pressure(0)
         if self.bus is not None:
-            self.bus.emit(
-                "node-recover", self.node.node_id, "memory shortage cleared"
-            )
+            self.bus.emit("node-recover", self.node.node_id)
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("broadcast-now")
 
@@ -153,7 +151,6 @@ class MemoryMonitor:
         if self.bus is not None:
             self.bus.emit(
                 "monitor-broadcast", self.node.node_id,
-                f"seq {self._seq}: {available} B available",
                 available_bytes=available, shortage=self._shortage,
                 seq=self._seq,
             )
@@ -279,9 +276,7 @@ class MonitorClient:
                 self._shortage_seen.add(info.node_id)
                 if self.bus is not None:
                     self.bus.emit(
-                        "shortage-seen", self.node.node_id,
-                        f"node {info.node_id} reported shortage",
-                        src=info.node_id,
+                        "shortage-seen", self.node.node_id, src=info.node_id
                     )
                 for handler in self.shortage_handlers:
                     env.process(handler(info.node_id))

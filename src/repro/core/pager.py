@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Iterator, Optional
+from typing import TYPE_CHECKING, Generator, Iterator, Optional
 
 from repro.analysis.cost_model import CostModel
 from repro.core.memory_table import MemoryManagementTable
@@ -76,21 +76,15 @@ class Pager(ABC):
         self.fallback: Optional["Pager"] = None
         #: Destination placement policy (remote pagers only).
         self.placement: Optional["PlacementPolicy"] = None
-        #: Legacy single-consumer instrumentation hook: called as
-        #: ``on_event(kind, node_id, detail)`` for faults, evictions, and
-        #: migrations (see :class:`repro.analysis.trace.TraceCollector`).
-        #: Superseded by :attr:`bus`, which fans out to any number of
-        #: subscribers and carries structured fields; both fire when set.
-        self.on_event: Optional[Callable[[str, int, str], None]] = None
         #: Telemetry event bus, wired by
         #: :meth:`repro.obs.telemetry.Telemetry.attach`.
         self.bus: "Optional[EventBus]" = None
 
-    def _emit(self, kind: str, detail: str = "", **fields: object) -> None:
-        if self.on_event is not None:
-            self.on_event(kind, self.node.node_id, detail)
+    def _emit(self, kind: str, **fields: object) -> None:
+        """Publish one typed event (faults, evictions, migrations); with
+        no bus attached this is one attribute check."""
         if self.bus is not None:
-            self.bus.emit(kind, self.node.node_id, detail, source=self.name, **fields)
+            self.bus.emit(kind, self.node.node_id, source=self.name, **fields)
 
     @abstractmethod
     def evict(self, line: HashLine) -> Generator:

@@ -90,7 +90,6 @@ class PlacementPolicy(ABC):
         if self.bus is not None:
             self.bus.emit(
                 "placement", client.node.node_id,
-                f"{needed_bytes} B -> node {dst} ({self.name})",
                 dst=dst, needed_bytes=needed_bytes, policy=self.name,
             )
         return dst
@@ -317,7 +316,6 @@ class MigrateAheadPlacement(PredictivePlacement):
                 if self.bus is not None:
                     self.bus.emit(
                         "migrate-ahead", client.node.node_id,
-                        f"predicted shortage on node {node_id}; evacuating",
                         target=node_id, predicted_bytes=predicted,
                     )
                 client.node.env.process(self.pager.migrate_from(node_id))

@@ -96,7 +96,7 @@ class RemoteMemoryPager(Pager):
         #: extension beyond the paper, which assumes lenders always have
         #: room.  Lines that fell back live on disk and fault from disk.
         self.fallback = fallback
-        self._migration_events: "dict[int, Event]" = {}  # line_id -> done event
+        self._migration_done: "dict[int, Event]" = {}  # line_id -> done event
         self._race = _race.TRACKER
 
     # -- plumbing ---------------------------------------------------------
@@ -133,11 +133,8 @@ class RemoteMemoryPager(Pager):
             except NoMemoryAvailable:
                 if self.fallback is not None:
                     self.stats.placement_rejections += 1
-                    self._emit(
-                        "placement-reject",
-                        f"line {line.line_id}: no remote memory, disk fallback",
-                        policy=self.placement.name,
-                    )
+                    self._emit("placement-reject", line=line.line_id,
+                               policy=self.placement.name)
                     return self.fallback.evict(line)
                 raise
             try:
@@ -146,7 +143,7 @@ class RemoteMemoryPager(Pager):
                 self.client.mark_full(dst)
                 exclude.add(dst)
                 self.stats.placement_rejections += 1
-                self._emit("placement-reject", f"node {dst} full", dst=dst,
+                self._emit("placement-reject", dst=dst,
                            policy=self.placement.name)
                 continue
             break
@@ -154,8 +151,7 @@ class RemoteMemoryPager(Pager):
         self.client.adjust_estimate(dst, -line.nbytes)
         self.stats.swap_outs += 1
         self.stats.bytes_swapped_out += block
-        self._emit("swap-out", f"line {line.line_id} -> node {dst}",
-                   dst=dst, bytes=block)
+        self._emit("swap-out", line=line.line_id, dst=dst, bytes=block)
         return self._pay_evict(dst, block)
 
     def _pay_evict(self, dst: int, block: int) -> Generator:
@@ -163,7 +159,7 @@ class RemoteMemoryPager(Pager):
         dst_node = self.memory_nodes[dst]
         yield from self._send(self.node, dst_node, block)
         yield from dst_node.compute(self.cost.remote_store_service_s)
-        self._emit("swap-cost", f"store at node {dst}", dst=dst, bytes=block,
+        self._emit("swap-cost", dst=dst, bytes=block,
                    duration_s=self.node.env.now - start)
 
     # -- fault in -------------------------------------------------------------
@@ -172,7 +168,7 @@ class RemoteMemoryPager(Pager):
         """Block until a mid-migration line settles somewhere."""
         if self._race is not None:
             self._race.read(self, ("migration", line_id))
-        ev = self._migration_events.get(line_id)
+        ev = self._migration_done.get(line_id)
         if ev is not None:
             yield ev
         else:
@@ -211,8 +207,8 @@ class RemoteMemoryPager(Pager):
         self.stats.bytes_faulted_in += block
         duration = self.node.env.now - start
         self.stats.fault_time_s += duration
-        self._emit("fault", f"line {line_id} <- node {loc.node_id}",
-                   holder=loc.node_id, duration_s=duration, bytes=block)
+        self._emit("fault", line=line_id, holder=loc.node_id,
+                   duration_s=duration, bytes=block)
         return line
 
     # -- peek (determination phase) ----------------------------------------------
@@ -251,7 +247,7 @@ class RemoteMemoryPager(Pager):
             if self._race is not None:
                 self._race.write(self, ("migration", lid))
             self.table.set_migrating(lid)
-            self._migration_events[lid] = env.event()
+            self._migration_done[lid] = env.event()
 
         yield from self._pre_migration_sync(shortage_node)
 
@@ -269,7 +265,7 @@ class RemoteMemoryPager(Pager):
                 # will be marked resident by the faulting process.
                 if self._race is not None:
                     self._race.write(self, ("migration", lid))
-                self._migration_events.pop(lid).succeed()
+                self._migration_done.pop(lid).succeed()
                 continue
             line = src_store.take(self.owner_id, lid)
             exclude: set[int] = {shortage_node}
@@ -299,7 +295,7 @@ class RemoteMemoryPager(Pager):
                     self.client.mark_full(dst)
                     exclude.add(dst)
                     self.stats.placement_rejections += 1
-                    self._emit("placement-reject", f"node {dst} full", dst=dst,
+                    self._emit("placement-reject", dst=dst,
                                policy=self.placement.name)
                     continue
                 break
@@ -307,16 +303,13 @@ class RemoteMemoryPager(Pager):
             self.client.adjust_estimate(dst, -line.nbytes)
             if self._race is not None:
                 self._race.write(self, ("migration", lid))
-            self._migration_events.pop(lid).succeed()
+            self._migration_done.pop(lid).succeed()
             moved += 1
 
         self.stats.migrations += 1
         self.stats.lines_migrated += len(line_ids)
-        self._emit(
-            "migration",
-            f"{len(line_ids)} lines off node {shortage_node}",
-            lines=len(line_ids), src=shortage_node, bytes=moved * block,
-        )
+        self._emit("migration", lines=len(line_ids), src=shortage_node,
+                   bytes=moved * block)
         yield from self._post_migration()
 
     def _pre_migration_sync(self, shortage_node: int) -> Generator:
@@ -332,7 +325,7 @@ class RemoteMemoryPager(Pager):
     # Pass-boundary reset: called from the driver's serial inter-pass
     # section after every counting process has joined the barrier.
     def reset_pass(self) -> None:  # repro-lint: disable=RPL601
-        self._migration_events.clear()
+        self._migration_done.clear()
         if self.fallback is not None:
             self.fallback.reset_pass()
 
@@ -437,9 +430,9 @@ class RemoteUpdatePager(RemoteMemoryPager):
             if self._held:
                 # Held records wait for their lines' migrations to finish.
                 pending = [
-                    self._migration_events[lid]
+                    self._migration_done[lid]
                     for lid, _, _ in self._held
-                    if lid in self._migration_events
+                    if lid in self._migration_done
                 ]
                 if pending:
                     yield env.all_of(pending)

@@ -485,8 +485,7 @@ class SwapManager:
             self._evictions = [p for p in self._evictions if p.is_alive]
             if self.bus is not None:
                 self.bus.emit(
-                    "make-room", self.node.node_id,
-                    f"{n_victims} victims evicted", victims=n_victims,
+                    "make-room", self.node.node_id, victims=n_victims,
                     resident_bytes=self.resident_bytes,
                 )
 

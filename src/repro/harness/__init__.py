@@ -1,10 +1,10 @@
 """Benchmark harness: scaled workloads, per-table/figure experiments, CLI."""
 
-from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentReport
+from repro.harness.experiments import ALL_SWEEPS, ExperimentReport
 from repro.harness.scales import SCALES, PreparedWorkload, Scale, prepare_workload
 
 __all__ = [
-    "ALL_EXPERIMENTS",
+    "ALL_SWEEPS",
     "ExperimentReport",
     "SCALES",
     "Scale",

@@ -8,7 +8,6 @@ Usage::
     repro-bench all --resume         # reuse results persisted in .repro-store
     repro-bench --worker --store DIR # drain the store's work queue (N hosts)
     repro-bench --store-gc --store DIR   # compact entries + queue state
-    repro-bench --serve --store DIR      # read-only HTTP over the store
     repro-bench --list
 
 Each experiment prints the same rows/series the paper's table or figure
@@ -24,7 +23,7 @@ import argparse
 import sys
 import time
 
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
 
 __all__ = ["main", "build_parser"]
@@ -41,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         nargs="?",
         default=None,
-        help=f"experiment id: {', '.join(ALL_EXPERIMENTS)} or 'all'",
+        help=f"experiment id: {', '.join(ALL_SWEEPS)} or 'all'",
     )
     parser.add_argument(
         "--scale",
@@ -62,13 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="also write <DIR>/<experiment>.json with the raw data",
-    )
-    parser.add_argument(
-        "--race",
-        action="store_true",
-        help="run the schedule-race sanitizer over the golden suite and "
-        "the dynamic scenarios (same as the repro-race tool); exits "
-        "non-zero on unaudited same-epoch conflicts",
     )
     parser.add_argument(
         "--trace",
@@ -177,28 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         "seconds (default: 3600 — younger ones may belong to a live "
         "writer)",
     )
-    serve = parser.add_argument_group(
-        "serve mode", "read-only HTTP over a warm store (never executes)"
-    )
-    serve.add_argument(
-        "--serve",
-        action="store_true",
-        help="answer scenario-key and sweep-report queries from the "
-        "store as JSON over HTTP (requires --store/--resume)",
-    )
-    serve.add_argument(
-        "--serve-host",
-        default="127.0.0.1",
-        metavar="HOST",
-        help="bind address for --serve (default: 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8321,
-        metavar="N",
-        help="port for --serve (default: 8321; 0 picks a free port)",
-    )
     return parser
 
 
@@ -208,16 +178,13 @@ def main(argv: "list[str] | None" = None) -> int:
     store_dir = args.store
     if args.resume and store_dir is None:
         store_dir = ".repro-store"
-    if args.worker or args.store_gc or args.serve:
-        if store_dir is None:
-            mode = "--worker" if args.worker else (
-                "--store-gc" if args.store_gc else "--serve"
-            )
-            print(
-                f"repro-bench: {mode} needs a store (--store/--resume)",
-                file=sys.stderr,
-            )
-            return 2
+    if (args.worker or args.store_gc) and store_dir is None:
+        mode = "--worker" if args.worker else "--store-gc"
+        print(
+            f"repro-bench: {mode} needs a store (--store/--resume)",
+            file=sys.stderr,
+        )
+        return 2
     if args.worker:
         import json
 
@@ -243,13 +210,6 @@ def main(argv: "list[str] | None" = None) -> int:
         summary = store_gc(ResultStore(store_dir), tmp_age_s=args.gc_tmp_age)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
-    if args.serve:
-        from repro.harness.sweep.serve import serve_store
-        from repro.runtime import ResultStore
-
-        return serve_store(
-            ResultStore(store_dir), host=args.serve_host, port=args.port
-        )
     if args.list_scenarios:
         from repro.runtime import list_scenarios
 
@@ -267,13 +227,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"{s.replacement:7s} {churn:10s} {s.description}"
             )
         return 0
-    if args.race:
-        from repro.analysis.race.cli import main as race_main
-
-        race_args = ["--quiet"]
-        if args.json is not None:
-            race_args += ["--output", f"{args.json}/repro-race.json"]
-        return race_main(race_args)
     if args.store_stats and args.store is None and not args.resume:
         print(
             "repro-bench: --store-stats needs a store (--store/--resume)",
@@ -295,13 +248,13 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
     if args.list or args.experiment is None:
         print("available experiments:")
-        for name in ALL_EXPERIMENTS:
+        for name in ALL_SWEEPS:
             print(f"  {name}")
         print("or 'all'")
         return 0
 
-    names = list(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
+    names = list(ALL_SWEEPS) if args.experiment == "all" else [args.experiment]
+    unknown = [n for n in names if n not in ALL_SWEEPS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
@@ -337,7 +290,7 @@ def main(argv: "list[str] | None" = None) -> int:
             for name in names:
                 start = time.perf_counter()
                 outcome = run_sweep_outcome(
-                    ALL_EXPERIMENTS[name], args.scale, jobs=args.jobs,
+                    ALL_SWEEPS[name], args.scale, jobs=args.jobs,
                     seed=args.seed,
                     spawn_workers=not args.external_workers,
                     lease_ttl_s=args.lease_ttl,

@@ -10,13 +10,15 @@ persistent result store, and the ``--jobs N`` process pool.  There is
 exactly one execution path — :func:`repro.runtime.run_scenario` — for
 the experiments, benchmarks, CLI, and examples alike.
 
+Every report builder takes ``(scale, results, seed)`` and reads the
+scale's geometry from :data:`SCALES`; only Tables 2 and 3, which
+describe the workload itself, read the memoised
+``prepare_workload(scale, seed)`` — no other builder touches datagen
+or mining, so a warm store renders them without either.
+
 Each sweep's ``doc`` is the paper-vs-measured narrative from which
 ``EXPERIMENTS.md`` is regenerated
 (``python -m repro.harness.sweep.docs``).
-
-The historical ``exp_*`` names remain importable and callable
-(``exp_fig4_method_comparison("small")``): a :class:`Sweep` called with
-a scale name runs itself serially and returns its report.
 """
 
 from __future__ import annotations
@@ -33,35 +35,18 @@ from repro.analysis import (
 )
 from repro.analysis.cost_model import PAPER_COSTS
 from repro.cluster.specs import ATM_155
-from repro.datagen import generate
 from repro.harness.scales import SCALES, prepare_workload
 from repro.harness.sweep import ExperimentReport, Sweep
 from repro.mining import apriori, skew_statistics
 from repro.runtime.results import RunResult
 from repro.runtime.scenarios import Scenario
 
-__all__ = [
-    "ExperimentReport",
-    "exp_table2_pass_profile",
-    "exp_table3_partition_skew",
-    "exp_table4_pagefault_cost",
-    "exp_fig3_memory_nodes",
-    "exp_fig4_method_comparison",
-    "exp_fig5_migration",
-    "exp_disk_access_analysis",
-    "exp_monitor_interval",
-    "exp_ablation_policy",
-    "exp_churn_dynamics",
-    "exp_ablation_blocksize",
-    "exp_ablation_eld",
-    "exp_ablation_loss",
-    "exp_scaling",
-    "exp_npa_comparison",
-    "ALL_SWEEPS",
-    "ALL_EXPERIMENTS",
-]
+__all__ = ["ExperimentReport", "ALL_SWEEPS"]
 
 Results = Mapping[str, RunResult]
+#: The sweep's seed override as the engine passes it (``None`` = the
+#: scale's own seed); only the workload-derived Tables 2-3 read it.
+Seed = Optional[int]
 
 
 def _pass2_time(res: RunResult) -> float:
@@ -77,21 +62,19 @@ def _limit_label(mb: Optional[float]) -> str:
 # ---------------------------------------------------------------------------
 
 #: Table 2 mines at a stiffer support than the swapping experiments so
-#: that later passes shrink sharply, matching the paper's cliff; the
-#: multi-seed report layer (repro.analysis.report) replays the same
-#: mining per seed and must use the same factor.
+#: that later passes shrink sharply, matching the paper's cliff (the
+#: multi-seed report quotes the factor in its notes).
 TABLE2_MINSUP_FACTOR = 2.5
 
 
-def _report_table2(scale: str, results: Results) -> ExperimentReport:
+def _report_table2(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """The paper mines 10 M transactions at 0.7 % support; pass 2's
     candidate count dwarfs every other pass and the run dies out by
     pass 5.  We mine a scaled workload at a support chosen to terminate
     naturally within a few passes."""
     s = SCALES[scale]
-    db = generate(s.workload, n_items=s.n_items, seed=s.seed)
     minsup = s.minsup * TABLE2_MINSUP_FACTOR
-    res = apriori(db, minsup=minsup)
+    res = apriori(prepare_workload(scale, seed).db, minsup=minsup)
     rows = [
         (f"pass {k}", "" if c is None else c, l)
         for k, c, l in res.table2_rows()
@@ -123,9 +106,9 @@ def _report_table2(scale: str, results: Results) -> ExperimentReport:
 # Table 3 — candidate 2-itemsets per node (analytic)
 # ---------------------------------------------------------------------------
 
-def _report_table3(scale: str, results: Results) -> ExperimentReport:
+def _report_table3(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """Per-node candidate counts are close but skewed (Table 3)."""
-    prep = prepare_workload(scale)
+    prep = prepare_workload(scale, seed)
     stats = skew_statistics(prep.per_node_candidates)
     rows = [
         (f"node {i + 1}", c) for i, c in enumerate(prep.per_node_candidates)
@@ -182,14 +165,14 @@ def _grid_table4(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_table4(scale: str, results: Results) -> ExperimentReport:
+def _report_table4(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """Per-pagefault time from the Exec/Diff/Max columns (Table 4)."""
-    prep = prepare_workload(scale)
-    n_mem = prep.scale.max_memory_nodes
+    s = SCALES[scale]
+    n_mem = s.max_memory_nodes
     baseline = _pass2_time(results["no limit"])
     rows = []
     per_fault = {}
-    for mb in prep.scale.limits_mb:
+    for mb in s.limits_mb:
         p2 = results[_limit_label(mb)].pass_result(2)
         row = pagefault_row(f"{mb:g}MB", p2.duration_s, baseline, p2.max_faults)
         rows.append(row)
@@ -241,27 +224,27 @@ def _grid_fig3(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_fig3(scale: str, results: Results) -> ExperimentReport:
+def _report_fig3(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """Few memory nodes bottleneck the fault service (Figure 3)."""
-    prep = prepare_workload(scale)
+    s = SCALES[scale]
     series: dict[str, dict[int, float]] = {}
-    for mb in prep.scale.limits_mb:
+    for mb in s.limits_mb:
         series[f"limit {mb:g}MB"] = {
             n: _pass2_time(results[f"{_limit_label(mb)}|n={n}"])
-            for n in prep.scale.memory_node_counts
+            for n in s.memory_node_counts
         }
     series["no limit"] = {
         n: _pass2_time(results[f"no limit|n={n}"])
-        for n in prep.scale.memory_node_counts
+        for n in s.memory_node_counts
     }
     text = render_series(
         "#memory nodes",
         series,
         title=f"Figure 3 equivalent — pass 2 execution time [s], "
-        f"{prep.scale.n_app_nodes} application nodes",
+        f"{s.n_app_nodes} application nodes",
     )
-    tight = f"limit {prep.scale.limits_mb[0]:g}MB"
-    n_min, n_max = min(prep.scale.memory_node_counts), max(prep.scale.memory_node_counts)
+    tight = f"limit {s.limits_mb[0]:g}MB"
+    n_min, n_max = min(s.memory_node_counts), max(s.memory_node_counts)
     return ExperimentReport(
         exp_id="F3",
         title="Execution time of HPA (pass 2) vs memory-available nodes",
@@ -295,14 +278,14 @@ def _grid_fig4(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_fig4(scale: str, results: Results) -> ExperimentReport:
+def _report_fig4(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """The three swapping mechanisms vs usage limit (Figure 4)."""
-    prep = prepare_workload(scale)
-    n_mem = prep.scale.max_memory_nodes
+    s = SCALES[scale]
+    n_mem = s.max_memory_nodes
     series: dict[str, dict[float, float]] = {
         "disk swapping": {}, "simple swapping": {}, "remote update": {},
     }
-    for mb in prep.scale.limits_mb:
+    for mb in s.limits_mb:
         series["disk swapping"][mb] = _pass2_time(results[f"disk|{mb:g}"])
         series["simple swapping"][mb] = _pass2_time(results[f"simple|{mb:g}"])
         series["remote update"][mb] = _pass2_time(results[f"update|{mb:g}"])
@@ -312,7 +295,7 @@ def _report_fig4(scale: str, results: Results) -> ExperimentReport:
         title=f"Figure 4 equivalent — pass 2 execution time [s], "
         f"{n_mem} memory-available nodes",
     )
-    tight = prep.scale.limits_mb[0]
+    tight = s.limits_mb[0]
     return ExperimentReport(
         exp_id="F4",
         title="Comparison of proposed methods",
@@ -366,17 +349,17 @@ def _followups_fig5(scale: str, results: Results) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_fig5(scale: str, results: Results) -> ExperimentReport:
+def _report_fig5(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """Migrating 0/1/2 memory nodes away mid-run changes execution time
     only marginally (Figure 5)."""
-    prep = prepare_workload(scale)
-    n_mem = prep.scale.max_memory_nodes
+    s = SCALES[scale]
+    n_mem = s.max_memory_nodes
     series: dict[str, dict[float, float]] = {
         "all memory nodes available": {},
         "1 memory node unavailable": {},
         "2 memory nodes unavailable": {},
     }
-    for mb in prep.scale.limits_mb:
+    for mb in s.limits_mb:
         series["all memory nodes available"][mb] = _pass2_time(
             results[f"base|{mb:g}"]
         )
@@ -392,7 +375,7 @@ def _report_fig5(scale: str, results: Results) -> ExperimentReport:
         title=f"Figure 5 equivalent — pass 2 execution time [s] with "
         f"mid-run shortages, {n_mem} memory-available nodes",
     )
-    tight = prep.scale.limits_mb[0]
+    tight = s.limits_mb[0]
     overhead = (
         series["2 memory nodes unavailable"][tight]
         / series["all memory nodes available"][tight]
@@ -414,7 +397,7 @@ def _report_fig5(scale: str, results: Results) -> ExperimentReport:
 # §5.2 — disk access-time analysis (analytic)
 # ---------------------------------------------------------------------------
 
-def _report_disk(scale: str, results: Results) -> ExperimentReport:
+def _report_disk(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """§5.2's closing arithmetic: remote memory vs disks."""
     rows = disk_comparison()
     text = render_table(
@@ -456,12 +439,12 @@ def _grid_monitor(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_monitor(scale: str, results: Results) -> ExperimentReport:
+def _report_monitor(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """§5.4's claim: 1-3 s intervals are free, very short intervals cost
     monitoring/communication overhead."""
-    prep = prepare_workload(scale)
-    n_mem = prep.scale.max_memory_nodes
-    mb = prep.scale.limits_mb[1]
+    s = SCALES[scale]
+    n_mem = s.max_memory_nodes
+    mb = s.limits_mb[1]
     times = {
         i: _pass2_time(results[f"interval={i:g}"]) for i in MONITOR_INTERVALS_S
     }
@@ -499,10 +482,10 @@ def _grid_policy(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_policy(scale: str, results: Results) -> ExperimentReport:
+def _report_policy(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """Quantify the paper's LRU choice against FIFO and random."""
-    prep = prepare_workload(scale)
-    mb = prep.scale.limits_mb[0]
+    s = SCALES[scale]
+    mb = s.limits_mb[0]
     rows = []
     data = {}
     for policy in REPLACEMENT_SWEEP:
@@ -571,12 +554,12 @@ def _grid_churn(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_churn(scale: str, results: Results) -> ExperimentReport:
+def _report_churn(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """The paper's premise — remote memory fluctuates because owners
     reclaim their machines — exercised directly: every placement policy
     races the same churning cluster."""
-    prep = prepare_workload(scale)
-    mb = prep.scale.limits_mb[1]
+    s = SCALES[scale]
+    mb = s.limits_mb[1]
     rows = []
     series: "dict[str, dict[str, float]]" = {}
     for policy in PLACEMENT_SWEEP:
@@ -631,10 +614,10 @@ def _grid_blocksize(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_blocksize(scale: str, results: Results) -> ExperimentReport:
+def _report_blocksize(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """Vary the 4 KB message block of §5.1."""
-    prep = prepare_workload(scale)
-    mb = prep.scale.limits_mb[0]
+    s = SCALES[scale]
+    mb = s.limits_mb[0]
     series: dict[str, dict[int, float]] = {"simple swapping": {}, "remote update": {}}
     for size in BLOCK_SIZES_B:
         series["simple swapping"][size] = _pass2_time(results[f"simple|{size}"])
@@ -673,11 +656,11 @@ def _grid_eld(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_eld(scale: str, results: Results) -> ExperimentReport:
+def _report_eld(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """The skew-handling extension the paper cites: duplicate the most
     frequent candidates everywhere, count them locally."""
-    prep = prepare_workload(scale)
-    mb = prep.scale.limits_mb[1]
+    s = SCALES[scale]
+    mb = s.limits_mb[1]
     rows = []
     data = {}
     for frac in ELD_FRACTIONS:
@@ -724,12 +707,12 @@ def _grid_loss(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_loss(scale: str, results: Results) -> ExperimentReport:
+def _report_loss(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """Extension: the cluster runs TCP over ATM's UBR class; quantify how
     segment loss (and the retransmission timeout it triggers) erodes the
     remote-memory advantage."""
-    prep = prepare_workload(scale)
-    mb = prep.scale.limits_mb[1]
+    s = SCALES[scale]
+    mb = s.limits_mb[1]
     rows = []
     data = {}
     for loss in LOSS_PROBABILITIES:
@@ -769,7 +752,7 @@ def _grid_npa(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_npa(scale: str, results: Results) -> ExperimentReport:
+def _report_npa(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """Quantify §2.2's claim that HPA "effectively utilizes the whole
     memory space of all the processors": NPA duplicates the candidate set
     on every node and collapses first as the per-node limit shrinks."""
@@ -826,7 +809,7 @@ def _grid_scaling(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_scaling(scale: str, results: Results) -> ExperimentReport:
+def _report_scaling(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     """Speedup of the (no-limit) HPA run as application nodes are added.
 
     §3.3: "When the PC cluster using 100 PCs is employed for this
@@ -1207,24 +1190,3 @@ whole memory space of all the processors" — reproduced.""",
         ),
     )
 }
-
-#: Historical registry name (CLI, benchmarks, tests).
-ALL_EXPERIMENTS = ALL_SWEEPS
-
-# Historical per-experiment entry points: each name is the Sweep itself,
-# callable with a scale name exactly like the old functions.
-exp_table2_pass_profile = ALL_SWEEPS["table2"]
-exp_table3_partition_skew = ALL_SWEEPS["table3"]
-exp_table4_pagefault_cost = ALL_SWEEPS["table4"]
-exp_fig3_memory_nodes = ALL_SWEEPS["fig3"]
-exp_fig4_method_comparison = ALL_SWEEPS["fig4"]
-exp_fig5_migration = ALL_SWEEPS["fig5"]
-exp_disk_access_analysis = ALL_SWEEPS["disk"]
-exp_monitor_interval = ALL_SWEEPS["monitor"]
-exp_ablation_policy = ALL_SWEEPS["policy"]
-exp_churn_dynamics = ALL_SWEEPS["churn"]
-exp_ablation_blocksize = ALL_SWEEPS["blocksize"]
-exp_ablation_eld = ALL_SWEEPS["eld"]
-exp_ablation_loss = ALL_SWEEPS["loss"]
-exp_scaling = ALL_SWEEPS["scaling"]
-exp_npa_comparison = ALL_SWEEPS["npa"]

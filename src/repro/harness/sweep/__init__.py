@@ -13,8 +13,6 @@ processes (:mod:`~repro.harness.sweep.worker`, ``repro-bench --worker``)
 on one or many hosts, and assembles results in grid order so the report
 is byte-identical regardless of worker count or completion order.
 
-:mod:`~repro.harness.sweep.serve` answers scenario and sweep-report
-queries from a warm store over HTTP (``repro-bench --serve``);
 :mod:`~repro.harness.sweep.docs` regenerates ``EXPERIMENTS.md`` from
 the sweep definitions.
 """

@@ -3,7 +3,7 @@
 Executing a sweep means resolving every grid cell to a
 :class:`~repro.runtime.results.RunResult`:
 
-1. probe the shared cache tiers (:func:`~repro.runtime.scenarios.lookup_scenario`:
+1. probe the shared cache tiers once (:func:`~repro.runtime.scenarios.lookup_scenario`:
    in-memory first, then the ambient persistent store);
 2. resolve the misses — in-process when ``jobs == 1``; with ``jobs > 1``
    the scheduler *enqueues* each unique content address on the store's
@@ -44,6 +44,7 @@ from repro.harness.sweep.spec import ExperimentReport, Sweep
 from repro.obs import current_telemetry
 from repro.runtime.scenarios import (
     Scenario,
+    execute_and_install,
     install_result,
     lookup_scenario,
     run_scenario,
@@ -279,11 +280,10 @@ def _resolve(
         for key, scenario in cells.items():
             start = time.perf_counter()
             found = lookup_scenario(scenario)
-            if found is not None:
-                record = RunRecord(key, "cached", time.perf_counter() - start)
-            else:
-                found = run_scenario(scenario)
-                record = RunRecord(key, "executed", time.perf_counter() - start)
+            source = "cached" if found is not None else "executed"
+            if found is None:
+                found = execute_and_install(scenario)
+            record = RunRecord(key, source, time.perf_counter() - start)
             results[key] = found
             records.append(record)
             _emit("sweep-run", sweep, key, source=record.source,
@@ -353,9 +353,10 @@ def run_sweep_outcome(
     --worker`` processes, with the scheduler itself draining whatever
     they don't lease).  Persistence comes from the ambient result store
     when a :func:`~repro.runtime.store.result_store_session` is active.
-    ``seed`` re-seeds every grid (and follow-up) cell, giving one
-    independent replication of the whole sweep per seed — the axis the
-    ``repro-report`` multi-seed aggregates are built on.
+    ``seed`` re-seeds every grid (and follow-up) cell and is handed to
+    the report builder, giving one independent replication of the whole
+    sweep per seed — the axis the ``repro-report`` multi-seed aggregates
+    are built on.  This is the only walk from a sweep to its report.
     """
     start = time.perf_counter()
     cells = sweep.scenarios(scale, seed)
@@ -379,7 +380,7 @@ def run_sweep_outcome(
             sweep, extra, jobs, records,
             spawn_workers=spawn_workers, lease_ttl_s=lease_ttl_s,
         ))
-    report = sweep.report(scale, results)
+    report = sweep.report(scale, results, seed)
     _emit("sweep-done", sweep, scale, n_cells=len(records),
           wall_s=time.perf_counter() - start)
     return SweepOutcome(report=report, records=records)

@@ -1,17 +1,20 @@
 """Sweep specifications: a declarative grid + a report builder.
 
-A :class:`Sweep` replaces one hand-written ``exp_*`` loop.  Its ``grid``
-maps a scale name to an ordered ``{key: Scenario}`` dict — pure data,
-no execution — and its ``report`` folds the resolved ``{key: RunResult}``
-mapping into an :class:`ExperimentReport`.  Experiments whose later
+A :class:`Sweep` is one paper experiment.  Its ``grid`` maps a scale
+name to an ordered ``{key: Scenario}`` dict — pure data, no execution —
+and its ``report`` folds ``(scale, {key: RunResult}, seed)`` into an
+:class:`ExperimentReport`.  Experiments whose later
 configurations depend on earlier results (Figure 5 schedules shortages
 *inside* the measured pass of a base run) declare a ``followups`` stage,
 which the engine resolves after the grid with the same executor.
 
 Because the grid is data, the engine — not the experiment — decides
 execution order, parallelism, caching, and persistence; and because
-results are keyed, the report is a pure function of the grid, which is
-what makes parallel and resumed runs byte-identical to serial ones.
+results are keyed, the report is a pure function of ``(scale, seed,
+results)``, which is what makes parallel and resumed runs
+byte-identical to serial ones.  Only the engine
+(:func:`~repro.harness.sweep.engine.run_sweep_outcome`) calls
+``report``: there is one walk from a grid to its report.
 """
 
 from __future__ import annotations
@@ -71,22 +74,24 @@ class ExperimentReport:
 GridFn = Callable[[str], "dict[str, Scenario]"]
 #: Stage 2 (optional): (scale, stage-1 results) -> more scenarios.
 FollowupFn = Callable[[str, "Mapping[str, RunResult]"], "dict[str, Scenario]"]
-#: Aggregation: (scale, all results) -> the rendered report.
-ReportFn = Callable[[str, "Mapping[str, RunResult]"], ExperimentReport]
+#: Aggregation: (scale, all results, the sweep's seed override — the
+#: same value the engine re-seeded the grid with) -> the rendered report.
+ReportFn = Callable[
+    [str, "Mapping[str, RunResult]", Optional[int]], ExperimentReport
+]
 
 
 @dataclass(frozen=True)
 class Sweep:
     """One declarative experiment: grid, optional follow-ups, report.
 
-    Analytic experiments (Table 2/3, the §5.2 disk arithmetic, the
-    hot-path wall-clock bench) have an empty grid and do all their work
-    in ``report`` — they still gain the uniform registry, CLI, timing,
-    and documentation surfaces.
+    Analytic experiments have an empty grid and do all their work in
+    ``report``: Tables 2/3 read the prepared workload of ``(scale,
+    seed)``, §5.2 is arithmetic on the paper's constants.  They still
+    gain the uniform registry, CLI, timing, and documentation surfaces.
 
     A :class:`Sweep` is callable with a scale name, returning its
-    report, so the registry entries behave exactly like the historical
-    ``exp_*(scale)`` functions.
+    report (``ALL_SWEEPS["fig4"]("small")``).
     """
 
     #: CLI/registry name (``repro-bench <name>``).
@@ -117,8 +122,7 @@ class Sweep:
         return cells
 
     def __call__(self, scale: str = "small") -> ExperimentReport:
-        """Run this sweep serially at ``scale`` (the historical
-        ``exp_*`` calling convention)."""
+        """Run this sweep serially at ``scale``."""
         from repro.harness.sweep.engine import run_sweep
 
         return run_sweep(self, scale)

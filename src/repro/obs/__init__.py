@@ -15,6 +15,8 @@ first-class outputs of *any* run instead of bespoke benchmark code:
   wires them into an :class:`~repro.mining.hpa.HPARun` or
   :class:`~repro.mining.npa.NPARun`, and records phase/span timings on
   the simulation clock;
+- :class:`~repro.obs.sampler.UtilizationSampler` — periodic CPU /
+  memory / network snapshots taken by a simulated process;
 - :mod:`~repro.obs.export` — JSONL event traces, Chrome
   ``trace_event``-format timelines, ``metrics.json`` and per-run
   ``manifest.json``;
@@ -32,6 +34,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     SIZE_BUCKETS_B,
 )
+from repro.obs.sampler import UtilizationSample, UtilizationSampler
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -44,6 +47,8 @@ __all__ = [
     "EventBus",
     "ObsEvent",
     "Telemetry",
+    "UtilizationSample",
+    "UtilizationSampler",
     "current_telemetry",
     "telemetry_session",
 ]

@@ -2,10 +2,8 @@
 
 Every instrumented component publishes :class:`ObsEvent` records through
 one :class:`EventBus`; any number of subscribers (the in-memory event
-log, the metrics updater, a :class:`~repro.analysis.trace.TraceCollector`
-adapter, ...) receive each event synchronously.  This supersedes the old
-single ``Pager.on_event`` callback slot, which allowed exactly one
-consumer and was wired only by HPA.
+log, the metrics updater, the harness's phase wall clock, ...) receive
+each event synchronously.
 
 Emission is cheap when nobody listens: components hold ``bus = None``
 until a :class:`~repro.obs.telemetry.Telemetry` attaches, and ``emit``
@@ -68,8 +66,6 @@ EVENT_KINDS = frozenset({
     "lease-release",    # a leased cell completed (result in the store)
     "worker-start",     # one worker loop began draining the queue
     "worker-exit",      # one worker loop stopped (drained or idle)
-    # store HTTP mode (repro.harness.sweep.serve)
-    "serve-request",    # one read-only store/report query answered
     # report service (repro.analysis.report)
     "report-render",    # one markdown/HTML report rendered
     "report-diff",      # one regression-gate comparison completed
@@ -102,7 +98,7 @@ METRIC_NAMES = frozenset({
     # distributed sweep queue / workers (repro.harness.sweep)
     "queue_enqueues", "queue_leases", "queue_reclaims",
     "worker_cells", "worker_cell_wall_s",
-    "serve_requests", "store_gc_removed",
+    "store_gc_removed",
     # cache tiers (repro.runtime)
     "scenario_cache_hits", "scenario_cache_misses",
     "result_store_hits", "result_store_misses", "result_store_writes",
@@ -118,9 +114,11 @@ Subscriber = Callable[["ObsEvent"], None]
 class ObsEvent:
     """One timestamped, structured happening on one node.
 
-    ``fields`` carries machine-readable details (durations, byte counts,
-    peer node ids); ``detail`` stays the human-readable string the legacy
-    ``on_event`` hook carried.  ``node_id`` -1 means cluster-wide (phase
+    ``fields`` carries every machine-readable value (durations, byte
+    counts, line and peer node ids); ``detail`` is the *name* of a
+    ``span`` / ``phase`` event (what the phase wall clock, ``repro-trace``
+    and the Chrome export key on) and empty on simulation-layer events,
+    which never format prose.  ``node_id`` -1 means cluster-wide (phase
     boundaries, spans).  ``run`` distinguishes events from different
     simulation runs sharing one bus (each run's clock restarts at 0).
     """

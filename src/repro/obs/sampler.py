@@ -1,109 +1,28 @@
-"""Event tracing for simulation runs.
+"""Periodic utilisation sampling for simulation runs.
 
 The paper's companion work analyses "several characteristics such as CPU
 usage and network performance of the cluster during the execution of
-HPA".  :class:`TraceCollector` records discrete happenings — pagefaults,
-swap-outs, migrations, phase boundaries — as timestamped events, and
-:class:`UtilizationSampler` runs as a simulated process that periodically
-snapshots resource usage, yielding time series suitable for the kind of
-utilisation plots that companion paper shows.
+HPA".  Discrete happenings — pagefaults, swap-outs, migrations, phase
+boundaries — are events on the telemetry bus
+(:attr:`repro.obs.telemetry.Telemetry.events`); :class:`UtilizationSampler`
+is the complementary time series: a simulated process that periodically
+snapshots resource usage, suitable for the kind of utilisation plots
+that companion paper shows.
+``MiningDriver.enable_telemetry(sample_interval_s=...)`` attaches one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster import Cluster
-    from repro.sim.engine import Environment
     from repro.sim.process import Process
 
-__all__ = ["TraceEvent", "TraceCollector", "UtilizationSample", "UtilizationSampler"]
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped happening on one node."""
-
-    time: float
-    node_id: int
-    kind: str
-    detail: str = ""
-
-
-class TraceCollector:
-    """Append-only event log with simple query helpers."""
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self.events: list[TraceEvent] = []
-
-    def record(self, node_id: int, kind: str, detail: str = "") -> None:
-        """Log one event at the current simulation time."""
-        self.events.append(TraceEvent(self.env.now, node_id, kind, detail))
-
-    def record_hook(self) -> Callable[[str, int, str], None]:
-        """Adapter matching the pagers' ``on_event(kind, node_id, detail)``
-        signature."""
-        def hook(kind: str, node_id: int, detail: str) -> None:
-            self.record(node_id, kind, detail)
-
-        return hook
-
-    def subscriber(self) -> Callable:
-        """Adapter for :class:`repro.obs.EventBus` subscription.
-
-        Uses the event's own timestamp (not ``env.now``) so the collector
-        stays correct even when replaying events from another run.
-        """
-        def on_event(ev) -> None:
-            self.events.append(TraceEvent(ev.time, ev.node_id, ev.kind, ev.detail))
-
-        return on_event
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        """All events of one kind, in time order."""
-        return [e for e in self.events if e.kind == kind]
-
-    def on_node(self, node_id: int) -> list[TraceEvent]:
-        """All events on one node, in time order."""
-        return [e for e in self.events if e.node_id == node_id]
-
-    def between(self, start: float, end: float) -> list[TraceEvent]:
-        """Events with ``start <= time < end``."""
-        return [e for e in self.events if start <= e.time < end]
-
-    def counts_by_kind(self) -> dict[str, int]:
-        """Histogram of event kinds."""
-        out: dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
-
-    def rate_series(self, kind: str, bucket_s: float) -> list[tuple[float, int]]:
-        """(bucket start, event count) series for one kind.
-
-        Buckets are aligned at multiples of ``bucket_s`` from time 0 and
-        empty buckets inside the observed span are included, so the
-        series plots directly.
-        """
-        if bucket_s <= 0:
-            raise ValueError(f"bucket size must be positive, got {bucket_s}")
-        selected = self.of_kind(kind)
-        if not selected:
-            return []
-        first = int(selected[0].time // bucket_s)
-        last = int(selected[-1].time // bucket_s)
-        counts = {b: 0 for b in range(first, last + 1)}
-        for e in selected:
-            counts[int(e.time // bucket_s)] += 1
-        return [(b * bucket_s, counts[b]) for b in sorted(counts)]
-
-    def __len__(self) -> int:
-        return len(self.events)
+__all__ = ["UtilizationSample", "UtilizationSampler"]
 
 
 @dataclass(frozen=True)

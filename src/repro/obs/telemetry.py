@@ -17,6 +17,7 @@ trace directory.
 
 from __future__ import annotations
 
+import collections
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -175,10 +176,6 @@ class _MetricsUpdater:
                     buckets=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0),
                     worker=f.get("worker", "?"),
                 ).observe(f["wall_s"])
-        elif kind == "serve-request":
-            r.counter(
-                "serve_requests", status=str(f.get("status", "?"))
-            ).inc()
         elif kind == "report-render":
             r.counter("report_renders", fmt=f.get("fmt", "?")).inc()
             if "n_cells" in f:
@@ -251,8 +248,8 @@ class Telemetry:
     # -- phase / span timers ------------------------------------------------
 
     def phase_mark(self, name: str, node_id: int = -1) -> None:
-        """Point event marking a phase boundary (legacy ``phase`` kind,
-        consumed by :class:`~repro.analysis.trace.TraceCollector` users)."""
+        """Point event marking a phase boundary; ``name`` is the
+        event's ``detail``."""
         self.bus.emit("phase", node_id, name)
 
     def span(self, name: str, start: float, end: float, node_id: int = -1) -> None:
@@ -280,3 +277,22 @@ class Telemetry:
         for e in self.events:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
+
+    def rate_series(self, kind: str, bucket_s: float) -> list[tuple[float, int]]:
+        """(bucket start, event count) series for one kind.
+
+        Buckets are aligned at multiples of ``bucket_s`` from time 0 and
+        empty buckets inside the observed span are included, so the
+        series plots directly.
+        """
+        if bucket_s <= 0:
+            raise ValueError(f"bucket size must be positive, got {bucket_s}")
+        counts = collections.Counter(
+            int(e.time // bucket_s) for e in self.events_of_kind(kind)
+        )
+        if not counts:
+            return []
+        return [
+            (b * bucket_s, counts[b])
+            for b in range(min(counts), max(counts) + 1)
+        ]

@@ -20,10 +20,9 @@ from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.trace import TraceCollector, UtilizationSampler
 from repro.cluster.dynamics import scripted_shortage
 from repro.errors import MiningError
-from repro.obs import Telemetry, current_telemetry
+from repro.obs import Telemetry, UtilizationSampler, current_telemetry
 from repro.obs.telemetry import run_meta
 from repro.runtime.builder import ClusterRuntime, build_runtime
 from repro.runtime.config import RunConfig
@@ -104,10 +103,8 @@ class MiningDriver:
         #: Optional list of (virtual_time, mem_node_id) shortage signals
         #: injected during the run (Figure 5's experiment).
         self.shortage_schedule: list[tuple[float, int]] = []
-        #: Instrumentation (populated by :meth:`enable_telemetry` /
-        #: :meth:`enable_instrumentation`).
+        #: Instrumentation (populated by :meth:`enable_telemetry`).
         self.telemetry: Optional[Telemetry] = None
-        self.trace: Optional[TraceCollector] = None
         self.sampler: Optional[UtilizationSampler] = None
 
     # -- instrumentation ---------------------------------------------------
@@ -123,7 +120,9 @@ class MiningDriver:
         passing an existing one lets several consecutive runs share one
         trace (how ``repro-bench --trace`` collects a whole sweep).
         Hooks every event source, including disk-fallback pagers chained
-        behind remote ones.  Call before :meth:`run`.
+        behind remote ones; ``sample_interval_s`` also attaches a
+        periodic :class:`~repro.obs.sampler.UtilizationSampler`
+        (``self.sampler``).  Call before :meth:`run`.
         """
         if telemetry is None:
             telemetry = Telemetry()
@@ -133,30 +132,9 @@ class MiningDriver:
             self.sampler = UtilizationSampler(self.cluster, sample_interval_s)
         return telemetry
 
-    def enable_instrumentation(
-        self, sample_interval_s: Optional[float] = None
-    ) -> TraceCollector:
-        """Attach a :class:`TraceCollector` (and optionally a periodic
-        :class:`UtilizationSampler`) to this run.
-
-        The collector is one subscriber on the telemetry event bus —
-        pager events (faults, swap-outs, migrations), phase boundaries,
-        and everything else the bus carries are recorded; call before
-        :meth:`run`.
-        """
-        if self.telemetry is None:
-            self.enable_telemetry(sample_interval_s=sample_interval_s)
-        elif sample_interval_s is not None and self.sampler is None:
-            self.sampler = UtilizationSampler(self.cluster, sample_interval_s)
-        self.trace = TraceCollector(self.env)
-        self.telemetry.bus.subscribe(self.trace.subscriber())
-        return self.trace
-
     def _trace_phase(self, name: str) -> None:
         if self.telemetry is not None:
             self.telemetry.phase_mark(name)
-        elif self.trace is not None:
-            self.trace.record(-1, "phase", name)
 
     def _span(self, name: str, start: float, end: float) -> None:
         if self.telemetry is not None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigError
 from repro.obs import current_telemetry
@@ -37,6 +37,7 @@ __all__ = [
     "ScenarioCache",
     "run_scenario",
     "lookup_scenario",
+    "execute_and_install",
     "install_result",
     "clear_cache",
     "cache_stats",
@@ -213,37 +214,25 @@ class ScenarioCache:
         if telemetry is not None:
             telemetry.registry.counter(metric).inc()
 
-    def get_or_run(
-        self, scenario: Scenario, execute: Callable[[], "RunResult"]
-    ) -> "RunResult":
+    def peek(self, scenario: Scenario) -> "Optional[RunResult]":
+        """The cached result or ``None``; counts a hit when found but
+        never a miss (probing is not a decision to execute)."""
         key = scenario.cache_key()
         found = self._entries.get(key)
         if found is not None:
             self.hits += 1
             self._count("scenario_cache_hits")
             self._entries.move_to_end(key)
-            return found
-        self.misses += 1
-        self._count("scenario_cache_misses")
-        result = execute()
-        self._store(key, result)
-        return result
-
-    def peek(self, scenario: Scenario) -> "Optional[RunResult]":
-        """The cached result or ``None``; counts a hit when found but
-        never a miss (probing is not a decision to execute)."""
-        found = self._entries.get(scenario.cache_key())
-        if found is not None:
-            self.hits += 1
-            self._count("scenario_cache_hits")
-            self._entries.move_to_end(scenario.cache_key())
         return found
 
-    def put(self, scenario: Scenario, result: "RunResult") -> None:
-        """Insert an externally-computed result (no hit/miss counted)."""
-        self._store(scenario.cache_key(), result)
+    def record_miss(self) -> None:
+        """Count one miss: a scenario no tier held is being executed."""
+        self.misses += 1
+        self._count("scenario_cache_misses")
 
-    def _store(self, key: str, result: "RunResult") -> None:
+    def put(self, scenario: Scenario, result: "RunResult") -> None:
+        """Insert a result (no hit/miss counted)."""
+        key = scenario.cache_key()
         self._entries[key] = result
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
@@ -266,45 +255,24 @@ class ScenarioCache:
 _CACHE = ScenarioCache(maxsize=256)
 
 
-def _through_store(scenario: Scenario) -> "RunResult":
-    """Second cache tier: the ambient persistent result store.
-
-    On a memory-cache miss, consult the on-disk store set up by
-    :func:`repro.runtime.store.result_store_session`; only execute the
-    simulation when both tiers miss, then populate the store so the run
-    is durable (the ``--resume`` contract).
-    """
-    from repro.runtime.store import current_result_store
-
-    store = current_result_store()
-    if store is None:
-        return scenario.execute()
-    found = store.get(scenario)
-    if found is not None:
-        return found
-    result = scenario.execute()
-    store.put(scenario, result)
-    return result
-
-
-def run_scenario(scenario: Scenario, cache: bool = True) -> "RunResult":
-    """Execute ``scenario`` through the cache tiers.
+def run_scenario(scenario: Scenario) -> "RunResult":
+    """Resolve ``scenario`` through the cache tiers, executing on a miss.
 
     This is the *single* execution path shared by the experiments, the
-    sweep engine, the benchmarks, and the examples: in-memory
-    :class:`ScenarioCache` first, then the ambient persistent
-    :class:`~repro.runtime.store.ResultStore` (when a session is
-    active), then the actual simulation.  ``cache=False`` bypasses both
-    tiers.
+    sweep workers, the benchmarks, and the examples: one
+    :func:`lookup_scenario` probe (in-memory :class:`ScenarioCache`,
+    then the ambient persistent
+    :class:`~repro.runtime.store.ResultStore` when a session is active),
+    then :func:`execute_and_install`.  :meth:`Scenario.execute` is the
+    uncached form.
     """
-    if not cache:
-        return scenario.execute()
-    return _CACHE.get_or_run(scenario, lambda: _through_store(scenario))
+    found = lookup_scenario(scenario)
+    return execute_and_install(scenario) if found is None else found
 
 
 def lookup_scenario(scenario: Scenario) -> "Optional[RunResult]":
-    """Probe both cache tiers without executing (the sweep engine uses
-    this to decide what to submit to worker processes)."""
+    """Probe both cache tiers, each at most once, without executing; a
+    store hit is promoted into the memory tier."""
     from repro.runtime.store import current_result_store
 
     found = _CACHE.peek(scenario)
@@ -316,6 +284,17 @@ def lookup_scenario(scenario: Scenario) -> "Optional[RunResult]":
     result = store.get(scenario)
     if result is not None:
         _CACHE.put(scenario, result)
+    return result
+
+
+def execute_and_install(scenario: Scenario) -> "RunResult":
+    """The step after a :func:`lookup_scenario` miss: run the
+    simulation — the memory tier's one counted miss — and populate both
+    tiers, so the run is durable (the ``--resume`` contract).  The
+    serial sweep path calls this directly to skip a second probe."""
+    _CACHE.record_miss()
+    result = scenario.execute()
+    install_result(scenario, result)
     return result
 
 

@@ -12,9 +12,9 @@ temp file and every completed run durable — which is what makes
 
 The store is the *second* cache tier: the in-memory
 :class:`~repro.runtime.scenarios.ScenarioCache` sits above it and the
-actual simulation below.  :func:`~repro.runtime.scenarios.run_scenario`
-consults the ambient store (:func:`result_store_session`) on a memory
-miss, and populates both tiers after executing.
+actual simulation below.  :func:`~repro.runtime.scenarios.lookup_scenario`
+consults the ambient store (:func:`result_store_session`) once on a
+memory miss, and both tiers are populated after executing.
 
 Serialisation is exact: JSON floats round-trip through ``repr`` without
 loss, so a result loaded from disk compares equal (``==``) to the
@@ -157,7 +157,7 @@ class ResultStore:
 
     def path_for_key(self, key: str) -> Path:
         """The entry file for a raw content address (the addressing the
-        work queue and the HTTP mode share with the store)."""
+        work queue shares with the store)."""
         return self.path / f"{key}.json"
 
     @property
@@ -210,8 +210,7 @@ class ResultStore:
     def read_payload(self, key: str) -> "Optional[dict]":
         """The raw self-describing payload stored under a content
         address, or ``None`` when the entry is absent, unreadable, or
-        from another :data:`STORE_FORMAT` (the read-only HTTP mode's
-        scenario-key lookup)."""
+        from another :data:`STORE_FORMAT`."""
         try:
             payload = json.loads(self.path_for_key(key).read_text())
         except (OSError, ValueError):

@@ -1,64 +1,37 @@
-"""Tests for event tracing and utilization sampling."""
+"""Tests for event-rate queries and utilization sampling (the
+instrumentation a run gets from ``enable_telemetry``)."""
 
 import pytest
 
-from repro.analysis import TraceCollector, UtilizationSampler
 from repro.cluster import Cluster
 from repro.datagen import generate
 from repro.mining.hpa import HPAConfig, HPARun
+from repro.obs import Telemetry, UtilizationSampler
 from repro.sim import Environment
-
-
-def test_record_and_query():
-    env = Environment()
-    trace = TraceCollector(env)
-
-    def proc(env):
-        trace.record(0, "fault", "line 1")
-        yield env.timeout(1.0)
-        trace.record(1, "swap-out", "line 2")
-        yield env.timeout(1.0)
-        trace.record(0, "fault", "line 3")
-
-    env.process(proc(env))
-    env.run()
-    assert len(trace) == 3
-    assert [e.time for e in trace.of_kind("fault")] == [0.0, 2.0]
-    assert len(trace.on_node(0)) == 2
-    assert len(trace.between(0.5, 2.5)) == 2
-    assert trace.counts_by_kind() == {"fault": 2, "swap-out": 1}
 
 
 def test_rate_series_buckets():
     env = Environment()
-    trace = TraceCollector(env)
+    tel = Telemetry()
+    tel.begin_run(env)
 
     def proc(env):
         for t in [0.1, 0.2, 1.5, 3.2, 3.3, 3.4]:
             yield env.timeout(t - env.now)
-            trace.record(0, "fault")
+            tel.bus.emit("fault", 0)
+            tel.bus.emit("swap-out", 0)
 
     env.process(proc(env))
     env.run()
-    series = trace.rate_series("fault", bucket_s=1.0)
+    series = tel.rate_series("fault", bucket_s=1.0)
     assert series == [(0.0, 2), (1.0, 1), (2.0, 0), (3.0, 3)]
 
 
 def test_rate_series_validation_and_empty():
-    env = Environment()
-    trace = TraceCollector(env)
+    tel = Telemetry()
     with pytest.raises(ValueError):
-        trace.rate_series("fault", bucket_s=0)
-    assert trace.rate_series("fault", bucket_s=1.0) == []
-
-
-def test_record_hook_signature():
-    env = Environment()
-    trace = TraceCollector(env)
-    hook = trace.record_hook()
-    hook("migration", 5, "3 lines")
-    assert trace.events[0].node_id == 5
-    assert trace.events[0].kind == "migration"
+        tel.rate_series("fault", bucket_s=0)
+    assert tel.rate_series("fault", bucket_s=1.0) == []
 
 
 def test_sampler_collects_periodically():
@@ -100,9 +73,9 @@ def test_hpa_instrumentation_end_to_end():
             pager="disk", memory_limit_bytes=6000,
         ),
     )
-    trace = run.enable_instrumentation(sample_interval_s=0.05)
-    res = run.run()
-    kinds = trace.counts_by_kind()
+    tel = run.enable_telemetry(sample_interval_s=0.05)
+    run.run()
+    kinds = tel.counts_by_kind()
     assert kinds.get("swap-out", 0) > 0
     assert kinds.get("fault", 0) > 0
     assert kinds.get("phase", 0) >= 3
@@ -125,12 +98,14 @@ def test_fault_rate_concentrated_in_counting_phase():
             pager="disk", memory_limit_bytes=6000,
         ),
     )
-    trace = run.enable_instrumentation()
+    tel = run.enable_telemetry()
     run.run()
-    phases = {e.detail: e.time for e in trace.of_kind("phase")}
+    phases = {e.detail: e.time for e in tel.events_of_kind("phase")}
     candgen_done = phases["pass 2 candidates generated"]
     counting_done = phases["pass 2 counting done"]
-    faults = trace.of_kind("fault")
+    faults = tel.events_of_kind("fault")
+    # Simulation-layer events carry typed fields, never prose.
+    assert all(e.detail == "" and "line" in e.fields for e in faults)
     in_counting = [e for e in faults if candgen_done <= e.time < counting_done]
     # The overwhelming share of faults happens while counting.
     assert len(in_counting) > 0.7 * len(faults)
@@ -155,16 +130,3 @@ def test_sampler_stop_takes_final_snapshot():
     sampler.stop()
     assert [s.time for s in sampler.samples] == [0.0, 1.0, 2.0, 2.5]
 
-
-def test_collector_as_bus_subscriber():
-    from repro.obs import EventBus
-
-    env = Environment()
-    trace = TraceCollector(env)
-    bus = EventBus(clock=lambda: 4.2)
-    bus.subscribe(trace.subscriber())
-    bus.emit("fault", 3, "line 1", duration_s=0.002)
-    assert len(trace) == 1
-    ev = trace.events[0]
-    # The collector keeps the event's own time, kind, node and detail.
-    assert (ev.time, ev.node_id, ev.kind, ev.detail) == (4.2, 3, "fault", "line 1")

@@ -52,15 +52,16 @@ def test_scale_choices_validated():
 
 
 def test_flag_surface_is_pinned():
-    # benchmarks/perf/run.py is the one way to measure: the bench and
-    # profile mode flags are gone, and a new flag has to edit this set.
+    # benchmarks/perf/run.py is the one way to measure and repro-race the
+    # one way to sanitize: the bench, profile, race and HTTP serve mode
+    # flags are gone, and a new flag has to edit this set.
     flags = {s for a in build_parser()._actions for s in a.option_strings}
     assert flags - {"-h", "--help"} == {
-        "--scale", "--list", "--list-scenarios", "--json", "--race",
+        "--scale", "--list", "--list-scenarios", "--json",
         "--trace", "--jobs", "--store", "--resume", "--seed",
         "--store-stats", "--external-workers", "--worker", "--worker-id",
         "--lease-ttl", "--idle-exit", "--drain", "--store-gc",
-        "--gc-tmp-age", "--serve", "--serve-host", "--port",
+        "--gc-tmp-age",
     }
 
 
@@ -68,6 +69,10 @@ def test_flag_surface_is_pinned():
     (build_parser, "--hotpath-json"),
     (build_parser, "--profile"),
     (build_parser, "--profile-top"),
+    (build_parser, "--serve"),
+    (build_parser, "--serve-host"),
+    (build_parser, "--port"),
+    (build_parser, "--race"),
     (build_report_parser, "--bench"),
 ])
 def test_retired_flags_are_rejected(parser, flag):
@@ -127,7 +132,7 @@ def test_trace_cli_rejects_non_trace_dir(tmp_path, capsys):
     assert "not a trace directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--worker", "--store-gc", "--serve"])
+@pytest.mark.parametrize("flag", ["--worker", "--store-gc"])
 def test_store_modes_require_a_store(flag, capsys):
     assert main([flag]) == 2
     assert "needs a store" in capsys.readouterr().err

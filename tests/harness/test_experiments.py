@@ -6,24 +6,17 @@ orderings even on the tiny workload.
 """
 
 
-from repro.harness.experiments import (
-    ALL_EXPERIMENTS,
-    exp_disk_access_analysis,
-    exp_fig4_method_comparison,
-    exp_table2_pass_profile,
-    exp_table3_partition_skew,
-    exp_table4_pagefault_cost,
-)
+from repro.harness.experiments import ALL_SWEEPS
 
 
 def test_registry_covers_every_paper_artifact():
     assert {"table2", "table3", "table4", "fig3", "fig4", "fig5", "disk",
             "monitor", "policy", "churn", "blocksize", "eld", "scaling",
-            "loss", "npa"} == set(ALL_EXPERIMENTS)
+            "loss", "npa"} == set(ALL_SWEEPS)
 
 
 def test_table2_report():
-    rep = exp_table2_pass_profile("tiny")
+    rep = ALL_SWEEPS["table2"]("tiny")
     assert rep.exp_id == "T2"
     assert rep.data["c2_dominates"]
     assert "pass 2" in rep.text
@@ -31,14 +24,14 @@ def test_table2_report():
 
 
 def test_table3_report():
-    rep = exp_table3_partition_skew("tiny")
+    rep = ALL_SWEEPS["table3"]("tiny")
     assert len(rep.data["per_node"]) == 2
     assert rep.data["max_over_mean"] >= 1.0
     assert "node 1" in rep.text
 
 
 def test_table4_report():
-    rep = exp_table4_pagefault_cost("tiny")
+    rep = ALL_SWEEPS["table4"]("tiny")
     per_fault = rep.data["per_fault_ms"]
     assert set(per_fault) == {12.0, 13.0, 14.0, 15.0}
     for v in per_fault.values():
@@ -47,19 +40,19 @@ def test_table4_report():
 
 
 def test_fig4_ordering_even_at_tiny_scale():
-    rep = exp_fig4_method_comparison("tiny")
+    rep = ALL_SWEEPS["fig4"]("tiny")
     assert rep.data["disk_over_simple"] > 2
     assert rep.data["simple_over_update"] > 2
 
 
 def test_disk_analysis_is_scale_free():
-    a = exp_disk_access_analysis("tiny")
-    b = exp_disk_access_analysis("small")
+    a = ALL_SWEEPS["disk"]("tiny")
+    b = ALL_SWEEPS["disk"]("small")
     assert a.data == b.data
 
 
 def test_report_str_rendering():
-    rep = exp_disk_access_analysis("tiny")
+    rep = ALL_SWEEPS["disk"]("tiny")
     s = str(rep)
     assert s.startswith("== S52")
     assert "[paper shape]" in s

@@ -36,7 +36,7 @@ def _toy_sweep(**overrides):
             "a-again": Scenario(scale=scale, pager="remote", n_memory_nodes=2,
                                 paper_mb=13.0),
         },
-        report=lambda scale, results: ExperimentReport(
+        report=lambda scale, results, seed: ExperimentReport(
             exp_id="X1",
             title="toy",
             text="toy",
@@ -183,3 +183,94 @@ def test_sweep_events_reach_telemetry():
     assert {labels["source"] for _, labels, _ in runs} <= {"cached", "executed"}
     hist = telemetry.registry.merged_histogram("sweep_run_wall_s")
     assert hist is not None and hist.count == 3
+
+
+# -- one walk from a sweep to its report -----------------------------------
+
+#: sha256 of ``report.to_json()`` at the tiny scale's own seed, recorded
+#: before Table 2/3 learnt to read the sweep's seed: default-seed bytes
+#: must not move.
+_DEFAULT_SEED_JSON = {
+    "table2": "a3dd95394787b3c0e50c13dcdfad6e2efa6e486e88841bcad44c7b6b6bf5cdb0",
+    "table3": "2ecc04791d83e2783202b733e1b3fd94a7d89d3b14229d0184d1bf7312a4fa6f",
+}
+
+
+@pytest.mark.parametrize("name", ["table2", "table3"])
+def test_workload_tables_report_the_seed_asked_for(name):
+    import hashlib
+
+    from repro.analysis.report.experiment_results import ExperimentResults
+
+    default = run_sweep_outcome(ALL_SWEEPS[name], "tiny").report
+    seeded = run_sweep_outcome(ALL_SWEEPS[name], "tiny", seed=7).report
+    digest = hashlib.sha256(default.to_json().encode()).hexdigest()
+    assert digest == _DEFAULT_SEED_JSON[name]
+    assert seeded.to_json() != default.to_json()
+    # The multi-seed report folds exactly this data, not a second mining.
+    samples = {
+        (c.group, c.x): c.samples
+        for c in getattr(ExperimentResults("tiny", (7,)), name).cells
+    }
+    if name == "table2":
+        for k, c, l in seeded.data["rows"]:
+            assert samples["large itemsets", f"pass {k}"] == (float(l),)
+            if c is not None:
+                assert samples["candidates", f"pass {k}"] == (float(c),)
+    else:
+        for i, c in enumerate(seeded.data["per_node"]):
+            group = "per-node candidate 2-itemsets"
+            assert samples[group, f"node {i + 1}"] == (float(c),)
+
+
+def test_cell_backed_reports_render_warm_without_workload_code(
+    tmp_path, monkeypatch
+):
+    """Every sweep whose report folds stored cells renders from a warm
+    store with datagen, mining and prepare unreachable."""
+    import repro.harness.experiments as experiments
+    import repro.harness.scales as scales
+
+    cell_backed = [n for n in ALL_SWEEPS if n not in ("table2", "table3")]
+    assert len(cell_backed) == 13
+    with result_store_session(tmp_path):
+        cold = {
+            n: run_sweep_outcome(ALL_SWEEPS[n], "tiny").report.to_json()
+            for n in cell_backed
+        }
+    clear_cache()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a warm render reached workload code")
+
+    monkeypatch.setattr("repro.datagen.generate", unreachable)
+    monkeypatch.setattr("repro.mining.apriori", unreachable)
+    for module in (scales, experiments):
+        for name in ("generate", "apriori", "prepare_workload"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+    with result_store_session(tmp_path):
+        for n in cell_backed:
+            warm = run_sweep_outcome(ALL_SWEEPS[n], "tiny")
+            assert warm.n_executed == 0
+            assert warm.report.to_json() == cold[n]
+
+
+def test_cold_serial_sweep_probes_each_tier_once_per_cell(tmp_path):
+    from repro.runtime import cache_stats
+
+    before = cache_stats()
+    with result_store_session(tmp_path) as store:
+        outcomes = [
+            run_sweep_outcome(ALL_SWEEPS[n], "tiny")
+            for n in ("fig4", "fig5", "npa", "loss")
+        ]
+        executed = sum(o.n_executed for o in outcomes)
+        assert sum(len(o.records) for o in outcomes) == 37
+        # One store probe and one write per executed cell; aliased
+        # cells never reach the store.
+        assert store.misses == store.writes == executed == 28
+        assert store.hits == 0
+    after = cache_stats()
+    assert after["hits"] - before["hits"] == 9
+    assert after["misses"] - before["misses"] == 28

@@ -1,9 +1,7 @@
 """HPA/NPA telemetry parity and fallback-pager wiring.
 
-Before the event bus, only HPA could be instrumented (via the single
-``Pager.on_event`` slot) and disk-fallback pagers chained behind remote
-ones were never hooked at all.  These tests pin that both drivers and
-the whole pager chain now report through the shared bus.
+Both drivers and the whole pager chain — disk-fallback pagers chained
+behind remote ones included — report through the one shared bus.
 """
 
 
@@ -70,14 +68,14 @@ def test_npa_instrumentation_matches_hpa_surface():
             pager="disk", memory_limit_bytes=6000,
         ),
     )
-    trace = run.enable_instrumentation(sample_interval_s=0.05)
+    tel = run.enable_telemetry(sample_interval_s=0.05)
     run.run()
-    kinds = trace.counts_by_kind()
+    kinds = tel.counts_by_kind()
     assert kinds.get("fault", 0) > 0
     assert kinds.get("swap-out", 0) > 0
     assert kinds.get("phase", 0) >= 3
     assert kinds["fault"] == _chain_faults(run)
-    phases = {e.detail for e in trace.of_kind("phase")}
+    phases = {e.detail for e in tel.events_of_kind("phase")}
     assert "pass 2 start" in phases
     assert "pass 2 counting done" in phases
     assert run.sampler is not None and len(run.sampler.samples) >= 2

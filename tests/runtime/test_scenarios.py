@@ -106,7 +106,10 @@ def test_run_scenario_caches_and_clear_cache_drops():
 
 def test_run_scenario_uncached():
     r1 = run_scenario(TINY)
-    assert run_scenario(TINY, cache=False) is not r1
+    before = cache_stats()
+    r2 = TINY.execute()
+    assert r2 is not r1 and r2 == r1
+    assert cache_stats() == before  # bypasses both tiers, counts nothing
 
 
 def test_npa_scenario_matches_hpa_results():
@@ -117,25 +120,17 @@ def test_npa_scenario_matches_hpa_results():
 
 def test_cache_lru_eviction_and_stats():
     cache = ScenarioCache(maxsize=2)
-    calls = []
-
-    def make(tag):
-        def run():
-            calls.append(tag)
-            return tag
-
-        return run
-
     s1, s2, s3 = (Scenario(scale="tiny", max_k=k) for k in (0, 1, 2))
-    assert cache.get_or_run(s1, make("a")) == "a"
-    assert cache.get_or_run(s2, make("b")) == "b"
-    assert cache.get_or_run(s1, make("a2")) == "a"  # hit refreshes recency
-    assert cache.get_or_run(s3, make("c")) == "c"  # evicts s2, not s1
-    assert cache.get_or_run(s1, make("a3")) == "a"
-    assert cache.get_or_run(s2, make("b2")) == "b2"  # s2 was evicted
-    assert calls == ["a", "b", "c", "b2"]
+    assert cache.peek(s1) is None  # probing never counts a miss
+    cache.put(s1, "a")
+    cache.put(s2, "b")
+    assert cache.peek(s1) == "a"  # hit refreshes recency
+    cache.put(s3, "c")  # evicts s2, not s1
+    assert cache.peek(s1) == "a"
+    assert cache.peek(s2) is None  # s2 was evicted
+    cache.record_miss()  # what executing after a failed lookup counts
     stats = cache.stats()
-    assert stats == {"hits": 2, "misses": 4, "size": 2, "maxsize": 2}
+    assert stats == {"hits": 2, "misses": 1, "size": 2, "maxsize": 2}
     cache.clear()
     assert len(cache) == 0
     assert cache.stats()["hits"] == 2  # counters survive a clear
