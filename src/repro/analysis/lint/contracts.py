@@ -14,7 +14,8 @@ Covered call shapes (first argument must be a string literal; forwarding
 helpers that pass a variable through are exempt at the forwarding site —
 their *callers'* literals are checked instead):
 
-- ``bus.emit("kind", ...)`` / ``self._emit("kind", ...)``  -> RPL301
+- ``bus.emit("kind", ...)`` / ``self._emit("kind", ...)`` /
+  ``emit_ambient("kind", ...)``  -> RPL301
 - ``registry.counter("name", ...)`` / ``.histogram`` / ``.gauge`` and the
   ``self._count("name")`` convention of the cache/store tiers -> RPL302
 """
@@ -30,7 +31,7 @@ from repro.obs.events import EVENT_KINDS, METRIC_NAMES
 __all__ = ["EventKindChecker", "MetricNameChecker"]
 
 #: Call names that emit a telemetry event with the kind first.
-_EMIT_NAMES = frozenset({"emit", "_emit"})
+_EMIT_NAMES = frozenset({"emit", "_emit", "emit_ambient"})
 
 #: Call names that create/look up a metric with the name first.
 _METRIC_NAMES_ACCESSORS = frozenset({

@@ -12,8 +12,7 @@ guarantee).
   global generator, ``uuid.uuid4``, ``os.urandom``, ``secrets``, and
   numpy's *global* RNG (``np.random.rand`` & co).  Explicitly seeded
   constructions — ``np.random.default_rng(seed)``, ``Generator``,
-  ``SeedSequence`` — are the sanctioned idiom and stay legal everywhere;
-  :mod:`repro.sim.rng` (the per-stream registry) is exempt wholesale.
+  ``SeedSequence`` — are the sanctioned idiom and stay legal everywhere.
 - **RPL202** flags ``for`` loops that iterate a value syntactically known
   to be a ``set``/``frozenset`` while their body performs an
   ordering-sensitive operation (yielding into the simulation, sending,
@@ -53,18 +52,18 @@ _ORDER_SINKS = frozenset({
 
 
 class UnseededRandomChecker(Checker):
-    """Flag ambient-entropy draws outside :mod:`repro.sim.rng`."""
+    """Flag ambient-entropy draws anywhere in ``repro``."""
 
     code = "RPL201"
     name = "unseeded-randomness"
     hint = (
-        "draw from an explicitly seeded generator: numpy's "
-        "default_rng(seed) or a named stream from repro.sim.rng; ambient "
-        "entropy breaks run reproducibility and cache addressing"
+        "draw from an explicitly seeded generator (numpy's "
+        "default_rng(seed)); ambient entropy breaks run reproducibility "
+        "and cache addressing"
     )
 
     def applies_to(self, ctx: LintContext) -> bool:
-        return ctx.in_repro and not ctx.module_startswith("repro.sim.rng")
+        return ctx.in_repro
 
     def _violation(self, target: Optional[str]) -> Optional[str]:
         if target is None:

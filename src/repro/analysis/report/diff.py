@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.analysis.report.stat_tests import mann_whitney_u
-from repro.obs import current_telemetry
+from repro.obs import emit_ambient
 
 __all__ = [
     "EXIT_DRIFT",
@@ -275,9 +275,5 @@ def compare_payloads(
                 artifact=name, group="-", x="-", verdict="drift",
                 note="artifact absent from baseline (new coverage)",
             ))
-    telemetry = current_telemetry()
-    if telemetry is not None:
-        telemetry.bus.emit(
-            "report-diff", -1, report.worst, verdict=report.worst
-        )
+    emit_ambient("report-diff", verdict=report.worst)
     return report

@@ -26,7 +26,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.report.samples import ArtifactStats, CellStats
-from repro.obs import current_telemetry
+from repro.obs import emit_ambient
 
 __all__ = ["render_html", "render_markdown"]
 
@@ -48,10 +48,11 @@ def _fmt_ci(c: CellStats) -> str:
     return f"[{_fmt(s.ci_low)}, {_fmt(s.ci_high)}]"
 
 
-def _emit_render(fmt: str, n_cells: int) -> None:
-    telemetry = current_telemetry()
-    if telemetry is not None:
-        telemetry.bus.emit("report-render", -1, fmt, fmt=fmt, n_cells=n_cells)
+def _emit_render(fmt: str, artifacts: "Mapping[str, ArtifactStats]") -> None:
+    emit_ambient(
+        "report-render", fmt=fmt,
+        n_cells=sum(len(a.cells) for a in artifacts.values()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +128,7 @@ def render_markdown(
         parts.append("")
         parts.append(_md_artifact(art))
     text = "\n".join(parts) + "\n"
-    _emit_render("markdown", sum(len(a.cells) for a in artifacts.values()))
+    _emit_render("markdown", artifacts)
     return text
 
 
@@ -440,5 +441,5 @@ def render_html(
         f"<style>{css}</style>\n</head>\n"
         '<body class="viz-root">\n' + "\n".join(body) + "\n</body>\n</html>\n"
     )
-    _emit_render("html", sum(len(a.cells) for a in artifacts.values()))
+    _emit_render("html", artifacts)
     return html

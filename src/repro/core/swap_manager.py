@@ -41,28 +41,20 @@ __all__ = ["SpanIndex", "SwapManager", "SwapManagerStats"]
 class SpanIndex:
     """Vectorised side ledger for resident-span counting.
 
-    ``codes`` is the sorted array of every candidate code owned by this
-    node; ``items``/``lines`` are the decoded itemsets and hash-line ids
-    aligned with it.  Counted spans pile up raw in ``pending`` and are
+    ``candidates``/``lines`` are the pass's candidate list and aligned
+    hash-line ids, shared read-only by every node; an occurrence code is
+    an index into both.  Counted spans pile up raw in ``pending`` and are
     folded into the hash-line dicts by
     :meth:`SwapManager.flush_span_counts` before any count is read.
     Count *values* live host-side regardless of where the simulated line
     bytes currently sit, so deferring the dict writes is unobservable.
     """
 
-    __slots__ = ("codes", "items", "lines", "n_items", "pending")
+    __slots__ = ("candidates", "lines", "pending")
 
-    def __init__(
-        self,
-        codes: np.ndarray,
-        items: "list[Itemset]",
-        lines: np.ndarray,
-        n_items: int,
-    ) -> None:
-        self.codes = codes
-        self.items = items
+    def __init__(self, candidates: Sequence[Itemset], lines: np.ndarray) -> None:
+        self.candidates = candidates
         self.lines = lines
-        self.n_items = n_items
         self.pending: list[np.ndarray] = []
 
 
@@ -337,16 +329,16 @@ class SwapManager:
         """Vectorised :meth:`count_resident_batch` over encoded candidates.
 
         Same validity conditions (all lines resident, no simulation yield
-        across the run); ``codes`` are the kernel's dense pair codes and
+        across the run); ``codes`` are the kernel's occurrence codes and
         ``line_ids`` the aligned hash lines.  The dict writes — and the
         per-occurrence "is a candidate on this line" membership check,
-        which flush performs against the owner's sorted code array,
-        raising the per-occurrence path's identical
-        :class:`MiningError` — are deferred wholesale: the span's codes
-        are stashed raw and folded in one vectorised pass before any
-        count is read (see :meth:`flush_span_counts`).  Only what the
-        simulation *can* observe mid-pass happens now: replacement-policy
-        touches and statistics.
+        which flush performs against the lines this node ever held,
+        raising :class:`MiningError` like the per-occurrence path — are
+        deferred wholesale: the span's codes are stashed raw and folded
+        in one vectorised pass before any count is read (see
+        :meth:`flush_span_counts`).  Only what the simulation *can*
+        observe mid-pass happens now: replacement-policy touches and
+        statistics.
         """
         index = self.span_index
         assert index is not None
@@ -372,39 +364,18 @@ class SwapManager:
             return
         if self._race is not None:
             self._race.write(self, "span-pending")
-        codes = (
-            index.pending[0]
-            if len(index.pending) == 1
-            else np.concatenate(index.pending)
+        acc = np.bincount(
+            np.concatenate(index.pending), minlength=len(index.candidates)
         )
         index.pending = []
-        pos = np.searchsorted(index.codes, codes)
-        valid = pos < index.codes.size
-        np.logical_and(
-            valid,
-            index.codes[np.minimum(pos, index.codes.size - 1)] == codes,
-            out=valid,
-        )
-        if not valid.all():
-            i = int(np.argmin(valid))
-            bad = int(codes[i])
-            itemset = (bad // index.n_items, bad % index.n_items)
-            raise MiningError(
-                f"itemset {itemset} routed to line "
-                f"{int(index.lines[min(int(pos[i]), index.lines.size - 1)])} "
-                f"is not a candidate there"
-            )
-        acc = np.bincount(pos, minlength=index.codes.size)
-        hot = np.flatnonzero(acc)
-        items, lines = index.items, index.lines
+        candidates, lines = index.candidates, index.lines
         find = self.table.line_anywhere
-        for i in hot.tolist():
-            itemset = items[i]
+        for i in np.flatnonzero(acc).tolist():
             line = find(int(lines[i]))
-            if not line.increment(itemset, by=int(acc[i])):
+            if not line.increment(candidates[i], by=int(acc[i])):
                 raise MiningError(
-                    f"itemset {itemset} routed to line {line.line_id} is not "
-                    f"a candidate there"
+                    f"itemset {candidates[i]} routed to line {line.line_id} is "
+                    f"not a candidate there"
                 )
 
     def _count_slow(self, itemset: Itemset, line_id: int) -> Generator:

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import HarnessError
 from repro.harness.sweep.queue import WorkQueue
 from repro.harness.sweep.spec import ExperimentReport, Sweep
-from repro.obs import current_telemetry
+from repro.obs import emit_ambient
 from repro.runtime.scenarios import (
     Scenario,
     execute_and_install,
@@ -194,12 +194,6 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-def _emit(kind: str, sweep: Sweep, detail: str = "", **fields: object) -> None:
-    telemetry = current_telemetry()
-    if telemetry is not None:
-        telemetry.bus.emit(kind, -1, detail, sweep=sweep.name, **fields)
-
-
 def _await_store(
     store: ResultStore,
     queue: WorkQueue,
@@ -286,8 +280,8 @@ def _resolve(
             record = RunRecord(key, source, time.perf_counter() - start)
             results[key] = found
             records.append(record)
-            _emit("sweep-run", sweep, key, source=record.source,
-                  wall_s=record.wall_s)
+            emit_ambient("sweep-run", sweep=sweep.name, cell=key,
+                         source=record.source, wall_s=record.wall_s)
         return results
 
     # Distributed path: probe the cache tiers up front, enqueue each
@@ -330,8 +324,8 @@ def _resolve(
             record = RunRecord(key, source, timings.get(ck, 0.0))
             results[key] = resolved[ck]
         records.append(record)
-        _emit("sweep-run", sweep, key, source=record.source,
-              wall_s=record.wall_s)
+        emit_ambient("sweep-run", sweep=sweep.name, cell=key,
+                     source=record.source, wall_s=record.wall_s)
     return results
 
 
@@ -360,7 +354,8 @@ def run_sweep_outcome(
     """
     start = time.perf_counter()
     cells = sweep.scenarios(scale, seed)
-    _emit("sweep-start", sweep, scale, n_cells=len(cells), jobs=jobs)
+    emit_ambient("sweep-start", sweep=sweep.name, scale=scale,
+                 n_cells=len(cells), jobs=jobs)
     records: "list[RunRecord]" = []
     results = _resolve(
         sweep, cells, jobs, records,
@@ -381,8 +376,8 @@ def run_sweep_outcome(
             spawn_workers=spawn_workers, lease_ttl_s=lease_ttl_s,
         ))
     report = sweep.report(scale, results, seed)
-    _emit("sweep-done", sweep, scale, n_cells=len(records),
-          wall_s=time.perf_counter() - start)
+    emit_ambient("sweep-done", sweep=sweep.name, scale=scale,
+                 n_cells=len(records), wall_s=time.perf_counter() - start)
     return SweepOutcome(report=report, records=records)
 
 

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.errors import HarnessError
-from repro.obs import current_telemetry
+from repro.obs import current_telemetry, emit_ambient
 from repro.runtime.scenarios import Scenario
 from repro.runtime.store import ResultStore
 
@@ -64,13 +64,6 @@ class LeaseLost(HarnessError):
 def default_worker_id() -> str:
     """Host-qualified default worker identity (unique per process)."""
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def _emit(kind: str, detail: str = "", **fields: object) -> None:
-    """Publish a queue event on the ambient telemetry bus, if any."""
-    telemetry = current_telemetry()
-    if telemetry is not None:
-        telemetry.bus.emit(kind, -1, detail, **fields)
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,7 @@ class WorkQueue:
                 self.pending_path / f"{key}.json",
                 {"key": key, "scenario": scenario.to_dict()},
             )
-        _emit("queue-enqueue", key, key=key)
+        emit_ambient("queue-enqueue", key=key)
         return True
 
     def discard(self, key: str) -> bool:
@@ -216,11 +209,11 @@ class WorkQueue:
             else:
                 lease = None
         for key, stale_worker, attempt in reclaimed:
-            _emit("lease-reclaim", key, key=key, worker=stale_worker,
-                  attempt=attempt)
+            emit_ambient("lease-reclaim", key=key, worker=stale_worker,
+                         attempt=attempt)
         if lease is not None:
-            _emit("lease-acquire", lease.key, key=lease.key, worker=worker,
-                  attempt=lease.attempt)
+            emit_ambient("lease-acquire", key=lease.key, worker=worker,
+                         attempt=lease.attempt)
         return lease
 
     def renew(
@@ -243,7 +236,7 @@ class WorkQueue:
                 )
             task["lease"]["deadline"] = now + ttl_s
             self._write(self.leased_path / f"{lease.key}.json", task)
-        _emit("lease-renew", lease.key, key=lease.key, worker=lease.worker)
+        emit_ambient("lease-renew", key=lease.key, worker=lease.worker)
         return Lease(
             key=lease.key,
             scenario=lease.scenario,
@@ -272,8 +265,8 @@ class WorkQueue:
                 },
             )
             (self.leased_path / f"{lease.key}.json").unlink()
-        _emit("lease-release", lease.key, key=lease.key, worker=lease.worker,
-              wall_s=wall_s, attempt=lease.attempt)
+        emit_ambient("lease-release", key=lease.key, worker=lease.worker,
+                     wall_s=wall_s, attempt=lease.attempt)
         return True
 
     @staticmethod
@@ -320,8 +313,8 @@ class WorkQueue:
         with self._locked():
             reclaimed = self._reclaim_stale_locked(now)
         for key, stale_worker, attempt in reclaimed:
-            _emit("lease-reclaim", key, key=key, worker=stale_worker,
-                  attempt=attempt)
+            emit_ambient("lease-reclaim", key=key, worker=stale_worker,
+                         attempt=attempt)
         return [key for key, _, _ in reclaimed]
 
     def counts(self) -> dict:

@@ -29,7 +29,7 @@ from repro.harness.sweep.queue import (
     WorkQueue,
     default_worker_id,
 )
-from repro.obs import current_telemetry
+from repro.obs import emit_ambient
 from repro.runtime.scenarios import run_scenario
 from repro.runtime.store import ResultStore, result_store_session
 
@@ -54,12 +54,6 @@ class WorkerOptions:
     #: Exit as soon as the queue is completely empty (one-shot drain)
     #: instead of lingering ``idle_exit_s`` for late-arriving work.
     exit_when_empty: bool = False
-
-
-def _emit(kind: str, detail: str = "", **fields: object) -> None:
-    telemetry = current_telemetry()
-    if telemetry is not None:
-        telemetry.bus.emit(kind, -1, detail, **fields)
 
 
 def _execute_leased(
@@ -107,8 +101,7 @@ def worker_loop(
     if options is None:
         options = WorkerOptions()
     queue = WorkQueue(store)
-    _emit("worker-start", options.worker_id, worker=options.worker_id,
-          store=str(store.path))
+    emit_ambient("worker-start", worker=options.worker_id, store=str(store.path))
     cells = 0
     lost = 0
     busy_wall_s = 0.0
@@ -147,6 +140,5 @@ def worker_loop(
         "exit": reason,
         "store": str(store.path),
     }
-    _emit("worker-exit", options.worker_id, worker=options.worker_id,
-          cells=cells, exit=reason)
+    emit_ambient("worker-exit", worker=options.worker_id, cells=cells, exit=reason)
     return stats

@@ -90,29 +90,21 @@ def _count_candidates(
     return counts
 
 
-def apriori(
-    db: TransactionDatabase,
-    minsup: float,
-    max_k: int = 0,
-    method: str = "dict",
-) -> AprioriResult:
+def apriori(db: TransactionDatabase, minsup: float, max_k: int = 0) -> AprioriResult:
     """Mine all large itemsets with relative support >= ``minsup``.
 
     ``minsup`` is a fraction of the database size (the paper quotes
     percentages, e.g. "minimum support 0.7" meaning 0.7 %: pass
     ``0.007``).  ``max_k`` optionally caps the pass count (0 = unlimited).
-    ``method`` selects the counting structure: ``"dict"`` (flat hash
-    table, default; shares no code with the kernels, so it can check
-    them) or ``"kernel"`` (the vectorized counting kernels of
-    :mod:`repro.mining.kernels`).  The iteration stops when a pass yields
-    no large (or no candidate) itemsets, exactly as described in §2.1.
+    Counting is a flat-dict scan that shares no code with
+    :mod:`repro.mining.kernels`, so it can check them.  The iteration
+    stops when a pass yields no large (or no candidate) itemsets, exactly
+    as described in §2.1.
     """
     if not 0.0 < minsup <= 1.0:
         raise MiningError(f"minsup must be in (0, 1], got {minsup}")
     if len(db) == 0:
         raise MiningError("cannot mine an empty database")
-    if method not in ("dict", "kernel"):
-        raise MiningError(f"unknown counting method {method!r}")
 
     minsup_count = max(1, int(np.ceil(minsup * len(db))))
     result = AprioriResult(minsup_count=minsup_count, large_itemsets={})
@@ -127,12 +119,7 @@ def apriori(
     k = 2
     while large_prev and (max_k <= 0 or k <= max_k):
         candidates = generate_candidates(sorted(large_prev), k)
-        if method == "kernel":
-            from repro.mining.kernels import count_candidates
-
-            counts = count_candidates(db, candidates, k)
-        else:
-            counts = _count_candidates(db, candidates, k)
+        counts = _count_candidates(db, candidates, k)
         large_now = {i: c for i, c in counts.items() if c >= minsup_count}
         result.passes.append(
             PassProfile(k=k, n_candidates=len(candidates), n_large=len(large_now))

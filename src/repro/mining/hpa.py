@@ -173,7 +173,7 @@ class HPARun(MiningDriver):
         for chunk in local_larges:
             l_now.update(chunk)
         if n_dup:
-            yield from self._reduce_duplicated(n_dup)
+            yield from self._all_reduce(n_dup, "eldgather", "eldlarge")
             for itemset, count in dup_counts.items():
                 if count >= self.minsup_count:
                     l_now[itemset] = count
@@ -193,37 +193,6 @@ class HPARun(MiningDriver):
             ),
             l_now,
         )
-
-    def _reduce_duplicated(self, n_dup: int) -> Generator:
-        """ELD all-reduce of the ``n_dup`` duplicated candidates' partial
-        counts, in simulated time (gather at node 0, merge, broadcast)."""
-        cost = self.config.cost
-        vec_bytes = max(16, 28 * n_dup)
-
-        def gather(a: int) -> Generator:
-            yield from self.cluster.transport.send(a, 0, "eldgather", None, vec_bytes)
-
-        def collect() -> Generator:
-            for _ in range(len(self.app_ids) - 1):
-                yield self.cluster.transport.recv(0, "eldgather")
-            yield from self.cluster[0].compute(
-                cost.cpu_count_per_itemset_s * n_dup * len(self.app_ids)
-            )
-            window = SendWindow(self.env, self.config.send_window)
-            for b in self.app_ids[1:]:
-                yield from window.post(
-                    self.cluster.transport.send(0, b, "eldlarge", None, vec_bytes)
-                )
-            yield from window.drain()
-
-        def receive_result(a: int) -> Generator:
-            yield self.cluster.transport.recv(a, "eldlarge")
-
-        procs = [collect()] if len(self.app_ids) > 1 else []
-        procs += [gather(a) for a in self.app_ids[1:]]
-        procs += [receive_result(a) for a in self.app_ids[1:]]
-        if procs:
-            yield from self._barrier(procs)
 
     # -- per-node phase processes ----------------------------------------------
 

@@ -6,29 +6,25 @@ occurrences are generated, hash-routed, and counted per transaction
 *host wall-clock* cost — executed per occurrence it is a pure-Python
 ``combinations`` loop with an FNV hash per occurrence for routing (that
 implementation is kept as the oracle in ``tests/mining/reference_hpa.py``).
-Here every occurrence of a pass is one ``int64`` **code**, and a block of
-transactions becomes one code array that is routed, shipped and counted
-as an array:
+Here every occurrence of every pass is one ``int64`` **code** — the
+candidate's position in C_k, the index the pass's routing arrays are
+aligned to — and a block of transactions becomes one code array that is
+routed, shipped and counted whole.  Only *generating* it depends on k:
 
-1. **Pair codes (k = 2)** — all 2-subsets of every transaction in a
-   disk block are produced by closed-form triangular index math over the
-   CSR arrays (:func:`ragged_pairs`) and encoded as dense
-   ``a * n_items + b`` codes; routing is two lookup arrays over the code
-   space.
-2. **Candidate-index codes (k >= 3, or k = 2 over an item universe too
-   large for the dense tables)** — C_k organised by its (k-1)-prefix
-   (:class:`PrefixIndex`, the join structure apriori-gen already
-   produces).  Subset generation walks transaction items against the
-   index and emits exactly the candidates contained in the transaction,
-   in the lexicographic order the naive ``combinations``-then-prune loop
-   produces, without enumerating C(|txn|, k) subsets; the code is the
-   candidate's position in C_k, and routing is the pass's aligned
-   ``lines``/``owners`` arrays themselves.
+1. **k = 2** — all 2-subsets of every transaction in a disk block are
+   produced by closed-form triangular index math over the CSR arrays
+   (:func:`ragged_pairs`), on the items' ranks among those that occur in
+   C_2; one pair→index table over the rank pairs turns them into codes.
+2. **k >= 3** — C_k organised by its (k-1)-prefix (:class:`PrefixIndex`,
+   the join structure apriori-gen already produces).  Subset generation
+   walks transaction items against the index and emits exactly the
+   candidates contained in the transaction, in the lexicographic order
+   the naive ``combinations``-then-prune loop produces, without
+   enumerating C(|txn|, k) subsets.
 
-:class:`CountingKernel` hides which of the two a pass uses.  Routing is
-hashed once per pass (one ``HashPartitioner.lines_of`` call over the
-candidates as an ``int64[n, k]`` array), so neither placement nor
-counting ever hashes per itemset.
+Routing is hashed once per pass (``HashPartitioner.lines_of`` over the
+candidates as an ``int64[n, k]`` array) and read back by indexing, so
+neither placement nor counting ever hashes per itemset.
 
 Everything here is *host-side* optimisation only: the kernels must not
 change simulated costs (CPU seconds charged, message counts and sizes,
@@ -62,7 +58,6 @@ __all__ = [
     "PrefixIndex",
     "ragged_pairs",
     "filter_block",
-    "encode_pairs",
     "item_mask",
     "eld_scores",
     "count_candidates",
@@ -71,16 +66,6 @@ __all__ = [
 #: Owner sentinel for HPA-ELD duplicated candidates (counted locally on
 #: every node, never routed).
 OWNER_DUPLICATED = -1
-
-#: Owner sentinel for "this pair is not a candidate" in the dense lookup
-#: tables.  Hitting it during routing means sender-side pruning is broken
-#: (the per-occurrence walk would raise the same error at count time).
-_OWNER_NONE = -9
-
-#: Above this item-universe size the dense ``n_items**2`` pair lookup
-#: arrays stop being worth their memory; k = 2 then runs on
-#: candidate-index codes like every k >= 3 pass.
-DENSE_PAIR_LIMIT = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +116,6 @@ def filter_block(
     kept_cum = np.concatenate(([0], np.cumsum(keep)))
     lengths = kept_cum[rel_offsets[1:]] - kept_cum[rel_offsets[:-1]]
     return items[keep], lengths
-
-
-def encode_pairs(first: np.ndarray, second: np.ndarray, n_items: int) -> np.ndarray:
-    """Dense ``a * n_items + b`` codes for item pairs."""
-    return first.astype(np.int64) * n_items + second.astype(np.int64)
 
 
 def item_mask(itemsets: "Sequence[Itemset] | np.ndarray", n_items: int) -> np.ndarray:
@@ -281,12 +261,11 @@ class CountingKernel:
     and owning node (owner :data:`OWNER_DUPLICATED` with line -1 marks an
     ELD-duplicated candidate; NPA, where every candidate is local, passes
     all-zero owners).  Every occurrence of the pass is one ``int64``
-    *code*: the dense ``a * n_items + b`` pair code when :attr:`dense`,
-    otherwise the candidate's index into C_k.  Which of the two is in
-    use is private to this class — drivers only generate
-    (:meth:`occurrences`), route (:meth:`owners_of`, :meth:`lines_of`),
-    decode and fold codes.  All nodes share one instance — the structures
-    are read-only during counting.
+    *code*: the candidate's index into ``candidates``, so routing and
+    decoding are plain indexing into the pass's own arrays.  Drivers only
+    generate (:meth:`occurrences`), route (:meth:`owners_of`,
+    :meth:`lines_of`), decode and fold codes.  All nodes share one
+    instance — the structures are read-only during counting.
     """
 
     def __init__(
@@ -296,27 +275,28 @@ class CountingKernel:
         candidates: Sequence[Itemset],
         lines: np.ndarray,
         owners: np.ndarray,
-        dense_limit: int = DENSE_PAIR_LIMIT,
     ) -> None:
         self.k = k
-        self.n_items = n_items
-        self.dense = k == 2 and n_items <= dense_limit
+        self._candidates = candidates
+        self._line = lines
+        self._owner = owners
         cand = itemset_rows(candidates, k)
         #: Items occurring in any candidate — transactions are restricted
         #: to this mask before subset generation (for k == 2 it is the
         #: L1 mask: C_2 pairs every large item with every other).
         self.mask = item_mask(cand, n_items)
-        if self.dense:
-            size = n_items * n_items
-            codes = cand[:, 0] * n_items + cand[:, 1]
-            self._owner = np.full(size, _OWNER_NONE, dtype=np.int32)
-            self._owner[codes] = owners
-            self._line = np.full(size, -1, dtype=np.int32)
-            self._line[codes] = lines
+        if k == 2:
+            # Pairs are looked up by item *rank* among the m masked
+            # items, so the table is O(|C_2|) whatever the universe.
+            # Rank m stands for every item outside C_2: its row and
+            # column stay -1 like any other non-candidate pair.
+            members = np.flatnonzero(self.mask)
+            m = members.size
+            self._rank = np.full(n_items, m, dtype=np.int64)
+            self._rank[members] = np.arange(m)
+            self._pair_code = np.full((m + 1, m + 1), -1, dtype=np.int64)
+            self._pair_code[tuple(self._rank[cand].T)] = np.arange(len(cand))
         else:
-            self._owner = owners
-            self._line = lines
-            self._candidates = candidates
             self._code = {c: i for i, c in enumerate(candidates)}
             self._prefix = PrefixIndex(candidates, k)
 
@@ -325,17 +305,28 @@ class CountingKernel:
     def pair_block(
         self, items: np.ndarray, rel_offsets: np.ndarray, l1_mask: np.ndarray
     ) -> np.ndarray:
-        """Pair codes for one CSR block, in naive emission order."""
+        """Codes of every pair of ``l1_mask`` items in one CSR block, in
+        naive emission order.  A pair that is not a candidate means
+        sender-side pruning is broken (the per-occurrence walk would
+        fail the same way at count time)."""
         filtered, lengths = filter_block(items, rel_offsets, l1_mask)
-        first, second = ragged_pairs(filtered, lengths)
-        return encode_pairs(first, second, self.n_items)
+        first, second = ragged_pairs(self._rank[filtered], lengths)
+        codes = self._pair_code[first, second]
+        if codes.size and int(codes.min()) < 0:
+            bad = int(np.argmin(codes))
+            first, second = ragged_pairs(filtered, lengths)
+            raise MiningError(
+                f"pair {(int(first[bad]), int(second[bad]))} generated by the "
+                f"kernel is not a candidate — routing is broken"
+            )
+        return codes
 
     def occurrences(self, part: TransactionDatabase, i: int, j: int) -> np.ndarray:
         """Codes of every candidate occurrence in transactions
         ``[i, j)`` of ``part``, in the order the naive
         ``combinations``-then-prune walk emits them."""
         offsets = part.offsets
-        if self.dense:
+        if self.k == 2:
             return self.pair_block(
                 part.items[offsets[i] : offsets[j]],
                 offsets[i : j + 1] - offsets[i],
@@ -355,30 +346,19 @@ class CountingKernel:
 
     def owners_of(self, codes: np.ndarray) -> np.ndarray:
         """Owner of every code (``OWNER_DUPLICATED`` for ELD)."""
-        owners = self._owner[codes]
-        if owners.size and int(owners.min()) == _OWNER_NONE:
-            bad = int(codes[np.argmin(owners)])
-            raise MiningError(
-                f"pair {divmod(bad, self.n_items)} generated by the kernel "
-                f"is not a candidate — routing is broken"
-            )
-        return owners
+        return self._owner[codes]
 
     def lines_of(self, codes: np.ndarray) -> np.ndarray:
         """Hash line of every code."""
         return self._line[codes]
 
     def decode(self, codes: np.ndarray) -> "list[Itemset]":
-        """Materialise itemset tuples (Python ints) from codes."""
-        if self.dense:
-            first, second = divmod(codes, self.n_items)
-            return list(zip(first.tolist(), second.tolist()))
-        candidates = self._candidates
-        return [candidates[i] for i in codes.tolist()]
+        """The candidate tuples the codes index."""
+        return list(map(self._candidates.__getitem__, codes.tolist()))
 
     def itemset_of(self, code: int) -> Itemset:
         """Single-code :meth:`decode` (the per-fault slow path)."""
-        return divmod(code, self.n_items) if self.dense else self._candidates[code]
+        return self._candidates[code]
 
     # -- counting into a swap manager -----------------------------------------
 
@@ -391,21 +371,11 @@ class CountingKernel:
         caller yields to no simulation event across the run (see
         :meth:`SwapManager.count_resident_batch` for why that makes the
         batch indistinguishable from the per-occurrence sequence).  On
-        first use the manager gets a :class:`SpanIndex` over every code
-        this node owns (all codes of one manager share one owner — the
-        routing that sent them here), and counts accumulate vectorised.
+        first use the manager gets a :class:`SpanIndex` onto the pass's
+        shared candidate and line arrays; counts accumulate vectorised.
         """
-        if codes.size == 0:
-            return
         if mgr.span_index is None:
-            owner = int(self._owner[codes[0]])
-            owned = np.flatnonzero(self._owner == owner).astype(np.int64)
-            mgr.span_index = SpanIndex(
-                owned,
-                self.decode(owned),
-                self._line[owned].astype(np.int64),
-                self.n_items,
-            )
+            mgr.span_index = SpanIndex(self._candidates, self._line)
         mgr.count_span_codes(codes, lines)
 
     def tally(
@@ -415,8 +385,9 @@ class CountingKernel:
         lines, counts)`` entry per distinct candidate."""
         if not code_arrays:
             return [], [], []
-        uniq, counts = np.unique(np.concatenate(code_arrays), return_counts=True)
-        return self.decode(uniq), self.lines_of(uniq).tolist(), counts.tolist()
+        acc = np.bincount(np.concatenate(code_arrays), minlength=len(self._candidates))
+        hot = np.flatnonzero(acc)
+        return self.decode(hot), self._line[hot].tolist(), acc[hot].tolist()
 
     def apply_local_pairs(
         self, mgr: SwapManager, code_arrays: "list[np.ndarray]"
@@ -461,11 +432,11 @@ def eld_scores(
 
 
 # ---------------------------------------------------------------------------
-# sequential counting (apriori's alternative backend)
+# sequential counting
 # ---------------------------------------------------------------------------
 
 #: Transactions per vectorised chunk when scanning a whole database — the
-#: chunk bounds the size of the pair-code temporaries, nothing else.
+#: chunk bounds the size of the code temporaries, nothing else.
 _SCAN_CHUNK_TXNS = 65536
 
 
@@ -474,48 +445,16 @@ def count_candidates(
 ) -> "dict[Itemset, int]":
     """Support counts of ``candidates`` over ``db`` via the kernels.
 
-    Drop-in equivalent of the naive filtered-``combinations`` scan in
-    :mod:`repro.mining.apriori` (identical results): the k == 2 case is
-    one ``bincount`` over dense pair codes, k >= 3 walks the prefix
-    index.
+    Same results as the naive filtered-``combinations`` scan in
+    :mod:`repro.mining.apriori`, by the parallel drivers' own path: one
+    :class:`CountingKernel` (routing unused, so all zero), its
+    occurrence codes chunk by chunk, one ``bincount`` over them.
     """
-    counts: dict[Itemset, int] = dict.fromkeys(candidates, 0)
-    if not candidates or len(db) == 0:
-        return counts
-    n_items = db.n_items
-    if k == 2 and n_items <= DENSE_PAIR_LIMIT:
-        mask = item_mask(candidates, n_items)
-        acc = np.zeros(n_items * n_items, dtype=np.int64)
-        offsets = db.offsets
-        n = len(db)
-        for start in range(0, n, _SCAN_CHUNK_TXNS):
-            stop = min(n, start + _SCAN_CHUNK_TXNS)
-            block = db.items[offsets[start] : offsets[stop]]
-            rel = offsets[start : stop + 1] - offsets[start]
-            filtered, lengths = filter_block(block, rel, mask)
-            first, second = ragged_pairs(filtered, lengths)
-            if first.size:
-                codes = encode_pairs(first, second, n_items)
-                acc += np.bincount(codes, minlength=n_items * n_items)
-        for cand in candidates:
-            counts[cand] = int(acc[cand[0] * n_items + cand[1]])
-        return counts
-    mask = item_mask(candidates, n_items)
-    if k == 2:
-        members = set(candidates)
-        for txn in db:
-            filtered = txn[mask[txn]]
-            if filtered.size < 2:
-                continue
-            for pair in combinations(filtered.tolist(), 2):
-                if pair in members:
-                    counts[pair] += 1
-        return counts
-    index = PrefixIndex(candidates, k)
-    for txn in db:
-        filtered = txn[mask[txn]]
-        if filtered.size < k:
-            continue
-        for cand in index.subsets_of(filtered.tolist()):
-            counts[cand] += 1
-    return counts
+    n = len(candidates)
+    routing = np.zeros(n, dtype=np.int64)
+    kernel = CountingKernel(k, db.n_items, candidates, routing, routing)
+    acc = np.zeros(n, dtype=np.int64)
+    for start in range(0, len(db), _SCAN_CHUNK_TXNS):
+        stop = min(len(db), start + _SCAN_CHUNK_TXNS)
+        acc += np.bincount(kernel.occurrences(db, start, stop), minlength=n)
+    return dict(zip(candidates, acc.tolist()))

@@ -31,7 +31,7 @@ from repro.mining.hpa import HPAConfig
 from repro.mining.itemsets import Itemset, itemset_rows
 from repro.mining.kernels import CountingKernel
 from repro.mining.partition import HashPartitioner
-from repro.runtime.driver import MiningDriver, SendWindow
+from repro.runtime.driver import MiningDriver
 from repro.runtime.results import PassResult, RunResult
 
 __all__ = ["NPAConfig", "NPARun", "run_npa"]
@@ -164,41 +164,12 @@ class NPARun(MiningDriver):
         kernel.apply_local_pairs(mgr, pending)
 
     def _reduce(self, n_candidates: int) -> Generator:
-        """Gather every node's full count table at node 0, merge, broadcast.
+        """All-reduce every node's full count table.
 
         The table is large (28 B per candidate), which is NPA's second
         structural cost next to the duplicated memory.
         """
-        cost = self.config.cost
-        vec_bytes = max(16, 28 * n_candidates)
-
-        def send_table(a: int) -> Generator:
-            yield from self.cluster.transport.send(a, 0, "npa-reduce", None, vec_bytes)
-
-        def coordinate() -> Generator:
-            for _ in range(len(self.app_ids) - 1):
-                yield self.cluster.transport.recv(0, "npa-reduce")
-            yield from self.cluster[0].compute(
-                cost.cpu_count_per_itemset_s * n_candidates * len(self.app_ids)
-            )
-            window = SendWindow(self.env, self.config.send_window)
-            for b in self.app_ids[1:]:
-                yield from window.post(
-                    self.cluster.transport.send(0, b, "npa-large", None, vec_bytes)
-                )
-            yield from window.drain()
-
-        def receive(a: int) -> Generator:
-            yield self.cluster.transport.recv(a, "npa-large")
-
-        procs: list[Generator] = []
-        if len(self.app_ids) > 1:
-            procs.append(coordinate())
-            procs += [send_table(a) for a in self.app_ids[1:]]
-            procs += [receive(a) for a in self.app_ids[1:]]
-        if procs:
-            yield from self._barrier(procs)
-
+        yield from self._all_reduce(n_candidates, "npa-reduce", "npa-large")
         # The actual merge (the messages above carried the timing).
         merged: dict[Itemset, int] = {}
         for a in self.app_ids:

@@ -24,7 +24,7 @@ first-class outputs of *any* run instead of bespoke benchmark code:
   and latency histograms from an exported trace directory.
 """
 
-from repro.obs.context import current_telemetry, telemetry_session
+from repro.obs.context import current_telemetry, emit_ambient, telemetry_session
 from repro.obs.events import EventBus, ObsEvent
 from repro.obs.metrics import (
     Counter,
@@ -50,5 +50,6 @@ __all__ = [
     "UtilizationSample",
     "UtilizationSampler",
     "current_telemetry",
+    "emit_ambient",
     "telemetry_session",
 ]

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.telemetry import Telemetry
 
-__all__ = ["current_telemetry", "telemetry_session"]
+__all__ = ["current_telemetry", "emit_ambient", "telemetry_session"]
 
 _CURRENT: "Optional[Telemetry]" = None
 
@@ -23,6 +23,16 @@ _CURRENT: "Optional[Telemetry]" = None
 def current_telemetry() -> "Optional[Telemetry]":
     """The ambient telemetry session, or ``None`` outside one."""
     return _CURRENT
+
+
+def emit_ambient(kind: str, **fields: object) -> None:
+    """Publish a cluster-wide event on the ambient session's bus (a
+    no-op outside one) — how the host-side layers that own no simulation
+    (sweep engine, queue, workers, report service) report.  Everything
+    the event carries is a typed field; ``detail`` stays the name of a
+    ``span`` / ``phase``."""
+    if _CURRENT is not None:
+        _CURRENT.bus.emit(kind, -1, **fields)
 
 
 @contextmanager

@@ -297,6 +297,43 @@ class MiningDriver:
             yield self.cluster.transport.recv(a, self.pass1_channel)
         return counts
 
+    def _all_reduce(
+        self, n_entries: int, gather_channel: str, result_channel: str
+    ) -> Generator:
+        """All-reduce of an ``n_entries``-long count vector, in simulated
+        time only: every node sends its 28 B/entry vector to node 0,
+        which merges them and broadcasts the result through a send
+        window.  The counts themselves are summed host-side by the
+        caller."""
+        others = self.app_ids[1:]
+        if not others:
+            return
+        transport = self.cluster.transport
+        vec_bytes = max(16, 28 * n_entries)
+
+        def gather(a: int) -> Generator:
+            yield from transport.send(a, 0, gather_channel, None, vec_bytes)
+
+        def collect() -> Generator:
+            for _ in others:
+                yield transport.recv(0, gather_channel)
+            yield from self.cluster[0].compute(
+                self.config.cost.cpu_count_per_itemset_s * n_entries * len(self.app_ids)
+            )
+            window = SendWindow(self.env, self.config.send_window)
+            for b in others:
+                yield from window.post(
+                    transport.send(0, b, result_channel, None, vec_bytes)
+                )
+            yield from window.drain()
+
+        def receive(a: int) -> Generator:
+            yield transport.recv(a, result_channel)
+
+        yield from self._barrier(
+            [collect()] + [gather(a) for a in others] + [receive(a) for a in others]
+        )
+
     def _insert_candidates(
         self, a: int, itemsets: "Sequence[Itemset]", lines: np.ndarray
     ) -> Generator:

@@ -21,9 +21,8 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.resources import PriorityResource, Resource
-from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.store import FilterStore, PriorityItem, PriorityStore, Store
+from repro.sim.resources import Resource
+from repro.sim.store import Store
 
 __all__ = [
     "Environment",
@@ -35,13 +34,7 @@ __all__ = [
     "AnyOf",
     "Process",
     "Resource",
-    "PriorityResource",
     "Store",
-    "FilterStore",
-    "PriorityStore",
-    "PriorityItem",
-    "RngRegistry",
-    "derive_seed",
     "Interrupt",
     "SimulationError",
     "EmptySchedule",

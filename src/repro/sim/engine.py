@@ -179,53 +179,13 @@ class Environment:
     def step(self) -> None:
         """Process the single next event.
 
-        Selection invariant: a heap entry due *now* was necessarily pushed
-        before the clock reached now (later pushes at this time go to the
-        lanes), so it predates — and at equal priority precedes — every
-        lane entry.  The lanes themselves are drained before the clock may
-        advance, keeping the (time, priority, insertion) total order of a
-        single global heap.
-
         Raises :class:`~repro.errors.EmptySchedule` when the queue is empty
         and re-raises the value of any failed event nobody defused.
         """
         tracker = _current_tracker()
-        if tracker is not None or self._tie_rng is not None:
-            if tracker is not None:
-                tracker.attach(self)
-            self._dispatch_slow(tracker)
-            return
-        heap = self._heap
-        if self._urgent:
-            if heap and heap[0][0] == self._now and heap[0][1] <= URGENT:
-                event = heapq.heappop(heap)[3]
-            else:
-                event = self._urgent.popleft()
-        elif self._normal:
-            if heap and heap[0][0] == self._now and heap[0][1] <= NORMAL:
-                event = heapq.heappop(heap)[3]
-            else:
-                event = self._normal.popleft()
-        elif heap:
-            entry = heapq.heappop(heap)
-            self._now = entry[0]
-            event = entry[3]
-        else:
-            raise EmptySchedule("no more events scheduled")
-
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None, "event processed twice"
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # Unhandled failure: crash the simulation loudly.
-            exc = event._value
-            assert isinstance(exc, BaseException)
-            raise exc
-        if event._pooled:
-            self._timeout_pool.append(event)  # type: ignore[arg-type]
+        if tracker is not None:
+            tracker.attach(self)
+        self._dispatch_slow(tracker)
 
     @staticmethod
     def _pop_lane(lane: "deque[Event]", rng: Optional[Any]) -> Event:
@@ -240,12 +200,20 @@ class Environment:
         return lane.popleft()
 
     def _dispatch_slow(self, tracker: Any) -> None:
-        """Process one event on the instrumented path.
+        """Process one event: the single-event dispatcher behind
+        :meth:`step` and the instrumented :meth:`run`.
 
-        Selection is identical to :meth:`step` (same invariant), with
-        two opt-in extras the fast loop never pays for: per-occurrence
-        epoch/parenthood bookkeeping for the race ``tracker``, and the
-        tie-shuffling RNG.  Parenthood needs no hooks at the schedule
+        Selection invariant: a heap entry due *now* was necessarily pushed
+        before the clock reached now (later pushes at this time go to the
+        lanes), so it predates — and at equal priority precedes — every
+        lane entry.  The lanes themselves are drained before the clock may
+        advance, keeping the (time, priority, insertion) total order of a
+        single global heap.
+
+        Two opt-in extras the fast loop in :meth:`run` never pays for:
+        per-occurrence epoch/parenthood bookkeeping for the race
+        ``tracker``, and the tie-shuffling RNG (with neither, the oldest
+        lane entry is popped).  Parenthood needs no hooks at the schedule
         sites — anything appended to a lane or pushed to the heap while
         this event's callbacks run was scheduled by this event.
         """
@@ -335,10 +303,10 @@ class Environment:
         if tracker is not None or self._tie_rng is not None:
             return self._run_slow(stop_event, tracker)
 
-        # The dispatch loop is step() with its body inlined (one function
-        # call per event is ~10% of kernel floor) and hot names bound
-        # locally.  Behaviour must stay identical to step() — see the
-        # selection invariant documented there.
+        # The dispatch loop is _dispatch_slow() minus its extras, inlined
+        # (one function call per event is ~10% of kernel floor) with hot
+        # names bound locally.  Selection must stay identical — see the
+        # invariant documented there.
         heap = self._heap
         urgent = self._urgent
         normal = self._normal

@@ -2,14 +2,12 @@
 
 :class:`Resource` models anything a process must hold exclusively for a
 while — a CPU, a disk arm, a link transmit slot.  Requests queue in FIFO
-order; :class:`PriorityResource` lets urgent requests jump the queue.
+order.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from itertools import count
 from typing import TYPE_CHECKING
 
 from repro.sim.events import PENDING, Event
@@ -17,7 +15,7 @@ from repro.sim.events import PENDING, Event
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
 
-__all__ = ["Request", "Release", "Resource", "PriorityRequest", "PriorityResource"]
+__all__ = ["Request", "Release", "Resource"]
 
 
 class Request(Event):
@@ -130,7 +128,7 @@ class Resource:
             self.env._normal.append(rel)
             if self.queue:
                 self._grant_next()
-            if request.callbacks is None and type(request) is Request:
+            if request.callbacks is None:
                 self._req_pool.append(request)
             return rel
         rel = Release(self, request)
@@ -156,11 +154,11 @@ class Resource:
             ) from None
         release.succeed()
         self._grant_next()
-        if request.callbacks is None and type(request) is Request:
+        if request.callbacks is None:
             # The grant was processed and the claim is over: nothing can
-            # reach this event again, so it is safe to recycle.  Exotic
-            # paths (release of a triggered-but-unprocessed grant,
-            # priority subclasses) simply skip the pool.
+            # reach this event again, so it is safe to recycle.  The
+            # release of a triggered-but-unprocessed grant simply skips
+            # the pool.
             self._req_pool.append(request)
 
     def _grant_next(self) -> None:
@@ -184,52 +182,3 @@ class Resource:
             f"<{type(self).__name__} count={self.count}/{self._capacity} "
             f"queued={len(self.queue)}>"
         )
-
-
-class PriorityRequest(Request):
-    """Request carrying a priority; lower values are granted first."""
-
-    __slots__ = ("priority", "time")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0) -> None:
-        self.priority = priority
-        self.time = resource.env.now
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose wait queue is ordered by request priority."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: list[tuple[int, float, int, PriorityRequest]] = []
-        self._tie = count()
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        """Claim the resource with the given priority (lower = sooner)."""
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            heapq.heappush(
-                self._heap, (request.priority, request.time, next(self._tie), request)
-            )
-            self.queue.append(request)  # kept for introspection only
-
-    def _grant_next(self) -> None:
-        while self._heap and len(self.users) < self._capacity:
-            _, _, _, nxt = heapq.heappop(self._heap)
-            if nxt not in self.queue:
-                continue  # cancelled
-            self.queue.remove(nxt)
-            self.users.append(nxt)
-            nxt.succeed()
-
-    def _cancel(self, request: Request) -> None:
-        # Lazy deletion: remove from the visible queue; the heap entry is
-        # skipped when popped.
-        super()._cancel(request)

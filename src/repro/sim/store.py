@@ -1,23 +1,19 @@
 """Message stores: producer/consumer queues between processes.
 
-:class:`Store` is an unbounded-or-bounded FIFO of arbitrary items;
-:class:`FilterStore` lets consumers wait for items matching a predicate;
-:class:`PriorityStore` delivers the smallest item first.  These back the
-cluster's mailboxes and transport endpoints.
+:class:`Store` is an unbounded-or-bounded FIFO of arbitrary items; it
+backs the cluster's mailboxes and transport endpoints.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
 
-__all__ = ["StorePut", "StoreGet", "Store", "FilterStore", "PriorityStore", "PriorityItem"]
+__all__ = ["StorePut", "StoreGet", "Store"]
 
 
 class StorePut(Event):
@@ -150,69 +146,3 @@ class _Nothing:
 
 
 _NOTHING = _Nothing()
-
-
-class FilterStoreGet(StoreGet):
-    """Get event that only matches items satisfying ``filter_fn``."""
-
-    __slots__ = ("filter_fn",)
-
-    def __init__(self, store: "FilterStore", filter_fn: Callable[[object], bool]) -> None:
-        self.filter_fn = filter_fn
-        super().__init__(store)
-
-
-class FilterStore(Store):
-    """Store whose consumers may wait for items matching a predicate."""
-
-    def get(self, filter_fn: Callable[[object], bool] = lambda item: True) -> FilterStoreGet:  # type: ignore[override]
-        """Request the first stored item for which ``filter_fn`` is true."""
-        return FilterStoreGet(self, filter_fn)
-
-    def _select_item(self, event: StoreGet) -> object:
-        assert isinstance(event, FilterStoreGet)
-        for i, item in enumerate(self.items):
-            if event.filter_fn(item):
-                return self.items.pop(i)
-        return _NOTHING
-
-
-class PriorityItem:
-    """Wrapper pairing an unorderable item with an explicit priority key."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: object, item: object) -> None:
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority  # type: ignore[operator]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PriorityItem):
-            return NotImplemented
-        return self.priority == other.priority and self.item == other.item
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """Store delivering its smallest item first (heap-ordered)."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self._tie = count()
-        self._heap: list[tuple[object, int, object]] = []
-
-    def _store_item(self, item: object) -> None:
-        heapq.heappush(self._heap, (item, next(self._tie), item))
-        self.items = [entry[2] for entry in self._heap]  # introspection mirror
-
-    def _select_item(self, event: StoreGet) -> object:
-        if self._heap:
-            _, _, item = heapq.heappop(self._heap)
-            self.items = [entry[2] for entry in self._heap]
-            return item
-        return _NOTHING

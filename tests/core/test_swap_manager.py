@@ -1,5 +1,6 @@
 """Tests for the SwapManager: limits, eviction, fast/slow paths, invariants."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from repro.core import LineState, SwapManager
 from repro.errors import MiningError, SwapError
 from repro.mining.hash_table import LINE_HEADER_BYTES
 from repro.mining.itemsets import ITEMSET_BYTES
+from repro.mining.kernels import CountingKernel
 from tests.core.helpers import count_all, insert_all, make_rig
 
 
@@ -279,3 +281,51 @@ def test_bulk_count_refuses_a_pager():
     assert mgr.insert_candidate((1, 2), 0) is None
     with pytest.raises(SwapError):
         mgr.count_resident_bulk([(1, 2)], [0], [1])
+
+
+# -- span ledger --------------------------------------------------------------
+
+def test_span_flush_names_the_itemset_or_line_of_a_misrouted_code():
+    """A k = 3 code counted on a node that does not hold its candidate
+    fails at flush, and the error names the real 3-itemset or its hash
+    line — whether the node never held the line or holds it without the
+    candidate."""
+    candidates = [(1, 2, 3), (1, 2, 4), (2, 3, 4), (2, 3, 5)]
+    lines = np.array([0, 1, 2, 0], dtype=np.int64)
+    kernel = CountingKernel(3, 10, candidates, lines, np.array([0, 0, 1, 0]))
+    for bad, named in ((2, r"\(2, 3, 4\)|line 2\b"), (3, r"\(2, 3, 5\).*line 0\b")):
+        rig = make_rig(pager_kind="disk", limit_bytes=10_000)
+        mgr = rig.managers[0]
+        for code in (0, 1):
+            assert mgr.insert_candidate(candidates[code], int(lines[code])) is None
+        codes = np.array([0, bad, 0], dtype=np.int64)
+        # The policy is touched on line 0 only: the ledger's own check is
+        # what must catch the stray code.
+        kernel.count_resident_span(mgr, codes, np.zeros(3, dtype=np.int64))
+        assert mgr.stats.fast_counts == 3
+        with pytest.raises(MiningError, match=named):
+            mgr.flush_span_counts()
+
+
+def test_span_flush_folds_counts_onto_swapped_out_lines():
+    rig = make_rig(pager_kind="disk", limit_bytes=bytes_for(1, 1))
+    mgr = rig.managers[0]
+    candidates = [(1, 2, 3), (1, 2, 4)]
+    lines = np.array([0, 1], dtype=np.int64)
+    kernel = CountingKernel(3, 10, candidates, lines, np.zeros(2, dtype=np.int64))
+
+    def proc(env):
+        yield from insert_all(mgr, list(zip(candidates, lines.tolist())))
+        assert mgr.mm_table.state(0) is LineState.DISK  # evicted by line 1
+        codes = np.array([1, 1], dtype=np.int64)
+        kernel.count_resident_span(mgr, codes, kernel.lines_of(codes))
+        yield from count_all(mgr, [((1, 2, 3), 0)])  # faults 0 in, evicts 1
+        assert mgr.mm_table.state(1) is LineState.DISK
+        mgr.flush_span_counts()
+        mgr.flush_span_counts()  # idempotent
+        return (yield from mgr.iter_all_lines())
+
+    done = rig.env.process(proc(rig.env))
+    rig.env.run(until=10)
+    counts = {i: c for line in done.value for i, c in line.counts.items()}
+    assert counts == {(1, 2, 3): 1, (1, 2, 4): 2}

@@ -10,8 +10,10 @@ from repro.harness.sweep import (
     run_sweep_outcome,
     shutdown_pools,
 )
+from repro.harness.sweep.queue import WorkQueue
+from repro.harness.sweep.worker import WorkerOptions, worker_loop
 from repro.obs import Telemetry, telemetry_session
-from repro.runtime import Scenario, clear_cache, result_store_session
+from repro.runtime import ResultStore, Scenario, clear_cache, result_store_session
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +185,33 @@ def test_sweep_events_reach_telemetry():
     assert {labels["source"] for _, labels, _ in runs} <= {"cached", "executed"}
     hist = telemetry.registry.merged_histogram("sweep_run_wall_s")
     assert hist is not None and hist.count == 3
+
+
+def test_harness_events_carry_typed_fields_not_detail(tmp_path):
+    """``detail`` is the name of a span or phase and nothing else: the
+    sweep, queue, lease and worker events say what they carry in typed
+    fields."""
+    store = ResultStore(tmp_path)
+    telemetry = Telemetry()
+    with telemetry_session(telemetry):
+        run_sweep_outcome(_toy_sweep(), "tiny")
+        clear_cache()
+        cell = next(iter(_toy_sweep().scenarios("tiny").values()))
+        WorkQueue(store).enqueue(cell)
+        worker_loop(store, WorkerOptions(worker_id="w", exit_when_empty=True))
+    by_kind = {}
+    for event in telemetry.events:
+        by_kind.setdefault(event.kind, event)
+    assert {
+        "sweep-start", "sweep-run", "sweep-done", "queue-enqueue",
+        "lease-acquire", "lease-release", "worker-start", "worker-exit",
+        "span", "phase",
+    } <= set(by_kind)
+    assert {e.kind for e in telemetry.events if e.detail} == {"span", "phase"}
+    assert by_kind["sweep-start"].fields["scale"] == "tiny"
+    assert by_kind["sweep-run"].fields["cell"] == "a"
+    assert by_kind["lease-acquire"].fields["key"] == store.key_for(cell)
+    assert by_kind["worker-exit"].fields["worker"] == "w"
 
 
 # -- one walk from a sweep to its report -----------------------------------

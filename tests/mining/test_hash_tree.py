@@ -114,9 +114,12 @@ def test_apriori_method_hashtree_identical():
 
 
 def test_apriori_unknown_method_rejected():
+    """``apriori`` has one counting path and no ``method`` to pick
+    another — not the kernels' either."""
     db = generate("T8.I3.D400", n_items=60, seed=6)
-    with pytest.raises(MiningError):
-        apriori(db, minsup=0.03, method="btree")
+    for method in ("btree", "kernel"):
+        with pytest.raises(TypeError):
+            apriori(db, minsup=0.03, method=method)
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,6 +6,7 @@ searches for ragged shapes, candidate sets, and buffer fills that break
 it.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.mining.kernels import (
     PrefixIndex,
     count_candidates,
     eld_scores,
-    encode_pairs,
     filter_block,
     item_mask,
     ragged_pairs,
@@ -170,14 +170,18 @@ def test_owner_streams_matches_naive_buffers(blocks, ipm):
 
 @settings(max_examples=100, deadline=None)
 @given(
+    st.sampled_from([20, 5000]),
     st.sets(st.integers(0, 19), min_size=2, max_size=12),
     st.lists(st.integers(0, 19), max_size=12, unique=True).map(sorted),
     st.integers(0, 3),
 )
-def test_kernel_pair_stream_matches_naive_routing(large1, txn, n_dup):
-    """The dense pair kernel yields the naive sender's (itemset, line,
-    owner) stream for any transaction."""
-    n_items = 20
+def test_kernel_pair_stream_matches_naive_routing(n_items, large1, txn, n_dup):
+    """The pair kernel yields the naive sender's (itemset, line, owner)
+    stream for any transaction, whatever the size of the item universe
+    (drawn items are spread over it, up to its last id)."""
+    spread = n_items // 20
+    large1 = {i * spread + spread - 1 for i in large1}
+    txn = [i * spread + spread - 1 for i in txn]
     l1 = sorted((i,) for i in large1)
     candidates = generate_candidates(l1, 2)
     part = HashPartitioner(64, 4)
@@ -187,7 +191,6 @@ def test_kernel_pair_stream_matches_naive_routing(large1, txn, n_dup):
     lines[: len(dup)] = -1
     owners[: len(dup)] = OWNER_DUPLICATED
     kernel = CountingKernel(2, n_items, candidates, lines, owners)
-    assert kernel.dense
 
     l1_mask = np.zeros(n_items, dtype=bool)
     l1_mask[[i for (i,) in l1]] = True
@@ -203,7 +206,7 @@ def test_kernel_pair_stream_matches_naive_routing(large1, txn, n_dup):
     )
 
     want = []
-    for pair in combinations([i for i in txn if (i,) in set(l1)], 2):
+    for pair in combinations([i for i in txn if i in large1], 2):
         if pair in dup:
             want.append((pair, -1, OWNER_DUPLICATED))
         else:
@@ -214,35 +217,66 @@ def test_kernel_pair_stream_matches_naive_routing(large1, txn, n_dup):
 
 
 def test_kernel_owners_of_rejects_non_candidate():
-    kernel = CountingKernel(2, 10, [(1, 2)], np.array([0]), np.array([0]))
-    with pytest.raises(MiningError):
-        kernel.owners_of(np.array([1 * 10 + 3], dtype=np.int64))
+    """A generated pair that is not a candidate fails at generation,
+    naming the pair, in a small universe and in the paper's — also when
+    one of its items is in no candidate at all but the caller's mask
+    lets it through."""
+    for n_items in (20, 5000):
+        last = n_items - 1
+        candidates = [(1, 2), (3, last)]
+        routing = np.zeros(2, dtype=np.int64)
+        kernel = CountingKernel(2, n_items, candidates, routing, routing)
+        db = TransactionDatabase.from_lists([[1, 2], [1, last]], n_items=n_items)
+        assert kernel.decode(kernel.occurrences(db, 0, 1)) == [(1, 2)]
+        with pytest.raises(MiningError, match=rf"\(1, {last}\).*not a candidate"):
+            kernel.occurrences(db, 0, 2)
+        wide = np.ones(n_items, dtype=bool)
+        with pytest.raises(MiningError, match=r"\(0, 1\).*not a candidate"):
+            kernel.pair_block(np.array([0, 1]), np.array([0, 2]), wide)
+        assert kernel.pair_block(np.array([0]), np.array([0, 1]), wide).size == 0
 
 
-def test_kernel_sparse_fallback_above_dense_limit():
-    """Above the dense limit k == 2 runs on candidate-index codes like
-    any k >= 3 pass — same occurrences, routing and decode as dense."""
-    candidates = [(1, 2), (1, 3), (2, 3)]
-    lines, owners = np.array([0, 1, 2]), np.array([0, 1, OWNER_DUPLICATED])
-    db = TransactionDatabase.from_lists([[1, 2, 3], [0, 2], [4, 1, 3]], n_items=10)
-    views = []
-    for limit in (5, 10):
-        kernel = CountingKernel(2, 10, candidates, lines, owners, dense_limit=limit)
-        codes = kernel.occurrences(db, 0, len(db))
-        views.append(
-            (
-                kernel.decode(codes),
-                [kernel.itemset_of(c) for c in codes.tolist()],
-                kernel.lines_of(codes).tolist(),
-                kernel.owners_of(codes).tolist(),
-                kernel.tally([codes, codes[:1]]),
-            )
-        )
-    sparse, dense = views
-    assert not CountingKernel(2, 10, candidates, lines, owners, dense_limit=5).dense
-    assert sparse == dense
-    assert sparse[0] == [(1, 2), (1, 3), (2, 3), (1, 3)]
-    assert sparse[4] == ([(1, 2), (1, 3), (2, 3)], [0, 1, 2], [2, 2, 1])
+def test_kernel_k2_tables_scale_with_candidates_not_universe(monkeypatch):
+    """k = 2 over the paper's 5,000-item universe is the array path —
+    the prefix walk is never entered — and the kernel's tables are sized
+    by C_2, not by ``n_items ** 2`` (two int32 tables of that size alone
+    would be 200 MB)."""
+
+    def no_walk(self, filtered):
+        raise AssertionError("k = 2 must not walk the prefix index")
+
+    monkeypatch.setattr(PrefixIndex, "subsets_of", no_walk)
+    n_items = 5000
+    rng = np.random.default_rng(5)
+    large = np.sort(rng.choice(n_items, size=300, replace=False))
+    candidates = generate_candidates([(int(i),) for i in large], 2)
+    lines = np.arange(len(candidates), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        kernel = CountingKernel(2, n_items, candidates, lines, lines % 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    db = TransactionDatabase.from_lists(
+        [np.sort(rng.choice(n_items, size=40, replace=False)).tolist() for _ in range(50)],
+        n_items=n_items,
+    )
+    codes = kernel.occurrences(db, 0, len(db))
+    members = set(large.tolist())
+    want = [
+        pair
+        for txn in db
+        for pair in combinations([i for i in txn.tolist() if i in members], 2)
+    ]
+    assert want and kernel.decode(codes) == want
+    assert count_candidates(db, candidates, 2) == _count_candidates(db, candidates, 2)
+
+
+def test_kernel_takes_no_code_space_option():
+    routing = np.zeros(1, dtype=np.int64)
+    with pytest.raises(TypeError):
+        CountingKernel(2, 10, [(1, 2)], routing, routing, dense_limit=5)
 
 
 # -- ELD scores ---------------------------------------------------------------
@@ -282,30 +316,5 @@ def test_count_candidates_matches_naive_scan(k):
     assert count_candidates(DB, candidates, k) == _count_candidates(DB, candidates, k)
 
 
-def test_count_candidates_sparse_k2_matches_dense():
-    ref = apriori(DB, minsup=0.02)
-    candidates = generate_candidates(sorted(ref.large_of_size(1)), 2)
-    dense = count_candidates(DB, candidates, 2)
-    # Force the sparse membership path by shrinking the dense limit.
-    import repro.mining.kernels as kernels
-
-    old = kernels.DENSE_PAIR_LIMIT
-    kernels.DENSE_PAIR_LIMIT = 1
-    try:
-        sparse = count_candidates(DB, candidates, 2)
-    finally:
-        kernels.DENSE_PAIR_LIMIT = old
-    assert dense == sparse
-
-
 def test_count_candidates_empty():
     assert count_candidates(DB, [], 2) == {}
-
-
-# -- dense/route encode sanity -------------------------------------------------
-
-def test_encode_pairs_roundtrip():
-    first = np.array([1, 5, 0], dtype=np.int64)
-    second = np.array([2, 9, 7], dtype=np.int64)
-    codes = encode_pairs(first, second, 10)
-    assert codes.tolist() == [12, 59, 7]

@@ -1,8 +1,8 @@
-"""Tests for Resource and PriorityResource."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Environment, PriorityResource, Resource
+from repro.sim import Environment, Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -125,53 +125,3 @@ def test_cancel_queued_request():
     env.run()
     assert "gave up" in got
     assert ("patient got it", 100) in got
-
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def hog(env, res):
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(10)
-        res.release(req)
-
-    def user(env, res, name, priority, delay):
-        yield env.timeout(delay)
-        req = res.request(priority=priority)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(hog(env, res))
-    env.process(user(env, res, "low", 5, 1))
-    env.process(user(env, res, "high", 1, 2))
-    env.run()
-    assert order == ["high", "low"]
-
-
-def test_priority_ties_fifo():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def hog(env, res):
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(10)
-        res.release(req)
-
-    def user(env, res, name, delay):
-        yield env.timeout(delay)
-        req = res.request(priority=5)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(hog(env, res))
-    env.process(user(env, res, "a", 1))
-    env.process(user(env, res, "b", 2))
-    env.run()
-    assert order == ["a", "b"]

@@ -1,8 +1,8 @@
-"""Tests for Store, FilterStore, and PriorityStore."""
+"""Tests for Store."""
 
 import pytest
 
-from repro.sim import Environment, FilterStore, PriorityItem, PriorityStore, Store
+from repro.sim import Environment, Store
 
 
 def test_store_fifo():
@@ -106,75 +106,6 @@ def test_multiple_consumers_fifo_service():
     env.process(producer(env, store))
     env.run()
     assert got == [("c1", "x"), ("c2", "y")]
-
-
-def test_filter_store_matches_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(env, store):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer(env, store):
-        yield store.put(1)
-        yield store.put(3)
-        yield store.put(4)
-
-    env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert got == [4]
-    assert store.items == [1, 3]
-
-
-def test_filter_store_waits_for_match():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(env, store):
-        item = yield store.get(lambda x: x == "wanted")
-        got.append((item, env.now))
-
-    def producer(env, store):
-        yield store.put("other")
-        yield env.timeout(7)
-        yield store.put("wanted")
-
-    env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert got == [("wanted", 7)]
-
-
-def test_priority_store_orders():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def producer(env, store):
-        yield store.put(PriorityItem(3, "low"))
-        yield store.put(PriorityItem(1, "high"))
-        yield store.put(PriorityItem(2, "mid"))
-
-    def consumer(env, store):
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item.item)
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert got == ["high", "mid", "low"]
-
-
-def test_priority_item_comparison():
-    assert PriorityItem(1, "a") < PriorityItem(2, "b")
-    assert PriorityItem(1, "a") == PriorityItem(1, "a")
-    assert PriorityItem(1, "a") != PriorityItem(1, "b")
 
 
 def test_get_cancel():
