@@ -373,9 +373,9 @@ class ExperimentResults:
             cells=cells,
             comparisons=comparisons,
             notes=[
-                "the calm column separates the policies least; "
-                "availability-aware policies should never trail "
-                "round-robin under churn.",
+                "load-balancing ties most-available; calm, most-available "
+                "never trails round-robin; churn never speeds up an "
+                "availability-aware policy; bursty: predictive >= most-available.",
             ],
         )
 

@@ -60,7 +60,7 @@ class Scale:
 
 
 SCALES: dict[str, Scale] = {
-    # Finishes in tens of seconds; the default for pytest-benchmark runs.
+    # Finishes in tens of seconds; the scale EXPERIMENTS.md quotes.
     "small": Scale(
         name="small",
         workload="T10.I4.D1K",
@@ -71,7 +71,7 @@ SCALES: dict[str, Scale] = {
         memory_node_counts=(1, 2, 4, 8),
     ),
     # Closer to the paper's layout (8 app nodes, up to 16 memory nodes);
-    # several minutes per figure.  Select with REPRO_BENCH_SCALE=full.
+    # several minutes per figure (--scale full / REPRO_BENCH_SCALE=full).
     "full": Scale(
         name="full",
         workload="T10.I4.D8K",

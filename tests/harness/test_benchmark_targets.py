@@ -61,3 +61,27 @@ def test_every_traced_target_is_called_from_src():
         if not re.search(rf"(?<!def )\b{name}\(", source)
     }
     assert uncalled == DEAD_BUT_PINNED
+
+
+def test_benchmarks_holds_no_second_test_tree():
+    """``benchmarks/`` is the measuring harness under ``perf/`` and
+    nothing else: the paper's claims are tier-1 tests
+    (``test_paper_claims.py``), not wrappers outside ``testpaths`` that
+    need a plugin and that no job runs."""
+    root = LAYERS.parents[3]
+    stray = [
+        str(path.relative_to(root))
+        for pattern in ("bench_*.py", "conftest.py")
+        for path in (root / "benchmarks").rglob(pattern)
+        if path.relative_to(root / "benchmarks").parts[0] != "perf"
+    ]
+    assert not stray
+    assert 'python_files = ["test_*.py"]' in (root / "pyproject.toml").read_text()
+    plugin = re.compile("pytest[-_]benchmark")
+    users = [
+        str(path.relative_to(root))
+        for tree in ("tests", "src", "examples")
+        for path in sorted((root / tree).rglob("*.py"))
+        if plugin.search(path.read_text())
+    ]
+    assert not users

@@ -253,20 +253,19 @@ def test_workload_tables_report_the_seed_asked_for(name):
 
 
 def test_cell_backed_reports_render_warm_without_workload_code(
-    tmp_path, monkeypatch
+    sweep_reports, monkeypatch
 ):
     """Every sweep whose report folds stored cells renders from a warm
-    store with datagen, mining and prepare unreachable."""
+    store (the session's shared fill) with datagen, mining and prepare
+    unreachable."""
     import repro.harness.experiments as experiments
     import repro.harness.scales as scales
 
     cell_backed = [n for n in ALL_SWEEPS if n not in ("table2", "table3")]
     assert len(cell_backed) == 13
-    with result_store_session(tmp_path):
-        cold = {
-            n: run_sweep_outcome(ALL_SWEEPS[n], "tiny").report.to_json()
-            for n in cell_backed
-        }
+    fill = sweep_reports("tiny")
+    seed = scales.SCALES["tiny"].seed
+    cold = {n: fill.reports[n, seed].to_json() for n in cell_backed}
     clear_cache()
 
     def unreachable(*args, **kwargs):
@@ -278,7 +277,7 @@ def test_cell_backed_reports_render_warm_without_workload_code(
         for name in ("generate", "apriori", "prepare_workload"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unreachable)
-    with result_store_session(tmp_path):
+    with result_store_session(fill.store):
         for n in cell_backed:
             warm = run_sweep_outcome(ALL_SWEEPS[n], "tiny")
             assert warm.n_executed == 0

@@ -1,10 +1,14 @@
 """Scenario serialisation, the catalogue, and the bounded result cache."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis.report.experiment_results import default_seeds
 from repro.errors import ConfigError
+from repro.harness.scales import SCALES, prepare_workload
+from repro.mining import apriori
 from repro.runtime import (
     SCENARIOS,
     Scenario,
@@ -84,6 +88,26 @@ def test_paper_limited_strips_the_name():
     assert limited.paper_mb == 13.0
     assert limited.name == ""
     assert "remote-update" in SCENARIOS  # catalogue entry untouched
+
+
+# -- oracle ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", default_seeds("tiny", 2))
+@pytest.mark.parametrize("scenario", list_scenarios(), ids=lambda s: s.name)
+def test_catalogue_scenario_equals_serial_apriori(scenario, seed):
+    """Every catalogue entry, mined to termination, finds the itemsets
+    *and supports* serial Apriori finds on the same database.  Entries
+    with a pager run under the 13 MB-equivalent limit: without one the
+    catalogue swaps nothing at ``tiny``, so shortages, churn and node
+    failures would have no guest lines to disturb."""
+    scenario = replace(scenario, scale="tiny", max_k=0)
+    if scenario.pager != "none":
+        scenario = paper_limited(scenario, 13.0)
+    result = run_scenario(scenario.with_seed(seed))
+    oracle = apriori(prepare_workload("tiny", seed).db, SCALES["tiny"].minsup)
+    assert len(result.passes) > 2
+    assert result.large_itemsets == oracle.large_itemsets
 
 
 # -- execution + cache -----------------------------------------------------
