@@ -13,8 +13,6 @@ RPL301    undeclared-event-kind       the telemetry event contract
 RPL302    undeclared-metric-name      the metrics-registry contract
 RPL401    frozen-config-mutation      content-addressed result storage
 RPL501    float-equality-in-codec     the exact repr float codec
-RPL601    race-shared-unhooked        race-sanitizer visibility of shared state
-RPL602    unmarked-shared-class       sanitizer coverage of multi-process state
 ========  ==========================  =========================================
 
 See DESIGN.md §12 for the catalogue and rationale; run ``repro-lint

@@ -21,7 +21,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.analysis.lint.contracts import EventKindChecker, MetricNameChecker
-from repro.analysis.lint.dataflow import RaceDataflowChecker
 from repro.analysis.lint.determinism import (
     SetIterationChecker,
     UnseededRandomChecker,
@@ -42,7 +41,6 @@ ALL_CHECKERS: "tuple[type[Checker], ...]" = (
     MetricNameChecker,
     FrozenConfigChecker,
     FloatEqualityChecker,
-    RaceDataflowChecker,
 )
 
 

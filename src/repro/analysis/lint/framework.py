@@ -43,13 +43,11 @@ __all__ = [
     "Finding",
     "LintContext",
     "Checker",
-    "ProgramChecker",
     "LintReport",
     "lint_file",
     "lint_paths",
     "collect_files",
     "module_name_for",
-    "parse_context",
 ]
 
 #: Directories never entered during a lint walk.
@@ -163,23 +161,6 @@ class Checker:
             message=message,
             hint=self.hint if hint is None else hint,
         )
-
-
-class ProgramChecker(Checker):
-    """A checker that needs the *whole program* before judging one file.
-
-    Per-file rules see one AST at a time; rules like "shared mutable
-    state reachable from several simulation processes lacks an access
-    hook" need the cross-module call graph.  The runner parses every
-    file first, hands all contexts to :meth:`prepare` exactly once, and
-    only then runs :meth:`check` per file.  ``lint_file`` on a single
-    explicit file prepares with just that file, so fixture tests still
-    pin single-file behaviour.
-    """
-
-    def prepare(self, contexts: Sequence[LintContext]) -> None:
-        """Digest every parsed file before any :meth:`check` call."""
-        raise NotImplementedError
 
 
 def module_name_for(path: Path) -> Optional[str]:
@@ -364,27 +345,20 @@ def collect_files(paths: Iterable["str | Path"]) -> list[Path]:
     return sorted(out)
 
 
-def parse_context(path: "str | Path") -> "tuple[Optional[LintContext], Optional[str]]":
-    """Parse one file into a :class:`LintContext`; returns (ctx, error)."""
+def lint_file(
+    path: "str | Path", checkers: Sequence[Checker]
+) -> "tuple[list[Finding], Optional[str]]":
+    """Run ``checkers`` over one file; returns (findings, parse-error)."""
     path = Path(path)
     try:
         source = path.read_text()
         tree = ast.parse(source, filename=str(path))
     except (OSError, SyntaxError) as exc:
-        return None, f"{path}: {exc}"
-    return (
-        LintContext(
-            path=path, source=source, tree=tree, module=module_name_for(path)
-        ),
-        None,
+        return [], f"{path}: {exc}"
+    ctx = LintContext(
+        path=path, source=source, tree=tree, module=module_name_for(path)
     )
-
-
-def _check_context(
-    ctx: LintContext, checkers: Sequence[Checker]
-) -> list[Finding]:
-    """Run prepared ``checkers`` over one parsed file."""
-    file_wide, by_line = _suppressions(ctx.source, ctx.tree)
+    file_wide, by_line = _suppressions(source, tree)
     findings: set[Finding] = set()
     for checker in checkers:
         if not checker.applies_to(ctx):
@@ -393,24 +367,7 @@ def _check_context(
             if f.code in file_wide or f.code in by_line.get(f.line, ()):
                 continue
             findings.add(f)
-    return sorted(findings)
-
-
-def lint_file(
-    path: "str | Path", checkers: Sequence[Checker]
-) -> "tuple[list[Finding], Optional[str]]":
-    """Run ``checkers`` over one file; returns (findings, parse-error).
-
-    Program checkers are prepared with just this file — single-file
-    runs judge the file as a self-contained program.
-    """
-    ctx, err = parse_context(path)
-    if ctx is None:
-        return [], err
-    for checker in checkers:
-        if isinstance(checker, ProgramChecker):
-            checker.prepare([ctx])
-    return _check_context(ctx, checkers), None
+    return sorted(findings), None
 
 
 def lint_paths(
@@ -430,20 +387,12 @@ def lint_paths(
         or any(code in wanted for code, _, _ in c.catalogue())
     ]
     files = collect_files(paths)
-    contexts: list[LintContext] = []
+    findings: list[Finding] = []
     errors: list[str] = []
     for f in files:
-        ctx, err = parse_context(f)
+        found, err = lint_file(f, active)
         if err is not None:
             errors.append(err)
-        if ctx is not None:
-            contexts.append(ctx)
-    for checker in active:
-        if isinstance(checker, ProgramChecker):
-            checker.prepare(contexts)
-    findings: list[Finding] = []
-    for ctx in contexts:
-        found = _check_context(ctx, active)
         if wanted is not None:
             found = [x for x in found if x.code in wanted]
         findings.extend(found)

@@ -345,7 +345,7 @@ class NodeDynamics:
         trigger); any lower step clears a standing shortage first.
         Returns the applied level in bytes.
         """
-        # repro-race: ordered -- a monitor broadcast racing a churn step
+        # Order-independent: a monitor broadcast racing a churn step
         # samples either the pre- or post-step availability; both are
         # valid snapshots of a fluctuating quantity and the next
         # broadcast refreshes every client's view either way.

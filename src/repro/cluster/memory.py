@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.analysis.race import access as _race
 from repro.errors import MemoryLedgerError
 
 __all__ = ["MemoryLedger"]
@@ -26,10 +25,6 @@ class MemoryLedger:
     processes (``external_pressure``).
     """
 
-    #: Mutated by guest placements, local frees, and churn traces —
-    #: multiple simulation processes per node (see repro.analysis.race).
-    __race_shared__ = True
-
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise MemoryLedgerError(f"capacity must be positive, got {capacity_bytes}")
@@ -38,7 +33,6 @@ class MemoryLedger:
         self._external = 0
         #: Optional hook invoked after every state change (monitors use it).
         self.on_change: Optional[Callable[["MemoryLedger"], None]] = None
-        self._race = _race.TRACKER
 
     @property
     def used_bytes(self) -> int:
@@ -53,8 +47,6 @@ class MemoryLedger:
     @property
     def available_bytes(self) -> int:
         """Bytes a guest could still claim (never negative)."""
-        if self._race is not None:
-            self._race.read(self, "bytes")
         return max(0, self.capacity_bytes - self._used - self._external)
 
     def allocate(self, nbytes: int) -> None:
@@ -66,8 +58,6 @@ class MemoryLedger:
                 f"allocation of {nbytes} B exceeds capacity "
                 f"({self._used}/{self.capacity_bytes} B used)"
             )
-        if self._race is not None:
-            self._race.write(self, "bytes")
         self._used += nbytes
         self._notify()
 
@@ -79,8 +69,6 @@ class MemoryLedger:
             raise MemoryLedgerError(
                 f"freeing {nbytes} B but only {self._used} B are allocated"
             )
-        if self._race is not None:
-            self._race.write(self, "bytes")
         self._used -= nbytes
         self._notify()
 
@@ -93,8 +81,6 @@ class MemoryLedger:
         """
         if nbytes < 0:
             raise MemoryLedgerError(f"external pressure cannot be negative ({nbytes})")
-        if self._race is not None:
-            self._race.write(self, "bytes")
         self._external = int(nbytes)
         self._notify()
 

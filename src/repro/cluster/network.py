@@ -55,7 +55,7 @@ class Message:
 # increments, which commute within an epoch; no control flow reads them
 # back during the run.
 @dataclass
-class NetworkStats:  # repro-lint: disable=RPL602
+class NetworkStats:
     """Aggregate network counters."""
 
     messages: int = 0

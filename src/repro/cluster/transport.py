@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.analysis.race import access as _race
 from repro.errors import NetworkError
 from repro.cluster.network import Message, Network
 from repro.sim.process import Process
@@ -39,10 +38,6 @@ class Mailbox(Store):
     ``NetworkStats`` can't show.
     """
 
-    #: Same-epoch deposits from different senders land in queue order
-    #: (see repro.analysis.race).
-    __race_shared__ = True
-
     def __init__(
         self,
         env: "Environment",
@@ -59,25 +54,21 @@ class Mailbox(Store):
         self._t0 = env.now
         self._last_t = env.now
         self._depth_area = 0.0
-        self._race = _race.TRACKER
 
-    # Occupancy accounting only: callers (_store_item/_select_item)
-    # record the (queue, channel) cell, and same-instant _advance calls
-    # fold a zero-width (now - last_t == 0) area term, so the sum is
-    # identical in any order.
-    def _advance(self) -> None:  # repro-lint: disable=RPL601
+    # Occupancy accounting only: same-instant _advance calls fold a
+    # zero-width (now - last_t == 0) area term, so the sum is identical
+    # in any order.
+    def _advance(self) -> None:
         now = self.env.now
         self._depth_area += len(self.items) * (now - self._last_t)
         self._last_t = now
 
     def _store_item(self, item: object) -> None:
-        # repro-race: ordered -- a same-instant put/get pair commutes:
+        # Order-independent: a same-instant put/get pair commutes:
         # put appends at the tail, get takes the head (or settles
         # against this put if the queue was empty), so the handoff and
         # the resulting queue are identical in either order and
         # per-sender FIFO is preserved.
-        if self._race is not None:
-            self._race.write(self, ("queue", self.channel))
         self._advance()
         super()._store_item(item)
         self.delivered += 1
@@ -85,14 +76,12 @@ class Mailbox(Store):
             self.peak_depth = len(self.items)
 
     def _select_item(self, event: StoreGet) -> object:
-        if self._race is not None:
-            self._race.write(self, ("queue", self.channel))
         self._advance()
         return super()._select_item(event)
 
-    # The queue mutation itself happens in _store_item (recorded there);
-    # this override only bumps the commutative blocked-put counter.
-    def _do_put(self, event: StorePut) -> bool:  # repro-lint: disable=RPL601
+    # The queue mutation itself happens in _store_item; this override
+    # only bumps the commutative blocked-put counter.
+    def _do_put(self, event: StorePut) -> bool:
         done = super()._do_put(event)
         # Count each put at most once, however many settlement rounds it
         # spends waiting for room.
@@ -120,8 +109,8 @@ class Mailbox(Store):
 # Transport's only mutation is the lazy mailbox create in mailbox():
 # guarded by a key-present check, so concurrent same-instant callers for
 # a new key leave the identical state (one fresh empty Mailbox) in
-# either order; the mailboxes themselves are hooked.
-class Transport:  # repro-lint: disable=RPL602
+# either order.
+class Transport:
     """Channel-addressed messaging on top of :class:`Network`."""
 
     def __init__(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.analysis.cost_model import CostModel
-from repro.analysis.race import access as _race
 from repro.errors import Interrupt
 from repro.sim.process import Process
 
@@ -51,10 +50,6 @@ class AvailabilityInfo:
 class MemoryMonitor:
     """Availability-broadcasting process on one memory-available node."""
 
-    #: The shortage flag is flipped by dynamics traces and read by the
-    #: broadcast loop (see repro.analysis.race).
-    __race_shared__ = True
-
     def __init__(
         self,
         node: "Node",
@@ -76,7 +71,6 @@ class MemoryMonitor:
         self.broadcasts_sent = 0
         #: Telemetry event bus (wired by ``Telemetry.attach``).
         self.bus = None
-        self._race = _race.TRACKER
 
     @property
     def shortage(self) -> bool:
@@ -85,7 +79,7 @@ class MemoryMonitor:
 
     # Build-time wiring: runs once from the driver before the first
     # event dispatch, so no concurrent accessor exists yet.
-    def start(self) -> Process:  # repro-lint: disable=RPL601
+    def start(self) -> Process:
         """Launch the monitoring loop; returns its process."""
         self._proc = self.node.env.process(self._run())
         return self._proc
@@ -98,8 +92,6 @@ class MemoryMonitor:
     def signal_shortage(self) -> None:
         """Paper §5.4's experiment signal: pretend other processes claimed
         all memory, and broadcast the shortage immediately."""
-        if self._race is not None:
-            self._race.write(self, "shortage")
         self._shortage = True
         self.node.memory.set_external_pressure(self.node.memory.capacity_bytes)
         if self.bus is not None:
@@ -113,8 +105,6 @@ class MemoryMonitor:
         client tables for up to a monitoring interval — under churn
         several nodes can cycle within one interval, and lingering
         flags would make the whole cluster look dead."""
-        if self._race is not None:
-            self._race.write(self, "shortage")
         self._shortage = False
         self.node.memory.set_external_pressure(0)
         if self.bus is not None:
@@ -137,8 +127,6 @@ class MemoryMonitor:
                 # restarting the broadcast sends the fresh truth.
 
     def _broadcast(self) -> Generator:
-        if self._race is not None:
-            self._race.read(self, "shortage")
         available = 0 if self._shortage else self.node.memory.available_bytes
         info_base = dict(
             node_id=self.node.node_id,
@@ -175,16 +163,10 @@ class MonitorClient:
     segment between the client process and the application processes.
     """
 
-    #: The table is the paper's shared-memory segment: written by the
-    #: receive loop, adjusted by pagers, read by placement policies
-    #: (see repro.analysis.race).
-    __race_shared__ = True
-
     def __init__(self, node: "Node", transport: "Transport") -> None:
         self.node = node
         self.transport = transport
         self.table: dict[int, AvailabilityInfo] = {}
-        self._race = _race.TRACKER
         #: Generator functions invoked (as new processes) when a node
         #: first reports shortage: ``handler(node_id) -> generator``.
         self.shortage_handlers: list[Callable[[int], Generator]] = []
@@ -196,7 +178,7 @@ class MonitorClient:
 
     # Build-time wiring: runs once from the driver before the first
     # event dispatch, so no concurrent accessor exists yet.
-    def start(self) -> Process:  # repro-lint: disable=RPL601
+    def start(self) -> Process:
         """Launch the receive loop; returns its process."""
         self._proc = self.node.env.process(self._run())
         return self._proc
@@ -208,16 +190,11 @@ class MonitorClient:
 
     def available_bytes(self, node_id: int) -> int:
         """Last reported availability of ``node_id`` (0 if never heard of)."""
-        if self._race is not None:
-            self._race.read(self, ("table", node_id))
         info = self.table.get(node_id)
         return 0 if info is None else info.available_bytes
 
     def known_nodes(self) -> list[int]:
         """Memory-available nodes we have heard from."""
-        if self._race is not None:
-            for node_id in self.table:
-                self._race.read(self, ("table", node_id))
         return list(self.table)
 
     def adjust_estimate(self, node_id: int, delta_bytes: int) -> None:
@@ -228,8 +205,6 @@ class MonitorClient:
         traffic — otherwise every node would keep choosing the same
         "most available" destination for a whole monitor interval.
         """
-        if self._race is not None:
-            self._race.write(self, ("table", node_id))
         info = self.table.get(node_id)
         if info is not None:
             self.table[node_id] = AvailabilityInfo(
@@ -244,8 +219,6 @@ class MonitorClient:
     def mark_full(self, node_id: int) -> None:
         """Locally zero a node's availability after a rejected swap-out;
         the next broadcast from that node refreshes the truth."""
-        if self._race is not None:
-            self._race.write(self, ("table", node_id))
         info = self.table.get(node_id)
         if info is not None:
             self.table[node_id] = AvailabilityInfo(
@@ -266,8 +239,6 @@ class MonitorClient:
                 return
             info = msg.payload
             assert isinstance(info, AvailabilityInfo)
-            if self._race is not None:
-                self._race.write(self, ("table", info.node_id))
             prev = self.table.get(info.node_id)
             if prev is None or info.seq >= prev.seq:
                 self.table[info.node_id] = info

@@ -29,7 +29,6 @@ import math
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.analysis.race import access as _race
 from repro.core.monitor import MonitorClient
 from repro.errors import NoMemoryAvailable
 
@@ -53,10 +52,6 @@ class PlacementPolicy(ABC):
 
     name: str = "abstract"
 
-    #: Policy state is consulted by every process of the owning node
-    #: that evicts or migrates (see repro.analysis.race).
-    __race_shared__ = True
-
     def __init__(self, bus: "Optional[EventBus]" = None) -> None:
         #: Telemetry event bus — an *instance* attribute (historically a
         #: shared class attribute, which let one run's ``Telemetry.attach``
@@ -66,11 +61,10 @@ class PlacementPolicy(ABC):
         #: The pager this policy serves (set by the builder via
         #: :meth:`attach_pager`); only migrate-ahead uses it.
         self.pager: "Optional[RemoteMemoryPager]" = None
-        self._race = _race.TRACKER
 
     # Build-time wiring: the builder attaches the pager before the
     # simulation starts, so no concurrent accessor exists yet.
-    def attach_pager(self, pager: "RemoteMemoryPager") -> None:  # repro-lint: disable=RPL601
+    def attach_pager(self, pager: "RemoteMemoryPager") -> None:
         """Give the policy a handle on its pager's migration machinery."""
         self.pager = pager
 
@@ -98,10 +92,7 @@ class PlacementPolicy(ABC):
 def _candidates(client: MonitorClient, needed_bytes: int, exclude: Iterable[int]) -> list[int]:
     banned = set(exclude)
     out = []
-    tracker = client._race
     for node_id, info in client.table.items():
-        if tracker is not None:
-            tracker.read(client, ("table", node_id))
         if node_id in banned or info.shortage:
             continue
         if info.available_bytes >= needed_bytes:
@@ -146,8 +137,6 @@ class RoundRobinPlacement(PlacementPolicy):
         cands = sorted(_candidates(client, needed_bytes, exclude))
         if not cands:
             raise _no_candidates(client, needed_bytes)
-        if self._race is not None:
-            self._race.write(self, "state")
         choice = cands[self._next % len(cands)]
         self._next += 1
         return self._chosen(client, choice, needed_bytes)
@@ -215,8 +204,6 @@ class PredictivePlacement(PlacementPolicy):
     def _refresh(self, client: MonitorClient) -> None:
         """Fold any broadcasts that arrived since the last choice into
         the smoothed estimates."""
-        if self._race is not None:
-            self._race.write(self, "state")
         for node_id, info in client.table.items():
             seen = self._seen_seq.get(node_id)
             if seen is not None and info.seq <= seen:
@@ -298,8 +285,6 @@ class MigrateAheadPlacement(PredictivePlacement):
     def _maybe_evacuate(self, client: MonitorClient) -> None:
         if self.pager is None:
             return
-        if self._race is not None:
-            self._race.write(self, "state")
         for node_id in sorted(client.table):
             info = client.table[node_id]
             if info.shortage:

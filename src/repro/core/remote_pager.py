@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.analysis.cost_model import CostModel
-from repro.analysis.race import access as _race
 from repro.core.memory_table import LineState, MemoryManagementTable
 from repro.core.monitor import MonitorClient
 from repro.core.pager import Pager
@@ -68,10 +67,6 @@ class RemoteMemoryPager(Pager):
     name = "remote"
     #: Subclass toggles: fixed lines never fault back.
     fixed = False
-    #: Migration bookkeeping and update buffers are touched by the
-    #: shortage handler, faulting processes, and drain concurrently
-    #: (see repro.analysis.race).
-    __race_shared__ = True
 
     def __init__(
         self,
@@ -97,7 +92,6 @@ class RemoteMemoryPager(Pager):
         #: room.  Lines that fell back live on disk and fault from disk.
         self.fallback = fallback
         self._migration_done: "dict[int, Event]" = {}  # line_id -> done event
-        self._race = _race.TRACKER
 
     # -- plumbing ---------------------------------------------------------
 
@@ -166,8 +160,6 @@ class RemoteMemoryPager(Pager):
 
     def _await_migration(self, line_id: int) -> Generator:
         """Block until a mid-migration line settles somewhere."""
-        if self._race is not None:
-            self._race.read(self, ("migration", line_id))
         ev = self._migration_done.get(line_id)
         if ev is not None:
             yield ev
@@ -244,8 +236,6 @@ class RemoteMemoryPager(Pager):
             return
         env = self.node.env
         for lid in line_ids:
-            if self._race is not None:
-                self._race.write(self, ("migration", lid))
             self.table.set_migrating(lid)
             self._migration_done[lid] = env.event()
 
@@ -263,8 +253,6 @@ class RemoteMemoryPager(Pager):
             if not src_store.holds(self.owner_id, lid):
                 # A concurrent pagefault already pulled this line home; it
                 # will be marked resident by the faulting process.
-                if self._race is not None:
-                    self._race.write(self, ("migration", lid))
                 self._migration_done.pop(lid).succeed()
                 continue
             line = src_store.take(self.owner_id, lid)
@@ -301,8 +289,6 @@ class RemoteMemoryPager(Pager):
                 break
             self.table.set_remote(lid, dst, fixed=self.fixed)
             self.client.adjust_estimate(dst, -line.nbytes)
-            if self._race is not None:
-                self._race.write(self, ("migration", lid))
             self._migration_done.pop(lid).succeed()
             moved += 1
 
@@ -324,7 +310,7 @@ class RemoteMemoryPager(Pager):
 
     # Pass-boundary reset: called from the driver's serial inter-pass
     # section after every counting process has joined the barrier.
-    def reset_pass(self) -> None:  # repro-lint: disable=RPL601
+    def reset_pass(self) -> None:
         self._migration_done.clear()
         if self.fallback is not None:
             self.fallback.reset_pass()
@@ -351,8 +337,6 @@ class RemoteUpdatePager(RemoteMemoryPager):
         flush is due (the caller drives it), else ``None``."""
         code = self.table.state_code(line_id)
         if code == MemoryManagementTable.MIGRATING:
-            if self._race is not None:
-                self._race.write(self, "held")
             self._held.append((line_id, itemset, delta))
             self.stats.updates_sent += 1
             return None
@@ -361,8 +345,6 @@ class RemoteUpdatePager(RemoteMemoryPager):
                 f"update for line {line_id} in state {self.table.state(line_id).value}"
             )
         holder = self.table.holder_of(line_id)
-        if self._race is not None:
-            self._race.write(self, ("buffer", holder))
         buf = self._buffers.setdefault(holder, [])
         buf.append((line_id, itemset, delta))
         self.stats.updates_sent += 1
@@ -371,13 +353,11 @@ class RemoteUpdatePager(RemoteMemoryPager):
         return None
 
     def _flush(self, holder: int) -> Generator:
-        # repro-race: ordered -- same-epoch flushes race to pop this
+        # Order-independent: same-epoch flushes race to pop this
         # buffer: whichever runs first takes every accumulated record
         # and the others see it empty, so the delivered record set, the
         # message count, and the upsert-applied counts are identical in
         # either order.
-        if self._race is not None:
-            self._race.write(self, ("buffer", holder))
         records = self._buffers.pop(holder, [])
         if not records:
             return
@@ -410,18 +390,13 @@ class RemoteUpdatePager(RemoteMemoryPager):
             # post-migration re-resolve each line's new holder and
             # re-send, paying the extra message like a retransmission.
             records = [r for r in records if store.holds(self.owner_id, r[0])]
-            if self._race is not None:
-                self._race.write(self, "held")
             self._held.extend(stale)
         if records:
             store.apply_updates(self.owner_id, records)
 
     # -- lifecycle --------------------------------------------------------------
 
-    # The buffer/held mutations drain triggers are recorded (and where
-    # racy, audited) inside _flush/_redispatch_held; its own direct
-    # mutation only clears the already-joined update-process list.
-    def drain(self) -> Generator:  # repro-lint: disable=RPL601
+    def drain(self) -> Generator:
         """Flush every buffer and wait for all posted updates to apply."""
         env = self.node.env
         while self._buffers or self._held or any(
@@ -449,8 +424,6 @@ class RemoteUpdatePager(RemoteMemoryPager):
                 yield env.all_of(procs)
 
     def _redispatch_held(self) -> None:
-        if self._race is not None:
-            self._race.write(self, "held")
         held, self._held = self._held, []
         for line_id, itemset, delta in held:
             self.stats.updates_sent -= 1  # re-queue, do not double count
@@ -458,10 +431,9 @@ class RemoteUpdatePager(RemoteMemoryPager):
             if flush is not None:
                 self.node.env.process(_drive(flush))
 
-    # The flush it performs records the (buffer, holder) cell inside
-    # _flush; its own _inflight pop only joins update processes already
-    # posted for the holder, and the join set is the same either way.
-    def _pre_migration_sync(self, shortage_node: int) -> Generator:  # repro-lint: disable=RPL601
+    # The _inflight pop only joins update processes already posted for
+    # the holder, and the join set is the same in either order.
+    def _pre_migration_sync(self, shortage_node: int) -> Generator:
         """Apply everything already addressed to the overloaded holder so
         line contents are complete before they move."""
         yield from self._flush(shortage_node)
@@ -476,7 +448,7 @@ class RemoteUpdatePager(RemoteMemoryPager):
 
     # Pass-boundary reset: called from the driver's serial inter-pass
     # section after every counting process has joined the barrier.
-    def reset_pass(self) -> None:  # repro-lint: disable=RPL601
+    def reset_pass(self) -> None:
         super().reset_pass()
         self._buffers.clear()
         self._inflight.clear()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.analysis.race import access as _race
 from repro.errors import NoMemoryAvailable, SwapError
 from repro.mining.hash_table import HashLine
 from repro.mining.itemsets import ITEMSET_BYTES, Itemset
@@ -26,14 +25,9 @@ __all__ = ["RemoteStore"]
 class RemoteStore:
     """Swapped-line storage hosted by one memory-available node."""
 
-    #: Written by every guest's eviction/fault/update/migration traffic
-    #: (see repro.analysis.race).
-    __race_shared__ = True
-
     def __init__(self, node: "Node") -> None:
         self.node = node
         self._lines: dict[tuple[int, int], HashLine] = {}
-        self._race = _race.TRACKER
 
     # -- capacity ------------------------------------------------------------
 
@@ -72,8 +66,6 @@ class RemoteStore:
                 f"node {self.node.node_id} cannot store {line.nbytes} B "
                 f"(available {self.node.memory.available_bytes} B)"
             )
-        if self._race is not None:
-            self._race.write(self, ("lines", key))
         self.node.memory.allocate(line.nbytes)
         self._lines[key] = line
 
@@ -82,8 +74,6 @@ class RemoteStore:
         key = (owner, line_id)
         if key not in self._lines:
             raise SwapError(f"node {self.node.node_id} holds no line {line_id} of {owner}")
-        if self._race is not None:
-            self._race.write(self, ("lines", key))
         line = self._lines.pop(key)
         self.node.memory.free(line.nbytes)
         return line
@@ -93,8 +83,6 @@ class RemoteStore:
         key = (owner, line_id)
         if key not in self._lines:
             raise SwapError(f"node {self.node.node_id} holds no line {line_id} of {owner}")
-        if self._race is not None:
-            self._race.read(self, ("lines", key))
         return self._lines[key]
 
     def holds(self, owner: int, line_id: int) -> bool:
@@ -122,11 +110,6 @@ class RemoteStore:
                     f"update for line {line_id} of node {owner} not stored on "
                     f"node {self.node.node_id}"
                 )
-            if self._race is not None:
-                # repro-race: ordered -- upserts commute: the final count is
-                # the sum of all deltas regardless of batch interleaving
-                # (documented contract of this method).
-                self._race.write(self, ("lines", key))
             line = self._lines[key]
             if itemset in line.counts:
                 line.counts[itemset] += delta
@@ -140,7 +123,7 @@ class RemoteStore:
 
     # Pass-boundary reset: called from the driver's serial inter-pass
     # section after every counting process has joined the barrier.
-    def clear(self) -> None:  # repro-lint: disable=RPL601
+    def clear(self) -> None:
         """Drop all guest lines, returning their bytes (end of pass)."""
         for line in self._lines.values():
             self.node.memory.free(line.nbytes)

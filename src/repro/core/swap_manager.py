@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 import numpy as np
 
 from repro.analysis.cost_model import CostModel
-from repro.analysis.race import access as _race
 from repro.core.memory_table import LineState, MemoryManagementTable
 from repro.core.pager import Pager
 from repro.core.policies import LRUPolicy, ReplacementPolicy
@@ -78,11 +77,6 @@ class SwapManagerStats:
 class SwapManager:
     """Memory-limit enforcement for one application execution node."""
 
-    #: HPA runs a sender and a receiver process per node; both insert,
-    #: count, fault, and evict against the same resident set
-    #: (see repro.analysis.race).
-    __race_shared__ = True
-
     def __init__(
         self,
         node: "Node",
@@ -121,7 +115,6 @@ class SwapManager:
         #: Attached lazily by the counting kernel on the first resident
         #: span (see :meth:`count_span_codes`).
         self.span_index: Optional[SpanIndex] = None
-        self._race = _race.TRACKER
 
     # -- introspection ------------------------------------------------------
 
@@ -192,8 +185,6 @@ class SwapManager:
         ids = line_ids[:head].tolist()
         adders: dict[int, Callable[[Itemset], None]] = {}
         for line_id in dict.fromkeys(ids):
-            if self._race is not None:
-                self._race.write(self, ("line", line_id))
             if line_id not in self.table:
                 self.policy.insert(line_id)
                 self.resident_bytes += LINE_HEADER_BYTES
@@ -206,8 +197,6 @@ class SwapManager:
         return head
 
     def _insert_resident(self, itemset: Itemset, line_id: int) -> None:
-        if self._race is not None:
-            self._race.write(self, ("line", line_id))
         line = self.table.get(line_id)
         if line is None:
             line = self.table.line(line_id)
@@ -235,8 +224,6 @@ class SwapManager:
         self.stats.counts += 1
         state = self.mm_table.state_code(line_id)
         if state == MemoryManagementTable.RESIDENT:
-            if self._race is not None:
-                self._race.write(self, ("line", line_id))
             line = self.table.get(line_id)
             if line is None or not line.increment(itemset):
                 raise MiningError(
@@ -274,9 +261,6 @@ class SwapManager:
         if counts and min(counts) <= 0:
             raise MiningError(f"bulk count must be positive, got {min(counts)}")
         distinct = list(dict.fromkeys(line_ids))
-        if self._race is not None:
-            for line_id in distinct:
-                self._race.write(self, ("line", line_id))
         # A line this node does not hold has no entry, so it fails the
         # lookup below like a candidate missing from its line does.
         held = {
@@ -309,9 +293,6 @@ class SwapManager:
         in exactly the per-occurrence end state, and statistics advance
         by the same totals.
         """
-        if self._race is not None:
-            for line_id in dict.fromkeys(line_ids):
-                self._race.write(self, ("line", line_id))
         get = self.table.get
         for itemset, line_id in zip(itemsets, line_ids):
             line = get(line_id)
@@ -342,8 +323,6 @@ class SwapManager:
         """
         index = self.span_index
         assert index is not None
-        if self._race is not None:
-            self._race.write(self, "span-pending")
         index.pending.append(codes)
         self.policy.touch_batch(_last_occurrence_order(line_ids.tolist()))
         n = codes.size
@@ -362,8 +341,6 @@ class SwapManager:
         index = self.span_index
         if index is None or not index.pending:
             return
-        if self._race is not None:
-            self._race.write(self, "span-pending")
         acc = np.bincount(
             np.concatenate(index.pending), minlength=len(index.candidates)
         )
@@ -380,8 +357,6 @@ class SwapManager:
 
     def _count_slow(self, itemset: Itemset, line_id: int) -> Generator:
         yield from self._ensure_resident(line_id)
-        if self._race is not None:
-            self._race.write(self, ("line", line_id))
         line = self.table.get(line_id)
         if line is None or not line.increment(itemset):
             raise MiningError(
@@ -401,14 +376,10 @@ class SwapManager:
         """
         assert self.pager is not None
         while not self.mm_table.is_resident(line_id):
-            if self._race is not None:
-                self._race.read(self, ("fault", line_id))
             pending = self._faulting.get(line_id)
             if pending is not None:
                 yield pending
                 continue
-            if self._race is not None:
-                self._race.write(self, ("fault", line_id))
             done = self.node.env.event()
             self._faulting[line_id] = done
             try:
@@ -417,8 +388,6 @@ class SwapManager:
                 self.policy.insert(line_id)
                 self.resident_bytes += line.nbytes
             finally:
-                if self._race is not None:
-                    self._race.write(self, ("fault", line_id))
                 self._faulting.pop(line_id)
                 done.succeed()
             if self.over_limit:
@@ -443,8 +412,6 @@ class SwapManager:
                 # rather than deadlocking (limit smaller than one line).
                 break
             victim = self.policy.victim(pinned=pinned)
-            if self._race is not None:
-                self._race.write(self, ("line", victim))
             line = self.table.pop(victim)
             self.resident_bytes -= line.nbytes
             # evict() commits the new location before returning; only the
@@ -482,10 +449,7 @@ class SwapManager:
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    # flush_span_counts and pager.drain record their own accesses;
-    # drain's direct mutation only clears the joined eviction-process
-    # list once every handle has completed.
-    def drain(self) -> Generator:  # repro-lint: disable=RPL601
+    def drain(self) -> Generator:
         """Settle outstanding pager work (eviction transfers, update
         flushes) before reading counts."""
         self.flush_span_counts()
@@ -498,7 +462,7 @@ class SwapManager:
 
     # Pass-boundary reset: called from the driver's serial inter-pass
     # section after every counting process has joined the barrier.
-    def reset_pass(self) -> None:  # repro-lint: disable=RPL601
+    def reset_pass(self) -> None:
         """Clear all per-pass state: hash table, policy, locations."""
         self.table.clear()
         self.mm_table.clear()

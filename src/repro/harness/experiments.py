@@ -848,7 +848,7 @@ def _empty_grid(scale: str) -> "dict[str, Scenario]":
 # ---------------------------------------------------------------------------
 
 #: The declarative experiment registry, in the paper's presentation
-#: order.  Values are callable (``ALL_SWEEPS["fig4"]("small")``).
+#: order.  Run one with ``run_sweep_outcome(ALL_SWEEPS["fig4"], "small")``.
 ALL_SWEEPS: "dict[str, Sweep]" = {
     sweep.name: sweep
     for sweep in (

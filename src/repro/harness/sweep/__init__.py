@@ -3,8 +3,8 @@
 An experiment is no longer a hand-written loop of driver runs: it is a
 :class:`~repro.harness.sweep.spec.Sweep` — a named grid of
 :class:`~repro.runtime.scenarios.Scenario` variations plus a report
-builder — executed by :func:`~repro.harness.sweep.engine.run_sweep`.
-The engine resolves every grid cell through the shared cache tiers
+builder — executed by
+:func:`~repro.harness.sweep.engine.run_sweep_outcome`.  The engine resolves every grid cell through the shared cache tiers
 (in-memory :class:`~repro.runtime.scenarios.ScenarioCache`, then the
 persistent :class:`~repro.runtime.store.ResultStore`); with ``jobs > 1``
 it enqueues the misses on a lease-based work queue over the store
@@ -21,7 +21,6 @@ from repro.harness.sweep.spec import ExperimentReport, Sweep
 from repro.harness.sweep.engine import (
     RunRecord,
     SweepOutcome,
-    run_sweep,
     run_sweep_outcome,
     shutdown_pools,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "Sweep",
     "RunRecord",
     "SweepOutcome",
-    "run_sweep",
     "run_sweep_outcome",
     "shutdown_pools",
     "Lease",

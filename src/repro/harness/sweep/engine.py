@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "RunRecord",
     "SweepOutcome",
-    "run_sweep",
     "run_sweep_outcome",
     "shutdown_pools",
 ]
@@ -379,14 +378,3 @@ def run_sweep_outcome(
     emit_ambient("sweep-done", sweep=sweep.name, scale=scale,
                  n_cells=len(records), wall_s=time.perf_counter() - start)
     return SweepOutcome(report=report, records=records)
-
-
-def run_sweep(
-    sweep: Sweep,
-    scale: str = "small",
-    *,
-    jobs: int = 1,
-    seed: "int | None" = None,
-) -> ExperimentReport:
-    """:func:`run_sweep_outcome`, keeping only the report."""
-    return run_sweep_outcome(sweep, scale, jobs=jobs, seed=seed).report

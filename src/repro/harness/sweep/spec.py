@@ -89,9 +89,6 @@ class Sweep:
     ``report``: Tables 2/3 read the prepared workload of ``(scale,
     seed)``, §5.2 is arithmetic on the paper's constants.  They still
     gain the uniform registry, CLI, timing, and documentation surfaces.
-
-    A :class:`Sweep` is callable with a scale name, returning its
-    report (``ALL_SWEEPS["fig4"]("small")``).
     """
 
     #: CLI/registry name (``repro-bench <name>``).
@@ -120,9 +117,3 @@ class Sweep:
         if seed is not None:
             cells = {k: s.with_seed(seed) for k, s in cells.items()}
         return cells
-
-    def __call__(self, scale: str = "small") -> ExperimentReport:
-        """Run this sweep serially at ``scale``."""
-        from repro.harness.sweep.engine import run_sweep
-
-        return run_sweep(self, scale)

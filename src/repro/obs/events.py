@@ -69,8 +69,6 @@ EVENT_KINDS = frozenset({
     # report service (repro.analysis.report)
     "report-render",    # one markdown/HTML report rendered
     "report-diff",      # one regression-gate comparison completed
-    # schedule-race sanitizer (repro.analysis.race)
-    "race-conflict",    # one same-epoch unordered conflict detected
 })
 
 #: The canonical metric vocabulary: every counter/histogram/gauge name

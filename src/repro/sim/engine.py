@@ -33,21 +33,6 @@ from repro.sim.process import Process, ProcessGenerator
 
 __all__ = ["Environment"]
 
-#: Lazily bound :mod:`repro.analysis.race.access` module (imported on
-#: first dispatch rather than at module scope so the kernel carries no
-#: import-time dependency on the analysis layer).
-_race_access: Any = None
-
-
-def _current_tracker() -> Any:
-    """The installed race tracker, or ``None`` when sanitizing is off."""
-    global _race_access
-    if _race_access is None:
-        from repro.analysis.race import access
-
-        _race_access = access
-    return _race_access.TRACKER
-
 
 class Environment:
     """Discrete-event execution environment with a floating-point clock.
@@ -82,9 +67,9 @@ class Environment:
         oldest one.  Every such order is a legal schedule — the lane
         holds exactly the events due now at one priority, and causally
         produced events still run after their producers — so any result
-        divergence under shuffling is a schedule race.  This is the
-        fuzzing half of the race sanitizer; it is never enabled in
-        production runs.
+        divergence under shuffling is a schedule race.  The schedule
+        fuzzer (``tests/integration/test_schedule_perturbation.py``) is
+        its one caller; it is never enabled in production runs.
         """
         self._tie_rng = rng
 
@@ -176,17 +161,6 @@ class Environment:
             return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
-    def step(self) -> None:
-        """Process the single next event.
-
-        Raises :class:`~repro.errors.EmptySchedule` when the queue is empty
-        and re-raises the value of any failed event nobody defused.
-        """
-        tracker = _current_tracker()
-        if tracker is not None:
-            tracker.attach(self)
-        self._dispatch_slow(tracker)
-
     @staticmethod
     def _pop_lane(lane: "deque[Event]", rng: Optional[Any]) -> Event:
         """Pop the next lane entry — the oldest, or a random one when
@@ -199,9 +173,11 @@ class Environment:
             return event
         return lane.popleft()
 
-    def _dispatch_slow(self, tracker: Any) -> None:
-        """Process one event: the single-event dispatcher behind
-        :meth:`step` and the instrumented :meth:`run`.
+    def step(self) -> None:
+        """Process the single next event.
+
+        Raises :class:`~repro.errors.EmptySchedule` when the queue is empty
+        and re-raises the value of any failed event nobody defused.
 
         Selection invariant: a heap entry due *now* was necessarily pushed
         before the clock reached now (later pushes at this time go to the
@@ -210,55 +186,33 @@ class Environment:
         advance, keeping the (time, priority, insertion) total order of a
         single global heap.
 
-        Two opt-in extras the fast loop in :meth:`run` never pays for:
-        per-occurrence epoch/parenthood bookkeeping for the race
-        ``tracker``, and the tie-shuffling RNG (with neither, the oldest
-        lane entry is popped).  Parenthood needs no hooks at the schedule
-        sites — anything appended to a lane or pushed to the heap while
-        this event's callbacks run was scheduled by this event.
+        The one extra the fast loop in :meth:`run` never pays for is the
+        tie-shuffling RNG (without it, the oldest lane entry is popped).
         """
         heap = self._heap
         rng = self._tie_rng
         if self._urgent:
             if heap and heap[0][0] == self._now and heap[0][1] <= URGENT:
-                entry = heapq.heappop(heap)
-                event, priority = entry[3], entry[1]
+                event = heapq.heappop(heap)[3]
             else:
-                event, priority = self._pop_lane(self._urgent, rng), URGENT
+                event = self._pop_lane(self._urgent, rng)
         elif self._normal:
             if heap and heap[0][0] == self._now and heap[0][1] <= NORMAL:
-                entry = heapq.heappop(heap)
-                event, priority = entry[3], entry[1]
+                event = heapq.heappop(heap)[3]
             else:
-                event, priority = self._pop_lane(self._normal, rng), NORMAL
+                event = self._pop_lane(self._normal, rng)
         elif heap:
             entry = heapq.heappop(heap)
             self._now = entry[0]
-            event, priority = entry[3], entry[1]
+            event = entry[3]
         else:
             raise EmptySchedule("no more events scheduled")
 
         self.events_processed += 1
-        if tracker is not None:
-            tracker.begin(self._now, priority, event)
-            u0 = len(self._urgent)
-            n0 = len(self._normal)
-            eid0 = self._eid
         callbacks, event.callbacks = event.callbacks, None
         assert callbacks is not None, "event processed twice"
         for callback in callbacks:
             callback(event)
-        if tracker is not None:
-            urgent, normal = self._urgent, self._normal
-            for i in range(u0, len(urgent)):
-                tracker.adopt(urgent[i])
-            for i in range(n0, len(normal)):
-                tracker.adopt(normal[i])
-            if self._eid != eid0:
-                for he in heap:
-                    if he[2] > eid0:
-                        tracker.adopt(he[3])
-            tracker.end()
 
         if not event._ok and not event._defused:
             exc = event._value
@@ -296,16 +250,9 @@ class Environment:
                 self.schedule(stop_event, delay=at - self._now)
                 stop_event.callbacks.append(self._stop_callback)
 
-        # Instrumented modes (race tracking, tie shuffling) run a
-        # separate loop so the fast path below stays untouched when
-        # they are off — the one check here is the entire off-cost.
-        tracker = _current_tracker()
-        if tracker is not None or self._tie_rng is not None:
-            return self._run_slow(stop_event, tracker)
-
-        # The dispatch loop is _dispatch_slow() minus its extras, inlined
-        # (one function call per event is ~10% of kernel floor) with hot
-        # names bound locally.  Selection must stay identical — see the
+        # The dispatch loop is step() minus tie shuffling, inlined (one
+        # function call per event is ~10% of kernel floor) with hot names
+        # bound locally.  Selection must stay identical — see the
         # invariant documented there.
         heap = self._heap
         urgent = self._urgent
@@ -313,6 +260,11 @@ class Environment:
         heappop = heapq.heappop
         pool = self._timeout_pool
         try:
+            # Tie shuffling goes event by event through step(), so this
+            # one check is its entire cost when it is off.
+            if self._tie_rng is not None:
+                while True:
+                    self.step()
             while True:
                 if urgent:
                     if heap and heap[0][0] == self._now and heap[0][1] <= URGENT:
@@ -343,22 +295,6 @@ class Environment:
                     raise exc
                 if event._pooled:
                     pool.append(event)  # type: ignore[arg-type]
-        except StopSimulation as stop:
-            return stop.value
-        except EmptySchedule:
-            if stop_event is not None and stop_event._value is PENDING:
-                raise RuntimeError(
-                    "simulation ended before the awaited event was triggered"
-                ) from None
-            return None
-
-    def _run_slow(self, stop_event: Optional[Event], tracker: Any) -> object:
-        """The instrumented twin of :meth:`run`'s dispatch loop."""
-        if tracker is not None:
-            tracker.attach(self)
-        try:
-            while True:
-                self._dispatch_slow(tracker)
         except StopSimulation as stop:
             return stop.value
         except EmptySchedule:

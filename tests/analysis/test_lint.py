@@ -49,9 +49,6 @@ VIOLATION_FIXTURES = {
     "harness/fx_hostclock_harness_violation.py": [
         ("RPL102", 10), ("RPL102", 11),
     ],
-    "core/fx_race_violation.py": [
-        ("RPL601", 16), ("RPL602", 25),
-    ],
 }
 
 CLEAN_FIXTURES = [
@@ -59,7 +56,6 @@ CLEAN_FIXTURES = [
     "harness/wallclock.py",
     "core/fx_random_clean.py",
     "core/fx_setiter_clean.py",
-    "core/fx_race_clean.py",
     "obs/fx_contract_clean.py",
     "runtime/fx_frozen_clean.py",
     "runtime/fx_float_clean.py",
@@ -116,9 +112,9 @@ def test_every_code_has_exactly_one_checker():
             seen[code] = name
     assert sorted(seen) == [
         "RPL101", "RPL102", "RPL201", "RPL202", "RPL301", "RPL302",
-        "RPL401", "RPL501", "RPL601", "RPL602",
+        "RPL401", "RPL501",
     ]
-    assert len(ALL_CHECKERS) == 8
+    assert len(ALL_CHECKERS) == 7
 
 
 @pytest.mark.parametrize("module", sorted(HARNESS_HOSTCLOCK_ALLOWLIST))
@@ -207,7 +203,7 @@ def test_cli_usage_errors_and_catalogue(capsys):
     assert main(["--list-codes"]) == 0
     out = capsys.readouterr().out
     for code in ("RPL101", "RPL102", "RPL201", "RPL202", "RPL301",
-                 "RPL302", "RPL401", "RPL501", "RPL601", "RPL602"):
+                 "RPL302", "RPL401", "RPL501"):
         assert code in out
 
 

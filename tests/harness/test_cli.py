@@ -52,9 +52,9 @@ def test_scale_choices_validated():
 
 
 def test_flag_surface_is_pinned():
-    # benchmarks/perf/run.py is the one way to measure and repro-race the
-    # one way to sanitize: the bench, profile, race and HTTP serve mode
-    # flags are gone, and a new flag has to edit this set.
+    # benchmarks/perf/run.py is the one way to measure: the bench,
+    # profile, race and HTTP serve mode flags are gone, and a new flag
+    # has to edit this set.
     flags = {s for a in build_parser()._actions for s in a.option_strings}
     assert flags - {"-h", "--help"} == {
         "--scale", "--list", "--list-scenarios", "--json",

@@ -10,6 +10,7 @@ import pytest
 
 from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
+from repro.harness.sweep import run_sweep_outcome
 
 
 @pytest.fixture
@@ -45,7 +46,8 @@ def test_table4_report(tiny):
 
 
 def test_disk_analysis_is_scale_free(tiny):
-    assert tiny("disk").data == ALL_SWEEPS["disk"]("small").data
+    small = run_sweep_outcome(ALL_SWEEPS["disk"], "small").report
+    assert tiny("disk").data == small.data
 
 
 def test_report_str_rendering(tiny):

@@ -58,8 +58,10 @@ def test_every_experiment_is_a_sweep():
         assert sweep.doc.strip()  # EXPERIMENTS.md section body
 
 
-def test_sweep_is_callable_like_the_old_exp_functions():
-    report = ALL_SWEEPS["disk"]("tiny")
+def test_analytic_sweep_reports_without_runs():
+    outcome = run_sweep_outcome(ALL_SWEEPS["disk"], "tiny")
+    assert outcome.records == []
+    report = outcome.report
     assert isinstance(report, ExperimentReport)
     assert report.exp_id == "S52"
 
