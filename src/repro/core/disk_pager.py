@@ -72,5 +72,8 @@ class DiskPager(Pager):
         self.stats.peeks += 1
         return self._on_disk[line_id]
 
+    def stored_line(self, line_id: int) -> HashLine:
+        return self._on_disk[line_id]
+
     def reset_pass(self) -> None:
         self._on_disk.clear()

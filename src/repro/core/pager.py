@@ -18,12 +18,11 @@ from typing import TYPE_CHECKING, Generator, Iterator, Optional
 
 from repro.analysis.cost_model import CostModel
 from repro.core.memory_table import MemoryManagementTable
-from repro.mining.hash_table import HashLine
+from repro.mining.hash_table import CandidateHashTable, HashLine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
     from repro.core.placement import PlacementPolicy
-    from repro.mining.itemsets import Itemset
     from repro.obs.events import EventBus
 
 __all__ = ["Pager", "PagerStats"]
@@ -79,6 +78,9 @@ class Pager(ABC):
         #: Telemetry event bus, wired by
         #: :meth:`repro.obs.telemetry.Telemetry.attach`.
         self.bus: "Optional[EventBus]" = None
+        #: The pass's candidate table (set by ``SwapManager.begin_pass``):
+        #: where a holder applies the update records this pager ships.
+        self.candidates: Optional[CandidateHashTable] = None
 
     def _emit(self, kind: str, **fields: object) -> None:
         """Publish one typed event (faults, evictions, migrations); with
@@ -108,8 +110,13 @@ class Pager(ABC):
         """Fetch a swapped line's contents for reading (determination
         phase) without changing its residency; returns the line."""
 
+    def stored_line(self, line_id: int) -> HashLine:
+        """The swapped-out line, read where the management table says it
+        is.  Host-side (no simulated cost): invariant checks only."""
+        raise NotImplementedError
+
     def buffer_update(
-        self, line_id: int, itemset: "Itemset", delta: int
+        self, line_id: int, code: int, delta: int
     ) -> Optional[Generator]:
         """Queue an update for a remote-fixed line (remote-update pagers only).
 
@@ -117,6 +124,10 @@ class Pager(ABC):
         generator the caller must drive when a flush is required.
         """
         raise NotImplementedError(f"{self.name} pager does not support remote updates")
+
+    def updates_outstanding(self) -> bool:
+        """Whether any update record is still buffered or in flight."""
+        return False
 
     def drain(self) -> Generator:
         """Wait until all asynchronous pager work (update posts) finished."""

@@ -36,7 +36,6 @@ from repro.core.remote_store import RemoteStore
 from repro.errors import MigrationError, NoMemoryAvailable, SwapError
 from repro.cluster.network import Message, Network
 from repro.mining.hash_table import HashLine
-from repro.mining.itemsets import Itemset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
@@ -45,8 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["RemoteMemoryPager", "RemoteUpdatePager", "UpdateRecord"]
 
-#: (line_id, itemset, delta); delta 0 = insert, >0 = count increment.
-UpdateRecord = "tuple[int, Itemset, int]"
+#: (line_id, code, delta); delta 0 = insert, >0 = count increment.
+UpdateRecord = "tuple[int, int, int]"
 
 #: Size of a migration direction message (line list, compactly encoded).
 DIRECTION_MESSAGE_BYTES = 128
@@ -227,6 +226,12 @@ class RemoteMemoryPager(Pager):
         self.stats.peeks += 1
         return line
 
+    def stored_line(self, line_id: int) -> HashLine:
+        loc = self.table.location(line_id)
+        if loc.state is LineState.DISK and self.fallback is not None:
+            return self.fallback.stored_line(line_id)
+        return self.stores[loc.node_id].peek(self.owner_id, line_id)
+
     # -- migration (paper §4.2 / §5.4) ----------------------------------------------
 
     def migrate_from(self, shortage_node: int) -> Generator:
@@ -332,21 +337,21 @@ class RemoteUpdatePager(RemoteMemoryPager):
 
     # -- the remote access interface (paper §4.4) --------------------------
 
-    def buffer_update(self, line_id: int, itemset: Itemset, delta: int) -> Optional[Generator]:
+    def buffer_update(self, line_id: int, code: int, delta: int) -> Optional[Generator]:
         """Queue one update; returns a generator only when a message-block
         flush is due (the caller drives it), else ``None``."""
-        code = self.table.state_code(line_id)
-        if code == MemoryManagementTable.MIGRATING:
-            self._held.append((line_id, itemset, delta))
+        state = self.table.state_code(line_id)
+        if state == MemoryManagementTable.MIGRATING:
+            self._held.append((line_id, code, delta))
             self.stats.updates_sent += 1
             return None
-        if code != MemoryManagementTable.REMOTE_FIXED:
+        if state != MemoryManagementTable.REMOTE_FIXED:
             raise SwapError(
                 f"update for line {line_id} in state {self.table.state(line_id).value}"
             )
         holder = self.table.holder_of(line_id)
         buf = self._buffers.setdefault(holder, [])
-        buf.append((line_id, itemset, delta))
+        buf.append((line_id, code, delta))
         self.stats.updates_sent += 1
         if len(buf) >= self.cost.updates_per_message():
             return self._flush(holder)
@@ -392,16 +397,20 @@ class RemoteUpdatePager(RemoteMemoryPager):
             records = [r for r in records if store.holds(self.owner_id, r[0])]
             self._held.extend(stale)
         if records:
-            store.apply_updates(self.owner_id, records)
+            assert self.candidates is not None
+            store.apply_updates(self.owner_id, records, self.candidates)
 
     # -- lifecycle --------------------------------------------------------------
+
+    def updates_outstanding(self) -> bool:
+        return bool(self._buffers or self._held) or any(
+            p.is_alive for ps in self._inflight.values() for p in ps
+        )
 
     def drain(self) -> Generator:
         """Flush every buffer and wait for all posted updates to apply."""
         env = self.node.env
-        while self._buffers or self._held or any(
-            p.is_alive for ps in self._inflight.values() for p in ps
-        ):
+        while self.updates_outstanding():
             if self._held:
                 # Held records wait for their lines' migrations to finish.
                 pending = [
@@ -425,9 +434,9 @@ class RemoteUpdatePager(RemoteMemoryPager):
 
     def _redispatch_held(self) -> None:
         held, self._held = self._held, []
-        for line_id, itemset, delta in held:
+        for line_id, code, delta in held:
             self.stats.updates_sent -= 1  # re-queue, do not double count
-            flush = self.buffer_update(line_id, itemset, delta)
+            flush = self.buffer_update(line_id, code, delta)
             if flush is not None:
                 self.node.env.process(_drive(flush))
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import NoMemoryAvailable, SwapError
-from repro.mining.hash_table import HashLine
-from repro.mining.itemsets import ITEMSET_BYTES, Itemset
+from repro.mining.hash_table import CandidateHashTable, HashLine
+from repro.mining.itemsets import ITEMSET_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
@@ -29,29 +29,10 @@ class RemoteStore:
         self.node = node
         self._lines: dict[tuple[int, int], HashLine] = {}
 
-    # -- capacity ------------------------------------------------------------
-
-    def can_accept(self, nbytes: int) -> bool:
-        """Whether ``nbytes`` of guest data fit, honouring external pressure."""
-        return self.node.memory.available_bytes >= nbytes
-
-    @property
-    def guest_bytes(self) -> int:
-        """Total bytes of guest lines currently stored."""
-        return sum(line.nbytes for line in self._lines.values())
-
     @property
     def n_lines(self) -> int:
         """Number of guest lines stored."""
         return len(self._lines)
-
-    def owners(self) -> set[int]:
-        """Application nodes with at least one line here."""
-        return {owner for owner, _ in self._lines}
-
-    def lines_of_owner(self, owner: int) -> list[int]:
-        """Line ids this store holds for ``owner``."""
-        return [lid for (o, lid) in self._lines if o == owner]
 
     # -- swap traffic -----------------------------------------------------------
 
@@ -61,7 +42,7 @@ class RemoteStore:
         key = (owner, line.line_id)
         if key in self._lines:
             raise SwapError(f"line {line.line_id} of node {owner} already stored here")
-        if not self.can_accept(line.nbytes):
+        if self.node.memory.available_bytes < line.nbytes:
             raise NoMemoryAvailable(
                 f"node {self.node.node_id} cannot store {line.nbytes} B "
                 f"(available {self.node.memory.available_bytes} B)"
@@ -71,19 +52,17 @@ class RemoteStore:
 
     def take(self, owner: int, line_id: int) -> HashLine:
         """Remove and return a stored line (pagefault service / migration)."""
-        key = (owner, line_id)
-        if key not in self._lines:
-            raise SwapError(f"node {self.node.node_id} holds no line {line_id} of {owner}")
-        line = self._lines.pop(key)
+        line = self.peek(owner, line_id)
+        del self._lines[(owner, line_id)]
         self.node.memory.free(line.nbytes)
         return line
 
     def peek(self, owner: int, line_id: int) -> HashLine:
         """Read a stored line without removing it (count collection)."""
-        key = (owner, line_id)
-        if key not in self._lines:
+        line = self._lines.get((owner, line_id))
+        if line is None:
             raise SwapError(f"node {self.node.node_id} holds no line {line_id} of {owner}")
-        return self._lines[key]
+        return line
 
     def holds(self, owner: int, line_id: int) -> bool:
         """Whether the line is stored here."""
@@ -91,35 +70,34 @@ class RemoteStore:
 
     # -- remote update interface (paper §4.4) -------------------------------------
 
-    def apply_updates(self, owner: int, updates: Iterable[tuple[int, Itemset, int]]) -> None:
-        """Apply a batch of (line_id, itemset, delta) update records.
+    def apply_updates(
+        self,
+        owner: int,
+        updates: Iterable[tuple[int, int, int]],
+        table: CandidateHashTable,
+    ) -> None:
+        """Apply a batch of (line_id, code, delta) update records to the
+        owner's candidate ``table``.
 
         ``delta == 0`` means "insert this candidate" (used when candidate
         generation continues after a line was fixed remotely); positive
         deltas are increments from the counting phase.  Application is an
-        *upsert* — a first-seen itemset is created with its delta — so a
-        batch is order-independent: migrations requeue in-flight records
-        to the line's new holder, which can deliver an increment ahead of
-        the insert it logically follows, and the final count (the sum of
-        all deltas) must not depend on that interleaving.
+        *upsert* — the first record to mention a code chains it on the
+        line, whatever its delta — so a batch is order-independent:
+        migrations requeue in-flight records to the line's new holder,
+        which can deliver an increment ahead of the insert it logically
+        follows, and the final count (the sum of all deltas) must not
+        depend on that interleaving.
         """
-        for line_id, itemset, delta in updates:
-            key = (owner, line_id)
-            if key not in self._lines:
-                raise SwapError(
-                    f"update for line {line_id} of node {owner} not stored on "
-                    f"node {self.node.node_id}"
-                )
-            line = self._lines[key]
-            if itemset in line.counts:
-                line.counts[itemset] += delta
-            else:
+        for line_id, code, delta in updates:
+            line = self.peek(owner, line_id)
+            if table.upsert(code, delta):
                 # Growing an already-accepted line proceeds even under
                 # external pressure (the guest was admitted; only the hard
                 # physical capacity still guards the allocation) so that
                 # in-flight inserts racing a shortage signal do not fail.
                 self.node.memory.allocate(ITEMSET_BYTES)
-                line.counts[itemset] = delta
+                line.n_itemsets += 1
 
     # Pass-boundary reset: called from the driver's serial inter-pass
     # section after every counting process has joined the barrier.

@@ -6,55 +6,39 @@ the execution of HPA program, part of contents is swapped out ...  The
 unit of swapping operation is a hash line ...  The hash line swapped out
 is selected using a LRU algorithm."
 
-:class:`SwapManager` owns one node's :class:`CandidateHashTable` (resident
-lines only), a replacement policy over those lines, and a pager that
-moves lines out/in.  The two hot operations — inserting a candidate and
+:class:`SwapManager` owns one node's resident :class:`HashLine`s, a
+replacement policy over them, and a pager that moves lines out/in.  The
+support counts are not in the lines: they live in the pass's
+:class:`CandidateHashTable` at ``counts[code]`` wherever the line
+currently is, so residency decides only what an access *costs in
+simulated time*.  The two hot operations — inserting a candidate and
 counting an occurrence — are *fast-path/slow-path split*: they return
-``None`` when everything was resident (pure Python, no simulation
-events), or a generator the calling process must ``yield from`` when a
-swap, fault, or update flush is needed.  This keeps event counts
-proportional to faults, not to itemsets.
+``None`` when everything was resident (no simulation events), or a
+generator the calling process must ``yield from`` when a swap, fault, or
+update flush is needed.  This keeps event counts proportional to faults,
+not to itemsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
-from repro.analysis.cost_model import CostModel
 from repro.core.memory_table import LineState, MemoryManagementTable
 from repro.core.pager import Pager
 from repro.core.policies import LRUPolicy, ReplacementPolicy
-from repro.errors import MiningError, SwapError
+from repro.errors import SwapError
 from repro.mining.hash_table import LINE_HEADER_BYTES, CandidateHashTable, HashLine
-from repro.mining.itemsets import ITEMSET_BYTES, Itemset
+from repro.mining.itemsets import ITEMSET_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
 
-__all__ = ["SpanIndex", "SwapManager", "SwapManagerStats"]
+__all__ = ["SwapManager", "SwapManagerStats"]
 
-
-class SpanIndex:
-    """Vectorised side ledger for resident-span counting.
-
-    ``candidates``/``lines`` are the pass's candidate list and aligned
-    hash-line ids, shared read-only by every node; an occurrence code is
-    an index into both.  Counted spans pile up raw in ``pending`` and are
-    folded into the hash-line dicts by
-    :meth:`SwapManager.flush_span_counts` before any count is read.
-    Count *values* live host-side regardless of where the simulated line
-    bytes currently sit, so deferring the dict writes is unobservable.
-    """
-
-    __slots__ = ("candidates", "lines", "pending")
-
-    def __init__(self, candidates: Sequence[Itemset], lines: np.ndarray) -> None:
-        self.candidates = candidates
-        self.lines = lines
-        self.pending: list[np.ndarray] = []
+_NO_CODES = np.empty(0, dtype=np.int64)
 
 
 def _last_occurrence_order(line_ids: "list[int]") -> "list[int]":
@@ -83,7 +67,6 @@ class SwapManager:
         limit_bytes: Optional[int] = None,
         pager: Optional[Pager] = None,
         policy: Optional[ReplacementPolicy] = None,
-        cost: Optional[CostModel] = None,
     ) -> None:
         if limit_bytes is not None:
             if limit_bytes <= 0:
@@ -94,14 +77,21 @@ class SwapManager:
         self.limit_bytes = limit_bytes
         self.pager = pager
         self.policy = policy if policy is not None else LRUPolicy()
-        self.cost = cost if cost is not None else CostModel()
         #: Telemetry event bus (wired by ``Telemetry.attach``); emits one
         #: ``make-room`` event per eviction burst.
         self.bus = None
-        self.table = CandidateHashTable()
+        #: The pass's candidate table and the codes this node owns in it
+        #: (see :meth:`begin_pass`).
+        self.table = CandidateHashTable(_NO_CODES)
+        self.owned = _NO_CODES
+        #: Resident hash lines by id.
+        self.lines: dict[int, HashLine] = {}
         self.mm_table = pager.table if pager is not None else MemoryManagementTable()
         self.resident_bytes = 0
         self.stats = SwapManagerStats()
+        # (inserts, counts) of the passes already reset: with the live
+        # table's, what the cumulative ``stats`` must add up to.
+        self._settled = (0, 0)
         # line_id -> completion event while a fault is in flight, so two
         # processes on the same node (HPA's sender and receiver) never
         # fault the same line twice concurrently.
@@ -112,9 +102,14 @@ class SwapManager:
         #: duplicated candidates); they count against the usage limit but
         #: can never be evicted.
         self.pinned_bytes = 0
-        #: Attached lazily by the counting kernel on the first resident
-        #: span (see :meth:`count_span_codes`).
-        self.span_index: Optional[SpanIndex] = None
+
+    def begin_pass(self, table: CandidateHashTable, owned: np.ndarray) -> None:
+        """Attach the pass's candidate table; ``owned`` are the codes
+        whose inserts and counts are routed to this node."""
+        self.table = table
+        self.owned = owned
+        if self.pager is not None:
+            self.pager.candidates = table
 
     # -- introspection ------------------------------------------------------
 
@@ -126,50 +121,83 @@ class SwapManager:
             and self.resident_bytes + self.pinned_bytes > self.limit_bytes
         )
 
-    def total_candidates(self) -> int:
-        """Resident candidates only (swapped ones live with the pager)."""
-        return self.table.n_itemsets
+    # -- one candidate at a time: insert (candidate generation), count ----------
 
-    # -- candidate insertion (candidate-generation phase) ---------------------
-
-    def insert_candidate(self, itemset: Itemset, line_id: int) -> Optional[Generator]:
+    def insert_candidate(self, code: int, line_id: int) -> Optional[Generator]:
         """Add a candidate with count 0 to its hash line.
 
         Fast path returns ``None``; a generator is returned when the
-        insert overflows the limit (evictions required), targets a
-        swapped-out line (fault first), or targets a remote-fixed line
-        (remote insert record).
+        insert targets a swapped-out line (fault first) or a remote-fixed
+        line (remote insert record, if its message block fills).
         """
         self.stats.inserts += 1
+        return self._access(code, line_id, 0)
+
+    def count_itemset(self, code: int, line_id: int) -> Optional[Generator]:
+        """Increment the support count of one candidate, wherever its
+        line is: in place, by a remote update record, or after a fault."""
+        self.stats.counts += 1
+        return self._access(code, line_id, 1)
+
+    def _access(self, code: int, line_id: int, delta: int) -> Optional[Generator]:
+        """Route one access by where the line lives; ``delta`` is the
+        update-record convention, 0 to insert and 1 to count."""
         state = self.mm_table.state_code(line_id)
         if state == MemoryManagementTable.RESIDENT:
-            self._insert_resident(itemset, line_id)
-            if self.over_limit:
-                # Never evict the line we are actively inserting into.
-                self._make_room(pinned=line_id)
+            self._access_resident(code, line_id, delta)
+            self.stats.fast_counts += delta
             return None
-        if state in (MemoryManagementTable.REMOTE_FIXED, MemoryManagementTable.MIGRATING) and (
-            self.pager is not None and self.pager.supports_remote_update
+        if (
+            state in (MemoryManagementTable.REMOTE_FIXED, MemoryManagementTable.MIGRATING)
+            and self.pager is not None
+            and self.pager.supports_remote_update
         ):
-            return self.pager.buffer_update(line_id, itemset, 0)
-        return self._insert_slow(itemset, line_id)
+            self.stats.remote_counts += delta
+            return self.pager.buffer_update(line_id, code, delta)
+        return self._access_slow(code, line_id, delta)
 
-    def insert_resident_prefix(
-        self, itemsets: Sequence[Itemset], line_ids: np.ndarray
-    ) -> int:
-        """Insert the longest prefix of an aligned candidate list that
+    def _access_slow(self, code: int, line_id: int, delta: int) -> Generator:
+        yield from self._ensure_resident(line_id)
+        self._access_resident(code, line_id, delta)
+
+    def _access_resident(self, code: int, line_id: int, delta: int) -> None:
+        if delta:
+            self.table.count(code, line_id)
+        else:
+            self.table.insert(code, line_id)
+            self._resident_line(line_id).n_itemsets += 1
+            self.resident_bytes += ITEMSET_BYTES
+        self.policy.touch(line_id)
+        if not delta and self.over_limit:
+            # Never evict the line we are actively inserting into.
+            self._make_room(pinned=line_id)
+
+    def _resident_line(self, line_id: int) -> HashLine:
+        """The resident line, created empty (and entered into the policy)
+        on first touch."""
+        line = self.lines.get(line_id)
+        if line is None:
+            line = self.lines[line_id] = HashLine(line_id)
+            self.policy.insert(line_id)
+            self.resident_bytes += LINE_HEADER_BYTES
+        return line
+
+    # -- many at a time -------------------------------------------------------------
+
+    def insert_resident_prefix(self, codes: np.ndarray, line_ids: np.ndarray) -> int:
+        """Insert the longest prefix of an aligned candidate array that
         stays on :meth:`insert_candidate`'s fast path; returns its length.
 
         The prefix ends before the first insert that targets a
         non-resident line or leaves the node over its limit (that insert
         evicts, and everything after it may fault or buffer).  Up to
         there the per-candidate sequence reads nothing but this
-        manager's own ledger, so it folds into one pass: fresh lines are
-        created, and entered into the policy, in first-occurrence order;
-        each line's dict grows in list order; and the policy is touched
-        once per distinct line in last-occurrence order — the
-        per-candidate end state (see :meth:`count_resident_batch`).  The
-        caller runs the remainder through :meth:`insert_candidate`.
+        manager's own ledger, so it folds into one grouped pass: fresh
+        lines are created, and entered into the policy, in
+        first-occurrence order, and the policy is touched once per
+        distinct line in last-occurrence order — the per-candidate end
+        state.  The caller runs the remainder through
+        :meth:`insert_candidate`.
         """
         resident = self.mm_table.resident_mask(line_ids)
         head = len(line_ids) if resident.all() else int(np.argmin(resident))
@@ -177,113 +205,45 @@ class SwapManager:
             # Bytes in use after each insert: a fresh line's header is
             # paid at its first occurrence.
             distinct, first = np.unique(line_ids[:head], return_index=True)
-            fresh = np.array([lid not in self.table for lid in distinct.tolist()])
+            fresh = np.array([lid not in self.lines for lid in distinct.tolist()])
             grow = np.full(head, ITEMSET_BYTES, dtype=np.int64)
             grow[first[fresh]] += LINE_HEADER_BYTES
             used = self.resident_bytes + self.pinned_bytes + np.cumsum(grow)
             head = int(np.searchsorted(used, self.limit_bytes, side="right"))
-        ids = line_ids[:head].tolist()
-        adders: dict[int, Callable[[Itemset], None]] = {}
-        for line_id in dict.fromkeys(ids):
-            if line_id not in self.table:
-                self.policy.insert(line_id)
-                self.resident_bytes += LINE_HEADER_BYTES
-            adders[line_id] = self.table.line(line_id).add
-        for itemset, line_id in zip(itemsets, ids):
-            adders[line_id](itemset)
+        ids = line_ids[:head]
+        self.table.insert(codes[:head], ids)
+        distinct, first, n = np.unique(ids, return_index=True, return_counts=True)
+        by_first = np.argsort(first)
+        get = self.lines.get
+        for line_id, grown in zip(distinct[by_first].tolist(), n[by_first].tolist()):
+            (get(line_id) or self._resident_line(line_id)).n_itemsets += grown
         self.resident_bytes += ITEMSET_BYTES * head
-        self.policy.touch_batch(_last_occurrence_order(ids))
+        self.policy.touch_batch(_last_occurrence_order(ids.tolist()))
         self.stats.inserts += head
         return head
 
-    def _insert_resident(self, itemset: Itemset, line_id: int) -> None:
-        line = self.table.get(line_id)
-        if line is None:
-            line = self.table.line(line_id)
-            self.policy.insert(line_id)
-            self.resident_bytes += line.nbytes  # header of the fresh line
-        line.add(itemset)
-        self.resident_bytes += ITEMSET_BYTES
-        self.policy.touch(line_id)
-
-    def _insert_slow(self, itemset: Itemset, line_id: int) -> Generator:
-        yield from self._ensure_resident(line_id)
-        self._insert_resident(itemset, line_id)
-        if self.over_limit:
-            self._make_room(pinned=line_id)
-
-    # -- support counting (counting phase) --------------------------------------
-
-    def count_itemset(self, itemset: Itemset, line_id: int) -> Optional[Generator]:
-        """Increment the support count of a candidate.
-
-        Every routed itemset must be a candidate on this node (HPA's
-        sender-side pruning guarantees it); a miss raises
-        :class:`MiningError` because it means routing is broken.
-        """
-        self.stats.counts += 1
-        state = self.mm_table.state_code(line_id)
-        if state == MemoryManagementTable.RESIDENT:
-            line = self.table.get(line_id)
-            if line is None or not line.increment(itemset):
-                raise MiningError(
-                    f"itemset {itemset} routed to line {line_id} is not a "
-                    f"candidate there"
-                )
-            self.policy.touch(line_id)
-            self.stats.fast_counts += 1
-            return None
-        if state in (MemoryManagementTable.REMOTE_FIXED, MemoryManagementTable.MIGRATING) and (
-            self.pager is not None and self.pager.supports_remote_update
-        ):
-            self.stats.remote_counts += 1
-            return self.pager.buffer_update(line_id, itemset, 1)
-        return self._count_slow(itemset, line_id)
-
-    def count_resident_bulk(
-        self,
-        itemsets: Sequence[Itemset],
-        line_ids: Sequence[int],
-        counts: Sequence[int],
-    ) -> None:
-        """Fold ``counts[i]`` occurrences of ``itemsets[i]`` (on hash line
-        ``line_ids[i]``) for a whole aligned batch in one call.
+    def count_resident_bulk(self, codes: np.ndarray) -> None:
+        """Fold a whole pass's worth of occurrence codes in one call.
 
         Only valid on a pager-less node (every line permanently
-        resident): there the fast path of :meth:`count_itemset` never
-        yields, so occurrence order is unobservable and a pass's
-        occurrences collapse to one increment per candidate.  Statistics
-        advance exactly as the per-occurrence path would have advanced
-        them.
+        resident): there :meth:`count_itemset` never yields, so
+        occurrence order is unobservable and the occurrences collapse to
+        one ``bincount``.  The policy is touched once per distinct line
+        and statistics advance exactly as the per-occurrence path would
+        have advanced them.
         """
         if self.pager is not None:
             raise SwapError("bulk counting requires a pager-less node")
-        if counts and min(counts) <= 0:
-            raise MiningError(f"bulk count must be positive, got {min(counts)}")
-        distinct = list(dict.fromkeys(line_ids))
-        # A line this node does not hold has no entry, so it fails the
-        # lookup below like a candidate missing from its line does.
-        held = {
-            line.line_id: line.counts
-            for line in map(self.table.get, distinct)
-            if line is not None
-        }
-        try:
-            for itemset, line_id, n in zip(itemsets, line_ids, counts):
-                held[line_id][itemset] += n
-        except KeyError:
-            raise MiningError(
-                f"itemset {itemset} routed to line {line_id} is not a "
-                f"candidate there"
-            ) from None
-        self.policy.touch_batch(distinct)
-        total = sum(counts)
-        self.stats.counts += total
-        self.stats.fast_counts += total
+        hot = self.table.count_bulk(codes)
+        self.policy.touch_batch(list(dict.fromkeys(self.table.lines[hot].tolist())))
+        self.stats.counts += codes.size
+        self.stats.fast_counts += codes.size
 
-    def count_resident_batch(
-        self, itemsets: "list[Itemset]", line_ids: "list[int]"
-    ) -> None:
+    def count_resident_batch(self, codes: np.ndarray, line_ids: np.ndarray) -> None:
+        """Pinned by the benchmark's target table; nothing calls it."""
+        self.count_span_codes(codes, line_ids)
+
+    def count_span_codes(self, codes: np.ndarray, line_ids: np.ndarray) -> None:
         """Count a run of occurrences that all land on resident lines.
 
         Only valid while every named line is resident and control cannot
@@ -293,76 +253,13 @@ class SwapManager:
         in exactly the per-occurrence end state, and statistics advance
         by the same totals.
         """
-        get = self.table.get
-        for itemset, line_id in zip(itemsets, line_ids):
-            line = get(line_id)
-            if line is None or not line.increment(itemset):
-                raise MiningError(
-                    f"itemset {itemset} routed to line {line_id} is not a "
-                    f"candidate there"
-                )
-        self.policy.touch_batch(_last_occurrence_order(line_ids))
-        n = len(line_ids)
-        self.stats.counts += n
-        self.stats.fast_counts += n
-
-    def count_span_codes(self, codes: np.ndarray, line_ids: np.ndarray) -> None:
-        """Vectorised :meth:`count_resident_batch` over encoded candidates.
-
-        Same validity conditions (all lines resident, no simulation yield
-        across the run); ``codes`` are the kernel's occurrence codes and
-        ``line_ids`` the aligned hash lines.  The dict writes — and the
-        per-occurrence "is a candidate on this line" membership check,
-        which flush performs against the lines this node ever held,
-        raising :class:`MiningError` like the per-occurrence path — are
-        deferred wholesale: the span's codes are stashed raw and folded
-        in one vectorised pass before any count is read (see
-        :meth:`flush_span_counts`).  Only what the simulation *can*
-        observe mid-pass happens now: replacement-policy touches and
-        statistics.
-        """
-        index = self.span_index
-        assert index is not None
-        index.pending.append(codes)
+        self.table.count(codes, line_ids)
         self.policy.touch_batch(_last_occurrence_order(line_ids.tolist()))
-        n = codes.size
-        self.stats.counts += n
-        self.stats.fast_counts += n
+        self.stats.counts += codes.size
+        self.stats.fast_counts += codes.size
 
     def flush_span_counts(self) -> None:
-        """Fold deferred span counts back into the hash-line dicts.
-
-        Host-side only (no simulated cost); runs before any path that
-        reads counts — :meth:`drain` and :meth:`iter_all_lines` — and is
-        idempotent.  Lines are reached through the table registry so
-        counts land even on lines currently swapped out (their objects
-        persist through the pagers).
-        """
-        index = self.span_index
-        if index is None or not index.pending:
-            return
-        acc = np.bincount(
-            np.concatenate(index.pending), minlength=len(index.candidates)
-        )
-        index.pending = []
-        candidates, lines = index.candidates, index.lines
-        find = self.table.line_anywhere
-        for i in np.flatnonzero(acc).tolist():
-            line = find(int(lines[i]))
-            if not line.increment(candidates[i], by=int(acc[i])):
-                raise MiningError(
-                    f"itemset {candidates[i]} routed to line {line.line_id} is "
-                    f"not a candidate there"
-                )
-
-    def _count_slow(self, itemset: Itemset, line_id: int) -> Generator:
-        yield from self._ensure_resident(line_id)
-        line = self.table.get(line_id)
-        if line is None or not line.increment(itemset):
-            raise MiningError(
-                f"itemset {itemset} routed to line {line_id} is not a candidate there"
-            )
-        self.policy.touch(line_id)
+        """Pinned by the benchmark's target table; nothing is deferred."""
 
     # -- paging machinery ------------------------------------------------------------
 
@@ -384,7 +281,7 @@ class SwapManager:
             self._faulting[line_id] = done
             try:
                 line = yield from self.pager.fault_in(line_id)
-                self.table.put(line)
+                self.lines[line_id] = line
                 self.policy.insert(line_id)
                 self.resident_bytes += line.nbytes
             finally:
@@ -412,7 +309,7 @@ class SwapManager:
                 # rather than deadlocking (limit smaller than one line).
                 break
             victim = self.policy.victim(pinned=pinned)
-            line = self.table.pop(victim)
+            line = self.lines.pop(victim)
             self.resident_bytes -= line.nbytes
             # evict() commits the new location before returning; only the
             # transfer cost runs in the background.
@@ -430,18 +327,15 @@ class SwapManager:
     # -- determination-phase access ----------------------------------------------------
 
     def iter_all_lines(self) -> Generator:
-        """Process generator yielding nothing; returns every line's counts.
+        """Process generator yielding nothing; returns every line this
+        node holds, resident or not, as a list of :class:`HashLine`.
 
         Resident lines are read directly; swapped lines are peeked
         through the pager (paying the fetch cost) without changing
-        residency.  Returns a list of :class:`HashLine`.
+        residency.
         """
-        self.flush_span_counts()
-        lines: list[HashLine] = list(self.table)
+        lines = list(self.lines.values())
         for line_id in self.mm_table.non_resident_lines():
-            state = self.mm_table.state(line_id)
-            if state is LineState.RESIDENT:
-                continue
             assert self.pager is not None
             line = yield from self.pager.peek_line(line_id)
             lines.append(line)
@@ -452,7 +346,6 @@ class SwapManager:
     def drain(self) -> Generator:
         """Settle outstanding pager work (eviction transfers, update
         flushes) before reading counts."""
-        self.flush_span_counts()
         alive = [p for p in self._evictions if p.is_alive]
         if alive:
             yield self.node.env.all_of(alive)
@@ -463,34 +356,65 @@ class SwapManager:
     # Pass-boundary reset: called from the driver's serial inter-pass
     # section after every counting process has joined the barrier.
     def reset_pass(self) -> None:
-        """Clear all per-pass state: hash table, policy, locations."""
-        self.table.clear()
+        """Clear all per-pass state: table, lines, policy, locations."""
+        self._settled = self._routed_here()
+        self.begin_pass(CandidateHashTable(_NO_CODES), _NO_CODES)
+        self.lines.clear()
         self.mm_table.clear()
         self.policy.clear()
         self.resident_bytes = 0
         self.pinned_bytes = 0
-        self.span_index = None
         if self.pager is not None:
             self.pager.reset_pass()
 
-    def check_invariants(self) -> None:
-        """Assert internal consistency (used heavily by tests).
+    def _routed_here(self) -> "tuple[int, int]":
+        """(inserts, counts) applied to this node's codes, all passes."""
+        return (
+            self._settled[0] + int(self.table.inserted[self.owned].sum()),
+            self._settled[1] + int(self.table.counts[self.owned].sum()),
+        )
 
-        - resident byte ledger equals the hash table's true footprint;
+    def check_invariants(self) -> None:
+        """Assert internal consistency (tests call it after operations,
+        at pass ends and after whole runs).
+
+        - resident byte ledger equals the resident lines' true footprint;
         - the policy tracks exactly the resident line ids;
-        - the limit holds, allowing the single-oversized-line exception.
+        - the limit holds, allowing the single-oversized-line exception;
+        - every owned candidate inserted so far is chained on exactly one
+          line, resident or where the management table says it was
+          swapped to (skipped while a migration holds lines in flight);
+        - no insert or count was lost: once the pager has no update
+          record outstanding, what the tables hold for this node's codes
+          equals the cumulative statistics.
         """
-        actual = self.table.nbytes
+        actual = sum(line.nbytes for line in self.lines.values())
         if actual != self.resident_bytes:
             raise SwapError(
-                f"resident byte ledger {self.resident_bytes} != table {actual}"
+                f"resident byte ledger {self.resident_bytes} != lines {actual}"
             )
-        policy_ids = {lid for lid in self.table.line_ids if lid in self.policy}
-        if len(self.policy) != len(self.table) or len(policy_ids) != len(self.table):
+        if len(self.policy) != len(self.lines) or any(
+            lid not in self.policy for lid in self.lines
+        ):
             raise SwapError("policy does not track exactly the resident lines")
-        if self.limit_bytes is not None and len(self.table) > 1:
-            if self.resident_bytes + self.pinned_bytes > self.limit_bytes:
+        if self.over_limit and len(self.lines) > 1:
+            raise SwapError(
+                f"over limit with multiple resident lines: "
+                f"{self.resident_bytes} > {self.limit_bytes}"
+            )
+        if LineState.MIGRATING not in self.mm_table.count_by_state():
+            held = list(self.lines.values())
+            for line_id in self.mm_table.non_resident_lines():
+                assert self.pager is not None
+                held.append(self.pager.stored_line(line_id))
+            chained = sum(line.n_itemsets for line in held)
+            inserted = int(self.table.inserted[self.owned].sum())
+            if chained != inserted:
+                raise SwapError(f"{chained} candidates chained, {inserted} inserted")
+        if self.pager is None or not self.pager.updates_outstanding():
+            routed = (self.stats.inserts, self.stats.counts)
+            if self._routed_here() != routed:
                 raise SwapError(
-                    f"over limit with multiple resident lines: "
-                    f"{self.resident_bytes} > {self.limit_bytes}"
+                    f"(inserts, counts) {self._routed_here()} in the table, "
+                    f"{routed} routed here"
                 )

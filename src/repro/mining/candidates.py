@@ -7,8 +7,8 @@ k-2 items, then prune any candidate with a (k-1)-subset outside L_{k-1}.
 Both steps run on ``int64[n, width]`` row arrays (one itemset per row)
 of item *ranks* — positions in the sorted distinct items of L_{k-1}, an
 order-preserving relabelling, so the join emits lexicographic order for
-any item-id width.  Tuples exist only at the function boundaries, where
-they are the hash-line dict keys of everything downstream.
+any item-id width.  Tuples exist only at the function boundaries: L_k
+is a tuple-keyed dict, and the drivers turn C_k back into rows at once.
 """
 
 from __future__ import annotations

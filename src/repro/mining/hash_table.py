@@ -1,147 +1,119 @@
-"""Hash table of candidate itemsets, organised into *hash lines*.
+"""The candidate table of one pass, and the hash lines laid over it.
 
 The paper keeps itemsets "in memory as linked structures that are
 classified by a hash function ... all itemsets having the same hash value
-are assigned to the same hash line on the same node" (§3.3).  The hash
+are assigned to the same hash line on the same node" (§3.3); the hash
 line is also the unit of swapping (§4.3) and fits in one 4 KB message
-block.  :class:`HashLine` is that linked structure; :class:`CandidateHashTable`
-is one node's collection of lines.  Residency/swapping state is *not*
+block.  What the paper models about a line is *where it is* and *how big
+it is* — so a :class:`HashLine` is exactly that, ``(line_id,
+n_itemsets)``, and it is what pagers and guest stores move around.  The
+counts themselves live in one :class:`CandidateHashTable` per pass,
+indexed by the candidate's **code** (its position in C_k, the identity
+it carries from apriori-gen to the wire).  HPA shares one table among
+all nodes, because a code has exactly one owner; NPA, which replicates
+every candidate, keeps one per node.  Residency/swapping state is *not*
 tracked here — that is the :class:`repro.core.swap_manager.SwapManager`'s
-job; this table is the passive storage it manages.
+job, and it decides only what an access costs in simulated time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import MiningError
-from repro.mining.itemsets import ITEMSET_BYTES, Itemset
+from repro.mining.itemsets import ITEMSET_BYTES
 
 __all__ = ["HashLine", "CandidateHashTable", "LINE_HEADER_BYTES"]
+
+#: Aligned ``int64`` arrays, or a plain int each for one candidate.
+Codes = "np.ndarray | int"
 
 #: Fixed per-line overhead (list head + bookkeeping), counted when a line
 #: travels in a message or occupies guest memory.
 LINE_HEADER_BYTES = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class HashLine:
-    """One hash line: every candidate that hashed to this line, with counts."""
+    """One hash line: how many candidates are chained on it."""
 
     line_id: int
-    counts: dict[Itemset, int] = field(default_factory=dict)
-
-    @property
-    def n_itemsets(self) -> int:
-        """Number of candidate itemsets chained on this line."""
-        return len(self.counts)
+    n_itemsets: int = 0
 
     @property
     def nbytes(self) -> int:
         """Memory footprint: 24 bytes per itemset plus the line header."""
-        return LINE_HEADER_BYTES + ITEMSET_BYTES * len(self.counts)
-
-    def add(self, itemset: Itemset) -> None:
-        """Insert a candidate with count 0; duplicate insertion is an error."""
-        if itemset in self.counts:
-            raise MiningError(f"candidate {itemset} already on line {self.line_id}")
-        self.counts[itemset] = 0
-
-    def increment(self, itemset: Itemset, by: int = 1) -> bool:
-        """Count an occurrence; returns False if the itemset is not chained here."""
-        if itemset in self.counts:
-            self.counts[itemset] += by
-            return True
-        return False
-
-    def merge_counts(self, other: dict[Itemset, int]) -> None:
-        """Fold a remote count fragment back into this line (collect phase)."""
-        for itemset, c in other.items():
-            if itemset not in self.counts:
-                raise MiningError(
-                    f"merge of unknown candidate {itemset} into line {self.line_id}"
-                )
-            self.counts[itemset] += c
+        return LINE_HEADER_BYTES + ITEMSET_BYTES * self.n_itemsets
 
 
 class CandidateHashTable:
-    """One node's hash lines for the current pass."""
+    """Support counts of one pass's candidates, addressed by code.
 
-    def __init__(self) -> None:
-        self._lines: dict[int, HashLine] = {}
-        # Every line object ever created/installed, keyed by id; survives
-        # pop() so deferred count ledgers can reach swapped-out lines
-        # (line objects keep their identity while travelling through
-        # pagers — stores hold references, not copies).
-        self._registry: dict[int, HashLine] = {}
+    ``lines[code]`` is the candidate's hash line (-1 for an HPA-ELD
+    duplicate, which no table holds), ``inserted[code]`` whether its
+    owner has chained it yet, ``counts[code]`` its support so far.
+    """
 
-    def line(self, line_id: int) -> HashLine:
-        """The line with ``line_id``, created empty on first touch."""
-        if line_id not in self._lines:
-            line = HashLine(line_id)
-            self._lines[line_id] = line
-            self._registry[line_id] = line
-        return self._lines[line_id]
+    def __init__(self, lines: np.ndarray) -> None:
+        self.lines = lines
+        self.counts = np.zeros(len(lines), dtype=np.int64)
+        self.inserted = np.zeros(len(lines), dtype=bool)
 
-    def get(self, line_id: int) -> Optional[HashLine]:
-        """The line if it exists, else ``None`` (no creation)."""
-        return self._lines.get(line_id)
+    def _require(
+        self,
+        ok: "np.ndarray | np.bool_",
+        codes: Codes,
+        line_ids: Codes,
+        problem: str = "routed code is not a candidate on this line",
+    ) -> None:
+        if not ok.all():
+            bad = int(np.argmin(np.atleast_1d(ok)))
+            raise MiningError(
+                f"code {np.atleast_1d(codes)[bad]} on line "
+                f"{np.atleast_1d(line_ids)[bad]}: {problem}"
+            )
 
-    def pop(self, line_id: int) -> HashLine:
-        """Remove and return a line (used when it is swapped out wholesale)."""
-        if line_id not in self._lines:
-            raise MiningError(f"no hash line {line_id} on this node")
-        return self._lines.pop(line_id)
+    def insert(self, codes: Codes, line_ids: Codes) -> None:
+        """Chain candidates with count 0; inserting one twice (earlier or
+        inside this batch), or on a line other than its own, is an error."""
+        if (
+            np.ndim(codes)
+            and not (np.diff(codes) > 0).all()  # ascending codes are distinct
+            and np.unique(codes).size != np.size(codes)
+        ):
+            raise MiningError("a candidate appears twice in one insert batch")
+        fresh = ~self.inserted[codes] & (self.lines[codes] == line_ids)
+        self._require(
+            fresh, codes, line_ids, "already inserted, or not that line's candidate"
+        )
+        self.inserted[codes] = True
 
-    def put(self, line: HashLine) -> None:
-        """(Re-)install a line object, e.g. after a swap-in."""
-        if line.line_id in self._lines:
-            raise MiningError(f"hash line {line.line_id} already present")
-        self._lines[line.line_id] = line
-        self._registry.setdefault(line.line_id, line)
+    def count(self, codes: Codes, line_ids: Codes) -> None:
+        """Count one occurrence per entry.  Every routed code must be an
+        inserted candidate of the line it was routed to (HPA's
+        sender-side pruning guarantees it); a miss means routing is
+        broken."""
+        known = self.inserted[codes] & (self.lines[codes] == line_ids)
+        self._require(known, codes, line_ids)
+        np.add.at(self.counts, codes, 1)
 
-    def line_anywhere(self, line_id: int) -> HashLine:
-        """The line object wherever it currently lives (resident or
-        swapped out).  Host-side lookup only — pays no simulated cost and
-        must not replace :meth:`get` on paths that model residency."""
-        line = self._registry.get(line_id)
-        if line is None:
-            raise MiningError(f"hash line {line_id} was never created here")
-        return line
+    def count_bulk(self, codes: np.ndarray) -> np.ndarray:
+        """:meth:`count` for occurrences whose order nobody can observe:
+        one ``bincount``.  Returns the distinct codes counted."""
+        acc = np.bincount(codes, minlength=len(self.counts))
+        hot = np.flatnonzero(acc)
+        self._require(self.inserted[hot], hot, self.lines[hot])
+        self.counts += acc
+        return hot
 
-    def __contains__(self, line_id: int) -> bool:
-        return line_id in self._lines
-
-    def __len__(self) -> int:
-        return len(self._lines)
-
-    def __iter__(self) -> Iterator[HashLine]:
-        return iter(self._lines.values())
-
-    @property
-    def line_ids(self) -> list[int]:
-        """Ids of all present lines."""
-        return list(self._lines)
-
-    @property
-    def n_itemsets(self) -> int:
-        """Total candidates across present lines."""
-        return sum(line.n_itemsets for line in self._lines.values())
-
-    @property
-    def nbytes(self) -> int:
-        """Total footprint of present lines."""
-        return sum(line.nbytes for line in self._lines.values())
-
-    def all_counts(self) -> dict[Itemset, int]:
-        """Flattened itemset -> count mapping over present lines."""
-        out: dict[Itemset, int] = {}
-        for line in self._lines.values():
-            out.update(line.counts)
-        return out
-
-    def clear(self) -> None:
-        """Drop all lines (end of pass)."""
-        self._lines.clear()
-        self._registry.clear()
+    def upsert(self, code: int, delta: int) -> bool:
+        """Apply one remote update record; ``True`` if it was the first
+        to mention ``code`` (the holder then grows the line).  Records
+        may overtake the insert they logically follow, so the first one
+        seen creates the candidate whatever its delta."""
+        first = not self.inserted[code]
+        self.inserted[code] = True
+        self.counts[code] += delta
+        return first

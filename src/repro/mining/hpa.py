@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.datagen.corpus import TransactionDatabase
 from repro.mining.candidates import generate_candidates
+from repro.mining.hash_table import CandidateHashTable
 from repro.mining.itemsets import ITEMSET_BYTES, Itemset, itemset_rows
 from repro.mining.kernels import (
     OWNER_DUPLICATED,
@@ -94,7 +95,8 @@ class HPARun(MiningDriver):
 
         # Routing is resolved once per pass, as arrays aligned with the
         # candidate list; the counting phase never re-hashes per occurrence.
-        lines = self.partitioner.lines_of(itemset_rows(candidates, k))
+        rows = itemset_rows(candidates, k)
+        lines = self.partitioner.lines_of(rows)
         owners = lines % cfg.n_app_nodes
 
         # HPA-ELD: duplicate the candidates with the highest estimated
@@ -122,14 +124,14 @@ class HPARun(MiningDriver):
 
         stats_before = [self._pager_snapshot(a) for a in self.app_ids]
 
+        # One table for the pass: a routed code has exactly one owner.
+        table = CandidateHashTable(lines)
+        for a in self.app_ids:
+            self.managers[a].begin_pass(table, np.flatnonzero(owners == a))
+
         # Phase 1: candidate generation + insertion.
         yield from self._barrier(
-            [
-                self._candgen_node(
-                    a, candidates, lines, np.flatnonzero(owners == a), n_dup
-                )
-                for a in self.app_ids
-            ]
+            [self._candgen_node(a, len(candidates), n_dup) for a in self.app_ids]
         )
         t_candgen = self.env.now
         self._trace_phase(f"pass {k} candidates generated")
@@ -151,7 +153,7 @@ class HPARun(MiningDriver):
             )
 
         # Phase 2: counting.
-        kernel = CountingKernel(k, self.db.n_items, candidates, lines, owners)
+        kernel = CountingKernel(self.db.n_items, rows, owners)
         counting = []
         for a in self.app_ids:
             counting.append(self._receiver_node(a, kernel))
@@ -167,7 +169,7 @@ class HPARun(MiningDriver):
         # Phase 3: determination (+ the ELD all-reduce of duplicated
         # candidates' partial counts, when the variant is enabled).
         local_larges = yield from self._barrier(
-            [self._determine_node(a) for a in self.app_ids]
+            [self._determine_node(a, kernel) for a in self.app_ids]
         )
         l_now: dict[Itemset, int] = {}
         for chunk in local_larges:
@@ -196,31 +198,19 @@ class HPARun(MiningDriver):
 
     # -- per-node phase processes ----------------------------------------------
 
-    def _candgen_node(
-        self,
-        a: int,
-        candidates: "list[Itemset]",
-        lines: np.ndarray,
-        owned: np.ndarray,
-        n_duplicated: int,
-    ) -> Generator:
-        """Generate all candidates (CPU), insert the owned ones
-        (``owned`` indexes ``candidates``/``lines``).
+    def _candgen_node(self, a: int, n_candidates: int, n_duplicated: int) -> Generator:
+        """Generate all candidates (CPU), insert the owned ones.
 
         Duplicated (ELD) candidates live outside the hash table but their
         footprint still counts against the node's memory-usage limit.
         """
-        node = self.cluster[a]
         mgr = self.managers[a]
-        cost = self.config.cost
         mgr.pinned_bytes = ITEMSET_BYTES * n_duplicated
-        if candidates:
-            yield from node.compute(
-                cost.cpu_candgen_per_candidate_s * len(candidates)
+        if n_candidates:
+            yield from self.cluster[a].compute(
+                self.config.cost.cpu_candgen_per_candidate_s * n_candidates
             )
-        yield from self._insert_candidates(
-            a, [candidates[i] for i in owned.tolist()], lines[owned]
-        )
+        yield from self._insert_candidates(a, mgr.owned)
 
     def _sender_node(
         self, a: int, kernel: CountingKernel, dup_counts: "dict[Itemset, int]"
@@ -272,7 +262,7 @@ class HPARun(MiningDriver):
                 for pos, b, payload in streams.extend(codes, owners):
                     if not bulk:
                         hi = int(np.searchsorted(loc_pos, pos))
-                        yield from self._count_ordered(a, kernel, loc[li:hi])
+                        yield from self._count_ordered(a, loc[li:hi])
                         li = hi
                     n_messages += 1
                     yield from window.post(
@@ -283,7 +273,7 @@ class HPARun(MiningDriver):
                 if bulk:
                     local_codes.append(loc)
                 else:
-                    yield from self._count_ordered(a, kernel, loc[li:])
+                    yield from self._count_ordered(a, loc[li:])
             cpu = (
                 cost.cpu_generate_per_itemset_s * generated
                 + cost.cpu_count_per_itemset_s * local_counted
@@ -312,9 +302,10 @@ class HPARun(MiningDriver):
             )
         yield from window.drain()
         kernel.apply_local_pairs(mgr, local_codes)
-        dup_itemsets, _, dup_totals = kernel.tally(dup_codes)
-        for itemset, n in zip(dup_itemsets, dup_totals):
-            dup_counts[itemset] += n
+        if dup_codes:
+            dup, totals = np.unique(np.concatenate(dup_codes), return_counts=True)
+            for itemset, n in zip(kernel.decode(dup), totals.tolist()):
+                dup_counts[itemset] += n
         return n_messages
 
     def _receiver_node(self, a: int, kernel: CountingKernel) -> Generator:
@@ -341,22 +332,21 @@ class HPARun(MiningDriver):
             if bulk:
                 pending.append(payload)
             else:
-                yield from self._count_ordered(a, kernel, payload)
+                yield from self._count_ordered(a, payload)
         kernel.apply_local_pairs(mgr, pending)
 
-    def _determine_node(self, a: int) -> Generator:
+    def _determine_node(self, a: int, kernel: CountingKernel) -> Generator:
         """Find locally large itemsets and broadcast them."""
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
         lines = yield from mgr.iter_all_lines()
-        local_large: dict[Itemset, int] = {}
-        n_scanned = 0
-        for line in lines:
-            for itemset, count in line.counts.items():
-                n_scanned += 1
-                if count >= self.minsup_count:
-                    local_large[itemset] = count
+        n_scanned = sum(line.n_itemsets for line in lines)
+        counts = mgr.table.counts[mgr.owned]
+        large = np.flatnonzero(counts >= self.minsup_count)
+        local_large = dict(
+            zip(kernel.decode(mgr.owned[large]), counts[large].tolist())
+        )
         if n_scanned:
             yield from node.compute(cost.cpu_determine_per_itemset_s * n_scanned)
         # Broadcast local large itemsets to the other application nodes.

@@ -15,12 +15,12 @@ routed, shipped and counted whole.  Only *generating* it depends on k:
    produced by closed-form triangular index math over the CSR arrays
    (:func:`ragged_pairs`), on the items' ranks among those that occur in
    C_2; one pair→index table over the rank pairs turns them into codes.
-2. **k >= 3** — C_k organised by its (k-1)-prefix (:class:`PrefixIndex`,
-   the join structure apriori-gen already produces).  Subset generation
-   walks transaction items against the index and emits exactly the
-   candidates contained in the transaction, in the lexicographic order
-   the naive ``combinations``-then-prune loop produces, without
-   enumerating C(|txn|, k) subsets.
+2. **k >= 3** — lex-sorted C_k as a trie in per-depth level arrays
+   (:class:`PrefixIndex`; a leaf's index is the candidate's code).  One
+   batched walk per disk block descends it for all the block's
+   transactions at once and emits exactly the candidates each contains,
+   in the lexicographic order the naive ``combinations``-then-prune loop
+   produces, without enumerating C(|txn|, k) subsets.
 
 Routing is hashed once per pass (``HashPartitioner.lines_of`` over the
 candidates as an ``int64[n, k]`` array) and read back by indexing, so
@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.swap_manager import SpanIndex, SwapManager
+from repro.core.swap_manager import SwapManager
 from repro.datagen.corpus import TransactionDatabase
 from repro.errors import MiningError
 from repro.mining.itemsets import Itemset, itemset_rows
@@ -130,57 +130,93 @@ def item_mask(itemsets: "Sequence[Itemset] | np.ndarray", n_items: int) -> np.nd
 # candidate prefix index (k >= 3)
 # ---------------------------------------------------------------------------
 
+#: Cells of the ``transactions x labels`` membership temporary one trie
+#: walk may allocate; a longer block is walked in slices.  Bounds the
+#: temporary, nothing else.
+_MEMBER_CELLS = 1 << 22
+
+
+def _children(ptr: np.ndarray, parent: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Every child of every ``parent`` node, parents in sequence and each
+    one's children ascending: ``(index into parent, child node)``."""
+    lo = ptr[parent]
+    fanout = ptr[parent + 1] - lo
+    rep = np.repeat(np.arange(parent.size), fanout)
+    run_start = np.cumsum(fanout) - fanout
+    return rep, lo[rep] + np.arange(rep.size) - run_start[rep]
+
+
 class PrefixIndex:
-    """C_k grouped by (k-1)-prefix — the apriori-gen join structure.
+    """Lex-sorted C_k as a trie, one set of arrays per depth.
+
+    ``rows`` is C_k as an ``int64[n, k]`` array over item *labels*
+    ``0 .. n_labels-1`` (any order-preserving relabelling of the items).
+    The depth-``d`` nodes are the distinct ``(d+1)``-prefixes in row
+    order: ``_label[d]`` holds each node's last label and
+    ``_ptr[d][j] : _ptr[d][j+1]`` its children at depth ``d+1``.  Every
+    row is its own leaf, so a leaf's index is the candidate's position
+    in ``rows`` — its occurrence code.
 
     ``subsets_of`` replaces "enumerate all C(|txn|, k) subsets, then
-    prune each via its (k-1)-subsets": only (k-1)-prefixes present in the
-    transaction are probed, and each hit expands to the candidates it
-    heads that the transaction also contains.  A generated subset passes
-    the naive all-subsets prune *iff* it is a candidate (apriori-gen's
+    prune each via its (k-1)-subsets".  A generated subset passes the
+    naive all-subsets prune *iff* it is a candidate (apriori-gen's
     join+prune is closed over that property), so both enumerations yield
-    the same stream; prefixes arrive in lexicographic order and last
-    items ascend, preserving the naive order exactly.
+    the same stream; within a transaction the naive order is
+    lexicographic, i.e. ascending leaf index, which a walk that expands
+    parents in sequence and children ascending preserves by construction.
     """
 
-    def __init__(self, candidates: Sequence[Itemset], k: int) -> None:
-        if k < 2:
-            raise MiningError(f"prefix index requires k >= 2, got {k}")
-        self.k = k
-        index: dict[Itemset, list[int]] = {}
-        for cand in candidates:
-            if len(cand) != k:
-                raise MiningError(f"expected {k}-itemsets, got {cand}")
-            index.setdefault(cand[:-1], []).append(cand[-1])
-        for lasts in index.values():
-            lasts.sort()
-        self._index = index
+    def __init__(self, rows: np.ndarray, n_labels: int) -> None:
+        if rows.ndim != 2 or rows.shape[1] < 1:
+            raise MiningError(f"prefix index needs [n, k] rows, got {rows.shape}")
+        n, self.k = rows.shape
+        self.n_labels = n_labels
+        # opens[i, d]: row i starts a new (d+1)-prefix.
+        opens = np.ones((n, self.k), dtype=bool)
+        if n > 1:
+            differs = rows[1:] != rows[:-1]
+            at = np.arange(n - 1), differs.argmax(axis=1)
+            if not (rows[1:][at] > rows[:-1][at]).all():
+                raise MiningError("prefix index needs distinct rows in lex order")
+            opens[1:] = np.logical_or.accumulate(differs, axis=1)
+        starts = [np.flatnonzero(opens[:, d]) for d in range(self.k)]
+        self._label = [rows[starts[d], d] for d in range(self.k)]
+        self._ptr = [
+            np.append(np.searchsorted(starts[d + 1], starts[d]), len(starts[d + 1]))
+            for d in range(self.k - 1)
+        ]
+        #: Depth-0 node of every label (-1: no candidate starts with it).
+        self._root = np.full(n_labels, -1, dtype=np.int64)
+        self._root[self._label[0]] = np.arange(len(starts[0]))
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._index.values())
+        return len(self._label[-1])
 
-    def subsets_of(self, filtered: Sequence[int]) -> "list[Itemset]":
-        """Candidates contained in a (masked, sorted) transaction.
+    def subsets_of(self, labels: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Codes of the candidates contained in each transaction of a
+        CSR block, transactions in sequence, naive order within each.
 
-        ``filtered`` must already be restricted to items that occur in
-        some candidate (see :func:`item_mask`) — dropping other items
-        cannot change the result and keeps the prefix enumeration small.
+        ``labels`` concatenates the transactions (each ascending, already
+        restricted to ``0 .. n_labels-1``), ``lengths`` are their sizes.
         """
-        k = self.k
-        if len(filtered) < k:
-            return []
-        index = self._index
-        members = set(filtered)
-        out: list[Itemset] = []
-        for prefix in combinations(filtered, k - 1):
-            lasts = index.get(prefix)
-            if lasts is None:
-                continue
-            for last in lasts:
-                # Every indexed last exceeds prefix[-1] by construction.
-                if last in members:
-                    out.append(prefix + (last,))
-        return out
+        out = [np.empty(0, dtype=np.int64)]
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        step = max(1, _MEMBER_CELLS // max(1, self.n_labels))
+        for t0 in range(0, len(lengths), step):
+            t1 = min(len(lengths), t0 + step)
+            block = labels[bounds[t0] : bounds[t1]]
+            txn = np.repeat(np.arange(t1 - t0), lengths[t0:t1])
+            member = np.zeros((t1 - t0, self.n_labels), dtype=bool)
+            member[txn, block] = True
+            node = self._root[block]
+            txn, node = txn[node >= 0], node[node >= 0]
+            for d in range(self.k - 1):
+                rep, node = _children(self._ptr[d], node)
+                txn = txn[rep]
+                keep = member[txn, self._label[d + 1][node]]
+                txn, node = txn[keep], node[keep]
+            out.append(node)
+        return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +260,16 @@ class OwnerStreams:
         """
         ipm = self.items_per_msg
         events: list[tuple[int, int, np.ndarray]] = []
-        for b in self.dests:
-            idx = np.flatnonzero(owners == b)
-            if idx.size == 0:
+        # One stable sort groups the block by owner, emission order kept
+        # inside each group, whatever the number of destinations.
+        order = np.argsort(owners, kind="stable")
+        grouped = owners[order]
+        starts = np.searchsorted(grouped, self.dests).tolist()
+        ends = np.searchsorted(grouped, self.dests, side="right").tolist()
+        for b, lo, hi in zip(self.dests, starts, ends):
+            if lo == hi:
                 continue
+            idx = order[lo:hi]
             fill = self._pending[b].size
             stream = np.concatenate((self._pending[b], codes[idx]))
             n_flush = stream.size // ipm
@@ -256,49 +298,44 @@ class OwnerStreams:
 class CountingKernel:
     """One pass's shared counting kernel: occurrence codes plus routing.
 
-    Built once per pass from the candidate list and its aligned routing
-    arrays — ``lines[i]``/``owners[i]`` are candidate ``i``'s hash line
-    and owning node (owner :data:`OWNER_DUPLICATED` with line -1 marks an
-    ELD-duplicated candidate; NPA, where every candidate is local, passes
-    all-zero owners).  Every occurrence of the pass is one ``int64``
-    *code*: the candidate's index into ``candidates``, so routing and
-    decoding are plain indexing into the pass's own arrays.  Drivers only
-    generate (:meth:`occurrences`), route (:meth:`owners_of`,
-    :meth:`lines_of`), decode and fold codes.  All nodes share one
-    instance — the structures are read-only during counting.
+    Built once per pass from C_k as the ``int64[n, k]`` ``rows`` the
+    driver hashed for routing, and the aligned ``owners`` —
+    ``owners[i]`` is candidate ``i``'s owning node
+    (:data:`OWNER_DUPLICATED` marks an ELD-duplicated candidate; NPA,
+    where every candidate is local, passes all zeros).  Every occurrence
+    of the pass is one ``int64`` *code*: the candidate's row, the index
+    the pass's :class:`~repro.mining.hash_table.CandidateHashTable` is
+    addressed by.  Drivers only generate (:meth:`occurrences`), route
+    (:meth:`owners_of`) and fold codes; tuples come back only for L_k
+    (:meth:`decode`).  All nodes share one instance — the structures are
+    read-only during counting.
     """
 
-    def __init__(
-        self,
-        k: int,
-        n_items: int,
-        candidates: Sequence[Itemset],
-        lines: np.ndarray,
-        owners: np.ndarray,
-    ) -> None:
-        self.k = k
-        self._candidates = candidates
-        self._line = lines
-        self._owner = owners
-        cand = itemset_rows(candidates, k)
+    def __init__(self, n_items: int, rows: np.ndarray, owners: np.ndarray) -> None:
+        self.k = rows.shape[1]
+        self._rows = rows
+        # Owners are node ids or -1: in the narrowest integer type that
+        # holds them, OwnerStreams' grouping sort is a radix sort.
+        self._owner = owners.astype(
+            np.min_scalar_type(-max(1, int(owners.max(initial=0))))
+        )
         #: Items occurring in any candidate — transactions are restricted
         #: to this mask before subset generation (for k == 2 it is the
         #: L1 mask: C_2 pairs every large item with every other).
-        self.mask = item_mask(cand, n_items)
-        if k == 2:
-            # Pairs are looked up by item *rank* among the m masked
-            # items, so the table is O(|C_2|) whatever the universe.
-            # Rank m stands for every item outside C_2: its row and
-            # column stay -1 like any other non-candidate pair.
-            members = np.flatnonzero(self.mask)
-            m = members.size
-            self._rank = np.full(n_items, m, dtype=np.int64)
-            self._rank[members] = np.arange(m)
+        self.mask = item_mask(rows, n_items)
+        # Candidates are looked up by item *rank* among the m masked
+        # items, so every table is O(|C_k|) whatever the universe.  Rank
+        # m stands for every item outside C_k.
+        members = np.flatnonzero(self.mask)
+        m = members.size
+        self._rank = np.full(n_items, m, dtype=np.int64)
+        self._rank[members] = np.arange(m)
+        if self.k == 2:
+            # Row and column m stay -1 like any other non-candidate pair.
             self._pair_code = np.full((m + 1, m + 1), -1, dtype=np.int64)
-            self._pair_code[tuple(self._rank[cand].T)] = np.arange(len(cand))
+            self._pair_code[tuple(self._rank[rows].T)] = np.arange(len(rows))
         else:
-            self._code = {c: i for i, c in enumerate(candidates)}
-            self._prefix = PrefixIndex(candidates, k)
+            self._prefix = PrefixIndex(self._rank[rows], m)
 
     # -- occurrence generation ----------------------------------------------
 
@@ -326,21 +363,12 @@ class CountingKernel:
         ``[i, j)`` of ``part``, in the order the naive
         ``combinations``-then-prune walk emits them."""
         offsets = part.offsets
+        items = part.items[offsets[i] : offsets[j]]
+        rel_offsets = offsets[i : j + 1] - offsets[i]
         if self.k == 2:
-            return self.pair_block(
-                part.items[offsets[i] : offsets[j]],
-                offsets[i : j + 1] - offsets[i],
-                self.mask,
-            )
-        k, mask, code = self.k, self.mask, self._code
-        subsets_of = self._prefix.subsets_of
-        out: list[int] = []
-        for t in range(i, j):
-            txn = part[t]
-            filtered = txn[mask[txn]]
-            if filtered.size >= k:
-                out.extend([code[s] for s in subsets_of(filtered.tolist())])
-        return np.array(out, dtype=np.int64)
+            return self.pair_block(items, rel_offsets, self.mask)
+        filtered, lengths = filter_block(items, rel_offsets, self.mask)
+        return self._prefix.subsets_of(self._rank[filtered], lengths)
 
     # -- routing and decoding -----------------------------------------------
 
@@ -348,46 +376,18 @@ class CountingKernel:
         """Owner of every code (``OWNER_DUPLICATED`` for ELD)."""
         return self._owner[codes]
 
-    def lines_of(self, codes: np.ndarray) -> np.ndarray:
-        """Hash line of every code."""
-        return self._line[codes]
-
     def decode(self, codes: np.ndarray) -> "list[Itemset]":
         """The candidate tuples the codes index."""
-        return list(map(self._candidates.__getitem__, codes.tolist()))
-
-    def itemset_of(self, code: int) -> Itemset:
-        """Single-code :meth:`decode` (the per-fault slow path)."""
-        return self._candidates[code]
+        return list(map(tuple, self._rows[codes].tolist()))
 
     # -- counting into a swap manager -----------------------------------------
 
     def count_resident_span(
         self, mgr: SwapManager, codes: np.ndarray, lines: np.ndarray
     ) -> None:
-        """Count one run of occurrences on all-resident lines into ``mgr``.
-
-        Valid only when every line in ``lines`` is resident and the
-        caller yields to no simulation event across the run (see
-        :meth:`SwapManager.count_resident_batch` for why that makes the
-        batch indistinguishable from the per-occurrence sequence).  On
-        first use the manager gets a :class:`SpanIndex` onto the pass's
-        shared candidate and line arrays; counts accumulate vectorised.
-        """
-        if mgr.span_index is None:
-            mgr.span_index = SpanIndex(self._candidates, self._line)
+        """Pinned by the benchmark's target table; drivers call
+        :meth:`SwapManager.count_span_codes` themselves."""
         mgr.count_span_codes(codes, lines)
-
-    def tally(
-        self, code_arrays: "list[np.ndarray]"
-    ) -> "tuple[list[Itemset], list[int], list[int]]":
-        """Collapse accumulated code arrays to one aligned ``(itemsets,
-        lines, counts)`` entry per distinct candidate."""
-        if not code_arrays:
-            return [], [], []
-        acc = np.bincount(np.concatenate(code_arrays), minlength=len(self._candidates))
-        hot = np.flatnonzero(acc)
-        return self.decode(hot), self._line[hot].tolist(), acc[hot].tolist()
 
     def apply_local_pairs(
         self, mgr: SwapManager, code_arrays: "list[np.ndarray]"
@@ -396,11 +396,10 @@ class CountingKernel:
 
         Only valid when the node has no pager (every line permanently
         resident): occurrence order then cannot influence the virtual
-        clock, so counts collapse to one bulk increment per candidate.
+        clock, so the whole scan collapses to one bulk count.
         """
-        itemsets, lines, counts = self.tally(code_arrays)
-        if itemsets:
-            mgr.count_resident_bulk(itemsets, lines, counts)
+        if code_arrays:
+            mgr.count_resident_bulk(np.concatenate(code_arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,7 @@ def count_candidates(
     """
     n = len(candidates)
     routing = np.zeros(n, dtype=np.int64)
-    kernel = CountingKernel(k, db.n_items, candidates, routing, routing)
+    kernel = CountingKernel(db.n_items, itemset_rows(candidates, k), routing)
     acc = np.zeros(n, dtype=np.int64)
     for start in range(0, len(db), _SCAN_CHUNK_TXNS):
         stop = min(len(db), start + _SCAN_CHUNK_TXNS)

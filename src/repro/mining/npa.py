@@ -27,6 +27,7 @@ import numpy as np
 from repro.datagen.corpus import TransactionDatabase
 from repro.errors import ConfigError
 from repro.mining.candidates import generate_candidates
+from repro.mining.hash_table import CandidateHashTable
 from repro.mining.hpa import HPAConfig
 from repro.mining.itemsets import Itemset, itemset_rows
 from repro.mining.kernels import CountingKernel
@@ -67,14 +68,18 @@ class NPARun(MiningDriver):
         t0 = self.env.now
         self._trace_phase(f"pass {k} start")
         candidates = generate_candidates(sorted(l_prev), k)
-        lines = self.partitioner.lines_of(itemset_rows(candidates, k))
+        rows = itemset_rows(candidates, k)
+        lines = self.partitioner.lines_of(rows)
 
         stats_before = [self._pager_snapshot(a) for a in self.app_ids]
 
+        # Every node holds (and counts into) its own copy of the table.
+        everything = np.arange(len(candidates))
+        for a in self.app_ids:
+            self.managers[a].begin_pass(CandidateHashTable(lines), everything)
+
         # Phase 1: EVERY node inserts EVERY candidate (the defining cost).
-        yield from self._barrier(
-            [self._candgen_node(a, candidates, lines) for a in self.app_ids]
-        )
+        yield from self._barrier([self._candgen_node(a) for a in self.app_ids])
         t_candgen = self.env.now
         self._trace_phase(f"pass {k} candidates generated")
         self._span(f"pass{k}/candgen", t0, t_candgen)
@@ -93,9 +98,7 @@ class NPARun(MiningDriver):
 
         # Phase 2: purely local counting (every candidate owned by "node 0"
         # of the one-owner partitioner, i.e. by whoever counts it).
-        kernel = CountingKernel(
-            k, self.db.n_items, candidates, lines, np.zeros_like(lines)
-        )
+        kernel = CountingKernel(self.db.n_items, rows, np.zeros_like(lines))
         yield from self._barrier(
             [self._count_node(a, kernel) for a in self.app_ids]
         )
@@ -106,7 +109,8 @@ class NPARun(MiningDriver):
 
         # Phase 3: global reduction of the full count tables.
         merged = yield from self._reduce(len(candidates))
-        l_now = {i: c for i, c in merged.items() if c >= self.minsup_count}
+        large = np.flatnonzero(merged >= self.minsup_count)
+        l_now = dict(zip(kernel.decode(large), merged[large].tolist()))
 
         return (
             self._finish_pass(
@@ -127,16 +131,13 @@ class NPARun(MiningDriver):
 
     # -- per-node phases ----------------------------------------------------
 
-    def _candgen_node(
-        self, a: int, candidates: "list[Itemset]", lines: np.ndarray
-    ) -> Generator:
-        node = self.cluster[a]
-        cost = self.config.cost
-        if candidates:
-            yield from node.compute(
-                cost.cpu_candgen_per_candidate_s * len(candidates)
+    def _candgen_node(self, a: int) -> Generator:
+        codes = self.managers[a].owned
+        if codes.size:
+            yield from self.cluster[a].compute(
+                self.config.cost.cpu_candgen_per_candidate_s * codes.size
             )
-        yield from self._insert_candidates(a, candidates, lines)
+        yield from self._insert_candidates(a, codes)
 
     def _count_node(self, a: int, kernel: CountingKernel) -> Generator:
         """The HPA sender's loop with nothing remote: every occurrence of
@@ -155,7 +156,7 @@ class NPARun(MiningDriver):
             if bulk:
                 pending.append(codes)
             else:
-                yield from self._count_ordered(a, kernel, codes)
+                yield from self._count_ordered(a, codes)
             if counted:
                 yield from node.compute(
                     (cost.cpu_generate_per_itemset_s + cost.cpu_count_per_itemset_s)
@@ -171,13 +172,11 @@ class NPARun(MiningDriver):
         """
         yield from self._all_reduce(n_candidates, "npa-reduce", "npa-large")
         # The actual merge (the messages above carried the timing).
-        merged: dict[Itemset, int] = {}
+        merged = np.zeros(n_candidates, dtype=np.int64)
         for a in self.app_ids:
             mgr = self.managers[a]
-            lines = yield from mgr.iter_all_lines()
-            for line in lines:
-                for itemset, c in line.counts.items():
-                    merged[itemset] = merged.get(itemset, 0) + c
+            yield from mgr.iter_all_lines()
+            merged += mgr.table.counts
         return merged
 
 

@@ -197,7 +197,6 @@ def build_runtime(config: RunConfig) -> ClusterRuntime:
             limit_bytes=config.memory_limit_bytes,
             pager=pager,
             policy=make_policy(config.replacement, seed=config.seed),
-            cost=cost,
         )
         # Shortage broadcasts trigger the migration mechanism.
         if pager is not None and a in clients:

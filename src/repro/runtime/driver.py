@@ -16,7 +16,7 @@ surface.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from repro.sim import Environment
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.corpus import TransactionDatabase
     from repro.mining.itemsets import Itemset
-    from repro.mining.kernels import CountingKernel
 
 __all__ = ["MiningDriver", "SendWindow"]
 
@@ -334,10 +333,8 @@ class MiningDriver:
             [collect()] + [gather(a) for a in others] + [receive(a) for a in others]
         )
 
-    def _insert_candidates(
-        self, a: int, itemsets: "Sequence[Itemset]", lines: np.ndarray
-    ) -> Generator:
-        """Insert aligned ``(itemset, line)`` candidates through the swap
+    def _insert_candidates(self, a: int, codes: np.ndarray) -> Generator:
+        """Insert the candidates ``codes`` through node ``a``'s swap
         manager, charging CPU in :data:`CPU_CHUNK` batches.
 
         The prefix that cannot evict, fault or buffer goes in as one
@@ -347,12 +344,13 @@ class MiningDriver:
         """
         node = self.cluster[a]
         mgr = self.managers[a]
+        lines = mgr.table.lines[codes]
         chunk_cpu = self.config.cost.cpu_count_per_itemset_s * CPU_CHUNK
-        inserted = mgr.insert_resident_prefix(itemsets, lines)
+        inserted = mgr.insert_resident_prefix(codes, lines)
         for _ in range(inserted // CPU_CHUNK):
             yield from node.compute(chunk_cpu)
-        for itemset, line in zip(itemsets[inserted:], lines[inserted:].tolist()):
-            op = mgr.insert_candidate(itemset, line)
+        for code, line in zip(codes[inserted:].tolist(), lines[inserted:].tolist()):
+            op = mgr.insert_candidate(code, line)
             if op is not None:
                 yield from op
             inserted += 1
@@ -363,40 +361,44 @@ class MiningDriver:
                 self.config.cost.cpu_count_per_itemset_s * (inserted % CPU_CHUNK)
             )
 
-    def _count_ordered(
-        self, a: int, kernel: "CountingKernel", codes: np.ndarray
-    ) -> Generator:
+    def _count_ordered(self, a: int, codes: np.ndarray) -> Generator:
         """Count occurrences node ``a`` owns, in order, under a pager.
 
-        Each run of consecutive occurrences on resident lines is batched
-        (no yields inside a run, so residency and policy state cannot
-        change under it); every occurrence on a non-resident line goes
-        through the slow path singly, in order, and may fault.  Pager-less
-        nodes never need this: their occurrence order is unobservable and
-        folds in bulk (:meth:`CountingKernel.apply_local_pairs`).
+        Every occurrence on a non-resident line goes through the slow
+        path singly, in order: it may buffer an update record, flush a
+        message block, or fault.  Only the last two yield, and only at a
+        yield can residency or the replacement policy be observed or
+        changed — so the occurrences on resident lines since the previous
+        yield are counted as one batch just before the next one (the
+        policy ends where touching them one by one would leave it).
+        Pager-less nodes never need this: their occurrence order is
+        unobservable and folds in bulk
+        (:meth:`CountingKernel.apply_local_pairs`).
         """
         mgr = self.managers[a]
-        mm = mgr.mm_table
         n_occ = len(codes)
-        lines = kernel.lines_of(codes)
-        mask = mm.resident_mask(lines)
-        i = 0
-        while i < n_occ:
-            if mask[i]:
-                rel = np.flatnonzero(~mask[i:])
-                end = i + (int(rel[0]) if rel.size else n_occ - i)
-                kernel.count_resident_span(mgr, codes[i:end], lines[i:end])
-                i = end
-            else:
-                op = mgr.count_itemset(
-                    kernel.itemset_of(int(codes[i])), int(lines[i])
-                )
-                i += 1
+        lines = mgr.table.lines[codes]
+        mask = mgr.mm_table.resident_mask(lines)
+
+        def count_resident(start: int, stop: int) -> None:
+            hit = mask[start:stop]
+            if hit.any():
+                mgr.count_span_codes(codes[start:stop][hit], lines[start:stop][hit])
+
+        start = 0
+        while start < n_occ:
+            for i in np.flatnonzero(~mask[start:]) + start:
+                op = mgr.count_itemset(int(codes[i]), int(lines[i]))
                 if op is not None:
-                    # A fault ran: residency may have shifted.
+                    count_resident(start, i)
                     yield from op
-                    if i < n_occ:
-                        mask[i:] = mm.resident_mask(lines[i:])
+                    # A fault or a flush ran: residency may have shifted.
+                    start = i + 1
+                    mask[start:] = mgr.mm_table.resident_mask(lines[start:])
+                    break
+            else:
+                count_resident(start, n_occ)
+                return
 
     # -- helpers -----------------------------------------------------------
 

@@ -15,7 +15,7 @@ from repro.sim.events import PENDING, Event
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
 
-__all__ = ["Request", "Release", "Resource"]
+__all__ = ["Request", "Resource"]
 
 
 class Request(Event):
@@ -43,17 +43,6 @@ class Request(Event):
         self.resource._cancel(self)
 
 
-class Release(Event):
-    """Event representing the hand-back of a granted :class:`Request`."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.request = request
-        resource._do_release(self)
-
-
 class Resource:
     """A capacity-``capacity`` semaphore with FIFO queueing.
 
@@ -69,14 +58,12 @@ class Resource:
         self._capacity = capacity
         self.users: list[Request] = []
         self.queue: deque[Request] = deque()
-        # Recycled event objects: a request/release cycle is the kernel's
-        # most allocated pattern (two events per claim), and a finished
-        # event is indistinguishable from a fresh one once its trigger
-        # state is reset.  Requests return to the pool when their release
-        # is handled (the claim is provably over); releases are reused
-        # one-deep on the next release() once processed.
+        # Recycled request events: a request/release cycle is the
+        # kernel's most allocated pattern, and a finished event is
+        # indistinguishable from a fresh one once its trigger state is
+        # reset.  Requests return to the pool when they are released
+        # (the claim is provably over).
         self._req_pool: list[Request] = []
-        self._last_release: "Release | None" = None
 
     @property
     def capacity(self) -> int:
@@ -108,32 +95,23 @@ class Resource:
             return req
         return Request(self)
 
-    def release(self, request: Request) -> Release:
-        """Give back a previously granted claim."""
-        rel = self._last_release
-        if rel is not None and rel.callbacks is None:
-            # The previous release was fully processed: reuse its event.
-            # Inlined _do_release + succeed (the recycled event is known
-            # untriggered; _ok stayed True).
-            rel.callbacks = []
-            rel._defused = False
-            rel.request = request
-            try:
-                self.users.remove(request)
-            except ValueError:
-                raise RuntimeError(
-                    f"{request!r} was not holding {self!r}"
-                ) from None
-            rel._value = None
-            self.env._normal.append(rel)
-            if self.queue:
-                self._grant_next()
-            if request.callbacks is None:
-                self._req_pool.append(request)
-            return rel
-        rel = Release(self, request)
-        self._last_release = rel
-        return rel
+    def release(self, request: Request) -> None:
+        """Give back a previously granted claim.  Nothing can wait on a
+        release, so it schedules no event of its own: the freed unit goes
+        straight to the next waiter."""
+        try:
+            self.users.remove(request)
+        except ValueError:
+            raise RuntimeError(
+                f"{request!r} was not holding {self!r}"
+            ) from None
+        self._grant_next()
+        if request.callbacks is None:
+            # The grant was processed and the claim is over: nothing can
+            # reach this event again, so it is safe to recycle.  The
+            # release of a triggered-but-unprocessed grant simply skips
+            # the pool.
+            self._req_pool.append(request)
 
     # -- internals --------------------------------------------------------
 
@@ -143,23 +121,6 @@ class Resource:
             request.succeed()
         else:
             self.queue.append(request)
-
-    def _do_release(self, release: Release) -> None:
-        request = release.request
-        try:
-            self.users.remove(request)
-        except ValueError:
-            raise RuntimeError(
-                f"{request!r} was not holding {self!r}"
-            ) from None
-        release.succeed()
-        self._grant_next()
-        if request.callbacks is None:
-            # The grant was processed and the claim is over: nothing can
-            # reach this event again, so it is safe to recycle.  The
-            # release of a triggered-but-unprocessed grant simply skips
-            # the pool.
-            self._req_pool.append(request)
 
     def _grant_next(self) -> None:
         # One wake pass per release: grant every waiter a free unit can

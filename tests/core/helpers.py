@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.analysis.cost_model import CostModel
 from repro.cluster import Cluster
 from repro.core import (
@@ -20,6 +22,7 @@ from repro.core import (
     make_placement,
 )
 from repro.core.policies import make_policy
+from repro.mining import CandidateHashTable, HashLine
 from repro.sim import Environment
 
 
@@ -117,29 +120,50 @@ def make_rig(
             limit_bytes=limit_bytes if pager is not None else None,
             pager=pager,
             policy=make_policy(policy),
-            cost=cost,
         )
     return rig
 
 
-def drive(mgr: SwapManager, op):
-    """Run one fast/slow-path operation inside a process, return a process
-    generator for chaining."""
-    if op is not None:
-        yield from op
+#: Codes per hash line in :func:`bare_table`.
+PER_LINE = 4
 
 
-def insert_all(mgr: SwapManager, pairs):
-    """Process generator inserting (itemset, line_id) pairs in order."""
-    for itemset, line_id in pairs:
-        op = mgr.insert_candidate(itemset, line_id)
+def make_line(line_id: int = 1, n: int = 3) -> HashLine:
+    """A hash line chaining ``n`` candidates, as a swap manager would
+    hand it to a pager."""
+    return HashLine(line_id, n)
+
+
+def bare_table(pager, n_lines: int = 8, n: int = 3) -> CandidateHashTable:
+    """The candidate table behind :func:`make_line` lines, for a pager
+    driven without a swap manager: line ``l`` chains the inserted codes
+    ``4 l .. 4 l + n - 1``; the rest of its four are still to insert."""
+    table = CandidateHashTable(np.repeat(np.arange(n_lines), PER_LINE))
+    table.inserted[np.arange(len(table.lines)) % PER_LINE < n] = True
+    pager.candidates = table
+    return table
+
+
+def begin_pass(mgr: SwapManager, lines) -> CandidateHashTable:
+    """Attach a fresh candidate table to ``mgr``: code ``i`` hashes to
+    ``lines[i]`` and every code is owned by this node."""
+    table = CandidateHashTable(np.asarray(lines, dtype=np.int64))
+    mgr.begin_pass(table, np.arange(len(table.lines)))
+    return table
+
+
+def insert_all(mgr: SwapManager, codes):
+    """Process generator inserting ``codes`` in order, each on its line."""
+    for code in codes:
+        op = mgr.insert_candidate(code, int(mgr.table.lines[code]))
         if op is not None:
             yield from op
 
 
-def count_all(mgr: SwapManager, pairs):
-    """Process generator counting (itemset, line_id) pairs in order."""
-    for itemset, line_id in pairs:
-        op = mgr.count_itemset(itemset, line_id)
+def count_all(mgr: SwapManager, codes):
+    """Process generator counting one occurrence of each of ``codes`` in
+    order, each on its line."""
+    for code in codes:
+        op = mgr.count_itemset(code, int(mgr.table.lines[code]))
         if op is not None:
             yield from op

@@ -5,15 +5,7 @@ import pytest
 from repro.cluster import BARRACUDA_7200
 from repro.core import LineState
 from repro.errors import SwapError
-from repro.mining import HashLine
-from tests.core.helpers import make_rig
-
-
-def make_line(line_id=1, n=3):
-    line = HashLine(line_id)
-    for i in range(n):
-        line.add((i, i + 100))
-    return line
+from tests.core.helpers import begin_pass, count_all, insert_all, make_line, make_rig
 
 
 def test_swap_out_then_fault_in_roundtrip():
@@ -95,18 +87,27 @@ def test_peek_leaves_line_on_disk():
 
 
 def test_counts_preserved_across_swap():
-    rig = make_rig(pager_kind="disk")
-    pager = rig.pagers[0]
-    line = make_line()
-    line.increment((0, 100), by=7)
+    """Counts live at ``counts[code]``, not in the line: a line that is
+    swapped out and faulted back comes home the size it left, and its
+    candidates' counts neither travel nor move."""
+    rig = make_rig(pager_kind="disk", limit_bytes=16 + 24)  # one 1-itemset line
+    mgr = rig.managers[0]
+    table = begin_pass(mgr, [0, 1])
 
     def proc(env):
-        yield from pager.swap_out(line)
-        back = yield from pager.fault_in(1)
-        assert back.counts[(0, 100)] == 7
+        yield from insert_all(mgr, [0])
+        yield from count_all(mgr, [0] * 7)
+        yield from insert_all(mgr, [1])  # evicts line 0
+        assert rig.pagers[0].stored_line(0).n_itemsets == 1
+        assert table.counts.tolist() == [7, 0]
+        yield from count_all(mgr, [0])  # faults it back
 
     rig.env.process(proc(rig.env))
     rig.env.run(until=100)
+    assert rig.pagers[0].stats.faults == 1
+    assert mgr.lines[0].n_itemsets == 1
+    assert table.counts.tolist() == [8, 0]
+    mgr.check_invariants()
 
 
 def test_reset_pass_clears_disk_contents():

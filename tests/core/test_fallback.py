@@ -7,17 +7,10 @@ from repro.core import DiskPager, LineState, MemoryManagementTable, MostAvailabl
 from repro.core.remote_pager import RemoteMemoryPager, RemoteUpdatePager
 from repro.datagen import generate
 from repro.errors import NoMemoryAvailable
-from repro.mining import HashLine, apriori
+from repro.mining import apriori
 from repro.mining.hpa import HPAConfig, HPARun
 from repro.errors import MiningError
-from tests.core.helpers import make_rig
-
-
-def make_line(line_id, n=3):
-    line = HashLine(line_id)
-    for i in range(n):
-        line.add((i, i + 100))
-    return line
+from tests.core.helpers import make_line, make_rig
 
 
 def rig_with_fallback(pager_cls=RemoteMemoryPager):
@@ -87,11 +80,11 @@ def test_peek_from_disk_after_fallback():
 
     def proc(env):
         yield env.timeout(3.5)
-        line = make_line(1)
-        line.increment((0, 100), by=4)
+        line = make_line(1, n=4)
         yield from pager.swap_out(line)
         peeked = yield from pager.peek_line(1)
-        assert peeked.counts[(0, 100)] == 4
+        assert peeked is line and peeked.n_itemsets == 4
+        assert pager.stored_line(1) is line
 
     def pressure(env):
         yield env.timeout(0.5)

@@ -3,15 +3,7 @@
 import pytest
 
 from repro.core import LineState
-from repro.mining import HashLine
-from tests.core.helpers import make_rig
-
-
-def make_line(line_id, n=3):
-    line = HashLine(line_id)
-    for i in range(n):
-        line.add((i, i + 100))
-    return line
+from tests.core.helpers import PER_LINE, bare_table, make_line, make_rig
 
 
 def wire_migration(rig):
@@ -78,6 +70,7 @@ def test_migration_preserves_counts():
     rig = make_rig(n_app=1, n_mem=2, pager_kind="remote-update")
     wire_migration(rig)
     pager = rig.pagers[0]
+    table = bare_table(pager)
     done = {}
 
     def proc(env):
@@ -87,13 +80,13 @@ def test_migration_preserves_counts():
         holder = pager.table.location(1).node_id
         # Count a bit, then shortage mid-stream, then count more.
         for i in range(10):
-            op = pager.buffer_update(1, (0, 100), 1)
+            op = pager.buffer_update(1, PER_LINE, 1)
             if op is not None:
                 yield from op
         rig.monitors[holder].signal_shortage()
         yield env.timeout(1.0)  # migration happens
         for i in range(10):
-            op = pager.buffer_update(1, (0, 100), 1)
+            op = pager.buffer_update(1, PER_LINE, 1)
             if op is not None:
                 yield from op
         yield from pager.drain()
@@ -103,12 +96,14 @@ def test_migration_preserves_counts():
     rig.env.run(until=30.0)
     new_holder = pager.table.location(1).node_id
     assert new_holder != done["holder_before"]
-    assert rig.stores[new_holder].peek(0, 1).counts[(0, 100)] == 20
+    assert rig.stores[new_holder].peek(0, 1).n_itemsets == 3
+    assert table.counts[PER_LINE] == 20 == table.counts.sum()
 
 
 def test_updates_during_migration_are_held_and_flushed():
     rig = make_rig(n_app=1, n_mem=2, pager_kind="remote-update")
     pager = rig.pagers[0]
+    table = bare_table(pager)
 
     def proc(env):
         yield env.timeout(0.5)
@@ -120,7 +115,7 @@ def test_updates_during_migration_are_held_and_flushed():
         yield env.timeout(0)  # let it mark lines migrating
         assert pager.table.state(1) is LineState.MIGRATING
         for _ in range(5):
-            op = pager.buffer_update(1, (0, 100), 1)
+            op = pager.buffer_update(1, PER_LINE, 1)
             if op is not None:
                 yield from op
         yield migration
@@ -129,7 +124,8 @@ def test_updates_during_migration_are_held_and_flushed():
     rig.env.process(proc(rig.env))
     rig.env.run(until=30.0)
     new_holder = pager.table.location(1).node_id
-    assert rig.stores[new_holder].peek(0, 1).counts[(0, 100)] == 5
+    assert rig.stores[new_holder].holds(0, 1)
+    assert table.counts[PER_LINE] == 5 == table.counts.sum()
 
 
 def test_fault_waits_for_migration():
@@ -185,7 +181,7 @@ def test_migration_overhead_small():
                 holders = find_holder_with_lines(rig, 0)
                 victim = max(holders, key=lambda h: len(holders[h]))
                 rig.monitors[victim].signal_shortage()
-            op = pager.buffer_update(i % 4, (0, 100), 1)
+            op = pager.buffer_update(i % 4, PER_LINE * (i % 4), 1)
             if op is not None:
                 yield from op
         yield from pager.drain()
@@ -196,6 +192,7 @@ def test_migration_overhead_small():
         rig = make_rig(n_app=1, n_mem=3, pager_kind="remote-update")
         wire_migration(rig)
         pager = rig.pagers[0]
+        bare_table(pager)
         rig.env.process(workload(rig.env, migrate))
         rig.env.run(until=60.0)
         return t["elapsed"]

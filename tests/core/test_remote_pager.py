@@ -4,15 +4,7 @@ import pytest
 
 from repro.core import LineState
 from repro.errors import NoMemoryAvailable, SwapError
-from repro.mining import HashLine
-from tests.core.helpers import make_rig
-
-
-def make_line(line_id=1, n=3):
-    line = HashLine(line_id)
-    for i in range(n):
-        line.add((i, i + 100))
-    return line
+from tests.core.helpers import make_line, make_rig
 
 
 def settle(rig, t=0.5):
@@ -181,13 +173,13 @@ def test_peek_line_preserves_remote_residency():
     rig = make_rig(n_mem=1, pager_kind="remote")
     pager = rig.pagers[0]
     line = make_line()
-    line.increment((0, 100), by=3)
 
     def proc(env):
         yield env.timeout(0.5)
         yield from pager.swap_out(line)
         peeked = yield from pager.peek_line(1)
-        assert peeked.counts[(0, 100)] == 3
+        assert peeked is line and peeked.n_itemsets == 3
+        assert pager.stored_line(1) is line
 
     rig.env.process(proc(rig.env))
     rig.env.run(until=2.0)

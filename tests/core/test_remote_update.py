@@ -4,15 +4,10 @@ import pytest
 
 from repro.core import LineState
 from repro.errors import SwapError
-from repro.mining import HashLine
-from tests.core.helpers import make_rig
+from tests.core.helpers import PER_LINE, bare_table, make_line, make_rig
 
-
-def make_line(line_id=1, n=3):
-    line = HashLine(line_id)
-    for i in range(n):
-        line.add((i, i + 100))
-    return line
+#: Codes of line 1 in ``bare_table``: three inserted, one still to insert.
+FIRST, SECOND, _, NEW = range(PER_LINE, 2 * PER_LINE)
 
 
 def test_swapped_lines_are_fixed():
@@ -45,13 +40,14 @@ def test_fault_in_fixed_line_rejected():
 def test_updates_buffer_until_block_full():
     rig = make_rig(n_mem=1, pager_kind="remote-update")
     pager = rig.pagers[0]
+    table = bare_table(pager)
 
     def proc(env):
         yield env.timeout(0.5)
         yield from pager.swap_out(make_line())
         # Buffer a handful of updates: fewer than a block => all None.
         for _ in range(5):
-            op = pager.buffer_update(1, (0, 100), 1)
+            op = pager.buffer_update(1, FIRST, 1)
             assert op is None
         assert pager.stats.update_messages == 0
         yield from pager.drain()
@@ -59,8 +55,7 @@ def test_updates_buffer_until_block_full():
     rig.env.process(proc(rig.env))
     rig.env.run(until=2.0)
     # After drain, the partial buffer was flushed and applied.
-    holder = pager.table.location(1).node_id
-    assert rig.stores[holder].peek(0, 1).counts[(0, 100)] == 5
+    assert table.counts[FIRST] == 5
     assert pager.stats.update_messages == 1
     assert pager.stats.updates_sent == 5
 
@@ -68,6 +63,7 @@ def test_updates_buffer_until_block_full():
 def test_full_block_triggers_flush():
     rig = make_rig(n_mem=1, pager_kind="remote-update")
     pager = rig.pagers[0]
+    table = bare_table(pager)
     per_msg = rig.cost.updates_per_message()
 
     def proc(env):
@@ -75,7 +71,7 @@ def test_full_block_triggers_flush():
         yield from pager.swap_out(make_line())
         flushes = 0
         for _ in range(per_msg):
-            op = pager.buffer_update(1, (0, 100), 1)
+            op = pager.buffer_update(1, FIRST, 1)
             if op is not None:
                 flushes += 1
                 yield from op
@@ -84,21 +80,21 @@ def test_full_block_triggers_flush():
 
     rig.env.process(proc(rig.env))
     rig.env.run(until=5.0)
-    holder = pager.table.location(1).node_id
-    assert rig.stores[holder].peek(0, 1).counts[(0, 100)] == per_msg
+    assert table.counts[FIRST] == per_msg
 
 
 def test_remote_insert_delta_zero():
     rig = make_rig(n_mem=1, pager_kind="remote-update")
     pager = rig.pagers[0]
+    table = bare_table(pager)
 
     def proc(env):
         yield env.timeout(0.5)
         yield from pager.swap_out(make_line())
-        op = pager.buffer_update(1, (42, 43), 0)  # insert new candidate
+        op = pager.buffer_update(1, NEW, 0)  # insert new candidate
         if op is not None:
             yield from op
-        op = pager.buffer_update(1, (42, 43), 1)  # then count it
+        op = pager.buffer_update(1, NEW, 1)  # then count it
         if op is not None:
             yield from op
         yield from pager.drain()
@@ -106,14 +102,15 @@ def test_remote_insert_delta_zero():
     rig.env.process(proc(rig.env))
     rig.env.run(until=2.0)
     holder = pager.table.location(1).node_id
-    assert rig.stores[holder].peek(0, 1).counts[(42, 43)] == 1
+    assert table.inserted[NEW] and table.counts[NEW] == 1
+    assert rig.stores[holder].peek(0, 1).n_itemsets == 4
 
 
 def test_update_for_resident_line_rejected():
     rig = make_rig(n_mem=1, pager_kind="remote-update")
     pager = rig.pagers[0]
     with pytest.raises(SwapError):
-        pager.buffer_update(7, (1, 2), 1)
+        pager.buffer_update(7, 7 * PER_LINE, 1)
 
 
 def test_updates_cheaper_than_faulting():
@@ -123,6 +120,7 @@ def test_updates_cheaper_than_faulting():
     def run(kind):
         rig = make_rig(n_mem=2, pager_kind=kind)
         pager = rig.pagers[0]
+        bare_table(pager)
         t = {}
 
         def proc(env):
@@ -135,7 +133,7 @@ def test_updates_cheaper_than_faulting():
             for i in range(400):
                 lid = i % 4
                 if kind == "remote-update":
-                    op = pager.buffer_update(lid, (0, 100), 1)
+                    op = pager.buffer_update(lid, PER_LINE * lid, 1)
                     if op is not None:
                         yield from op
                 else:
@@ -169,6 +167,7 @@ def test_drain_idempotent_when_empty():
 def test_counts_exact_under_many_buffered_updates():
     rig = make_rig(n_mem=2, pager_kind="remote-update")
     pager = rig.pagers[0]
+    table = bare_table(pager)
     n_updates = 1000
 
     def proc(env):
@@ -176,14 +175,12 @@ def test_counts_exact_under_many_buffered_updates():
         line = make_line(1, n=2)
         yield from pager.swap_out(line)
         for i in range(n_updates):
-            op = pager.buffer_update(1, (0, 100) if i % 2 == 0 else (1, 101), 1)
+            op = pager.buffer_update(1, FIRST if i % 2 == 0 else SECOND, 1)
             if op is not None:
                 yield from op
         yield from pager.drain()
 
     rig.env.process(proc(rig.env))
     rig.env.run(until=30.0)
-    holder = pager.table.location(1).node_id
-    counts = rig.stores[holder].peek(0, 1).counts
-    assert counts[(0, 100)] == n_updates // 2
-    assert counts[(1, 101)] == n_updates // 2
+    assert table.counts[FIRST] == n_updates // 2
+    assert table.counts[SECOND] == n_updates // 2

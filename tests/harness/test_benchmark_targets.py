@@ -43,7 +43,14 @@ def test_every_traced_target_resolves():
 #: only because ``layers.py`` (which a non-``[benchmark]`` PR may not
 #: edit) names them: the next ``[benchmark]`` PR drops exactly these
 #: rows together with their functions.
-DEAD_BUT_PINNED = {"count_resident_batch", "count_candidates"}
+DEAD_BUT_PINNED = {
+    "count_resident_batch",
+    "count_candidates",
+    # Orphaned when counts moved to ``counts[code]``: nothing is deferred
+    # any more, and drivers call ``SwapManager.count_span_codes`` directly.
+    "flush_span_counts",
+    "count_resident_span",
+}
 
 
 def test_every_traced_target_is_called_from_src():

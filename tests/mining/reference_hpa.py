@@ -3,10 +3,11 @@
 This is the implementation ``repro.mining.hpa`` / ``repro.mining.npa``
 shipped as ``kernel="naive"``: one Python ``combinations`` walk per
 transaction, one FNV hash per occurrence for routing, tuple-list message
-payloads, one ``SwapManager.count_itemset`` call per occurrence.  It
-shares no code with :mod:`repro.mining.kernels` (the ``kernel`` argument
-the production pass hands to each process is ignored), which is what
-makes it an oracle: ``tests/integration/test_kernel_equivalence.py``
+payloads, one ``SwapManager.count_itemset`` call per occurrence (the
+swap manager addresses candidates by code, so each tuple is looked up in
+a dict over the pass's apriori-gen output).  It shares no code with
+:mod:`repro.mining.kernels` (the ``kernel`` argument the production pass
+hands to each process is ignored), which is what makes it an oracle: ``tests/integration/test_kernel_equivalence.py``
 requires every simulated quantity, every swap-manager counter and the
 wire log of the production drivers to equal these.
 """
@@ -15,6 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
+from repro.mining.candidates import generate_candidates
 from repro.mining.hpa import _EOF, HPARun
 from repro.mining.itemsets import ITEMSET_BYTES
 from repro.mining.npa import NPARun
@@ -28,6 +30,9 @@ class _NaiveSubsets:
     def _run_pass(self, k, l_prev):
         self._k = k
         self._l_prev_keys = set(l_prev)
+        self._code_of = {
+            c: i for i, c in enumerate(generate_candidates(sorted(l_prev), k))
+        }
         self._l1_mask = np.zeros(self.db.n_items, dtype=bool)
         if k == 2:
             self._l1_mask[[i for (i,) in l_prev]] = True
@@ -71,7 +76,7 @@ class ReferenceHPARun(_NaiveSubsets, HPARun):
                     line = self.partitioner.line_of(itemset)
                     owner = self.partitioner.node_of_line(line)
                     if owner == a:
-                        op = mgr.count_itemset(itemset, line)
+                        op = mgr.count_itemset(self._code_of[itemset], line)
                         if op is not None:
                             yield from op
                         local_counted += 1
@@ -127,7 +132,9 @@ class ReferenceHPARun(_NaiveSubsets, HPARun):
                 cost.cpu_per_message_s + cost.cpu_count_per_itemset_s * len(payload)
             )
             for itemset in payload:
-                op = mgr.count_itemset(itemset, self.partitioner.line_of(itemset))
+                op = mgr.count_itemset(
+                    self._code_of[itemset], self.partitioner.line_of(itemset)
+                )
                 if op is not None:
                     yield from op
 
@@ -147,7 +154,7 @@ class ReferenceNPARun(_NaiveSubsets, NPARun):
             for t in range(i, j):
                 for itemset in self._subsets(part[t]):
                     counted += 1
-                    op = mgr.count_itemset(itemset, line_of(itemset))
+                    op = mgr.count_itemset(self._code_of[itemset], line_of(itemset))
                     if op is not None:
                         yield from op
             if counted:

@@ -8,6 +8,7 @@ it.
 
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from repro.datagen import TransactionDatabase, generate
 from repro.errors import MiningError
 from repro.mining import HashPartitioner, generate_candidates
+from repro.mining import kernels
 from repro.mining.apriori import _count_candidates, apriori
+from repro.mining.itemsets import itemset_rows
 from repro.mining.kernels import (
     OWNER_DUPLICATED,
     CountingKernel,
@@ -26,7 +29,6 @@ from repro.mining.kernels import (
     count_candidates,
     eld_scores,
     filter_block,
-    item_mask,
     ragged_pairs,
 )
 
@@ -72,16 +74,6 @@ def test_filter_block_matches_per_row_filter(rows, keep):
 
 # -- prefix index -------------------------------------------------------------
 
-#: L_{k-1} sets drawn from a small universe so joins actually happen.
-prev_large = st.sets(
-    st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True).map(
-        lambda v: tuple(sorted(v))
-    ),
-    min_size=0,
-    max_size=25,
-)
-
-
 def _naive_subsets(txn, candidates, l_prev, k):
     """The loop the prefix index replaces: enumerate every k-subset of
     the transaction, keep those whose (k-1)-subsets are all in L_{k-1}."""
@@ -94,22 +86,77 @@ def _naive_subsets(txn, candidates, l_prev, k):
     return out
 
 
-@settings(max_examples=200, deadline=None)
-@given(prev_large, st.lists(st.integers(0, 9), max_size=10, unique=True).map(sorted))
-def test_prefix_index_matches_all_subsets_prune(l_prev, txn):
-    k = 3
+@st.composite
+def _pass_inputs(draw):
+    """``(k, L_{k-1}, block)`` for k = 3 .. 5.  L_{k-1} is every
+    (k-1)-subset of a few base itemsets (so joins survive the prune),
+    plus noise, minus a few holes (so the prune bites); the block's
+    transactions range over a universe two items wider than the
+    candidates' (ids 10 and 11 are in no mask) and include empty and
+    shorter-than-k ones."""
+    k = draw(st.integers(3, 5))
+    item = st.integers(0, 9)
+    bases = draw(
+        st.lists(st.lists(item, min_size=k, max_size=k + 2, unique=True), min_size=1, max_size=3)
+    )
+    small = st.lists(item, min_size=k - 1, max_size=k - 1, unique=True)
+    l_prev = {sub for base in bases for sub in combinations(sorted(base), k - 1)}
+    l_prev |= {tuple(sorted(v)) for v in draw(st.lists(small, max_size=5))}
+    l_prev -= draw(st.sets(st.sampled_from(sorted(l_prev)), max_size=3))
+    txn = st.builds(
+        lambda base, extra: sorted(set(base) | set(extra)),
+        st.sampled_from(bases + [[]]),
+        st.lists(st.integers(0, 11), max_size=6),
+    )
+    return k, l_prev, draw(st.lists(txn, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pass_inputs(), st.sampled_from([1 << 22, 12, 1]))
+def test_prefix_index_matches_all_subsets_prune(inputs, cells):
+    """The batched walk over a block equals the naive per-transaction
+    enumeration concatenated, order included, for k = 3 .. 5 — also when
+    the membership temporary only has room for one transaction (or less
+    than one) at a time."""
+    k, l_prev, block = inputs
     candidates = generate_candidates(sorted(l_prev), k)
-    index = PrefixIndex(candidates, k)
-    mask = item_mask(candidates, 10)
-    filtered = [i for i in txn if mask[i]]
-    assert index.subsets_of(filtered) == _naive_subsets(txn, candidates, set(l_prev), k)
+    db = TransactionDatabase.from_lists(block or [[]], n_items=12)
+    want = [
+        s for txn in (block or [[]])
+        for s in _naive_subsets(txn, candidates, set(l_prev), k)
+    ]
+    if not candidates:
+        assert not want
+        return
+    zeros = np.zeros(len(candidates), dtype=np.int64)
+    kernel = CountingKernel(12, itemset_rows(candidates, k), zeros)
+    with mock.patch.object(kernels, "_MEMBER_CELLS", cells):
+        assert kernel.decode(kernel.occurrences(db, 0, len(db))) == want
+    # One transaction at a time: the same stream, block boundaries free.
+    singly = [kernel.occurrences(db, t, t + 1) for t in range(len(db))]
+    assert kernel.decode(np.concatenate(singly)) == want
+
+
+def test_prefix_index_walks_labels_directly():
+    """The index proper, without a kernel in front: labels are the
+    items, a leaf's index is the candidate's row."""
+    rows = np.array([[0, 1, 2], [0, 1, 4], [0, 2, 4], [1, 2, 4]])
+    index = PrefixIndex(rows, 5)
+    assert len(index) == 4
+    labels = np.array([0, 1, 2, 4, 1, 2, 0, 1, 4])  # {0,1,2,4} {1,2} {0,1,4}
+    got = index.subsets_of(labels, np.array([4, 2, 3]))
+    assert got.tolist() == [0, 1, 2, 3, 1]
+    assert index.subsets_of(labels[:0], np.array([0, 0])).size == 0
+    assert index.subsets_of(labels[:0], np.zeros(0, dtype=np.int64)).size == 0
 
 
 def test_prefix_index_rejects_bad_sizes():
     with pytest.raises(MiningError):
-        PrefixIndex([(1, 2)], 3)
-    with pytest.raises(MiningError):
-        PrefixIndex([], 1)
+        PrefixIndex(np.array([1, 2, 3]), 5)  # not [n, k]
+    with pytest.raises(MiningError, match="lex order"):
+        PrefixIndex(np.array([[1, 2, 4], [1, 2, 3]]), 5)
+    with pytest.raises(MiningError, match="distinct"):
+        PrefixIndex(np.array([[1, 2, 3], [1, 2, 3]]), 5)
 
 
 # -- owner streams ------------------------------------------------------------
@@ -190,7 +237,7 @@ def test_kernel_pair_stream_matches_naive_routing(n_items, large1, txn, n_dup):
     owners = lines % part.n_nodes
     lines[: len(dup)] = -1
     owners[: len(dup)] = OWNER_DUPLICATED
-    kernel = CountingKernel(2, n_items, candidates, lines, owners)
+    kernel = CountingKernel(n_items, itemset_rows(candidates, 2), owners)
 
     l1_mask = np.zeros(n_items, dtype=bool)
     l1_mask[[i for (i,) in l1]] = True
@@ -198,11 +245,7 @@ def test_kernel_pair_stream_matches_naive_routing(n_items, large1, txn, n_dup):
     rel = np.array([0, len(txn)], dtype=np.int64)
     codes = kernel.pair_block(txn_arr, rel, l1_mask)
     got = list(
-        zip(
-            kernel.decode(codes),
-            kernel.lines_of(codes).tolist(),
-            kernel.owners_of(codes).tolist(),
-        )
+        zip(kernel.decode(codes), lines[codes].tolist(), kernel.owners_of(codes).tolist())
     )
 
     want = []
@@ -213,7 +256,6 @@ def test_kernel_pair_stream_matches_naive_routing(n_items, large1, txn, n_dup):
             line = part.line_of(pair)
             want.append((pair, line, part.node_of_line(line)))
     assert got == want
-    assert [kernel.itemset_of(c) for c in codes.tolist()] == [w[0] for w in want]
 
 
 def test_kernel_owners_of_rejects_non_candidate():
@@ -225,7 +267,7 @@ def test_kernel_owners_of_rejects_non_candidate():
         last = n_items - 1
         candidates = [(1, 2), (3, last)]
         routing = np.zeros(2, dtype=np.int64)
-        kernel = CountingKernel(2, n_items, candidates, routing, routing)
+        kernel = CountingKernel(n_items, itemset_rows(candidates, 2), routing)
         db = TransactionDatabase.from_lists([[1, 2], [1, last]], n_items=n_items)
         assert kernel.decode(kernel.occurrences(db, 0, 1)) == [(1, 2)]
         with pytest.raises(MiningError, match=rf"\(1, {last}\).*not a candidate"):
@@ -242,7 +284,7 @@ def test_kernel_k2_tables_scale_with_candidates_not_universe(monkeypatch):
     by C_2, not by ``n_items ** 2`` (two int32 tables of that size alone
     would be 200 MB)."""
 
-    def no_walk(self, filtered):
+    def no_walk(self, labels, lengths):
         raise AssertionError("k = 2 must not walk the prefix index")
 
     monkeypatch.setattr(PrefixIndex, "subsets_of", no_walk)
@@ -253,7 +295,7 @@ def test_kernel_k2_tables_scale_with_candidates_not_universe(monkeypatch):
     lines = np.arange(len(candidates), dtype=np.int64)
     tracemalloc.start()
     try:
-        kernel = CountingKernel(2, n_items, candidates, lines, lines % 4)
+        kernel = CountingKernel(n_items, itemset_rows(candidates, 2), lines % 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -276,7 +318,7 @@ def test_kernel_k2_tables_scale_with_candidates_not_universe(monkeypatch):
 def test_kernel_takes_no_code_space_option():
     routing = np.zeros(1, dtype=np.int64)
     with pytest.raises(TypeError):
-        CountingKernel(2, 10, [(1, 2)], routing, routing, dense_limit=5)
+        CountingKernel(10, np.array([[1, 2]]), routing, dense_limit=5)
 
 
 # -- ELD scores ---------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_reset_pass_clears_stores():
 
     runtime = rt(pager="remote", n_memory_nodes=1, memory_limit_bytes=1 << 16)
     store = runtime.stores[runtime.mem_ids[0]]
-    store.put(0, HashLine(line_id=7, counts={(1, 2): 0}))
+    store.put(0, HashLine(line_id=7, n_itemsets=1))
     assert store.n_lines == 1
     runtime.reset_pass()
     assert store.n_lines == 0

@@ -1,7 +1,9 @@
 """Scenario serialisation, the catalogue, and the bounded result cache."""
 
 import json
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.analysis.report.experiment_results import default_seeds
 from repro.errors import ConfigError
 from repro.harness.scales import SCALES, prepare_workload
 from repro.mining import apriori
+from repro.runtime import driver
 from repro.runtime import (
     SCENARIOS,
     Scenario,
@@ -93,18 +96,50 @@ def test_paper_limited_strips_the_name():
 # -- oracle ----------------------------------------------------------------
 
 
+@contextmanager
+def invariants_checked():
+    """Every swap manager of every runtime a driver builds inside the
+    block has :meth:`SwapManager.check_invariants` called on the settled
+    state of each pass (drained and determined, just before its reset)
+    and once more after the run, as the schedule-fuzz suite does."""
+    built = []
+    build_runtime = driver.build_runtime
+
+    def build(config):
+        runtime = build_runtime(config)
+        reset_pass = runtime.reset_pass
+
+        def checked_reset():
+            for manager in runtime.managers.values():
+                manager.check_invariants()
+            reset_pass()
+
+        runtime.reset_pass = checked_reset
+        built.append(runtime)
+        return runtime
+
+    with mock.patch.object(driver, "build_runtime", build):
+        yield
+    assert built
+    for runtime in built:
+        for manager in runtime.managers.values():
+            manager.check_invariants()
+
+
 @pytest.mark.parametrize("seed", default_seeds("tiny", 2))
 @pytest.mark.parametrize("scenario", list_scenarios(), ids=lambda s: s.name)
 def test_catalogue_scenario_equals_serial_apriori(scenario, seed):
     """Every catalogue entry, mined to termination, finds the itemsets
-    *and supports* serial Apriori finds on the same database.  Entries
+    *and supports* serial Apriori finds on the same database, with every
+    node's conservation invariants holding at every pass end.  Entries
     with a pager run under the 13 MB-equivalent limit: without one the
     catalogue swaps nothing at ``tiny``, so shortages, churn and node
     failures would have no guest lines to disturb."""
     scenario = replace(scenario, scale="tiny", max_k=0)
     if scenario.pager != "none":
         scenario = paper_limited(scenario, 13.0)
-    result = run_scenario(scenario.with_seed(seed))
+    with invariants_checked():
+        result = scenario.with_seed(seed).execute()
     oracle = apriori(prepare_workload("tiny", seed).db, SCALES["tiny"].minsup)
     assert len(result.passes) > 2
     assert result.large_itemsets == oracle.large_itemsets
