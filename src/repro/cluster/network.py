@@ -37,7 +37,7 @@ __all__ = ["Message", "Network", "NetworkStats", "PROTOCOL_OVERHEAD_BYTES"]
 PROTOCOL_OVERHEAD_BYTES = 96
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One network message, as seen by the transport layer."""
 
@@ -130,9 +130,9 @@ class Network:
         Completes at the instant the message is fully delivered; the
         yielded value is the message with timing fields filled in.
         """
-        if msg.src not in self._egress:
+        if (tx := self._egress.get(msg.src)) is None:
             raise NetworkError(f"unknown source node {msg.src}")
-        if msg.dst not in self._ingress:
+        if (rx := self._ingress.get(msg.dst)) is None:
             raise NetworkError(f"unknown destination node {msg.dst}")
         if msg.src == msg.dst:
             raise NetworkError(f"node {msg.src} cannot send to itself over the network")
@@ -146,15 +146,15 @@ class Network:
         tx_time = self.nic.transmit_time_s(wire_bytes)
 
         while True:
-            egress = self._egress[msg.src].request()
+            egress = tx.request()
             yield egress
-            ingress = self._ingress[msg.dst].request()
+            ingress = rx.request()
             yield ingress
             try:
                 yield self.env.sleep(tx_time)
             finally:
-                self._egress[msg.src].release(egress)
-                self._ingress[msg.dst].release(ingress)
+                tx.release(egress)
+                rx.release(ingress)
             if (
                 self.loss_probability > 0.0
                 and self._loss_rng.random() < self.loss_probability

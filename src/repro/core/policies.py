@@ -38,8 +38,19 @@ class ReplacementPolicy(ABC):
         element ends up most recently used — i.e. distinct lines in
         last-occurrence order of the access run being folded.
         """
-        for line_id in line_ids:
-            self.touch(line_id)
+        stop = self.touch_run(line_ids, 0)
+        if stop < len(line_ids):
+            raise SwapError(f"touch of non-resident line {line_ids[stop]}")
+
+    def touch_run(self, line_ids: "list[int]", start: int) -> int:
+        """Touch ``line_ids[start:]`` one by one, in order, up to the
+        first line this policy does not hold; returns that line's index
+        (``len(line_ids)`` when every line was held)."""
+        for i in range(start, len(line_ids)):
+            if line_ids[i] not in self:
+                return i
+            self.touch(line_ids[i])
+        return len(line_ids)
 
     @abstractmethod
     def remove(self, line_id: int) -> None:
@@ -80,13 +91,14 @@ class LRUPolicy(ReplacementPolicy):
             raise SwapError(f"touch of non-resident line {line_id}")
         self._order.move_to_end(line_id)
 
-    def touch_batch(self, line_ids: "list[int]") -> None:
-        order = self._order
-        move = order.move_to_end
-        for line_id in line_ids:
-            if line_id not in order:
-                raise SwapError(f"touch of non-resident line {line_id}")
-            move(line_id)
+    def touch_run(self, line_ids: "list[int]", start: int) -> int:
+        move = self._order.move_to_end
+        try:
+            for i in range(start, len(line_ids)):
+                move(line_ids[i])
+        except KeyError:
+            return i
+        return len(line_ids)
 
     def remove(self, line_id: int) -> None:
         if line_id not in self._order:

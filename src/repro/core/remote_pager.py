@@ -334,6 +334,7 @@ class RemoteUpdatePager(RemoteMemoryPager):
         self._buffers: dict[int, list] = {}  # holder -> update records
         self._inflight: "dict[int, list[Process]]" = {}
         self._held: list = []  # records for lines mid-migration
+        self._block_records = self.cost.updates_per_message()  # cost is frozen
 
     # -- the remote access interface (paper §4.4) --------------------------
 
@@ -353,7 +354,7 @@ class RemoteUpdatePager(RemoteMemoryPager):
         buf = self._buffers.setdefault(holder, [])
         buf.append((line_id, code, delta))
         self.stats.updates_sent += 1
-        if len(buf) >= self.cost.updates_per_message():
+        if len(buf) >= self._block_records:
             return self._flush(holder)
         return None
 

@@ -99,6 +99,14 @@ class RemoteStore:
                 self.node.memory.allocate(ITEMSET_BYTES)
                 line.n_itemsets += 1
 
+    def check_invariants(self) -> None:
+        """Assert the host ledger holds exactly the guest lines' bytes
+        (only this store allocates on a memory-available node)."""
+        ledger = self.node.memory.used_bytes
+        held = sum(line.nbytes for line in self._lines.values())
+        if held != ledger:
+            raise SwapError(f"host ledger {ledger} B != guest lines {held} B")
+
     # Pass-boundary reset: called from the driver's serial inter-pass
     # section after every counting process has joined the barrier.
     def clear(self) -> None:

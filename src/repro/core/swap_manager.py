@@ -41,13 +41,6 @@ __all__ = ["SwapManager", "SwapManagerStats"]
 _NO_CODES = np.empty(0, dtype=np.int64)
 
 
-def _last_occurrence_order(line_ids: "list[int]") -> "list[int]":
-    """Distinct ``line_ids`` ordered by last occurrence: touching them in
-    this order leaves a replacement policy where touching every
-    occurrence in turn would."""
-    return list(reversed(dict.fromkeys(reversed(line_ids))))
-
-
 @dataclass
 class SwapManagerStats:
     """Hot-path counters (pager I/O counters live on the pager)."""
@@ -218,7 +211,7 @@ class SwapManager:
         for line_id, grown in zip(distinct[by_first].tolist(), n[by_first].tolist()):
             (get(line_id) or self._resident_line(line_id)).n_itemsets += grown
         self.resident_bytes += ITEMSET_BYTES * head
-        self.policy.touch_batch(_last_occurrence_order(ids.tolist()))
+        self.policy.touch_batch(list(reversed(dict.fromkeys(reversed(ids.tolist())))))
         self.stats.inserts += head
         return head
 
@@ -244,17 +237,12 @@ class SwapManager:
         self.count_span_codes(codes, line_ids)
 
     def count_span_codes(self, codes: np.ndarray, line_ids: np.ndarray) -> None:
-        """Count a run of occurrences that all land on resident lines.
-
-        Only valid while every named line is resident and control cannot
-        leave the caller (between simulation yields): no eviction can
-        observe the replacement policy mid-run, so touching each distinct
-        line once — in order of its *last* occurrence — leaves the policy
-        in exactly the per-occurrence end state, and statistics advance
-        by the same totals.
-        """
+        """Settle the occurrences an ordered walk found resident: its
+        :meth:`ReplacementPolicy.touch_run` already touched each line in
+        turn, and nothing else about a resident access is observable
+        between simulation yields, so the validity check, the counts and
+        the statistics happen once, wherever the lines are by now."""
         self.table.count(codes, line_ids)
-        self.policy.touch_batch(_last_occurrence_order(line_ids.tolist()))
         self.stats.counts += codes.size
         self.stats.fast_counts += codes.size
 
@@ -379,7 +367,8 @@ class SwapManager:
         at pass ends and after whole runs).
 
         - resident byte ledger equals the resident lines' true footprint;
-        - the policy tracks exactly the resident line ids;
+        - the policy tracks exactly the resident line ids, and the
+          management table calls exactly those lines resident;
         - the limit holds, allowing the single-oversized-line exception;
         - every owned candidate inserted so far is chained on exactly one
           line, resident or where the management table says it was
@@ -397,6 +386,10 @@ class SwapManager:
             lid not in self.policy for lid in self.lines
         ):
             raise SwapError("policy does not track exactly the resident lines")
+        if not all(map(self.mm_table.is_resident, self.lines)) or any(
+            lid in self.policy for lid in self.mm_table.non_resident_lines()
+        ):
+            raise SwapError("policy membership != management-table residency")
         if self.over_limit and len(self.lines) > 1:
             raise SwapError(
                 f"over limit with multiple resident lines: "

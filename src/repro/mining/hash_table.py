@@ -63,12 +63,12 @@ class CandidateHashTable:
 
     def _require(
         self,
-        ok: "np.ndarray | np.bool_",
+        ok: "np.ndarray | bool",
         codes: Codes,
         line_ids: Codes,
         problem: str = "routed code is not a candidate on this line",
     ) -> None:
-        if not ok.all():
+        if not (ok if type(ok) is bool else ok.all()):
             bad = int(np.argmin(np.atleast_1d(ok)))
             raise MiningError(
                 f"code {np.atleast_1d(codes)[bad]} on line "
@@ -78,13 +78,16 @@ class CandidateHashTable:
     def insert(self, codes: Codes, line_ids: Codes) -> None:
         """Chain candidates with count 0; inserting one twice (earlier or
         inside this batch), or on a line other than its own, is an error."""
-        if (
-            np.ndim(codes)
-            and not (np.diff(codes) > 0).all()  # ascending codes are distinct
-            and np.unique(codes).size != np.size(codes)
-        ):
-            raise MiningError("a candidate appears twice in one insert batch")
-        fresh = ~self.inserted[codes] & (self.lines[codes] == line_ids)
+        if type(codes) is int:  # one candidate: scalar reads, no ufunc dispatch
+            fresh = not self.inserted.item(codes) and self.lines.item(codes) == line_ids
+        else:
+            if (
+                np.ndim(codes)
+                and not (np.diff(codes) > 0).all()  # ascending codes are distinct
+                and np.unique(codes).size != np.size(codes)
+            ):
+                raise MiningError("a candidate appears twice in one insert batch")
+            fresh = ~self.inserted[codes] & (self.lines[codes] == line_ids)
         self._require(
             fresh, codes, line_ids, "already inserted, or not that line's candidate"
         )
@@ -95,9 +98,14 @@ class CandidateHashTable:
         inserted candidate of the line it was routed to (HPA's
         sender-side pruning guarantees it); a miss means routing is
         broken."""
-        known = self.inserted[codes] & (self.lines[codes] == line_ids)
-        self._require(known, codes, line_ids)
-        np.add.at(self.counts, codes, 1)
+        if type(codes) is int:
+            known = self.inserted.item(codes) and self.lines.item(codes) == line_ids
+            self._require(known, codes, line_ids)
+            self.counts[codes] += 1
+        else:
+            known = self.inserted[codes] & (self.lines[codes] == line_ids)
+            self._require(known, codes, line_ids)
+            np.add.at(self.counts, codes, 1)
 
     def count_bulk(self, codes: np.ndarray) -> np.ndarray:
         """:meth:`count` for occurrences whose order nobody can observe:

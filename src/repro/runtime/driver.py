@@ -364,41 +364,29 @@ class MiningDriver:
     def _count_ordered(self, a: int, codes: np.ndarray) -> Generator:
         """Count occurrences node ``a`` owns, in order, under a pager.
 
-        Every occurrence on a non-resident line goes through the slow
-        path singly, in order: it may buffer an update record, flush a
-        message block, or fault.  Only the last two yield, and only at a
-        yield can residency or the replacement policy be observed or
-        changed — so the occurrences on resident lines since the previous
-        yield are counted as one batch just before the next one (the
-        policy ends where touching them one by one would leave it).
-        Pager-less nodes never need this: their occurrence order is
-        unobservable and folds in bulk
-        (:meth:`CountingKernel.apply_local_pairs`).
+        One ordered walk: the replacement policy touches each
+        occurrence's line in turn until it meets a line it does not
+        hold.  That occurrence takes the slow path singly — it may
+        buffer an update record, flush a message block, or fault; only
+        the last two yield — and the walk resumes behind it.  Between
+        two yields a resident access changes nothing observable but the
+        policy's order (the count lives at ``counts[code]`` wherever the
+        line is), so the message's resident occurrences are settled by
+        one ``count_span_codes`` at the end.  Pager-less nodes fold in
+        bulk instead (:meth:`CountingKernel.apply_local_pairs`).
         """
         mgr = self.managers[a]
-        n_occ = len(codes)
         lines = mgr.table.lines[codes]
-        mask = mgr.mm_table.resident_mask(lines)
-
-        def count_resident(start: int, stop: int) -> None:
-            hit = mask[start:stop]
-            if hit.any():
-                mgr.count_span_codes(codes[start:stop][hit], lines[start:stop][hit])
-
-        start = 0
-        while start < n_occ:
-            for i in np.flatnonzero(~mask[start:]) + start:
-                op = mgr.count_itemset(int(codes[i]), int(lines[i]))
-                if op is not None:
-                    count_resident(start, i)
-                    yield from op
-                    # A fault or a flush ran: residency may have shifted.
-                    start = i + 1
-                    mask[start:] = mgr.mm_table.resident_mask(lines[start:])
-                    break
-            else:
-                count_resident(start, n_occ)
-                return
+        line_list = lines.tolist()
+        hit = np.ones(len(line_list), dtype=bool)
+        stop = mgr.policy.touch_run(line_list, 0)
+        while stop < len(line_list):
+            hit[stop] = False
+            op = mgr.count_itemset(int(codes[stop]), line_list[stop])
+            if op is not None:
+                yield from op
+            stop = mgr.policy.touch_run(line_list, stop + 1)
+        mgr.count_span_codes(codes[hit], lines[hit])
 
     # -- helpers -----------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for replacement policies, including LRU-order properties."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,3 +135,38 @@ def test_property_lru_matches_reference(ops):
         assert len(p) == len(ref)
         for line in ref:
             assert line in p
+
+
+def drained(policy) -> "list[int]":
+    """The victim order from here on, taken from a copy (a random
+    policy's generator state is copied with it)."""
+    policy = copy.deepcopy(policy)
+    return [policy.victim() for _ in range(len(policy))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["lru", "fifo", "random"]),
+    members=st.lists(st.integers(0, 8), unique=True),
+    ids=st.lists(st.integers(0, 11), max_size=40),
+    start=st.integers(0, 40),
+)
+def test_property_touch_run_is_touch_up_to_the_first_non_member(
+    name, members, ids, start
+):
+    """The ordered walk against its definition: ``touch_run`` stops at
+    the first line the policy does not hold, never touches it, and
+    leaves the policy where ``touch`` on each preceding id leaves it."""
+    walked, reference = make_policy(name, seed=3), make_policy(name, seed=3)
+    for line_id in members:
+        walked.insert(line_id)
+        reference.insert(line_id)
+    start = min(start, len(ids))
+    stop = walked.touch_run(ids, start)
+    assert stop == next(
+        (i for i in range(start, len(ids)) if ids[i] not in members), len(ids)
+    )
+    for line_id in ids[start:stop]:
+        reference.touch(line_id)
+    assert len(walked) == len(members)
+    assert drained(walked) == drained(reference)

@@ -132,3 +132,18 @@ def test_guest_bytes_and_clear():
     store.clear()
     assert store.n_lines == 0
     assert node.memory.used_bytes == 0
+
+
+def test_check_invariants_catches_a_line_grown_behind_the_ledger():
+    """The lender-side conservation law: the host ledger holds exactly
+    the guest lines' bytes through put, update growth and take, and a
+    line that grew without paying for it fails loudly."""
+    node, store = make_store()
+    store.put(0, line_with(1, 3))
+    store.put(1, line_with(1, 1))
+    store.apply_updates(0, [(1, 3, 0)], table_of_line_1(3))
+    store.take(1, 1)
+    store.check_invariants()
+    store.peek(0, 1).n_itemsets += 1
+    with pytest.raises(SwapError, match="ledger 112 B != guest lines 136 B"):
+        store.check_invariants()

@@ -3,6 +3,9 @@
 Candidates are codes into a per-test table: ``begin_pass(mgr, lines)``
 makes code ``i`` a candidate of hash line ``lines[i]``."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from repro.core import LineState, SwapManager
 from repro.errors import MiningError, SwapError
 from repro.mining.hash_table import LINE_HEADER_BYTES
 from repro.mining.itemsets import ITEMSET_BYTES
+from repro.runtime.driver import MiningDriver
 from tests.core.helpers import begin_pass, count_all, insert_all, make_rig
 
 
@@ -218,6 +222,28 @@ def test_check_invariants_catches_a_lost_count_and_a_lost_candidate():
         mgr.check_invariants()
 
 
+def test_check_invariants_catches_policy_and_residency_disagreeing():
+    """What the ordered walk relies on: a line the policy holds is
+    resident in the management table, and a line the table has swapped
+    out is not in the policy (so a touch can never land on it)."""
+    rig = make_rig(pager_kind="disk", limit_bytes=bytes_for(1, 1))
+    mgr = rig.managers[0]
+    begin_pass(mgr, [0, 1])
+    rig.env.process(insert_all(mgr, [0, 1]))  # line 1 evicts line 0
+    rig.env.run(until=10)
+    mgr.check_invariants()
+    mgr.mm_table.set_disk(1)  # swapped out on paper, still in the policy
+    with pytest.raises(SwapError, match="policy membership"):
+        mgr.check_invariants()
+    mgr.mm_table.set_resident(1)
+    mgr.check_invariants()
+    mgr.policy.insert(0)  # in the policy, swapped out in the table
+    mgr.lines[0] = mgr.pager.stored_line(0)
+    mgr.resident_bytes += mgr.lines[0].nbytes
+    with pytest.raises(SwapError, match="policy membership"):
+        mgr.check_invariants()
+
+
 def test_settled_totals_survive_reset_pass():
     """After a pass is reset its inserts and counts still have to add up
     to the cumulative statistics — what the post-run checks rely on."""
@@ -339,7 +365,8 @@ def test_span_flush_names_the_itemset_or_line_of_a_misrouted_code():
     """A code counted on a node that does not hold its candidate fails
     at once, and the error names the code and the hash line it was
     routed to — whether the code was never inserted or is a candidate of
-    another line."""
+    another line.  (Settling a span checks and counts; touching the
+    policy is the walk's job, before it gets here.)"""
     for bad, named in ((2, r"code 2 on line 0"), (1, r"code 1 on line 0")):
         rig = make_rig(pager_kind="disk", limit_bytes=10_000)
         mgr = rig.managers[0]
@@ -355,7 +382,8 @@ def test_span_flush_names_the_itemset_or_line_of_a_misrouted_code():
 
 def test_span_flush_folds_counts_onto_swapped_out_lines():
     """A span counted while its line was resident keeps its counts when
-    the line is later swapped out: counts never travel with a line."""
+    the line is later swapped out: counts never travel with a line.
+    The span leaves the policy alone — the walk touched it already."""
     rig = make_rig(pager_kind="disk", limit_bytes=bytes_for(1, 1))
     mgr = rig.managers[0]
     table = begin_pass(mgr, [0, 1])
@@ -364,7 +392,9 @@ def test_span_flush_folds_counts_onto_swapped_out_lines():
         yield from insert_all(mgr, [0, 1])
         assert mgr.mm_table.state(0) is LineState.DISK  # evicted by line 1
         codes = np.array([1, 1], dtype=np.int64)
+        before = list(mgr.policy._order)
         mgr.count_span_codes(codes, table.lines[codes])
+        assert list(mgr.policy._order) == before
         yield from count_all(mgr, [0])  # faults 0 in, evicts 1
         assert mgr.mm_table.state(1) is LineState.DISK
         mgr.flush_span_counts()  # nothing is deferred: a no-op
@@ -374,4 +404,58 @@ def test_span_flush_folds_counts_onto_swapped_out_lines():
     rig.env.run(until=10)
     assert sorted(line.line_id for line in done.value) == [0, 1]
     assert table.counts.tolist() == [1, 2]
+    mgr.check_invariants()
+
+
+def count_ordered(rig, codes):
+    """``MiningDriver._count_ordered`` on the rig's node 0: of a driver,
+    the walk reads nothing but its managers."""
+    return MiningDriver._count_ordered(
+        SimpleNamespace(managers=rig.managers), 0, np.asarray(codes, dtype=np.int64)
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, named", [(3, "code 3 on line 2"), (4, "code 4 on line 0")]
+)
+def test_walk_rejects_a_never_inserted_code_with_no_resident_count_applied(bad, named):
+    """Code 3's line was never created, so the policy does not hold it:
+    the walk stops there and the one-code path refuses it.  Code 4's
+    line is resident, so it walks as a hit and the message's settlement
+    refuses it.  Either way the error names the code and the line before
+    ``_count_ordered`` finishes, and none of the message's resident
+    occurrences has reached ``table.counts``."""
+    rig = make_rig(pager_kind="disk", limit_bytes=10_000)
+    mgr = rig.managers[0]
+    table = begin_pass(mgr, [0, 1, 0, 2, 0])
+    for code in (0, 1, 2):
+        assert mgr.insert_candidate(code, int(table.lines[code])) is None
+    rig.env.process(count_ordered(rig, [0, 1, bad, 2]))
+    with pytest.raises(MiningError, match=named):
+        rig.env.run(until=10)
+    assert table.counts.tolist() == [0, 0, 0, 0, 0]
+    assert mgr.stats.fast_counts == 0
+
+
+def test_walk_counts_a_message_across_a_fault_in_one_settlement():
+    """Occurrences before and after a fault settle together at the end
+    of the message, on lines that are resident or swapped out by then;
+    the policy ends where per-occurrence touching leaves it."""
+    rig = make_rig(pager_kind="disk", limit_bytes=bytes_for(2, 2))
+    mgr = rig.managers[0]
+    table = begin_pass(mgr, [0, 1, 2])
+
+    def proc(env):
+        yield from insert_all(mgr, [0, 1, 2])  # line 2 evicts line 0
+        # Code 0 faults (evicting line 2), then code 2 faults (evicting 1).
+        yield from count_ordered(rig, [1, 2, 1, 0, 2, 0])
+
+    rig.env.process(proc(rig.env))
+    with mock.patch.object(mgr, "count_span_codes", wraps=mgr.count_span_codes) as span:
+        rig.env.run(until=10)
+    assert [call.args[0].tolist() for call in span.call_args_list] == [[1, 2, 1, 0]]
+    assert table.counts.tolist() == [2, 2, 2]
+    assert (mgr.stats.counts, mgr.stats.fast_counts) == (6, 4)
+    assert mgr.mm_table.state(1) is LineState.DISK
+    assert list(mgr.policy._order) == [2, 0]
     mgr.check_invariants()

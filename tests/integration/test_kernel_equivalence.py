@@ -118,8 +118,19 @@ def _hpa(cls, **kw):
             "n_memory_nodes": 3,
             "memory_limit_bytes": LIMIT,
         },
+        # The ordered walk under the policies that ignore a touch.
+        *(
+            {"replacement": replacement, "memory_limit_bytes": LIMIT, **pager}
+            for replacement in ("fifo", "random")
+            for pager in (
+                {"pager": "disk"},
+                {"pager": "remote", "n_memory_nodes": 3},
+                {"pager": "remote-update", "n_memory_nodes": 3},
+            )
+        ),
     ],
-    ids=["none", "disk", "remote", "remote-update", "eld", "eld-remote-update"],
+    ids=["none", "disk", "remote", "remote-update", "eld", "eld-remote-update"]
+    + [f"{r}-{p}" for r in ("fifo", "random") for p in ("disk", "remote", "remote-update")],
 )
 def test_hpa_vector_naive_identical(overrides):
     naive, (naive_wire, _) = _hpa(ReferenceHPARun, **overrides)

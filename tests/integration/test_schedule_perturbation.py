@@ -10,8 +10,9 @@ rest on: the large itemsets *and their supports* are the same under
 every legal schedule.  Per-pass timing fields legitimately shift with
 tie order (a message delivered first warms a different queue), so the
 oracle is the itemset digest, plus each node's
-:meth:`~repro.core.swap_manager.SwapManager.check_invariants` once the
-run has ended.
+:meth:`~repro.core.swap_manager.SwapManager.check_invariants` (and each
+lender's :meth:`~repro.core.remote_store.RemoteStore.check_invariants`)
+once the run has ended.
 
 The suite is the 12 golden configurations (both drivers, every pager,
 shortage injection, the disk-fallback chain) plus the two catalogue
@@ -55,7 +56,8 @@ SCENARIOS = ("churning", "node-failure")
 def tie_shuffled(seed: int) -> Iterator[None]:
     """Every runtime a driver builds inside the block dispatches under
     ``random.Random(seed)`` tie shuffling; on leaving it, every swap
-    manager those runtimes built must satisfy its invariants."""
+    manager and every guest store those runtimes built must satisfy its
+    invariants."""
     built = []
 
     def build(config):
@@ -67,8 +69,8 @@ def tie_shuffled(seed: int) -> Iterator[None]:
     with mock.patch.object(driver, "build_runtime", build):
         yield
     for runtime in built:
-        for manager in runtime.managers.values():
-            manager.check_invariants()
+        for checked in (*runtime.managers.values(), *runtime.stores.values()):
+            checked.check_invariants()
 
 
 @pytest.mark.parametrize("seed", SHUFFLE_SEEDS)

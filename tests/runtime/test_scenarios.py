@@ -98,20 +98,24 @@ def test_paper_limited_strips_the_name():
 
 @contextmanager
 def invariants_checked():
-    """Every swap manager of every runtime a driver builds inside the
-    block has :meth:`SwapManager.check_invariants` called on the settled
-    state of each pass (drained and determined, just before its reset)
-    and once more after the run, as the schedule-fuzz suite does."""
+    """Every swap manager and every guest store of every runtime a
+    driver builds inside the block has ``check_invariants`` called on
+    the settled state of each pass (drained and determined, just before
+    its reset) and once more after the run, as the schedule-fuzz suite
+    does."""
     built = []
     build_runtime = driver.build_runtime
+
+    def check(runtime):
+        for checked in (*runtime.managers.values(), *runtime.stores.values()):
+            checked.check_invariants()
 
     def build(config):
         runtime = build_runtime(config)
         reset_pass = runtime.reset_pass
 
         def checked_reset():
-            for manager in runtime.managers.values():
-                manager.check_invariants()
+            check(runtime)
             reset_pass()
 
         runtime.reset_pass = checked_reset
@@ -122,8 +126,7 @@ def invariants_checked():
         yield
     assert built
     for runtime in built:
-        for manager in runtime.managers.values():
-            manager.check_invariants()
+        check(runtime)
 
 
 @pytest.mark.parametrize("seed", default_seeds("tiny", 2))
