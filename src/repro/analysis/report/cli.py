@@ -113,27 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="with --diff: also write the verdicts as JSON to <FILE>",
     )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DiffPolicy.tolerance,
-        help="relative tolerance band around each baseline mean "
-        f"(default: {DiffPolicy.tolerance:g})",
-    )
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        default=DiffPolicy.alpha,
-        help="rank-test significance level promoting drift to "
-        f"regression (default: {DiffPolicy.alpha:g})",
-    )
-    parser.add_argument(
-        "--fail-factor",
-        type=float,
-        default=DiffPolicy.fail_factor,
-        help="hard cap: worse than tolerance*FACTOR is a regression "
-        f"even without significance (default: {DiffPolicy.fail_factor:g})",
-    )
     return parser
 
 
@@ -182,13 +161,8 @@ def _run_diff(args: argparse.Namespace, seeds: "tuple[int, ...]") -> int:
             f"[current payload computed: {acct['cached']} cached / "
             f"{acct['executed']} executed scenario runs]"
         )
-    policy = DiffPolicy(
-        tolerance=args.tolerance,
-        alpha=args.alpha,
-        fail_factor=args.fail_factor,
-    )
     try:
-        report = compare_payloads(baseline, current, policy)
+        report = compare_payloads(baseline, current, DiffPolicy())
     except ValueError as exc:
         print(f"repro-report: {exc}", file=sys.stderr)
         return 2

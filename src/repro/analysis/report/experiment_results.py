@@ -373,9 +373,9 @@ class ExperimentResults:
             cells=cells,
             comparisons=comparisons,
             notes=[
-                "load-balancing ties most-available; calm, most-available "
-                "never trails round-robin; churn never speeds up an "
-                "availability-aware policy; bursty: predictive >= most-available.",
+                "calm, most-available never trails round-robin; churn never "
+                "speeds up an availability-aware policy; bursty: predictive "
+                ">= most-available.",
             ],
         )
 

@@ -7,7 +7,7 @@ the hardware catalogue matching the paper's Table 1.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING
 
 from repro.cluster.disk import Disk, DiskStats
 from repro.cluster.dynamics import (
@@ -83,10 +83,8 @@ class Cluster:
 
     Node ids run 0..n-1.  The first ``n_app`` ids are conventionally the
     application execution nodes; the experiment harness assigns the rest
-    as memory-available nodes.  All nodes share ``spec`` unless
-    ``specs`` provides a per-node hardware description (heterogeneous
-    clusters: mixed memory sizes, disk generations, CPU speeds); the
-    switch NIC model always comes from ``spec``.
+    as memory-available nodes.  All nodes share ``spec``, as the paper's
+    identical PCs do.
     """
 
     def __init__(
@@ -95,20 +93,12 @@ class Cluster:
         n_nodes: int,
         spec: NodeSpec = PAPER_NODE,
         mailbox_capacity: "int | None" = None,
-        specs: "Optional[Sequence[NodeSpec]]" = None,
     ) -> None:
         if n_nodes <= 0:
             raise ValueError(f"cluster needs at least one node, got {n_nodes}")
-        if specs is not None and len(specs) != n_nodes:
-            raise ValueError(
-                f"need one spec per node: got {len(specs)} for {n_nodes} nodes"
-            )
         self.env = env
         self.network = Network(env, nic=spec.nic)
-        per_node = list(specs) if specs is not None else [spec] * n_nodes
-        self.nodes = [
-            Node(env, i, self.network, per_node[i]) for i in range(n_nodes)
-        ]
+        self.nodes = [Node(env, i, self.network, spec) for i in range(n_nodes)]
         self.transport = Transport(
             self.network, mailbox_capacity=mailbox_capacity
         )

@@ -52,7 +52,6 @@ __all__ = [
     "ConstantTrace",
     "SawtoothTrace",
     "BurstyTrace",
-    "ReplayTrace",
     "parse_trace",
     "FailureEvent",
     "NodeDynamics",
@@ -61,7 +60,7 @@ __all__ = [
 ]
 
 #: Trace kinds :func:`parse_trace` understands (``"none"`` means no trace).
-TRACE_KINDS = ("none", "constant", "sawtooth", "bursty", "replay")
+TRACE_KINDS = ("none", "constant", "sawtooth", "bursty")
 
 #: One trace step: hold ``fraction`` of capacity as external pressure for
 #: ``hold_s`` simulated seconds (``None`` = forever; the trace ends).
@@ -169,32 +168,6 @@ class BurstyTrace(LoadTrace):
         )
 
 
-@dataclass(frozen=True)
-class ReplayTrace(LoadTrace):
-    """Replay an explicit ``time=fraction`` schedule (absolute times).
-
-    The last level is held forever — a one-point replay at 100 % is
-    exactly the degenerate scripted-shortage trace.
-    """
-
-    points: Tuple[Tuple[float, float], ...] = ()
-    kind: str = "replay"
-
-    def steps(self, rng: np.random.Generator) -> Iterator[Step]:
-        now = 0.0
-        level = 0.0
-        for at, frac in self.points:
-            if at > now:
-                yield (at - now, level)
-                now = at
-            level = frac
-        yield (None, level)
-
-    def spec(self) -> str:
-        body = ";".join(f"{t:g}={f:g}" for t, f in self.points)
-        return f"replay:{body}"
-
-
 def _parse_kv(body: str, spec: str) -> "dict[str, float]":
     out: "dict[str, float]" = {}
     for part in body.split(","):
@@ -221,8 +194,7 @@ def _check_fraction(name: str, value: float, spec: str) -> float:
 def parse_trace(spec: str) -> "Optional[LoadTrace]":
     """Parse a churn spec string; ``"none"`` returns ``None``.
 
-    Grammar: ``kind`` or ``kind:key=val,key=val`` (``replay`` uses
-    ``;``-separated ``time=fraction`` pairs).  Raises
+    Grammar: ``kind`` or ``kind:key=val,key=val``.  Raises
     :class:`~repro.errors.ConfigError` on anything malformed, so
     :func:`repro.runtime.config.validate_config` rejects bad specs at
     construction time.
@@ -276,28 +248,6 @@ def parse_trace(spec: str) -> "Optional[LoadTrace]":
             frac=_check_fraction("frac", kv.get("frac", 0.9), spec),
             base=_check_fraction("base", kv.get("base", 0.0), spec),
         )
-    if kind == "replay":
-        points: "list[tuple[float, float]]" = []
-        prev = -1.0
-        for pair in body.split(";"):
-            if not pair:
-                continue
-            t_str, sep, f_str = pair.partition("=")
-            if not sep:
-                raise ConfigError(f"bad replay point {pair!r} in {spec!r}")
-            try:
-                at, frac = float(t_str), float(f_str)
-            except ValueError:
-                raise ConfigError(f"bad replay point {pair!r} in {spec!r}") from None
-            if at < 0 or at <= prev:
-                raise ConfigError(
-                    f"replay times must be non-negative and increasing: {spec!r}"
-                )
-            prev = at
-            points.append((at, _check_fraction("fraction", frac, spec)))
-        if not points:
-            raise ConfigError(f"replay trace needs at least one point: {spec!r}")
-        return ReplayTrace(points=tuple(points))
     raise ConfigError(f"unknown trace kind {kind!r}; have {TRACE_KINDS}")
 
 

@@ -176,23 +176,6 @@ class Transport:
         """Event yielding the next :class:`Message` on the channel."""
         return self.mailbox(node_id, channel).get()
 
-    def local_deliver(self, node_id: int, channel: str, payload: object) -> None:
-        """Deposit a message into a local mailbox without touching the network.
-
-        Used when a node addresses itself (the hash function frequently
-        maps itemsets back to their producer, which costs no network time).
-        """
-        msg = Message(
-            src=node_id,
-            dst=node_id,
-            channel=channel,
-            payload=payload,
-            size_bytes=0,
-            send_time=self.env.now,
-            deliver_time=self.env.now,
-        )
-        self.mailbox(node_id, channel).put(msg)
-
     def pending(self, node_id: int, channel: str) -> int:
         """Number of undelivered messages waiting in the mailbox."""
         return len(self.mailbox(node_id, channel))

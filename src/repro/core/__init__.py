@@ -16,7 +16,6 @@ from repro.core.monitor import (
 )
 from repro.core.pager import Pager, PagerStats
 from repro.core.placement import (
-    LoadBalancingPlacement,
     MigrateAheadPlacement,
     MostAvailableFirst,
     PlacementPolicy,
@@ -60,7 +59,6 @@ __all__ = [
     "MostAvailableFirst",
     "RoundRobinPlacement",
     "PredictivePlacement",
-    "LoadBalancingPlacement",
     "MigrateAheadPlacement",
     "make_placement",
 ]

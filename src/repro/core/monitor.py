@@ -41,10 +41,6 @@ class AvailabilityInfo:
     shortage: bool
     seq: int
     timestamp: float
-    #: The reporting node's total memory (lets placement policies reason
-    #: about *fraction* used on heterogeneous clusters); 0 means the
-    #: broadcast predates this field.
-    capacity_bytes: int = 0
 
 
 class MemoryMonitor:
@@ -134,7 +130,6 @@ class MemoryMonitor:
             shortage=self._shortage,
             seq=self._seq,
             timestamp=self.node.env.now,
-            capacity_bytes=self.node.memory.capacity_bytes,
         )
         if self.bus is not None:
             self.bus.emit(
@@ -193,10 +188,6 @@ class MonitorClient:
         info = self.table.get(node_id)
         return 0 if info is None else info.available_bytes
 
-    def known_nodes(self) -> list[int]:
-        """Memory-available nodes we have heard from."""
-        return list(self.table)
-
     def adjust_estimate(self, node_id: int, delta_bytes: int) -> None:
         """Locally adjust a node's availability estimate.
 
@@ -213,7 +204,6 @@ class MonitorClient:
                 shortage=info.shortage,
                 seq=info.seq,
                 timestamp=info.timestamp,
-                capacity_bytes=info.capacity_bytes,
             )
 
     def mark_full(self, node_id: int) -> None:
@@ -227,7 +217,6 @@ class MonitorClient:
                 shortage=info.shortage,
                 seq=info.seq,
                 timestamp=info.timestamp,
-                capacity_bytes=info.capacity_bytes,
             )
 
     def _run(self) -> Generator:

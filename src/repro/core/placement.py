@@ -12,8 +12,6 @@ a competitor set for head-to-head comparison under churning availability
   :class:`~repro.core.monitor.AvailabilityInfo` broadcast history, with
   staleness decay, so one optimistic stale report does not keep
   attracting traffic.
-* ``load-balancing`` — spread by *fraction* free (needs the broadcast's
-  ``capacity_bytes``), which equalises pressure on heterogeneous nodes.
 * ``migrate-ahead`` — predictive choice plus proactive evacuation: when
   a node's smoothed availability trajectory predicts shortage within the
   horizon, its lines are migrated off *before* the shortage broadcast
@@ -41,10 +39,21 @@ __all__ = [
     "MostAvailableFirst",
     "RoundRobinPlacement",
     "PredictivePlacement",
-    "LoadBalancingPlacement",
     "MigrateAheadPlacement",
     "make_placement",
 ]
+
+#: Weight of the newest broadcast in predictive placement's exponential
+#: smoothing ``s <- alpha * reported + (1 - alpha) * s``.
+SMOOTHING_ALPHA = 0.5
+
+#: Time constant of the staleness discount ``exp(-age / tau)`` applied
+#: to a smoothed estimate whose node has not broadcast since.
+STALENESS_TAU_S = 0.5
+
+#: How far ahead migrate-ahead extrapolates a node's availability
+#: trajectory when deciding to evacuate it.
+HORIZON_S = 0.05
 
 
 class PlacementPolicy(ABC):
@@ -142,38 +151,13 @@ class RoundRobinPlacement(PlacementPolicy):
         return self._chosen(client, choice, needed_bytes)
 
 
-class LoadBalancingPlacement(PlacementPolicy):
-    """Send the line to the node with the largest *fraction* of memory
-    free — on heterogeneous clusters this equalises relative pressure
-    where most-available would pile onto the biggest node.  Broadcasts
-    without ``capacity_bytes`` fall back to absolute bytes."""
-
-    name = "load-balancing"
-
-    def choose(
-        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int] = ()
-    ) -> int:
-        cands = _candidates(client, needed_bytes, exclude)
-        if not cands:
-            raise _no_candidates(client, needed_bytes)
-
-        def fraction_free(n: int) -> float:
-            info = client.table[n]
-            if info.capacity_bytes > 0:
-                return info.available_bytes / info.capacity_bytes
-            return float(info.available_bytes)
-
-        dst = max(cands, key=lambda n: (fraction_free(n), -n))
-        return self._chosen(client, dst, needed_bytes)
-
-
 class PredictivePlacement(PlacementPolicy):
     """Exponentially-smoothed availability with staleness decay.
 
     Each *new* broadcast (tracked by ``seq``) updates a per-node
-    smoothed estimate ``s <- alpha * reported + (1 - alpha) * s``; at
-    choice time the estimate is discounted by ``exp(-(now - ts) / tau)``
-    so a node that has gone quiet stops looking attractive.  Candidates
+    smoothed estimate with :data:`SMOOTHING_ALPHA`; at choice time the
+    estimate is discounted by ``exp(-(now - ts) / STALENESS_TAU_S)`` so a
+    node that has gone quiet stops looking attractive.  Candidates
     are still pre-filtered by the raw table (which carries the pager's
     own local ``adjust_estimate`` corrections), so the smoothing only
     *ranks* feasible destinations.
@@ -181,19 +165,8 @@ class PredictivePlacement(PlacementPolicy):
 
     name = "predictive"
 
-    def __init__(
-        self,
-        bus: "Optional[EventBus]" = None,
-        alpha: float = 0.5,
-        staleness_tau_s: float = 0.5,
-    ) -> None:
+    def __init__(self, bus: "Optional[EventBus]" = None) -> None:
         super().__init__(bus)
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if staleness_tau_s <= 0:
-            raise ValueError(f"staleness tau must be positive, got {staleness_tau_s}")
-        self.alpha = alpha
-        self.staleness_tau_s = staleness_tau_s
         self._seen_seq: "dict[int, int]" = {}
         #: node -> (broadcast timestamp, smoothed availability).
         self._last: "dict[int, tuple[float, float]]" = {}
@@ -215,7 +188,9 @@ class PredictivePlacement(PlacementPolicy):
                 smoothed = reported
             else:
                 self._prev[node_id] = last
-                smoothed = self.alpha * reported + (1.0 - self.alpha) * last[1]
+                smoothed = (
+                    SMOOTHING_ALPHA * reported + (1.0 - SMOOTHING_ALPHA) * last[1]
+                )
             self._last[node_id] = (info.timestamp, smoothed)
 
     def _score(self, node_id: int, now: float) -> float:
@@ -225,7 +200,7 @@ class PredictivePlacement(PlacementPolicy):
             return 0.0
         ts, smoothed = last
         age = max(0.0, now - ts)
-        return smoothed * math.exp(-age / self.staleness_tau_s)
+        return smoothed * math.exp(-age / STALENESS_TAU_S)
 
     def choose(
         self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int] = ()
@@ -243,7 +218,7 @@ class MigrateAheadPlacement(PredictivePlacement):
     """Predictive placement that evacuates *before* the shortage lands.
 
     On every choice the smoothed trajectory of each known node is
-    extrapolated ``horizon_s`` ahead; a node predicted to hit zero
+    extrapolated :data:`HORIZON_S` ahead; a node predicted to hit zero
     availability is proactively drained through the attached pager's
     migration machinery (one ``migrate-ahead`` event per trigger) and
     avoided as a destination until its trajectory recovers.  Without an
@@ -253,23 +228,14 @@ class MigrateAheadPlacement(PredictivePlacement):
 
     name = "migrate-ahead"
 
-    def __init__(
-        self,
-        bus: "Optional[EventBus]" = None,
-        alpha: float = 0.5,
-        staleness_tau_s: float = 0.5,
-        horizon_s: float = 0.05,
-    ) -> None:
-        super().__init__(bus, alpha=alpha, staleness_tau_s=staleness_tau_s)
-        if horizon_s <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon_s}")
-        self.horizon_s = horizon_s
+    def __init__(self, bus: "Optional[EventBus]" = None) -> None:
+        super().__init__(bus)
         #: Nodes already evacuated for their current decline (re-armed
         #: when the trajectory turns back up).
         self._evacuated: "set[int]" = set()
 
     def _predicted(self, node_id: int) -> "Optional[float]":
-        """Smoothed availability extrapolated ``horizon_s`` ahead, or
+        """Smoothed availability extrapolated :data:`HORIZON_S` ahead, or
         ``None`` before two broadcasts exist."""
         last = self._last.get(node_id)
         prev = self._prev.get(node_id)
@@ -280,7 +246,7 @@ class MigrateAheadPlacement(PredictivePlacement):
         if t1 <= t0:
             return None
         slope = (s1 - s0) / (t1 - t0)
-        return s1 + slope * self.horizon_s
+        return s1 + slope * HORIZON_S
 
     def _maybe_evacuate(self, client: MonitorClient) -> None:
         if self.pager is None:
@@ -329,7 +295,6 @@ _POLICIES: "dict[str, type[PlacementPolicy]]" = {
     MostAvailableFirst.name: MostAvailableFirst,
     RoundRobinPlacement.name: RoundRobinPlacement,
     PredictivePlacement.name: PredictivePlacement,
-    LoadBalancingPlacement.name: LoadBalancingPlacement,
     MigrateAheadPlacement.name: MigrateAheadPlacement,
 }
 

@@ -38,6 +38,7 @@ from repro.cluster.specs import ATM_155
 from repro.harness.scales import SCALES, prepare_workload
 from repro.harness.sweep import ExperimentReport, Sweep
 from repro.mining import apriori, skew_statistics
+from repro.runtime.config import PLACEMENT_POLICIES
 from repro.runtime.results import RunResult
 from repro.runtime.scenarios import Scenario
 
@@ -511,16 +512,6 @@ def _report_policy(scale: str, results: Results, seed: Seed) -> ExperimentReport
 # Cluster dynamics C1 — placement policy under churning availability
 # ---------------------------------------------------------------------------
 
-#: Every swap-destination policy competes (paper §4.3 prescribes only
-#: the first).
-PLACEMENT_SWEEP = (
-    "most-available",
-    "round-robin",
-    "predictive",
-    "load-balancing",
-    "migrate-ahead",
-)
-
 #: Background-load regimes driving the memory nodes' ledgers
 #: (:func:`repro.cluster.dynamics.parse_trace` specs).  ``calm`` never
 #: disturbs anything (the policies' intrinsic spread); ``sawtooth``
@@ -540,10 +531,12 @@ CHURN_MONITOR_INTERVAL_S = 0.02
 
 
 def _grid_churn(scale: str) -> "dict[str, Scenario]":
+    # Every swap-destination policy competes (paper §4.3 prescribes only
+    # the first).
     s = SCALES[scale]
     mb = s.limits_mb[1]
     cells: "dict[str, Scenario]" = {}
-    for policy in PLACEMENT_SWEEP:
+    for policy in PLACEMENT_POLICIES:
         for regime, spec in CHURN_REGIMES.items():
             cells[f"{policy}|{regime}"] = Scenario(
                 scale=scale, pager="remote-update",
@@ -562,7 +555,7 @@ def _report_churn(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     mb = s.limits_mb[1]
     rows = []
     series: "dict[str, dict[str, float]]" = {}
-    for policy in PLACEMENT_SWEEP:
+    for policy in PLACEMENT_POLICIES:
         times = {
             regime: _pass2_time(results[f"{policy}|{regime}"])
             for regime in CHURN_REGIMES
@@ -584,9 +577,9 @@ def _report_churn(scale: str, results: Results, seed: Seed) -> ExperimentReport:
         title="Placement policies under churning memory availability",
         text=text,
         data={"series": series},
-        paper_shape="load-balancing ties most-available; calm, most-available "
-        "never trails round-robin; churn never speeds up an availability-"
-        "aware policy; bursty: predictive never beats most-available.",
+        paper_shape="calm, most-available never trails round-robin; churn "
+        "never speeds up an availability-aware policy; bursty: predictive "
+        "never beats most-available.",
     )
 
 
@@ -1072,7 +1065,7 @@ exploit. The paper's choice is validated but shown to be non-critical.""",
 The paper's premise — "in recent distributed computing environments,
 some workstations are used while their owners are away" — exercised
 directly: seeded background-load traces drive every memory node's
-ledger while pass 2 runs, and five swap-destination policies compete.
+ledger while pass 2 runs, and four swap-destination policies compete.
 Pass-2 time at the 13 MB limit (remote update, 20 ms monitoring):
 
 | placement | calm | sawtooth | bursty |
@@ -1080,13 +1073,11 @@ Pass-2 time at the 13 MB limit (remote update, 20 ms monitoring):
 | most-available | 1.27 | 7.76 | 12.32 |
 | round-robin | 1.94 | 3.32 | 3.55 |
 | predictive | 2.05 | 11.84 | 17.34 |
-| load-balancing | 1.27 | 7.76 | 12.32 |
 | migrate-ahead | 2.05 | 12.17 | 17.49 |
 
 **Held** (`tiny` and `small`, two seeds each): undisturbed, the paper's
 most-available choice (§4.2) wins — round-robin pays 53 % for ignoring
-availability — and load-balancing ties it exactly (equal-capacity nodes
-rank identically); churn never speeds up an availability-aware policy;
+availability; churn never speeds up an availability-aware policy;
 under *bursty* full reclaims predictive never beats most-available.
 **Not held:** the expectation this sweep shipped with, that
 availability-aware policies never trail round-robin under churn.

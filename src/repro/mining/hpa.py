@@ -237,7 +237,7 @@ class HPARun(MiningDriver):
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.env)
         dests = [b for b in self.app_ids if b != a]
         streams = OwnerStreams(
             dests, max(1, cost.message_block_bytes // ITEMSET_BYTES)
@@ -350,7 +350,7 @@ class HPARun(MiningDriver):
         if n_scanned:
             yield from node.compute(cost.cpu_determine_per_itemset_s * n_scanned)
         # Broadcast local large itemsets to the other application nodes.
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.env)
         payload_bytes = max(16, ITEMSET_BYTES * len(local_large))
         for b in self.app_ids:
             if b == a:

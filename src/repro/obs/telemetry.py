@@ -41,7 +41,7 @@ def run_meta(driver: str, config) -> dict:
         "memory_limit_bytes": config.memory_limit_bytes,
         "replacement": config.replacement,
         "placement": config.placement,
-        "churn": getattr(config, "churn", "none"),
+        "churn": config.churn,
         "minsup": config.minsup,
         "seed": config.seed,
     }

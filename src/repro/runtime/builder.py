@@ -19,11 +19,10 @@ is bit-identical — pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster import Cluster, ClusterDynamics, FailureEvent
-from repro.cluster.specs import MB, PAPER_NODE, NodeSpec
 from repro.core import (
     DiskPager,
     MemoryManagementTable,
@@ -133,22 +132,7 @@ def build_runtime(config: RunConfig) -> ClusterRuntime:
     validate_config(config)
     env = Environment()
     n_total = config.n_app_nodes + config.n_memory_nodes
-    if config.node_memory_factors is None:
-        cluster = Cluster(env, n_total)
-    else:
-        # Heterogeneous memory-node sizing: application nodes keep the
-        # paper spec; each memory node scales the 64 MB baseline.
-        specs: "list[NodeSpec]" = [PAPER_NODE] * config.n_app_nodes
-        for i, factor in enumerate(config.node_memory_factors):
-            nbytes = max(1 * MB, int(round(PAPER_NODE.memory_bytes * factor)))
-            specs.append(
-                replace(
-                    PAPER_NODE,
-                    name=f"{PAPER_NODE.name} x{factor:g} memory",
-                    memory_bytes=nbytes,
-                )
-            )
-        cluster = Cluster(env, n_total, specs=specs)
+    cluster = Cluster(env, n_total)
     if config.loss_probability > 0.0:
         cluster.network.loss_probability = config.loss_probability
     app_ids = list(range(config.n_app_nodes))

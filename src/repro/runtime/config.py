@@ -39,7 +39,6 @@ PLACEMENT_POLICIES = (
     "most-available",
     "round-robin",
     "predictive",
-    "load-balancing",
     "migrate-ahead",
 )
 
@@ -57,7 +56,6 @@ class RunConfig:
     replacement: str = "lru"
     placement: str = "most-available"
     monitor_interval_s: Optional[float] = None
-    send_window: int = 4
     max_k: int = 0  # 0 = run to termination
     cost: CostModel = PAPER_COSTS
     seed: int = 0
@@ -83,10 +81,6 @@ class RunConfig:
     #: triples — at ``at_s`` the node stops lending (shortage signal,
     #: guests migrate off), ``down_s`` later it recovers.
     failures: tuple = ()
-    #: Heterogeneous memory-node sizing: one multiplicative factor per
-    #: memory node applied to the paper node's 64 MB (``None`` = the
-    #: uniform cluster).
-    node_memory_factors: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         # Normalise JSON round-trip artefacts (lists -> tuples) before
@@ -94,10 +88,6 @@ class RunConfig:
         object.__setattr__(
             self, "failures", tuple(tuple(f) for f in self.failures)
         )
-        if self.node_memory_factors is not None:
-            object.__setattr__(
-                self, "node_memory_factors", tuple(self.node_memory_factors)
-            )
         validate_config(self)
 
 
@@ -147,8 +137,6 @@ def validate_config(config: RunConfig) -> None:
                 f"memory_limit_bytes must be positive, "
                 f"got {config.memory_limit_bytes}"
             )
-    if config.send_window <= 0:
-        raise ConfigError("send window must be positive")
     if config.disk_fallback and config.pager not in ("remote", "remote-update"):
         raise ConfigError("disk_fallback applies only to remote pagers")
     if not 0.0 <= config.loss_probability < 1.0:
@@ -167,7 +155,7 @@ def validate_config(config: RunConfig) -> None:
                 "which exist only with memory-available nodes "
                 "(n_memory_nodes > 0)"
             )
-    # Cluster-dynamics axes: churn trace, failures, heterogeneous specs.
+    # Cluster-dynamics axes: churn trace and failures.
     from repro.cluster.dynamics import parse_trace
 
     trace = parse_trace(config.churn)  # raises ConfigError on a bad spec
@@ -191,15 +179,3 @@ def validate_config(config: RunConfig) -> None:
                 f"failure node index {node_index!r} must address one of "
                 f"{config.n_memory_nodes} memory nodes"
             )
-    if config.node_memory_factors is not None:
-        if len(config.node_memory_factors) != config.n_memory_nodes:
-            raise ConfigError(
-                f"node_memory_factors needs one factor per memory node: "
-                f"got {len(config.node_memory_factors)} for "
-                f"{config.n_memory_nodes}"
-            )
-        for factor in config.node_memory_factors:
-            if not factor > 0:
-                raise ConfigError(
-                    f"node memory factors must be positive, got {factor}"
-                )

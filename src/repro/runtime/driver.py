@@ -33,30 +33,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.corpus import TransactionDatabase
     from repro.mining.itemsets import Itemset
 
-__all__ = ["MiningDriver", "SendWindow"]
+__all__ = ["MiningDriver", "SendWindow", "SEND_WINDOW"]
 
 #: Number of itemsets whose CPU cost is charged per compute call in the
 #: hot loops (keeps simulator event counts low without distorting totals).
 CPU_CHUNK = 512
 
+#: Asynchronous sends one process keeps in flight before it waits for
+#: the oldest to complete.
+SEND_WINDOW = 4
+
 
 class SendWindow:
-    """Bounded number of in-flight asynchronous sends per process."""
+    """At most :data:`SEND_WINDOW` in-flight asynchronous sends per
+    process."""
 
-    def __init__(self, env: Environment, limit: int) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.limit = limit
         self._inflight: list = []
 
     def post(self, gen: Generator) -> Generator:
         """Launch ``gen`` as a process once a window slot frees up."""
         inflight = self._inflight
-        if len(inflight) >= self.limit:
+        if len(inflight) >= SEND_WINDOW:
             # Compact lazily: dead entries only matter once the window
             # looks full, and any_of must never see an already-dead
             # process.
             inflight[:] = [p for p in inflight if p.is_alive]
-            while len(inflight) >= self.limit:
+            while len(inflight) >= SEND_WINDOW:
                 yield self.env.any_of(inflight)
                 inflight[:] = [p for p in inflight if p.is_alive]
         inflight.append(self.env.process(gen))
@@ -281,7 +285,7 @@ class MiningDriver:
         yield from node.compute(cost.cpu_count_per_itemset_s * part.total_items)
         counts = part.item_counts()
         # Exchange: send the count vector to every other application node.
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.env)
         vec_bytes = 4 * self.db.n_items
         for b in self.app_ids:
             if b == a:
@@ -319,7 +323,7 @@ class MiningDriver:
             yield from self.cluster[0].compute(
                 self.config.cost.cpu_count_per_itemset_s * n_entries * len(self.app_ids)
             )
-            window = SendWindow(self.env, self.config.send_window)
+            window = SendWindow(self.env)
             for b in others:
                 yield from window.post(
                     transport.send(0, b, result_channel, None, vec_bytes)

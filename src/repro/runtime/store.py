@@ -55,7 +55,9 @@ __all__ = [
 #: functions of the scenario, with host timing measured harness-side
 #: (:mod:`repro.harness.wallclock`).  Format 3 dropped the config's
 #: ``kernel`` field (one counting implementation left, so no option).
-STORE_FORMAT = 3
+#: Format 4 dropped the config's send-window and per-lender memory
+#: factor fields (one value in use each, so constants now).
+STORE_FORMAT = 4
 
 
 # ---------------------------------------------------------------------------

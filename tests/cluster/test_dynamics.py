@@ -12,7 +12,6 @@ from repro.cluster.dynamics import (
     FailureEvent,
     LoadTrace,
     NodeDynamics,
-    ReplayTrace,
     SawtoothTrace,
     NodeDynamics as _NodeDynamics,  # noqa: F401 - re-export sanity
     parse_trace,
@@ -40,7 +39,6 @@ def test_parse_none_returns_none():
         ("sawtooth:period=0.12,low=0.2,high=1,steps=6,stagger=1", SawtoothTrace),
         ("bursty", BurstyTrace),
         ("bursty:gap=0.05,hold=0.015,frac=1", BurstyTrace),
-        ("replay:0.01=0.5;0.03=0.9", ReplayTrace),
     ],
 )
 def test_parse_valid_specs(spec, cls):
@@ -65,10 +63,6 @@ def test_parse_valid_specs(spec, cls):
         "sawtooth:steps=1",
         "bursty:gap=0",
         "bursty:frac=2",
-        "replay:",
-        "replay:0.05",
-        "replay:0.05=2",
-        "replay:0.05=0.5;0.01=0.9",
     ],
 )
 def test_parse_rejects_malformed(spec):
@@ -95,16 +89,6 @@ def test_sawtooth_stagger_draws_phase_from_rng():
     assert a[1] == b[1] == 0.2  # both hold the floor during the offset
     assert a[0] != b[0]  # ...for node-specific durations
     assert 0.0 <= a[0] < 0.1 and 0.0 <= b[0] < 0.1
-
-
-def test_replay_holds_last_level_forever():
-    trace = ReplayTrace(points=((0.01, 0.5), (0.03, 0.9)))
-    steps = list(trace.steps(np.random.default_rng(0)))
-    assert steps == [
-        (pytest.approx(0.01), 0.0),
-        (pytest.approx(0.02), 0.5),
-        (None, 0.9),
-    ]
 
 
 def test_bursty_is_deterministic_per_seed():
@@ -148,16 +132,19 @@ def test_constant_trace_applies_pressure():
 
 
 def test_full_pressure_signals_and_clears_shortage():
-    rig, _ = dynamics_rig(ReplayTrace(points=((0.05, 1.0), (0.12, 0.3))))
+    # Two steps of 0.1 s each: 30 % pressure, then a full reclaim.
+    rig, _ = dynamics_rig(
+        SawtoothTrace(period_s=0.2, low=0.3, high=1.0, n_steps=2)
+    )
     m0 = rig.mem_ids[0]
     monitor = rig.monitors[m0]
 
-    rig.env.run(until=0.04)
+    rig.env.run(until=0.09)
     assert not monitor.shortage
-    rig.env.run(until=0.08)
+    rig.env.run(until=0.15)
     assert monitor.shortage
     assert rig.clients[0].table[m0].shortage
-    rig.env.run(until=0.3)
+    rig.env.run(until=0.28)
     assert not monitor.shortage
     assert not rig.clients[0].table[m0].shortage
     mem = rig.cluster[m0].memory

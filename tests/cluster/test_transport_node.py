@@ -70,20 +70,6 @@ def test_post_is_fire_and_forget():
     assert times["received"] > 0
 
 
-def test_local_deliver_costs_nothing():
-    env, cl = make_cluster()
-    got = []
-
-    def proc(env, tr):
-        tr.local_deliver(2, "loop", "self-msg")
-        msg = yield tr.recv(2, "loop")
-        got.append((msg.payload, env.now))
-
-    env.process(proc(env, cl.transport))
-    env.run()
-    assert got == [("self-msg", 0.0)]
-
-
 def test_channels_are_independent():
     env, cl = make_cluster()
     got = []

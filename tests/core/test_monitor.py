@@ -11,7 +11,7 @@ def test_broadcasts_arrive_periodically():
     # Interval 3 s: broadcasts at t=0, 3, 6, 9 -> 4 per monitor per client.
     for a in rig.app_ids:
         client = rig.clients[a]
-        assert set(client.known_nodes()) == set(rig.mem_ids)
+        assert set(client.table) == set(rig.mem_ids)
         assert client.reports_received == 4 * len(rig.mem_ids)
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    LoadBalancingPlacement,
     MigrateAheadPlacement,
     MostAvailableFirst,
     PredictivePlacement,
@@ -23,7 +22,7 @@ def primed_rig(n_mem=3):
     return rig
 
 
-def feed(client, node_id, available, seq, *, ts=0.0, capacity=0, shortage=False):
+def feed(client, node_id, available, seq, *, ts=0.0, shortage=False):
     """Hand a broadcast to ``client`` as if the monitor had sent it."""
     client.table[node_id] = AvailabilityInfo(
         node_id=node_id,
@@ -31,7 +30,6 @@ def feed(client, node_id, available, seq, *, ts=0.0, capacity=0, shortage=False)
         shortage=shortage,
         seq=seq,
         timestamp=ts,
-        capacity_bytes=capacity or available * 2,
     )
 
 
@@ -93,27 +91,6 @@ def test_round_robin_cycles():
     assert picks[3:] == sorted(rig.mem_ids)
 
 
-def test_load_balancing_ranks_by_fraction_free():
-    rig = primed_rig(n_mem=2)
-    client = rig.clients[0]
-    m0, m1 = rig.mem_ids
-    # m0 has more absolute bytes free but the worse fraction.
-    feed(client, m0, 30_000_000, seq=99, capacity=120_000_000)
-    feed(client, m1, 20_000_000, seq=99, capacity=40_000_000)
-    assert LoadBalancingPlacement().choose(client, 100) == m1
-    assert MostAvailableFirst().choose(client, 100) == m0
-
-
-def test_load_balancing_respects_exclude_and_raises():
-    rig = primed_rig(n_mem=2)
-    client = rig.clients[0]
-    assert LoadBalancingPlacement().choose(
-        client, 100, exclude=set(rig.mem_ids[:1])
-    ) == rig.mem_ids[1]
-    with pytest.raises(NoMemoryAvailable):
-        LoadBalancingPlacement().choose(client, 100, exclude=set(rig.mem_ids))
-
-
 def test_predictive_smooths_over_broadcasts():
     rig = primed_rig(n_mem=2)
     client = rig.clients[0]
@@ -135,21 +112,12 @@ def test_predictive_staleness_decay():
     rig = primed_rig(n_mem=2)
     client = rig.clients[0]
     m0, m1 = rig.mem_ids
-    pol = PredictivePlacement(staleness_tau_s=0.5)
+    pol = PredictivePlacement()
     now = rig.env.now
     # m0's bigger estimate is ten tau old; m1's smaller one is fresh.
     feed(client, m0, 500_000, seq=50, ts=now - 5.0)
     feed(client, m1, 100_000, seq=50, ts=now)
     assert pol.choose(client, 100) == m1
-
-
-def test_predictive_validates_parameters():
-    with pytest.raises(ValueError):
-        PredictivePlacement(alpha=0.0)
-    with pytest.raises(ValueError):
-        PredictivePlacement(staleness_tau_s=0.0)
-    with pytest.raises(ValueError):
-        MigrateAheadPlacement(horizon_s=0.0)
 
 
 class FakePager:
@@ -172,7 +140,7 @@ def test_migrate_ahead_evacuates_predicted_full_node():
     rig = primed_rig(n_mem=2)
     client = rig.clients[0]
     m0, m1 = rig.mem_ids
-    pol = MigrateAheadPlacement(horizon_s=0.05)
+    pol = MigrateAheadPlacement()
     pager = FakePager()
     pol.attach_pager(pager)
     now = rig.env.now
@@ -212,9 +180,7 @@ def test_migrate_ahead_without_pager_degrades_to_predictive():
 
 
 @pytest.mark.parametrize(
-    "name",
-    ["most-available", "round-robin", "predictive", "load-balancing",
-     "migrate-ahead"],
+    "name", ["most-available", "round-robin", "predictive", "migrate-ahead"]
 )
 def test_all_policies_skip_shortage_nodes(name):
     rig = primed_rig(n_mem=2)
@@ -244,7 +210,6 @@ def test_make_placement():
     assert isinstance(make_placement("most-available"), MostAvailableFirst)
     assert isinstance(make_placement("round-robin"), RoundRobinPlacement)
     assert isinstance(make_placement("predictive"), PredictivePlacement)
-    assert isinstance(make_placement("load-balancing"), LoadBalancingPlacement)
     assert isinstance(make_placement("migrate-ahead"), MigrateAheadPlacement)
     # migrate-ahead extends predictive; the registry must keep the
     # subclass addressable under its own name only.

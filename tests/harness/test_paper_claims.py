@@ -141,9 +141,6 @@ def claim_policy(scale, data):
 def claim_churn(scale, data):
     series = data["series"]
     calm = {policy: times["calm"] for policy, times in series.items()}
-    # With equal-capacity memory nodes load-balancing ranks destinations
-    # exactly as the paper's most-available rule (§4.2) does.
-    assert series["load-balancing"] == series["most-available"]
     # Undisturbed, knowing availability never loses to ignoring it.
     assert calm["most-available"] <= calm["round-robin"]
     # Churn is never free for a policy that reads the availability table.
@@ -299,10 +296,10 @@ DOCTORED = {
         lambda d: _scaled(d["fifo"], 4.0, ["time_s"]),
     ],
     "churn": [
-        lambda d: _scaled(d["series"]["load-balancing"], 1.01, ["bursty"]),
-        lambda d: [d["series"][p].update(
-            calm=1.01 * d["series"]["round-robin"]["calm"])
-            for p in ("most-available", "load-balancing")],
+        lambda d: d["series"]["most-available"].update(
+            calm=1.01 * d["series"]["round-robin"]["calm"]),
+        lambda d: d["series"]["most-available"].update(
+            bursty=0.9 * d["series"]["most-available"]["calm"]),
         lambda d: d["series"]["predictive"].update(
             sawtooth=0.9 * d["series"]["predictive"]["calm"]),
         lambda d: _scaled(d["series"]["predictive"], 0.3),

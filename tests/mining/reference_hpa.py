@@ -58,7 +58,7 @@ class ReferenceHPARun(_NaiveSubsets, HPARun):
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.env)
         items_per_msg = max(1, cost.message_block_bytes // ITEMSET_BYTES)
         buffers = {b: [] for b in self.app_ids if b != a}
 

@@ -184,8 +184,6 @@ def test_config_validation():
         HPAConfig(pager="remote", n_memory_nodes=0)
     with pytest.raises(MiningError):
         HPAConfig(pager="none", memory_limit_bytes=100)
-    with pytest.raises(MiningError):
-        HPAConfig(send_window=0)
 
 
 def test_fewer_transactions_than_nodes_rejected():

@@ -116,29 +116,6 @@ def test_seeded_policies_are_independent():
     assert p0 is not p1
 
 
-def test_heterogeneous_memory_factors_size_the_memory_nodes():
-    from repro.cluster.specs import MB, PAPER_NODE
-
-    runtime = rt(pager="remote", n_memory_nodes=2,
-                 memory_limit_bytes=1 << 16,
-                 node_memory_factors=(0.5, 2.0))
-    m0, m1 = runtime.mem_ids
-    assert runtime.cluster[m0].memory.capacity_bytes == round(
-        PAPER_NODE.memory_bytes * 0.5
-    )
-    assert runtime.cluster[m1].memory.capacity_bytes == round(
-        PAPER_NODE.memory_bytes * 2.0
-    )
-    # App nodes keep the paper's uniform spec, and even an absurdly
-    # small factor is floored at 1 MB rather than producing a 0-byte
-    # lender.
-    for a in runtime.app_ids:
-        assert runtime.cluster[a].memory.capacity_bytes == PAPER_NODE.memory_bytes
-    tiny = rt(pager="remote", n_memory_nodes=1, memory_limit_bytes=1 << 16,
-              node_memory_factors=(1e-9,))
-    assert tiny.cluster[tiny.mem_ids[0]].memory.capacity_bytes == 1 * MB
-
-
 def test_dynamics_inert_by_default_and_active_with_churn():
     static = rt(pager="remote", n_memory_nodes=1, memory_limit_bytes=1 << 16)
     assert not static.dynamics.active

@@ -107,11 +107,6 @@ def test_rejects_nonpositive_memory_limit(limit):
         RunConfig(memory_limit_bytes=limit, pager="disk")
 
 
-def test_rejects_nonpositive_send_window():
-    with pytest.raises(ConfigError, match="send window"):
-        RunConfig(send_window=0)
-
-
 @pytest.mark.parametrize("pager", ["none", "disk"])
 def test_rejects_disk_fallback_on_non_remote_pager(pager):
     kw = {"n_memory_nodes": 0}
@@ -147,6 +142,30 @@ def test_catalogue_constants_are_consistent():
     assert "lru" in REPLACEMENT_POLICIES
     assert "most-available" in PLACEMENT_POLICIES
     assert "migrate-ahead" in PLACEMENT_POLICIES
+
+
+def test_every_vocabulary_value_is_built_and_used():
+    """Data only, no runs: each config vocabulary equals what its factory
+    builds, and every placement and trace kind is set by some sweep grid
+    at ``tiny`` or some catalogue scenario, so an unused value cannot come
+    back unnoticed."""
+    from repro.cluster.dynamics import TRACE_KINDS, parse_trace
+    from repro.core.placement import _POLICIES
+    from repro.core.policies import ReplacementPolicy, make_policy
+    from repro.harness.experiments import ALL_SWEEPS
+    from repro.runtime.scenarios import SCENARIOS
+
+    assert set(PLACEMENT_POLICIES) == set(_POLICIES)
+    replacement = set(REPLACEMENT_POLICIES)
+    assert {make_policy(name).name for name in replacement} == replacement
+    assert {cls.name for cls in ReplacementPolicy.__subclasses__()} == replacement
+
+    used = list(SCENARIOS.values())
+    for sweep in ALL_SWEEPS.values():
+        used.extend(sweep.scenarios("tiny").values())
+    assert {s.placement for s in used} == set(PLACEMENT_POLICIES)
+    kinds = {parse_trace(s.churn).kind for s in used if s.churn != "none"}
+    assert kinds == set(TRACE_KINDS) - {"none"}
 
 
 # --- cluster-dynamics axes -------------------------------------------------
@@ -190,22 +209,3 @@ def test_failures_normalised_to_nested_tuples():
 def test_rejects_malformed_failures(failures, match):
     with pytest.raises(ConfigError, match=match):
         RunConfig(pager="remote", n_memory_nodes=2, failures=failures)
-
-
-def test_node_memory_factors_normalised_to_tuple():
-    cfg = RunConfig(
-        pager="remote", n_memory_nodes=2, node_memory_factors=[0.5, 2.0]
-    )
-    assert cfg.node_memory_factors == (0.5, 2.0)
-
-
-def test_rejects_factor_count_mismatch():
-    with pytest.raises(ConfigError, match="one factor per memory node"):
-        RunConfig(pager="remote", n_memory_nodes=2, node_memory_factors=(0.5,))
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0])
-def test_rejects_nonpositive_memory_factor(bad):
-    with pytest.raises(ConfigError, match="positive"):
-        RunConfig(pager="remote", n_memory_nodes=2,
-                  node_memory_factors=(1.0, bad))

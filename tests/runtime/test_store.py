@@ -97,7 +97,7 @@ def test_format_2_entry_with_kernel_field_is_a_clean_miss(tmp_path):
 
     path.write_text(stale)
     store.put(TINY, res)
-    assert json.loads(path.read_text())["format"] == STORE_FORMAT == 3
+    assert json.loads(path.read_text())["format"] == STORE_FORMAT == 4
     assert store.get(TINY) == res
 
     path.write_text(stale)
