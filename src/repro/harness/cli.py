@@ -4,17 +4,16 @@ Usage::
 
     repro-bench fig4                 # one experiment at the small scale
     repro-bench all --scale full     # every experiment, paper-like layout
-    repro-bench all --jobs 4         # fan scenario runs out to 4 workers
+    repro-bench all --jobs 4         # run scenarios in 4 local processes
     repro-bench all --resume         # reuse results persisted in .repro-store
-    repro-bench --worker --store DIR # drain the store's work queue (N hosts)
-    repro-bench --store-gc --store DIR   # compact entries + queue state
+    repro-bench --store-gc --store DIR   # drop orphaned temp files + old-format entries
     repro-bench --list
 
 Each experiment prints the same rows/series the paper's table or figure
 reports, at the selected workload scale.  ``--jobs``/``--resume`` only
-change *how* scenarios are executed (worker processes leasing cells
-from the store's work queue, the persistent result store) — the printed
-reports are byte-identical either way.
+change *how* scenarios are executed (a local process pool, the
+persistent result store) — the printed reports are byte-identical
+either way.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="execute scenario grids with N worker processes "
+        help="execute scenario grids in N local processes "
         "(default: 1, in-process); reports are byte-identical either way",
     )
     parser.add_argument(
@@ -107,67 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
         "with no experiment, just inspects the store)",
     )
     parser.add_argument(
-        "--external-workers",
-        action="store_true",
-        help="with --jobs N: don't spawn local worker processes; rely "
-        "on repro-bench --worker processes attached to the same store "
-        "(the scheduler still drains whatever they don't lease)",
-    )
-    worker = parser.add_argument_group(
-        "worker mode", "drain the store's lease-based work queue "
-        "(run N of these against one shared --store, local or remote)"
-    )
-    worker.add_argument(
-        "--worker",
-        action="store_true",
-        help="run as a sweep worker: lease cells from the store's work "
-        "queue, execute, persist, release — until the queue stays idle",
-    )
-    worker.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="worker identity recorded on leases and completion "
-        "records (default: <hostname>-<pid>)",
-    )
-    worker.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="lease duration in seconds; a live worker renews, so only "
-        "a crashed worker's lease ever expires (default: 30)",
-    )
-    worker.add_argument(
-        "--idle-exit",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="exit after S seconds without leasing anything "
-        "(default: 10; raise above --lease-ttl so a surviving worker "
-        "outlives and reclaims a crashed peer's lease)",
-    )
-    worker.add_argument(
-        "--drain",
-        action="store_true",
-        help="exit as soon as the queue is completely empty instead of "
-        "lingering --idle-exit seconds for late-arriving work",
-    )
-    parser.add_argument(
         "--store-gc",
         action="store_true",
-        help="garbage-collect the result store: drop orphaned temp "
-        "files, old-format entries, stale leases, and completed queue "
-        "records; prints the JSON summary (requires --store/--resume)",
-    )
-    parser.add_argument(
-        "--gc-tmp-age",
-        type=float,
-        default=3600.0,
-        metavar="S",
-        help="with --store-gc: only remove temp files older than S "
-        "seconds (default: 3600 — younger ones may belong to a live "
-        "writer)",
+        dest="gc",
+        help="garbage-collect the result store: drop temp files older "
+        "than an hour and old-format entries; prints the JSON summary "
+        "(requires --store/--resume)",
     )
     return parser
 
@@ -178,36 +122,20 @@ def main(argv: "list[str] | None" = None) -> int:
     store_dir = args.store
     if args.resume and store_dir is None:
         store_dir = ".repro-store"
-    if (args.worker or args.store_gc) and store_dir is None:
-        mode = "--worker" if args.worker else "--store-gc"
-        print(
-            f"repro-bench: {mode} needs a store (--store/--resume)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.worker:
+    if args.gc:
+        if store_dir is None:
+            print(
+                "repro-bench: --store-gc needs a store (--store/--resume)",
+                file=sys.stderr,
+            )
+            return 2
         import json
 
-        from repro.harness.sweep.queue import default_worker_id
-        from repro.harness.sweep.worker import WorkerOptions, worker_loop
         from repro.runtime import ResultStore
 
-        options = WorkerOptions(
-            worker_id=args.worker_id or default_worker_id(),
-            lease_ttl_s=args.lease_ttl,
-            idle_exit_s=args.idle_exit,
-            exit_when_empty=args.drain,
-        )
-        stats = worker_loop(ResultStore(store_dir), options)
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-    if args.store_gc:
-        import json
-
-        from repro.harness.sweep.queue import store_gc
-        from repro.runtime import ResultStore
-
-        summary = store_gc(ResultStore(store_dir), tmp_age_s=args.gc_tmp_age)
+        store = ResultStore(store_dir)
+        summary = store.gc(time.time())
+        summary["store"] = str(store.path)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     if args.list_scenarios:
@@ -292,8 +220,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 outcome = run_sweep_outcome(
                     ALL_SWEEPS[name], args.scale, jobs=args.jobs,
                     seed=args.seed,
-                    spawn_workers=not args.external_workers,
-                    lease_ttl_s=args.lease_ttl,
                 )
                 elapsed = time.perf_counter() - start
                 print(outcome.report)

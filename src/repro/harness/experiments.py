@@ -6,7 +6,7 @@ report builder that folds the keyed results into an
 :class:`~repro.harness.sweep.ExperimentReport` (the same table/series
 the paper prints, plus machine-readable ``data``).  The sweep engine
 (:mod:`repro.harness.sweep.engine`) owns execution: cache tiers, the
-persistent result store, and the ``--jobs N`` lease queue.  There is
+persistent result store, and the ``--jobs N`` process pool.  There is
 exactly one execution path — :func:`repro.runtime.run_scenario` — for
 the experiments, benchmarks, CLI, and examples alike.
 

@@ -7,11 +7,9 @@ builder — executed by
 :func:`~repro.harness.sweep.engine.run_sweep_outcome`.  The engine resolves every grid cell through the shared cache tiers
 (in-memory :class:`~repro.runtime.scenarios.ScenarioCache`, then the
 persistent :class:`~repro.runtime.store.ResultStore`); with ``jobs > 1``
-it enqueues the misses on a lease-based work queue over the store
-(:mod:`~repro.harness.sweep.queue`), drained by independent worker
-processes (:mod:`~repro.harness.sweep.worker`, ``repro-bench --worker``)
-on one or many hosts, and assembles results in grid order so the report
-is byte-identical regardless of worker count or completion order.
+it runs the misses in a local process pool, and assembles results in
+grid order so the report is byte-identical regardless of process count
+or completion order.
 
 :mod:`~repro.harness.sweep.docs` regenerates ``EXPERIMENTS.md`` from
 the sweep definitions.
@@ -24,14 +22,6 @@ from repro.harness.sweep.engine import (
     run_sweep_outcome,
     shutdown_pools,
 )
-from repro.harness.sweep.queue import (
-    Lease,
-    LeaseLost,
-    WorkQueue,
-    default_worker_id,
-    store_gc,
-)
-from repro.harness.sweep.worker import WorkerOptions, worker_loop
 
 __all__ = [
     "ExperimentReport",
@@ -40,11 +30,4 @@ __all__ = [
     "SweepOutcome",
     "run_sweep_outcome",
     "shutdown_pools",
-    "Lease",
-    "LeaseLost",
-    "WorkQueue",
-    "default_worker_id",
-    "store_gc",
-    "WorkerOptions",
-    "worker_loop",
 ]

@@ -28,7 +28,7 @@ def current_telemetry() -> "Optional[Telemetry]":
 def emit_ambient(kind: str, **fields: object) -> None:
     """Publish a cluster-wide event on the ambient session's bus (a
     no-op outside one) — how the host-side layers that own no simulation
-    (sweep engine, queue, workers, report service) report.  Everything
+    (sweep engine, report service) report.  Everything
     the event carries is a typed field; ``detail`` stays the name of a
     ``span`` / ``phase``."""
     if _CURRENT is not None:

@@ -58,14 +58,6 @@ EVENT_KINDS = frozenset({
     "sweep-start",
     "sweep-run",
     "sweep-done",
-    # distributed sweep queue / workers (repro.harness.sweep.queue/worker)
-    "queue-enqueue",    # one scenario key added to the shared work queue
-    "lease-acquire",    # a worker leased one queued cell
-    "lease-renew",      # a live worker extended its lease deadline
-    "lease-reclaim",    # an expired lease returned its cell to pending
-    "lease-release",    # a leased cell completed (result in the store)
-    "worker-start",     # one worker loop began draining the queue
-    "worker-exit",      # one worker loop stopped (drained or idle)
     # report service (repro.analysis.report)
     "report-render",    # one markdown/HTML report rendered
     "report-diff",      # one regression-gate comparison completed
@@ -93,10 +85,6 @@ METRIC_NAMES = frozenset({
     "node_failures", "node_recoveries",
     "span_s",
     "sweep_runs", "sweep_run_wall_s",
-    # distributed sweep queue / workers (repro.harness.sweep)
-    "queue_enqueues", "queue_leases", "queue_reclaims",
-    "worker_cells", "worker_cell_wall_s",
-    "store_gc_removed",
     # cache tiers (repro.runtime)
     "scenario_cache_hits", "scenario_cache_misses",
     "result_store_hits", "result_store_misses", "result_store_writes",

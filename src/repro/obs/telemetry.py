@@ -162,20 +162,6 @@ class _MetricsUpdater:
                     buckets=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0),
                     sweep=f.get("sweep", "?"),
                 ).observe(f["wall_s"])
-        elif kind == "queue-enqueue":
-            r.counter("queue_enqueues").inc()
-        elif kind == "lease-acquire":
-            r.counter("queue_leases", worker=f.get("worker", "?")).inc()
-        elif kind == "lease-reclaim":
-            r.counter("queue_reclaims").inc()
-        elif kind == "lease-release":
-            r.counter("worker_cells", worker=f.get("worker", "?")).inc()
-            if "wall_s" in f:
-                r.histogram(
-                    "worker_cell_wall_s",
-                    buckets=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0),
-                    worker=f.get("worker", "?"),
-                ).observe(f["wall_s"])
         elif kind == "report-render":
             r.counter("report_renders", fmt=f.get("fmt", "?")).inc()
             if "n_cells" in f:

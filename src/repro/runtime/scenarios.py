@@ -259,7 +259,7 @@ def run_scenario(scenario: Scenario) -> "RunResult":
     """Resolve ``scenario`` through the cache tiers, executing on a miss.
 
     This is the *single* execution path shared by the experiments, the
-    sweep workers, the benchmarks, and the examples: one
+    benchmarks, and the examples: one
     :func:`lookup_scenario` probe (in-memory :class:`ScenarioCache`,
     then the ambient persistent
     :class:`~repro.runtime.store.ResultStore` when a session is active),
@@ -300,7 +300,8 @@ def execute_and_install(scenario: Scenario) -> "RunResult":
 
 def install_result(scenario: Scenario, result: "RunResult") -> None:
     """Populate both cache tiers with an externally-computed result
-    (how parallel sweep workers' results enter the parent's caches)."""
+    (how results from the sweep engine's process pool enter the
+    parent's caches)."""
     from repro.runtime.store import current_result_store
 
     _CACHE.put(scenario, result)

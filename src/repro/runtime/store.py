@@ -158,17 +158,8 @@ class ResultStore:
         return self.path_for_key(self.key_for(scenario))
 
     def path_for_key(self, key: str) -> Path:
-        """The entry file for a raw content address (the addressing the
-        work queue shares with the store)."""
+        """The entry file for a raw content address (may not exist yet)."""
         return self.path / f"{key}.json"
-
-    @property
-    def queue_path(self) -> Path:
-        """Where the lease-based work queue keeps its state for this
-        store (:class:`repro.harness.sweep.queue.WorkQueue`): a
-        subdirectory, so the top-level ``*.json`` globs — entry counts,
-        :meth:`clear`, :meth:`gc` — never confuse tasks with results."""
-        return self.path / "queue"
 
     # -- access ------------------------------------------------------------
 
@@ -243,9 +234,8 @@ class ResultStore:
         ``now`` is the caller's host wall-clock (the runtime layer never
         reads host time itself — ``repro-bench --store-gc`` passes it
         in).  Temp files younger than ``tmp_age_s`` are kept: they may
-        belong to a live writer mid-:meth:`put`.  Queue state lives
-        under :attr:`queue_path` and is compacted separately by
-        :func:`repro.harness.sweep.queue.store_gc`, which wraps this.
+        belong to a live writer mid-:meth:`put`.  Returns the summary
+        counts ``repro-bench --store-gc`` prints.
         """
         removed_tmp = 0
         for tmp in self.path.glob("*.tmp-*"):

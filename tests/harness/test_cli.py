@@ -59,9 +59,7 @@ def test_flag_surface_is_pinned():
     assert flags - {"-h", "--help"} == {
         "--scale", "--list", "--list-scenarios", "--json",
         "--trace", "--jobs", "--store", "--resume", "--seed",
-        "--store-stats", "--external-workers", "--worker", "--worker-id",
-        "--lease-ttl", "--idle-exit", "--drain", "--store-gc",
-        "--gc-tmp-age",
+        "--store-stats", "--store-gc",
     }
 
 
@@ -132,33 +130,10 @@ def test_trace_cli_rejects_non_trace_dir(tmp_path, capsys):
     assert "not a trace directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--worker", "--store-gc"])
+@pytest.mark.parametrize("flag", ["--store-gc"])
 def test_store_modes_require_a_store(flag, capsys):
     assert main([flag]) == 2
     assert "needs a store" in capsys.readouterr().err
-
-
-def test_worker_mode_drains_queue_from_cli(tmp_path, capsys):
-    import json
-
-    from repro.harness.sweep.queue import WorkQueue
-    from repro.runtime import ResultStore, Scenario, clear_cache
-
-    clear_cache()
-    store = ResultStore(tmp_path)
-    queue = WorkQueue(store)
-    queue.enqueue(Scenario(scale="tiny", pager="remote", n_memory_nodes=2,
-                           paper_mb=13.0))
-    assert main([
-        "--worker", "--store", str(tmp_path), "--drain",
-        "--worker-id", "cli-w", "--lease-ttl", "5",
-    ]) == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["worker"] == "cli-w"
-    assert stats["cells"] == 1
-    assert stats["exit"] == "drained"
-    assert len(store) == 1
-    clear_cache()
 
 
 def test_store_gc_mode_prints_summary(tmp_path, capsys):
