@@ -3,14 +3,15 @@
 This subpackage turns the deterministic single-seed experiment suite
 (:mod:`repro.harness.experiments`) into a *statistical* reproduction:
 :class:`~repro.analysis.report.experiment_results.ExperimentResults`
-replays each paper artifact once per workload seed (independent
-replications of the synthetic database), :mod:`.stat_tests` summarises
-the replicates with seeded-bootstrap confidence intervals and rank
-tests, :mod:`.rendering` regenerates Figures 3-5 and Tables 2-4 as
-markdown and self-contained HTML with error bars, and :mod:`.diff`
-gates the resulting payload against a committed baseline
-(``repro-report --diff``) with tolerance bands and significance-aware
-verdicts.
+runs each artifact's sweep once per workload seed (independent
+replications of the synthetic database) and folds the sweeps'
+``series`` into per-cell replicates (:mod:`.samples`), summarised with
+seeded-bootstrap confidence intervals and rank tests
+(:mod:`.stat_tests`); :mod:`.rendering` regenerates Figures 3-5 and
+Tables 2-4 as markdown and self-contained HTML with error bars, and
+:mod:`.diff` gates the ``dataclasses.asdict`` payload against a
+committed baseline (``repro-report --diff``) with tolerance bands and
+significance-aware verdicts.
 
 Everything here is a pure function of ``(scale, seeds)``: no host
 clocks, no unseeded randomness, no set-iteration ordering — the same

@@ -147,20 +147,34 @@ def _load_payload(path: str) -> dict:
     return data
 
 
+def _restrict(payload: dict, names: "list[str]") -> dict:
+    """``payload`` with only the named artifacts."""
+    arts = payload.get("artifacts", {})
+    return {
+        **payload,
+        "artifacts": {n: arts[n] for n in names if n in arts},
+    }
+
+
 def _run_diff(args: argparse.Namespace, seeds: "tuple[int, ...]") -> int:
     baseline = _load_payload(args.diff)
+    only = args.only.split(",") if args.only else None
     if args.current is not None:
         current = _load_payload(args.current)
     else:
         with _store_session(args.store):
             results = ExperimentResults(args.scale, seeds, jobs=args.jobs)
-            only = args.only.split(",") if args.only else None
             current = results.payload(only)
             acct = results.accounting()
         print(
             f"[current payload computed: {acct['cached']} cached / "
             f"{acct['executed']} executed scenario runs]"
         )
+    if only is not None:
+        # Both sides: an artifact left out on purpose is not "missing".
+        names = ExperimentResults.names(only)
+        baseline = _restrict(baseline, names)
+        current = _restrict(current, names)
     try:
         report = compare_payloads(baseline, current, DiffPolicy())
     except ValueError as exc:

@@ -31,7 +31,7 @@ verdict's worst outcome on the ambient telemetry session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional
 
 from repro.analysis.report.stat_tests import mann_whitney_u
@@ -68,13 +68,6 @@ class DiffPolicy:
     #: even without statistical significance (see module docstring).
     fail_factor: float = 3.0
 
-    def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "alpha": self.alpha,
-            "fail_factor": self.fail_factor,
-        }
-
 
 @dataclass(frozen=True)
 class CellVerdict:
@@ -89,19 +82,6 @@ class CellVerdict:
     rel_delta: "Optional[float]" = None
     p_value: "Optional[float]" = None
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "artifact": self.artifact,
-            "group": self.group,
-            "x": self.x,
-            "verdict": self.verdict,
-            "base_mean": self.base_mean,
-            "cur_mean": self.cur_mean,
-            "rel_delta": self.rel_delta,
-            "p_value": self.p_value,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -136,11 +116,11 @@ class DiffReport:
 
     def to_dict(self) -> dict:
         return {
-            "policy": self.policy.to_dict(),
+            "policy": asdict(self.policy),
             "counts": self.counts(),
             "worst": self.worst,
             "exit_code": self.exit_code,
-            "verdicts": [v.to_dict() for v in self.verdicts],
+            "verdicts": [asdict(v) for v in self.verdicts],
         }
 
     def render_text(self) -> str:

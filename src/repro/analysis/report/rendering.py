@@ -48,6 +48,36 @@ def _fmt_ci(c: CellStats) -> str:
     return f"[{_fmt(s.ci_low)}, {_fmt(s.ci_high)}]"
 
 
+#: A table as its header and rows; both formats render the same two.
+_Table = tuple[list[str], list[tuple[str, ...]]]
+
+
+def _stats_table(art: ArtifactStats) -> _Table:
+    """Header and rows of the per-cell stats table."""
+    return ["series", art.x_label, "n", "mean", "95% CI", "std"], [
+        (
+            c.group, c.x, str(c.summary.n), _fmt(c.summary.mean),
+            _fmt_ci(c), _fmt(c.summary.std),
+        )
+        for c in art.cells
+    ]
+
+
+def _rank_table(art: ArtifactStats) -> _Table:
+    """Header and rows of the rank-test table."""
+    return [
+        art.x_label, "comparison", "mean A", "mean B", "A/B", "U",
+        "p (Mann-Whitney)", "p (permutation)",
+    ], [
+        (
+            c.x, f"{c.group_a} vs {c.group_b}", _fmt(c.mean_a),
+            _fmt(c.mean_b), _fmt(c.ratio), _fmt(c.u_statistic),
+            _fmt(c.p_mann_whitney), _fmt(c.p_permutation),
+        )
+        for c in art.comparisons
+    ]
+
+
 def _emit_render(fmt: str, artifacts: "Mapping[str, ArtifactStats]") -> None:
     emit_ambient(
         "report-render", fmt=fmt,
@@ -76,32 +106,12 @@ def _md_artifact(art: ArtifactStats) -> str:
         "replicate seeds with a 95% bootstrap CI."
     )
     parts.append("")
-    parts.append(_md_table(
-        ["series", art.x_label, "n", "mean", "95% CI", "std"],
-        [
-            (
-                c.group, c.x, str(c.summary.n), _fmt(c.summary.mean),
-                _fmt_ci(c), _fmt(c.summary.std),
-            )
-            for c in art.cells
-        ],
-    ))
+    parts.append(_md_table(*_stats_table(art)))
     if art.comparisons:
         parts.append("")
         parts.append("### Rank tests")
         parts.append("")
-        parts.append(_md_table(
-            [art.x_label, "comparison", "mean A", "mean B", "A/B",
-             "U", "p (Mann-Whitney)", "p (permutation)"],
-            [
-                (
-                    c.x, f"{c.group_a} vs {c.group_b}", _fmt(c.mean_a),
-                    _fmt(c.mean_b), _fmt(c.ratio), _fmt(c.u_statistic),
-                    _fmt(c.p_mann_whitney), _fmt(c.p_permutation),
-                )
-                for c in art.comparisons
-            ],
-        ))
+        parts.append(_md_table(*_rank_table(art)))
     if art.notes:
         parts.append("")
         for note in art.notes:
@@ -382,30 +392,10 @@ def _html_artifact(art: ArtifactStats) -> str:
         parts.append(_html_legend(art.groups()))
         parts.append(_svg_chart(art))
         parts.append("</div>")
-    parts.append(_html_table(
-        ["series", art.x_label, "n", "mean", "95% CI", "std"],
-        [
-            (
-                c.group, c.x, str(c.summary.n), _fmt(c.summary.mean),
-                _fmt_ci(c), _fmt(c.summary.std),
-            )
-            for c in art.cells
-        ],
-    ))
+    parts.append(_html_table(*_stats_table(art)))
     if art.comparisons:
         parts.append("<h3>Rank tests</h3>")
-        parts.append(_html_table(
-            [art.x_label, "comparison", "mean A", "mean B", "A/B", "U",
-             "p (Mann-Whitney)", "p (permutation)"],
-            [
-                (
-                    c.x, f"{c.group_a} vs {c.group_b}", _fmt(c.mean_a),
-                    _fmt(c.mean_b), _fmt(c.ratio), _fmt(c.u_statistic),
-                    _fmt(c.p_mann_whitney), _fmt(c.p_permutation),
-                )
-                for c in art.comparisons
-            ],
-        ))
+        parts.append(_html_table(*_rank_table(art)))
     if art.notes:
         notes = "".join(f"<li>{_esc(n)}</li>" for n in art.notes)
         parts.append(f'<ul class="notes">{notes}</ul>')

@@ -5,12 +5,12 @@ a list of :class:`CellStats` — one per (series group, x position) cell,
 each holding the raw per-seed samples plus their
 :class:`~repro.analysis.report.stat_tests.Summary` — and a list of
 :class:`Comparison` rank tests between groups at shared x positions
-(the pagers x policies contrasts of the issue).
+(pager against pager, policy against policy).
 
-Everything round-trips through plain dicts (``to_dict``/``from_dict``)
-so a payload written by one release can be diffed by the next: the
-regression gate (:mod:`repro.analysis.report.diff`) consumes the dict
-form directly and never needs the generating code.
+The payload is these dataclasses through :func:`dataclasses.asdict`
+(written with ``sort_keys=True``); the regression gate
+(:mod:`repro.analysis.report.diff`) reads that dict form directly and
+never rebuilds the objects or needs the generating code.
 
 Ordering discipline: group and x orders are *declaration* orders from
 the first seed's report data (dict insertion order), never set
@@ -56,23 +56,6 @@ class CellStats:
     samples: "tuple[float, ...]"
     summary: Summary
 
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "x": self.x,
-            "samples": list(self.samples),
-            "summary": self.summary.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CellStats":
-        return cls(
-            group=str(data["group"]),
-            x=str(data["x"]),
-            samples=tuple(float(v) for v in data["samples"]),
-            summary=Summary.from_dict(data["summary"]),
-        )
-
 
 @dataclass(frozen=True)
 class Comparison:
@@ -87,33 +70,6 @@ class Comparison:
     u_statistic: float
     p_mann_whitney: float
     p_permutation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "group_a": self.group_a,
-            "group_b": self.group_b,
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "ratio": self.ratio,
-            "u_statistic": self.u_statistic,
-            "p_mann_whitney": self.p_mann_whitney,
-            "p_permutation": self.p_permutation,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Comparison":
-        return cls(
-            x=str(data["x"]),
-            group_a=str(data["group_a"]),
-            group_b=str(data["group_b"]),
-            mean_a=float(data["mean_a"]),
-            mean_b=float(data["mean_b"]),
-            ratio=float(data["ratio"]),
-            u_statistic=float(data["u_statistic"]),
-            p_mann_whitney=float(data["p_mann_whitney"]),
-            p_permutation=float(data["p_permutation"]),
-        )
 
 
 @dataclass
@@ -156,39 +112,6 @@ class ArtifactStats:
                 return c
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "artifact": self.artifact,
-            "exp_id": self.exp_id,
-            "title": self.title,
-            "kind": self.kind,
-            "x_label": self.x_label,
-            "metric": self.metric,
-            "unit": self.unit,
-            "lower_is_better": self.lower_is_better,
-            "cells": [c.to_dict() for c in self.cells],
-            "comparisons": [c.to_dict() for c in self.comparisons],
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ArtifactStats":
-        return cls(
-            artifact=str(data["artifact"]),
-            exp_id=str(data["exp_id"]),
-            title=str(data["title"]),
-            kind=str(data["kind"]),
-            x_label=str(data["x_label"]),
-            metric=str(data["metric"]),
-            unit=str(data["unit"]),
-            lower_is_better=bool(data["lower_is_better"]),
-            cells=[CellStats.from_dict(c) for c in data["cells"]],
-            comparisons=[
-                Comparison.from_dict(c) for c in data["comparisons"]
-            ],
-            notes=[str(n) for n in data["notes"]],
-        )
-
 
 def aggregate_series(
     per_seed: "Sequence[Mapping[str, Mapping]]",
@@ -197,9 +120,9 @@ def aggregate_series(
 
     The first seed's declaration order fixes both the group order and
     each group's x order; a (group, x) pair absent from some seed simply
-    contributes fewer samples (it cannot happen with the current sweeps,
-    whose grids are seed-independent, but a partial payload should
-    degrade rather than crash).
+    contributes fewer samples, and an x only later seeds have is
+    dropped.  Table 2 does this: the number of Apriori passes depends
+    on the seed's database (4/5/4 at ``tiny`` seeds 42-44).
     """
     if not per_seed:
         raise ValueError("no per-seed data")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -112,27 +112,6 @@ class Summary:
     std: float
     ci_low: float
     ci_high: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "median": self.median,
-            "std": self.std,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, float]") -> "Summary":
-        return cls(
-            n=int(data["n"]),
-            mean=float(data["mean"]),
-            median=float(data["median"]),
-            std=float(data["std"]),
-            ci_low=float(data["ci_low"]),
-            ci_high=float(data["ci_high"]),
-        )
 
 
 def summarize(

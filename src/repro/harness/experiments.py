@@ -92,7 +92,12 @@ def _report_table2(scale: str, results: Results, seed: Seed) -> ExperimentReport
         title="Number of candidate and large itemsets at each pass",
         text=text,
         data={
-            "rows": res.table2_rows(),
+            "series": {
+                "candidates": {
+                    f"pass {p.k}": p.n_candidates for p in res.passes if p.k > 1
+                },
+                "large itemsets": {f"pass {p.k}": p.n_large for p in res.passes},
+            },
             "c2": c2,
             "max_later_candidates": later,
             "c2_dominates": later < c2,
@@ -138,10 +143,13 @@ def _report_table3(scale: str, results: Results, seed: Seed) -> ExperimentReport
         exp_id="T3",
         title="Number of candidate 2-itemsets at each node",
         text=text,
-        data={
-            "per_node": list(prep.per_node_candidates),
-            "max_over_mean": stats.max_over_mean,
-        },
+        data={"series": {
+            "per-node candidate 2-itemsets": dict(rows),
+            "skew ratio": {
+                "max/mean": stats.max_over_mean,
+                "coeff. of variation": stats.coefficient_of_variation,
+            },
+        }},
         paper_shape="counts near-equal but unequal (paper: 582149..641243 "
         "around a 608985 mean, ~5% skew).",
     )
@@ -172,12 +180,12 @@ def _report_table4(scale: str, results: Results, seed: Seed) -> ExperimentReport
     n_mem = s.max_memory_nodes
     baseline = _pass2_time(results["no limit"])
     rows = []
-    per_fault = {}
+    per_fault_ms = {}
     for mb in s.limits_mb:
         p2 = results[_limit_label(mb)].pass_result(2)
         row = pagefault_row(f"{mb:g}MB", p2.duration_s, baseline, p2.max_faults)
         rows.append(row)
-        per_fault[mb] = row.per_fault_s
+        per_fault_ms[mb] = row.per_fault_s * 1e3
     predicted = predicted_fault_time_s(PAPER_COSTS, ATM_155)
     text = "\n".join(
         [
@@ -200,8 +208,10 @@ def _report_table4(scale: str, results: Results, seed: Seed) -> ExperimentReport
         title="Execution time of each pagefault",
         text=text,
         data={
-            "baseline_s": baseline,
-            "per_fault_ms": {mb: v * 1e3 for mb, v in per_fault.items()},
+            "series": {
+                "measured per-fault time": per_fault_ms,
+                "pass-2 baseline [s]": {"no limit": baseline},
+            },
             "predicted_ms": predicted * 1e3,
         },
         paper_shape="PF time ~2.2-2.4 ms, roughly constant across limits "
@@ -488,11 +498,9 @@ def _report_policy(scale: str, results: Results, seed: Seed) -> ExperimentReport
     s = SCALES[scale]
     mb = s.limits_mb[0]
     rows = []
-    data = {}
     for policy in REPLACEMENT_SWEEP:
         p2 = results[policy].pass_result(2)
         rows.append((policy, p2.duration_s, p2.max_faults))
-        data[policy] = {"time_s": p2.duration_s, "max_faults": p2.max_faults}
     text = render_table(
         ["policy", "pass 2 time [s]", "max faults"],
         rows,
@@ -502,7 +510,10 @@ def _report_policy(scale: str, results: Results, seed: Seed) -> ExperimentReport
         exp_id="A1",
         title="Replacement-policy ablation (paper uses LRU)",
         text=text,
-        data=data,
+        data={
+            "series": {policy: {mb: t} for policy, t, _ in rows},
+            "max_faults": {policy: n for policy, _, n in rows},
+        },
         paper_shape="the paper asserts LRU; with near-uniform hash-line "
         "access the policies should be close, with LRU never worst.",
     )

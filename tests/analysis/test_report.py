@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -50,7 +51,7 @@ def _payload(artifacts, scale="tiny", seeds=(42, 43)):
         "format": 1,
         "scale": scale,
         "seeds": list(seeds),
-        "artifacts": {a.artifact: a.to_dict() for a in artifacts},
+        "artifacts": {a.artifact: asdict(a) for a in artifacts},
     }
 
 
@@ -121,10 +122,11 @@ def test_artifact_stats_roundtrip_and_dedup():
     assert art.xs() == ["16", "12"]
     assert art.cell("disk", "12").samples == (6.0, 6.2)
     assert art.cell("disk", "8") is None
-    assert ArtifactStats.from_dict(art.to_dict()) == art
-    assert ArtifactStats.from_dict(
-        json.loads(json.dumps(art.to_dict()))
-    ) == art
+    # The payload form: every field, through JSON as the writers dump it.
+    form = json.loads(json.dumps(asdict(art), sort_keys=True))
+    assert form["cells"][1]["samples"] == [6.0, 6.2]
+    assert form["comparisons"][0]["group_b"] == "remote"
+    assert form["notes"] == ["a note"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,7 @@ def _perturbed(payload, factor):
     for art in cur["artifacts"].values():
         for cell in art["cells"]:
             cell["samples"] = [v * factor for v in cell["samples"]]
-            cell["summary"] = summarize(cell["samples"]).to_dict()
+            cell["summary"] = asdict(summarize(cell["samples"]))
     return cur
 
 
@@ -265,7 +267,7 @@ def test_diff_structural_mismatches():
     # Missing cell -> regression; new cell -> drift.
     cur = copy.deepcopy(base)
     cur["artifacts"]["fig4"]["cells"] = [
-        _cell("disk", 12, [4.0, 4.1]).to_dict()
+        asdict(_cell("disk", 12, [4.0, 4.1]))
     ]
     report = compare_payloads(base, cur)
     notes = {v.note for v in report.verdicts if v.verdict != "pass"}
@@ -352,6 +354,28 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
     cur.write_text(json.dumps({"format": 99}))
     assert main(["--diff", str(base), "--current", str(cur)]) == 2
     capsys.readouterr()  # drain
+
+
+def test_cli_diff_only_restricts_both_payloads(tmp_path, capsys):
+    """``--only`` names what is compared: artifacts left out of the
+    current payload on purpose are not missing from it."""
+    from repro.analysis.report.cli import main
+
+    fig4 = _artifact([_cell("disk", 16, [4.0, 4.1, 4.2])])
+    table3 = _artifact(
+        [_cell("skew", "n1", [1.0, 1.1])],
+        artifact="table3", exp_id="table3", title="Skew", kind="table",
+    )
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(_payload([fig4, table3])))
+    cur = tmp_path / "cur.json"
+    cur.write_text(json.dumps(_payload([fig4])))
+    argv = ["--diff", str(base), "--current", str(cur)]
+    assert main(argv) == EXIT_REGRESSION
+    capsys.readouterr()
+    assert main(argv + ["--only", "fig4"]) == EXIT_PASS
+    assert "verdict: PASS (1 pass," in capsys.readouterr().out
+    assert main(argv + ["--only", "fig44"]) == 2
 
 
 def test_cli_render_writes_reports_and_reuses_store(tmp_path, capsys):

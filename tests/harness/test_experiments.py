@@ -35,14 +35,15 @@ def test_table2_report(tiny):
 
 def test_table3_report(tiny):
     rep = tiny("table3")
-    assert len(rep.data["per_node"]) == 2
+    assert len(rep.data["series"]["per-node candidate 2-itemsets"]) == 2
     assert "node 1" in rep.text
 
 
 def test_table4_report(tiny):
     rep = tiny("table4")
-    assert set(rep.data["per_fault_ms"]) == {12.0, 13.0, 14.0, 15.0}
-    assert rep.data["baseline_s"] > 0
+    series = rep.data["series"]
+    assert set(series["measured per-fault time"]) == {12.0, 13.0, 14.0, 15.0}
+    assert series["pass-2 baseline [s]"]["no limit"] > 0
 
 
 def test_disk_analysis_is_scale_free(tiny):

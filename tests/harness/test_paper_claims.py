@@ -29,15 +29,16 @@ def claim_table2(scale, data):
     assert data["c2_dominates"]
     assert data["c2"] > 10 * data["max_later_candidates"]
     # The iteration terminated on its own (last pass has few/no large sets).
-    rows = data["rows"]
-    assert rows[-1][2] <= rows[1][2]
+    large = list(data["series"]["large itemsets"].values())
+    assert large[-1] <= large[1]
 
 
 def claim_table3(scale, data):
-    counts = data["per_node"]
+    series = data["series"]
+    counts = list(series["per-node candidate 2-itemsets"].values())
     # Paper shape: near-equal but not equal (skew exists).
     assert max(counts) != min(counts)
-    assert data["max_over_mean"] < 1.25
+    assert series["skew ratio"]["max/mean"] < 1.25
 
 
 def claim_table4(scale, data):
@@ -47,7 +48,7 @@ def claim_table4(scale, data):
     # above the analytic one; a generous factor still separates it from
     # disk by a wide margin.
     predicted = data["predicted_ms"]
-    for mb, pf_ms in data["per_fault_ms"].items():
+    for mb, pf_ms in data["series"]["measured per-fault time"].items():
         assert 0.8 * predicted <= pf_ms <= 2.0 * predicted, (mb, pf_ms)
         assert pf_ms < 7.0  # way below any disk's access time
 
@@ -133,7 +134,8 @@ def claim_monitor(scale, data):
 def claim_policy(scale, data):
     # All policies terminate with faults in the same order of magnitude
     # (hash-line access is near-uniform), and LRU is never the worst.
-    times = {p: d["time_s"] for p, d in data.items()}
+    mb = SCALES[scale].limits_mb[0]
+    times = {p: curve[mb] for p, curve in data["series"].items()}
     assert max(times.values()) < 3 * min(times.values())
     assert times["lru"] <= max(times["fifo"], times["random"])
 
@@ -251,15 +253,17 @@ DOCTORED = {
     "table2": [
         lambda d: d.update(c2_dominates=False),
         lambda d: d.update(max_later_candidates=d["c2"]),
-        lambda d: d["rows"].append((9, 1, d["rows"][1][2] + 1)),
+        lambda d: d["series"]["large itemsets"].update(
+            {"pass 9": d["series"]["large itemsets"]["pass 2"] + 1}),
     ],
     "table3": [
-        lambda d: d.update(per_node=[d["per_node"][0]] * len(d["per_node"])),
-        lambda d: d.update(max_over_mean=1.3),
+        lambda d: _flatten(d["series"]["per-node candidate 2-itemsets"]),
+        lambda d: d["series"]["skew ratio"].update({"max/mean": 1.3}),
     ],
     "table4": [
-        lambda d: _scaled(d["per_fault_ms"], 13.4 / d["predicted_ms"]),
-        lambda d: _scaled(d["per_fault_ms"], 0.5),
+        lambda d: _scaled(d["series"]["measured per-fault time"],
+                          13.4 / d["predicted_ms"]),
+        lambda d: _scaled(d["series"]["measured per-fault time"], 0.5),
     ],
     "fig3": [
         lambda d: d.update(bottleneck_ratio=1.0),
@@ -292,8 +296,8 @@ DOCTORED = {
         lambda d: _scaled(d["times"], 0.8, [0.1]),
     ],
     "policy": [
-        lambda d: _scaled(d["lru"], 1.5, ["time_s"]),
-        lambda d: _scaled(d["fifo"], 4.0, ["time_s"]),
+        lambda d: _scaled(d["series"]["lru"], 1.5),
+        lambda d: _scaled(d["series"]["fifo"], 4.0),
     ],
     "churn": [
         lambda d: d["series"]["most-available"].update(

@@ -5,6 +5,8 @@ import signal
 
 import pytest
 
+from repro.analysis.report.experiment_results import _SPECS, ExperimentResults
+from repro.analysis.report.samples import format_x
 from repro.errors import HarnessError
 from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.sweep import (
@@ -16,6 +18,7 @@ from repro.harness.sweep import (
 )
 from repro.obs import Telemetry, telemetry_session
 from repro.runtime import Scenario, clear_cache, result_store_session
+from tests.harness.conftest import claim_seeds
 
 
 @pytest.fixture(autouse=True)
@@ -232,12 +235,11 @@ def test_harness_events_carry_typed_fields_not_detail():
 
 # -- one walk from a sweep to its report -----------------------------------
 
-#: sha256 of ``report.to_json()`` at the tiny scale's own seed, recorded
-#: before Table 2/3 learnt to read the sweep's seed: default-seed bytes
-#: must not move.
+#: sha256 of ``report.to_json()`` at the tiny scale's own seed:
+#: default-seed bytes must not move.
 _DEFAULT_SEED_JSON = {
-    "table2": "a3dd95394787b3c0e50c13dcdfad6e2efa6e486e88841bcad44c7b6b6bf5cdb0",
-    "table3": "2ecc04791d83e2783202b733e1b3fd94a7d89d3b14229d0184d1bf7312a4fa6f",
+    "table2": "26cdee6fcdbf362c2e8c9d3298042832c98a86facf59ecb9d10669c87e180b2f",
+    "table3": "c7044a24b015708159057bf65a99f9d121d878a200b5463ca1bc20ce84bf7989",
 }
 
 
@@ -245,27 +247,45 @@ _DEFAULT_SEED_JSON = {
 def test_workload_tables_report_the_seed_asked_for(name):
     import hashlib
 
-    from repro.analysis.report.experiment_results import ExperimentResults
-
     default = run_sweep_outcome(ALL_SWEEPS[name], "tiny").report
     seeded = run_sweep_outcome(ALL_SWEEPS[name], "tiny", seed=7).report
     digest = hashlib.sha256(default.to_json().encode()).hexdigest()
     assert digest == _DEFAULT_SEED_JSON[name]
     assert seeded.to_json() != default.to_json()
-    # The multi-seed report folds exactly this data, not a second mining.
-    samples = {
-        (c.group, c.x): c.samples
-        for c in getattr(ExperimentResults("tiny", (7,)), name).cells
-    }
-    if name == "table2":
-        for k, c, l in seeded.data["rows"]:
-            assert samples["large itemsets", f"pass {k}"] == (float(l),)
-            if c is not None:
-                assert samples["candidates", f"pass {k}"] == (float(c),)
-    else:
-        for i, c in enumerate(seeded.data["per_node"]):
-            group = "per-node candidate 2-itemsets"
-            assert samples[group, f"node {i + 1}"] == (float(c),)
+
+
+_REPORTED = ExperimentResults.ARTIFACTS + ExperimentResults.EXTRA_ARTIFACTS
+
+
+def test_every_reported_artifact_has_one_spec():
+    assert tuple(_SPECS) == _REPORTED
+
+
+@pytest.mark.parametrize("name", _REPORTED)
+def test_report_folds_exactly_each_seeds_series(name, sweep_reports):
+    """Every cell's samples are its seeds' ``series[group][x]`` — not a
+    second mining or a re-derivation — and every declared contrast
+    finds both of its groups."""
+    fill = sweep_reports("tiny")
+    seeds = claim_seeds("tiny")
+    with result_store_session(fill.store):
+        art = ExperimentResults("tiny", seeds).artifacts([name])[name]
+    points = [
+        {
+            (group, format_x(x)): float(value)
+            for group, curve in fill.reports[name, seed].data["series"].items()
+            for x, value in curve.items()
+        }
+        for seed in seeds
+    ]
+    assert [(c.group, c.x) for c in art.cells] == list(points[0])
+    for cell in art.cells:
+        key = (cell.group, cell.x)
+        assert cell.samples == tuple(p[key] for p in points if key in p)
+    for a, b in _SPECS[name].contrasts:
+        assert any(
+            (c.group_a, c.group_b) == (a, b) for c in art.comparisons
+        ), (a, b)
 
 
 def test_cell_backed_reports_render_warm_without_workload_code(
