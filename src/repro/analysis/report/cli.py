@@ -137,13 +137,35 @@ def _store_session(store_dir: "Optional[str]") -> "ContextManager":
     return result_store_session(store_dir)
 
 
+def _judgeable(cell: object) -> bool:
+    """Whether the diff gate can judge ``cell``: an object with a
+    ``group``, an ``x`` and a numeric ``summary.mean``."""
+    if not isinstance(cell, dict) or "group" not in cell or "x" not in cell:
+        return False
+    summary = cell.get("summary")
+    mean = summary.get("mean") if isinstance(summary, dict) else None
+    return isinstance(mean, (int, float)) and not isinstance(mean, bool)
+
+
 def _load_payload(path: str) -> dict:
+    """Read a payload file and check the shape the diff gate walks, so
+    a hand-edited or truncated file is a usage error, not a traceback."""
     try:
         data = json.loads(pathlib.Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise HarnessError(f"cannot read payload {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise HarnessError(f"payload {path!r} is not a JSON object")
+    artifacts = data.get("artifacts")
+    if not isinstance(artifacts, dict):
+        raise HarnessError(f"payload {path!r}: 'artifacts' is not an object")
+    for name, art in artifacts.items():
+        cells = art.get("cells") if isinstance(art, dict) else None
+        if not isinstance(cells, list) or not all(map(_judgeable, cells)):
+            raise HarnessError(
+                f"payload {path!r}: artifact {name!r} needs a 'cells' list "
+                "of objects with group, x and a numeric summary.mean"
+            )
     return data
 
 

@@ -7,8 +7,7 @@ baseline and a freshly-computed or ``--current`` one) through
 ``pass``
     mean within the relative tolerance band of the baseline.
 ``improved``
-    mean better (per the artifact's ``lower_is_better``) by more than
-    the tolerance — reported, never fatal.
+    mean lower by more than the tolerance — reported, never fatal.
 ``drift``
     worse than the tolerance but neither statistically significant nor
     past the hard cap — tolerated, distinct exit code so CI can track
@@ -21,12 +20,16 @@ baseline and a freshly-computed or ``--current`` one) through
     the simulation is deterministic per seed, so a large mean shift is
     real even when rank tests cannot certify it.
 
+Every metric is a time or a count, so lower is better throughout;
+a baseline's legacy ``lower_is_better`` field is ignored.
+
 Structural mismatches (artifact or cell present in the baseline but
 missing now) are regressions; new cells only drift.  Exit codes are
 machine-readable and strictly ordered: 0 pass/improved, 3 drift,
 4 regression (2 is argparse's usage-error code, e.g. mismatched payload
-formats).  Each comparison emits one ``report-diff`` event per cell
-verdict's worst outcome on the ambient telemetry session.
+formats or a malformed payload file).  Each comparison emits one
+``report-diff`` event per cell verdict's worst outcome on the ambient
+telemetry session.
 """
 
 from __future__ import annotations
@@ -151,7 +154,6 @@ def _judge_cell(
     artifact: str,
     base_cell: Mapping,
     cur_cell: Mapping,
-    lower_is_better: bool,
     policy: DiffPolicy,
 ) -> CellVerdict:
     base_mean = float(base_cell["summary"]["mean"])
@@ -160,7 +162,6 @@ def _judge_cell(
         rel = 0.0 if abs(cur_mean) < 1e-12 else float("inf")
     else:
         rel = (cur_mean - base_mean) / abs(base_mean)
-    worse = rel if lower_is_better else -rel
     common = {
         "artifact": artifact,
         "group": str(base_cell["group"]),
@@ -169,9 +170,9 @@ def _judge_cell(
         "cur_mean": cur_mean,
         "rel_delta": rel,
     }
-    if abs(worse) <= policy.tolerance:
+    if abs(rel) <= policy.tolerance:
         return CellVerdict(verdict="pass", **common)
-    if worse < 0.0:
+    if rel < 0.0:
         return CellVerdict(verdict="improved", **common)
     p: "Optional[float]" = None
     base_samples = [float(v) for v in base_cell.get("samples", [])]
@@ -179,7 +180,7 @@ def _judge_cell(
     if len(base_samples) > 1 and len(cur_samples) > 1:
         p = mann_whitney_u(base_samples, cur_samples).p_value
     significant = p is not None and p < policy.alpha
-    if significant or worse > policy.tolerance * policy.fail_factor:
+    if significant or rel > policy.tolerance * policy.fail_factor:
         return CellVerdict(verdict="regression", p_value=p, **common)
     return CellVerdict(verdict="drift", p_value=p, **common)
 
@@ -227,7 +228,6 @@ def compare_payloads(
                 note="artifact missing from current payload",
             ))
             continue
-        lower = bool(base_art.get("lower_is_better", True))
         cur_cells = {
             (str(c["group"]), str(c["x"])): c for c in cur_art["cells"]
         }
@@ -242,7 +242,7 @@ def compare_payloads(
                 ))
                 continue
             report.verdicts.append(
-                _judge_cell(name, base_cell, cur_cell, lower, policy)
+                _judge_cell(name, base_cell, cur_cell, policy)
             )
         for key in cur_cells:
             report.verdicts.append(CellVerdict(

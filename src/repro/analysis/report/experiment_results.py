@@ -7,8 +7,9 @@ runs the sweep once per seed, aggregates the per-seed series into
 replicate cells (:func:`~repro.analysis.report.samples.aggregate_series`)
 and rank-tests the artifact's declared contrasts
 (:func:`~repro.analysis.report.samples.compare_groups`).  What differs
-between artifacts is presentation only — title, axis, metric, notes,
-contrasts — and that lives in one table, :data:`_SPECS`.
+between artifacts is presentation only, and the sweep declares it: its
+title and shape, and its :class:`~repro.harness.sweep.Fold` (axis,
+metric, unit, contrasts, extra notes).
 
 Each seed is an independent replication: the whole sweep re-runs with
 that seed (through the scenario cache and the ambient
@@ -21,27 +22,18 @@ and benchmarks.  Nothing here generates, mines or prepares a workload.
 from __future__ import annotations
 
 from dataclasses import asdict
-from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.analysis.cost_model import PAPER_COSTS
-from repro.analysis.pagefault import predicted_fault_time_s
 from repro.analysis.report.samples import (
     ArtifactStats,
     Comparison,
     aggregate_series,
     compare_groups,
 )
-from repro.cluster.specs import ATM_155
 from repro.errors import HarnessError
-from repro.harness.experiments import (
-    ALL_SWEEPS,
-    REPLACEMENT_SWEEP,
-    TABLE2_MINSUP_FACTOR,
-)
+from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
 from repro.harness.sweep.engine import SweepOutcome, run_sweep_outcome
-from repro.runtime.config import PLACEMENT_POLICIES
 
 __all__ = ["REPORT_FORMAT", "ExperimentResults", "default_seeds"]
 
@@ -60,85 +52,6 @@ def default_seeds(scale: str, n: int = DEFAULT_N_SEEDS) -> "tuple[int, ...]":
         raise HarnessError(f"need at least one seed, got {n}")
     base = SCALES[scale].seed
     return tuple(base + i for i in range(n))
-
-
-class _Spec(NamedTuple):
-    """How one artifact presents its sweep's ``series``."""
-
-    title: str
-    kind: str
-    x_label: str
-    metric: str
-    unit: str
-    notes: "tuple[str, ...]"
-    #: ``(group_a, group_b)`` pairs rank-tested at every shared x.
-    contrasts: "tuple[tuple[str, str], ...]" = ()
-
-
-_PREDICTED_MS = predicted_fault_time_s(PAPER_COSTS, ATM_155) * 1e3
-
-#: Every report artifact, in payload order (``--only`` vocabulary).
-_SPECS: "dict[str, _Spec]" = {
-    "table2": _Spec(
-        "Table 2 — candidate and large itemsets at each pass",
-        "table", "pass", "itemset count", "count",
-        ("C2 dominates every later pass; iteration dies out naturally "
-         "(paper Table 2).",
-         f"minsup = scale minsup x {TABLE2_MINSUP_FACTOR:g}."),
-    ),
-    "table3": _Spec(
-        "Table 3 — candidate 2-itemsets at each node",
-        "table", "node / statistic", "candidate count (skew rows: ratio)",
-        "count",
-        ("counts near-equal but unequal (paper: ~5% skew around a 608985 "
-         "mean).",),
-    ),
-    "table4": _Spec(
-        "Table 4 — execution time of each pagefault",
-        "table", "usage limit [MB]", "per-pagefault time", "ms",
-        (f"cost-model prediction: {_PREDICTED_MS:.4g} ms per fault "
-         "(seed-independent).",
-         "paper: 2.37/2.33/2.22/1.90 ms, roughly constant across limits."),
-    ),
-    "fig3": _Spec(
-        "Figure 3 — HPA pass-2 time vs memory-available nodes",
-        "figure", "memory-available nodes", "pass 2 time", "s",
-        ("curves fall from 1 memory node and flatten; lower limits sit "
-         "higher; the no-limit curve is flat and lowest.",),
-    ),
-    "fig4": _Spec(
-        "Figure 4 — comparison of proposed methods",
-        "figure", "usage limit [MB]", "pass 2 time", "s",
-        ("disk >> simple swapping >> remote update at every limit "
-         "(paper Figure 4).",),
-        (("disk swapping", "simple swapping"),
-         ("simple swapping", "remote update"),
-         ("disk swapping", "remote update")),
-    ),
-    "fig5": _Spec(
-        "Figure 5 — dynamic memory migration",
-        "figure", "usage limit [MB]", "pass 2 time", "s",
-        ("the three curves nearly coincide: migration overhead is almost "
-         "negligible (paper Figure 5).",),
-        (("1 memory node unavailable", "all memory nodes available"),
-         ("2 memory nodes unavailable", "all memory nodes available")),
-    ),
-    "policy": _Spec(
-        "Replacement-policy ablation (paper uses LRU)",
-        "table", "usage limit [MB]", "pass 2 time", "s",
-        ("with near-uniform hash-line access the policies should be "
-         "close, with LRU never worst.",),
-        tuple(combinations(REPLACEMENT_SWEEP, 2)),
-    ),
-    "churn": _Spec(
-        "Placement policies under churning memory availability",
-        "table", "churn regime", "pass 2 time", "s",
-        ("calm, most-available never trails round-robin; churn never "
-         "speeds up an availability-aware policy; bursty: predictive "
-         ">= most-available.",),
-        tuple(combinations(PLACEMENT_POLICIES, 2)),
-    ),
-}
 
 
 class ExperimentResults:
@@ -183,34 +96,37 @@ class ExperimentResults:
 
     def _fold(self, name: str) -> ArtifactStats:
         """Artifact ``name``: its sweep's per-seed ``series`` folded into
-        replicate cells plus the spec's rank-test contrasts, computed
+        replicate cells plus its fold's rank-test contrasts, computed
         once per facade."""
         if name in self._folded:
             return self._folded[name]
-        spec = _SPECS[name]
+        sweep = ALL_SWEEPS[name]
+        fold = sweep.fold
+        if fold is None:
+            raise HarnessError(f"sweep {name!r} declares no report fold")
         per_seed: "list[Mapping[str, Mapping]]" = []
         for seed in self.seeds:
             # The scale's own seed is "no override": those scenarios
             # keep seed=None and share store entries with plain sweeps.
             override = None if seed == SCALES[self.scale].seed else seed
             outcome = run_sweep_outcome(
-                ALL_SWEEPS[name], self.scale, jobs=self.jobs, seed=override
+                sweep, self.scale, jobs=self.jobs, seed=override
             )
             self._outcomes[name, seed] = outcome
             per_seed.append(outcome.report.data["series"])
         cells = aggregate_series(per_seed)
         comparisons: "list[Comparison]" = []
-        for a, b in spec.contrasts:
+        for a, b in fold.contrasts:
             comparisons.extend(compare_groups(cells, a, b))
-        notes = list(spec.notes)
+        notes = [sweep.shape, *fold.notes]
         n_xs = [
             len({x for points in series.values() for x in points})
             for series in per_seed
         ]
         if len(set(n_xs)) > 1:
-            plural = spec.x_label + ("es" if spec.x_label.endswith("s") else "s")
+            plural = fold.x_label + ("es" if fold.x_label.endswith("s") else "s")
             notes.append(
-                f"{spec.x_label} counts differ across seeds: "
+                f"{fold.x_label} counts differ across seeds: "
                 + ", ".join(
                     f"seed {seed}: {n}" for seed, n in zip(self.seeds, n_xs)
                 )
@@ -218,12 +134,12 @@ class ExperimentResults:
             )
         art = ArtifactStats(
             artifact=name,
-            exp_id=ALL_SWEEPS[name].exp_id,
-            title=spec.title,
-            kind=spec.kind,
-            x_label=spec.x_label,
-            metric=spec.metric,
-            unit=spec.unit,
+            exp_id=sweep.exp_id,
+            title=sweep.title,
+            kind="figure" if sweep.exp_id.startswith("F") else "table",
+            x_label=fold.x_label,
+            metric=fold.metric,
+            unit=fold.unit,
             cells=cells,
             comparisons=comparisons,
             notes=notes,

@@ -78,8 +78,7 @@ class ArtifactStats:
 
     ``kind`` selects the rendering: ``"figure"`` artifacts get an SVG
     error-bar chart plus the stats table, ``"table"`` artifacts get the
-    table alone.  ``lower_is_better`` orients the regression gate (all
-    current metrics are times or counts where lower wins).
+    table alone.
     """
 
     artifact: str
@@ -92,7 +91,6 @@ class ArtifactStats:
     cells: "list[CellStats]"
     comparisons: "list[Comparison]" = field(default_factory=list)
     notes: "list[str]" = field(default_factory=list)
-    lower_is_better: bool = True
 
     def groups(self) -> "list[str]":
         seen: "dict[str, None]" = {}

@@ -1,7 +1,8 @@
 """Benchmark harness: scaled workloads, per-table/figure experiments, CLI."""
 
-from repro.harness.experiments import ALL_SWEEPS, ExperimentReport
+from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES, PreparedWorkload, Scale, prepare_workload
+from repro.harness.sweep import ExperimentReport
 
 __all__ = [
     "ALL_SWEEPS",

@@ -1,10 +1,12 @@
 """Every paper table/figure as a declarative :class:`Sweep`.
 
-One experiment = one :class:`~repro.harness.sweep.Sweep`: a data-driven
-grid of :class:`~repro.runtime.scenarios.Scenario` variations plus a
-report builder that folds the keyed results into an
-:class:`~repro.harness.sweep.ExperimentReport` (the same table/series
-the paper prints, plus machine-readable ``data``).  The sweep engine
+One experiment = one :class:`~repro.harness.sweep.Sweep`: the artifact's
+id, title and paper shape, a data-driven grid of
+:class:`~repro.runtime.scenarios.Scenario` variations, a report builder
+that folds the keyed results into ``(text, data)`` (the same
+table/series the paper prints, plus machine-readable ``data``), and —
+for the artifacts of the multi-seed report — a
+:class:`~repro.harness.sweep.Fold`.  The sweep engine
 (:mod:`repro.harness.sweep.engine`) owns execution: cache tiers, the
 persistent result store, and the ``--jobs N`` process pool.  There is
 exactly one execution path — :func:`repro.runtime.run_scenario` — for
@@ -16,13 +18,13 @@ describe the workload itself, read the memoised
 ``prepare_workload(scale, seed)`` — no other builder touches datagen
 or mining, so a warm store renders them without either.
 
-Each sweep's ``doc`` is the paper-vs-measured narrative from which
-``EXPERIMENTS.md`` is regenerated
-(``python -m repro.harness.sweep.docs``).
+The paper-vs-measured narrative of each sweep lives in
+``EXPERIMENTS.md``, one section per sweep name.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Mapping, Optional
 
 from repro.analysis import (
@@ -36,13 +38,13 @@ from repro.analysis import (
 from repro.analysis.cost_model import PAPER_COSTS
 from repro.cluster.specs import ATM_155
 from repro.harness.scales import SCALES, prepare_workload
-from repro.harness.sweep import ExperimentReport, Sweep
+from repro.harness.sweep import Fold, Sweep
 from repro.mining import apriori, skew_statistics
 from repro.runtime.config import PLACEMENT_POLICIES
 from repro.runtime.results import RunResult
 from repro.runtime.scenarios import Scenario
 
-__all__ = ["ExperimentReport", "ALL_SWEEPS"]
+__all__ = ["ALL_SWEEPS"]
 
 Results = Mapping[str, RunResult]
 #: The sweep's seed override as the engine passes it (``None`` = the
@@ -68,7 +70,7 @@ def _limit_label(mb: Optional[float]) -> str:
 TABLE2_MINSUP_FACTOR = 2.5
 
 
-def _report_table2(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_table2(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """The paper mines 10 M transactions at 0.7 % support; pass 2's
     candidate count dwarfs every other pass and the run dies out by
     pass 5.  We mine a scaled workload at a support chosen to terminate
@@ -87,32 +89,24 @@ def _report_table2(scale: str, results: Results, seed: Seed) -> ExperimentReport
         rows,
         title=f"Table 2 equivalent — {s.workload}, {s.n_items} items, minsup={minsup:g}",
     )
-    return ExperimentReport(
-        exp_id="T2",
-        title="Number of candidate and large itemsets at each pass",
-        text=text,
-        data={
-            "series": {
-                "candidates": {
-                    f"pass {p.k}": p.n_candidates for p in res.passes if p.k > 1
-                },
-                "large itemsets": {f"pass {p.k}": p.n_large for p in res.passes},
+    return text, {
+        "series": {
+            "candidates": {
+                f"pass {p.k}": p.n_candidates for p in res.passes if p.k > 1
             },
-            "c2": c2,
-            "max_later_candidates": later,
-            "c2_dominates": later < c2,
+            "large itemsets": {f"pass {p.k}": p.n_large for p in res.passes},
         },
-        paper_shape="C2 >> C_k for all k>2; iteration terminates when "
-        "large/candidate itemsets run out (paper: 522753 candidates in "
-        "pass 2 vs <=19 afterwards).",
-    )
+        "c2": c2,
+        "max_later_candidates": later,
+        "c2_dominates": later < c2,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Table 3 — candidate 2-itemsets per node (analytic)
 # ---------------------------------------------------------------------------
 
-def _report_table3(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_table3(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """Per-node candidate counts are close but skewed (Table 3)."""
     prep = prepare_workload(scale, seed)
     stats = skew_statistics(prep.per_node_candidates)
@@ -139,20 +133,13 @@ def _report_table3(scale: str, results: Results, seed: Seed) -> ExperimentReport
             ),
         ]
     )
-    return ExperimentReport(
-        exp_id="T3",
-        title="Number of candidate 2-itemsets at each node",
-        text=text,
-        data={"series": {
-            "per-node candidate 2-itemsets": dict(rows),
-            "skew ratio": {
-                "max/mean": stats.max_over_mean,
-                "coeff. of variation": stats.coefficient_of_variation,
-            },
-        }},
-        paper_shape="counts near-equal but unequal (paper: 582149..641243 "
-        "around a 608985 mean, ~5% skew).",
-    )
+    return text, {"series": {
+        "per-node candidate 2-itemsets": dict(rows),
+        "skew ratio": {
+            "max/mean": stats.max_over_mean,
+            "coeff. of variation": stats.coefficient_of_variation,
+        },
+    }}
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +161,11 @@ def _grid_table4(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_table4(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+#: The analytic per-fault time (RTT + 4 KB transmit + service).
+PREDICTED_FAULT_S = predicted_fault_time_s(PAPER_COSTS, ATM_155)
+
+
+def _report_table4(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """Per-pagefault time from the Exec/Diff/Max columns (Table 4)."""
     s = SCALES[scale]
     n_mem = s.max_memory_nodes
@@ -186,7 +177,6 @@ def _report_table4(scale: str, results: Results, seed: Seed) -> ExperimentReport
         row = pagefault_row(f"{mb:g}MB", p2.duration_s, baseline, p2.max_faults)
         rows.append(row)
         per_fault_ms[mb] = row.per_fault_s * 1e3
-    predicted = predicted_fault_time_s(PAPER_COSTS, ATM_155)
     text = "\n".join(
         [
             render_table(
@@ -200,24 +190,16 @@ def _report_table4(scale: str, results: Results, seed: Seed) -> ExperimentReport
                 f"no-limit baseline {baseline:.1f}s",
             ),
             f"analytic decomposition (RTT + 4KB transmit + service): "
-            f"{predicted * 1e3:.2f} ms",
+            f"{PREDICTED_FAULT_S * 1e3:.2f} ms",
         ]
     )
-    return ExperimentReport(
-        exp_id="T4",
-        title="Execution time of each pagefault",
-        text=text,
-        data={
-            "series": {
-                "measured per-fault time": per_fault_ms,
-                "pass-2 baseline [s]": {"no limit": baseline},
-            },
-            "predicted_ms": predicted * 1e3,
+    return text, {
+        "series": {
+            "measured per-fault time": per_fault_ms,
+            "pass-2 baseline [s]": {"no limit": baseline},
         },
-        paper_shape="PF time ~2.2-2.4 ms, roughly constant across limits "
-        "(paper: 2.37/2.33/2.22/1.90 ms), decomposed as 0.5 ms RTT + "
-        "0.3 ms transmit + ~1.5 ms service.",
-    )
+        "predicted_ms": PREDICTED_FAULT_S * 1e3,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +217,7 @@ def _grid_fig3(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_fig3(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_fig3(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """Few memory nodes bottleneck the fault service (Figure 3)."""
     s = SCALES[scale]
     series: dict[str, dict[int, float]] = {}
@@ -256,18 +238,10 @@ def _report_fig3(scale: str, results: Results, seed: Seed) -> ExperimentReport:
     )
     tight = f"limit {s.limits_mb[0]:g}MB"
     n_min, n_max = min(s.memory_node_counts), max(s.memory_node_counts)
-    return ExperimentReport(
-        exp_id="F3",
-        title="Execution time of HPA (pass 2) vs memory-available nodes",
-        text=text,
-        data={
-            "series": {k: dict(v) for k, v in series.items()},
-            "bottleneck_ratio": series[tight][n_min] / series[tight][n_max],
-        },
-        paper_shape="curves fall steeply from 1 memory node and flatten by "
-        "8-16; lower limits sit higher; the no-limit curve is flat and "
-        "lowest.",
-    )
+    return text, {
+        "series": {k: dict(v) for k, v in series.items()},
+        "bottleneck_ratio": series[tight][n_min] / series[tight][n_max],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +263,7 @@ def _grid_fig4(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_fig4(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_fig4(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """The three swapping mechanisms vs usage limit (Figure 4)."""
     s = SCALES[scale]
     n_mem = s.max_memory_nodes
@@ -307,20 +281,13 @@ def _report_fig4(scale: str, results: Results, seed: Seed) -> ExperimentReport:
         f"{n_mem} memory-available nodes",
     )
     tight = s.limits_mb[0]
-    return ExperimentReport(
-        exp_id="F4",
-        title="Comparison of proposed methods",
-        text=text,
-        data={
-            "series": {k: dict(v) for k, v in series.items()},
-            "disk_over_simple": series["disk swapping"][tight]
-            / series["simple swapping"][tight],
-            "simple_over_update": series["simple swapping"][tight]
-            / series["remote update"][tight],
-        },
-        paper_shape="disk >> simple swapping >> remote update at every "
-        "limit; remote update is nearly flat in the limit.",
-    )
+    return text, {
+        "series": {k: dict(v) for k, v in series.items()},
+        "disk_over_simple": series["disk swapping"][tight]
+        / series["simple swapping"][tight],
+        "simple_over_update": series["simple swapping"][tight]
+        / series["remote update"][tight],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +327,7 @@ def _followups_fig5(scale: str, results: Results) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_fig5(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_fig5(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """Migrating 0/1/2 memory nodes away mid-run changes execution time
     only marginally (Figure 5)."""
     s = SCALES[scale]
@@ -391,24 +358,17 @@ def _report_fig5(scale: str, results: Results, seed: Seed) -> ExperimentReport:
         series["2 memory nodes unavailable"][tight]
         / series["all memory nodes available"][tight]
     )
-    return ExperimentReport(
-        exp_id="F5",
-        title="Dynamic memory migration on memory-available nodes",
-        text=text,
-        data={
-            "series": {k: dict(v) for k, v in series.items()},
-            "worst_overhead_ratio": overhead,
-        },
-        paper_shape="the three curves nearly coincide: migration overhead "
-        "is almost negligible.",
-    )
+    return text, {
+        "series": {k: dict(v) for k, v in series.items()},
+        "worst_overhead_ratio": overhead,
+    }
 
 
 # ---------------------------------------------------------------------------
 # §5.2 — disk access-time analysis (analytic)
 # ---------------------------------------------------------------------------
 
-def _report_disk(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_disk(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """§5.2's closing arithmetic: remote memory vs disks."""
     rows = disk_comparison()
     text = render_table(
@@ -420,14 +380,7 @@ def _report_disk(scale: str, results: Results, seed: Seed) -> ExperimentReport:
         ],
         title="§5.2 equivalent — average random 4KB read",
     )
-    return ExperimentReport(
-        exp_id="S52",
-        title="Remote-memory pagefault vs disk access time",
-        text=text,
-        data={r.device: r.access_time_s for r in rows},
-        paper_shape=">=13.0 ms for the 7200rpm disk, >=7.5 ms for the "
-        "12000rpm disk, vs ~2.3 ms remote.",
-    )
+    return text, {r.device: r.access_time_s for r in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +403,7 @@ def _grid_monitor(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_monitor(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_monitor(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """§5.4's claim: 1-3 s intervals are free, very short intervals cost
     monitoring/communication overhead."""
     s = SCALES[scale]
@@ -464,14 +417,7 @@ def _report_monitor(scale: str, results: Results, seed: Seed) -> ExperimentRepor
         {"pass 2 time [s]": times},
         title=f"§5.4 equivalent — limit {mb:g}MB, {n_mem} memory nodes",
     )
-    return ExperimentReport(
-        exp_id="S54",
-        title="Sensitivity to the availability-monitoring interval",
-        text=text,
-        data={"times": dict(times)},
-        paper_shape="flat at 1-3 s; overhead appears only for very short "
-        "intervals.",
-    )
+    return text, {"times": dict(times)}
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +439,7 @@ def _grid_policy(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_policy(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_policy(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """Quantify the paper's LRU choice against FIFO and random."""
     s = SCALES[scale]
     mb = s.limits_mb[0]
@@ -506,17 +452,10 @@ def _report_policy(scale: str, results: Results, seed: Seed) -> ExperimentReport
         rows,
         title=f"Ablation — replacement policy at limit {mb:g}MB",
     )
-    return ExperimentReport(
-        exp_id="A1",
-        title="Replacement-policy ablation (paper uses LRU)",
-        text=text,
-        data={
-            "series": {policy: {mb: t} for policy, t, _ in rows},
-            "max_faults": {policy: n for policy, _, n in rows},
-        },
-        paper_shape="the paper asserts LRU; with near-uniform hash-line "
-        "access the policies should be close, with LRU never worst.",
-    )
+    return text, {
+        "series": {policy: {mb: t} for policy, t, _ in rows},
+        "max_faults": {policy: n for policy, _, n in rows},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +497,7 @@ def _grid_churn(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_churn(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_churn(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """The paper's premise — remote memory fluctuates because owners
     reclaim their machines — exercised directly: every placement policy
     races the same churning cluster."""
@@ -583,15 +522,7 @@ def _report_churn(scale: str, results: Results, seed: Seed) -> ExperimentReport:
             f"at limit {mb:g}MB"
         ),
     )
-    return ExperimentReport(
-        exp_id="C1",
-        title="Placement policies under churning memory availability",
-        text=text,
-        data={"series": series},
-        paper_shape="calm, most-available never trails round-robin; churn "
-        "never speeds up an availability-aware policy; bursty: predictive "
-        "never beats most-available.",
-    )
+    return text, {"series": series}
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +549,7 @@ def _grid_blocksize(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_blocksize(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_blocksize(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """Vary the 4 KB message block of §5.1."""
     s = SCALES[scale]
     mb = s.limits_mb[0]
@@ -631,14 +562,7 @@ def _report_blocksize(scale: str, results: Results, seed: Seed) -> ExperimentRep
         series,
         title=f"Ablation — message block size at limit {mb:g}MB",
     )
-    return ExperimentReport(
-        exp_id="A2",
-        title="Message-block-size ablation (paper uses 4 KB)",
-        text=text,
-        data={k: dict(v) for k, v in series.items()},
-        paper_shape="larger blocks inflate per-fault transmission for "
-        "simple swapping; remote update amortises either way.",
-    )
+    return text, {k: dict(v) for k, v in series.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +584,7 @@ def _grid_eld(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_eld(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_eld(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """The skew-handling extension the paper cites: duplicate the most
     frequent candidates everywhere, count them locally."""
     s = SCALES[scale]
@@ -682,14 +606,7 @@ def _report_eld(scale: str, results: Results, seed: Seed) -> ExperimentReport:
         rows,
         title=f"Ablation — HPA-ELD duplication at limit {mb:g}MB",
     )
-    return ExperimentReport(
-        exp_id="A3",
-        title="HPA-ELD frequent-candidate duplication (cited skew handling)",
-        text=text,
-        data=data,
-        paper_shape="duplicating the most frequent candidates removes a "
-        "disproportionate share of itemset traffic; results unchanged.",
-    )
+    return text, data
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +628,7 @@ def _grid_loss(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_loss(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_loss(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """Extension: the cluster runs TCP over ATM's UBR class; quantify how
     segment loss (and the retransmission timeout it triggers) erodes the
     remote-memory advantage."""
@@ -728,14 +645,7 @@ def _report_loss(scale: str, results: Results, seed: Seed) -> ExperimentReport:
         rows,
         title=f"Ablation — UBR segment loss at limit {mb:g}MB, simple swapping",
     )
-    return ExperimentReport(
-        exp_id="A4",
-        title="Segment loss / TCP retransmission sensitivity",
-        text=text,
-        data=data,
-        paper_shape="loss inflates execution time through retransmission "
-        "timeouts, superlinearly in the loss rate.",
-    )
+    return text, data
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +666,7 @@ def _grid_npa(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_npa(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_npa(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """Quantify §2.2's claim that HPA "effectively utilizes the whole
     memory space of all the processors": NPA duplicates the candidate set
     on every node and collapses first as the per-node limit shrinks."""
@@ -781,15 +691,7 @@ def _report_npa(scale: str, results: Results, seed: Seed) -> ExperimentReport:
         title="Baseline — NPA (full duplication) vs HPA (hash partitioned), "
         "pass 2 time [s], remote update paging",
     )
-    return ExperimentReport(
-        exp_id="B1",
-        title="NPA vs HPA under a per-node memory-usage limit",
-        text=text,
-        data=data,
-        paper_shape="NPA's duplicated candidate set overflows the limit "
-        "long before HPA's 1/n share does, so its curve climbs much "
-        "faster as the limit tightens.",
-    )
+    return text, data
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +715,7 @@ def _grid_scaling(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_scaling(scale: str, results: Results, seed: Seed) -> ExperimentReport:
+def _report_scaling(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
     """Speedup of the (no-limit) HPA run as application nodes are added.
 
     §3.3: "When the PC cluster using 100 PCs is employed for this
@@ -832,14 +734,7 @@ def _report_scaling(scale: str, results: Results, seed: Seed) -> ExperimentRepor
         rows,
         title=f"Scaling — {s.workload}, no memory limit",
     )
-    return ExperimentReport(
-        exp_id="SC",
-        title="HPA speedup with application nodes",
-        text=text,
-        data={"times": times, "speedup": {n: base / times[n] for n in counts}},
-        paper_shape="near-linear speedup while communication stays off the "
-        "critical path.",
-    )
+    return text, {"times": times, "speedup": {n: base / times[n] for n in counts}}
 
 
 def _empty_grid(scale: str) -> "dict[str, Scenario]":
@@ -859,336 +754,182 @@ ALL_SWEEPS: "dict[str, Sweep]" = {
         Sweep(
             name="table2",
             exp_id="T2",
-            title="Table 2 — candidate and large itemsets at each pass",
+            title="Number of candidate and large itemsets at each pass",
+            shape="C2 >> C_k for all k>2; iteration terminates when "
+            "large/candidate itemsets run out (paper: 522753 candidates in "
+            "pass 2 vs <=19 afterwards).",
             grid=_empty_grid,
             report=_report_table2,
-            doc="""\
-Paper (10 M txns, 5 000 items, minsup 0.7 %):
-
-| pass | C | L |
-|---|---|---|
-| 1 | — | 1023 |
-| 2 | 522 753 | 32 |
-| 3 | 19 | 19 |
-| 4 | 7 | 7 |
-| 5 | 1 | 0 |
-
-Measured (T10.I4.D1K, 250 items, minsup 2.5 %):
-
-| pass | C | L |
-|---|---|---|
-| 1 | — | 139 |
-| 2 | 9 591 | 126 |
-| 3 | 97 | 19 |
-| 4 | 7 | 5 |
-| 5 | 1 | 0 |
-
-**Shape held:** C₂ exceeds every later candidate count by ~100×, and the
-iteration terminates naturally at pass 5 — the pass-2 memory explosion
-that motivates the whole system.""",
+            fold=Fold(
+                "pass", "itemset count", "count",
+                notes=(f"minsup = scale minsup x {TABLE2_MINSUP_FACTOR:g}.",),
+            ),
         ),
         Sweep(
             name="table3",
             exp_id="T3",
-            title="Table 3 — candidate 2-itemsets per node",
+            title="Number of candidate 2-itemsets at each node",
+            shape="counts near-equal but unequal (paper: 582149..641243 "
+            "around a 608985 mean, ~5% skew).",
             grid=_empty_grid,
             report=_report_table3,
-            doc="""\
-Paper (4 871 881 candidates over 8 nodes): 582 149 … 641 243 per node,
-mean 608 985 — near-equal with ~5 % skew.
-
-Measured (17 391 candidates over 4 nodes): 4 325 … 4 381, mean 4 348,
-max/mean 1.01, CV 0.5 %.
-
-**Shape held:** hash partitioning spreads candidates nearly but not
-exactly evenly. (Our skew is milder because an FNV-mixed hash over a
-smaller, less skewed pattern pool partitions more uniformly than the
-paper's hash did; the qualitative claim — "the numbers at each node are
-not equal" — reproduces.)""",
+            fold=Fold(
+                "node / statistic", "candidate count (skew rows: ratio)",
+                "count",
+            ),
         ),
         Sweep(
             name="table4",
             exp_id="T4",
-            title="Table 4 — execution time of each pagefault",
+            title="Execution time of each pagefault",
+            shape="PF time ~2.2-2.4 ms, roughly constant across limits "
+            "(paper: 2.37/2.33/2.22/1.90 ms), decomposed as 0.5 ms RTT + 0.3 "
+            "ms transmit + ~1.5 ms service.",
             grid=_grid_table4,
             report=_report_table4,
-            doc="""\
-Paper (16 memory-available nodes, baseline 247.0 s):
-
-| limit | Exec [s] | Diff [s] | Max faults | PF [ms] |
-|---|---|---|---|---|
-| 12 MB | 7 183.1 | 6 936.1 | 2 925 243 | 2.37 |
-| 13 MB | 4 674.0 | 4 427.0 | 1 896 226 | 2.33 |
-| 14 MB | 2 489.7 | 2 242.7 | 1 003 757 | 2.22 |
-| 15 MB | 757.3 | 510.3 | 268 093 | 1.90 |
-
-Measured (8 memory-available nodes, baseline 0.48 s):
-
-| limit | Exec [s] | Diff [s] | Max faults | PF [ms] |
-|---|---|---|---|---|
-| 12 MB | 6.17 | 5.69 | 1 914 | 2.97 |
-| 13 MB | 4.20 | 3.72 | 1 201 | 3.10 |
-| 14 MB | 2.35 | 1.87 | 592 | 3.17 |
-| 15 MB | 0.85 | 0.37 | 107 | 3.49 |
-
-Analytic decomposition (0.5 ms RTT + 0.28 ms 4 KB transmit + 1.5 ms
-holder service) = **2.29 ms**, matching the paper's derivation.
-
-**Shape held:** per-fault time is a few milliseconds, roughly constant
-in the limit, and decomposes into the paper's three components. Our
-measured values run ~30 % above the analytic number because the derived
-Diff/Max quotient also absorbs queueing at holders and the app node's
-own NIC (4 app : 8 memory here vs. the paper's 8 : 16); the paper's
-monotone *decrease* toward looser limits does not reproduce at this
-scale because with only ~100 faults the per-run constant costs weigh in.""",
+            fold=Fold(
+                "usage limit [MB]", "per-pagefault time", "ms",
+                notes=(
+                    f"cost-model prediction: {PREDICTED_FAULT_S * 1e3:.4g} "
+                    "ms per fault (seed-independent).",
+                ),
+            ),
         ),
         Sweep(
             name="fig3",
             exp_id="F3",
-            title="Figure 3 — execution time vs. #memory-available nodes",
+            title="Execution time of HPA (pass 2) vs memory-available nodes",
+            shape="curves fall steeply from 1 memory node and flatten by "
+            "8-16; lower limits sit higher; the no-limit curve is flat and "
+            "lowest.",
             grid=_grid_fig3,
             report=_report_fig3,
-            doc="""\
-Paper: curves for limits 12–15 MB fall steeply from 1 memory node
-(~25 000 s at 12 MB) and flatten by 8–16 nodes (7 183 s); the no-limit
-curve is flat at 247 s.
-
-Measured (pass-2 virtual seconds):
-
-| #mem | 12 MB | 13 MB | 14 MB | 15 MB | no limit |
-|---|---|---|---|---|---|
-| 1 | 16.00 | 10.40 | 5.37 | 1.31 | 0.48 |
-| 2 | 10.13 | 6.76 | 3.58 | 1.04 | 0.48 |
-| 4 | 7.37 | 4.97 | 2.75 | 0.91 | 0.48 |
-| 8 | 6.17 | 4.20 | 2.35 | 0.85 | 0.48 |
-
-**Shape held:** single-holder bottleneck ratio 16.0/6.17 = 2.6×
-(paper ≈ 3.5×), bottleneck resolved by ~8 nodes, curves ordered by
-limit at every point, flat no-limit floor.""",
+            fold=Fold("memory-available nodes", "pass 2 time", "s"),
         ),
         Sweep(
             name="fig4",
             exp_id="F4",
-            title="Figure 4 — comparison of proposed methods",
+            title="Comparison of proposed methods",
+            shape="disk >> simple swapping >> remote update at every limit; "
+            "remote update is nearly flat in the limit.",
             grid=_grid_fig4,
             report=_report_fig4,
-            doc="""\
-Paper (16 memory nodes): disk swapping ≫ simple remote swapping ≫
-remote update at every limit; remote update nearly flat.
-
-Measured (8 memory nodes, pass-2 virtual seconds):
-
-| limit | disk | simple swapping | remote update |
-|---|---|---|---|
-| 12 MB | 57.83 | 6.17 | 1.58 |
-| 13 MB | 37.65 | 4.20 | 1.27 |
-| 14 MB | 19.78 | 2.35 | 1.01 |
-| 15 MB | 4.39 | 0.85 | 0.71 |
-
-**Shape held:** disk/simple ≈ 9.4× at 12 MB (driven by the 13.4 ms vs
-2.3 ms access-time gap plus disk-arm queueing of eviction writes behind
-fault reads), simple/update ≈ 3.9×, and remote update's tight-to-loose
-spread (2.2×) is a fraction of disk's (13.2×) — "considerably better
-than other methods", as the paper concludes.""",
+            fold=Fold(
+                "usage limit [MB]", "pass 2 time", "s",
+                contrasts=(
+                    ("disk swapping", "simple swapping"),
+                    ("simple swapping", "remote update"),
+                    ("disk swapping", "remote update"),
+                ),
+            ),
         ),
         Sweep(
             name="fig5",
             exp_id="F5",
-            title="Figure 5 — dynamic memory migration",
+            title="Dynamic memory migration on memory-available nodes",
+            shape="the three curves nearly coincide: migration overhead is "
+            "almost negligible.",
             grid=_grid_fig5,
             report=_report_fig5,
             followups=_followups_fig5,
-            doc="""\
-Paper: making 1 or 2 of 16 memory nodes unavailable mid-run (signal →
-shortage broadcast → directed migration) leaves execution time almost
-unchanged.
-
-Measured (remote update, 8 memory nodes, shortages injected at 40 % and
-60 % of pass 2):
-
-| limit | all available | 1 unavailable | 2 unavailable |
-|---|---|---|---|
-| 12 MB | 1.58 | 1.50 | 1.53 |
-| 13 MB | 1.27 | 1.28 | 1.29 |
-| 14 MB | 1.01 | 0.97 | 0.97 |
-| 15 MB | 0.71 | 0.68 | 0.64 |
-
-**Shape held:** the three curves nearly coincide (worst deviation < 4 %,
-sometimes in migration's favour as re-packed holders batch updates
-better); migration overhead is "almost negligible", and the mined
-itemsets are bit-identical in every case.""",
+            fold=Fold(
+                "usage limit [MB]", "pass 2 time", "s",
+                contrasts=(
+                    ("1 memory node unavailable", "all memory nodes available"),
+                    ("2 memory nodes unavailable", "all memory nodes available"),
+                ),
+            ),
         ),
         Sweep(
             name="disk",
             exp_id="S52",
-            title="§5.2 — remote memory vs. disk access time",
+            title="Remote-memory pagefault vs disk access time",
+            shape=">=13.0 ms for the 7200rpm disk, >=7.5 ms for the 12000rpm "
+            "disk, vs ~2.3 ms remote.",
             grid=_empty_grid,
             report=_report_disk,
-            doc="""\
-| device | access [ms] | paper |
-|---|---|---|
-| remote memory (ATM 155) | 2.29 | ~2.3 (derived) |
-| Seagate Barracuda 7 200 rpm | 13.36 | "at least 13.0" |
-| HITACHI DK3E1T 12 000 rpm | 7.76 | "7.5 even with the fastest" |
-
-**Exact match** — these are the paper's own constants fed through the
-same arithmetic.""",
         ),
         Sweep(
             name="monitor",
             exp_id="S54",
-            title="§5.4 — monitoring-interval sensitivity",
+            title="Sensitivity to the availability-monitoring interval",
+            shape="flat at 1-3 s; overhead appears only for very short "
+            "intervals.",
             grid=_grid_monitor,
             report=_report_monitor,
-            doc="""\
-Paper: results unchanged for ~1–3 s intervals; "too short interval such
-as shorter than 1 sec degrades the system performance".
-
-Measured (limit 13 MB, 8 memory nodes): 4.16–4.24 s across intervals
-0.02–10 s — flat at 1–3 s as the paper reports (1 s within ±1.3 % of
-3 s at `tiny` and `small`, two seeds each). **Missed:** the degradation
-below 1 s — 20 ms lands −0.2 … +1.1 % from 3 s here and −2.2 … +2.0 %
-at `tiny`, where at seed 42 100 ms is 6.0 % *faster*: with 4 app nodes a
-broadcast is ≤3 % of a holder's CPU; the paper's 100-node cluster
-multiplied fan-out and contention.""",
         ),
         Sweep(
             name="policy",
             exp_id="A1",
-            title="Ablation A1 — replacement policy",
+            title="Replacement-policy ablation (paper uses LRU)",
+            shape="the paper asserts LRU; with near-uniform hash-line access "
+            "the policies should be close, with LRU never worst.",
             grid=_grid_policy,
             report=_report_policy,
-            doc="""\
-Paper: prescribes LRU (§4.3) without comparison.
-
-Measured at 12 MB: LRU 6.17 s / 1 914 faults, FIFO 6.81 s / 2 178,
-random 6.89 s / 2 202. LRU is best but only by ~10 % — consistent with
-hash-line accesses being near-uniform, which bounds what any policy can
-exploit. The paper's choice is validated but shown to be non-critical.""",
+            fold=Fold(
+                "usage limit [MB]", "pass 2 time", "s",
+                contrasts=tuple(combinations(REPLACEMENT_SWEEP, 2)),
+            ),
         ),
         Sweep(
             name="churn",
             exp_id="C1",
-            title="Cluster dynamics — placement policy under churn",
+            title="Placement policies under churning memory availability",
+            shape="calm, most-available never trails round-robin; churn never "
+            "speeds up an availability-aware policy; bursty: predictive never "
+            "beats most-available.",
             grid=_grid_churn,
             report=_report_churn,
-            doc="""\
-The paper's premise — "in recent distributed computing environments,
-some workstations are used while their owners are away" — exercised
-directly: seeded background-load traces drive every memory node's
-ledger while pass 2 runs, and four swap-destination policies compete.
-Pass-2 time at the 13 MB limit (remote update, 20 ms monitoring):
-
-| placement | calm | sawtooth | bursty |
-|---|---|---|---|
-| most-available | 1.27 | 7.76 | 12.32 |
-| round-robin | 1.94 | 3.32 | 3.55 |
-| predictive | 2.05 | 11.84 | 17.34 |
-| migrate-ahead | 2.05 | 12.17 | 17.49 |
-
-**Held** (`tiny` and `small`, two seeds each): undisturbed, the paper's
-most-available choice (§4.2) wins — round-robin pays 53 % for ignoring
-availability; churn never speeds up an availability-aware policy;
-under *bursty* full reclaims predictive never beats most-available.
-**Not held:** the expectation this sweep shipped with, that
-availability-aware policies never trail round-robin under churn.
-Most-available degrades 6–10× and trails round-robin 2.3× (sawtooth)
-and 3.5× (bursty), predictive 4.9×: routing guest lines to the node
-advertising the most free memory — the one just back from a reclaim —
-gives the next reclaim more to evacuate (sawtooth: 1 805 migrations
-over 514 shortages vs round-robin's 816 over 217; bursty: 3 653 vs
-1 372, and 10 597 refused placements vs 1 626).  At `tiny` the two are
-within ±7 % (either sign); predictive trails round-robin by 23–30 %.""",
+            fold=Fold(
+                "churn regime", "pass 2 time", "s",
+                contrasts=tuple(combinations(PLACEMENT_POLICIES, 2)),
+            ),
         ),
         Sweep(
             name="blocksize",
             exp_id="A2",
-            title="Ablation A2 — message block size",
+            title="Message-block-size ablation (paper uses 4 KB)",
+            shape="larger blocks inflate per-fault transmission for simple "
+            "swapping; remote update amortises either way.",
             grid=_grid_blocksize,
             report=_report_blocksize,
-            doc="""\
-Paper: fixes 4 KB blocks (§5.1), one hash line per block.
-
-Measured at 12 MB: simple swapping 5.77 / 6.17 / 8.10 s for 1 / 4 /
-16 KB blocks (every fault ships a full block, so bigger blocks inflate
-PF time); remote update 1.47 / 1.58 / 1.92 s. The paper's 4 KB sits on
-the flat part of the curve — larger blocks measurably hurt, smaller
-ones buy little.""",
         ),
         Sweep(
             name="eld",
             exp_id="A3",
-            title="Ablation A3 — HPA-ELD frequent-candidate duplication",
+            title="HPA-ELD frequent-candidate duplication (cited skew handling)",
+            shape="duplicating the most frequent candidates removes a "
+            "disproportionate share of itemset traffic; results unchanged.",
             grid=_grid_eld,
             report=_report_eld,
-            doc="""\
-The paper cites its companion skew-handling method in §5.1 ("We have
-also developed a method to treat it"); ELD duplicates the most frequent
-candidates on every node so they are counted locally. Measured at the
-13 MB limit (remote update, 8 memory nodes):
-
-| ELD fraction | duplicated | count messages | pass 2 [s] |
-|---|---|---|---|
-| 0 | 0 | 218 | 1.27 |
-| 0.02 | 347 | 195 | 1.58 |
-| 0.1 | 1 739 | 144 | 2.72 |
-| 0.3 | 5 217 | 82 | 7.93 |
-
-Duplicating 10 % of candidates removes 34 % of itemset traffic — the
-frequent candidates carry a disproportionate share, as ELD predicts.
-But under a *memory limit* the duplicated candidates are pinned bytes
-that crowd hash lines out, so execution time **rises**: in exactly the
-memory-constrained regime this paper studies, ELD's communication win
-is bought with the resource that is already scarce. Mining results are
-identical at every fraction.""",
         ),
         Sweep(
             name="loss",
             exp_id="A4",
-            title="Ablation A4 — UBR segment loss / TCP retransmission",
+            title="Segment loss / TCP retransmission sensitivity",
+            shape="loss inflates execution time through retransmission "
+            "timeouts, superlinearly in the loss rate.",
             grid=_grid_loss,
             report=_report_loss,
-            doc="""\
-The cluster runs TCP over ATM's UBR class; the authors' companion study
-([21]) analysed retransmission behaviour on this hardware. Measured
-(simple swapping, 13 MB limit): pass 2 takes 4.20 s lossless, 4.92 s at
-0.1 % loss, 8.60 s at 1 % loss — the RTO (200 ms), not the re-sent
-bytes, is what loss costs, so degradation is superlinear in loss rate.""",
         ),
         Sweep(
             name="scaling",
             exp_id="SC",
-            title="Scaling — speedup with application nodes",
+            title="HPA speedup with application nodes",
+            shape="near-linear speedup while communication stays off the "
+            "critical path.",
             grid=_grid_scaling,
             report=_report_scaling,
-            doc="""\
-Pass-2 speedup with application nodes (no limit): 1.80× at 2 nodes,
-3.01× at 4, 4.52× at 8 (efficiency 0.57 — communication and the
-determination barrier eat into it at this small workload), matching
-§3.3's "reasonably good performance improvement" at a modest scale.""",
         ),
         Sweep(
             name="npa",
             exp_id="B1",
-            title="Baseline B1 — NPA vs HPA",
+            title="NPA vs HPA under a per-node memory-usage limit",
+            shape="NPA's duplicated candidate set overflows the limit long "
+            "before HPA's 1/n share does, so its curve climbs much faster as "
+            "the limit tightens.",
             grid=_grid_npa,
             report=_report_npa,
-            doc="""\
-§2.2's motivation quantified. Pass-2 time (remote update, 8 memory
-nodes):
-
-| limit | HPA | NPA |
-|---|---|---|
-| 12 MB | 1.58 | 34.63 |
-| 13 MB | 1.27 | 33.97 |
-| 14 MB | 1.01 | 33.45 |
-| 15 MB | 0.71 | 32.86 |
-| no limit | 0.48 | 1.65 |
-
-NPA needs no itemset communication, but its per-node candidate table is
-n× HPA's; under any of the paper's limits it lives almost entirely in
-remote memory and runs ~25× slower. "HPA effectively utilizes the
-whole memory space of all the processors" — reproduced.""",
         ),
     )
 }

@@ -241,7 +241,11 @@ def run_sweep_outcome(
                 f"grid: {sorted(collisions)}"
             )
         results.update(_resolve(sweep, extra, jobs, records))
-    report = sweep.report(scale, results, seed)
+    text, data = sweep.report(scale, results, seed)
+    report = ExperimentReport(
+        exp_id=sweep.exp_id, title=sweep.title, text=text, data=data,
+        paper_shape=sweep.shape,
+    )
     emit_ambient("sweep-done", sweep=sweep.name, scale=scale,
                  n_cells=len(records), wall_s=time.perf_counter() - start)
     return SweepOutcome(report=report, records=records)

@@ -1,12 +1,16 @@
 """Sweep specifications: a declarative grid + a report builder.
 
-A :class:`Sweep` is one paper experiment.  Its ``grid`` maps a scale
-name to an ordered ``{key: Scenario}`` dict — pure data, no execution —
-and its ``report`` folds ``(scale, {key: RunResult}, seed)`` into an
-:class:`ExperimentReport`.  Experiments whose later
-configurations depend on earlier results (Figure 5 schedules shortages
-*inside* the measured pass of a base run) declare a ``followups`` stage,
-which the engine resolves after the grid with the same executor.
+A :class:`Sweep` is one paper experiment and the only declaration of
+its identity: id, title and the shape the paper states.  Its ``grid``
+maps a scale name to an ordered ``{key: Scenario}`` dict — pure data,
+no execution — and its ``report`` folds ``(scale, {key: RunResult},
+seed)`` into the artifact's ``(text, data)``, which the engine stamps
+with that identity as an :class:`ExperimentReport`.  A sweep with a
+:class:`Fold` also appears in the multi-seed statistical report.
+Experiments whose later configurations depend on earlier results
+(Figure 5 schedules shortages *inside* the measured pass of a base run)
+declare a ``followups`` stage, which the engine resolves after the grid
+with the same executor.
 
 Because the grid is data, the engine — not the experiment — decides
 execution order, parallelism, caching, and persistence; and because
@@ -20,7 +24,7 @@ byte-identical to serial ones.  Only the engine
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from repro.errors import HarnessError
@@ -29,25 +33,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.results import RunResult
     from repro.runtime.scenarios import Scenario
 
-__all__ = ["ExperimentReport", "Sweep"]
+__all__ = ["ExperimentReport", "Fold", "Sweep"]
 
 
 @dataclass
 class ExperimentReport:
-    """A rendered paper artifact plus its underlying data."""
+    """A rendered paper artifact plus its underlying data; the engine
+    stamps id, title and shape from the :class:`Sweep`."""
 
     exp_id: str
     title: str
     text: str
-    data: dict = field(default_factory=dict)
-    paper_shape: str = ""
+    data: dict
+    paper_shape: str
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        header = f"== {self.exp_id}: {self.title} =="
-        parts = [header, self.text]
-        if self.paper_shape:
-            parts.append(f"[paper shape] {self.paper_shape}")
-        return "\n".join(parts)
+    def __str__(self) -> str:
+        return "\n".join([
+            f"== {self.exp_id}: {self.title} ==",
+            self.text,
+            f"[paper shape] {self.paper_shape}",
+        ])
 
     def to_json(self) -> str:
         """Machine-readable dump (keys stringified for JSON)."""
@@ -75,10 +80,25 @@ GridFn = Callable[[str], "dict[str, Scenario]"]
 #: Stage 2 (optional): (scale, stage-1 results) -> more scenarios.
 FollowupFn = Callable[[str, "Mapping[str, RunResult]"], "dict[str, Scenario]"]
 #: Aggregation: (scale, all results, the sweep's seed override — the
-#: same value the engine re-seeded the grid with) -> the rendered report.
+#: same value the engine re-seeded the grid with) -> (text, data).
 ReportFn = Callable[
-    [str, "Mapping[str, RunResult]", Optional[int]], ExperimentReport
+    [str, "Mapping[str, RunResult]", Optional[int]], "tuple[str, dict]"
 ]
+
+
+@dataclass(frozen=True)
+class Fold:
+    """How the multi-seed report presents a sweep's ``data["series"]``.
+
+    The report's notes are the sweep's ``shape`` followed by ``notes``.
+    """
+
+    x_label: str
+    metric: str
+    unit: str
+    #: ``(group_a, group_b)`` pairs rank-tested at every shared x.
+    contrasts: "tuple[tuple[str, str], ...]" = ()
+    notes: "tuple[str, ...]" = ()
 
 
 @dataclass(frozen=True)
@@ -88,19 +108,23 @@ class Sweep:
     Analytic experiments have an empty grid and do all their work in
     ``report``: Tables 2/3 read the prepared workload of ``(scale,
     seed)``, §5.2 is arithmetic on the paper's constants.  They still
-    gain the uniform registry, CLI, timing, and documentation surfaces.
+    gain the uniform registry, CLI and timing surfaces.
     """
 
     #: CLI/registry name (``repro-bench <name>``).
     name: str
-    #: Paper artifact id (``T2``, ``F4``, ``A1``, ...).
+    #: Paper artifact id (``T2``, ``F4``, ``A1``, ...); ``F*`` ids are
+    #: figures, the rest tables.
     exp_id: str
     title: str
+    #: The qualitative shape the paper states, as printed and reported.
+    shape: str
     grid: GridFn
     report: ReportFn
     followups: Optional[FollowupFn] = None
-    #: Markdown body for the generated EXPERIMENTS.md section.
-    doc: str = ""
+    #: Presentation in the multi-seed report; ``None`` keeps the sweep
+    #: out of it.
+    fold: Optional[Fold] = None
 
     def scenarios(
         self, scale: str, seed: Optional[int] = None

@@ -7,9 +7,7 @@ sweep.  The harness, the benchmark suite, and the examples all ask for
 runs through :func:`run_scenario` rather than hand-building configs, so
 one execution is shared by every consumer that needs it.
 
-This replaces the old ``functools.lru_cache`` memoisation of the
-harness's ``_run_cached`` (positional-argument keyed, unbounded
-observability): the cache here is explicit, sized, clearable
+The result cache is explicit, sized, clearable
 (:func:`clear_cache`), and reports hits/misses both locally
 (:func:`cache_stats`) and as ``scenario_cache_hits`` /
 ``scenario_cache_misses`` counters on the ambient telemetry session
@@ -194,10 +192,10 @@ class Scenario:
 class ScenarioCache:
     """Explicit LRU cache of scenario results.
 
-    Unlike the ``lru_cache`` it replaced, this cache is inspectable
-    (:meth:`stats`), clearable mid-session, and reports hit/miss
-    counters to the ambient telemetry registry so ``repro-bench
-    --trace`` manifests show how much work was actually executed.
+    The cache is inspectable (:meth:`stats`), clearable mid-session,
+    and reports hit/miss counters to the ambient telemetry registry so
+    ``repro-bench --trace`` manifests show how much work was actually
+    executed.
     """
 
     def __init__(self, maxsize: int = 256) -> None:

@@ -288,18 +288,6 @@ def test_diff_format_mismatch_is_a_usage_error():
         compare_payloads(payload, other)
 
 
-def test_diff_higher_is_better_orientation():
-    art = _artifact(
-        [_cell("throughput", 16, [4.0, 4.1, 4.2])],
-        lower_is_better=False,
-    )
-    base = _payload([art])
-    report = compare_payloads(base, _perturbed(base, 1.40))
-    assert report.worst == "improved"
-    report = compare_payloads(base, _perturbed(base, 0.60))
-    assert report.worst == "regression"
-
-
 # ---------------------------------------------------------------------------
 # CLI plumbing
 # ---------------------------------------------------------------------------
@@ -354,6 +342,25 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
     cur.write_text(json.dumps({"format": 99}))
     assert main(["--diff", str(base), "--current", str(cur)]) == 2
     capsys.readouterr()  # drain
+
+
+@pytest.mark.parametrize("malformed", [
+    {"format": 1, "artifacts": {"fig4": {"cells": [{"group": "x"}]}}},
+    {"format": 1, "artifacts": []},
+])
+def test_cli_diff_malformed_payload_is_a_usage_error(tmp_path, capsys, malformed):
+    """A hand-edited or truncated payload exits 2, not with a traceback."""
+    from repro.analysis.report.cli import main
+
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(_payload([_artifact([
+        _cell("disk", 16, [4.0, 4.1, 4.2]),
+    ])])))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malformed))
+    assert main(["--diff", str(base), "--current", str(bad)]) == 2
+    assert main(["--diff", str(bad), "--current", str(base)]) == 2
+    assert "payload" in capsys.readouterr().err
 
 
 def test_cli_diff_only_restricts_both_payloads(tmp_path, capsys):

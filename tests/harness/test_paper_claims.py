@@ -9,7 +9,7 @@ from the session's one sweep fill (``conftest.sweep_reports``).
 
 Where the model misses the paper the claim states what *is* true at
 both scales and both seeds, and the miss is written down with its
-magnitude in the sweep's ``doc`` (EXPERIMENTS.md) — never fitted away.
+magnitude in the sweep's section of EXPERIMENTS.md — never fitted away.
 """
 
 import copy

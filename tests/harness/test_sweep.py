@@ -1,11 +1,14 @@
 """Tests for the declarative sweep engine (spec, executor, resume)."""
 
 import os
+import pathlib
+import re
 import signal
 
 import pytest
 
-from repro.analysis.report.experiment_results import _SPECS, ExperimentResults
+from repro.analysis.report import render_markdown
+from repro.analysis.report.experiment_results import ExperimentResults
 from repro.analysis.report.samples import format_x
 from repro.errors import HarnessError
 from repro.harness.experiments import ALL_SWEEPS
@@ -34,6 +37,7 @@ def _toy_sweep(**overrides):
         name="toy",
         exp_id="X1",
         title="toy sweep",
+        shape="toy shape",
         grid=lambda scale: {
             "a": Scenario(scale=scale, pager="remote", n_memory_nodes=2,
                           paper_mb=13.0),
@@ -43,11 +47,9 @@ def _toy_sweep(**overrides):
             "a-again": Scenario(scale=scale, pager="remote", n_memory_nodes=2,
                                 paper_mb=13.0),
         },
-        report=lambda scale, results, seed: ExperimentReport(
-            exp_id="X1",
-            title="toy",
-            text="toy",
-            data={k: r.pass_result(2).duration_s for k, r in results.items()},
+        report=lambda scale, results, seed: (
+            "toy",
+            {k: r.pass_result(2).duration_s for k, r in results.items()},
         ),
     )
     fields.update(overrides)
@@ -60,7 +62,6 @@ def test_every_experiment_is_a_sweep():
         assert isinstance(sweep, Sweep)
         assert sweep.name == name
         assert callable(sweep.grid) and callable(sweep.report)
-        assert sweep.doc.strip()  # EXPERIMENTS.md section body
 
 
 def test_analytic_sweep_reports_without_runs():
@@ -257,8 +258,52 @@ def test_workload_tables_report_the_seed_asked_for(name):
 _REPORTED = ExperimentResults.ARTIFACTS + ExperimentResults.EXTRA_ARTIFACTS
 
 
-def test_every_reported_artifact_has_one_spec():
-    assert tuple(_SPECS) == _REPORTED
+def test_every_reported_artifact_declares_one_fold():
+    folded = tuple(n for n, s in ALL_SWEEPS.items() if s.fold is not None)
+    assert folded == _REPORTED
+
+
+# -- each artifact declared once -------------------------------------------
+
+_EXPERIMENTS_MD = pathlib.Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+
+
+def test_every_sweep_heads_one_experiments_md_section():
+    headed = re.findall(
+        r"^#+ .* \(`(\w+)`\)$", _EXPERIMENTS_MD.read_text(), re.MULTILINE
+    )
+    assert sorted(headed) == sorted(ALL_SWEEPS)
+
+
+def _printed_and_reported(sweep_reports):
+    """``(name, repro-bench lines, report artifact, report.md)`` for
+    every report artifact, from the session's tiny fill."""
+    fill = sweep_reports("tiny")
+    seeds = claim_seeds("tiny")
+    with result_store_session(fill.store):
+        arts = ExperimentResults("tiny", seeds).artifacts(list(_REPORTED))
+    markdown = render_markdown("tiny", seeds, arts)
+    return [
+        (name, str(fill.reports[name, seeds[0]]).splitlines(), art, markdown)
+        for name, art in arts.items()
+    ]
+
+
+def test_printed_and_reported_titles_are_the_sweeps(sweep_reports):
+    for name, printed, _, markdown in _printed_and_reported(sweep_reports):
+        sweep = ALL_SWEEPS[name]
+        assert printed[0] == f"== {sweep.exp_id}: {sweep.title} =="
+        heading = re.search(
+            rf"^## (.*) \(`{name}`, {sweep.exp_id}\)$", markdown, re.MULTILINE
+        )
+        assert heading is not None and heading.group(1) == sweep.title
+
+
+def test_printed_and_reported_shapes_are_the_sweeps(sweep_reports):
+    for name, printed, art, _ in _printed_and_reported(sweep_reports):
+        shape = ALL_SWEEPS[name].shape
+        assert printed[-1] == f"[paper shape] {shape}"
+        assert art.notes[0] == shape
 
 
 @pytest.mark.parametrize("name", _REPORTED)
@@ -282,7 +327,7 @@ def test_report_folds_exactly_each_seeds_series(name, sweep_reports):
     for cell in art.cells:
         key = (cell.group, cell.x)
         assert cell.samples == tuple(p[key] for p in points if key in p)
-    for a, b in _SPECS[name].contrasts:
+    for a, b in ALL_SWEEPS[name].fold.contrasts:
         assert any(
             (c.group_a, c.group_b) == (a, b) for c in art.comparisons
         ), (a, b)
