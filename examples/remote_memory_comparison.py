@@ -18,7 +18,7 @@ Run:  python examples/remote_memory_comparison.py   (--fast: tiny run)
 
 Pass ``--store DIR`` to persist every run in the same content-addressed
 result store the CLI and benchmarks use; a second invocation (or a
-``repro-bench --resume`` afterwards) replays from disk instead of
+``repro-bench --store DIR`` afterwards) replays from disk instead of
 re-simulating.
 """
 

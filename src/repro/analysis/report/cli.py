@@ -120,13 +120,17 @@ def _parse_seeds(spec: str, scale: str) -> "tuple[int, ...]":
     spec = spec.strip()
     try:
         if "," in spec:
-            return tuple(int(s) for s in spec.split(","))
-        return default_seeds(scale, int(spec))
+            seeds = tuple(int(s) for s in spec.split(","))
+        else:
+            seeds = default_seeds(scale, int(spec))
     except ValueError as exc:
         raise HarnessError(
             f"bad --seeds {spec!r}: expected a count or a comma list "
             "of integers"
         ) from exc
+    if min(seeds) < 0:
+        raise HarnessError(f"bad --seeds {spec!r}: seeds must be >= 0")
+    return seeds
 
 
 def _store_session(store_dir: "Optional[str]") -> "ContextManager":

@@ -5,12 +5,12 @@ Usage::
     repro-bench fig4                 # one experiment at the small scale
     repro-bench all --scale full     # every experiment, paper-like layout
     repro-bench all --jobs 4         # run scenarios in 4 local processes
-    repro-bench all --resume         # reuse results persisted in .repro-store
+    repro-bench all --store DIR      # persist results in DIR and reuse them
     repro-bench --store-gc --store DIR   # drop orphaned temp files + old-format entries
     repro-bench --list
 
 Each experiment prints the same rows/series the paper's table or figure
-reports, at the selected workload scale.  ``--jobs``/``--resume`` only
+reports, at the selected workload scale.  ``--jobs``/``--store`` only
 change *how* scenarios are executed (a local process pool, the
 persistent result store) — the printed reports are byte-identical
 either way.
@@ -26,6 +26,14 @@ from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
 
 __all__ = ["main", "build_parser"]
+
+
+def _seed(text: str) -> int:
+    """``--seed``'s type: a non-negative integer, else a usage error."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,14 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         "at <DIR> and reuse whatever is already there",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse results persisted by a previous invocation; shorthand "
-        "for --store .repro-store when --store is not given",
-    )
-    parser.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=None,
         metavar="N",
         help="override the scale's workload seed (an independent "
@@ -102,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-stats",
         action="store_true",
         help="print the result store's hit/miss/write counters and "
-        "per-entry sizes as JSON on stdout (requires --store/--resume; "
+        "per-entry sizes as JSON on stdout (requires --store; "
         "with no experiment, just inspects the store)",
     )
     parser.add_argument(
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="gc",
         help="garbage-collect the result store: drop temp files older "
         "than an hour and old-format entries; prints the JSON summary "
-        "(requires --store/--resume)",
+        "(requires --store)",
     )
     return parser
 
@@ -119,13 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    store_dir = args.store
-    if args.resume and store_dir is None:
-        store_dir = ".repro-store"
     if args.gc:
-        if store_dir is None:
+        if args.store is None:
             print(
-                "repro-bench: --store-gc needs a store (--store/--resume)",
+                "repro-bench: --store-gc needs a store (--store)",
                 file=sys.stderr,
             )
             return 2
@@ -133,7 +132,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
         from repro.runtime import ResultStore
 
-        store = ResultStore(store_dir)
+        store = ResultStore(args.store)
         summary = store.gc(time.time())
         summary["store"] = str(store.path)
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -155,9 +154,9 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"{s.replacement:7s} {churn:10s} {s.description}"
             )
         return 0
-    if args.store_stats and args.store is None and not args.resume:
+    if args.store_stats and args.store is None:
         print(
-            "repro-bench: --store-stats needs a store (--store/--resume)",
+            "repro-bench: --store-stats needs a store (--store)",
             file=sys.stderr,
         )
         return 2
@@ -167,7 +166,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
         from repro.runtime import ResultStore
 
-        store = ResultStore(args.store or ".repro-store")
+        store = ResultStore(args.store)
         print(json.dumps(
             {"stats": store.stats(), "entry_stats": store.entry_stats()},
             indent=2,
@@ -202,10 +201,10 @@ def main(argv: "list[str] | None" = None) -> int:
         session = nullcontext()
 
     store = None
-    if store_dir is not None:
+    if args.store is not None:
         from repro.runtime import ResultStore, result_store_session
 
-        store = ResultStore(store_dir)
+        store = ResultStore(args.store)
         store_session = result_store_session(store)
     else:
         store_session = nullcontext()

@@ -12,11 +12,12 @@ persistent result store, and the ``--jobs N`` process pool.  There is
 exactly one execution path — :func:`repro.runtime.run_scenario` — for
 the experiments, benchmarks, CLI, and examples alike.
 
-Every report builder takes ``(scale, results, seed)`` and reads the
-scale's geometry from :data:`SCALES`; only Tables 2 and 3, which
-describe the workload itself, read the memoised
-``prepare_workload(scale, seed)`` — no other builder touches datagen
-or mining, so a warm store renders them without either.
+Every report builder takes ``(scale, results)`` and reads the scale's
+geometry from :data:`SCALES`: a report is a pure function of the scale
+and its stored runs.  Tables 2 and 3 describe HPA runs too (their
+per-pass and per-node counts equal serial Apriori's and the workload
+preparation's), so no builder touches datagen or mining and a warm
+store renders every artifact without either.
 
 The paper-vs-measured narrative of each sweep lives in
 ``EXPERIMENTS.md``, one section per sweep name.
@@ -37,9 +38,9 @@ from repro.analysis import (
 )
 from repro.analysis.cost_model import PAPER_COSTS
 from repro.cluster.specs import ATM_155
-from repro.harness.scales import SCALES, prepare_workload
+from repro.harness.scales import SCALES
 from repro.harness.sweep import Fold, Sweep
-from repro.mining import apriori, skew_statistics
+from repro.mining import skew_statistics
 from repro.runtime.config import PLACEMENT_POLICIES
 from repro.runtime.results import RunResult
 from repro.runtime.scenarios import Scenario
@@ -47,9 +48,6 @@ from repro.runtime.scenarios import Scenario
 __all__ = ["ALL_SWEEPS"]
 
 Results = Mapping[str, RunResult]
-#: The sweep's seed override as the engine passes it (``None`` = the
-#: scale's own seed); only the workload-derived Tables 2-3 read it.
-Seed = Optional[int]
 
 
 def _pass2_time(res: RunResult) -> float:
@@ -61,7 +59,7 @@ def _limit_label(mb: Optional[float]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Table 2 — candidate / large itemsets at each pass (analytic)
+# Table 2 — candidate / large itemsets at each pass
 # ---------------------------------------------------------------------------
 
 #: Table 2 mines at a stiffer support than the swapping experiments so
@@ -70,14 +68,20 @@ def _limit_label(mb: Optional[float]) -> str:
 TABLE2_MINSUP_FACTOR = 2.5
 
 
-def _report_table2(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _grid_table2(scale: str) -> "dict[str, Scenario]":
+    """One HPA run to termination (``max_k=0``) at Table 2's support."""
+    minsup = SCALES[scale].minsup * TABLE2_MINSUP_FACTOR
+    return {"all passes": Scenario(scale=scale, max_k=0, minsup=minsup)}
+
+
+def _report_table2(scale: str, results: Results) -> tuple[str, dict]:
     """The paper mines 10 M transactions at 0.7 % support; pass 2's
     candidate count dwarfs every other pass and the run dies out by
     pass 5.  We mine a scaled workload at a support chosen to terminate
     naturally within a few passes."""
     s = SCALES[scale]
     minsup = s.minsup * TABLE2_MINSUP_FACTOR
-    res = apriori(prepare_workload(scale, seed).db, minsup=minsup)
+    res = results["all passes"]
     rows = [
         (f"pass {k}", "" if c is None else c, l)
         for k, c, l in res.table2_rows()
@@ -103,24 +107,31 @@ def _report_table2(scale: str, results: Results, seed: Seed) -> tuple[str, dict]
 
 
 # ---------------------------------------------------------------------------
-# Table 3 — candidate 2-itemsets per node (analytic)
+# Table 3 — candidate 2-itemsets per node
 # ---------------------------------------------------------------------------
 
-def _report_table3(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _grid_table3(scale: str) -> "dict[str, Scenario]":
+    """The plain no-limit HPA run (the same cell as ``npa``'s
+    ``hpa|no limit``)."""
+    return {"no limit": Scenario(scale=scale)}
+
+
+def _report_table3(scale: str, results: Results) -> tuple[str, dict]:
     """Per-node candidate counts are close but skewed (Table 3)."""
-    prep = prepare_workload(scale, seed)
-    stats = skew_statistics(prep.per_node_candidates)
+    s = SCALES[scale]
+    p2 = results["no limit"].pass_result(2)
+    stats = skew_statistics(p2.per_node_candidates)
     rows = [
-        (f"node {i + 1}", c) for i, c in enumerate(prep.per_node_candidates)
+        (f"node {i + 1}", c) for i, c in enumerate(p2.per_node_candidates)
     ]
     text = "\n".join(
         [
             render_table(
                 ["node", "candidate 2-itemsets"],
                 rows,
-                title=f"Table 3 equivalent — {prep.scale.workload}, "
-                f"{prep.n_candidates_2} candidates over "
-                f"{prep.scale.n_app_nodes} nodes",
+                title=f"Table 3 equivalent — {s.workload}, "
+                f"{p2.n_candidates} candidates over "
+                f"{s.n_app_nodes} nodes",
             ),
             render_kv(
                 {
@@ -165,7 +176,7 @@ def _grid_table4(scale: str) -> "dict[str, Scenario]":
 PREDICTED_FAULT_S = predicted_fault_time_s(PAPER_COSTS, ATM_155)
 
 
-def _report_table4(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_table4(scale: str, results: Results) -> tuple[str, dict]:
     """Per-pagefault time from the Exec/Diff/Max columns (Table 4)."""
     s = SCALES[scale]
     n_mem = s.max_memory_nodes
@@ -217,7 +228,7 @@ def _grid_fig3(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_fig3(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_fig3(scale: str, results: Results) -> tuple[str, dict]:
     """Few memory nodes bottleneck the fault service (Figure 3)."""
     s = SCALES[scale]
     series: dict[str, dict[int, float]] = {}
@@ -263,7 +274,7 @@ def _grid_fig4(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_fig4(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_fig4(scale: str, results: Results) -> tuple[str, dict]:
     """The three swapping mechanisms vs usage limit (Figure 4)."""
     s = SCALES[scale]
     n_mem = s.max_memory_nodes
@@ -327,7 +338,7 @@ def _followups_fig5(scale: str, results: Results) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_fig5(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_fig5(scale: str, results: Results) -> tuple[str, dict]:
     """Migrating 0/1/2 memory nodes away mid-run changes execution time
     only marginally (Figure 5)."""
     s = SCALES[scale]
@@ -368,7 +379,7 @@ def _report_fig5(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
 # §5.2 — disk access-time analysis (analytic)
 # ---------------------------------------------------------------------------
 
-def _report_disk(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_disk(scale: str, results: Results) -> tuple[str, dict]:
     """§5.2's closing arithmetic: remote memory vs disks."""
     rows = disk_comparison()
     text = render_table(
@@ -403,7 +414,7 @@ def _grid_monitor(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_monitor(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_monitor(scale: str, results: Results) -> tuple[str, dict]:
     """§5.4's claim: 1-3 s intervals are free, very short intervals cost
     monitoring/communication overhead."""
     s = SCALES[scale]
@@ -439,7 +450,7 @@ def _grid_policy(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_policy(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_policy(scale: str, results: Results) -> tuple[str, dict]:
     """Quantify the paper's LRU choice against FIFO and random."""
     s = SCALES[scale]
     mb = s.limits_mb[0]
@@ -497,7 +508,7 @@ def _grid_churn(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_churn(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_churn(scale: str, results: Results) -> tuple[str, dict]:
     """The paper's premise — remote memory fluctuates because owners
     reclaim their machines — exercised directly: every placement policy
     races the same churning cluster."""
@@ -549,7 +560,7 @@ def _grid_blocksize(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_blocksize(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_blocksize(scale: str, results: Results) -> tuple[str, dict]:
     """Vary the 4 KB message block of §5.1."""
     s = SCALES[scale]
     mb = s.limits_mb[0]
@@ -584,7 +595,7 @@ def _grid_eld(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_eld(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_eld(scale: str, results: Results) -> tuple[str, dict]:
     """The skew-handling extension the paper cites: duplicate the most
     frequent candidates everywhere, count them locally."""
     s = SCALES[scale]
@@ -628,7 +639,7 @@ def _grid_loss(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_loss(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_loss(scale: str, results: Results) -> tuple[str, dict]:
     """Extension: the cluster runs TCP over ATM's UBR class; quantify how
     segment loss (and the retransmission timeout it triggers) erodes the
     remote-memory advantage."""
@@ -666,7 +677,7 @@ def _grid_npa(scale: str) -> "dict[str, Scenario]":
     return cells
 
 
-def _report_npa(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_npa(scale: str, results: Results) -> tuple[str, dict]:
     """Quantify §2.2's claim that HPA "effectively utilizes the whole
     memory space of all the processors": NPA duplicates the candidate set
     on every node and collapses first as the per-node limit shrinks."""
@@ -715,7 +726,7 @@ def _grid_scaling(scale: str) -> "dict[str, Scenario]":
     }
 
 
-def _report_scaling(scale: str, results: Results, seed: Seed) -> tuple[str, dict]:
+def _report_scaling(scale: str, results: Results) -> tuple[str, dict]:
     """Speedup of the (no-limit) HPA run as application nodes are added.
 
     §3.3: "When the PC cluster using 100 PCs is employed for this
@@ -738,7 +749,7 @@ def _report_scaling(scale: str, results: Results, seed: Seed) -> tuple[str, dict
 
 
 def _empty_grid(scale: str) -> "dict[str, Scenario]":
-    """Grid of the analytic experiments (no simulated runs)."""
+    """Grid of §5.2, which is arithmetic on the paper's constants."""
     return {}
 
 
@@ -758,7 +769,7 @@ ALL_SWEEPS: "dict[str, Sweep]" = {
             shape="C2 >> C_k for all k>2; iteration terminates when "
             "large/candidate itemsets run out (paper: 522753 candidates in "
             "pass 2 vs <=19 afterwards).",
-            grid=_empty_grid,
+            grid=_grid_table2,
             report=_report_table2,
             fold=Fold(
                 "pass", "itemset count", "count",
@@ -771,7 +782,7 @@ ALL_SWEEPS: "dict[str, Sweep]" = {
             title="Number of candidate 2-itemsets at each node",
             shape="counts near-equal but unequal (paper: 582149..641243 "
             "around a 608985 mean, ~5% skew).",
-            grid=_empty_grid,
+            grid=_grid_table3,
             report=_report_table3,
             fold=Fold(
                 "node / statistic", "candidate count (skew rows: ratio)",

@@ -9,8 +9,8 @@ Executing a sweep means resolving every grid cell to a
    each unique content address is submitted to one lingering
    ``ProcessPoolExecutor`` of ``jobs`` spawned processes, and the parent
    installs every result into both cache tiers as it completes (the
-   parent is the only store writer, so a killed ``--resume`` run loses
-   only the cells in flight);
+   parent is the only store writer, so a killed run against a store
+   loses only the cells in flight);
 3. reassemble in grid-key order, never completion order — so a parallel
    sweep's report is byte-for-byte identical to a serial one (results
    ship through the store's exact JSON codec).
@@ -219,10 +219,11 @@ def run_sweep_outcome(
     misses run in a local process pool.  Persistence comes from the
     ambient result store when a
     :func:`~repro.runtime.store.result_store_session` is active.
-    ``seed`` re-seeds every grid (and follow-up) cell and is handed to
-    the report builder, giving one independent replication of the whole
-    sweep per seed — the axis the ``repro-report`` multi-seed aggregates
-    are built on.  This is the only walk from a sweep to its report.
+    ``seed`` re-seeds every grid (and follow-up) cell, giving one
+    independent replication of the whole sweep per seed — the axis the
+    ``repro-report`` multi-seed aggregates are built on.  The report
+    builder sees only the resolved cells.  This is the only walk from a
+    sweep to its report.
     """
     start = time.perf_counter()
     cells = sweep.scenarios(scale, seed)
@@ -241,7 +242,7 @@ def run_sweep_outcome(
                 f"grid: {sorted(collisions)}"
             )
         results.update(_resolve(sweep, extra, jobs, records))
-    text, data = sweep.report(scale, results, seed)
+    text, data = sweep.report(scale, results)
     report = ExperimentReport(
         exp_id=sweep.exp_id, title=sweep.title, text=text, data=data,
         paper_shape=sweep.shape,

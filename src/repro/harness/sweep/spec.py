@@ -3,8 +3,8 @@
 A :class:`Sweep` is one paper experiment and the only declaration of
 its identity: id, title and the shape the paper states.  Its ``grid``
 maps a scale name to an ordered ``{key: Scenario}`` dict — pure data,
-no execution — and its ``report`` folds ``(scale, {key: RunResult},
-seed)`` into the artifact's ``(text, data)``, which the engine stamps
+no execution — and its ``report`` folds ``(scale, {key: RunResult})``
+into the artifact's ``(text, data)``, which the engine stamps
 with that identity as an :class:`ExperimentReport`.  A sweep with a
 :class:`Fold` also appears in the multi-seed statistical report.
 Experiments whose later configurations depend on earlier results
@@ -14,7 +14,7 @@ with the same executor.
 
 Because the grid is data, the engine — not the experiment — decides
 execution order, parallelism, caching, and persistence; and because
-results are keyed, the report is a pure function of ``(scale, seed,
+results are keyed, the report is a pure function of ``(scale,
 results)``, which is what makes parallel and resumed runs
 byte-identical to serial ones.  Only the engine
 (:func:`~repro.harness.sweep.engine.run_sweep_outcome`) calls
@@ -79,11 +79,8 @@ class ExperimentReport:
 GridFn = Callable[[str], "dict[str, Scenario]"]
 #: Stage 2 (optional): (scale, stage-1 results) -> more scenarios.
 FollowupFn = Callable[[str, "Mapping[str, RunResult]"], "dict[str, Scenario]"]
-#: Aggregation: (scale, all results, the sweep's seed override — the
-#: same value the engine re-seeded the grid with) -> (text, data).
-ReportFn = Callable[
-    [str, "Mapping[str, RunResult]", Optional[int]], "tuple[str, dict]"
-]
+#: Aggregation: (scale, all results) -> (text, data).
+ReportFn = Callable[[str, "Mapping[str, RunResult]"], "tuple[str, dict]"]
 
 
 @dataclass(frozen=True)
@@ -105,10 +102,9 @@ class Fold:
 class Sweep:
     """One declarative experiment: grid, optional follow-ups, report.
 
-    Analytic experiments have an empty grid and do all their work in
-    ``report``: Tables 2/3 read the prepared workload of ``(scale,
-    seed)``, §5.2 is arithmetic on the paper's constants.  They still
-    gain the uniform registry, CLI and timing surfaces.
+    A report is a pure function of ``(scale, stored cells)``.  §5.2 is
+    the one empty grid: arithmetic on the paper's constants, which
+    still gains the uniform registry, CLI and timing surfaces.
     """
 
     #: CLI/registry name (``repro-bench <name>``).

@@ -241,7 +241,6 @@ class MiningDriver:
             k += 1
 
         self.result = RunResult(
-            config=cfg,
             large_itemsets=all_large,
             passes=passes,
             total_time_s=self.env.now - start,

@@ -13,7 +13,9 @@ The historical name ``HPAResult`` remains importable from
 
 Every field here is simulated state: results are pure functions of the
 configuration, which is what lets the
-:class:`~repro.runtime.store.ResultStore` address them by content.  Host
+:class:`~repro.runtime.store.ResultStore` address them by content.  A
+result does not carry the configuration that produced it: the scenario
+that a store entry is filed under is its one description.  Host
 wall-clock is measured outside the drivers entirely, by subscribing a
 :class:`~repro.harness.wallclock.PhaseWallClock` to the telemetry bus —
 it must never appear in these dataclasses (``repro-lint`` RPL101 guards
@@ -24,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
-
-from repro.runtime.config import RunConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mining.itemsets import Itemset
@@ -68,7 +68,6 @@ class PassResult:
 class RunResult:
     """Outcome of a full mining run on the simulated cluster."""
 
-    config: RunConfig
     large_itemsets: "dict[Itemset, int]"
     passes: list[PassResult]
     total_time_s: float
@@ -89,11 +88,7 @@ class RunResult:
 
     def summary(self) -> str:
         """Multi-line human-readable run summary."""
-        cfg = self.config
         lines = [
-            f"HPA run: {cfg.n_app_nodes} app nodes, "
-            f"{cfg.n_memory_nodes} memory nodes, pager={cfg.pager}, "
-            f"limit={cfg.memory_limit_bytes or 'none'}",
             f"large itemsets: {len(self.large_itemsets)}; "
             f"total virtual time: {self.total_time_s:.3f}s",
         ]

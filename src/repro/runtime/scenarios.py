@@ -85,6 +85,9 @@ class Scenario:
     loss_probability: float = 0.0
     #: 2 = the paper's §5 experiments (pass 2 is the measured pass).
     max_k: int = 2
+    #: Override the scale's minimum support (Table 2 mines at a stiffer
+    #: one); ``None`` runs at the scale's value.
+    minsup: Optional[float] = None
     #: Override the scale's application-node count (scaling sweeps).
     n_app_nodes: Optional[int] = None
     #: Override the scale's hash-line count (scaling sweeps).
@@ -97,6 +100,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.driver not in DRIVERS:
             raise ConfigError(f"unknown driver {self.driver!r}; have {DRIVERS}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # Normalise JSON round-trip artefacts: lists -> nested tuples.
         object.__setattr__(
             self, "shortages", tuple(tuple(s) for s in self.shortages)
@@ -157,7 +162,7 @@ class Scenario:
         limit = None if self.paper_mb is None else prep.limit_bytes(self.paper_mb)
         cls = NPAConfig if self.driver == "npa" else HPAConfig
         return cls(
-            minsup=scale.minsup,
+            minsup=scale.minsup if self.minsup is None else self.minsup,
             n_app_nodes=self.n_app_nodes or scale.n_app_nodes,
             total_lines=self.total_lines or scale.total_lines,
             max_k=self.max_k,
@@ -288,8 +293,9 @@ def lookup_scenario(scenario: Scenario) -> "Optional[RunResult]":
 def execute_and_install(scenario: Scenario) -> "RunResult":
     """The step after a :func:`lookup_scenario` miss: run the
     simulation — the memory tier's one counted miss — and populate both
-    tiers, so the run is durable (the ``--resume`` contract).  The
-    serial sweep path calls this directly to skip a second probe."""
+    tiers, so the run is durable (what lets a killed sweep re-run
+    only its missing cells).  The serial sweep path calls this directly
+    to skip a second probe."""
     _CACHE.record_miss()
     result = scenario.execute()
     install_result(scenario, result)
@@ -299,12 +305,14 @@ def execute_and_install(scenario: Scenario) -> "RunResult":
 def install_result(scenario: Scenario, result: "RunResult") -> None:
     """Populate both cache tiers with an externally-computed result
     (how results from the sweep engine's process pool enter the
-    parent's caches)."""
+    parent's caches).  Only ever called after a miss, so the store
+    entry is always (re)written: a torn or other-format file that
+    missed is healed by the atomic :meth:`ResultStore.put`."""
     from repro.runtime.store import current_result_store
 
     _CACHE.put(scenario, result)
     store = current_result_store()
-    if store is not None and scenario not in store:
+    if store is not None:
         store.put(scenario, result)
 
 

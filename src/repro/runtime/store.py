@@ -4,11 +4,15 @@ One :class:`ResultStore` is a directory of ``<sha256>.json`` files, one
 per executed :class:`~repro.runtime.scenarios.Scenario`, keyed by the
 SHA-256 of the scenario's canonical JSON (:meth:`Scenario.cache_key` —
 the cosmetic ``name``/``description`` are excluded, so two scenarios
-that execute identically share one entry).  Each file is self-describing
-(it carries the scenario dict alongside the result) and written
-atomically, so a killed sweep leaves at worst one ignorable partial
-temp file and every completed run durable — which is what makes
-``repro-bench --resume`` re-run only the missing configurations.
+that execute identically share one entry).  Each file is
+self-describing: the scenario dict is the run's one description, stored
+alongside the result (which carries no copy of its configuration).
+Writes are atomic, so a killed sweep leaves at worst one ignorable
+partial temp file and every completed run durable — which is what makes
+a re-run against ``repro-bench --store DIR`` execute only the missing
+configurations.  An entry that fails to load (torn, corrupt, or from
+another :data:`STORE_FORMAT`) is a miss, and the re-execution that
+follows rewrites it.
 
 The store is the *second* cache tier: the in-memory
 :class:`~repro.runtime.scenarios.ScenarioCache` sits above it and the
@@ -43,8 +47,6 @@ __all__ = [
     "ResultStore",
     "result_to_dict",
     "result_from_dict",
-    "config_to_dict",
-    "config_from_dict",
     "current_result_store",
     "result_store_session",
 ]
@@ -56,41 +58,15 @@ __all__ = [
 #: (:mod:`repro.harness.wallclock`).  Format 3 dropped the config's
 #: ``kernel`` field (one counting implementation left, so no option).
 #: Format 4 dropped the config's send-window and per-lender memory
-#: factor fields (one value in use each, so constants now).
-STORE_FORMAT = 4
+#: factor fields (one value in use each, so constants now).  Format 5
+#: dropped the result's ``config`` copy: the entry's ``scenario`` is the
+#: run's one description.
+STORE_FORMAT = 5
 
 
 # ---------------------------------------------------------------------------
 # Exact JSON codec for run results
 # ---------------------------------------------------------------------------
-
-def config_to_dict(config) -> dict:
-    """JSON-safe dict of a :class:`~repro.runtime.config.RunConfig`
-    (or one of its driver subclasses, recorded so equality survives)."""
-    from dataclasses import asdict
-
-    d = asdict(config)
-    d["__class__"] = type(config).__name__
-    return d
-
-
-def config_from_dict(data: dict):
-    """Rebuild the exact config object :func:`config_to_dict` captured."""
-    from repro.analysis.cost_model import CostModel
-    from repro.mining.hpa import HPAConfig
-    from repro.mining.npa import NPAConfig
-    from repro.runtime.config import RunConfig
-
-    classes = {
-        "RunConfig": RunConfig,
-        "HPAConfig": HPAConfig,
-        "NPAConfig": NPAConfig,
-    }
-    d = dict(data)
-    cls = classes[d.pop("__class__", "RunConfig")]
-    cost = CostModel(**d.pop("cost"))
-    return cls(cost=cost, **d)
-
 
 def result_to_dict(result: "RunResult") -> dict:
     """JSON-safe dict of a :class:`~repro.runtime.results.RunResult`.
@@ -101,7 +77,6 @@ def result_to_dict(result: "RunResult") -> dict:
     from dataclasses import asdict
 
     return {
-        "config": config_to_dict(result.config),
         "large_itemsets": [
             [list(itemset), count]
             for itemset, count in sorted(result.large_itemsets.items())
@@ -116,7 +91,6 @@ def result_from_dict(data: dict) -> "RunResult":
     from repro.runtime.results import PassResult, RunResult
 
     return RunResult(
-        config=config_from_dict(data["config"]),
         large_itemsets={
             tuple(items): count for items, count in data["large_itemsets"]
         },
@@ -215,9 +189,6 @@ class ResultStore:
     def keys(self) -> "list[str]":
         """Every stored content address, sorted."""
         return sorted(entry.stem for entry in self.path.glob("*.json"))
-
-    def __contains__(self, scenario: "Scenario") -> bool:
-        return self.path_for(scenario).exists()
 
     def __len__(self) -> int:
         return sum(1 for _ in self.path.glob("*.json"))

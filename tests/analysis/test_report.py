@@ -301,6 +301,13 @@ def test_parse_seeds_count_and_list():
         _parse_seeds("x", "tiny")
 
 
+def test_cli_negative_seeds_are_a_usage_error(capsys):
+    from repro.analysis.report.cli import main
+
+    assert main(["--scale", "tiny", "--seeds=-5,3"]) == 2
+    assert "seeds must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_rejects_current_without_diff(capsys):
     from repro.analysis.report.cli import main
 

@@ -58,7 +58,7 @@ def test_flag_surface_is_pinned():
     flags = {s for a in build_parser()._actions for s in a.option_strings}
     assert flags - {"-h", "--help"} == {
         "--scale", "--list", "--list-scenarios", "--json",
-        "--trace", "--jobs", "--store", "--resume", "--seed",
+        "--trace", "--jobs", "--store", "--seed",
         "--store-stats", "--store-gc",
     }
 
@@ -71,6 +71,7 @@ def test_flag_surface_is_pinned():
     (build_parser, "--serve-host"),
     (build_parser, "--port"),
     (build_parser, "--race"),
+    (build_parser, "--resume"),
     (build_report_parser, "--bench"),
 ])
 def test_retired_flags_are_rejected(parser, flag):
@@ -79,6 +80,13 @@ def test_retired_flags_are_rejected(parser, flag):
     with pytest.raises(SystemExit) as exc:
         parser().parse_args([f"{flag}=1"])
     assert exc.value.code == 2
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig4", "--scale", "tiny", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_json_output(tmp_path, capsys):

@@ -47,7 +47,7 @@ def _toy_sweep(**overrides):
             "a-again": Scenario(scale=scale, pager="remote", n_memory_nodes=2,
                                 paper_mb=13.0),
         },
-        report=lambda scale, results, seed: (
+        report=lambda scale, results: (
             "toy",
             {k: r.pass_result(2).duration_s for k, r in results.items()},
         ),
@@ -336,31 +336,33 @@ def test_report_folds_exactly_each_seeds_series(name, sweep_reports):
 def test_cell_backed_reports_render_warm_without_workload_code(
     sweep_reports, monkeypatch
 ):
-    """Every sweep whose report folds stored cells renders from a warm
-    store (the session's shared fill) with datagen, mining and prepare
-    unreachable."""
+    """Every sweep's report folds stored cells, so all 15 render from a
+    warm store (the session's shared fill) with datagen, mining and
+    prepare unreachable and ``prepare_workload``'s memo empty."""
     import repro.harness.experiments as experiments
     import repro.harness.scales as scales
+    from repro.datagen.quest import QuestGenerator
 
-    cell_backed = [n for n in ALL_SWEEPS if n not in ("table2", "table3")]
-    assert len(cell_backed) == 13
+    assert len(ALL_SWEEPS) == 15
     fill = sweep_reports("tiny")
     seed = scales.SCALES["tiny"].seed
-    cold = {n: fill.reports[n, seed].to_json() for n in cell_backed}
+    cold = {n: fill.reports[n, seed].to_json() for n in ALL_SWEEPS}
     clear_cache()
+    scales.prepare_workload.cache_clear()
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a warm render reached workload code")
 
     monkeypatch.setattr("repro.datagen.generate", unreachable)
     monkeypatch.setattr("repro.mining.apriori", unreachable)
+    monkeypatch.setattr(QuestGenerator, "generate", unreachable)
     for module in (scales, experiments):
         for name in ("generate", "apriori", "prepare_workload"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unreachable)
     with result_store_session(fill.store):
-        for n in cell_backed:
-            warm = run_sweep_outcome(ALL_SWEEPS[n], "tiny")
+        for n, sweep in ALL_SWEEPS.items():
+            warm = run_sweep_outcome(sweep, "tiny")
             assert warm.n_executed == 0
             assert warm.report.to_json() == cold[n]
 

@@ -221,7 +221,7 @@ def test_deterministic_given_seed():
 def test_summary_renders():
     res = run_hpa(DB, cfg(pager="disk", memory_limit_bytes=int(PER_NODE_BYTES * 0.6)))
     s = res.summary()
-    assert "HPA run" in s
+    assert "large itemsets" in s
     assert "pass 2" in s
     assert "faults" in s
 

@@ -38,6 +38,9 @@ def test_json_round_trip():
         shortages=((0.05, 0), (0.09, 1)),
     )
     assert Scenario.from_json(s.to_json()) == s
+    stiffer = replace(s, minsup=0.05)
+    assert Scenario.from_json(stiffer.to_json()) == stiffer
+    assert stiffer.cache_key() != s.cache_key()
 
 
 def test_shortages_normalised_from_json_lists():
@@ -48,6 +51,13 @@ def test_shortages_normalised_from_json_lists():
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown scenario field"):
         Scenario.from_dict({"pager": "disk", "warp_drive": True})
+
+
+def test_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        Scenario(seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        Scenario.from_dict({"seed": -1})
 
 
 def test_rejects_unknown_driver():

@@ -26,15 +26,13 @@ def test_codec_round_trip_is_exact():
     # resumed sweeps byte-identical to serial ones.
     assert back == res
     assert back.pass_result(2).duration_s == res.pass_result(2).duration_s
-    assert type(back.config) is type(res.config)
 
 
 def test_store_put_get_and_content_addressing(tmp_path):
     store = ResultStore(tmp_path)
-    assert TINY not in store
+    assert store.get(TINY) is None
     res = TINY.execute()
     store.put(TINY, res)
-    assert TINY in store
     assert len(store) == 1
     assert store.get(TINY) == res
     # The address depends only on the semantic fields, not the name.
@@ -76,14 +74,13 @@ def test_corrupt_and_mismatched_entries_are_misses(tmp_path):
 
 
 def test_format_2_entry_with_kernel_field_is_a_clean_miss(tmp_path):
-    """Format 2 stored ``"kernel"`` in the config; the field is gone, so
-    such an entry must read as a miss (not leak ``RunConfig``'s
-    ``TypeError``), be overwritten by the next put, and go at gc."""
+    """Format 2 stored a config copy with ``"kernel"`` in every result;
+    results carry no config now, so such an entry must read as a miss,
+    be overwritten by the next put, and go at gc."""
     store = ResultStore(tmp_path)
     res = TINY.execute()
-    assert "kernel" not in result_to_dict(res)["config"]
-    old = result_to_dict(res)
-    old["config"]["kernel"] = "vector"
+    assert "config" not in result_to_dict(res)
+    old = {**result_to_dict(res), "config": {"kernel": "vector"}}
     stale = json.dumps({"format": 2, "scenario": TINY.to_dict(), "result": old})
     path = store.path_for(TINY)
 
@@ -91,13 +88,9 @@ def test_format_2_entry_with_kernel_field_is_a_clean_miss(tmp_path):
     assert store.get(TINY) is None
     assert store.read_payload(store.key_for(TINY)) is None
     assert (store.hits, store.misses) == (0, 1)
-    # Even relabelled as the current format the dropped field is a miss.
-    path.write_text(stale.replace('"format": 2', f'"format": {STORE_FORMAT}'))
-    assert store.get(TINY) is None
 
-    path.write_text(stale)
     store.put(TINY, res)
-    assert json.loads(path.read_text())["format"] == STORE_FORMAT == 4
+    assert json.loads(path.read_text())["format"] == STORE_FORMAT == 5
     assert store.get(TINY) == res
 
     path.write_text(stale)
@@ -183,6 +176,9 @@ def test_read_payload_and_keys(tmp_path):
     payload = store.read_payload(key)
     assert payload is not None
     assert payload["format"] == STORE_FORMAT
+    # One description of the run: the scenario, never a config copy.
+    assert payload["scenario"] == TINY.to_dict()
+    assert "config" not in payload["result"]
     assert result_from_dict(payload["result"]) == TINY.execute()
     assert store.read_payload("0" * 64) is None
 
@@ -201,6 +197,25 @@ def test_run_scenario_populates_and_reuses_the_store(tmp_path):
         assert stats["hits"] == 1
         assert stats["misses"] == 0
         assert stats["writes"] == 0  # nothing re-executed, nothing rewritten
+    clear_cache()
+
+
+def test_truncated_entry_is_rewritten_by_the_next_session(tmp_path):
+    """A torn entry misses once: the re-execution rewrites it, so the
+    session after that is a store hit again."""
+    clear_cache()
+    with result_store_session(tmp_path) as store:
+        first = run_scenario(TINY)
+    path = store.path_for(TINY)
+    path.write_text(path.read_text()[:100])
+    clear_cache()
+    with result_store_session(tmp_path) as store:
+        assert run_scenario(TINY) == first
+        assert (store.hits, store.misses, store.writes) == (0, 1, 1)
+    clear_cache()
+    with result_store_session(tmp_path) as store:
+        assert run_scenario(TINY) == first
+        assert (store.hits, store.misses, store.writes) == (1, 0, 0)
     clear_cache()
 
 
