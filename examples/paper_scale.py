@@ -37,7 +37,7 @@ def busiest_resident_bytes(prep: PreparedWorkload) -> int:
     scale = prep.scale
     l1 = sorted(apriori(prep.db, minsup=scale.minsup, max_k=1).large_of_size(1))
     part = HashPartitioner(scale.total_lines, scale.n_app_nodes)
-    held = np.unique(part.lines_of(np.array(generate_candidates(l1, 2))))
+    held = np.unique(part.lines_of(generate_candidates(l1, 2)))
     # A line lives on one node, so the lines a node holds are the held
     # lines it owns.
     lines_held = np.bincount(held % scale.n_app_nodes, minlength=scale.n_app_nodes)

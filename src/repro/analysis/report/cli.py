@@ -37,6 +37,7 @@ from repro.analysis.report.experiment_results import (
 )
 from repro.analysis.report.rendering import render_html, render_markdown
 from repro.errors import HarnessError
+from repro.harness.cli import int_at_least
 from repro.harness.scales import SCALES
 
 __all__ = ["main", "build_parser"]
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=int_at_least(1),
         default=1,
         metavar="N",
         help="execute scenario grids with N worker processes",

@@ -101,12 +101,9 @@ class MemoryManagementTable:
 
     def _ensure(self, line_id: int) -> None:
         if line_id >= len(self._state):
-            cap = max(2 * len(self._state), line_id + 1)
-            self._state = np.concatenate(
-                [self._state, np.zeros(cap - len(self._state), dtype=np.int8)]
-            )
-            grown = np.full(cap - len(self._holder), _NO_NODE, dtype=np.int32)
-            self._holder = np.concatenate([self._holder, grown])
+            grow = max(len(self._state), line_id + 1 - len(self._state))
+            self._state = np.pad(self._state, (0, grow))  # zeros: RESIDENT
+            self._holder = np.pad(self._holder, (0, grow), constant_values=_NO_NODE)
 
     def state_code(self, line_id: int) -> int:
         """Integer state code of ``line_id`` (O(1), no allocation)."""
@@ -153,26 +150,23 @@ class MemoryManagementTable:
             self._holder[line_id] = _NO_NODE
         self._order.pop(line_id, None)
 
-    def set_disk(self, line_id: int) -> None:
-        """Mark a line as swapped to the local disk."""
+    def _set(self, line_id: int, code: int, node_id: int = _NO_NODE) -> None:
         self._ensure(line_id)
-        self._state[line_id] = DISK
-        self._holder[line_id] = _NO_NODE
-        self._order[line_id] = None
-
-    def set_remote(self, line_id: int, node_id: int, fixed: bool = False) -> None:
-        """Mark a line as held by memory-available node ``node_id``."""
-        self._ensure(line_id)
-        self._state[line_id] = REMOTE_FIXED if fixed else REMOTE
+        self._state[line_id] = code
         self._holder[line_id] = node_id
         self._order[line_id] = None
 
+    def set_disk(self, line_id: int) -> None:
+        """Mark a line as swapped to the local disk."""
+        self._set(line_id, DISK)
+
+    def set_remote(self, line_id: int, node_id: int, fixed: bool = False) -> None:
+        """Mark a line as held by memory-available node ``node_id``."""
+        self._set(line_id, REMOTE_FIXED if fixed else REMOTE, node_id)
+
     def set_migrating(self, line_id: int) -> None:
         """Mark a line as in flight between memory-available nodes."""
-        self._ensure(line_id)
-        self._state[line_id] = MIGRATING
-        self._holder[line_id] = _NO_NODE
-        self._order[line_id] = None
+        self._set(line_id, MIGRATING)
 
     def lines_at(self, node_id: int) -> list[int]:
         """All lines currently held (swappable or fixed) at ``node_id``,

@@ -209,15 +209,7 @@ class MonitorClient:
     def mark_full(self, node_id: int) -> None:
         """Locally zero a node's availability after a rejected swap-out;
         the next broadcast from that node refreshes the truth."""
-        info = self.table.get(node_id)
-        if info is not None:
-            self.table[node_id] = AvailabilityInfo(
-                node_id=node_id,
-                available_bytes=0,
-                shortage=info.shortage,
-                seq=info.seq,
-                timestamp=info.timestamp,
-            )
+        self.adjust_estimate(node_id, -self.available_bytes(node_id))
 
     def _run(self) -> Generator:
         env = self.node.env

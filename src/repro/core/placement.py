@@ -77,7 +77,6 @@ class PlacementPolicy(ABC):
         """Give the policy a handle on its pager's migration machinery."""
         self.pager = pager
 
-    @abstractmethod
     def choose(
         self,
         client: MonitorClient,
@@ -88,14 +87,29 @@ class PlacementPolicy(ABC):
 
         Raises :class:`NoMemoryAvailable` when no candidate qualifies.
         """
-
-    def _chosen(self, client: MonitorClient, dst: int, needed_bytes: int) -> int:
+        cands = self._qualifying(client, needed_bytes, exclude)
+        if not cands:
+            raise NoMemoryAvailable(
+                f"no memory-available node can hold {needed_bytes} B "
+                f"(known: {sorted(client.table)})"
+            )
+        dst = self._pick(client, cands)
         if self.bus is not None:
             self.bus.emit(
                 "placement", client.node.node_id,
                 dst=dst, needed_bytes=needed_bytes, policy=self.name,
             )
         return dst
+
+    def _qualifying(
+        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int]
+    ) -> "list[int]":
+        """The nodes ``choose`` may pick from."""
+        return _candidates(client, needed_bytes, exclude)
+
+    @abstractmethod
+    def _pick(self, client: MonitorClient, cands: "list[int]") -> int:
+        """The policy's choice among the qualifying nodes."""
 
 
 def _candidates(client: MonitorClient, needed_bytes: int, exclude: Iterable[int]) -> list[int]:
@@ -109,26 +123,13 @@ def _candidates(client: MonitorClient, needed_bytes: int, exclude: Iterable[int]
     return out
 
 
-def _no_candidates(client: MonitorClient, needed_bytes: int) -> NoMemoryAvailable:
-    return NoMemoryAvailable(
-        f"no memory-available node can hold {needed_bytes} B "
-        f"(known: {sorted(client.table)})"
-    )
-
-
 class MostAvailableFirst(PlacementPolicy):
     """Send the line to the node reporting the most free memory."""
 
     name = "most-available"
 
-    def choose(
-        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int] = ()
-    ) -> int:
-        cands = _candidates(client, needed_bytes, exclude)
-        if not cands:
-            raise _no_candidates(client, needed_bytes)
-        dst = max(cands, key=lambda n: (client.table[n].available_bytes, -n))
-        return self._chosen(client, dst, needed_bytes)
+    def _pick(self, client: MonitorClient, cands: "list[int]") -> int:
+        return max(cands, key=lambda n: (client.table[n].available_bytes, -n))
 
 
 class RoundRobinPlacement(PlacementPolicy):
@@ -140,15 +141,10 @@ class RoundRobinPlacement(PlacementPolicy):
         super().__init__(bus)
         self._next = 0
 
-    def choose(
-        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int] = ()
-    ) -> int:
-        cands = sorted(_candidates(client, needed_bytes, exclude))
-        if not cands:
-            raise _no_candidates(client, needed_bytes)
-        choice = cands[self._next % len(cands)]
+    def _pick(self, client: MonitorClient, cands: "list[int]") -> int:
+        choice = sorted(cands)[self._next % len(cands)]
         self._next += 1
-        return self._chosen(client, choice, needed_bytes)
+        return choice
 
 
 class PredictivePlacement(PlacementPolicy):
@@ -202,16 +198,15 @@ class PredictivePlacement(PlacementPolicy):
         age = max(0.0, now - ts)
         return smoothed * math.exp(-age / STALENESS_TAU_S)
 
-    def choose(
-        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int] = ()
-    ) -> int:
-        self._refresh(client)
-        cands = _candidates(client, needed_bytes, exclude)
-        if not cands:
-            raise _no_candidates(client, needed_bytes)
+    def _qualifying(
+        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int]
+    ) -> "list[int]":
+        self._refresh(client)  # even when nothing qualifies
+        return _candidates(client, needed_bytes, exclude)
+
+    def _pick(self, client: MonitorClient, cands: "list[int]") -> int:
         now = client.node.env.now
-        dst = max(cands, key=lambda n: (self._score(n, now), -n))
-        return self._chosen(client, dst, needed_bytes)
+        return max(cands, key=lambda n: (self._score(n, now), -n))
 
 
 class MigrateAheadPlacement(PredictivePlacement):
@@ -271,22 +266,17 @@ class MigrateAheadPlacement(PredictivePlacement):
                     )
                 client.node.env.process(self.pager.migrate_from(node_id))
 
-    def choose(
-        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int] = ()
-    ) -> int:
+    def _qualifying(
+        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int]
+    ) -> "list[int]":
         self._refresh(client)
         self._maybe_evacuate(client)
         banned = set(exclude) | self._evacuated
-        cands = _candidates(client, needed_bytes, banned)
-        if not cands:
-            # Evacuation targets are a preference, not a hard exclusion:
-            # if nothing else qualifies, fall back to the full set.
-            cands = _candidates(client, needed_bytes, exclude)
-        if not cands:
-            raise _no_candidates(client, needed_bytes)
-        now = client.node.env.now
-        dst = max(cands, key=lambda n: (self._score(n, now), -n))
-        return self._chosen(client, dst, needed_bytes)
+        # Evacuation targets are a preference, not a hard exclusion: if
+        # nothing else qualifies, fall back to the full set.
+        return _candidates(client, needed_bytes, banned) or _candidates(
+            client, needed_bytes, exclude
+        )
 
 
 #: Policy registry backing :func:`make_placement` (and the config

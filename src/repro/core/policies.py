@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
-from typing import Optional
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -22,25 +22,29 @@ class ReplacementPolicy(ABC):
     """Tracks the set of resident line ids and picks eviction victims."""
 
     name: str = "abstract"
+    #: The resident line ids, in a container with O(1) membership.
+    _members: "Collection[int]"
 
     @abstractmethod
     def insert(self, line_id: int) -> None:
         """A line became resident."""
 
-    @abstractmethod
+    def insert_batch(self, line_ids: "list[int]") -> None:
+        """Several distinct lines became resident, in this order."""
+        for line_id in line_ids:
+            self.insert(line_id)
+
     def touch(self, line_id: int) -> None:
-        """A resident line was accessed."""
+        """A resident line was accessed (only recency policies care)."""
+        if line_id not in self._members:
+            raise SwapError(f"touch of non-resident line {line_id}")
 
     def touch_batch(self, line_ids: "list[int]") -> None:
-        """Touch several distinct resident lines in one call.
-
-        ``line_ids`` must hold each line once, ordered so the *last*
-        element ends up most recently used — i.e. distinct lines in
-        last-occurrence order of the access run being folded.
-        """
-        stop = self.touch_run(line_ids, 0)
-        if stop < len(line_ids):
-            raise SwapError(f"touch of non-resident line {line_ids[stop]}")
+        """Touch several distinct resident lines, the *last* ending up
+        most recently used: the distinct lines of an access run being
+        folded, in last-occurrence order."""
+        for line_id in line_ids:
+            self.touch(line_id)
 
     def touch_run(self, line_ids: "list[int]", start: int) -> int:
         """Touch ``line_ids[start:]`` one by one, in order, up to the
@@ -60,13 +64,13 @@ class ReplacementPolicy(ABC):
     def victim(self, pinned: Optional[int] = None) -> int:
         """Choose and remove the next eviction victim (never ``pinned``)."""
 
-    @abstractmethod
     def __len__(self) -> int:
         """Number of tracked resident lines."""
+        return len(self._members)
 
-    @abstractmethod
     def __contains__(self, line_id: int) -> bool:
         """Whether a line is tracked as resident."""
+        return line_id in self._members
 
     @abstractmethod
     def clear(self) -> None:
@@ -79,20 +83,33 @@ class LRUPolicy(ReplacementPolicy):
     name = "lru"
 
     def __init__(self) -> None:
-        self._order: "OrderedDict[int, None]" = OrderedDict()
+        #: Least recently used first.
+        self._members: "OrderedDict[int, None]" = OrderedDict()
 
     def insert(self, line_id: int) -> None:
-        if line_id in self._order:
+        if line_id in self._members:
             raise SwapError(f"line {line_id} already resident")
-        self._order[line_id] = None
+        self._members[line_id] = None
+
+    def insert_batch(self, line_ids: "list[int]") -> None:
+        before = len(self._members)
+        self._members.update(dict.fromkeys(line_ids))
+        if len(self._members) != before + len(line_ids):
+            raise SwapError("a line of the batch was already resident")
 
     def touch(self, line_id: int) -> None:
-        if line_id not in self._order:
+        if line_id not in self._members:
             raise SwapError(f"touch of non-resident line {line_id}")
-        self._order.move_to_end(line_id)
+        self._members.move_to_end(line_id)
+
+    def touch_batch(self, line_ids: "list[int]") -> None:
+        try:
+            deque(map(self._members.move_to_end, line_ids), maxlen=0)
+        except KeyError as missing:
+            raise SwapError(f"touch of non-resident line {missing}") from None
 
     def touch_run(self, line_ids: "list[int]", start: int) -> int:
-        move = self._order.move_to_end
+        move = self._members.move_to_end
         try:
             for i in range(start, len(line_ids)):
                 move(line_ids[i])
@@ -101,25 +118,19 @@ class LRUPolicy(ReplacementPolicy):
         return len(line_ids)
 
     def remove(self, line_id: int) -> None:
-        if line_id not in self._order:
+        if line_id not in self._members:
             raise SwapError(f"remove of non-resident line {line_id}")
-        del self._order[line_id]
+        del self._members[line_id]
 
     def victim(self, pinned: Optional[int] = None) -> int:
-        for line_id in self._order:
+        for line_id in self._members:
             if line_id != pinned:
-                del self._order[line_id]
+                del self._members[line_id]
                 return line_id
         raise SwapError("no evictable line (all pinned or empty)")
 
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __contains__(self, line_id: int) -> bool:
-        return line_id in self._order
-
     def clear(self) -> None:
-        self._order.clear()
+        self._members.clear()
 
 
 class FIFOPolicy(ReplacementPolicy):
@@ -136,10 +147,6 @@ class FIFOPolicy(ReplacementPolicy):
             raise SwapError(f"line {line_id} already resident")
         self._queue.append(line_id)
         self._members.add(line_id)
-
-    def touch(self, line_id: int) -> None:
-        if line_id not in self._members:
-            raise SwapError(f"touch of non-resident line {line_id}")
 
     def remove(self, line_id: int) -> None:
         if line_id not in self._members:
@@ -159,12 +166,6 @@ class FIFOPolicy(ReplacementPolicy):
             return cand
         raise SwapError("no evictable line (all pinned or empty)")
 
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, line_id: int) -> bool:
-        return line_id in self._members
-
     def clear(self) -> None:
         self._queue.clear()
         self._members.clear()
@@ -177,47 +178,38 @@ class RandomPolicy(ReplacementPolicy):
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
-        self._members: list[int] = []
-        self._index: dict[int, int] = {}
+        self._lines: list[int] = []
+        #: Line id -> its position in ``_lines``.
+        self._members: dict[int, int] = {}
 
     def insert(self, line_id: int) -> None:
-        if line_id in self._index:
+        if line_id in self._members:
             raise SwapError(f"line {line_id} already resident")
-        self._index[line_id] = len(self._members)
-        self._members.append(line_id)
-
-    def touch(self, line_id: int) -> None:
-        if line_id not in self._index:
-            raise SwapError(f"touch of non-resident line {line_id}")
+        self._members[line_id] = len(self._lines)
+        self._lines.append(line_id)
 
     def remove(self, line_id: int) -> None:
-        if line_id not in self._index:
+        if line_id not in self._members:
             raise SwapError(f"remove of non-resident line {line_id}")
         # Swap-with-last for O(1) removal.
-        i = self._index.pop(line_id)
-        last = self._members.pop()
+        i = self._members.pop(line_id)
+        last = self._lines.pop()
         if last != line_id:
-            self._members[i] = last
-            self._index[last] = i
+            self._lines[i] = last
+            self._members[last] = i
 
     def victim(self, pinned: Optional[int] = None) -> int:
-        if not self._members or (len(self._members) == 1 and self._members[0] == pinned):
+        if not self._lines or (len(self._lines) == 1 and self._lines[0] == pinned):
             raise SwapError("no evictable line (all pinned or empty)")
         while True:
-            cand = self._members[int(self._rng.integers(len(self._members)))]
+            cand = self._lines[int(self._rng.integers(len(self._lines)))]
             if cand != pinned:
                 self.remove(cand)
                 return cand
 
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, line_id: int) -> bool:
-        return line_id in self._index
-
     def clear(self) -> None:
+        self._lines.clear()
         self._members.clear()
-        self._index.clear()
 
 
 def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:

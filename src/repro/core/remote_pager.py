@@ -133,11 +133,7 @@ class RemoteMemoryPager(Pager):
             try:
                 self.stores[dst].put(self.owner_id, line)
             except NoMemoryAvailable:
-                self.client.mark_full(dst)
-                exclude.add(dst)
-                self.stats.placement_rejections += 1
-                self._emit("placement-reject", dst=dst,
-                           policy=self.placement.name)
+                self._rejected(dst, exclude)
                 continue
             break
         self.table.set_remote(line.line_id, dst, fixed=self.fixed)
@@ -146,6 +142,13 @@ class RemoteMemoryPager(Pager):
         self.stats.bytes_swapped_out += block
         self._emit("swap-out", line=line.line_id, dst=dst, bytes=block)
         return self._pay_evict(dst, block)
+
+    def _rejected(self, dst: int, exclude: "set[int]") -> None:
+        """``dst`` turned a line down: its availability entry was stale."""
+        self.client.mark_full(dst)
+        exclude.add(dst)
+        self.stats.placement_rejections += 1
+        self._emit("placement-reject", dst=dst, policy=self.placement.name)
 
     def _pay_evict(self, dst: int, block: int) -> Generator:
         start = self.node.env.now
@@ -167,62 +170,59 @@ class RemoteMemoryPager(Pager):
             # state in this same instant; back off briefly.
             yield self.node.env.timeout(1e-5)
 
-    def fault_in(self, line_id: int) -> Generator:
-        start = self.node.env.now
+    def _request(self, line_id: int, states: tuple, verb: str) -> Generator:
+        """Send a request for ``line_id`` to its holder and have it
+        serviced there; returns the holder's id with the line still in
+        its store, or ``None`` when the line lives on the fallback disk."""
         while True:
             loc = self.table.location(line_id)
             if loc.state is LineState.MIGRATING:
                 yield from self._await_migration(line_id)
                 continue
             if loc.state is LineState.DISK and self.fallback is not None:
-                line = yield from self.fallback.fault_in(line_id)
-                return line
-            if loc.state is not LineState.REMOTE:
+                return None
+            if loc.state not in states:
                 raise SwapError(
-                    f"cannot fault in line {line_id}: state {loc.state.value}"
+                    f"cannot {verb} line {line_id}: state {loc.state.value}"
                 )
             holder = self.memory_nodes[loc.node_id]
             yield from self._send(self.node, holder, self.cost.fault_request_bytes)
             yield from holder.compute(self.cost.remote_fault_service_s)
-            if not self.stores[loc.node_id].holds(self.owner_id, line_id):
-                # The line migrated away while our request was in flight;
-                # re-resolve its location and retry.
-                continue
-            line = self.stores[loc.node_id].take(self.owner_id, line_id)
-            self.client.adjust_estimate(loc.node_id, line.nbytes)
-            break
+            if self.stores[loc.node_id].holds(self.owner_id, line_id):
+                return loc.node_id
+            # The line migrated away while the request was in flight;
+            # re-resolve its location and retry.
+
+    def fault_in(self, line_id: int) -> Generator:
+        start = self.node.env.now
+        holder = yield from self._request(line_id, (LineState.REMOTE,), "fault in")
+        if holder is None:
+            assert self.fallback is not None
+            return (yield from self.fallback.fault_in(line_id))
+        line = self.stores[holder].take(self.owner_id, line_id)
+        self.client.adjust_estimate(holder, line.nbytes)
         block = self.cost.line_message_bytes()
-        yield from self._send(holder, self.node, block)
+        yield from self._send(self.memory_nodes[holder], self.node, block)
         self.table.set_resident(line_id)
         self.stats.faults += 1
         self.stats.bytes_faulted_in += block
         duration = self.node.env.now - start
         self.stats.fault_time_s += duration
-        self._emit("fault", line=line_id, holder=loc.node_id,
+        self._emit("fault", line=line_id, holder=holder,
                    duration_s=duration, bytes=block)
         return line
 
     # -- peek (determination phase) ----------------------------------------------
 
     def peek_line(self, line_id: int) -> Generator:
-        while True:
-            loc = self.table.location(line_id)
-            if loc.state is LineState.MIGRATING:
-                yield from self._await_migration(line_id)
-                continue
-            if loc.state is LineState.DISK and self.fallback is not None:
-                line = yield from self.fallback.peek_line(line_id)
-                return line
-            if loc.state not in (LineState.REMOTE, LineState.REMOTE_FIXED):
-                raise SwapError(f"cannot peek line {line_id}: state {loc.state.value}")
-            holder = self.memory_nodes[loc.node_id]
-            yield from self._send(self.node, holder, self.cost.fault_request_bytes)
-            yield from holder.compute(self.cost.remote_fault_service_s)
-            if not self.stores[loc.node_id].holds(self.owner_id, line_id):
-                continue
-            line = self.stores[loc.node_id].peek(self.owner_id, line_id)
-            break
-        yield from self._send(holder, self.node, self.cost.line_message_bytes())
+        states = (LineState.REMOTE, LineState.REMOTE_FIXED)
+        holder = yield from self._request(line_id, states, "peek")
+        if holder is None:
+            assert self.fallback is not None
+            return (yield from self.fallback.peek_line(line_id))
+        line = self.stores[holder].peek(self.owner_id, line_id)
+        block = self.cost.line_message_bytes()
+        yield from self._send(self.memory_nodes[holder], self.node, block)
         self.stats.peeks += 1
         return line
 
@@ -285,11 +285,7 @@ class RemoteMemoryPager(Pager):
                 try:
                     self.stores[dst].put(self.owner_id, line)
                 except NoMemoryAvailable:
-                    self.client.mark_full(dst)
-                    exclude.add(dst)
-                    self.stats.placement_rejections += 1
-                    self._emit("placement-reject", dst=dst,
-                               policy=self.placement.name)
+                    self._rejected(dst, exclude)
                     continue
                 break
             self.table.set_remote(lid, dst, fixed=self.fixed)

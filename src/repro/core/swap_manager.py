@@ -6,17 +6,19 @@ the execution of HPA program, part of contents is swapped out ...  The
 unit of swapping operation is a hash line ...  The hash line swapped out
 is selected using a LRU algorithm."
 
-:class:`SwapManager` owns one node's resident :class:`HashLine`s, a
-replacement policy over them, and a pager that moves lines out/in.  The
-support counts are not in the lines: they live in the pass's
-:class:`CandidateHashTable` at ``counts[code]`` wherever the line
-currently is, so residency decides only what an access *costs in
-simulated time*.  The two hot operations — inserting a candidate and
-counting an occurrence — are *fast-path/slow-path split*: they return
-``None`` when everything was resident (no simulation events), or a
-generator the calling process must ``yield from`` when a swap, fault, or
-update flush is needed.  This keeps event counts proportional to faults,
-not to itemsets.
+:class:`SwapManager` keeps one node's resident hash lines as one integer
+array (candidates chained per held line, 0 when it is not resident),
+beside the :class:`MemoryManagementTable`'s state codes, a replacement
+policy over the resident line ids, and a pager that moves lines out and
+in — a :class:`HashLine` exists only in transit, from eviction to
+fault-in.  The support counts live in the pass's
+:class:`CandidateHashTable` at ``counts[code]`` wherever the line is, so
+residency decides only what an access *costs in simulated time*.  The
+two hot operations — inserting a candidate and counting an occurrence —
+are *fast-path/slow-path split*: they return ``None`` when everything
+was resident (no simulation events), or a generator the calling process
+must ``yield from`` when a swap, fault, or update flush is needed.  This
+keeps event counts proportional to faults, not to itemsets.
 """
 
 from __future__ import annotations
@@ -39,6 +41,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["SwapManager", "SwapManagerStats"]
 
 _NO_CODES = np.empty(0, dtype=np.int64)
+
+
+def _groups(slots: np.ndarray, n_slots: int) -> "tuple[np.ndarray, ...]":
+    """The distinct values of ``slots`` (all below ``n_slots``), ascending,
+    with each one's first and last position and number of occurrences —
+    O(len + n_slots), no sort."""
+    at = np.arange(slots.size)
+    first = np.full(n_slots, slots.size)
+    np.minimum.at(first, slots, at)
+    last = np.full(n_slots, -1)
+    np.maximum.at(last, slots, at)
+    n = np.bincount(slots, minlength=n_slots)
+    distinct = np.flatnonzero(n)
+    return distinct, first[distinct], last[distinct], n[distinct]
 
 
 @dataclass
@@ -75,10 +91,7 @@ class SwapManager:
         self.bus = None
         #: The pass's candidate table and the codes this node owns in it
         #: (see :meth:`begin_pass`).
-        self.table = CandidateHashTable(_NO_CODES)
-        self.owned = _NO_CODES
-        #: Resident hash lines by id.
-        self.lines: dict[int, HashLine] = {}
+        self.begin_pass(CandidateHashTable(_NO_CODES), _NO_CODES, range(0))
         self.mm_table = pager.table if pager is not None else MemoryManagementTable()
         self.resident_bytes = 0
         self.stats = SwapManagerStats()
@@ -91,16 +104,25 @@ class SwapManager:
         self._faulting: dict[int, object] = {}
         # In-flight asynchronous eviction transfers (see _make_room).
         self._evictions: list = []
+        self._compact_at = 0
         #: Bytes pinned in memory outside the hash table (e.g. HPA-ELD's
         #: duplicated candidates); they count against the usage limit but
         #: can never be evicted.
         self.pinned_bytes = 0
 
-    def begin_pass(self, table: CandidateHashTable, owned: np.ndarray) -> None:
+    def begin_pass(
+        self, table: CandidateHashTable, owned: np.ndarray, held: range
+    ) -> None:
         """Attach the pass's candidate table; ``owned`` are the codes
-        whose inserts and counts are routed to this node."""
+        whose inserts and counts are routed to this node, ``held`` the
+        ids of the hash lines they hash to (HPA's node ``a`` of ``n``
+        holds lines ``a, a + n, ...``)."""
         self.table = table
         self.owned = owned
+        self._held = held
+        # Candidates chained on each resident line, by position in
+        # ``held``; 0 = not resident (a line chains one at least).
+        self._sizes = np.zeros(len(held), dtype=np.int64)
         if self.pager is not None:
             self.pager.candidates = table
 
@@ -158,22 +180,20 @@ class SwapManager:
             self.table.count(code, line_id)
         else:
             self.table.insert(code, line_id)
-            self._resident_line(line_id).n_itemsets += 1
+            slot = self._slot(line_id)
+            if not self._sizes[slot]:  # a fresh line
+                self.policy.insert(line_id)
+                self.resident_bytes += LINE_HEADER_BYTES
+            self._sizes[slot] += 1
             self.resident_bytes += ITEMSET_BYTES
         self.policy.touch(line_id)
         if not delta and self.over_limit:
             # Never evict the line we are actively inserting into.
             self._make_room(pinned=line_id)
 
-    def _resident_line(self, line_id: int) -> HashLine:
-        """The resident line, created empty (and entered into the policy)
-        on first touch."""
-        line = self.lines.get(line_id)
-        if line is None:
-            line = self.lines[line_id] = HashLine(line_id)
-            self.policy.insert(line_id)
-            self.resident_bytes += LINE_HEADER_BYTES
-        return line
+    def _slot(self, line_ids: "int | np.ndarray") -> "int | np.ndarray":
+        """Position of held lines in ``held`` (and so in the size array)."""
+        return (line_ids - self._held.start) // self._held.step
 
     # -- many at a time -------------------------------------------------------------
 
@@ -186,32 +206,32 @@ class SwapManager:
         evicts, and everything after it may fault or buffer).  Up to
         there the per-candidate sequence reads nothing but this
         manager's own ledger, so it folds into one grouped pass: fresh
-        lines are created, and entered into the policy, in
-        first-occurrence order, and the policy is touched once per
-        distinct line in last-occurrence order — the per-candidate end
-        state.  The caller runs the remainder through
+        lines enter the policy in first-occurrence order, and the policy
+        is touched once per distinct line in last-occurrence order — the
+        per-candidate end state.  The caller runs the remainder through
         :meth:`insert_candidate`.
         """
         resident = self.mm_table.resident_mask(line_ids)
         head = len(line_ids) if resident.all() else int(np.argmin(resident))
+        slots = self._slot(line_ids[:head])
+        distinct, first, last, n = _groups(slots, len(self._sizes))
         if self.limit_bytes is not None and head:
             # Bytes in use after each insert: a fresh line's header is
             # paid at its first occurrence.
-            distinct, first = np.unique(line_ids[:head], return_index=True)
-            fresh = np.array([lid not in self.lines for lid in distinct.tolist()])
             grow = np.full(head, ITEMSET_BYTES, dtype=np.int64)
-            grow[first[fresh]] += LINE_HEADER_BYTES
+            grow[first[self._sizes[distinct] == 0]] += LINE_HEADER_BYTES
             used = self.resident_bytes + self.pinned_bytes + np.cumsum(grow)
-            head = int(np.searchsorted(used, self.limit_bytes, side="right"))
+            fits = int(np.searchsorted(used, self.limit_bytes, side="right"))
+            if fits < head:
+                head, slots = fits, slots[:fits]
+                distinct, first, last, n = _groups(slots, len(self._sizes))
         ids = line_ids[:head]
         self.table.insert(codes[:head], ids)
-        distinct, first, n = np.unique(ids, return_index=True, return_counts=True)
-        by_first = np.argsort(first)
-        get = self.lines.get
-        for line_id, grown in zip(distinct[by_first].tolist(), n[by_first].tolist()):
-            (get(line_id) or self._resident_line(line_id)).n_itemsets += grown
-        self.resident_bytes += ITEMSET_BYTES * head
-        self.policy.touch_batch(list(reversed(dict.fromkeys(reversed(ids.tolist())))))
+        fresh = np.sort(first[self._sizes[distinct] == 0])
+        self._sizes[distinct] += n
+        self.resident_bytes += ITEMSET_BYTES * head + LINE_HEADER_BYTES * fresh.size
+        self.policy.insert_batch(ids[fresh].tolist())
+        self.policy.touch_batch(ids[np.sort(last)].tolist())
         self.stats.inserts += head
         return head
 
@@ -227,8 +247,9 @@ class SwapManager:
         """
         if self.pager is not None:
             raise SwapError("bulk counting requires a pager-less node")
-        hot = self.table.count_bulk(codes)
-        self.policy.touch_batch(list(dict.fromkeys(self.table.lines[hot].tolist())))
+        lines = self.table.lines[self.table.count_bulk(codes)]
+        first = _groups(self._slot(lines), len(self._sizes))[1]
+        self.policy.touch_batch(lines[np.sort(first)].tolist())
         self.stats.counts += codes.size
         self.stats.fast_counts += codes.size
 
@@ -269,7 +290,7 @@ class SwapManager:
             self._faulting[line_id] = done
             try:
                 line = yield from self.pager.fault_in(line_id)
-                self.lines[line_id] = line
+                self._sizes[self._slot(line_id)] = line.n_itemsets
                 self.policy.insert(line_id)
                 self.resident_bytes += line.nbytes
             finally:
@@ -297,37 +318,42 @@ class SwapManager:
                 # rather than deadlocking (limit smaller than one line).
                 break
             victim = self.policy.victim(pinned=pinned)
-            line = self.lines.pop(victim)
+            slot = self._slot(victim)
+            line = HashLine(victim, int(self._sizes[slot]))
+            self._sizes[slot] = 0
             self.resident_bytes -= line.nbytes
             # evict() commits the new location before returning; only the
             # transfer cost runs in the background.
             payment = self.pager.evict(line)
             self._evictions.append(self.node.env.process(payment))
             n_victims += 1
-        if n_victims:
+        if len(self._evictions) >= self._compact_at:
+            # Compact lazily, once the list has doubled: only drain()
+            # reads it, and it skips finished transfers itself.
             self._evictions = [p for p in self._evictions if p.is_alive]
-            if self.bus is not None:
-                self.bus.emit(
-                    "make-room", self.node.node_id, victims=n_victims,
-                    resident_bytes=self.resident_bytes,
-                )
+            self._compact_at = 2 * len(self._evictions) + 64
+        if n_victims and self.bus is not None:
+            self.bus.emit(
+                "make-room", self.node.node_id, victims=n_victims,
+                resident_bytes=self.resident_bytes,
+            )
 
     # -- determination-phase access ----------------------------------------------------
 
     def iter_all_lines(self) -> Generator:
-        """Process generator yielding nothing; returns every line this
-        node holds, resident or not, as a list of :class:`HashLine`.
+        """Process generator reading every line this node holds; returns
+        the number of candidates chained on them.
 
         Resident lines are read directly; swapped lines are peeked
         through the pager (paying the fetch cost) without changing
         residency.
         """
-        lines = list(self.lines.values())
+        total = int(self._sizes.sum())
         for line_id in self.mm_table.non_resident_lines():
             assert self.pager is not None
             line = yield from self.pager.peek_line(line_id)
-            lines.append(line)
-        return lines
+            total += line.n_itemsets
+        return total
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -346,8 +372,7 @@ class SwapManager:
     def reset_pass(self) -> None:
         """Clear all per-pass state: table, lines, policy, locations."""
         self._settled = self._routed_here()
-        self.begin_pass(CandidateHashTable(_NO_CODES), _NO_CODES)
-        self.lines.clear()
+        self.begin_pass(CandidateHashTable(_NO_CODES), _NO_CODES, range(0))
         self.mm_table.clear()
         self.policy.clear()
         self.resident_bytes = 0
@@ -370,40 +395,42 @@ class SwapManager:
         - the policy tracks exactly the resident line ids, and the
           management table calls exactly those lines resident;
         - the limit holds, allowing the single-oversized-line exception;
-        - every owned candidate inserted so far is chained on exactly one
+        - every owned candidate inserted so far is chained on its own
           line, resident or where the management table says it was
           swapped to (skipped while a migration holds lines in flight);
         - no insert or count was lost: once the pager has no update
           record outstanding, what the tables hold for this node's codes
           equals the cumulative statistics.
         """
-        actual = sum(line.nbytes for line in self.lines.values())
+        sizes, tracked = self._sizes, self.policy.__contains__
+        resident = [self._held[slot] for slot in np.flatnonzero(sizes).tolist()]
+        actual = LINE_HEADER_BYTES * len(resident) + ITEMSET_BYTES * int(sizes.sum())
         if actual != self.resident_bytes:
             raise SwapError(
                 f"resident byte ledger {self.resident_bytes} != lines {actual}"
             )
-        if len(self.policy) != len(self.lines) or any(
-            lid not in self.policy for lid in self.lines
-        ):
-            raise SwapError("policy does not track exactly the resident lines")
-        if not all(map(self.mm_table.is_resident, self.lines)) or any(
-            lid in self.policy for lid in self.mm_table.non_resident_lines()
-        ):
+        away = self.mm_table.non_resident_lines()
+        if not all(map(self.mm_table.is_resident, resident)) or any(map(tracked, away)):
             raise SwapError("policy membership != management-table residency")
-        if self.over_limit and len(self.lines) > 1:
+        if len(self.policy) != len(resident) or not all(map(tracked, resident)):
+            raise SwapError("policy does not track exactly the resident lines")
+        if self.over_limit and len(resident) > 1:
             raise SwapError(
                 f"over limit with multiple resident lines: "
                 f"{self.resident_bytes} > {self.limit_bytes}"
             )
         if LineState.MIGRATING not in self.mm_table.count_by_state():
-            held = list(self.lines.values())
-            for line_id in self.mm_table.non_resident_lines():
+            chained = sizes.copy()
+            for line_id in away:
                 assert self.pager is not None
-                held.append(self.pager.stored_line(line_id))
-            chained = sum(line.n_itemsets for line in held)
-            inserted = int(self.table.inserted[self.owned].sum())
-            if chained != inserted:
-                raise SwapError(f"{chained} candidates chained, {inserted} inserted")
+                line = self.pager.stored_line(line_id)
+                chained[self._slot(line_id)] += line.n_itemsets
+            inserted = self.owned[self.table.inserted[self.owned]]
+            slots = self._slot(self.table.lines[inserted])
+            if not np.array_equal(chained, np.bincount(slots, minlength=len(sizes))):
+                raise SwapError(
+                    f"{int(chained.sum())} candidates chained, {inserted.size} inserted"
+                )
         if self.pager is None or not self.pager.updates_outstanding():
             routed = (self.stats.inserts, self.stats.counts)
             if self._routed_here() != routed:

@@ -21,19 +21,24 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Callable
 
 from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "int_at_least"]
 
 
-def _seed(text: str) -> int:
-    """``--seed``'s type: a non-negative integer, else a usage error."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def int_at_least(lowest: int) -> "Callable[[str], int]":
+    """An argparse type: an integer >= ``lowest``, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=int_at_least(1),
         default=1,
         metavar="N",
         help="execute scenario grids in N local processes "
@@ -93,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed",
-        type=_seed,
+        type=int_at_least(0),
         default=None,
         metavar="N",
         help="override the scale's workload seed (an independent "

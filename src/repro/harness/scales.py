@@ -26,7 +26,7 @@ from repro.datagen import TransactionDatabase, generate
 from repro.errors import HarnessError
 from repro.mining import apriori
 from repro.mining.hash_table import LINE_HEADER_BYTES
-from repro.mining.itemsets import ITEMSET_BYTES
+from repro.mining.itemsets import ITEMSET_BYTES, itemset_rows
 from repro.mining.partition import HashPartitioner
 
 __all__ = ["Scale", "SCALES", "PreparedWorkload", "prepare_workload", "PAPER_BUSIEST_MB"]
@@ -147,7 +147,7 @@ def prepare_workload(
         seed = scale.seed
     db = generate(scale.workload, n_items=scale.n_items, seed=seed)
     ref = apriori(db, minsup=scale.minsup, max_k=1)
-    l1 = sorted(ref.large_of_size(1))
+    l1 = itemset_rows(list(ref.large_of_size(1)), 1)
     from repro.mining.candidates import generate_candidates
 
     c2 = generate_candidates(l1, 2)

@@ -1,7 +1,7 @@
 """Association-rule mining substrate: Apriori, HPA, and supporting structures."""
 
 from repro.mining.apriori import AprioriResult, PassProfile, apriori
-from repro.mining.candidates import generate_candidates, join, prune
+from repro.mining.candidates import generate_candidates
 from repro.mining.hash_table import LINE_HEADER_BYTES, CandidateHashTable, HashLine
 from repro.mining.itemsets import (
     ITEMSET_BYTES,
@@ -27,8 +27,6 @@ __all__ = [
     "AprioriResult",
     "PassProfile",
     "generate_candidates",
-    "join",
-    "prune",
     "Itemset",
     "ITEMSET_BYTES",
     "make_itemset",

@@ -18,7 +18,7 @@ import numpy as np
 from repro.datagen.corpus import TransactionDatabase
 from repro.errors import MiningError
 from repro.mining.candidates import generate_candidates
-from repro.mining.itemsets import Itemset
+from repro.mining.itemsets import Itemset, itemset_rows, itemset_tuples
 
 __all__ = ["AprioriResult", "PassProfile", "apriori"]
 
@@ -67,19 +67,16 @@ def _count_pass1(db: TransactionDatabase, minsup_count: int) -> dict[Itemset, in
 
 
 def _count_candidates(
-    db: TransactionDatabase, candidates: list[Itemset], k: int
+    db: TransactionDatabase, candidates: np.ndarray
 ) -> dict[Itemset, int]:
-    """Count support of ``candidates`` by scanning the database once."""
-    counts: dict[Itemset, int] = dict.fromkeys(candidates, 0)
-    if not candidates:
-        return counts
+    """Count support of the candidate rows by scanning the database once."""
+    k = candidates.shape[1]
+    counts: dict[Itemset, int] = dict.fromkeys(itemset_tuples(candidates), 0)
     # Restrict each transaction to items that appear in any candidate
     # before enumerating subsets - the standard pruning that makes the
     # scan tractable.
     in_candidates = np.zeros(db.n_items, dtype=bool)
-    for cand in candidates:
-        for item in cand:
-            in_candidates[item] = True
+    in_candidates[candidates.ravel()] = True
     for txn in db:
         filtered = txn[in_candidates[txn]]
         if filtered.size < k:
@@ -118,14 +115,15 @@ def apriori(db: TransactionDatabase, minsup: float, max_k: int = 0) -> AprioriRe
 
     k = 2
     while large_prev and (max_k <= 0 or k <= max_k):
-        candidates = generate_candidates(sorted(large_prev), k)
-        counts = _count_candidates(db, candidates, k)
+        counts = _count_candidates(
+            db, generate_candidates(itemset_rows(list(large_prev), k - 1), k)
+        )
         large_now = {i: c for i, c in counts.items() if c >= minsup_count}
         result.passes.append(
-            PassProfile(k=k, n_candidates=len(candidates), n_large=len(large_now))
+            PassProfile(k=k, n_candidates=len(counts), n_large=len(large_now))
         )
         result.large_itemsets.update(large_now)
-        if not candidates:
+        if not counts:
             break
         large_prev = large_now
         k += 1

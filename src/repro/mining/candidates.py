@@ -1,53 +1,23 @@
 """Apriori candidate generation: the join and prune steps.
 
-``generate_candidates(large_k_minus_1, k)`` implements the classic
-apriori-gen of Agrawal & Srikant: join L_{k-1} with itself on the first
-k-2 items, then prune any candidate with a (k-1)-subset outside L_{k-1}.
+``generate_candidates(prev_rows, k)`` implements the classic apriori-gen
+of Agrawal & Srikant: join L_{k-1} with itself on the first k-2 items,
+then prune any candidate with a (k-1)-subset outside L_{k-1}.
 
-Both steps run on ``int64[n, width]`` row arrays (one itemset per row)
-of item *ranks* — positions in the sorted distinct items of L_{k-1}, an
-order-preserving relabelling, so the join emits lexicographic order for
-any item-id width.  Tuples exist only at the function boundaries: L_k
-is a tuple-keyed dict, and the drivers turn C_k back into rows at once.
+Itemsets are ``int64[n, width]`` row arrays of item ids, one itemset per
+row, on the way in and on the way out: C_k comes back lex-ordered, so a
+candidate's row number is its code for the rest of the pass.  No step
+builds a tuple per candidate; the drivers make tuples only for the final
+``RunResult.large_itemsets``.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from repro.errors import MiningError
-from repro.mining.itemsets import Itemset, itemset_rows
 
-__all__ = ["generate_candidates", "prune", "join"]
-
-
-def _rows(itemsets: Sequence[Itemset], width: int, k: int) -> np.ndarray:
-    """``itemsets`` as an ``int64[n, width]`` array (``n`` may be 0)."""
-    if k < 2:
-        raise MiningError(f"join requires k >= 2, got {k}")
-    for itemset in itemsets:
-        if len(itemset) != width:
-            raise MiningError(
-                f"apriori-gen for k={k} needs {width}-itemsets, got {itemset}"
-            )
-    return itemset_rows(itemsets, width)
-
-
-def _ranked(large_prev: Sequence[Itemset], k: int) -> "tuple[np.ndarray, np.ndarray]":
-    """L_{k-1} as rows of item ranks, and the ranked items as objects."""
-    prev = _rows(large_prev, k - 1, k)
-    items, ranks = np.unique(prev, return_inverse=True)
-    return items.astype(object), ranks.reshape(prev.shape)
-
-
-def _tuples(items: np.ndarray, rows: np.ndarray) -> list[Itemset]:
-    """Rank rows back as item tuples.  Taking from the object array
-    shares one int per distinct item; ``tolist`` on item ids would
-    allocate one per cell, megabytes that live as long as a C2 does."""
-    return list(zip(*(items[col].tolist() for col in rows.T)))
+__all__ = ["generate_candidates", "row_index"]
 
 
 def _join_rows(prev: np.ndarray) -> np.ndarray:
@@ -77,47 +47,56 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
+def row_index(rows: np.ndarray, queries: "list[np.ndarray]") -> "list[np.ndarray]":
+    """Position in ``rows`` of every row of each query array, -1 where it
+    is absent: one sort of ``rows``, one binary search per query."""
+    if not len(rows):
+        return [np.full(len(query), -1, dtype=np.int64) for query in queries]
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    found = []
+    for query in queries:
+        q = _row_keys(query)
+        pos = np.minimum(np.searchsorted(ordered, q), len(rows) - 1)
+        found.append(np.where(ordered[pos] == q, order[pos], -1))
+    return found
+
+
 def _unpruned(cand: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Prune step on rows, as a keep-mask over ``cand``.  Dropping
     position k-1 or k-2 gives back the two join parents, members of
     ``prev`` by construction; only the k-2 subsets that drop an earlier
     position are looked up."""
+    subsets = [np.delete(cand, drop, axis=1) for drop in range(cand.shape[1] - 2)]
     keep = np.ones(len(cand), dtype=bool)
-    if len(cand):
-        prev_keys = _row_keys(prev)
-        for drop in range(cand.shape[1] - 2):
-            keep &= np.isin(_row_keys(np.delete(cand, drop, axis=1)), prev_keys)
+    for idx in row_index(prev, subsets):
+        keep &= idx >= 0
     return keep
 
 
-def join(large_prev: Sequence[Itemset], k: int) -> list[Itemset]:
-    """Join step: merge pairs of (k-1)-itemsets sharing a (k-2)-prefix."""
-    items, prev = _ranked(large_prev, k)
-    return _tuples(items, _join_rows(prev))
-
-
-def prune(candidates: Iterable[Itemset], large_prev: Iterable[Itemset], k: int) -> list[Itemset]:
-    """Prune step: drop candidates with an infrequent (k-1)-subset.
-
-    ``candidates`` must come from :func:`join` (as in apriori-gen): the
-    two join parents of each candidate are then members of
-    ``large_prev`` by construction and are skipped, not re-checked.
-    """
-    candidates = list(candidates)
-    keep = _unpruned(_rows(candidates, k, k), _rows(list(large_prev), k - 1, k))
-    return list(compress(candidates, keep.tolist()))
-
-
-def generate_candidates(large_prev: Sequence[Itemset], k: int) -> list[Itemset]:
-    """Full apriori-gen: join then prune, in lexicographic order.
+def generate_candidates(prev_rows: "np.ndarray | list", k: int) -> np.ndarray:
+    """Full apriori-gen over L_{k-1} as ``(k-1)``-wide rows (any order):
+    C_k as lex-ordered ``int64[n, k]`` rows.
 
     For ``k == 2`` the prune step is a no-op (every 1-subset of a joined
     pair is large by construction), matching the observation that C2 is
     simply all pairs of large 1-items — the explosion the paper's
     remote-memory mechanism exists to absorb.
     """
-    items, prev = _ranked(large_prev, k)
+    if k < 2:
+        raise MiningError(f"apriori-gen requires k >= 2, got {k}")
+    try:
+        prev = np.asarray(prev_rows, dtype=np.int64)
+    except ValueError as exc:  # ragged: itemsets of mixed widths
+        raise MiningError(f"apriori-gen for k={k} needs {k - 1}-wide rows: {exc}") from exc
+    if prev.size == 0:
+        prev = prev.reshape(0, k - 1)
+    if prev.ndim != 2 or prev.shape[1] != k - 1:
+        raise MiningError(
+            f"apriori-gen for k={k} needs {k - 1}-wide rows, got shape {prev.shape}"
+        )
     cand = _join_rows(prev)
     if k > 2:
         cand = cand[_unpruned(cand, prev)]
-    return _tuples(items, cand)
+    return cand

@@ -5,15 +5,17 @@ classified by a hash function ... all itemsets having the same hash value
 are assigned to the same hash line on the same node" (§3.3); the hash
 line is also the unit of swapping (§4.3) and fits in one 4 KB message
 block.  What the paper models about a line is *where it is* and *how big
-it is* — so a :class:`HashLine` is exactly that, ``(line_id,
-n_itemsets)``, and it is what pagers and guest stores move around.  The
-counts themselves live in one :class:`CandidateHashTable` per pass,
-indexed by the candidate's **code** (its position in C_k, the identity
-it carries from apriori-gen to the wire).  HPA shares one table among
-all nodes, because a code has exactly one owner; NPA, which replicates
-every candidate, keeps one per node.  Residency/swapping state is *not*
-tracked here — that is the :class:`repro.core.swap_manager.SwapManager`'s
-job, and it decides only what an access costs in simulated time.
+it is*.  A :class:`HashLine`, ``(line_id, n_itemsets)``, is that record
+in transit: the swap manager makes one when it evicts a line, pagers and
+guest stores move it, and a fault-in hands it back.  Resident lines are
+no objects at all — one integer array per node in
+:class:`repro.core.swap_manager.SwapManager`, which also owns all
+residency state and decides only what an access costs in simulated
+time.  The counts live in one :class:`CandidateHashTable` per pass,
+indexed by the candidate's **code** (its row in the lex-ordered C_k
+array, the identity it carries from apriori-gen to the wire).  HPA
+shares one table among all nodes, because a code has exactly one owner;
+NPA, which replicates every candidate, keeps one per node.
 """
 
 from __future__ import annotations

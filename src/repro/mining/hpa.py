@@ -40,7 +40,7 @@ import numpy as np
 from repro.datagen.corpus import TransactionDatabase
 from repro.mining.candidates import generate_candidates
 from repro.mining.hash_table import CandidateHashTable
-from repro.mining.itemsets import ITEMSET_BYTES, Itemset, itemset_rows
+from repro.mining.itemsets import ITEMSET_BYTES
 from repro.mining.kernels import (
     OWNER_DUPLICATED,
     CountingKernel,
@@ -56,6 +56,8 @@ __all__ = ["HPAConfig", "HPAResult", "HPARun", "run_hpa"]
 
 #: Sentinel payload closing one sender->receiver stream.
 _EOF = "__eof__"
+
+_NO_CODES = np.empty(0, dtype=np.int64)
 
 #: Historical alias — the result type is driver-independent now.
 HPAResult = RunResult
@@ -83,39 +85,38 @@ class HPARun(MiningDriver):
 
     # -- orchestration ---------------------------------------------------------
 
-    def _run_pass(self, k: int, l_prev: dict[Itemset, int]) -> Generator:
+    def _run_pass(
+        self, k: int, prev_rows: np.ndarray, prev_counts: np.ndarray
+    ) -> Generator:
         cfg = self.config
         t0 = self.env.now
         self._trace_phase(f"pass {k} start")
 
         # Generate the candidate set once (every node computes it in the
-        # real system; we charge each node's CPU but share the Python
-        # object).
-        candidates = generate_candidates(sorted(l_prev), k)
+        # real system; we charge each node's CPU but share the rows).
+        candidates = generate_candidates(prev_rows, k)
+        n_cand = len(candidates)
 
         # Routing is resolved once per pass, as arrays aligned with the
-        # candidate list; the counting phase never re-hashes per occurrence.
-        rows = itemset_rows(candidates, k)
-        lines = self.partitioner.lines_of(rows)
+        # candidate rows; the counting phase never re-hashes per occurrence.
+        lines = self.partitioner.lines_of(candidates)
         owners = lines % cfg.n_app_nodes
 
         # HPA-ELD: duplicate the candidates with the highest estimated
         # frequency on every node; they are counted locally and never
-        # routed, removing the heaviest share of itemset traffic.  The
-        # ranking key (min support over (k-1)-subsets) is computed once
-        # per candidate, not once per comparison.
-        ranked: list[int] = []
-        n_dup = int(cfg.eld_fraction * len(candidates))
+        # routed, removing the heaviest share of itemset traffic.  Ties
+        # rank by code, as a stable descending sort leaves them.
+        dup = _NO_CODES
+        n_dup = int(cfg.eld_fraction * n_cand)
         if n_dup:
-            scores = eld_scores(candidates, l_prev, k)
-            ranked = sorted(
-                range(len(candidates)), key=scores.__getitem__, reverse=True
-            )[:n_dup]
-            lines[ranked] = -1
-            owners[ranked] = OWNER_DUPLICATED
+            scores = eld_scores(candidates, prev_rows, prev_counts)
+            dup = np.sort(np.argsort(-scores, kind="stable")[:n_dup])
+            lines[dup] = -1
+            owners[dup] = OWNER_DUPLICATED
         # Every node's duplicated-candidate occurrences fold into this one
-        # dict: the all-reduce that sums them is modelled in time only.
-        dup_counts: dict[Itemset, int] = {candidates[i]: 0 for i in ranked}
+        # array, aligned with ``dup``: the all-reduce that sums them is
+        # modelled in time only.
+        dup_counts = np.zeros(n_dup, dtype=np.int64)
 
         routed = owners != OWNER_DUPLICATED
         per_node_cands = np.bincount(
@@ -127,17 +128,19 @@ class HPARun(MiningDriver):
         # One table for the pass: a routed code has exactly one owner.
         table = CandidateHashTable(lines)
         for a in self.app_ids:
-            self.managers[a].begin_pass(table, np.flatnonzero(owners == a))
+            self.managers[a].begin_pass(
+                table, np.flatnonzero(owners == a), self.partitioner.lines_of_node(a)
+            )
 
         # Phase 1: candidate generation + insertion.
         yield from self._barrier(
-            [self._candgen_node(a, len(candidates), n_dup) for a in self.app_ids]
+            [self._candgen_node(a, n_cand, n_dup) for a in self.app_ids]
         )
         t_candgen = self.env.now
         self._trace_phase(f"pass {k} candidates generated")
         self._span(f"pass{k}/candgen", t0, t_candgen)
 
-        if not candidates:
+        if not n_cand:
             self._span(f"pass{k}", t0, self.env.now)
             return (
                 PassResult(
@@ -149,15 +152,15 @@ class HPARun(MiningDriver):
                     end_time=self.env.now,
                     candgen_time_s=t_candgen - t0,
                 ),
-                {},
+                (candidates, _NO_CODES),
             )
 
         # Phase 2: counting.
-        kernel = CountingKernel(self.db.n_items, rows, owners)
+        kernel = CountingKernel(self.db.n_items, candidates, owners)
         counting = []
         for a in self.app_ids:
             counting.append(self._receiver_node(a, kernel))
-            counting.append(self._sender_node(a, kernel, dup_counts))
+            counting.append(self._sender_node(a, kernel, dup, dup_counts))
         outcomes = yield from self._barrier(counting)
         n_count_messages = sum(v for v in outcomes if isinstance(v, int))
         # Settle outstanding update messages before reading counts.
@@ -168,17 +171,12 @@ class HPARun(MiningDriver):
 
         # Phase 3: determination (+ the ELD all-reduce of duplicated
         # candidates' partial counts, when the variant is enabled).
-        local_larges = yield from self._barrier(
-            [self._determine_node(a, kernel) for a in self.app_ids]
-        )
-        l_now: dict[Itemset, int] = {}
-        for chunk in local_larges:
-            l_now.update(chunk)
+        yield from self._barrier([self._determine_node(a) for a in self.app_ids])
+        counts = table.counts
         if n_dup:
             yield from self._all_reduce(n_dup, "eldgather", "eldlarge")
-            for itemset, count in dup_counts.items():
-                if count >= self.minsup_count:
-                    l_now[itemset] = count
+            counts[dup] = dup_counts  # no node's table holds these codes
+        large = np.flatnonzero(counts >= self.minsup_count)
 
         return (
             self._finish_pass(
@@ -187,13 +185,13 @@ class HPARun(MiningDriver):
                 t_candgen,
                 t_count,
                 stats_before,
-                n_candidates=len(candidates),
+                n_candidates=n_cand,
                 per_node_candidates=per_node_cands,
-                n_large=len(l_now),
+                n_large=len(large),
                 n_duplicated=n_dup,
                 count_messages=n_count_messages,
             ),
-            l_now,
+            (candidates[large], counts[large]),
         )
 
     # -- per-node phase processes ----------------------------------------------
@@ -213,7 +211,7 @@ class HPARun(MiningDriver):
         yield from self._insert_candidates(a, mgr.owned)
 
     def _sender_node(
-        self, a: int, kernel: CountingKernel, dup_counts: "dict[Itemset, int]"
+        self, a: int, kernel: CountingKernel, dup: np.ndarray, dup_counts: np.ndarray
     ) -> Generator:
         """Scan transactions, route occurrence codes, count local ones.
 
@@ -228,7 +226,8 @@ class HPARun(MiningDriver):
         advance only at a flush or at a fault on a non-resident local
         line, so the local occurrences emitted before each flush are
         counted (:meth:`_count_ordered`) before it posts.  Duplicated
-        candidates never yield and fold at the end either way.
+        candidates never yield and fold into ``dup_counts`` (aligned with
+        the sorted duplicated codes ``dup``) at the end either way.
 
         Returns the number of count messages this sender shipped.
         """
@@ -302,10 +301,9 @@ class HPARun(MiningDriver):
             )
         yield from window.drain()
         kernel.apply_local_pairs(mgr, local_codes)
-        if dup_codes:
-            dup, totals = np.unique(np.concatenate(dup_codes), return_counts=True)
-            for itemset, n in zip(kernel.decode(dup), totals.tolist()):
-                dup_counts[itemset] += n
+        if dup.size and dup_codes:
+            seen = np.searchsorted(dup, np.concatenate(dup_codes))
+            dup_counts += np.bincount(seen, minlength=dup.size)
         return n_messages
 
     def _receiver_node(self, a: int, kernel: CountingKernel) -> Generator:
@@ -335,23 +333,19 @@ class HPARun(MiningDriver):
                 yield from self._count_ordered(a, payload)
         kernel.apply_local_pairs(mgr, pending)
 
-    def _determine_node(self, a: int, kernel: CountingKernel) -> Generator:
-        """Find locally large itemsets and broadcast them."""
+    def _determine_node(self, a: int) -> Generator:
+        """Find the locally large itemsets and broadcast them (the
+        driver reads L_k off the shared table)."""
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
-        lines = yield from mgr.iter_all_lines()
-        n_scanned = sum(line.n_itemsets for line in lines)
-        counts = mgr.table.counts[mgr.owned]
-        large = np.flatnonzero(counts >= self.minsup_count)
-        local_large = dict(
-            zip(kernel.decode(mgr.owned[large]), counts[large].tolist())
-        )
+        n_scanned = yield from mgr.iter_all_lines()
+        n_large = np.count_nonzero(mgr.table.counts[mgr.owned] >= self.minsup_count)
         if n_scanned:
             yield from node.compute(cost.cpu_determine_per_itemset_s * n_scanned)
         # Broadcast local large itemsets to the other application nodes.
         window = SendWindow(self.env)
-        payload_bytes = max(16, ITEMSET_BYTES * len(local_large))
+        payload_bytes = max(16, ITEMSET_BYTES * int(n_large))
         for b in self.app_ids:
             if b == a:
                 continue
@@ -361,7 +355,6 @@ class HPARun(MiningDriver):
         yield from window.drain()
         for _ in range(len(self.app_ids) - 1):
             yield self.cluster.transport.recv(a, "large")
-        return local_large
 
 
 def run_hpa(db: TransactionDatabase, config: HPAConfig) -> HPAResult:

@@ -27,6 +27,7 @@ __all__ = [
     "itemset_hash",
     "itemset_hashes",
     "itemset_rows",
+    "itemset_tuples",
     "k_subsets",
     "is_valid_itemset",
 ]
@@ -85,6 +86,14 @@ def itemset_rows(itemsets: Sequence[Itemset], k: int) -> np.ndarray:
     """``k``-itemsets as an ``int64[n, k]`` array, one per row (``n`` may be 0)."""
     n = len(itemsets)
     return np.fromiter(chain.from_iterable(itemsets), np.int64, n * k).reshape(n, k)
+
+
+def itemset_tuples(rows: np.ndarray) -> Iterator[Itemset]:
+    """The rows of an ``[n, k]`` item-id array as tuples.  Going through
+    an object array shares one Python int per distinct item among all the
+    tuples; ``tolist`` on item ids would allocate one per cell."""
+    items, ranks = np.unique(rows, return_inverse=True)
+    return zip(*items.astype(object)[ranks.reshape(rows.shape)].T.tolist())
 
 
 def itemset_hashes(itemsets: np.ndarray) -> np.ndarray:

@@ -41,7 +41,6 @@ payload contents, and send *order* are unchanged.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +48,8 @@ import numpy as np
 from repro.core.swap_manager import SwapManager
 from repro.datagen.corpus import TransactionDatabase
 from repro.errors import MiningError
-from repro.mining.itemsets import Itemset, itemset_rows
+from repro.mining.candidates import row_index
+from repro.mining.itemsets import Itemset
 
 __all__ = [
     "OWNER_DUPLICATED",
@@ -306,14 +306,13 @@ class CountingKernel:
     of the pass is one ``int64`` *code*: the candidate's row, the index
     the pass's :class:`~repro.mining.hash_table.CandidateHashTable` is
     addressed by.  Drivers only generate (:meth:`occurrences`), route
-    (:meth:`owners_of`) and fold codes; tuples come back only for L_k
-    (:meth:`decode`).  All nodes share one instance — the structures are
+    (:meth:`owners_of`) and fold codes; ``rows[codes]`` are their
+    itemsets.  All nodes share one instance — the structures are
     read-only during counting.
     """
 
     def __init__(self, n_items: int, rows: np.ndarray, owners: np.ndarray) -> None:
         self.k = rows.shape[1]
-        self._rows = rows
         # Owners are node ids or -1: in the narrowest integer type that
         # holds them, OwnerStreams' grouping sort is a radix sort.
         self._owner = owners.astype(
@@ -370,15 +369,11 @@ class CountingKernel:
         filtered, lengths = filter_block(items, rel_offsets, self.mask)
         return self._prefix.subsets_of(self._rank[filtered], lengths)
 
-    # -- routing and decoding -----------------------------------------------
+    # -- routing ----------------------------------------------------------------
 
     def owners_of(self, codes: np.ndarray) -> np.ndarray:
         """Owner of every code (``OWNER_DUPLICATED`` for ELD)."""
         return self._owner[codes]
-
-    def decode(self, codes: np.ndarray) -> "list[Itemset]":
-        """The candidate tuples the codes index."""
-        return list(map(tuple, self._rows[codes].tolist()))
 
     # -- counting into a swap manager -----------------------------------------
 
@@ -407,27 +402,15 @@ class CountingKernel:
 # ---------------------------------------------------------------------------
 
 def eld_scores(
-    candidates: Sequence[Itemset], l_prev: "dict[Itemset, int]", k: int
-) -> "list[int]":
-    """Estimated-frequency score of every candidate, computed once each.
-
-    The score is ``min`` support over the candidate's (k-1)-subsets —
-    the upper bound HPA-ELD ranks by.  For k == 2 the subsets are single
-    items, so the mins vectorise over an L1 support array.
-    """
-    if k == 2:
-        n_items = 1 + max((c[1] for c in candidates), default=0)
-        support = np.zeros(n_items, dtype=np.int64)
-        for itemset, count in l_prev.items():
-            if len(itemset) == 1 and itemset[0] < n_items:
-                support[itemset[0]] = count
-        first = np.fromiter((c[0] for c in candidates), dtype=np.int64, count=len(candidates))
-        second = np.fromiter((c[1] for c in candidates), dtype=np.int64, count=len(candidates))
-        return np.minimum(support[first], support[second]).tolist()
-    get = l_prev.get
-    return [
-        min(get(sub, 0) for sub in combinations(cand, k - 1)) for cand in candidates
-    ]
+    candidates: np.ndarray, prev_rows: np.ndarray, prev_counts: np.ndarray
+) -> np.ndarray:
+    """Estimated-frequency score of every candidate row, computed once
+    each: ``min`` support over its (k-1)-subsets, the upper bound HPA-ELD
+    ranks by (0 for a subset outside L_{k-1}, ``prev_rows`` with support
+    ``prev_counts``)."""
+    support = np.append(np.asarray(prev_counts, dtype=np.int64), 0)  # [-1] -> 0
+    subsets = [np.delete(candidates, j, axis=1) for j in range(candidates.shape[1])]
+    return np.min([support[i] for i in row_index(prev_rows, subsets)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +422,8 @@ def eld_scores(
 _SCAN_CHUNK_TXNS = 65536
 
 
-def count_candidates(
-    db: TransactionDatabase, candidates: "list[Itemset]", k: int
-) -> "dict[Itemset, int]":
-    """Support counts of ``candidates`` over ``db`` via the kernels.
+def count_candidates(db: TransactionDatabase, candidates: np.ndarray) -> np.ndarray:
+    """Support count of every candidate row over ``db`` via the kernels.
 
     Same results as the naive filtered-``combinations`` scan in
     :mod:`repro.mining.apriori`, by the parallel drivers' own path: one
@@ -450,10 +431,9 @@ def count_candidates(
     occurrence codes chunk by chunk, one ``bincount`` over them.
     """
     n = len(candidates)
-    routing = np.zeros(n, dtype=np.int64)
-    kernel = CountingKernel(db.n_items, itemset_rows(candidates, k), routing)
+    kernel = CountingKernel(db.n_items, candidates, np.zeros(n, dtype=np.int64))
     acc = np.zeros(n, dtype=np.int64)
     for start in range(0, len(db), _SCAN_CHUNK_TXNS):
         stop = min(len(db), start + _SCAN_CHUNK_TXNS)
         acc += np.bincount(kernel.occurrences(db, start, stop), minlength=n)
-    return dict(zip(candidates, acc.tolist()))
+    return acc

@@ -29,7 +29,6 @@ from repro.errors import ConfigError
 from repro.mining.candidates import generate_candidates
 from repro.mining.hash_table import CandidateHashTable
 from repro.mining.hpa import HPAConfig
-from repro.mining.itemsets import Itemset, itemset_rows
 from repro.mining.kernels import CountingKernel
 from repro.mining.partition import HashPartitioner
 from repro.runtime.driver import MiningDriver
@@ -63,20 +62,22 @@ class NPARun(MiningDriver):
 
     # -- orchestration ---------------------------------------------------------
 
-    def _run_pass(self, k: int, l_prev: dict[Itemset, int]) -> Generator:
+    def _run_pass(
+        self, k: int, prev_rows: np.ndarray, prev_counts: np.ndarray
+    ) -> Generator:
         cfg = self.config
         t0 = self.env.now
         self._trace_phase(f"pass {k} start")
-        candidates = generate_candidates(sorted(l_prev), k)
-        rows = itemset_rows(candidates, k)
-        lines = self.partitioner.lines_of(rows)
+        candidates = generate_candidates(prev_rows, k)
+        lines = self.partitioner.lines_of(candidates)
 
         stats_before = [self._pager_snapshot(a) for a in self.app_ids]
 
         # Every node holds (and counts into) its own copy of the table.
         everything = np.arange(len(candidates))
+        held = self.partitioner.lines_of_node(0)
         for a in self.app_ids:
-            self.managers[a].begin_pass(CandidateHashTable(lines), everything)
+            self.managers[a].begin_pass(CandidateHashTable(lines), everything, held)
 
         # Phase 1: EVERY node inserts EVERY candidate (the defining cost).
         yield from self._barrier([self._candgen_node(a) for a in self.app_ids])
@@ -84,7 +85,7 @@ class NPARun(MiningDriver):
         self._trace_phase(f"pass {k} candidates generated")
         self._span(f"pass{k}/candgen", t0, t_candgen)
 
-        if not candidates:
+        if not len(candidates):
             self._span(f"pass{k}", t0, self.env.now)
             return (
                 PassResult(
@@ -93,12 +94,12 @@ class NPARun(MiningDriver):
                     start_time=t0, end_time=self.env.now,
                     candgen_time_s=t_candgen - t0,
                 ),
-                {},
+                (candidates, np.empty(0, dtype=np.int64)),
             )
 
         # Phase 2: purely local counting (every candidate owned by "node 0"
         # of the one-owner partitioner, i.e. by whoever counts it).
-        kernel = CountingKernel(self.db.n_items, rows, np.zeros_like(lines))
+        kernel = CountingKernel(self.db.n_items, candidates, np.zeros_like(lines))
         yield from self._barrier(
             [self._count_node(a, kernel) for a in self.app_ids]
         )
@@ -110,7 +111,6 @@ class NPARun(MiningDriver):
         # Phase 3: global reduction of the full count tables.
         merged = yield from self._reduce(len(candidates))
         large = np.flatnonzero(merged >= self.minsup_count)
-        l_now = dict(zip(kernel.decode(large), merged[large].tolist()))
 
         return (
             self._finish_pass(
@@ -122,11 +122,11 @@ class NPARun(MiningDriver):
                 n_candidates=len(candidates),
                 # NPA duplicates the full set everywhere.
                 per_node_candidates=[len(candidates)] * cfg.n_app_nodes,
-                n_large=len(l_now),
+                n_large=len(large),
                 n_duplicated=len(candidates),
                 count_messages=0,
             ),
-            l_now,
+            (candidates[large], merged[large]),
         )
 
     # -- per-node phases ----------------------------------------------------

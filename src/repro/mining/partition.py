@@ -14,7 +14,7 @@ close but *not* equal ("some amount of skew usually exists");
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,9 +63,9 @@ class HashPartitioner:
         """:meth:`line_of` of every row of an ``[n, k]`` item-id array."""
         return (itemset_hashes(itemsets) % np.uint64(self.total_lines)).astype(np.int64)
 
-    def partition_counts(self, candidates: Iterable[Itemset]) -> np.ndarray:
-        """Per-node counts of one pass's candidates — the paper's Table 3 row."""
-        lines = self.lines_of(np.array(list(candidates), dtype=np.int64))
+    def partition_counts(self, candidates: np.ndarray) -> np.ndarray:
+        """Per-node counts of one pass's candidate rows (a Table 3 row)."""
+        lines = self.lines_of(np.asarray(candidates, dtype=np.int64))
         return np.bincount(lines % self.n_nodes, minlength=self.n_nodes)
 
 

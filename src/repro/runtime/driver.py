@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.cluster.dynamics import scripted_shortage
 from repro.errors import MiningError
+from repro.mining.itemsets import Itemset, itemset_tuples
 from repro.obs import Telemetry, UtilizationSampler, current_telemetry
 from repro.obs.telemetry import run_meta
 from repro.runtime.builder import ClusterRuntime, build_runtime
@@ -31,7 +32,6 @@ from repro.sim import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.corpus import TransactionDatabase
-    from repro.mining.itemsets import Itemset
 
 __all__ = ["MiningDriver", "SendWindow", "SEND_WINDOW"]
 
@@ -212,18 +212,16 @@ class MiningDriver:
             [self._pass1_node(a) for a in self.app_ids]
         )
         global_counts = np.sum(local_counts, axis=0)
-        large_items = np.nonzero(global_counts >= self.minsup_count)[0]
-        l_prev: dict[Itemset, int] = {
-            (int(i),): int(global_counts[i]) for i in large_items
-        }
-        all_large.update(l_prev)
+        large_items = np.flatnonzero(global_counts >= self.minsup_count)
+        # L_k between passes: lex-sorted rows plus aligned support counts.
+        rows, counts = large_items[:, None], global_counts[large_items]
         self._span("pass1", t0, self.env.now)
         passes.append(
             PassResult(
                 k=1,
                 n_candidates=self.db.n_items,
                 per_node_candidates=[],
-                n_large=len(l_prev),
+                n_large=len(rows),
                 start_time=t0,
                 end_time=self.env.now,
             )
@@ -231,13 +229,14 @@ class MiningDriver:
 
         # ---- passes k >= 2 ----
         k = 2
-        while l_prev and (cfg.max_k <= 0 or k <= cfg.max_k):
-            pass_result, l_now = yield from self._run_pass(k, l_prev)
+        while True:
+            all_large.update(zip(itemset_tuples(rows), counts.tolist()))
+            if not len(rows) or 0 < cfg.max_k < k:
+                break
+            pass_result, (rows, counts) = yield from self._run_pass(k, rows, counts)
             passes.append(pass_result)
-            all_large.update(l_now)
             if pass_result.n_candidates == 0:
                 break
-            l_prev = l_now
             k += 1
 
         self.result = RunResult(
@@ -247,8 +246,11 @@ class MiningDriver:
         )
         return None
 
-    def _run_pass(self, k: int, l_prev: "dict[Itemset, int]") -> Generator:
-        """Run one candidate pass; returns ``(PassResult, L_k)``.
+    def _run_pass(
+        self, k: int, prev_rows: np.ndarray, prev_counts: np.ndarray
+    ) -> Generator:
+        """Run one candidate pass over L_{k-1} (lex-sorted rows and their
+        supports); returns ``(PassResult, (rows, counts))`` of L_k.
 
         The counting strategy — candidate placement, communication,
         reduction — is the whole difference between drivers.

@@ -414,3 +414,13 @@ def test_cli_render_writes_reports_and_reuses_store(tmp_path, capsys):
     assert " 0 executed" in stdout  # warm store: no re-execution
     for name, data in first.items():
         assert (out2 / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_is_a_usage_error(jobs, capsys):
+    from repro.analysis.report.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--scale", "tiny", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

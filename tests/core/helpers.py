@@ -146,9 +146,11 @@ def bare_table(pager, n_lines: int = 8, n: int = 3) -> CandidateHashTable:
 
 def begin_pass(mgr: SwapManager, lines) -> CandidateHashTable:
     """Attach a fresh candidate table to ``mgr``: code ``i`` hashes to
-    ``lines[i]`` and every code is owned by this node."""
+    ``lines[i]``, every code is owned by this node, and so is every line
+    id up to the largest."""
     table = CandidateHashTable(np.asarray(lines, dtype=np.int64))
-    mgr.begin_pass(table, np.arange(len(table.lines)))
+    held = range(int(table.lines.max(initial=-1)) + 1)
+    mgr.begin_pass(table, np.arange(len(table.lines)), held)
     return table
 
 

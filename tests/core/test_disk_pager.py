@@ -105,7 +105,8 @@ def test_counts_preserved_across_swap():
     rig.env.process(proc(rig.env))
     rig.env.run(until=100)
     assert rig.pagers[0].stats.faults == 1
-    assert mgr.lines[0].n_itemsets == 1
+    assert mgr.mm_table.is_resident(0)
+    assert mgr.resident_bytes == 16 + 24  # home the size it left
     assert table.counts.tolist() == [8, 0]
     mgr.check_invariants()
 

@@ -2,7 +2,8 @@
 
 The grouped prefix insert must leave a manager exactly where the same
 number of ``insert_candidate`` calls leave it — line sizes, inserted
-mask, byte ledger, statistics and replacement-policy state — and must
+mask, byte ledger, line residency, statistics and replacement-policy
+state — and must
 stop exactly where the per-item walk first evicts, faults or buffers.
 
 A sequence is a list of hash-line ids: candidate ``i`` of the pass hashes
@@ -45,15 +46,17 @@ def _manager(policy, limit, pre, seq, pager_kind="disk"):
 
 def _policy_state(policy):
     if policy.name == "lru":
-        return list(policy._order)
+        return list(policy._members)
     if policy.name == "fifo":
         return (list(policy._queue), policy._members)
-    return (policy._members, policy._index)
+    return (policy._lines, policy._members)
 
 
 def _state(mgr):
+    """What the two paths must agree on.  Per-line sizes are not read:
+    ``check_invariants`` pins them to the inserted mask, line by line."""
     return {
-        "lines": [(line.line_id, line.n_itemsets) for line in mgr.lines.values()],
+        "states": [mgr.mm_table.state(line_id) for line_id in range(10)],
         "inserted": mgr.table.inserted.tolist(),
         "resident_bytes": mgr.resident_bytes,
         "inserts": mgr.stats.inserts,

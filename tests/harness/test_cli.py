@@ -151,3 +151,11 @@ def test_store_gc_mode_prints_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["entries_kept"] == 0
     assert summary["store"] == str(tmp_path)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig4", "--scale", "tiny", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

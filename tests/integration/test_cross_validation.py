@@ -25,8 +25,8 @@ def _hash_tree_apriori():
     """Every pass's candidates counted through the reference hash tree."""
     found = REF.large_of_size(1)
     for k in range(2, REF.max_k() + 2):
-        candidates = generate_candidates(sorted(REF.large_of_size(k - 1)), k)
-        counts = count_with_hash_tree(DB, candidates, k)
+        rows = generate_candidates(sorted(REF.large_of_size(k - 1)), k)
+        counts = count_with_hash_tree(DB, list(map(tuple, rows.tolist())), k)
         found.update((i, c) for i, c in counts.items() if c >= REF.minsup_count)
     return found
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.datagen import generate
+from repro.mining.candidates import generate_candidates
 from repro.mining.hpa import HPAConfig, HPARun
 from repro.mining.npa import NPAConfig, NPARun
 from tests.mining.reference_hpa import ReferenceHPARun, ReferenceNPARun
@@ -66,28 +67,29 @@ def _log_wire(run):
     """Record ``(sim time, src, dst, itemsets)`` for every ``"count"``
     message as it is handed to ``Transport.send`` (EOFs included, as the
     sentinel string).  Production payloads are code arrays, decoded
-    through the pass's kernel; the oracle's are already itemset lists."""
+    through the pass's candidate rows; the oracle's are already itemset
+    lists."""
     log, payload_types, current = [], set(), {}
     transport = run.cluster.transport
-    send, sender = transport.send, run._sender_node
+    send, run_pass = transport.send, run._run_pass
 
     def logged_send(src, dst, channel, payload, size_bytes, *args, **kwargs):
         if channel == "count":
             payload_types.add(type(payload))
             if isinstance(payload, np.ndarray):
                 assert payload.dtype == np.int64
-                items = current["kernel"].decode(payload)
+                items = list(map(tuple, current["candidates"][payload].tolist()))
             else:
                 items = payload if isinstance(payload, str) else list(payload)
             log.append((run.env.now, src, dst, items))
         return send(src, dst, channel, payload, size_bytes, *args, **kwargs)
 
-    def logged_sender(a, kernel, dup_counts):
-        current["kernel"] = kernel
-        return sender(a, kernel, dup_counts)
+    def logged_pass(k, prev_rows, prev_counts):
+        current["candidates"] = generate_candidates(prev_rows, k)
+        return run_pass(k, prev_rows, prev_counts)
 
     transport.send = logged_send
-    run._sender_node = logged_sender
+    run._run_pass = logged_pass
     return log, payload_types
 
 

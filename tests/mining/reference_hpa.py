@@ -27,16 +27,15 @@ class _NaiveSubsets:
     """Remembers L_{k-1} per pass and enumerates a transaction's candidate
     occurrences by "all k-subsets, pruned by their (k-1)-subsets"."""
 
-    def _run_pass(self, k, l_prev):
+    def _run_pass(self, k, prev_rows, prev_counts):
         self._k = k
-        self._l_prev_keys = set(l_prev)
-        self._code_of = {
-            c: i for i, c in enumerate(generate_candidates(sorted(l_prev), k))
-        }
+        self._l_prev_keys = set(map(tuple, prev_rows.tolist()))
+        candidates = generate_candidates(prev_rows, k).tolist()
+        self._code_of = {tuple(c): i for i, c in enumerate(candidates)}
         self._l1_mask = np.zeros(self.db.n_items, dtype=bool)
         if k == 2:
-            self._l1_mask[[i for (i,) in l_prev]] = True
-        return (yield from super()._run_pass(k, l_prev))
+            self._l1_mask[prev_rows[:, 0]] = True
+        return (yield from super()._run_pass(k, prev_rows, prev_counts))
 
     def _subsets(self, txn):
         k, l_prev_keys = self._k, self._l_prev_keys
@@ -52,7 +51,7 @@ class _NaiveSubsets:
 class ReferenceHPARun(_NaiveSubsets, HPARun):
     """HPA with the per-occurrence sender and receiver."""
 
-    def _sender_node(self, a, kernel, dup_counts):
+    def _sender_node(self, a, kernel, dup, dup_counts):
         n_messages = 0
         part = self.partitions[a]
         node = self.cluster[a]
@@ -61,6 +60,7 @@ class ReferenceHPARun(_NaiveSubsets, HPARun):
         window = SendWindow(self.env)
         items_per_msg = max(1, cost.message_block_bytes // ITEMSET_BYTES)
         buffers = {b: [] for b in self.app_ids if b != a}
+        dup_index = {code: i for i, code in enumerate(dup.tolist())}
 
         for i, j in self._block_ranges(a):
             yield from node.data_disk.read(cost.disk_io_block_bytes, sequential=True)
@@ -69,14 +69,15 @@ class ReferenceHPARun(_NaiveSubsets, HPARun):
             for t in range(i, j):
                 for itemset in self._subsets(part[t]):
                     generated += 1
-                    if itemset in dup_counts:
-                        dup_counts[itemset] += 1
+                    code = self._code_of[itemset]
+                    if code in dup_index:
+                        dup_counts[dup_index[code]] += 1
                         local_counted += 1
                         continue
                     line = self.partitioner.line_of(itemset)
                     owner = self.partitioner.node_of_line(line)
                     if owner == a:
-                        op = mgr.count_itemset(self._code_of[itemset], line)
+                        op = mgr.count_itemset(code, line)
                         if op is not None:
                             yield from op
                         local_counted += 1

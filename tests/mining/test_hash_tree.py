@@ -84,13 +84,13 @@ def test_matches_dict_counting_on_workload():
     ref = apriori(db, minsup=0.03)
     l1 = sorted(ref.large_of_size(1))
     for k in (2, 3):
-        cands = generate_candidates(
+        rows = generate_candidates(
             sorted(ref.large_of_size(k - 1)) if k > 2 else l1, k
         )
-        if not cands:
+        if not len(rows):
             continue
-        via_dict = _count_candidates(db, cands, k)
-        via_tree = count_with_hash_tree(db, cands, k)
+        via_dict = _count_candidates(db, rows)
+        via_tree = count_with_hash_tree(db, list(map(tuple, rows.tolist())), k)
         assert via_tree == via_dict
 
 
@@ -104,7 +104,7 @@ def test_apriori_method_hashtree_identical():
     rows = [a.table2_rows()[0]]
     k = 2
     while large:
-        cands = generate_candidates(sorted(large), k)
+        cands = list(map(tuple, generate_candidates(sorted(large), k).tolist()))
         counts = count_with_hash_tree(db, cands, k)
         large = {i for i, c in counts.items() if c >= a.minsup_count}
         assert large == set(a.large_of_size(k))

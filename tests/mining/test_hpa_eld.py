@@ -7,7 +7,7 @@ candidates on every node so they are counted locally instead of routed.
 
 import pytest
 
-from repro.datagen import generate
+from repro.datagen import TransactionDatabase, generate
 from repro.errors import MiningError
 from repro.mining import apriori
 from repro.mining.hpa import HPAConfig, run_hpa
@@ -95,6 +95,18 @@ def test_eld_duplicated_bytes_count_against_limit():
     assert max(eld.swap_outs_per_node) >= 0
     assert eld.n_duplicated > 0
     assert plain.n_duplicated == 0
+
+
+def test_eld_node_without_occurrences():
+    """A node whose partition holds no candidate occurrence in a pass
+    (node 3 sees only ``[4]``; at k = 3 node 2 sees only ``[1, 2]``)
+    still folds its empty share of the duplicated counts."""
+    db = TransactionDatabase.from_lists([[1, 2, 3], [1, 2, 3], [1, 2], [4]], n_items=5)
+    res = run_hpa(
+        db, HPAConfig(minsup=0.5, n_app_nodes=4, total_lines=16, seed=1, eld_fraction=0.5)
+    )
+    assert res.pass_result(2).n_duplicated > 0
+    assert res.large_itemsets == apriori(db, minsup=0.5).large_itemsets
 
 
 def test_eld_fraction_validation():

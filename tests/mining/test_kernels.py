@@ -42,6 +42,10 @@ ragged_rows = st.lists(
 )
 
 
+def _tuples(rows):
+    return list(map(tuple, rows.tolist()))
+
+
 def _csr(rows):
     values = np.array([i for row in rows for i in row], dtype=np.int32)
     lengths = np.array([len(row) for row in rows], dtype=np.int64)
@@ -77,7 +81,7 @@ def test_filter_block_matches_per_row_filter(rows, keep):
 def _naive_subsets(txn, candidates, l_prev, k):
     """The loop the prefix index replaces: enumerate every k-subset of
     the transaction, keep those whose (k-1)-subsets are all in L_{k-1}."""
-    cand_set = set(candidates)
+    cand_set = set(_tuples(candidates))
     out = []
     for subset in combinations(txn, k):
         if all(sub in l_prev for sub in combinations(subset, k - 1)):
@@ -125,16 +129,16 @@ def test_prefix_index_matches_all_subsets_prune(inputs, cells):
         s for txn in (block or [[]])
         for s in _naive_subsets(txn, candidates, set(l_prev), k)
     ]
-    if not candidates:
+    if not len(candidates):
         assert not want
         return
     zeros = np.zeros(len(candidates), dtype=np.int64)
-    kernel = CountingKernel(12, itemset_rows(candidates, k), zeros)
+    kernel = CountingKernel(12, candidates, zeros)
     with mock.patch.object(kernels, "_MEMBER_CELLS", cells):
-        assert kernel.decode(kernel.occurrences(db, 0, len(db))) == want
+        assert _tuples(candidates[kernel.occurrences(db, 0, len(db))]) == want
     # One transaction at a time: the same stream, block boundaries free.
     singly = [kernel.occurrences(db, t, t + 1) for t in range(len(db))]
-    assert kernel.decode(np.concatenate(singly)) == want
+    assert _tuples(candidates[np.concatenate(singly)]) == want
 
 
 def test_prefix_index_walks_labels_directly():
@@ -232,12 +236,12 @@ def test_kernel_pair_stream_matches_naive_routing(n_items, large1, txn, n_dup):
     l1 = sorted((i,) for i in large1)
     candidates = generate_candidates(l1, 2)
     part = HashPartitioner(64, 4)
-    dup = set(candidates[:n_dup])
-    lines = np.array([part.line_of(c) for c in candidates], dtype=np.int64)
+    dup = set(_tuples(candidates[:n_dup]))
+    lines = np.array([part.line_of(c) for c in _tuples(candidates)], dtype=np.int64)
     owners = lines % part.n_nodes
     lines[: len(dup)] = -1
     owners[: len(dup)] = OWNER_DUPLICATED
-    kernel = CountingKernel(n_items, itemset_rows(candidates, 2), owners)
+    kernel = CountingKernel(n_items, candidates, owners)
 
     l1_mask = np.zeros(n_items, dtype=bool)
     l1_mask[[i for (i,) in l1]] = True
@@ -245,7 +249,11 @@ def test_kernel_pair_stream_matches_naive_routing(n_items, large1, txn, n_dup):
     rel = np.array([0, len(txn)], dtype=np.int64)
     codes = kernel.pair_block(txn_arr, rel, l1_mask)
     got = list(
-        zip(kernel.decode(codes), lines[codes].tolist(), kernel.owners_of(codes).tolist())
+        zip(
+            _tuples(candidates[codes]),
+            lines[codes].tolist(),
+            kernel.owners_of(codes).tolist(),
+        )
     )
 
     want = []
@@ -265,11 +273,11 @@ def test_kernel_owners_of_rejects_non_candidate():
     lets it through."""
     for n_items in (20, 5000):
         last = n_items - 1
-        candidates = [(1, 2), (3, last)]
+        candidates = np.array([(1, 2), (3, last)])
         routing = np.zeros(2, dtype=np.int64)
-        kernel = CountingKernel(n_items, itemset_rows(candidates, 2), routing)
+        kernel = CountingKernel(n_items, candidates, routing)
         db = TransactionDatabase.from_lists([[1, 2], [1, last]], n_items=n_items)
-        assert kernel.decode(kernel.occurrences(db, 0, 1)) == [(1, 2)]
+        assert _tuples(candidates[kernel.occurrences(db, 0, 1)]) == [(1, 2)]
         with pytest.raises(MiningError, match=rf"\(1, {last}\).*not a candidate"):
             kernel.occurrences(db, 0, 2)
         wide = np.ones(n_items, dtype=bool)
@@ -295,7 +303,7 @@ def test_kernel_k2_tables_scale_with_candidates_not_universe(monkeypatch):
     lines = np.arange(len(candidates), dtype=np.int64)
     tracemalloc.start()
     try:
-        kernel = CountingKernel(n_items, itemset_rows(candidates, 2), lines % 4)
+        kernel = CountingKernel(n_items, candidates, lines % 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -311,8 +319,9 @@ def test_kernel_k2_tables_scale_with_candidates_not_universe(monkeypatch):
         for txn in db
         for pair in combinations([i for i in txn.tolist() if i in members], 2)
     ]
-    assert want and kernel.decode(codes) == want
-    assert count_candidates(db, candidates, 2) == _count_candidates(db, candidates, 2)
+    assert want and _tuples(candidates[codes]) == want
+    counted = dict(zip(_tuples(candidates), count_candidates(db, candidates).tolist()))
+    assert counted == _count_candidates(db, candidates)
 
 
 def test_kernel_takes_no_code_space_option():
@@ -330,18 +339,21 @@ def test_kernel_takes_no_code_space_option():
     )
 )
 def test_eld_scores_match_naive_min_k2(l_prev):
-    candidates = generate_candidates(sorted(l_prev), 2)
-    scores = eld_scores(candidates, l_prev, 2)
+    rows = itemset_rows(list(l_prev), 1)
+    candidates = generate_candidates(rows, 2)
+    scores = eld_scores(candidates, rows, np.array(list(l_prev.values())))
     naive = [
         min(l_prev.get(sub, 0) for sub in combinations(cand, 1))
-        for cand in candidates
+        for cand in _tuples(candidates)
     ]
-    assert scores == naive
+    assert scores.tolist() == naive
 
 
 def test_eld_scores_k3():
-    l_prev = {(1, 2): 10, (1, 3): 7, (2, 3): 9}
-    assert eld_scores([(1, 2, 3)], l_prev, 3) == [7]
+    prev = np.array([[2, 3], [1, 2], [1, 3]])
+    candidates = np.array([[1, 2, 3], [1, 2, 4]])
+    # (1, 2, 4) has (1, 4) and (2, 4) outside L_2: scored 0.
+    assert eld_scores(candidates, prev, np.array([9, 10, 7])).tolist() == [7, 0]
 
 
 # -- sequential count_candidates ----------------------------------------------
@@ -354,9 +366,10 @@ def test_count_candidates_matches_naive_scan(k):
     ref = apriori(DB, minsup=0.02)
     l_prev = sorted(ref.large_of_size(k - 1))
     candidates = generate_candidates(l_prev, k)
-    assert candidates, "workload must produce candidates for the test to bite"
-    assert count_candidates(DB, candidates, k) == _count_candidates(DB, candidates, k)
+    assert len(candidates), "workload must produce candidates for the test to bite"
+    counted = dict(zip(_tuples(candidates), count_candidates(DB, candidates).tolist()))
+    assert counted == _count_candidates(DB, candidates)
 
 
 def test_count_candidates_empty():
-    assert count_candidates(DB, [], 2) == {}
+    assert count_candidates(DB, np.empty((0, 2), dtype=np.int64)).size == 0
