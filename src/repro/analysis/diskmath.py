@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.cost_model import CostModel
-from repro.analysis.pagefault import predicted_fault_time_s
-from repro.cluster.specs import ATM_155, BARRACUDA_7200, DK3E1T_12000, DiskSpec, NicSpec
+from repro.cluster.costs import PAPER_COSTS
+from repro.cluster.specs import ATM_155, BARRACUDA_7200, DK3E1T_12000
 
 __all__ = ["DiskComparisonRow", "disk_comparison"]
 
@@ -29,26 +28,20 @@ class DiskComparisonRow:
     ratio_vs_remote: float
 
 
-def disk_comparison(
-    cost: CostModel | None = None,
-    nic: NicSpec = ATM_155,
-    disks: tuple[DiskSpec, ...] = (BARRACUDA_7200, DK3E1T_12000),
-    io_bytes: int = 4096,
-) -> list[DiskComparisonRow]:
-    """Rows comparing each disk's random read against the remote fault."""
-    cost = cost or CostModel()
-    remote = predicted_fault_time_s(cost, nic)
+def disk_comparison() -> list[DiskComparisonRow]:
+    """Rows comparing each §5.2 disk's random read to the remote fault."""
+    remote = PAPER_COSTS.remote_fault_time_s(ATM_155)
     rows = [
         DiskComparisonRow(
-            device=f"remote memory ({nic.name})",
+            device=f"remote memory ({ATM_155.name})",
             seek_s=0.0,
             rotation_s=0.0,
             access_time_s=remote,
             ratio_vs_remote=1.0,
         )
     ]
-    for disk in disks:
-        t = disk.access_time_s(io_bytes)
+    for disk in (BARRACUDA_7200, DK3E1T_12000):
+        t = disk.access_time_s(PAPER_COSTS.message_block_bytes)
         rows.append(
             DiskComparisonRow(
                 device=disk.name,

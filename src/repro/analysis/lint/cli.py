@@ -29,6 +29,7 @@ from repro.analysis.lint.floats import FloatEqualityChecker
 from repro.analysis.lint.framework import Checker, lint_paths
 from repro.analysis.lint.frozen import FrozenConfigChecker
 from repro.analysis.lint.hostclock import HostClockChecker
+from repro.analysis.lint.layers import LayerImportChecker
 
 __all__ = ["ALL_CHECKERS", "build_checkers", "build_parser", "main"]
 
@@ -41,6 +42,7 @@ ALL_CHECKERS: "tuple[type[Checker], ...]" = (
     MetricNameChecker,
     FrozenConfigChecker,
     FloatEqualityChecker,
+    LayerImportChecker,
 )
 
 

@@ -4,21 +4,18 @@ The paper derives the execution time of one pagefault by subtracting the
 no-memory-limit execution time from a limited run's and dividing by the
 maximum pagefault count over all nodes ("The total execution time is
 decided by the busiest node that does the most swapping operations").
-It then decomposes that time into round-trip delay + data transmission +
-memory-node service.  This module performs both computations on
-simulated runs so benchmarks can print Table 4 verbatim.
+It then decomposes that time into round trip + transmission + memory-node
+service, the model's :meth:`~repro.cluster.costs.CostModel.remote_fault_time_s`.
+This module does the first on simulated runs, to print Table 4 verbatim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.cost_model import CostModel
-from repro.cluster.network import PROTOCOL_OVERHEAD_BYTES
-from repro.cluster.specs import NicSpec
 from repro.errors import ReproError
 
-__all__ = ["PagefaultRow", "pagefault_row", "predicted_fault_time_s"]
+__all__ = ["PagefaultRow", "pagefault_row"]
 
 
 @dataclass(frozen=True)
@@ -61,15 +58,3 @@ def pagefault_row(
         max_faults=max_faults,
         per_fault_s=diff / max_faults,
     )
-
-
-def predicted_fault_time_s(cost: CostModel, nic: NicSpec) -> float:
-    """The paper's analytic decomposition of one remote-memory fault:
-    round trip + one 4 KB block transmission + holder service time.
-
-    On an uncontended holder the simulation should land close to this.
-    """
-    rtt = 2 * nic.one_way_latency_s
-    request_tx = nic.transmit_time_s(cost.fault_request_bytes + PROTOCOL_OVERHEAD_BYTES)
-    data_tx = nic.transmit_time_s(cost.line_message_bytes() + PROTOCOL_OVERHEAD_BYTES)
-    return rtt + request_tx + data_tx + cost.remote_fault_service_s

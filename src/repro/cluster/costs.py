@@ -8,7 +8,8 @@ to the paper's measured quantities:
   carried by the network model itself (:data:`repro.cluster.specs.ATM_155`);
 - one pagefault over remote memory ≈ 2.2-2.4 ms, decomposed by the paper
   into round trip (0.5 ms) + 4 KB transmit (0.3 ms) + swapping cost at
-  the memory-available node (the remainder, ~1.5 ms) — Table 4;
+  the memory-available node (the remainder, ~1.5 ms) — Table 4, in
+  closed form as :meth:`CostModel.remote_fault_time_s`;
 - disk pagefault ≥ 13 ms on the 7 200 rpm Barracuda (§5.2);
 - message block 4 KB, disk I/O block 64 KB (§5.1);
 - per-itemset CPU costs sized so that a scaled-down pass 2 without any
@@ -18,9 +19,16 @@ to the paper's measured quantities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-__all__ = ["CostModel", "PAPER_COSTS"]
+from repro.cluster.network import PROTOCOL_OVERHEAD_BYTES
+from repro.cluster.specs import NicSpec
+
+__all__ = ["CostModel", "PAPER_COSTS", "ITEMSET_BYTES"]
+
+#: Bytes of one candidate itemset record (paper §5.1), in a hash line and
+#: in a remote-update message alike.
+ITEMSET_BYTES = 24
 
 
 @dataclass(frozen=True)
@@ -28,7 +36,9 @@ class CostModel:
     """Per-operation virtual-time charges (seconds unless stated)."""
 
     # -- message framing (paper §5.1) -----------------------------------
-    #: Size of one communication block; one hash line travels in one block.
+    #: Size of one communication block.  A swapped hash line always
+    #: travels as one full block ("each pagefault data is contained in
+    #: one message block"); it must hold at least one update record.
     message_block_bytes: int = 4096
     #: Disk I/O block for scanning the transaction file.
     disk_io_block_bytes: int = 65536
@@ -62,27 +72,23 @@ class CostModel:
     #: Protocol-stack CPU cost per message on each side (TCP over ATM on
     #: a Pentium Pro was not free).
     cpu_per_message_s: float = 80e-6
-    #: Buffering one update for a remote-fixed line (remote update mode).
-    cpu_buffer_update_s: float = 2e-6
 
-    # -- monitoring (paper §5.1: interval 3 s) ------------------------------
-    #: Default availability-broadcast interval.
-    monitor_interval_s: float = 3.0
+    # -- monitoring (paper §5.1) --------------------------------------------
     #: CPU cost at the monitor to assemble + send one broadcast message.
     monitor_cpu_per_message_s: float = 150e-6
 
-    def line_message_bytes(self) -> int:
-        """A swapped hash line always travels as one full message block
-        ("each pagefault data is contained in one message block")."""
-        return self.message_block_bytes
-
-    def updates_per_message(self, itemset_bytes: int = 24) -> int:
+    def updates_per_message(self) -> int:
         """How many update records fit one message block."""
-        return max(1, self.message_block_bytes // itemset_bytes)
+        return self.message_block_bytes // ITEMSET_BYTES
 
-    def with_overrides(self, **kwargs: float) -> "CostModel":
-        """Copy with selected fields replaced (ablation helper)."""
-        return replace(self, **kwargs)
+    def remote_fault_time_s(self, nic: NicSpec) -> float:
+        """The paper's analytic decomposition of one remote-memory fault:
+        round trip + one 4 KB block transmission + holder service time.
+        An idle simulated fault adds ``2 * cpu_per_message_s`` to it."""
+        rtt = 2 * nic.one_way_latency_s
+        request_tx = nic.transmit_time_s(self.fault_request_bytes + PROTOCOL_OVERHEAD_BYTES)
+        data_tx = nic.transmit_time_s(self.message_block_bytes + PROTOCOL_OVERHEAD_BYTES)
+        return rtt + request_tx + data_tx + self.remote_fault_service_s
 
 
 #: The default calibration used by all paper-reproduction benchmarks.

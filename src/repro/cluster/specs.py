@@ -39,7 +39,7 @@ class CpuSpec:
 
     ``specint95`` is used only as a *relative* speed factor between
     catalogue CPUs; absolute per-operation costs live in
-    :class:`repro.analysis.cost_model.CostModel`.
+    :class:`repro.cluster.costs.CostModel`.
     """
 
     name: str

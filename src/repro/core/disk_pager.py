@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.analysis.cost_model import CostModel
+from repro.cluster.costs import CostModel
 from repro.core.memory_table import LineState, MemoryManagementTable
 from repro.core.pager import Pager
 from repro.errors import SwapError
@@ -34,7 +34,7 @@ class DiskPager(Pager):
     def evict(self, line: HashLine) -> Generator:
         if line.line_id in self._on_disk:
             raise SwapError(f"line {line.line_id} already on disk")
-        block = self.cost.line_message_bytes()
+        block = self.cost.message_block_bytes
         # State transition commits synchronously (before the I/O time is
         # paid) so a concurrent access sees a consistent DISK state and
         # queues behind this write on the disk arm.
@@ -54,7 +54,7 @@ class DiskPager(Pager):
         if self.table.state(line_id) is not LineState.DISK:
             raise SwapError(f"line {line_id} is not on disk")
         start = self.node.env.now
-        block = self.cost.line_message_bytes()
+        block = self.cost.message_block_bytes
         yield from self.node.swap_disk.read(block)
         line = self._on_disk.pop(line_id)
         self.table.set_resident(line_id)
@@ -68,7 +68,7 @@ class DiskPager(Pager):
     def peek_line(self, line_id: int) -> Generator:
         if self.table.state(line_id) is not LineState.DISK:
             raise SwapError(f"line {line_id} is not on disk")
-        yield from self.node.swap_disk.read(self.cost.line_message_bytes())
+        yield from self.node.swap_disk.read(self.cost.message_block_bytes)
         self.stats.peeks += 1
         return self._on_disk[line_id]
 

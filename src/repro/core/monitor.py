@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-from repro.analysis.cost_model import CostModel
+from repro.cluster.costs import CostModel
 from repro.errors import Interrupt
 from repro.sim.process import Process
 
@@ -26,10 +26,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
     from repro.cluster.transport import Transport
 
-__all__ = ["AvailabilityInfo", "MemoryMonitor", "MonitorClient", "MONITOR_CHANNEL"]
+__all__ = ["AvailabilityInfo", "MemoryMonitor", "MonitorClient",
+           "MONITOR_CHANNEL", "MONITOR_INTERVAL_S"]
 
 #: Transport channel the availability broadcasts travel on.
 MONITOR_CHANNEL = "memmon"
+
+#: Default availability-broadcast interval (paper §5.1: 3 s).
+MONITOR_INTERVAL_S = 3.0
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class MemoryMonitor:
         self.transport = transport
         self.client_ids = list(client_ids)
         self.cost = cost
-        self.interval_s = cost.monitor_interval_s if interval_s is None else interval_s
+        self.interval_s = MONITOR_INTERVAL_S if interval_s is None else interval_s
         if self.interval_s <= 0:
             raise ValueError(f"monitor interval must be positive, got {self.interval_s}")
         self._seq = 0

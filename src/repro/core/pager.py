@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Iterator, Optional
 
-from repro.analysis.cost_model import CostModel
+from repro.cluster.costs import CostModel
 from repro.core.memory_table import MemoryManagementTable
 from repro.mining.hash_table import CandidateHashTable, HashLine
 

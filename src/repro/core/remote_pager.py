@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.analysis.cost_model import CostModel
+from repro.cluster.costs import CostModel
 from repro.core.memory_table import LineState, MemoryManagementTable
 from repro.core.monitor import MonitorClient
 from repro.core.pager import Pager
@@ -118,7 +118,7 @@ class RemoteMemoryPager(Pager):
         the line; the pager then marks it full locally and retries the
         next candidate (paper §4.2's destination switch).
         """
-        block = self.cost.line_message_bytes()
+        block = self.cost.message_block_bytes
         exclude: set[int] = set()
         while True:
             try:
@@ -201,7 +201,7 @@ class RemoteMemoryPager(Pager):
             return (yield from self.fallback.fault_in(line_id))
         line = self.stores[holder].take(self.owner_id, line_id)
         self.client.adjust_estimate(holder, line.nbytes)
-        block = self.cost.line_message_bytes()
+        block = self.cost.message_block_bytes
         yield from self._send(self.memory_nodes[holder], self.node, block)
         self.table.set_resident(line_id)
         self.stats.faults += 1
@@ -221,7 +221,7 @@ class RemoteMemoryPager(Pager):
             assert self.fallback is not None
             return (yield from self.fallback.peek_line(line_id))
         line = self.stores[holder].peek(self.owner_id, line_id)
-        block = self.cost.line_message_bytes()
+        block = self.cost.message_block_bytes
         yield from self._send(self.memory_nodes[holder], self.node, block)
         self.stats.peeks += 1
         return line
@@ -248,7 +248,7 @@ class RemoteMemoryPager(Pager):
 
         src_store = self.stores[shortage_node]
         src_node = self.memory_nodes[shortage_node]
-        block = self.cost.line_message_bytes()
+        block = self.cost.message_block_bytes
 
         # Tell the overloaded holder where each entry should go.
         yield from self._send(self.node, src_node, DIRECTION_MESSAGE_BYTES)
@@ -372,7 +372,7 @@ class RemoteUpdatePager(RemoteMemoryPager):
         """One-way update message: transfer + holder-side application."""
         msg = Message(
             src=self.owner_id, dst=holder, channel="updates",
-            payload=None, size_bytes=self.cost.line_message_bytes(),
+            payload=None, size_bytes=self.cost.message_block_bytes,
         )
         yield from self.network.transfer(msg)
         holder_node = self.memory_nodes[holder]

@@ -31,12 +31,11 @@ from typing import Mapping, Optional
 from repro.analysis import (
     disk_comparison,
     pagefault_row,
-    predicted_fault_time_s,
     render_kv,
     render_series,
     render_table,
 )
-from repro.analysis.cost_model import PAPER_COSTS
+from repro.cluster.costs import PAPER_COSTS
 from repro.cluster.specs import ATM_155
 from repro.harness.scales import SCALES
 from repro.harness.sweep import Fold, Sweep
@@ -173,7 +172,7 @@ def _grid_table4(scale: str) -> "dict[str, Scenario]":
 
 
 #: The analytic per-fault time (RTT + 4 KB transmit + service).
-PREDICTED_FAULT_S = predicted_fault_time_s(PAPER_COSTS, ATM_155)
+PREDICTED_FAULT_S = PAPER_COSTS.remote_fault_time_s(ATM_155)
 
 
 def _report_table4(scale: str, results: Results) -> tuple[str, dict]:

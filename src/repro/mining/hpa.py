@@ -238,9 +238,7 @@ class HPARun(MiningDriver):
         cost = self.config.cost
         window = SendWindow(self.env)
         dests = [b for b in self.app_ids if b != a]
-        streams = OwnerStreams(
-            dests, max(1, cost.message_block_bytes // ITEMSET_BYTES)
-        )
+        streams = OwnerStreams(dests, cost.updates_per_message())
         bulk = mgr.pager is None
         local_codes: list[np.ndarray] = []
         dup_codes: list[np.ndarray] = []

@@ -3,7 +3,7 @@
 An itemset is a tuple of strictly increasing non-negative item ids.  The
 paper stores each candidate as a 24-byte record ("each candidate itemset
 occupies 24 bytes (structure area + data area)"); :data:`ITEMSET_BYTES`
-preserves that constant so memory-limit arithmetic matches the paper's.
+(from :mod:`repro.cluster.costs`) keeps memory arithmetic the paper's.
 
 Hashing must be deterministic across processes and runs (the HPA
 algorithm requires every node to map an itemset to the same destination),
@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.costs import ITEMSET_BYTES
 from repro.errors import MiningError
 
 __all__ = [
@@ -33,9 +34,6 @@ __all__ = [
 ]
 
 Itemset = Tuple[int, ...]
-
-#: Bytes occupied by one candidate itemset record (paper §5.1).
-ITEMSET_BYTES = 24
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.cost_model import PAPER_COSTS, CostModel
+from repro.cluster.costs import ITEMSET_BYTES, PAPER_COSTS, CostModel
 from repro.errors import ConfigError
 
 __all__ = [
@@ -139,6 +139,10 @@ def validate_config(config: RunConfig) -> None:
             )
     if config.disk_fallback and config.pager not in ("remote", "remote-update"):
         raise ConfigError("disk_fallback applies only to remote pagers")
+    if config.cost.message_block_bytes < ITEMSET_BYTES:
+        raise ConfigError(f"cost.message_block_bytes must hold one "
+                          f"{ITEMSET_BYTES}-byte update record, got "
+                          f"{config.cost.message_block_bytes}")
     if not 0.0 <= config.loss_probability < 1.0:
         raise ConfigError(
             f"loss_probability must be in [0, 1), got {config.loss_probability}"

@@ -24,6 +24,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
+from repro.cluster.costs import PAPER_COSTS
 from repro.errors import ConfigError
 from repro.obs import current_telemetry
 
@@ -151,14 +152,13 @@ class Scenario:
     def build_config(self, prep):
         """The driver config for this scenario against ``prep`` (a
         :class:`~repro.harness.scales.PreparedWorkload`)."""
-        from repro.analysis.cost_model import PAPER_COSTS
         from repro.mining.hpa import HPAConfig
         from repro.mining.npa import NPAConfig
 
         scale = prep.scale
         cost = PAPER_COSTS
         if self.message_block_bytes is not None:
-            cost = cost.with_overrides(message_block_bytes=self.message_block_bytes)
+            cost = replace(cost, message_block_bytes=self.message_block_bytes)
         limit = None if self.paper_mb is None else prep.limit_bytes(self.paper_mb)
         cls = NPAConfig if self.driver == "npa" else HPAConfig
         return cls(

@@ -37,6 +37,9 @@ VIOLATION_FIXTURES = {
     "core/fx_setiter_violation.py": [
         ("RPL202", 10), ("RPL202", 16), ("RPL202", 22),
     ],
+    "core/fx_layer_violation.py": [
+        ("RPL601", 7), ("RPL601", 8), ("RPL601", 9), ("RPL601", 14),
+    ],
     "obs/fx_contract_violation.py": [
         ("RPL301", 11), ("RPL302", 13), ("RPL302", 14), ("RPL302", 24),
     ],
@@ -56,6 +59,7 @@ CLEAN_FIXTURES = [
     "harness/wallclock.py",
     "core/fx_random_clean.py",
     "core/fx_setiter_clean.py",
+    "core/fx_layer_clean.py",
     "obs/fx_contract_clean.py",
     "runtime/fx_frozen_clean.py",
     "runtime/fx_float_clean.py",
@@ -112,9 +116,9 @@ def test_every_code_has_exactly_one_checker():
             seen[code] = name
     assert sorted(seen) == [
         "RPL101", "RPL102", "RPL201", "RPL202", "RPL301", "RPL302",
-        "RPL401", "RPL501",
+        "RPL401", "RPL501", "RPL601",
     ]
-    assert len(ALL_CHECKERS) == 7
+    assert len(ALL_CHECKERS) == 8
 
 
 @pytest.mark.parametrize("module", sorted(HARNESS_HOSTCLOCK_ALLOWLIST))

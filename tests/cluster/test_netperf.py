@@ -1,14 +1,17 @@
-"""Direct tests of the netperf micro-benchmarks (beyond calibration use)."""
+"""The netperf micro-benchmarks: their own behaviour, and each probe held
+to the paper's §5.2 measurement (the calibration of the simulated
+substrate)."""
 
 import pytest
 
+from repro.cluster.costs import PAPER_COSTS
 from repro.cluster.netperf import (
     measure_disk_access_s,
     measure_fan_in_factor,
     measure_rtt_s,
     measure_throughput_bps,
 )
-from repro.cluster.specs import BARRACUDA_7200, CAVIAR_IDE, DK3E1T_12000
+from repro.cluster.specs import ATM_155, BARRACUDA_7200, CAVIAR_IDE, DK3E1T_12000
 
 
 def test_rtt_deterministic():
@@ -44,11 +47,35 @@ def test_disk_access_matches_spec_formula():
     assert t == pytest.approx(BARRACUDA_7200.access_time_s(4096))
 
 
+def test_rtt_scales_with_payload():
+    small = measure_rtt_s(payload_bytes=64)
+    large = measure_rtt_s(payload_bytes=8192)
+    assert large > small
+
+
+def test_throughput_below_raw_line_rate():
+    bps = measure_throughput_bps(n_messages=50)
+    assert bps < 155e6  # protocol overhead keeps us under ATM line rate
+    assert bps > 100e6
+
+
+def test_fan_in_grows_with_senders():
+    two = measure_fan_in_factor(n_senders=2, n_messages=20)
+    four = measure_fan_in_factor(n_senders=4, n_messages=20)
+    assert 1.5 < two < 2.5
+    assert 3.0 < four < 5.0
+
+
+def test_sequential_disk_access_faster():
+    random_t = measure_disk_access_s(BARRACUDA_7200, sequential=False)
+    seq_t = measure_disk_access_s(BARRACUDA_7200, sequential=True)
+    assert seq_t < 0.1 * random_t
+
+
 # -- the probes vs. the paper's §5.2 figures --------------------------------
 #
-# Same references and tolerances as repro.analysis.calibration, asserted
-# here directly so a probe regression fails the suite even if the
-# calibration report is never rendered.
+# The calibration of the simulated substrate: each probe against the
+# paper's published value, with the tolerance EXPERIMENTS.md quotes.
 
 
 def test_rtt_matches_paper():
@@ -83,11 +110,7 @@ def test_dk3e1t_access_matches_paper():
 
 def test_remote_memory_beats_both_disks():
     # The paper's punchline: a ~2.3 ms remote fault vs >=7.5 ms disk.
-    from repro.analysis import predicted_fault_time_s
-    from repro.analysis.cost_model import PAPER_COSTS
-    from repro.cluster.specs import ATM_155
-
-    fault = predicted_fault_time_s(PAPER_COSTS, ATM_155)
+    fault = PAPER_COSTS.remote_fault_time_s(ATM_155)
     assert fault == pytest.approx(2.33e-3, rel=0.10)
     assert measure_disk_access_s(DK3E1T_12000) / fault > 3
     assert measure_disk_access_s(BARRACUDA_7200) / fault > 5

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.cost_model import CostModel
 from repro.cluster import Cluster
+from repro.cluster.costs import CostModel
 from repro.core import (
     DiskPager,
     MemoryManagementTable,

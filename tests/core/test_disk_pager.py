@@ -38,8 +38,9 @@ def test_fault_time_is_disk_access_time():
 
     rig.env.process(proc(rig.env))
     rig.env.run(until=100)
+    assert pager.stats.faults == 1
     expected = BARRACUDA_7200.access_time_s(4096)
-    assert pager.stats.mean_fault_time_s() == pytest.approx(expected)
+    assert pager.stats.mean_fault_time_s() == pytest.approx(expected, rel=1e-12)
     # Paper §5.2: "at least 13.0 msec in average" on the 7200 rpm disk.
     assert pager.stats.mean_fault_time_s() >= 13.0e-3
 

@@ -9,6 +9,7 @@ def test_broadcasts_arrive_periodically():
     rig = make_rig(n_app=2, n_mem=2, pager_kind="none", limit_bytes=None)
     rig.env.run(until=10.0)
     # Interval 3 s: broadcasts at t=0, 3, 6, 9 -> 4 per monitor per client.
+    assert all(m.interval_s == 3.0 for m in rig.monitors.values())  # §5.1
     for a in rig.app_ids:
         client = rig.clients[a]
         assert set(client.table) == set(rig.mem_ids)

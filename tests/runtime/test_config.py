@@ -7,9 +7,13 @@ must raise :class:`~repro.errors.ConfigError` (a
 catching MiningError still work) and must never reach the builder.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.cluster.costs import ITEMSET_BYTES, PAPER_COSTS
 from repro.errors import ConfigError, MiningError
+from repro.mining.hpa import HPAConfig
 from repro.runtime import RunConfig
 from repro.runtime.config import (
     PAGERS,
@@ -26,6 +30,15 @@ def test_valid_default_config_builds():
 
 def test_config_error_is_mining_error():
     assert issubclass(ConfigError, MiningError)
+
+
+def test_message_block_must_hold_one_update_record():
+    with pytest.raises(ConfigError, match="message_block_bytes"):
+        HPAConfig(cost=replace(PAPER_COSTS, message_block_bytes=0))
+    with pytest.raises(ConfigError, match="message_block_bytes"):
+        HPAConfig(cost=replace(PAPER_COSTS, message_block_bytes=ITEMSET_BYTES - 1))
+    smallest = HPAConfig(cost=replace(PAPER_COSTS, message_block_bytes=ITEMSET_BYTES))
+    assert smallest.cost.updates_per_message() == 1
 
 
 @pytest.mark.parametrize("minsup", [0.0, -0.1, 1.5])

@@ -65,6 +65,18 @@ def test_rejects_unknown_driver():
         Scenario(driver="mpi")
 
 
+@pytest.mark.parametrize("pager, block", [
+    ("remote", 0), ("remote-update", 0), ("remote", -4096), ("disk", -4096),
+])
+def test_execute_rejects_a_block_smaller_than_one_update_record(pager, block):
+    # Rejected when the config is built, never mid-simulation.
+    scenario = Scenario(scale="tiny", paper_mb=13, pager=pager,
+                        n_memory_nodes=0 if pager == "disk" else 4,
+                        message_block_bytes=block)
+    with pytest.raises(ConfigError, match="message_block_bytes"):
+        scenario.execute()
+
+
 def test_cache_key_ignores_cosmetic_fields():
     a = Scenario(name="a", description="one", scale="tiny")
     b = Scenario(name="b", description="two", scale="tiny")
