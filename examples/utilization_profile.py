@@ -3,18 +3,22 @@
 
 The paper's companion work analyses CPU usage and network behaviour of
 the cluster during HPA execution; this example shows the reproduction's
-equivalent: enable telemetry with a periodic utilisation sampler on a
-run, then print a timeline — pagefault rate per interval, network
-throughput, and the busiest nodes' CPU utilisation — annotated with the
-phase boundaries.
+equivalent: enable telemetry on a run, then print its phase boundaries,
+a pagefault-rate timeline and a network-throughput timeline (both
+bucketed from the event log), and each node's CPU share of the run.
 
 Run:  python examples/utilization_profile.py (add --fast for a tiny run)
 """
 
+import collections
 import sys
 
 from repro import HPAConfig, apriori, generate
 from repro.mining.hpa import HPARun
+
+
+#: Width of one timeline bucket, in simulated seconds.
+BUCKET_S = 0.25
 
 
 def bar(fraction: float, width: int = 30) -> str:
@@ -43,10 +47,8 @@ def main(fast: bool = False) -> None:
             pager="remote", n_memory_nodes=n_mem, memory_limit_bytes=limit,
         ),
     )
-    tel = run.enable_telemetry(sample_interval_s=0.1)
+    tel = run.enable_telemetry()
     res = run.run()
-    sampler = run.sampler
-    assert sampler is not None
 
     kinds = tel.counts_by_kind()
     print(f"run finished at t={res.total_time_s:.2f}s virtual; "
@@ -57,21 +59,32 @@ def main(fast: bool = False) -> None:
     for e in tel.events_of_kind("phase"):
         print(f"  t={e.time:7.3f}s  {e.detail}")
 
-    print("\npagefault rate (faults per 0.25 s bucket):")
-    series = tel.rate_series("fault", bucket_s=0.25)
+    print(f"\npagefault rate (faults per {BUCKET_S} s bucket):")
+    series = tel.rate_series("fault", bucket_s=BUCKET_S)
     peak = max((c for _, c in series), default=1)
     for t, count in series:
         print(f"  t={t:6.2f}s  {bar(count / peak)}  {count}")
 
-    print("\napp-node CPU utilisation (node 0) over time:")
-    for t, u in run.sampler.cpu_series(0)[:: max(1, len(sampler.samples) // 12)]:
-        print(f"  t={t:6.2f}s  {bar(u)}  {u:4.0%}")
-
-    thr = sampler.throughput_series()
-    if thr:
-        peak_mbps = max(r for _, r in thr) * 8 / 1e6
-        print(f"\npeak network throughput: {peak_mbps:.0f} Mbps "
+    # Network throughput: payload bytes of the delivered messages,
+    # bucketed by delivery time.
+    sent = collections.Counter()
+    for e in tel.events_of_kind("net-msg"):
+        sent[int(e.time // BUCKET_S)] += e.fields["size_bytes"]
+    if sent:
+        mbps = {b: n * 8 / BUCKET_S / 1e6 for b, n in sent.items()}
+        peak_mbps = max(mbps.values())
+        print(f"\nnetwork throughput (Mbps per {BUCKET_S} s bucket):")
+        for b in range(min(mbps), max(mbps) + 1):
+            rate = mbps.get(b, 0.0)
+            print(f"  t={b * BUCKET_S:6.2f}s  {bar(rate / peak_mbps)}  {rate:5.1f}")
+        print(f"peak network throughput: {peak_mbps:.0f} Mbps "
               f"(link effective capacity ~120 Mbps per direction)")
+
+    print("\nCPU share of the run per node:")
+    for node in run.cluster:
+        share = node.stats.cpu_busy_s / res.total_time_s
+        role = "app" if node.node_id in run.app_ids else "mem"
+        print(f"  node {node.node_id:2d} ({role})  {bar(share)}  {share:4.0%}")
 
 
 if __name__ == "__main__":

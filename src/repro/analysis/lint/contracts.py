@@ -14,8 +14,8 @@ Covered call shapes (first argument must be a string literal; forwarding
 helpers that pass a variable through are exempt at the forwarding site —
 their *callers'* literals are checked instead):
 
-- ``bus.emit("kind", ...)`` / ``self._emit("kind", ...)`` /
-  ``emit_ambient("kind", ...)``  -> RPL301
+- ``bus.emit("kind", ...)`` / ``node.emit("kind", ...)`` /
+  ``self._emit("kind", ...)`` / ``emit_ambient("kind", ...)``  -> RPL301
 - ``registry.counter("name", ...)`` / ``.histogram`` / ``.gauge`` and the
   ``self._count("name")`` convention of the cache/store tiers -> RPL302
 """

@@ -43,7 +43,6 @@ from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.monitor import MemoryMonitor
-    from repro.obs.events import EventBus
     from repro.sim.engine import Environment
 
 __all__ = [
@@ -275,8 +274,6 @@ class NodeDynamics:
         self.trace = trace
         self.rng = rng
         self._proc: Optional[Process] = None
-        #: Telemetry event bus (wired through :class:`ClusterDynamics`).
-        self.bus: "Optional[EventBus]" = None
 
     def start(self) -> Process:
         self._proc = self.monitor.node.env.process(self._run())
@@ -303,11 +300,7 @@ class NodeDynamics:
         memory = monitor.node.memory
         frac = min(1.0, max(0.0, fraction))
         level = min(memory.capacity_bytes, int(round(frac * memory.capacity_bytes)))
-        if self.bus is not None:
-            self.bus.emit(
-                "churn-level", monitor.node.node_id,
-                level_bytes=level, trace=self.trace.kind,
-            )
+        monitor.node.emit("churn-level", level_bytes=level, trace=self.trace.kind)
         if level >= memory.capacity_bytes:
             if not monitor.shortage:
                 monitor.signal_shortage()
@@ -354,8 +347,6 @@ class ClusterDynamics:
         self.churn = churn
         self.failures = tuple(failures)
         self.seed = seed
-        #: Telemetry event bus (wired by ``Telemetry.attach``).
-        self.bus: "Optional[EventBus]" = None
         trace = parse_trace(churn)
         #: Per-memory-node trace drivers, in ``mem_ids`` order.  Each
         #: node gets an independent generator seeded from ``(seed,
@@ -381,7 +372,6 @@ class ClusterDynamics:
     def start(self) -> None:
         """Launch trace and failure processes (no-op when inactive)."""
         for nd in self.node_dynamics:
-            nd.bus = self.bus
             self._procs.append(nd.start())
         for failure in self.failures:
             self._procs.append(self.env.process(self._failure(failure)))
@@ -408,8 +398,7 @@ class ClusterDynamics:
             )
         node_id = self.mem_ids[failure.node_index]
         monitor = self.monitors[node_id]
-        if self.bus is not None:
-            self.bus.emit("node-fail", node_id, down_s=failure.down_s)
+        monitor.node.emit("node-fail", down_s=failure.down_s)
         monitor.signal_shortage()
         try:
             yield env.timeout(failure.down_s)

@@ -109,8 +109,11 @@ class Network:
         self._ingress: dict[int, Resource] = {}
         self._msg_ids = count()
         self.stats = NetworkStats()
-        #: Telemetry event bus (wired by ``Telemetry.attach``); emits one
-        #: ``net-msg`` per delivery and one ``net-retransmit`` per loss.
+        #: The run's telemetry event bus (set by ``Telemetry.attach``):
+        #: the one place every component finds it, through
+        #: :meth:`~repro.cluster.node.Node.emit`.  The network itself
+        #: emits one ``net-msg`` per delivery and one ``net-retransmit``
+        #: per loss.
         self.bus = None
 
     def register(self, node_id: int) -> None:

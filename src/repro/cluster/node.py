@@ -70,5 +70,12 @@ class Node:
         self.stats.cpu_busy_s += scaled
         self.stats.compute_calls += 1
 
+    def emit(self, kind: str, **fields: object) -> None:
+        """Publish one telemetry event from this node on the run's bus
+        (:attr:`Network.bus`); a no-op when no telemetry is attached."""
+        bus = self.network.bus
+        if bus is not None:
+            bus.emit(kind, self.node_id, **fields)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.node_id} mem={self.memory.used_bytes}/{self.memory.capacity_bytes}>"

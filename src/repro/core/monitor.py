@@ -69,8 +69,6 @@ class MemoryMonitor:
         self._shortage = False
         self._proc: Optional[Process] = None
         self.broadcasts_sent = 0
-        #: Telemetry event bus (wired by ``Telemetry.attach``).
-        self.bus = None
 
     @property
     def shortage(self) -> bool:
@@ -94,8 +92,7 @@ class MemoryMonitor:
         all memory, and broadcast the shortage immediately."""
         self._shortage = True
         self.node.memory.set_external_pressure(self.node.memory.capacity_bytes)
-        if self.bus is not None:
-            self.bus.emit("shortage", self.node.node_id)
+        self.node.emit("shortage")
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("broadcast-now")
 
@@ -107,8 +104,7 @@ class MemoryMonitor:
         flags would make the whole cluster look dead."""
         self._shortage = False
         self.node.memory.set_external_pressure(0)
-        if self.bus is not None:
-            self.bus.emit("node-recover", self.node.node_id)
+        self.node.emit("node-recover")
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("broadcast-now")
 
@@ -135,12 +131,10 @@ class MemoryMonitor:
             seq=self._seq,
             timestamp=self.node.env.now,
         )
-        if self.bus is not None:
-            self.bus.emit(
-                "monitor-broadcast", self.node.node_id,
-                available_bytes=available, shortage=self._shortage,
-                seq=self._seq,
-            )
+        self.node.emit(
+            "monitor-broadcast", available_bytes=available,
+            shortage=self._shortage, seq=self._seq,
+        )
         self._seq += 1
         for client in self.client_ids:
             # Assemble + send one message per application node.
@@ -172,8 +166,6 @@ class MonitorClient:
         self._shortage_seen: set[int] = set()
         self._proc: Optional[Process] = None
         self.reports_received = 0
-        #: Telemetry event bus (wired by ``Telemetry.attach``).
-        self.bus = None
 
     # Build-time wiring: runs once from the driver before the first
     # event dispatch, so no concurrent accessor exists yet.
@@ -230,10 +222,7 @@ class MonitorClient:
             self.reports_received += 1
             if info.shortage and info.node_id not in self._shortage_seen:
                 self._shortage_seen.add(info.node_id)
-                if self.bus is not None:
-                    self.bus.emit(
-                        "shortage-seen", self.node.node_id, src=info.node_id
-                    )
+                self.node.emit("shortage-seen", src=info.node_id)
                 for handler in self.shortage_handlers:
                     env.process(handler(info.node_id))
             elif not info.shortage:

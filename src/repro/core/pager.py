@@ -23,7 +23,6 @@ from repro.mining.hash_table import CandidateHashTable, HashLine
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
     from repro.core.placement import PlacementPolicy
-    from repro.obs.events import EventBus
 
 __all__ = ["Pager", "PagerStats"]
 
@@ -75,18 +74,14 @@ class Pager(ABC):
         self.fallback: Optional["Pager"] = None
         #: Destination placement policy (remote pagers only).
         self.placement: Optional["PlacementPolicy"] = None
-        #: Telemetry event bus, wired by
-        #: :meth:`repro.obs.telemetry.Telemetry.attach`.
-        self.bus: "Optional[EventBus]" = None
         #: The pass's candidate table (set by ``SwapManager.begin_pass``):
         #: where a holder applies the update records this pager ships.
         self.candidates: Optional[CandidateHashTable] = None
 
     def _emit(self, kind: str, **fields: object) -> None:
-        """Publish one typed event (faults, evictions, migrations); with
-        no bus attached this is one attribute check."""
-        if self.bus is not None:
-            self.bus.emit(kind, self.node.node_id, source=self.name, **fields)
+        """Publish one typed event (faults, evictions, migrations) from
+        this pager's node, tagged with the pager's name."""
+        self.node.emit(kind, source=self.name, **fields)
 
     @abstractmethod
     def evict(self, line: HashLine) -> Generator:

@@ -32,7 +32,6 @@ from repro.errors import NoMemoryAvailable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.remote_pager import RemoteMemoryPager
-    from repro.obs.events import EventBus
 
 __all__ = [
     "PlacementPolicy",
@@ -61,12 +60,7 @@ class PlacementPolicy(ABC):
 
     name: str = "abstract"
 
-    def __init__(self, bus: "Optional[EventBus]" = None) -> None:
-        #: Telemetry event bus — an *instance* attribute (historically a
-        #: shared class attribute, which let one run's ``Telemetry.attach``
-        #: leak its bus into every other policy instance).  Passed by
-        #: :func:`make_placement` or assigned by ``Telemetry.attach``.
-        self.bus = bus
+    def __init__(self) -> None:
         #: The pager this policy serves (set by the builder via
         #: :meth:`attach_pager`); only migrate-ahead uses it.
         self.pager: "Optional[RemoteMemoryPager]" = None
@@ -94,11 +88,9 @@ class PlacementPolicy(ABC):
                 f"(known: {sorted(client.table)})"
             )
         dst = self._pick(client, cands)
-        if self.bus is not None:
-            self.bus.emit(
-                "placement", client.node.node_id,
-                dst=dst, needed_bytes=needed_bytes, policy=self.name,
-            )
+        client.node.emit(
+            "placement", dst=dst, needed_bytes=needed_bytes, policy=self.name
+        )
         return dst
 
     def _qualifying(
@@ -137,8 +129,8 @@ class RoundRobinPlacement(PlacementPolicy):
 
     name = "round-robin"
 
-    def __init__(self, bus: "Optional[EventBus]" = None) -> None:
-        super().__init__(bus)
+    def __init__(self) -> None:
+        super().__init__()
         self._next = 0
 
     def _pick(self, client: MonitorClient, cands: "list[int]") -> int:
@@ -161,8 +153,8 @@ class PredictivePlacement(PlacementPolicy):
 
     name = "predictive"
 
-    def __init__(self, bus: "Optional[EventBus]" = None) -> None:
-        super().__init__(bus)
+    def __init__(self) -> None:
+        super().__init__()
         self._seen_seq: "dict[int, int]" = {}
         #: node -> (broadcast timestamp, smoothed availability).
         self._last: "dict[int, tuple[float, float]]" = {}
@@ -223,8 +215,8 @@ class MigrateAheadPlacement(PredictivePlacement):
 
     name = "migrate-ahead"
 
-    def __init__(self, bus: "Optional[EventBus]" = None) -> None:
-        super().__init__(bus)
+    def __init__(self) -> None:
+        super().__init__()
         #: Nodes already evacuated for their current decline (re-armed
         #: when the trajectory turns back up).
         self._evacuated: "set[int]" = set()
@@ -259,11 +251,9 @@ class MigrateAheadPlacement(PredictivePlacement):
                 self._evacuated.discard(node_id)
             elif node_id not in self._evacuated:
                 self._evacuated.add(node_id)
-                if self.bus is not None:
-                    self.bus.emit(
-                        "migrate-ahead", client.node.node_id,
-                        target=node_id, predicted_bytes=predicted,
-                    )
+                client.node.emit(
+                    "migrate-ahead", target=node_id, predicted_bytes=predicted
+                )
                 client.node.env.process(self.pager.migrate_from(node_id))
 
     def _qualifying(
@@ -289,13 +279,12 @@ _POLICIES: "dict[str, type[PlacementPolicy]]" = {
 }
 
 
-def make_placement(name: str, bus: "Optional[EventBus]" = None) -> PlacementPolicy:
-    """Factory over the policy registry; ``bus`` is the telemetry event
-    bus the instance should emit on (``None`` until one attaches)."""
+def make_placement(name: str) -> PlacementPolicy:
+    """Factory over the policy registry."""
     try:
         cls = _POLICIES[name]
     except KeyError:
         raise ValueError(
             f"unknown placement policy {name!r}; have {sorted(_POLICIES)}"
         ) from None
-    return cls(bus)
+    return cls()

@@ -86,9 +86,6 @@ class SwapManager:
         self.limit_bytes = limit_bytes
         self.pager = pager
         self.policy = policy if policy is not None else LRUPolicy()
-        #: Telemetry event bus (wired by ``Telemetry.attach``); emits one
-        #: ``make-room`` event per eviction burst.
-        self.bus = None
         #: The pass's candidate table and the codes this node owns in it
         #: (see :meth:`begin_pass`).
         self.begin_pass(CandidateHashTable(_NO_CODES), _NO_CODES, range(0))
@@ -332,9 +329,9 @@ class SwapManager:
             # reads it, and it skips finished transfers itself.
             self._evictions = [p for p in self._evictions if p.is_alive]
             self._compact_at = 2 * len(self._evictions) + 64
-        if n_victims and self.bus is not None:
-            self.bus.emit(
-                "make-room", self.node.node_id, victims=n_victims,
+        if n_victims:
+            self.node.emit(
+                "make-room", victims=n_victims,
                 resident_bytes=self.resident_bytes,
             )
 

@@ -7,16 +7,14 @@ first-class outputs of *any* run instead of bespoke benchmark code:
 
 - :class:`~repro.obs.events.EventBus` — multi-subscriber bus carrying
   timestamped, structured :class:`~repro.obs.events.ObsEvent` records
-  from every layer (pagers, swap manager, monitors, placement, network,
-  mining drivers);
+  from every layer (pagers, swap manager, monitors, placement, dynamics,
+  network, mining drivers) — one bus per run, held by the run's network;
 - :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges
   and fixed-bucket + quantile histograms keyed by node/component;
 - :class:`~repro.obs.telemetry.Telemetry` — bundles bus + registry,
   wires them into an :class:`~repro.mining.hpa.HPARun` or
   :class:`~repro.mining.npa.NPARun`, and records phase/span timings on
   the simulation clock;
-- :class:`~repro.obs.sampler.UtilizationSampler` — periodic CPU /
-  memory / network snapshots taken by a simulated process;
 - :mod:`~repro.obs.export` — JSONL event traces, Chrome
   ``trace_event``-format timelines, ``metrics.json`` and per-run
   ``manifest.json``;
@@ -34,7 +32,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     SIZE_BUCKETS_B,
 )
-from repro.obs.sampler import UtilizationSample, UtilizationSampler
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -47,8 +44,6 @@ __all__ = [
     "EventBus",
     "ObsEvent",
     "Telemetry",
-    "UtilizationSample",
-    "UtilizationSampler",
     "current_telemetry",
     "emit_ambient",
     "telemetry_session",

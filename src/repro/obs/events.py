@@ -5,10 +5,11 @@ one :class:`EventBus`; any number of subscribers (the in-memory event
 log, the metrics updater, the harness's phase wall clock, ...) receive
 each event synchronously.
 
-Emission is cheap when nobody listens: components hold ``bus = None``
-until a :class:`~repro.obs.telemetry.Telemetry` attaches, and ``emit``
-returns immediately with no subscribers, so uninstrumented runs pay one
-attribute check per event site.
+Emission is cheap when nobody listens: a run's one bus lives on its
+network (``cluster.network.bus``, ``None`` until a
+:class:`~repro.obs.telemetry.Telemetry` attaches), components emit
+through :meth:`~repro.cluster.node.Node.emit`, which returns at once
+without a bus, and ``emit`` returns immediately with no subscribers.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 :class:`Telemetry` is what a caller holds: it owns an
 :class:`~repro.obs.events.EventBus` and a
 :class:`~repro.obs.metrics.MetricsRegistry`, keeps the in-memory event
-log, derives standard metrics from the event stream, and knows how to
-wire itself into any :class:`~repro.runtime.driver.MiningDriver` run
-(``env``, ``cluster``, ``pagers``, ``managers``, ``monitors``,
-``clients`` — the shared attribute surface).
+log, derives standard metrics from the event stream, and wires itself
+into any :class:`~repro.runtime.driver.MiningDriver` run by setting the
+run's one bus, ``cluster.network.bus``: every component emits through
+its node (:meth:`~repro.cluster.node.Node.emit`), which reads it there.
 
 One telemetry object can follow several consecutive runs — each
 :meth:`attach` rebinds the bus clock to the new run's environment and
@@ -18,8 +18,7 @@ trace directory.
 from __future__ import annotations
 
 import collections
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.obs.events import EventBus, ObsEvent
 from repro.obs.metrics import (
@@ -59,13 +58,14 @@ class _MetricsUpdater:
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        #: Last placement time per destination node, for the
+        #: Last placement time per ``(run, destination node)``, for the
         #: latency-to-shortage histogram: how long after a policy last
         #: routed traffic to a node did that node declare shortage?  A
         #: policy that keeps feeding soon-to-be-hot nodes scores short
-        #: latencies here.
-        self._last_placement: dict[int, float] = {}
-        self._placement_policy: dict[int, str] = {}
+        #: latencies here.  Keyed by run too, so a shortage is never
+        #: measured from a placement on an earlier run's clock.
+        self._last_placement: dict[tuple[int, int], float] = {}
+        self._placement_policy: dict[tuple[int, int], str] = {}
 
     def __call__(self, event: ObsEvent) -> None:
         r = self.registry
@@ -111,8 +111,9 @@ class _MetricsUpdater:
                 r.counter(
                     "placements", dst=f["dst"], policy=f.get("policy", "?")
                 ).inc()
-                self._last_placement[f["dst"]] = event.time
-                self._placement_policy[f["dst"]] = f.get("policy", "?")
+                key = (event.run, f["dst"])
+                self._last_placement[key] = event.time
+                self._placement_policy[key] = f.get("policy", "?")
         elif kind == "placement-reject":
             r.counter(
                 "placement_rejections", node=node, policy=f.get("policy", "?")
@@ -130,12 +131,13 @@ class _MetricsUpdater:
                 )
         elif kind == "shortage":
             r.counter("shortages", node=node).inc()
-            placed_at = self._last_placement.get(node)
+            key = (event.run, node)
+            placed_at = self._last_placement.get(key)
             if placed_at is not None:
                 r.histogram(
                     "placement_latency_to_shortage_s",
                     buckets=LATENCY_BUCKETS_S,
-                    policy=self._placement_policy.get(node, "?"),
+                    policy=self._placement_policy[key],
                 ).observe(max(0.0, event.time - placed_at))
         elif kind == "churn-level":
             r.counter("churn_steps", node=node).inc()
@@ -190,31 +192,12 @@ class Telemetry:
     def attach(self, run, meta: Optional[dict] = None) -> int:
         """Wire this telemetry into one driver run; returns its run id.
 
-        Hooks every event source: both mining drivers' pagers (including
-        disk-fallback pagers chained behind remote ones), swap managers,
-        memory monitors, monitor clients, placement policies, and the
-        cluster network.
+        The run's network holds its one bus: every event source (pagers,
+        swap managers, monitors, placement, dynamics, the network
+        itself) emits through it, so setting it instruments them all.
         """
         run_id = self.begin_run(run.env, meta)
         run.cluster.network.bus = self.bus
-        for pager in run.pagers.values():
-            if pager is None:
-                continue
-            if pager.placement is not None:
-                pager.placement.bus = self.bus
-            for chained in pager.chain():
-                chained.bus = self.bus
-        for manager in run.managers.values():
-            manager.bus = self.bus
-        for monitor in run.monitors.values():
-            monitor.bus = self.bus
-        for client in run.clients.values():
-            client.bus = self.bus
-        dynamics = getattr(getattr(run, "runtime", None), "dynamics", None)
-        if dynamics is not None:
-            dynamics.bus = self.bus
-            for nd in dynamics.node_dynamics:
-                nd.bus = self.bus
         return run_id
 
     def begin_run(self, env, meta: Optional[dict] = None) -> int:
@@ -231,7 +214,7 @@ class Telemetry:
         if self.runs:
             self.runs[-1].update(extra)
 
-    # -- phase / span timers ------------------------------------------------
+    # -- phase / span marks -------------------------------------------------
 
     def phase_mark(self, name: str, node_id: int = -1) -> None:
         """Point event marking a phase boundary; ``name`` is the
@@ -243,15 +226,6 @@ class Telemetry:
         self.bus.emit(
             "span", node_id, name, start=start, end=end, duration_s=end - start
         )
-
-    @contextmanager
-    def timer(self, name: str, node_id: int = -1) -> Iterator[None]:
-        """Span recorded around a ``with`` block (simulation-clock time)."""
-        start = self.bus.clock()
-        try:
-            yield
-        finally:
-            self.span(name, start, self.bus.clock(), node_id)
 
     # -- queries -------------------------------------------------------------
 

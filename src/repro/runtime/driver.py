@@ -23,7 +23,7 @@ import numpy as np
 from repro.cluster.dynamics import scripted_shortage
 from repro.errors import MiningError
 from repro.mining.itemsets import Itemset, itemset_tuples
-from repro.obs import Telemetry, UtilizationSampler, current_telemetry
+from repro.obs import Telemetry, current_telemetry
 from repro.obs.telemetry import run_meta
 from repro.runtime.builder import ClusterRuntime, build_runtime
 from repro.runtime.config import RunConfig
@@ -108,31 +108,22 @@ class MiningDriver:
         self.shortage_schedule: list[tuple[float, int]] = []
         #: Instrumentation (populated by :meth:`enable_telemetry`).
         self.telemetry: Optional[Telemetry] = None
-        self.sampler: Optional[UtilizationSampler] = None
 
     # -- instrumentation ---------------------------------------------------
 
-    def enable_telemetry(
-        self,
-        telemetry: Optional[Telemetry] = None,
-        sample_interval_s: Optional[float] = None,
-    ) -> Telemetry:
+    def enable_telemetry(self, telemetry: Optional[Telemetry] = None) -> Telemetry:
         """Wire this run into a telemetry session (event bus + metrics).
 
         With no argument a fresh private :class:`Telemetry` is created;
         passing an existing one lets several consecutive runs share one
         trace (how ``repro-bench --trace`` collects a whole sweep).
-        Hooks every event source, including disk-fallback pagers chained
-        behind remote ones; ``sample_interval_s`` also attaches a
-        periodic :class:`~repro.obs.sampler.UtilizationSampler`
-        (``self.sampler``).  Call before :meth:`run`.
+        Every event source emits on the run's one bus, so this hooks
+        them all.  Call before :meth:`run`.
         """
         if telemetry is None:
             telemetry = Telemetry()
         self.telemetry = telemetry
         telemetry.attach(self, run_meta(self.driver_name, self.config))
-        if sample_interval_s is not None:
-            self.sampler = UtilizationSampler(self.cluster, sample_interval_s)
         return telemetry
 
     def _trace_phase(self, name: str) -> None:
@@ -158,8 +149,6 @@ class MiningDriver:
             if ambient is not None:
                 self.enable_telemetry(ambient)
         self.runtime.start_services()
-        if self.sampler is not None:
-            self.sampler.start()
         # Scripted shortages run as degenerate one-shot traces: a single
         # step to 100 % pressure at the scheduled time, event-for-event
         # identical to the historical harness-side injector (pinned by
@@ -170,9 +159,6 @@ class MiningDriver:
         main = self.env.process(self._main())
         self.env.run(until=main)
         self.runtime.stop_services()
-        if self.sampler is not None:
-            # stop() takes the closing snapshot itself.
-            self.sampler.stop()
         assert self.result is not None
         if self.telemetry is not None:
             faults, fault_time = self.runtime.total_fault_stats()

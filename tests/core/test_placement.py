@@ -10,9 +10,7 @@ from repro.core import (
     make_placement,
 )
 from repro.core.monitor import AvailabilityInfo
-from repro.core.placement import PlacementPolicy
 from repro.errors import NoMemoryAvailable
-from repro.obs.events import EventBus
 from tests.core.helpers import make_rig
 
 
@@ -193,17 +191,6 @@ def test_all_policies_skip_shortage_nodes(name):
     rig.env.process(proc(rig.env))
     rig.env.run(until=1.0)
     assert make_placement(name).choose(rig.clients[0], 100) == m1
-
-
-def test_bus_is_an_instance_attribute():
-    # Regression: a class-level ``bus = None`` would let one policy's
-    # telemetry wiring leak into every other instance.
-    assert "bus" not in PlacementPolicy.__dict__
-    bus = EventBus()
-    a = make_placement("most-available", bus)
-    b = make_placement("most-available")
-    assert a.bus is bus
-    assert b.bus is None
 
 
 def test_make_placement():

@@ -77,20 +77,15 @@ def test_telemetry_derives_metrics_from_events():
 
 def test_phase_span_and_timer():
     tel = Telemetry()
-    t = {"now": 0.0}
-    tel.bus.clock = lambda: t["now"]
     tel.phase_mark("pass 2 start")
     tel.span("pass2/counting", 1.0, 3.5)
-    with tel.timer("pass2/determine"):
-        t["now"] = 4.0
     spans = tel.events_of_kind("span")
+    assert spans[0].detail == "pass2/counting"
     assert spans[0].fields["duration_s"] == pytest.approx(2.5)
-    assert spans[1].detail == "pass2/determine"
-    assert spans[1].fields["duration_s"] == pytest.approx(4.0)
     assert tel.events_of_kind("phase")[0].detail == "pass 2 start"
     # Spans also feed the span_s histogram.
     merged = tel.registry.merged_histogram("span_s")
-    assert merged.count == 2
+    assert merged.count == 1
 
 
 def test_begin_and_end_run_bookkeeping():

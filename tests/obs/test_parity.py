@@ -68,7 +68,7 @@ def test_npa_instrumentation_matches_hpa_surface():
             pager="disk", memory_limit_bytes=6000,
         ),
     )
-    tel = run.enable_telemetry(sample_interval_s=0.05)
+    tel = run.enable_telemetry()
     run.run()
     kinds = tel.counts_by_kind()
     assert kinds.get("fault", 0) > 0
@@ -78,7 +78,6 @@ def test_npa_instrumentation_matches_hpa_surface():
     phases = {e.detail for e in tel.events_of_kind("phase")}
     assert "pass 2 start" in phases
     assert "pass 2 counting done" in phases
-    assert run.sampler is not None and len(run.sampler.samples) >= 2
 
 
 def test_disk_fallback_pager_is_wired():
@@ -92,10 +91,8 @@ def test_disk_fallback_pager_is_wired():
     )
     tel = run.enable_telemetry()
     for pager in run.pagers.values():
-        assert pager.bus is tel.bus
         assert pager.fallback is not None
-        assert pager.fallback.bus is tel.bus
-        assert pager.placement.bus is tel.bus
+    # The run's one bus, through which every chained pager emits.
     assert run.cluster.network.bus is tel.bus
     run.run()
     # Fault events cover the full chain, fallback included.
@@ -118,3 +115,42 @@ def test_ambient_session_reaches_driver_runs():
     assert run.telemetry is tel
     assert len(tel.events_of_kind("fault")) > 0
     assert tel.runs and tel.runs[0]["driver"] == "hpa"
+
+
+def test_shortage_latency_ignores_earlier_runs_placements():
+    # One Telemetry follows several runs (how ``repro-bench --trace``
+    # collects a sweep); a shortage must only be measured from a
+    # placement on its own run's clock.
+    tel = Telemetry()
+    placing = HPARun(
+        DB,
+        HPAConfig(
+            minsup=0.02, n_app_nodes=2, total_lines=256, max_k=2,
+            pager="remote", n_memory_nodes=1, memory_limit_bytes=6000,
+        ),
+    )
+    placing.enable_telemetry(tel)
+    placing.run()
+    assert tel.events_of_kind("placement")
+
+    def observed() -> int:
+        return sum(
+            h.count
+            for _, _, h in tel.registry.collect("placement_latency_to_shortage_s")
+        )
+
+    before = observed()
+    quiet = HPARun(
+        DB,
+        HPAConfig(
+            minsup=0.02, n_app_nodes=2, total_lines=256, max_k=2,
+            pager="none", n_memory_nodes=1,
+        ),
+    )
+    # Same memory node id as the first run's placement destination.
+    assert quiet.mem_ids == placing.mem_ids
+    quiet.shortage_schedule.append((0.01, quiet.mem_ids[0]))
+    quiet.enable_telemetry(tel)
+    quiet.run()
+    assert any(ev.run == 1 for ev in tel.events_of_kind("shortage"))
+    assert observed() == before
