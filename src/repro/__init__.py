@@ -19,8 +19,9 @@ Public API tour:
   named :class:`~repro.runtime.scenarios.Scenario` runs.
 - :mod:`repro.harness` — the per-table/figure experiment runners
   (also exposed as the ``repro-bench`` command).
-- :mod:`repro.obs` — the telemetry subsystem: event bus, metrics
-  registry, trace export (``repro-bench --trace`` / ``repro-trace``).
+- :mod:`repro.obs` — the telemetry subsystem: event bus, event log,
+  metrics folded from it, trace export (``repro-bench --trace`` /
+  ``repro-trace``).
 """
 
 from repro._version import __version__

@@ -10,7 +10,7 @@ RPL102    host-clock-off-allowlist    the audited harness host-clock scope
 RPL201    unseeded-randomness         run reproducibility, cache addressing
 RPL202    unordered-set-iteration     byte-identity under PYTHONHASHSEED
 RPL301    undeclared-event-kind       the telemetry event contract
-RPL302    undeclared-metric-name      the metrics-registry contract
+RPL302    undeclared-metric-name      the metric-name contract
 RPL401    frozen-config-mutation      content-addressed result storage
 RPL501    float-equality-in-codec     the exact repr float codec
 ========  ==========================  =========================================

@@ -1,7 +1,7 @@
 """RPL301/RPL302 — the telemetry contract: every event kind and metric
-name must be declared in the canonical registry.
+name must be declared in the canonical vocabulary.
 
-The event bus and metrics registry are stringly-typed by design (emission
+The event bus and the metrics fold are stringly-typed by design (emission
 must stay cheap and decoupled), which means a typo'd event kind or metric
 name is not an error anywhere — the event simply never matches a consumer
 and silently vanishes from traces, dashboards, and the
@@ -16,8 +16,8 @@ their *callers'* literals are checked instead):
 
 - ``bus.emit("kind", ...)`` / ``node.emit("kind", ...)`` /
   ``self._emit("kind", ...)`` / ``emit_ambient("kind", ...)``  -> RPL301
-- ``registry.counter("name", ...)`` / ``.histogram`` / ``.gauge`` and the
-  ``self._count("name")`` convention of the cache/store tiers -> RPL302
+- ``counter("name", ...)`` / ``histogram`` / ``gauge`` (the accessors of
+  the metrics fold) and ``merged_histogram("name", ...)`` -> RPL302
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _EMIT_NAMES = frozenset({"emit", "_emit", "emit_ambient"})
 
 #: Call names that create/look up a metric with the name first.
 _METRIC_NAMES_ACCESSORS = frozenset({
-    "counter", "histogram", "gauge", "_count", "merged_histogram",
+    "counter", "histogram", "gauge", "merged_histogram",
 })
 
 

@@ -17,7 +17,7 @@ color alone.  Value/label text wears ink tokens, never series colors.
 
 Each render emits one ``report-render`` event on the ambient telemetry
 session (when present) so sweeps over report generation show up in the
-same metrics registry as everything else.
+same event log, and the metrics folded from it, as everything else.
 """
 
 from __future__ import annotations

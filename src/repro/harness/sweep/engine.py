@@ -21,8 +21,9 @@ discards it and executes every still-missing cell in-process, so
 starts a fresh pool.
 
 Per-cell progress and wall-clock timing are published on the ambient
-telemetry bus (``sweep-start`` / ``sweep-run`` / ``sweep-done``), which
-the metrics updater folds into ``sweep_runs`` counters and histograms.
+telemetry bus (``sweep-start`` / ``sweep-run`` / ``sweep-done``); the
+metrics fold at export turns them into ``sweep_runs`` counters and
+``sweep_run_wall_s`` histograms.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, event bus, traces, manifests.
+"""Unified telemetry: event bus, event log, metrics folded from it, traces.
 
 The paper's whole evaluation is observational — pagefault counts,
 per-pass execution profiles, swap traffic, fault-latency distributions
@@ -9,38 +9,38 @@ first-class outputs of *any* run instead of bespoke benchmark code:
   timestamped, structured :class:`~repro.obs.events.ObsEvent` records
   from every layer (pagers, swap manager, monitors, placement, dynamics,
   network, mining drivers) — one bus per run, held by the run's network;
-- :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges
-  and fixed-bucket + quantile histograms keyed by node/component;
-- :class:`~repro.obs.telemetry.Telemetry` — bundles bus + registry,
-  wires them into an :class:`~repro.mining.hpa.HPARun` or
-  :class:`~repro.mining.npa.NPARun`, and records phase/span timings on
-  the simulation clock;
+- :class:`~repro.obs.telemetry.Telemetry` — bundles the bus with the
+  one thing a run records, its event list, wires them into an
+  :class:`~repro.mining.hpa.HPARun` or :class:`~repro.mining.npa.NPARun`,
+  and records phase/span timings on the simulation clock;
+- :func:`~repro.obs.metrics.metrics_of` — a pure fold of an event list
+  into named counters, gauges and fixed-bucket + quantile histograms
+  keyed by node/component (:func:`~repro.obs.metrics.merged_histogram`
+  folds one name across its label sets);
 - :mod:`~repro.obs.export` — JSONL event traces, Chrome
-  ``trace_event``-format timelines, ``metrics.json`` and per-run
-  ``manifest.json``;
+  ``trace_event``-format timelines, ``metrics.json`` (folded at export)
+  and per-run ``manifest.json``;
 - ``repro-trace`` (:mod:`~repro.obs.cli`) — renders per-phase timings
-  and latency histograms from an exported trace directory.
+  and latency histograms from an exported ``events.jsonl``.
 """
 
 from repro.obs.context import current_telemetry, emit_ambient, telemetry_session
 from repro.obs.events import EventBus, ObsEvent
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
     Histogram,
     LATENCY_BUCKETS_S,
-    MetricsRegistry,
     SIZE_BUCKETS_B,
+    merged_histogram,
+    metrics_of,
 )
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "LATENCY_BUCKETS_S",
     "SIZE_BUCKETS_B",
+    "merged_histogram",
+    "metrics_of",
     "EventBus",
     "ObsEvent",
     "Telemetry",

@@ -6,9 +6,11 @@ Usage::
     repro-trace DIR --histogram swap_roundtrip_s
 
 Renders per-phase breakdowns and latency histograms (Table 2 / Table 4
-style numbers) straight from the files ``repro-bench --trace`` wrote,
-via the same :mod:`repro.analysis.reporting` helpers the experiments
-use.
+style numbers) from ``manifest.json`` and ``events.jsonl`` alone: the
+histogram is folded from the event log
+(:func:`~repro.obs.metrics.merged_histogram`), so ``metrics.json`` is
+never read.  Tables go through the same :mod:`repro.analysis.reporting`
+helpers the experiments use.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional
 
 from repro.analysis.reporting import render_kv, render_table
-from repro.obs.export import read_events_jsonl, read_manifest, read_metrics_json
+from repro.errors import HarnessError
+from repro.obs.export import read_events_jsonl, read_manifest
+from repro.obs.metrics import Histogram, merged_histogram
 
 __all__ = ["main", "build_parser", "summarize"]
 
@@ -37,54 +42,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_histograms(metrics: dict, name: str) -> dict:
-    """Fold every label set of histogram ``name`` into one bucket table."""
-    parts = [h for h in metrics.get("histograms", []) if h["name"] == name]
-    if not parts:
-        return {}
-    buckets = parts[0]["buckets"]
-    counts = [0] * (len(buckets) + 1)
-    total, total_sum = 0, 0.0
-    lo, hi = float("inf"), float("-inf")
-    for part in parts:
-        if part["buckets"] != buckets:
-            continue  # mixed bucketings cannot be merged bucket-wise
-        for i, c in enumerate(part["bucket_counts"]):
-            counts[i] += c
-        total += part["count"]
-        total_sum += part["sum"]
-        if part["count"]:
-            lo, hi = min(lo, part["min"]), max(hi, part["max"])
-    return {
-        "buckets": buckets,
-        "bucket_counts": counts,
-        "count": total,
-        "sum": total_sum,
-        "min": lo if total else 0.0,
-        "max": hi if total else 0.0,
-    }
-
-
-def _render_histogram(name: str, merged: dict) -> str:
-    if not merged or not merged["count"]:
+def _render_histogram(name: str, hist: Optional[Histogram]) -> str:
+    if hist is None:
         return f"histogram {name!r}: no observations"
-    bounds = ["<= %g" % b for b in merged["buckets"]] + [
-        "> %g" % merged["buckets"][-1]
-    ]
-    peak = max(merged["bucket_counts"]) or 1
+    bounds = ["<= %g" % b for b in hist.buckets] + ["> %g" % hist.buckets[-1]]
+    peak = max(hist.bucket_counts) or 1
     rows = [
         (label, count, "#" * round(30 * count / peak))
-        for label, count in zip(bounds, merged["bucket_counts"])
+        for label, count in zip(bounds, hist.bucket_counts)
     ]
-    mean = merged["sum"] / merged["count"]
-    table = render_table(
+    # Histograms are in seconds unless their name says bytes.
+    scale, unit = (1, "B") if name.endswith("_bytes") else (1e3, "ms")
+    return render_table(
         ["bucket", "count", ""],
         rows,
-        title=f"{name} — {merged['count']} observations, "
-        f"mean {mean * 1e3:.3f} ms, min {merged['min'] * 1e3:.3f} ms, "
-        f"max {merged['max'] * 1e3:.3f} ms",
+        title=f"{name} — {hist.count} observations, "
+        f"mean {hist.mean * scale:.3f} {unit}, "
+        f"min {hist.min * scale:.3f} {unit}, "
+        f"max {hist.max * scale:.3f} {unit}",
     )
-    return table
 
 
 def _phase_table(events) -> str:
@@ -133,7 +109,6 @@ def summarize(directory, histogram: str = "pagefault_latency_s") -> str:
     """The full text report for one trace directory."""
     directory = Path(directory)
     manifest = read_manifest(directory / "manifest.json")
-    metrics = read_metrics_json(directory / "metrics.json")
     events = read_events_jsonl(directory / "events.jsonl")
     parts = [
         render_kv(
@@ -148,7 +123,7 @@ def summarize(directory, histogram: str = "pagefault_latency_s") -> str:
             title=f"trace {directory}",
         ),
         _phase_table(events),
-        _render_histogram(histogram, _merge_histograms(metrics, histogram)),
+        _render_histogram(histogram, merged_histogram(histogram, events)),
         _reported_fault_cost(manifest),
     ]
     return "\n\n".join(parts)
@@ -157,11 +132,16 @@ def summarize(directory, histogram: str = "pagefault_latency_s") -> str:
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     directory = Path(args.directory)
-    for required in ("manifest.json", "metrics.json", "events.jsonl"):
+    for required in ("manifest.json", "events.jsonl"):
         if not (directory / required).exists():
             print(f"not a trace directory: missing {directory / required}", file=sys.stderr)
             return 2
-    print(summarize(directory, args.histogram))
+    try:
+        text = summarize(directory, args.histogram)
+    except HarnessError as exc:  # events.jsonl the fold rejects
+        print(f"repro-trace: {exc}", file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 

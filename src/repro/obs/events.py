@@ -1,9 +1,8 @@
 """The telemetry event bus.
 
 Every instrumented component publishes :class:`ObsEvent` records through
-one :class:`EventBus`; any number of subscribers (the in-memory event
-log, the metrics updater, the harness's phase wall clock, ...) receive
-each event synchronously.
+one :class:`EventBus`; its subscribers (the in-memory event log, the
+harness's phase wall clock, ...) receive each event synchronously.
 
 Emission is cheap when nobody listens: a run's one bus lives on its
 network (``cluster.network.bus``, ``None`` until a
@@ -59,18 +58,20 @@ EVENT_KINDS = frozenset({
     "sweep-start",
     "sweep-run",
     "sweep-done",
+    # cache tiers (repro.runtime): scenario cache and result store
+    "cache-access",     # one hit, miss or write, by tier and outcome
     # report service (repro.analysis.report)
     "report-render",    # one markdown/HTML report rendered
     "report-diff",      # one regression-gate comparison completed
 })
 
 #: The canonical metric vocabulary: every counter/histogram/gauge name
-#: registered on a :class:`~repro.obs.metrics.MetricsRegistry`.  RPL302
-#: holds every literal accessor call to this set, for the same reason as
-#: :data:`EVENT_KINDS` — an undeclared metric records into a series
-#: nothing exports or asserts on.
+#: :func:`~repro.obs.metrics.metrics_of` folds from the event log.
+#: RPL302 holds every literal accessor call to this set, for the same
+#: reason as :data:`EVENT_KINDS` — an undeclared metric records into a
+#: series nothing exports or asserts on.
 METRIC_NAMES = frozenset({
-    # derived from the event stream (repro.obs.telemetry)
+    # pagers, swap managers, network, placement, monitors
     "pagefaults", "fault_bytes_in", "pagefault_latency_s",
     "swap_outs", "swap_bytes_out", "swap_roundtrip_s",
     "net_messages", "net_wire_bytes", "message_size_bytes",
@@ -148,7 +149,7 @@ class EventBus:
     def n_subscribers(self) -> int:
         return len(self._subscribers)
 
-    def emit(self, kind: str, node_id: int, detail: str = "", **fields) -> None:
+    def emit(self, kind: str, node_id: int, *, detail: str = "", **fields) -> None:
         """Publish one event at the current clock time to all subscribers."""
         if not self._subscribers:
             return

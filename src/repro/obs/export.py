@@ -5,13 +5,14 @@ A trace directory written by :func:`write_trace_dir` contains::
 
     manifest.json   scale, seed, per-run configs, versions, wall time
     events.jsonl    one ObsEvent per line, in emission order
-    metrics.json    the MetricsRegistry dump (counters/gauges/histograms)
+    metrics.json    counters/gauges/histograms folded from the events
     trace.json      Chrome trace_event format — open in chrome://tracing
                     or https://ui.perfetto.dev for a timeline view
 
-The JSONL and metrics files round-trip: :func:`read_events_jsonl`
-reconstructs the exact event list, and histogram percentiles in
-``metrics.json`` are the registry's exact values (tested in
+The event log is the one recorded product: :func:`read_events_jsonl`
+reconstructs the exact event list, and ``metrics.json`` is
+:func:`~repro.obs.metrics.metrics_of` of it, so folding ``events.jsonl``
+read back gives the same payload (tested in
 ``tests/obs/test_export_roundtrip.py``).
 """
 
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from repro.obs.events import ObsEvent
+from repro.obs.metrics import metrics_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.telemetry import Telemetry
@@ -130,9 +132,9 @@ def write_chrome_trace(events: Iterable[ObsEvent], path) -> Path:
     return path
 
 
-def write_metrics_json(registry, path) -> Path:
+def write_metrics_json(metrics: dict, path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(registry.to_dict(), indent=2))
+    path.write_text(json.dumps(metrics, indent=2))
     return path
 
 
@@ -154,18 +156,20 @@ def write_trace_dir(directory, telemetry: "Telemetry", manifest: dict) -> dict:
     """Write the full trace layout; returns {artifact name: path}.
 
     ``manifest`` is augmented with the telemetry's per-run entries and
-    event/metric counts before writing.
+    event/metric counts before writing; the metrics are folded from the
+    event log here.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    metrics = metrics_of(telemetry.events)
     manifest = dict(manifest)
     manifest.setdefault("runs", telemetry.runs)
     manifest.setdefault("n_runs", len(telemetry.runs))
     manifest.setdefault("n_events", len(telemetry.events))
-    manifest.setdefault("n_metrics", len(telemetry.registry))
+    manifest.setdefault("n_metrics", sum(map(len, metrics.values())))
     return {
         "manifest": write_manifest(manifest, directory / "manifest.json"),
         "events": write_events_jsonl(telemetry.events, directory / "events.jsonl"),
-        "metrics": write_metrics_json(telemetry.registry, directory / "metrics.json"),
+        "metrics": write_metrics_json(metrics, directory / "metrics.json"),
         "chrome_trace": write_chrome_trace(telemetry.events, directory / "trace.json"),
     }

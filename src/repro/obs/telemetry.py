@@ -1,12 +1,13 @@
-"""The telemetry runtime: one bus + one registry, wired through a run.
+"""The telemetry runtime: one bus and one event log, wired through a run.
 
 :class:`Telemetry` is what a caller holds: it owns an
-:class:`~repro.obs.events.EventBus` and a
-:class:`~repro.obs.metrics.MetricsRegistry`, keeps the in-memory event
-log, derives standard metrics from the event stream, and wires itself
-into any :class:`~repro.runtime.driver.MiningDriver` run by setting the
-run's one bus, ``cluster.network.bus``: every component emits through
-its node (:meth:`~repro.cluster.node.Node.emit`), which reads it there.
+:class:`~repro.obs.events.EventBus` whose one subscriber appends to the
+in-memory event log, and wires itself into any
+:class:`~repro.runtime.driver.MiningDriver` run by setting the run's one
+bus, ``cluster.network.bus``: every component emits through its node
+(:meth:`~repro.cluster.node.Node.emit`), which reads it there.  The
+event log is the only thing recorded; metrics are a fold over it
+(:func:`~repro.obs.metrics.metrics_of`).
 
 One telemetry object can follow several consecutive runs — each
 :meth:`attach` rebinds the bus clock to the new run's environment and
@@ -21,11 +22,6 @@ import collections
 from typing import Optional
 
 from repro.obs.events import EventBus, ObsEvent
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_S,
-    MetricsRegistry,
-    SIZE_BUCKETS_B,
-)
 
 __all__ = ["Telemetry", "run_meta"]
 
@@ -46,146 +42,16 @@ def run_meta(driver: str, config) -> dict:
     }
 
 
-class _MetricsUpdater:
-    """Bus subscriber folding the event stream into standard metrics.
-
-    This is where the scattered one-off stats (``PagerStats``,
-    ``NetworkStats``, ...) gain distributional depth: the same events
-    that feed those counters also feed per-node latency and size
-    histograms here, without the emitting component knowing about the
-    registry.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        #: Last placement time per ``(run, destination node)``, for the
-        #: latency-to-shortage histogram: how long after a policy last
-        #: routed traffic to a node did that node declare shortage?  A
-        #: policy that keeps feeding soon-to-be-hot nodes scores short
-        #: latencies here.  Keyed by run too, so a shortage is never
-        #: measured from a placement on an earlier run's clock.
-        self._last_placement: dict[tuple[int, int], float] = {}
-        self._placement_policy: dict[tuple[int, int], str] = {}
-
-    def __call__(self, event: ObsEvent) -> None:
-        r = self.registry
-        kind, node, f = event.kind, event.node_id, event.fields
-        if kind == "fault":
-            r.counter("pagefaults", node=node, source=f.get("source", "?")).inc()
-            if "bytes" in f:
-                r.counter("fault_bytes_in", node=node).inc(f["bytes"])
-            if "duration_s" in f:
-                r.histogram(
-                    "pagefault_latency_s", buckets=LATENCY_BUCKETS_S,
-                    node=node, source=f.get("source", "?"),
-                ).observe(f["duration_s"])
-        elif kind == "swap-out":
-            r.counter("swap_outs", node=node, source=f.get("source", "?")).inc()
-            if "bytes" in f:
-                r.counter("swap_bytes_out", node=node).inc(f["bytes"])
-        elif kind == "swap-cost":
-            if "duration_s" in f:
-                r.histogram(
-                    "swap_roundtrip_s", buckets=LATENCY_BUCKETS_S,
-                    node=node, source=f.get("source", "?"),
-                ).observe(f["duration_s"])
-        elif kind == "net-msg":
-            r.counter("net_messages", channel=f.get("channel", "?")).inc()
-            if "wire_bytes" in f:
-                r.counter("net_wire_bytes").inc(f["wire_bytes"])
-            if "size_bytes" in f:
-                r.histogram(
-                    "message_size_bytes", buckets=SIZE_BUCKETS_B,
-                    channel=f.get("channel", "?"),
-                ).observe(f["size_bytes"])
-        elif kind == "net-retransmit":
-            r.counter("net_retransmissions").inc()
-        elif kind == "migration":
-            r.counter("migrations", node=node).inc()
-            if "lines" in f:
-                r.counter("lines_migrated", node=node).inc(f["lines"])
-            if "bytes" in f:
-                r.counter("migration_bytes", node=node).inc(f["bytes"])
-        elif kind == "placement":
-            if "dst" in f:
-                r.counter(
-                    "placements", dst=f["dst"], policy=f.get("policy", "?")
-                ).inc()
-                key = (event.run, f["dst"])
-                self._last_placement[key] = event.time
-                self._placement_policy[key] = f.get("policy", "?")
-        elif kind == "placement-reject":
-            r.counter(
-                "placement_rejections", node=node, policy=f.get("policy", "?")
-            ).inc()
-        elif kind == "migrate-ahead":
-            r.counter("migrate_ahead_evacuations", node=node).inc()
-        elif kind == "make-room":
-            r.counter("eviction_bursts", node=node).inc()
-            if "victims" in f:
-                r.counter("eviction_victims", node=node).inc(f["victims"])
-        elif kind == "monitor-broadcast":
-            if "available_bytes" in f:
-                r.gauge("monitor_available_bytes", node=node).set(
-                    f["available_bytes"]
-                )
-        elif kind == "shortage":
-            r.counter("shortages", node=node).inc()
-            key = (event.run, node)
-            placed_at = self._last_placement.get(key)
-            if placed_at is not None:
-                r.histogram(
-                    "placement_latency_to_shortage_s",
-                    buckets=LATENCY_BUCKETS_S,
-                    policy=self._placement_policy[key],
-                ).observe(max(0.0, event.time - placed_at))
-        elif kind == "churn-level":
-            r.counter("churn_steps", node=node).inc()
-            if "level_bytes" in f:
-                r.gauge("churn_level_bytes", node=node).set(f["level_bytes"])
-        elif kind == "node-fail":
-            r.counter("node_failures", node=node).inc()
-        elif kind == "node-recover":
-            r.counter("node_recoveries", node=node).inc()
-        elif kind == "span":
-            if "duration_s" in f:
-                r.histogram(
-                    "span_s", buckets=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0),
-                    span=event.detail,
-                ).observe(f["duration_s"])
-        elif kind == "sweep-run":
-            r.counter(
-                "sweep_runs",
-                sweep=f.get("sweep", "?"), source=f.get("source", "?"),
-            ).inc()
-            if "wall_s" in f:
-                r.histogram(
-                    "sweep_run_wall_s",
-                    buckets=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0),
-                    sweep=f.get("sweep", "?"),
-                ).observe(f["wall_s"])
-        elif kind == "report-render":
-            r.counter("report_renders", fmt=f.get("fmt", "?")).inc()
-            if "n_cells" in f:
-                r.counter("report_cells", fmt=f.get("fmt", "?")).inc(
-                    f["n_cells"]
-                )
-        elif kind == "report-diff":
-            r.counter("report_diffs", verdict=f.get("verdict", "?")).inc()
-
-
 class Telemetry:
-    """Bus + registry + event log + per-run manifests, in one handle."""
+    """Bus + event log + per-run manifests, in one handle."""
 
     def __init__(self) -> None:
         self.bus = EventBus()
-        self.registry = MetricsRegistry()
         self.events: list[ObsEvent] = []
         #: One dict per attached run: configuration meta plus whatever
         #: the driver reports at completion (see :meth:`end_run`).
         self.runs: list[dict] = []
         self.bus.subscribe(self.events.append)
-        self.bus.subscribe(_MetricsUpdater(self.registry))
 
     # -- run lifecycle -----------------------------------------------------
 
@@ -219,12 +85,13 @@ class Telemetry:
     def phase_mark(self, name: str, node_id: int = -1) -> None:
         """Point event marking a phase boundary; ``name`` is the
         event's ``detail``."""
-        self.bus.emit("phase", node_id, name)
+        self.bus.emit("phase", node_id, detail=name)
 
     def span(self, name: str, start: float, end: float, node_id: int = -1) -> None:
         """Record a completed interval on the simulation clock."""
         self.bus.emit(
-            "span", node_id, name, start=start, end=end, duration_s=end - start
+            "span", node_id, detail=name, start=start, end=end,
+            duration_s=end - start,
         )
 
     # -- queries -------------------------------------------------------------

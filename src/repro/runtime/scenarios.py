@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.costs import PAPER_COSTS
 from repro.errors import ConfigError
-from repro.obs import current_telemetry
+from repro.obs import emit_ambient
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.results import RunResult
@@ -198,9 +198,9 @@ class ScenarioCache:
     """Explicit LRU cache of scenario results.
 
     The cache is inspectable (:meth:`stats`), clearable mid-session,
-    and reports hit/miss counters to the ambient telemetry registry so
-    ``repro-bench --trace`` manifests show how much work was actually
-    executed.
+    and reports each hit and miss as a ``cache-access`` event on the
+    ambient telemetry bus, so ``repro-bench --trace`` metrics show how
+    much work was actually executed.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -212,11 +212,6 @@ class ScenarioCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _count(self, metric: str) -> None:
-        telemetry = current_telemetry()
-        if telemetry is not None:
-            telemetry.registry.counter(metric).inc()
-
     def peek(self, scenario: Scenario) -> "Optional[RunResult]":
         """The cached result or ``None``; counts a hit when found but
         never a miss (probing is not a decision to execute)."""
@@ -224,14 +219,14 @@ class ScenarioCache:
         found = self._entries.get(key)
         if found is not None:
             self.hits += 1
-            self._count("scenario_cache_hits")
+            emit_ambient("cache-access", tier="scenario", outcome="hit")
             self._entries.move_to_end(key)
         return found
 
     def record_miss(self) -> None:
         """Count one miss: a scenario no tier held is being executed."""
         self.misses += 1
-        self._count("scenario_cache_misses")
+        emit_ambient("cache-access", tier="scenario", outcome="miss")
 
     def put(self, scenario: Scenario, result: "RunResult") -> None:
         """Insert a result (no hit/miss counted)."""

@@ -37,7 +37,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.obs import current_telemetry
+from repro.obs import emit_ambient
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.results import RunResult
@@ -107,10 +107,10 @@ class ResultStore:
     """Directory of content-addressed scenario results.
 
     Like the in-memory :class:`~repro.runtime.scenarios.ScenarioCache`,
-    the store counts hits and misses locally (:meth:`stats`) and on the
-    ambient telemetry registry (``result_store_hits`` /
-    ``result_store_misses``) so a resumed sweep can *prove* how much
-    work it skipped.
+    the store counts hits and misses locally (:meth:`stats`) and as
+    ``cache-access`` events on the ambient telemetry bus (folded into
+    ``result_store_hits`` / ``result_store_misses``) so a resumed sweep
+    can *prove* how much work it skipped.
     """
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
@@ -137,11 +137,6 @@ class ResultStore:
 
     # -- access ------------------------------------------------------------
 
-    def _count(self, metric: str) -> None:
-        telemetry = current_telemetry()
-        if telemetry is not None:
-            telemetry.registry.counter(metric).inc()
-
     def get(self, scenario: "Scenario") -> "Optional[RunResult]":
         """The stored result, or ``None``; partial/foreign files are
         misses (a killed writer never poisons the store)."""
@@ -153,10 +148,10 @@ class ResultStore:
             result = result_from_dict(payload["result"])
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
-            self._count("result_store_misses")
+            emit_ambient("cache-access", tier="store", outcome="miss")
             return None
         self.hits += 1
-        self._count("result_store_hits")
+        emit_ambient("cache-access", tier="store", outcome="hit")
         return result
 
     def put(self, scenario: "Scenario", result: "RunResult") -> Path:
@@ -171,7 +166,7 @@ class ResultStore:
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
         os.replace(tmp, entry)
         self.writes += 1
-        self._count("result_store_writes")
+        emit_ambient("cache-access", tier="store", outcome="write")
         return entry
 
     def read_payload(self, key: str) -> "Optional[dict]":

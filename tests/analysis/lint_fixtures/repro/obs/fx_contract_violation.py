@@ -16,9 +16,9 @@ def record_fault(bus, registry, node_id, duration_s):
     )
 
 
-class _Tier:
-    def _count(self, metric):
+def fold(events):
+    def counter(name, amount=1, **labels):
         pass
 
-    def hit(self):
-        self._count("scenario_cache_hit")  # line 24: RPL302 (typo'd)
+    for _ in events:
+        counter("scenario_cache_hit")  # line 24: RPL302 (typo'd)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.report.cli import build_parser as build_report_parser
 from repro.harness.cli import build_parser, main
+from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
 
 
@@ -131,11 +132,62 @@ def test_trace_output_end_to_end(tmp_path, capsys):
     assert json.loads((seeded / "manifest.json").read_text())["seed"] == 7
 
 
+def test_traced_sweep_metrics_are_a_fold_of_its_events(
+    tmp_path, capsys, monkeypatch
+):
+    """``metrics.json`` is the fold of ``events.jsonl``, host-side cache
+    accesses included, and ``repro-trace`` needs only the event log."""
+    import shutil
+
+    from repro.obs import metrics_of
+    from repro.obs.cli import main as trace_main
+    from repro.obs.export import read_events_jsonl, read_metrics_json
+    from tests.harness.test_sweep import _toy_sweep
+
+    # The toy grid aliases two cells, so the scenario cache hits once.
+    monkeypatch.setitem(ALL_SWEEPS, "toy", _toy_sweep())
+    trace_dir = tmp_path / "trc"
+    assert main([
+        "toy", "--scale", "tiny", "--trace", str(trace_dir),
+        "--store", str(tmp_path / "store"),
+    ]) == 0
+    events = read_events_jsonl(trace_dir / "events.jsonl")
+    metrics = read_metrics_json(trace_dir / "metrics.json")
+    assert metrics_of(events) == metrics
+    counters = {e["name"] for e in metrics["counters"]}
+    assert {
+        "scenario_cache_hits", "scenario_cache_misses",
+        "result_store_misses", "result_store_writes",
+    } <= counters
+    capsys.readouterr()
+
+    folded_only = tmp_path / "events-only"
+    shutil.copytree(trace_dir, folded_only)
+    (folded_only / "metrics.json").unlink()
+    assert trace_main([str(folded_only)]) == 0
+    from_events = capsys.readouterr().out
+    assert trace_main([str(trace_dir)]) == 0
+    assert capsys.readouterr().out.replace(str(trace_dir), str(folded_only)) \
+        == from_events
+
+
 def test_trace_cli_rejects_non_trace_dir(tmp_path, capsys):
     from repro.obs.cli import main as trace_main
 
     assert trace_main([str(tmp_path)]) == 2
     assert "not a trace directory" in capsys.readouterr().err
+
+
+def test_trace_cli_rejects_a_negative_counter_amount(tmp_path, capsys):
+    from repro.obs.cli import main as trace_main
+
+    (tmp_path / "manifest.json").write_text("{}")
+    (tmp_path / "events.jsonl").write_text(
+        '{"t":0.1,"node":2,"kind":"fault","run":0,'
+        '"fields":{"source":"disk","bytes":-4096}}\n'
+    )
+    assert trace_main([str(tmp_path)]) == 2
+    assert "counter increment must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--store-gc"])

@@ -19,7 +19,7 @@ from repro.harness.sweep import (
     run_sweep_outcome,
     shutdown_pools,
 )
-from repro.obs import Telemetry, telemetry_session
+from repro.obs import Telemetry, merged_histogram, metrics_of, telemetry_session
 from repro.runtime import Scenario, clear_cache, result_store_session
 from tests.harness.conftest import claim_seeds
 
@@ -210,10 +210,13 @@ def test_sweep_events_reach_telemetry():
     assert kinds["sweep-start"] == 1
     assert kinds["sweep-run"] == 3
     assert kinds["sweep-done"] == 1
-    runs = telemetry.registry.collect("sweep_runs")
-    assert sum(m.value for _, _, m in runs) == 3
-    assert {labels["source"] for _, labels, _ in runs} <= {"cached", "executed"}
-    hist = telemetry.registry.merged_histogram("sweep_run_wall_s")
+    runs = [
+        e for e in metrics_of(telemetry.events)["counters"]
+        if e["name"] == "sweep_runs"
+    ]
+    assert sum(e["value"] for e in runs) == 3
+    assert {e["labels"]["source"] for e in runs} <= {"cached", "executed"}
+    hist = merged_histogram("sweep_run_wall_s", telemetry.events)
     assert hist is not None and hist.count == 3
 
 

@@ -7,6 +7,8 @@ from repro.obs import (
     ObsEvent,
     Telemetry,
     current_telemetry,
+    merged_histogram,
+    metrics_of,
     telemetry_session,
 )
 
@@ -16,11 +18,21 @@ def test_multiple_subscribers_all_receive():
     seen_a, seen_b = [], []
     bus.subscribe(seen_a.append)
     bus.subscribe(seen_b.append)
-    bus.emit("fault", 3, "line 7", duration_s=0.002)
+    bus.emit("fault", 3, line=7, duration_s=0.002)
     assert len(seen_a) == len(seen_b) == 1
     ev = seen_a[0]
-    assert (ev.kind, ev.node_id, ev.detail) == ("fault", 3, "line 7")
-    assert ev.fields == {"duration_s": 0.002}
+    assert (ev.kind, ev.node_id, ev.detail) == ("fault", 3, "")
+    assert ev.fields == {"line": 7, "duration_s": 0.002}
+
+
+def test_detail_is_keyword_only():
+    bus = EventBus()
+    seen = []
+    bus.subscribe(seen.append)
+    with pytest.raises(TypeError):
+        bus.emit("phase", -1, "pass2")
+    bus.emit("phase", -1, detail="pass2")
+    assert seen[0].detail == "pass2"
 
 
 def test_unsubscribe_and_no_subscriber_fast_path():
@@ -51,24 +63,33 @@ def test_clock_and_run_tagging():
 
 def test_telemetry_derives_metrics_from_events():
     tel = Telemetry()
-    tel.bus.emit("fault", 2, "line 9 <- node 8", source="remote",
+    # The event log is the one thing telemetry records.
+    assert tel.bus.n_subscribers == 1
+    tel.bus.emit("fault", 2, line=9, holder=8, source="remote",
                  duration_s=0.0023, bytes=4096)
-    tel.bus.emit("fault", 2, "line 4 <- disk", source="disk",
+    tel.bus.emit("fault", 2, line=4, source="disk",
                  duration_s=0.013, bytes=4096)
-    tel.bus.emit("swap-out", 2, "line 9 -> node 8", source="remote", bytes=4096)
-    tel.bus.emit("net-msg", 0, "", dst=1, channel="count",
+    tel.bus.emit("swap-out", 2, line=9, dst=8, source="remote", bytes=4096)
+    tel.bus.emit("net-msg", 0, dst=1, channel="count",
                  size_bytes=4096, wire_bytes=4192, duration_s=0.001)
-    tel.bus.emit("monitor-broadcast", 8, "", available_bytes=1 << 20)
-    r = tel.registry
-    assert r.counter("pagefaults", node=2, source="remote").value == 1
-    assert r.counter("pagefaults", node=2, source="disk").value == 1
-    assert r.counter("fault_bytes_in", node=2).value == 8192
-    assert r.counter("swap_outs", node=2, source="remote").value == 1
-    assert r.counter("net_messages", channel="count").value == 1
-    assert r.gauge("monitor_available_bytes", node=8).value == 1 << 20
-    hist = r.get("pagefault_latency_s", node=2, source="remote")
-    assert hist.count == 1 and hist.mean == pytest.approx(0.0023)
-    # The in-memory event log is itself a subscriber.
+    tel.bus.emit("monitor-broadcast", 8, available_bytes=1 << 20)
+    metrics = metrics_of(tel.events)
+    values = {
+        (e["name"], tuple(sorted(e["labels"].items()))): e["value"]
+        for e in metrics["counters"] + metrics["gauges"]
+    }
+    assert values[("pagefaults", (("node", 2), ("source", "remote")))] == 1
+    assert values[("pagefaults", (("node", 2), ("source", "disk")))] == 1
+    assert values[("fault_bytes_in", (("node", 2),))] == 8192
+    assert values[("swap_outs", (("node", 2), ("source", "remote")))] == 1
+    assert values[("net_messages", (("channel", "count"),))] == 1
+    assert values[("monitor_available_bytes", (("node", 8),))] == 1 << 20
+    (hist,) = [
+        h for h in metrics["histograms"]
+        if h["name"] == "pagefault_latency_s"
+        and h["labels"] == {"node": 2, "source": "remote"}
+    ]
+    assert hist["count"] == 1 and hist["mean"] == pytest.approx(0.0023)
     assert tel.counts_by_kind() == {
         "fault": 2, "swap-out": 1, "net-msg": 1, "monitor-broadcast": 1,
     }
@@ -83,8 +104,8 @@ def test_phase_span_and_timer():
     assert spans[0].detail == "pass2/counting"
     assert spans[0].fields["duration_s"] == pytest.approx(2.5)
     assert tel.events_of_kind("phase")[0].detail == "pass 2 start"
-    # Spans also feed the span_s histogram.
-    merged = tel.registry.merged_histogram("span_s")
+    # Spans also fold into the span_s histogram.
+    merged = merged_histogram("span_s", tel.events)
     assert merged.count == 1
 
 

@@ -10,7 +10,7 @@ import functools
 
 from repro.datagen import generate
 from repro.mining.hpa import HPAConfig, HPARun
-from repro.obs import Telemetry
+from repro.obs import Telemetry, metrics_of
 from repro.obs.events import EVENT_KINDS, METRIC_NAMES
 
 DB = generate("T8.I3.D400", n_items=80, seed=3)
@@ -35,9 +35,11 @@ DYNAMIC_CONFIG = HPAConfig(
 )
 
 #: Every kind a simulated run may emit (sweep and report kinds come from
-#: the harness and the report service).
+#: the harness and the report service, cache accesses from the host-side
+#: cache tiers).
 SIMULATION_KINDS = frozenset(
-    k for k in EVENT_KINDS if not k.startswith(("sweep-", "report-"))
+    k for k in EVENT_KINDS
+    if not k.startswith(("sweep-", "report-")) and k != "cache-access"
 )
 
 
@@ -66,11 +68,14 @@ def test_emitted_kinds_are_all_declared():
 
 
 def test_touched_metric_names_are_all_declared():
-    tel = _instrumented_run()
-    touched = {name for name, _, _ in tel.registry.collect()}
+    touched = set()
+    for config in (REGISTRY_CONFIG, DYNAMIC_CONFIG):
+        metrics = metrics_of(_run(config).events)
+        touched |= {entry["name"] for series in metrics.values() for entry in series}
     undeclared = touched - METRIC_NAMES
     assert not undeclared, f"undeclared metric names: {undeclared}"
-    assert {"pagefaults", "net_messages", "span_s"} <= touched
+    assert {"pagefaults", "net_messages", "span_s", "shortages",
+            "churn_steps", "node_failures"} <= touched
 
 
 def test_registry_constants_are_frozen_and_disjointly_named():

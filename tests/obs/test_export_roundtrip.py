@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.datagen import generate
 from repro.mining.hpa import HPAConfig, HPARun
+from repro.obs import merged_histogram, metrics_of
 from repro.obs.export import (
     chrome_trace_events,
     read_events_jsonl,
@@ -65,19 +67,23 @@ def test_metrics_json_percentiles_exact(tmp_path, traced_run):
     _, tel = traced_run
     paths = write_trace_dir(tmp_path / "trc", tel, {})
     metrics = read_metrics_json(paths["metrics"])
-    dumped = {
-        (h["name"], tuple(sorted(h["labels"].items()))): h
-        for h in metrics["histograms"]
-    }
+    # metrics.json is the fold of the event log, in memory or read back.
+    assert metrics == metrics_of(tel.events)
+    assert metrics == metrics_of(read_events_jsonl(paths["events"]))
     checked = 0
-    for name, labels, metric in tel.registry.collect():
-        if metric.kind != "histogram":
+    for entry in metrics["histograms"]:
+        if entry["name"] != "pagefault_latency_s":
             continue
-        entry = dumped[(name, tuple(sorted(labels.items())))]
-        assert entry["count"] == metric.count
-        assert entry["percentiles"]["p50"] == pytest.approx(metric.percentile(50))
-        assert entry["percentiles"]["p99"] == pytest.approx(metric.percentile(99))
-        assert entry["bucket_counts"] == list(metric.bucket_counts)
+        durations = [
+            e.fields["duration_s"] for e in tel.events_of_kind("fault")
+            if e.node_id == entry["labels"]["node"]
+            and e.fields["source"] == entry["labels"]["source"]
+        ]
+        assert entry["count"] == len(durations)
+        for p in (50, 90, 99):
+            assert entry["percentiles"][f"p{p}"] == pytest.approx(
+                float(np.percentile(durations, p))
+            )
         checked += 1
     assert checked > 0  # the run did produce latency histograms
 
@@ -91,6 +97,7 @@ def test_manifest_augmented(tmp_path, traced_run):
     assert manifest["scale"] == "test"
     assert manifest["n_runs"] == len(tel.runs) == 1
     assert manifest["n_events"] == len(tel.events)
+    assert manifest["n_metrics"] == sum(map(len, metrics_of(tel.events).values()))
     assert manifest["runs"][0]["driver"] == "hpa"
     assert manifest["runs"][0]["faults"] > 0
 
@@ -105,9 +112,24 @@ def test_trace_summarizer_consistency(tmp_path, traced_run):
     text = summarize(tmp_path / "trc")
     assert "per-phase timings" in text
     assert "pagefault_latency_s" in text
-    hist = tel.registry.merged_histogram("pagefault_latency_s")
+    hist = merged_histogram("pagefault_latency_s", tel.events)
     reported_mean_ms = (
         tel.runs[0]["fault_time_s"] / tel.runs[0]["faults"] * 1e3
     )
     assert hist.mean * 1e3 == pytest.approx(reported_mean_ms)
     assert f"mean {reported_mean_ms:.3f} ms" in text
+
+
+def test_trace_summarizer_renders_byte_histograms_in_bytes(tmp_path, traced_run):
+    from repro.obs.cli import summarize
+
+    _, tel = traced_run
+    write_trace_dir(tmp_path / "trc", tel, {"experiments": ["x"]})
+    text = summarize(tmp_path / "trc", "message_size_bytes")
+    hist = merged_histogram("message_size_bytes", tel.events)
+    assert hist is not None and hist.count > 0
+    assert (
+        f"mean {hist.mean:.3f} B, min {hist.min:.3f} B, max {hist.max:.3f} B"
+        in text
+    )
+    assert " ms" not in text.split("message_size_bytes", 1)[1].splitlines()[0]

@@ -8,7 +8,7 @@ behind remote ones included — report through the one shared bus.
 from repro.datagen import generate
 from repro.mining.hpa import HPAConfig, HPARun
 from repro.mining.npa import NPAConfig, NPARun
-from repro.obs import Telemetry
+from repro.obs import Telemetry, merged_histogram
 
 DB = generate("T8.I3.D400", n_items=80, seed=3)
 
@@ -134,10 +134,8 @@ def test_shortage_latency_ignores_earlier_runs_placements():
     assert tel.events_of_kind("placement")
 
     def observed() -> int:
-        return sum(
-            h.count
-            for _, _, h in tel.registry.collect("placement_latency_to_shortage_s")
-        )
+        hist = merged_histogram("placement_latency_to_shortage_s", tel.events)
+        return 0 if hist is None else hist.count
 
     before = observed()
     quiet = HPARun(

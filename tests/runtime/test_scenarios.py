@@ -221,12 +221,15 @@ def test_cache_lru_eviction_and_stats():
 
 
 def test_cache_counters_reach_telemetry():
-    from repro.obs import Telemetry, telemetry_session
+    from repro.obs import Telemetry, metrics_of, telemetry_session
 
     telemetry = Telemetry()
     with telemetry_session(telemetry):
         clear_cache()
         run_scenario(TINY)
         run_scenario(TINY)
-    assert telemetry.registry.counter("scenario_cache_misses").value >= 1
-    assert telemetry.registry.counter("scenario_cache_hits").value >= 1
+    counters = {
+        e["name"]: e["value"] for e in metrics_of(telemetry.events)["counters"]
+    }
+    assert counters["scenario_cache_misses"] >= 1
+    assert counters["scenario_cache_hits"] >= 1
