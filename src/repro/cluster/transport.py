@@ -11,7 +11,9 @@ Mailboxes are unbounded by default (the paper's TLI endpoints buffer in
 kernel memory); passing ``mailbox_capacity`` bounds every mailbox, so a
 sender whose receiver has fallen behind *blocks in virtual time* —
 back-pressure instead of infinite buffering.  Every mailbox keeps
-delivery/depth/occupancy statistics either way (:meth:`Transport.stats`).
+delivery/depth/occupancy statistics either way (:meth:`Transport.stats`),
+counted in its ``put``/``get`` around the plain
+:class:`~repro.sim.store.Store` FIFO.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import NetworkError
 from repro.cluster.network import Message, Network
+from repro.sim.events import Event
 from repro.sim.process import Process
-from repro.sim.store import Store, StoreGet, StorePut
+from repro.sim.store import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Environment
@@ -57,38 +60,31 @@ class Mailbox(Store):
 
     # Occupancy accounting only: same-instant _advance calls fold a
     # zero-width (now - last_t == 0) area term, so the sum is identical
-    # in any order.
+    # in any order.  It runs whenever the depth may change (an accepted
+    # put, every get) and never for a put that blocks.
     def _advance(self) -> None:
         now = self.env.now
         self._depth_area += len(self.items) * (now - self._last_t)
         self._last_t = now
 
-    def _store_item(self, item: object) -> None:
-        # Order-independent: a same-instant put/get pair commutes:
-        # put appends at the tail, get takes the head (or settles
-        # against this put if the queue was empty), so the handoff and
-        # the resulting queue are identical in either order and
-        # per-sender FIFO is preserved.
-        self._advance()
-        super()._store_item(item)
-        self.delivered += 1
-        if len(self.items) > self.peak_depth:
-            self.peak_depth = len(self.items)
-
-    def _select_item(self, event: StoreGet) -> object:
-        self._advance()
-        return super()._select_item(event)
-
-    # The queue mutation itself happens in _store_item; this override
-    # only bumps the commutative blocked-put counter.
-    def _do_put(self, event: StorePut) -> bool:
-        done = super()._do_put(event)
-        # Count each put at most once, however many settlement rounds it
-        # spends waiting for room.
-        if not done and not event._blocked_once:
-            event._blocked_once = True
+    def put(self, item: object) -> Event:
+        if len(self.items) < self.capacity:
+            # A hand-off to a waiting receiver counts depth 1 at its instant.
+            self._advance()
+            self.delivered += 1
+            self.peak_depth = max(self.peak_depth, len(self.items) + 1)
+        else:
             self.blocked_puts += 1
-        return done
+        return super().put(item)
+
+    def get(self) -> Event:
+        self._advance()
+        depth = len(self.items)
+        event = super().get()
+        if depth and len(self.items) == depth:
+            # The freed slot admitted a blocked put: its item arrives now.
+            self.delivered += 1
+        return event
 
     def occupancy(self) -> float:
         """Time-weighted mean queue depth since creation."""
@@ -172,7 +168,7 @@ class Transport:
         """
         return self.env.process(self.send(src, dst, channel, payload, size_bytes))
 
-    def recv(self, node_id: int, channel: str) -> StoreGet:
+    def recv(self, node_id: int, channel: str) -> Event:
         """Event yielding the next :class:`Message` on the channel."""
         return self.mailbox(node_id, channel).get()
 

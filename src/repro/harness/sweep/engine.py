@@ -3,14 +3,15 @@
 Executing a sweep means resolving every grid cell to a
 :class:`~repro.runtime.results.RunResult`:
 
-1. probe the shared cache tiers once (:func:`~repro.runtime.scenarios.lookup_scenario`:
+1. group the cells by content address and probe the shared cache tiers
+   once per address (:func:`~repro.runtime.scenarios.lookup_scenario`:
    in-memory first, then the ambient persistent store);
-2. resolve the misses — in-process when ``jobs == 1``; with ``jobs > 1``
-   each unique content address is submitted to one lingering
-   ``ProcessPoolExecutor`` of ``jobs`` spawned processes, and the parent
-   installs every result into both cache tiers as it completes (the
-   parent is the only store writer, so a killed run against a store
-   loses only the cells in flight);
+2. execute each missed address once — in-process when ``jobs == 1``;
+   with ``jobs > 1`` in one lingering ``ProcessPoolExecutor`` of
+   ``jobs`` spawned processes, the parent installing every result into
+   both cache tiers as it completes (it is the only store writer, so a
+   killed run against a store loses only the cells in flight) — and
+   record every later cell of an address as ``cached``;
 3. reassemble in grid-key order, never completion order — so a parallel
    sweep's report is byte-for-byte identical to a serial one (results
    ship through the store's exact JSON codec).
@@ -62,11 +63,12 @@ class RunRecord:
     """How one grid cell was resolved."""
 
     key: str
-    #: ``cached`` (either tier), ``executed`` (in-process), or
-    #: ``worker`` (executed by a pool process).
+    #: ``cached`` (either tier, or an earlier cell of the same content
+    #: address), ``executed`` (in-process), or ``worker`` (executed by a
+    #: pool process).
     source: str
     #: Host wall-clock of the resolution (pool-process time for
-    #: ``worker`` cells).
+    #: ``worker`` cells, 0.0 for a repeated address).
     wall_s: float
 
 
@@ -128,82 +130,82 @@ def _execute_cell(scenario: dict) -> "tuple[float, dict]":
     return time.perf_counter() - start, result_to_dict(result)
 
 
+def _probe(scenario: Scenario) -> "tuple[str, float, Optional[RunResult]]":
+    """Probe the cache tiers once: ``("cached", wall, result or None)``."""
+    start = time.perf_counter()
+    found = lookup_scenario(scenario)
+    return "cached", time.perf_counter() - start, found
+
+
+def _run_pool(
+    firsts: "dict[str, Scenario]", jobs: int
+) -> "dict[str, tuple[str, float, Optional[RunResult]]]":
+    """Probe every address and run the misses in the pool, installing
+    each result as it completes.  A miss the pool lost (a process died)
+    keeps its ``None`` result, for the caller to execute in-process.
+    The pool machinery is imported here so serial sweeps never load it."""
+    from concurrent.futures import BrokenExecutor, as_completed
+
+    ahead = {ck: _probe(scenario) for ck, scenario in firsts.items()}
+    misses = {ck: firsts[ck] for ck, (_, _, found) in ahead.items() if found is None}
+    if not misses:
+        return ahead
+    pool = _pool(jobs)
+    try:
+        futures = {
+            pool.submit(_execute_cell, scenario.to_dict()): ck
+            for ck, scenario in misses.items()
+        }
+        for future in as_completed(futures):
+            ck = futures[future]
+            wall, payload = future.result()
+            result = result_from_dict(payload)
+            install_result(misses[ck], result)
+            ahead[ck] = ("worker", wall, result)
+    except BrokenExecutor:
+        shutdown_pools()
+    return ahead
+
+
 def _resolve(
     sweep: Sweep,
     cells: "dict[str, Scenario]",
     jobs: int,
     records: "list[RunRecord]",
 ) -> "dict[str, RunResult]":
-    """Resolve ``cells`` to results, in grid-key order."""
+    """Resolve ``cells`` to results, in grid-key order.
+
+    One path for every ``jobs``: cells group by content address in grid
+    order (grids may alias cells — the same baseline under two labels),
+    each address is probed once and each miss executed once, counting
+    one memory-tier miss.  With ``jobs > 1`` the misses run in the pool
+    up front; otherwise, and for a broken pool's remainder, a miss runs
+    in-process when its first cell comes up.  Every later cell of an
+    address is recorded ``cached``.
+    """
+    addresses = {key: ResultStore.key_for(scenario) for key, scenario in cells.items()}
+    firsts: "dict[str, Scenario]" = {}
+    for key, ck in addresses.items():
+        firsts.setdefault(ck, cells[key])
+    ahead = _run_pool(firsts, jobs) if jobs > 1 else {}
+
+    by_address: "dict[str, RunResult]" = {}
     results: "dict[str, RunResult]" = {}
-
-    if jobs <= 1:
-        for key, scenario in cells.items():
-            start = time.perf_counter()
-            found = lookup_scenario(scenario)
-            source = "cached" if found is not None else "executed"
+    for key, scenario in cells.items():
+        ck = addresses[key]
+        if ck not in by_address:
+            source, wall, found = ahead[ck] if ck in ahead else _probe(scenario)
             if found is None:
-                found = execute_and_install(scenario)
-            record = RunRecord(key, source, time.perf_counter() - start)
-            results[key] = found
-            records.append(record)
-            emit_ambient("sweep-run", sweep=sweep.name, cell=key,
-                         source=record.source, wall_s=record.wall_s)
-        return results
-
-    # Parallel path: probe the cache tiers up front and submit each
-    # *unique* pending content address (grids may alias cells — e.g.
-    # the same baseline under two labels) exactly once.  The pool
-    # machinery is imported here so serial sweeps never load it.
-    from concurrent.futures import BrokenExecutor, as_completed
-
-    pending: "dict[str, Scenario]" = {}
-    cached: "dict[str, RunResult]" = {}
-    for key, scenario in cells.items():
-        found = lookup_scenario(scenario)
-        if found is not None:
-            cached[key] = found
-        else:
-            pending.setdefault(ResultStore.key_for(scenario), scenario)
-
-    resolved: "dict[str, RunResult]" = {}
-    timings: "dict[str, float]" = {}
-    inline: "set[str]" = set()
-    if pending:
-        pool = _pool(jobs)
-        try:
-            futures = {
-                pool.submit(_execute_cell, scenario.to_dict()): ck
-                for ck, scenario in pending.items()
-            }
-            for future in as_completed(futures):
-                ck = futures[future]
-                timings[ck], payload = future.result()
-                resolved[ck] = result_from_dict(payload)
-                install_result(pending[ck], resolved[ck])
-        except BrokenExecutor:
-            # A pool process died: finish the remainder in-process so
-            # the sweep always terminates.
-            shutdown_pools()
-        for ck, scenario in pending.items():
-            if ck not in resolved:
                 start = time.perf_counter()
-                resolved[ck] = execute_and_install(scenario)
-                timings[ck] = time.perf_counter() - start
-                inline.add(ck)
-
-    for key, scenario in cells.items():
-        if key in cached:
-            record = RunRecord(key, "cached", 0.0)
-            results[key] = cached[key]
+                found = execute_and_install(scenario)
+                source, wall = "executed", wall + time.perf_counter() - start
+            by_address[ck] = found
         else:
-            ck = ResultStore.key_for(scenario)
-            source = "executed" if ck in inline else "worker"
-            record = RunRecord(key, source, timings[ck])
-            results[key] = resolved[ck]
-        records.append(record)
+            source, wall, found = "cached", 0.0, by_address[ck]
+        results[key] = found
+        records.append(RunRecord(key, source, wall))
         emit_ambient("sweep-run", sweep=sweep.name, cell=key,
-                     source=record.source, wall_s=record.wall_s)
+                     source=source, wall_s=wall)
     return results
 
 

@@ -19,6 +19,8 @@ from typing import Callable, Optional
 __all__ = [
     "ObsEvent",
     "EventBus",
+    "HOST_RUN",
+    "host_clock",
     "Subscriber",
     "EVENT_KINDS",
     "METRIC_NAMES",
@@ -94,6 +96,15 @@ METRIC_NAMES = frozenset({
     "report_renders", "report_cells", "report_diffs",
 })
 
+#: Run id of host-side events, emitted outside any simulation run.
+HOST_RUN = -1
+
+
+def host_clock() -> float:
+    """The bus clock outside a run: host-side events carry time 0.0."""
+    return 0.0
+
+
 #: A bus subscriber: any callable accepting one :class:`ObsEvent`.
 Subscriber = Callable[["ObsEvent"], None]
 
@@ -108,7 +119,9 @@ class ObsEvent:
     and the Chrome export key on) and empty on simulation-layer events,
     which never format prose.  ``node_id`` -1 means cluster-wide (phase
     boundaries, spans).  ``run`` distinguishes events from different
-    simulation runs sharing one bus (each run's clock restarts at 0).
+    simulation runs sharing one bus (each run's clock restarts at 0);
+    -1 marks a host-side event (sweep engine, cache tiers, report
+    service) emitted outside any run, whose ``time`` is 0.0.
     """
 
     time: float
@@ -124,12 +137,14 @@ class EventBus:
 
     The clock is pluggable so one bus can follow several consecutive
     simulation environments (the ``repro-bench --trace`` path runs many
-    configurations through one bus, tagging each with a run id).
+    configurations through one bus, tagging each with a run id).  Outside
+    a run the bus is host-side: run id :data:`HOST_RUN`, clock
+    :func:`host_clock`.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
-        self.run = 0
+        self.clock: Callable[[], float] = clock if clock is not None else host_clock
+        self.run = HOST_RUN
         self._subscribers: list[Subscriber] = []
 
     def subscribe(self, fn: Subscriber) -> Subscriber:

@@ -11,7 +11,8 @@ event log is the only thing recorded; metrics are a fold over it
 
 One telemetry object can follow several consecutive runs — each
 :meth:`attach` rebinds the bus clock to the new run's environment and
-tags subsequent events with a fresh run id, which is how
+tags subsequent events with a fresh run id until :meth:`end_run`
+(host-side events between runs carry run id -1), which is how
 ``repro-bench --trace`` collects a whole experiment sweep into one
 trace directory.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import collections
 from typing import Optional
 
-from repro.obs.events import EventBus, ObsEvent
+from repro.obs.events import HOST_RUN, EventBus, ObsEvent, host_clock
 
 __all__ = ["Telemetry", "run_meta"]
 
@@ -76,9 +77,13 @@ class Telemetry:
 
     def end_run(self, **extra) -> None:
         """Record completion facts (virtual duration, fault totals, ...)
-        into the current run's manifest entry."""
+        into the current run's manifest entry, and put the bus back in
+        its host-side state (run id -1, time 0.0) — which also lets the
+        finished run's environment go."""
         if self.runs:
             self.runs[-1].update(extra)
+        self.bus.run = HOST_RUN
+        self.bus.clock = host_clock
 
     # -- phase / span marks -------------------------------------------------
 

@@ -286,23 +286,29 @@ def lookup_scenario(scenario: Scenario) -> "Optional[RunResult]":
 
 
 def execute_and_install(scenario: Scenario) -> "RunResult":
-    """The step after a :func:`lookup_scenario` miss: run the
-    simulation — the memory tier's one counted miss — and populate both
-    tiers, so the run is durable (what lets a killed sweep re-run
-    only its missing cells).  The serial sweep path calls this directly
-    to skip a second probe."""
+    """The step after a :func:`lookup_scenario` miss: count the memory
+    tier's one miss, run the simulation, and populate both tiers, so the
+    run is durable (what lets a killed sweep re-run only its missing
+    cells).  The sweep engine's in-process path calls this directly to
+    skip a second probe."""
     _CACHE.record_miss()
     result = scenario.execute()
-    install_result(scenario, result)
+    _populate(scenario, result)
     return result
 
 
 def install_result(scenario: Scenario, result: "RunResult") -> None:
-    """Populate both cache tiers with an externally-computed result
-    (how results from the sweep engine's process pool enter the
-    parent's caches).  Only ever called after a miss, so the store
-    entry is always (re)written: a torn or other-format file that
-    missed is healed by the atomic :meth:`ResultStore.put`."""
+    """Install a result executed in another process (how the sweep
+    engine's pool results enter the parent's caches): count the memory
+    tier's miss the execution stands for and populate both tiers."""
+    _CACHE.record_miss()
+    _populate(scenario, result)
+
+
+def _populate(scenario: Scenario, result: "RunResult") -> None:
+    # Only ever after a miss, so the store entry is always (re)written:
+    # a torn or other-format file that missed is healed by the atomic
+    # ResultStore.put.
     from repro.runtime.store import current_result_store
 
     _CACHE.put(scenario, result)

@@ -1,8 +1,10 @@
 """Discrete-event simulation kernel.
 
-A compact, deterministic, SimPy-style kernel: an :class:`Environment`
-drives generator-coroutine :class:`Process` objects that communicate via
-:class:`Event`, :class:`Resource`, and :class:`Store` primitives.  The
+A compact, deterministic, SimPy-style kernel that keeps only what the
+model runs: an :class:`Environment` drives generator-coroutine
+:class:`Process` objects that wait on :class:`Event` and :class:`Timeout`,
+hold :class:`Resource` units, exchange items through FIFO :class:`Store`
+mailboxes, and meet at :class:`AllOf` / :class:`AnyOf` barriers.  The
 simulated ATM cluster (:mod:`repro.cluster`) and the remote-memory system
 (:mod:`repro.core`) are built entirely on these primitives.
 """
@@ -16,7 +18,6 @@ from repro.sim.events import (
     AllOf,
     AnyOf,
     Condition,
-    ConditionValue,
     Event,
     Timeout,
 )
@@ -29,7 +30,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Condition",
-    "ConditionValue",
     "AllOf",
     "AnyOf",
     "Process",

@@ -112,7 +112,6 @@ class Environment:
         t.callbacks = []
         t._value = None
         t._defused = False
-        t._delay = delay
         # Inlined schedule(t, delay=delay) at NORMAL priority.
         at = self._now + delay
         if at == self._now:
@@ -154,12 +153,6 @@ class Environment:
                 return
         self._eid += 1
         heapq.heappush(self._heap, (at, priority, self._eid, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        if self._urgent or self._normal:
-            return self._now
-        return self._heap[0][0] if self._heap else float("inf")
 
     @staticmethod
     def _pop_lane(lane: "deque[Event]", rng: Optional[Any]) -> Event:

@@ -6,16 +6,16 @@ The kernel follows the classic SimPy architecture: an
 processes (generator coroutines, see :mod:`repro.sim.process`) advance by
 yielding events and are resumed when those events are processed.
 
-Only the pieces the cluster substrate needs are implemented, but they are
-implemented completely: success/failure values, condition events
-(:class:`AllOf` / :class:`AnyOf`), and defusing of failed events so an
-exception observed by a waiting process is not re-raised by the kernel.
+Only what the cluster substrate runs is here: success/failure values,
+the two barriers :class:`AllOf` / :class:`AnyOf` (which succeed without
+a value — waiters read the children they need), and defusing of failed
+events so an exception observed by a waiting process is not re-raised by
+the kernel.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
-
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
@@ -26,7 +26,6 @@ __all__ = [
     "NORMAL",
     "Event",
     "Timeout",
-    "ConditionValue",
     "Condition",
     "AllOf",
     "AnyOf",
@@ -86,16 +85,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded (meaningless before triggering)."""
-        return self._ok
-
-    @property
-    def defused(self) -> bool:
-        """``True`` if a failure was absorbed by a waiting process."""
-        return self._defused
-
-    @property
     def value(self) -> object:
         """The event's value; raises if the event is still pending."""
         if self._value is PENDING:
@@ -127,24 +116,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the state of ``event`` onto this event and schedule it.
-
-        Used to chain events (e.g. a store's get event adopting the value
-        put by a producer).
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env._normal.append(self)  # inlined zero-delay NORMAL schedule
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_event, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
@@ -153,139 +124,52 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` units of simulated time after creation."""
 
-    __slots__ = ("_delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: object = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
         super().__init__(env)
-        self._delay = delay
         self._ok = True
         self._value = value
         env.schedule(self, delay=delay)
 
-    @property
-    def delay(self) -> float:
-        """The delay this timeout was created with."""
-        return self._delay
-
-
-class ConditionValue:
-    """Ordered mapping of the events a condition observed to their values.
-
-    Behaves like a read-only dict keyed by the original event objects, in
-    the order the condition listed them.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> object:
-        if key not in self.events:
-            raise KeyError(key)
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def keys(self):
-        """The triggered events, in declaration order."""
-        return list(self.events)
-
-    def values(self):
-        """The values of the triggered events, in declaration order."""
-        return [e._value for e in self.events]
-
-    def todict(self) -> dict[Event, object]:
-        """Plain ``dict`` snapshot of event → value."""
-        return {e: e._value for e in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ConditionValue {self.todict()!r}>"
-
 
 class Condition(Event):
-    """An event that triggers when a predicate over child events holds.
+    """An event that succeeds, without a value, once ``needed`` of its
+    child ``events`` have succeeded; a failed child fails it instead.
 
-    Nested conditions flatten their results, mirroring SimPy semantics:
-    the condition's value is a :class:`ConditionValue` of every *leaf*
-    event that has triggered at evaluation time.
+    :class:`AllOf` and :class:`AnyOf` differ only in ``needed``.
     """
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_needed",)
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, env: "Environment", events: "list[Event]", needed: int) -> None:
         super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
+        for event in events:
             if event.env is not env:
                 raise ValueError("cannot mix events from different environments")
-
-        # Check for already-processed children first (immediate conditions).
-        for event in self._events:
+        self._needed = needed
+        if not needed:
+            self.succeed()
+        # Already-processed children count at once; the rest on processing.
+        for event in events:
             if event.callbacks is None:
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
 
-        if not self._events and not self.triggered:
-            # Empty condition is immediately true.
-            self.succeed(ConditionValue())
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None:
-                # Processed (not merely triggered): a Timeout carries its
-                # value from birth, so "triggered" would over-report.
-                value.events.append(event)
-
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
-        self._count += 1
         if not event._ok:
             # A failed child fails the whole condition.
             event._defused = True
             self.fail(event._value)  # type: ignore[arg-type]
-        elif self._evaluate(self._events, self._count):
-            value = ConditionValue()
-            self._populate_value(value)
-            self.succeed(value)
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        """Predicate: every child event has triggered."""
-        return len(events) == count
-
-    @staticmethod
-    def any_event(events: list[Event], count: int) -> bool:
-        """Predicate: at least one child event has triggered."""
-        return count > 0 or not events
+            return
+        self._needed -= 1
+        if not self._needed:
+            self.succeed()
 
 
 class AllOf(Condition):
@@ -294,7 +178,8 @@ class AllOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
+        children = list(events)
+        super().__init__(env, children, len(children))
 
 
 class AnyOf(Condition):
@@ -303,4 +188,5 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_event, events)
+        children = list(events)
+        super().__init__(env, children, min(1, len(children)))

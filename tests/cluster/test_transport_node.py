@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, PAPER_NODE
+from repro.cluster.transport import Mailbox
 from repro.errors import NetworkError
 from repro.sim import Environment
 
@@ -205,6 +206,29 @@ def test_mailbox_capacity_applies_backpressure():
     # Back-pressure pushed the producer's completion behind the consumer
     # draining at 0.1 s per message.
     assert done_times[0] > 0.1
+
+
+def test_mailbox_counts_handoffs_and_admissions():
+    """A hand-off to a waiting receiver counts depth 1 at its instant; a
+    put that blocks counts once, and is delivered when a get admits it."""
+    env = Environment()
+    mbox = Mailbox(env, capacity=1)
+    receiver = mbox.get()
+    mbox.put("a")
+    assert receiver.value == "a"
+    assert mbox.stats() == {
+        "delivered": 1, "depth": 0, "peak_depth": 1, "blocked_puts": 0,
+        "occupancy": 0.0,
+    }
+    mbox.put("b")
+    blocked = mbox.put("c")
+    assert not blocked.triggered
+    env.run(until=2.0)
+    assert mbox.get().value == "b" and blocked.triggered
+    assert mbox.stats() == {
+        "delivered": 3, "depth": 1, "peak_depth": 1, "blocked_puts": 1,
+        "occupancy": 1.0,
+    }
 
 
 def test_mailbox_capacity_must_be_positive():

@@ -53,6 +53,40 @@ DEAD_BUT_PINNED = {
 }
 
 
+def _mailbox_stat_keys():
+    """The keys ``layers.py`` subscripts off each value of
+    ``transport.stats()`` (its ``for mbox in ...stats().values()`` loops)."""
+    keys = set()
+    for loop in ast.walk(ast.parse(LAYERS.read_text())):
+        if not (isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)):
+            continue
+        if "transport.stats().values()" not in ast.unparse(loop.iter):
+            continue
+        keys |= {
+            node.slice.value
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == loop.target.id
+            and isinstance(node.slice, ast.Constant)
+        }
+    return keys
+
+
+def test_mailbox_stats_carry_the_keys_the_benchmark_reads():
+    from repro.cluster import Cluster
+    from repro.sim import Environment
+
+    keys = _mailbox_stat_keys()
+    assert {"peak_depth", "blocked_puts"} <= keys
+    env = Environment()
+    cluster = Cluster(env, 2)
+    env.process(cluster.transport.send(0, 1, "probe", None, 64))
+    env.run()
+    stats = cluster.transport.stats()
+    assert stats and all(keys <= set(mbox) for mbox in stats.values())
+
+
 def test_every_traced_target_is_called_from_src():
     """A wrapped callable with no call site left is dead code the
     benchmark keeps alive; the set of those must not grow unnoticed."""

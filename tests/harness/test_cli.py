@@ -144,8 +144,11 @@ def test_traced_sweep_metrics_are_a_fold_of_its_events(
     from repro.obs.export import read_events_jsonl, read_metrics_json
     from tests.harness.test_sweep import _toy_sweep
 
-    # The toy grid aliases two cells, so the scenario cache hits once.
-    monkeypatch.setitem(ALL_SWEEPS, "toy", _toy_sweep())
+    # A follow-up re-asks for the grid's "a" cell, so the scenario cache
+    # hits once (the grid's own alias is recorded cached without a probe).
+    monkeypatch.setitem(ALL_SWEEPS, "toy", _toy_sweep(
+        followups=lambda scale, results: {"a-later": _toy_sweep().grid(scale)["a"]},
+    ))
     trace_dir = tmp_path / "trc"
     assert main([
         "toy", "--scale", "tiny", "--trace", str(trace_dir),

@@ -20,7 +20,7 @@ from repro.harness.sweep import (
     shutdown_pools,
 )
 from repro.obs import Telemetry, merged_histogram, metrics_of, telemetry_session
-from repro.runtime import Scenario, clear_cache, result_store_session
+from repro.runtime import Scenario, cache_stats, clear_cache, result_store_session
 from tests.harness.conftest import claim_seeds
 
 
@@ -89,14 +89,45 @@ def test_parallel_report_byte_identical_to_serial():
     parallel = run_sweep_outcome(sweep, "tiny", jobs=2)
     assert parallel.report.to_json() == serial.report.to_json()
     assert str(parallel.report) == str(serial.report)
-    # Nothing was cached up front, so every cell resolved via a worker —
-    # but the aliased cell was deduplicated before submission and shares
-    # its execution (and therefore its worker wall-clock) with "a".
-    assert all(r.source == "worker" for r in parallel.records)
-    by_key = {r.key: r.wall_s for r in parallel.records}
-    assert by_key["a"] == by_key["a-again"]
+    # Nothing was cached up front, so every address resolved via a
+    # worker; the aliased cell shares "a"'s execution and is recorded
+    # as cached, costing nothing of its own.
+    assert [r.source for r in parallel.records] == ["worker", "worker", "cached"]
+    assert {r.key: r.wall_s for r in parallel.records}["a-again"] == 0.0
     # Records keep grid order, not completion order.
     assert [r.key for r in parallel.records] == ["a", "b", "a-again"]
+
+
+def _accounting(jobs):
+    """What one cold sweep of the toy grid counts at ``jobs``."""
+    clear_cache()
+    before = cache_stats()
+    telemetry = Telemetry()
+    with telemetry_session(telemetry):
+        outcome = run_sweep_outcome(_toy_sweep(), "tiny", jobs=jobs)
+    after = cache_stats()
+    return {
+        "cached": [r.source == "cached" for r in outcome.records],
+        "n_cached": outcome.n_cached,
+        "n_executed": outcome.n_executed,
+        "memory_misses": after["misses"] - before["misses"],
+        "memory_hits": after["hits"] - before["hits"],
+        "cache_events": sorted(
+            (e.fields["tier"], e.fields["outcome"])
+            for e in telemetry.events_of_kind("cache-access")
+        ),
+    }
+
+
+def test_serial_and_parallel_sweeps_count_alike():
+    """One resolution path for every ``jobs``: each content address is
+    probed once and executed once (one memory-tier miss each, also when
+    a pool process ran it), and a repeated address is cached."""
+    serial = _accounting(1)
+    assert serial == _accounting(2)
+    assert serial["cached"] == [False, False, True]
+    assert (serial["memory_misses"], serial["memory_hits"]) == (2, 0)
+    assert serial["cache_events"] == [("scenario", "miss")] * 2
 
 
 def test_killed_pool_worker_sweep_still_completes():
@@ -112,11 +143,12 @@ def test_killed_pool_worker_sweep_still_completes():
     clear_cache()
     recovered = run_sweep_outcome(sweep, "tiny", jobs=2)
     assert recovered.report.to_json() == serial
-    assert {r.source for r in recovered.records} <= {"worker", "executed"}
+    assert {r.source for r in recovered.records[:2]} <= {"worker", "executed"}
+    assert recovered.records[2].source == "cached"
     clear_cache()
     fresh = run_sweep_outcome(sweep, "tiny", jobs=2)
     assert engine._pool(2) is not broken
-    assert all(r.source == "worker" for r in fresh.records)
+    assert [r.source for r in fresh.records] == ["worker", "worker", "cached"]
     assert fresh.report.to_json() == serial
 
 
@@ -218,6 +250,26 @@ def test_sweep_events_reach_telemetry():
     assert {e["labels"]["source"] for e in runs} <= {"cached", "executed"}
     hist = merged_histogram("sweep_run_wall_s", telemetry.events)
     assert hist is not None and hist.count == 3
+
+
+HOST_KINDS = {"sweep-start", "sweep-run", "sweep-done", "cache-access"}
+
+
+def test_host_events_between_sweeps_carry_no_run():
+    """A sweep after another one under the same session stamps its host
+    events run -1 at time 0.0, not the previous sweep's last run and
+    instant; every simulation event belongs to a run."""
+    telemetry = Telemetry()
+    with telemetry_session(telemetry):
+        run_sweep_outcome(_toy_sweep(), "tiny")
+        n_first = len(telemetry.events)
+        run_sweep_outcome(_toy_sweep(), "tiny")
+    second = telemetry.events[n_first:]
+    assert {e.kind for e in second} == HOST_KINDS
+    assert all((e.run, e.time) == (-1, 0.0) for e in second)
+    assert all(
+        (e.run == -1) == (e.kind in HOST_KINDS) for e in telemetry.events
+    )
 
 
 def test_harness_events_carry_typed_fields_not_detail():

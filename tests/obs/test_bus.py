@@ -57,7 +57,7 @@ def test_clock_and_run_tagging():
     bus.run = 1
     t["now"] = 0.25  # a new run's clock restarts
     bus.emit("b", 0)
-    assert (seen[0].time, seen[0].run) == (1.5, 0)
+    assert (seen[0].time, seen[0].run) == (1.5, -1)
     assert (seen[1].time, seen[1].run) == (0.25, 1)
 
 
@@ -124,6 +124,24 @@ def test_begin_and_end_run_bookkeeping():
     assert tel.events[0].time == 7.0
     assert tel.begin_run(FakeEnv(), None) == 1
     assert tel.bus.run == 1
+
+
+def test_host_side_events_carry_no_run():
+    """Outside a run — before the first and after ``end_run`` — the bus
+    stamps run -1 and time 0.0, never the last run's id and clock."""
+    tel = Telemetry()
+
+    class FakeEnv:
+        now = 7.0
+
+    tel.bus.emit("sweep-start", -1)
+    tel.begin_run(FakeEnv(), None)
+    tel.bus.emit("fault", 0)
+    tel.end_run()
+    tel.bus.emit("sweep-run", -1)
+    assert [(e.kind, e.run, e.time) for e in tel.events] == [
+        ("sweep-start", -1, 0.0), ("fault", 0, 7.0), ("sweep-run", -1, 0.0),
+    ]
 
 
 def test_telemetry_session_is_ambient_and_nests():

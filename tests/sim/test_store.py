@@ -106,19 +106,3 @@ def test_multiple_consumers_fifo_service():
     env.process(producer(env, store))
     env.run()
     assert got == [("c1", "x"), ("c2", "y")]
-
-
-def test_get_cancel():
-    env = Environment()
-    store = Store(env)
-
-    def consumer(env, store):
-        req = store.get()
-        result = yield req | env.timeout(2)
-        if req not in result:
-            req.cancel()
-        yield env.timeout(0)
-
-    env.process(consumer(env, store))
-    env.run()
-    assert store._get_queue == []
