@@ -27,6 +27,25 @@ def bar(fraction: float, width: int = 30) -> str:
     return "#" * n + "." * (width - n)
 
 
+def meter_cpu(cluster) -> "collections.Counter[int]":
+    """Wrap every node's ``compute`` to add up the CPU seconds it held;
+    the returned counter fills in as the run goes."""
+    busy: "collections.Counter[int]" = collections.Counter()
+
+    def metered(node):
+        compute = node.compute
+
+        def compute_and_count(seconds):
+            yield from compute(seconds)
+            busy[node.node_id] += seconds / node.spec.cpu.speed_factor
+
+        return compute_and_count
+
+    for node in cluster:
+        node.compute = metered(node)
+    return busy
+
+
 def main(fast: bool = False) -> None:
     if fast:
         workload, n_items, minsup, n_app, n_mem, lines = (
@@ -48,6 +67,7 @@ def main(fast: bool = False) -> None:
         ),
     )
     tel = run.enable_telemetry()
+    busy = meter_cpu(run.cluster)
     res = run.run()
 
     kinds = tel.counts_by_kind()
@@ -82,7 +102,7 @@ def main(fast: bool = False) -> None:
 
     print("\nCPU share of the run per node:")
     for node in run.cluster:
-        share = node.stats.cpu_busy_s / res.total_time_s
+        share = busy[node.node_id] / res.total_time_s
         role = "app" if node.node_id in run.app_ids else "mem"
         print(f"  node {node.node_id:2d} ({role})  {bar(share)}  {share:4.0%}")
 

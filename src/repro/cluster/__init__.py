@@ -20,7 +20,7 @@ from repro.cluster.dynamics import (
 )
 from repro.cluster.memory import MemoryLedger
 from repro.cluster.network import PROTOCOL_OVERHEAD_BYTES, Message, Network, NetworkStats
-from repro.cluster.node import Node, NodeStats
+from repro.cluster.node import Node
 from repro.cluster.specs import (
     ATM_155,
     BARRACUDA_7200,
@@ -51,7 +51,6 @@ __all__ = [
     "parse_trace",
     "scripted_shortage",
     "Node",
-    "NodeStats",
     "Network",
     "NetworkStats",
     "Message",

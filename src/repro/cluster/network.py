@@ -17,7 +17,7 @@ defaults reproduce the paper's measured 120 Mbps / 0.5 ms RTT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Generator
 
@@ -56,22 +56,13 @@ class Message:
 # back during the run.
 @dataclass
 class NetworkStats:
-    """Aggregate network counters."""
+    """Aggregate network counters (per-flow figures are folded from the
+    ``net-msg`` events of a traced run)."""
 
     messages: int = 0
     payload_bytes: int = 0
     wire_bytes: int = 0
     retransmissions: int = 0
-    per_node_sent: dict = field(default_factory=dict)
-    per_node_received: dict = field(default_factory=dict)
-
-    def record(self, msg: Message, wire_bytes: int) -> None:
-        """Account one delivered message."""
-        self.messages += 1
-        self.payload_bytes += msg.size_bytes
-        self.wire_bytes += wire_bytes
-        self.per_node_sent[msg.src] = self.per_node_sent.get(msg.src, 0) + 1
-        self.per_node_received[msg.dst] = self.per_node_received.get(msg.dst, 0) + 1
 
 
 class Network:
@@ -102,6 +93,9 @@ class Network:
             raise NetworkError("retransmission timeout must be positive")
         self.env = env
         self.nic = nic
+        # NicSpec is frozen: read its rate and latency once, not per message.
+        self._bytes_per_s = nic.effective_bytes_per_s
+        self._latency_s = nic.one_way_latency_s
         self.loss_probability = loss_probability
         self.retransmission_timeout_s = retransmission_timeout_s
         self._loss_rng = np.random.default_rng(loss_seed)
@@ -142,11 +136,13 @@ class Network:
         if msg.size_bytes < 0:
             raise NetworkError(f"negative message size {msg.size_bytes}")
 
+        env = self.env
         msg.msg_id = next(self._msg_ids)
-        msg.send_time = self.env.now
+        msg.send_time = env.now
 
         wire_bytes = msg.size_bytes + PROTOCOL_OVERHEAD_BYTES
-        tx_time = self.nic.transmit_time_s(wire_bytes)
+        # NicSpec.transmit_time_s's expression, on the rate read at init.
+        tx_time = wire_bytes / self._bytes_per_s
 
         while True:
             egress = tx.request()
@@ -154,7 +150,7 @@ class Network:
             ingress = rx.request()
             yield ingress
             try:
-                yield self.env.sleep(tx_time)
+                yield env.sleep(tx_time)
             finally:
                 tx.release(egress)
                 rx.release(ingress)
@@ -169,15 +165,17 @@ class Network:
                         "net-retransmit", msg.src, msg_id=msg.msg_id,
                         dst=msg.dst, channel=msg.channel,
                     )
-                yield self.env.timeout(self.retransmission_timeout_s)
+                yield env.timeout(self.retransmission_timeout_s)
                 continue
             break
 
-        yield self.env.sleep(self.nic.one_way_latency_s)
-        msg.deliver_time = self.env.now
-        self.stats.record(msg, wire_bytes)
-        if self.bus is not None:
-            self.bus.emit(
+        yield env.sleep(self._latency_s)
+        msg.deliver_time = env.now
+        self.stats.messages += 1
+        self.stats.payload_bytes += msg.size_bytes
+        self.stats.wire_bytes += wire_bytes
+        if (bus := self.bus) is not None:
+            bus.emit(
                 "net-msg", msg.src, msg_id=msg.msg_id,
                 dst=msg.dst, channel=msg.channel, size_bytes=msg.size_bytes,
                 wire_bytes=wire_bytes,

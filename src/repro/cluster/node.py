@@ -9,7 +9,6 @@ Figure 3's bottleneck (the other being its ingress NIC).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
 from repro.cluster.disk import Disk
@@ -21,15 +20,7 @@ from repro.sim.resources import Resource
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
 
-__all__ = ["Node", "NodeStats"]
-
-
-@dataclass
-class NodeStats:
-    """Per-node accumulated counters."""
-
-    cpu_busy_s: float = 0.0
-    compute_calls: int = 0
+__all__ = ["Node"]
 
 
 class Node:
@@ -47,11 +38,11 @@ class Node:
         self.spec = spec
         self.memory = MemoryLedger(spec.memory_bytes)
         self.cpu = Resource(env, capacity=1)
+        self._speed_factor = spec.cpu.speed_factor
         #: The swap target disk (SCSI in the paper's disk-swapping baseline).
         self.swap_disk = Disk(env, spec.disk)
         #: The IDE data disk holding the transaction file.
         self.data_disk = Disk(env, spec.disk)
-        self.stats = NodeStats()
         network.register(self.node_id)
         self.network = network
 
@@ -63,12 +54,14 @@ class Node:
         """
         if seconds < 0:
             raise ValueError(f"negative compute time {seconds}")
-        scaled = seconds / self.spec.cpu.speed_factor
-        with self.cpu.request() as grant:
+        cpu = self.cpu
+        grant = cpu.request()
+        try:
             yield grant
-            yield self.env.sleep(scaled)
-        self.stats.cpu_busy_s += scaled
-        self.stats.compute_calls += 1
+            yield self.env.sleep(seconds / self._speed_factor)
+        finally:
+            # As Request.__exit__: release, or leave the queue if interrupted.
+            cpu.release(grant) if grant.triggered else grant.cancel()
 
     def emit(self, kind: str, **fields: object) -> None:
         """Publish one telemetry event from this node on the run's bus

@@ -41,7 +41,6 @@ class DiskPager(Pager):
         self._on_disk[line.line_id] = line
         self.table.set_disk(line.line_id)
         self.stats.swap_outs += 1
-        self.stats.bytes_swapped_out += block
         self._emit("swap-out", line=line.line_id, bytes=block)
         return self._pay_evict(block)
 
@@ -59,7 +58,6 @@ class DiskPager(Pager):
         line = self._on_disk.pop(line_id)
         self.table.set_resident(line_id)
         self.stats.faults += 1
-        self.stats.bytes_faulted_in += block
         duration = self.node.env.now - start
         self.stats.fault_time_s += duration
         self._emit("fault", line=line_id, duration_s=duration, bytes=block)

@@ -108,7 +108,7 @@ class MemoryManagementTable:
     def state_code(self, line_id: int) -> int:
         """Integer state code of ``line_id`` (O(1), no allocation)."""
         if line_id < len(self._state):
-            return int(self._state[line_id])
+            return self._state.item(line_id)
         return RESIDENT
 
     def is_resident(self, line_id: int) -> bool:
@@ -118,7 +118,7 @@ class MemoryManagementTable:
     def holder_of(self, line_id: int) -> int:
         """Holding node id for remote states, ``-1`` otherwise."""
         if line_id < len(self._holder):
-            return int(self._holder[line_id])
+            return self._holder.item(line_id)
         return _NO_NODE
 
     def resident_mask(self, line_ids: np.ndarray) -> np.ndarray:

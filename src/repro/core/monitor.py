@@ -124,7 +124,8 @@ class MemoryMonitor:
 
     def _broadcast(self) -> Generator:
         available = 0 if self._shortage else self.node.memory.available_bytes
-        info_base = dict(
+        # One immutable report serves every client.
+        info = AvailabilityInfo(
             node_id=self.node.node_id,
             available_bytes=available,
             shortage=self._shortage,
@@ -143,7 +144,7 @@ class MemoryMonitor:
                 self.node.node_id,
                 client,
                 MONITOR_CHANNEL,
-                AvailabilityInfo(**info_base),
+                info,
                 self.cost.monitor_message_bytes,
             )
             self.broadcasts_sent += 1
@@ -160,6 +161,9 @@ class MonitorClient:
         self.node = node
         self.transport = transport
         self.table: dict[int, AvailabilityInfo] = {}
+        #: node -> estimated available bytes: the report's figure, then
+        #: corrected by :meth:`adjust_estimate` until a fresher report.
+        self.estimates: dict[int, int] = {}
         #: Generator functions invoked (as new processes) when a node
         #: first reports shortage: ``handler(node_id) -> generator``.
         self.shortage_handlers: list[Callable[[int], Generator]] = []
@@ -180,9 +184,8 @@ class MonitorClient:
             self._proc.interrupt("stop")
 
     def available_bytes(self, node_id: int) -> int:
-        """Last reported availability of ``node_id`` (0 if never heard of)."""
-        info = self.table.get(node_id)
-        return 0 if info is None else info.available_bytes
+        """Estimated availability of ``node_id`` (0 if never heard of)."""
+        return self.estimates.get(node_id, 0)
 
     def adjust_estimate(self, node_id: int, delta_bytes: int) -> None:
         """Locally adjust a node's availability estimate.
@@ -192,20 +195,23 @@ class MonitorClient:
         traffic — otherwise every node would keep choosing the same
         "most available" destination for a whole monitor interval.
         """
-        info = self.table.get(node_id)
-        if info is not None:
-            self.table[node_id] = AvailabilityInfo(
-                node_id=node_id,
-                available_bytes=max(0, info.available_bytes + delta_bytes),
-                shortage=info.shortage,
-                seq=info.seq,
-                timestamp=info.timestamp,
-            )
+        estimate = self.estimates.get(node_id)
+        if estimate is not None:
+            self.estimates[node_id] = max(0, estimate + delta_bytes)
 
     def mark_full(self, node_id: int) -> None:
         """Locally zero a node's availability after a rejected swap-out;
         the next broadcast from that node refreshes the truth."""
-        self.adjust_estimate(node_id, -self.available_bytes(node_id))
+        if node_id in self.estimates:
+            self.estimates[node_id] = 0
+
+    def receive(self, info: AvailabilityInfo) -> None:
+        """Take one report into the table unless a fresher one from that
+        node is already there; a taken report resets the estimate."""
+        prev = self.table.get(info.node_id)
+        if prev is None or info.seq >= prev.seq:
+            self.table[info.node_id] = info
+            self.estimates[info.node_id] = info.available_bytes
 
     def _run(self) -> Generator:
         env = self.node.env
@@ -216,9 +222,7 @@ class MonitorClient:
                 return
             info = msg.payload
             assert isinstance(info, AvailabilityInfo)
-            prev = self.table.get(info.node_id)
-            if prev is None or info.seq >= prev.seq:
-                self.table[info.node_id] = info
+            self.receive(info)
             self.reports_received += 1
             if info.shortage and info.node_id not in self._shortage_seen:
                 self._shortage_seen.add(info.node_id)

@@ -33,8 +33,6 @@ class PagerStats:
 
     swap_outs: int = 0
     faults: int = 0
-    bytes_swapped_out: int = 0
-    bytes_faulted_in: int = 0
     fault_time_s: float = 0.0
     peeks: int = 0
     update_messages: int = 0
@@ -79,9 +77,11 @@ class Pager(ABC):
         self.candidates: Optional[CandidateHashTable] = None
 
     def _emit(self, kind: str, **fields: object) -> None:
-        """Publish one typed event (faults, evictions, migrations) from
-        this pager's node, tagged with the pager's name."""
-        self.node.emit(kind, source=self.name, **fields)
+        """Publish one typed event (evictions, migrations) from this
+        pager's node, tagged with the pager's name.  Per-fault sites read
+        the bus themselves, so they build no fields while it is off."""
+        if (bus := self.node.network.bus) is not None:
+            bus.emit(kind, self.node.node_id, source=self.name, **fields)
 
     @abstractmethod
     def evict(self, line: HashLine) -> Generator:

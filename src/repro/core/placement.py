@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Collection, Optional
 
 from repro.core.monitor import MonitorClient
 from repro.errors import NoMemoryAvailable
@@ -75,7 +75,7 @@ class PlacementPolicy(ABC):
         self,
         client: MonitorClient,
         needed_bytes: int,
-        exclude: Iterable[int] = (),
+        exclude: Collection[int] = (),
     ) -> int:
         """Pick a destination with at least ``needed_bytes`` reported free.
 
@@ -88,13 +88,13 @@ class PlacementPolicy(ABC):
                 f"(known: {sorted(client.table)})"
             )
         dst = self._pick(client, cands)
-        client.node.emit(
-            "placement", dst=dst, needed_bytes=needed_bytes, policy=self.name
-        )
+        if (bus := client.node.network.bus) is not None:
+            bus.emit("placement", client.node.node_id, dst=dst,
+                     needed_bytes=needed_bytes, policy=self.name)
         return dst
 
     def _qualifying(
-        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int]
+        self, client: MonitorClient, needed_bytes: int, exclude: Collection[int]
     ) -> "list[int]":
         """The nodes ``choose`` may pick from."""
         return _candidates(client, needed_bytes, exclude)
@@ -104,15 +104,14 @@ class PlacementPolicy(ABC):
         """The policy's choice among the qualifying nodes."""
 
 
-def _candidates(client: MonitorClient, needed_bytes: int, exclude: Iterable[int]) -> list[int]:
-    banned = set(exclude)
-    out = []
-    for node_id, info in client.table.items():
-        if node_id in banned or info.shortage:
-            continue
-        if info.available_bytes >= needed_bytes:
-            out.append(node_id)
-    return out
+def _candidates(client: MonitorClient, needed_bytes: int, exclude: Collection[int]) -> list[int]:
+    estimates = client.estimates
+    return [
+        node_id for node_id, info in client.table.items()
+        if not info.shortage
+        and estimates[node_id] >= needed_bytes
+        and node_id not in exclude
+    ]
 
 
 class MostAvailableFirst(PlacementPolicy):
@@ -121,7 +120,9 @@ class MostAvailableFirst(PlacementPolicy):
     name = "most-available"
 
     def _pick(self, client: MonitorClient, cands: "list[int]") -> int:
-        return max(cands, key=lambda n: (client.table[n].available_bytes, -n))
+        # max() keeps the first of equal keys: ascending ids break ties
+        # toward the lower node id.
+        return max(sorted(cands), key=client.estimates.__getitem__)
 
 
 class RoundRobinPlacement(PlacementPolicy):
@@ -145,10 +146,10 @@ class PredictivePlacement(PlacementPolicy):
     Each *new* broadcast (tracked by ``seq``) updates a per-node
     smoothed estimate with :data:`SMOOTHING_ALPHA`; at choice time the
     estimate is discounted by ``exp(-(now - ts) / STALENESS_TAU_S)`` so a
-    node that has gone quiet stops looking attractive.  Candidates
-    are still pre-filtered by the raw table (which carries the pager's
-    own local ``adjust_estimate`` corrections), so the smoothing only
-    *ranks* feasible destinations.
+    node that has gone quiet stops looking attractive.  The folded
+    figure, and the pre-filter of candidates, is the client's estimate
+    (the report with the pager's own ``adjust_estimate`` corrections
+    since), so the smoothing only *ranks* feasible destinations.
     """
 
     name = "predictive"
@@ -171,7 +172,7 @@ class PredictivePlacement(PlacementPolicy):
                 continue
             self._seen_seq[node_id] = info.seq
             last = self._last.get(node_id)
-            reported = float(info.available_bytes)
+            reported = float(client.estimates[node_id])
             if last is None:
                 smoothed = reported
             else:
@@ -191,7 +192,7 @@ class PredictivePlacement(PlacementPolicy):
         return smoothed * math.exp(-age / STALENESS_TAU_S)
 
     def _qualifying(
-        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int]
+        self, client: MonitorClient, needed_bytes: int, exclude: Collection[int]
     ) -> "list[int]":
         self._refresh(client)  # even when nothing qualifies
         return _candidates(client, needed_bytes, exclude)
@@ -257,7 +258,7 @@ class MigrateAheadPlacement(PredictivePlacement):
                 client.node.env.process(self.pager.migrate_from(node_id))
 
     def _qualifying(
-        self, client: MonitorClient, needed_bytes: int, exclude: Iterable[int]
+        self, client: MonitorClient, needed_bytes: int, exclude: Collection[int]
     ) -> "list[int]":
         self._refresh(client)
         self._maybe_evacuate(client)

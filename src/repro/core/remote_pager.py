@@ -85,6 +85,8 @@ class RemoteMemoryPager(Pager):
         self.placement = placement
         self.stores = stores
         self.memory_nodes = memory_nodes
+        #: The application node this pager serves.
+        self.owner_id = node.node_id
         #: Optional pager (typically a :class:`DiskPager`) that absorbs
         #: evictions when no memory-available node can take them — an
         #: extension beyond the paper, which assumes lenders always have
@@ -97,16 +99,10 @@ class RemoteMemoryPager(Pager):
     def _send(self, src: "Node", dst: "Node", nbytes: int) -> Generator:
         """One message src -> dst: sender CPU + network transfer."""
         yield from src.compute(self.cost.cpu_per_message_s)
-        msg = Message(
-            src=src.node_id, dst=dst.node_id, channel="pager",
-            payload=None, size_bytes=nbytes,
+        # Positional: keyword construction costs twice as much per message.
+        yield from self.network.transfer(
+            Message(src.node_id, dst.node_id, "pager", None, nbytes)
         )
-        yield from self.network.transfer(msg)
-
-    @property
-    def owner_id(self) -> int:
-        """The application node this pager serves."""
-        return self.node.node_id
 
     # -- swap out -----------------------------------------------------------
 
@@ -119,10 +115,11 @@ class RemoteMemoryPager(Pager):
         next candidate (paper §4.2's destination switch).
         """
         block = self.cost.message_block_bytes
+        nbytes = line.nbytes
         exclude: set[int] = set()
         while True:
             try:
-                dst = self.placement.choose(self.client, line.nbytes, exclude)
+                dst = self.placement.choose(self.client, nbytes, exclude)
             except NoMemoryAvailable:
                 if self.fallback is not None:
                     self.stats.placement_rejections += 1
@@ -137,10 +134,11 @@ class RemoteMemoryPager(Pager):
                 continue
             break
         self.table.set_remote(line.line_id, dst, fixed=self.fixed)
-        self.client.adjust_estimate(dst, -line.nbytes)
+        self.client.adjust_estimate(dst, -nbytes)
         self.stats.swap_outs += 1
-        self.stats.bytes_swapped_out += block
-        self._emit("swap-out", line=line.line_id, dst=dst, bytes=block)
+        if (bus := self.network.bus) is not None:
+            bus.emit("swap-out", self.owner_id, source=self.name,
+                     line=line.line_id, dst=dst, bytes=block)
         return self._pay_evict(dst, block)
 
     def _rejected(self, dst: int, exclude: "set[int]") -> None:
@@ -155,8 +153,9 @@ class RemoteMemoryPager(Pager):
         dst_node = self.memory_nodes[dst]
         yield from self._send(self.node, dst_node, block)
         yield from dst_node.compute(self.cost.remote_store_service_s)
-        self._emit("swap-cost", dst=dst, bytes=block,
-                   duration_s=self.node.env.now - start)
+        if (bus := self.network.bus) is not None:
+            bus.emit("swap-cost", self.owner_id, source=self.name, dst=dst,
+                     bytes=block, duration_s=self.node.env.now - start)
 
     # -- fault in -------------------------------------------------------------
 
@@ -170,32 +169,35 @@ class RemoteMemoryPager(Pager):
             # state in this same instant; back off briefly.
             yield self.node.env.timeout(1e-5)
 
-    def _request(self, line_id: int, states: tuple, verb: str) -> Generator:
+    def _request(self, line_id: int, states: "tuple[int, ...]", verb: str) -> Generator:
         """Send a request for ``line_id`` to its holder and have it
         serviced there; returns the holder's id with the line still in
         its store, or ``None`` when the line lives on the fallback disk."""
+        table = self.table
         while True:
-            loc = self.table.location(line_id)
-            if loc.state is LineState.MIGRATING:
+            state = table.state_code(line_id)
+            if state == MemoryManagementTable.MIGRATING:
                 yield from self._await_migration(line_id)
                 continue
-            if loc.state is LineState.DISK and self.fallback is not None:
+            if state == MemoryManagementTable.DISK and self.fallback is not None:
                 return None
-            if loc.state not in states:
+            if state not in states:
                 raise SwapError(
-                    f"cannot {verb} line {line_id}: state {loc.state.value}"
+                    f"cannot {verb} line {line_id}: state {table.state(line_id).value}"
                 )
-            holder = self.memory_nodes[loc.node_id]
+            node_id = table.holder_of(line_id)
+            holder = self.memory_nodes[node_id]
             yield from self._send(self.node, holder, self.cost.fault_request_bytes)
             yield from holder.compute(self.cost.remote_fault_service_s)
-            if self.stores[loc.node_id].holds(self.owner_id, line_id):
-                return loc.node_id
+            if self.stores[node_id].holds(self.owner_id, line_id):
+                return node_id
             # The line migrated away while the request was in flight;
             # re-resolve its location and retry.
 
     def fault_in(self, line_id: int) -> Generator:
         start = self.node.env.now
-        holder = yield from self._request(line_id, (LineState.REMOTE,), "fault in")
+        remote = (MemoryManagementTable.REMOTE,)
+        holder = yield from self._request(line_id, remote, "fault in")
         if holder is None:
             assert self.fallback is not None
             return (yield from self.fallback.fault_in(line_id))
@@ -205,17 +207,17 @@ class RemoteMemoryPager(Pager):
         yield from self._send(self.memory_nodes[holder], self.node, block)
         self.table.set_resident(line_id)
         self.stats.faults += 1
-        self.stats.bytes_faulted_in += block
         duration = self.node.env.now - start
         self.stats.fault_time_s += duration
-        self._emit("fault", line=line_id, holder=holder,
-                   duration_s=duration, bytes=block)
+        if (bus := self.network.bus) is not None:
+            bus.emit("fault", self.owner_id, source=self.name, line=line_id,
+                     holder=holder, duration_s=duration, bytes=block)
         return line
 
     # -- peek (determination phase) ----------------------------------------------
 
     def peek_line(self, line_id: int) -> Generator:
-        states = (LineState.REMOTE, LineState.REMOTE_FIXED)
+        states = (MemoryManagementTable.REMOTE, MemoryManagementTable.REMOTE_FIXED)
         holder = yield from self._request(line_id, states, "peek")
         if holder is None:
             assert self.fallback is not None

@@ -42,12 +42,13 @@ class RemoteStore:
         key = (owner, line.line_id)
         if key in self._lines:
             raise SwapError(f"line {line.line_id} of node {owner} already stored here")
-        if self.node.memory.available_bytes < line.nbytes:
+        nbytes, memory = line.nbytes, self.node.memory
+        if memory.available_bytes < nbytes:
             raise NoMemoryAvailable(
-                f"node {self.node.node_id} cannot store {line.nbytes} B "
-                f"(available {self.node.memory.available_bytes} B)"
+                f"node {self.node.node_id} cannot store {nbytes} B "
+                f"(available {memory.available_bytes} B)"
             )
-        self.node.memory.allocate(line.nbytes)
+        memory.allocate(nbytes)
         self._lines[key] = line
 
     def take(self, owner: int, line_id: int) -> HashLine:

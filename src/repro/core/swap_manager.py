@@ -37,6 +37,7 @@ from repro.mining.itemsets import ITEMSET_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
+    from repro.sim.events import Event
 
 __all__ = ["SwapManager", "SwapManagerStats"]
 
@@ -97,8 +98,9 @@ class SwapManager:
         self._settled = (0, 0)
         # line_id -> completion event while a fault is in flight, so two
         # processes on the same node (HPA's sender and receiver) never
-        # fault the same line twice concurrently.
-        self._faulting: dict[int, object] = {}
+        # fault the same line twice concurrently; ``None`` until a second
+        # process waits on it.
+        self._faulting: "dict[int, Optional[Event]]" = {}
         # In-flight asynchronous eviction transfers (see _make_room).
         self._evictions: list = []
         self._compact_at = 0
@@ -275,24 +277,28 @@ class SwapManager:
         HPA runs a sender and a receiver process per node; both may touch
         the same swapped line in the same window.  The second comer waits
         on the first fault's completion event and then re-checks state
-        (the line may even have been evicted again, hence the loop).
+        (the line may even have been evicted again, hence the loop).  The
+        event is made by the first waiter, so a fault nobody waits on
+        schedules none.
         """
         assert self.pager is not None
         while not self.mm_table.is_resident(line_id):
-            pending = self._faulting.get(line_id)
-            if pending is not None:
-                yield pending
+            if line_id in self._faulting:
+                done = self._faulting[line_id]
+                if done is None:
+                    done = self._faulting[line_id] = self.node.env.event()
+                yield done
                 continue
-            done = self.node.env.event()
-            self._faulting[line_id] = done
+            self._faulting[line_id] = None
             try:
                 line = yield from self.pager.fault_in(line_id)
                 self._sizes[self._slot(line_id)] = line.n_itemsets
                 self.policy.insert(line_id)
                 self.resident_bytes += line.nbytes
             finally:
-                self._faulting.pop(line_id)
-                done.succeed()
+                done = self._faulting.pop(line_id)
+                if done is not None:
+                    done.succeed()
             if self.over_limit:
                 self._make_room(pinned=line_id)
             break
@@ -329,11 +335,9 @@ class SwapManager:
             # reads it, and it skips finished transfers itself.
             self._evictions = [p for p in self._evictions if p.is_alive]
             self._compact_at = 2 * len(self._evictions) + 64
-        if n_victims:
-            self.node.emit(
-                "make-room", victims=n_victims,
-                resident_bytes=self.resident_bytes,
-            )
+        if n_victims and (bus := self.node.network.bus) is not None:
+            bus.emit("make-room", self.node.node_id, victims=n_victims,
+                     resident_bytes=self.resident_bytes)
 
     # -- determination-phase access ----------------------------------------------------
 

@@ -1,9 +1,12 @@
 """Tests for the star-topology ATM network model."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster import ATM_155, PROTOCOL_OVERHEAD_BYTES, Message, Network
 from repro.errors import NetworkError
+from repro.obs import EventBus
 from repro.sim import Environment
 
 
@@ -13,6 +16,22 @@ def make_net(n=4):
     for i in range(n):
         net.register(i)
     return env, net
+
+
+def record_flows(env, net):
+    """Subscribe to ``net``'s ``net-msg`` events; returns per-(src, dst)
+    message counts and payload bytes, filled in as messages land."""
+    messages, payload = Counter(), Counter()
+
+    def on_event(ev):
+        if ev.kind == "net-msg":
+            flow = (ev.node_id, ev.fields["dst"])
+            messages[flow] += 1
+            payload[flow] += ev.fields["size_bytes"]
+
+    net.bus = EventBus(clock=lambda: env.now)
+    net.bus.subscribe(on_event)
+    return messages, payload
 
 
 def send(env, net, src, dst, size):
@@ -98,14 +117,15 @@ def test_negative_size_rejected():
 
 def test_stats_accumulate():
     env, net = make_net()
+    messages, _ = record_flows(env, net)
     send(env, net, 0, 1, 1000)
     send(env, net, 1, 2, 2000)
     env.run()
     assert net.stats.messages == 2
     assert net.stats.payload_bytes == 3000
     assert net.stats.wire_bytes == 3000 + 2 * PROTOCOL_OVERHEAD_BYTES
-    assert net.stats.per_node_sent == {0: 1, 1: 1}
-    assert net.stats.per_node_received == {1: 1, 2: 1}
+    # One message per flow: node 0 and 1 sent one each, 1 and 2 received one.
+    assert messages == {(0, 1): 1, (1, 2): 1}
 
 
 def test_register_idempotent():
@@ -116,9 +136,11 @@ def test_register_idempotent():
 
 def test_bytes_conserved_per_flow():
     env, net = make_net()
+    messages, payload = record_flows(env, net)
     sizes = [128, 256, 4096, 64]
     for s in sizes:
         send(env, net, 0, 1, s)
     env.run()
     assert net.stats.payload_bytes == sum(sizes)
-    assert net.stats.per_node_received[1] == len(sizes)
+    assert messages == {(0, 1): len(sizes)}
+    assert payload == {(0, 1): sum(sizes)}

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, PAPER_NODE
 from repro.cluster.transport import Mailbox
-from repro.errors import NetworkError
+from repro.errors import Interrupt, NetworkError
 from repro.sim import Environment
 
 
@@ -120,9 +120,41 @@ def test_node_compute_occupies_cpu():
     env.process(worker(env, node, "a"))
     env.process(worker(env, node, "b"))
     env.run()
+    # Two 2 s grants back to back: the CPU was busy exactly 4 s, and is free.
     assert done == [("a", 2.0), ("b", 4.0)]
-    assert node.stats.cpu_busy_s == pytest.approx(4.0)
-    assert node.stats.compute_calls == 2
+    assert env.now == 4.0
+    assert node.cpu.count == 0 and not node.cpu.queue
+
+
+def test_node_compute_interrupt_releases_or_cancels():
+    """An interrupted holder frees the CPU at that instant; an
+    interrupted waiter leaves the queue without ever holding it."""
+    env, cl = make_cluster(1)
+    node = cl[0]
+    done, interrupted = [], []
+
+    def worker(name, seconds):
+        try:
+            yield from node.compute(seconds)
+            done.append((name, env.now))
+        except Interrupt:
+            interrupted.append((name, env.now))
+
+    holder = env.process(worker("holder", 5.0))
+    waiter = env.process(worker("waiter", 1.0))
+    env.process(worker("last", 1.0))
+
+    def interrupter():
+        yield env.timeout(1.0)
+        waiter.interrupt()
+        yield env.timeout(1.0)
+        holder.interrupt()
+
+    env.process(interrupter())
+    env.run()
+    assert interrupted == [("waiter", 1.0), ("holder", 2.0)]
+    assert done == [("last", 3.0)]
+    assert node.cpu.count == 0 and not node.cpu.queue
 
 
 def test_node_compute_negative_rejected():

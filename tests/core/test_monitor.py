@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import PredictivePlacement
+from repro.core.monitor import AvailabilityInfo
 from tests.core.helpers import make_rig
 
 
@@ -121,3 +123,84 @@ def test_shorter_interval_more_broadcasts():
     m_fast = rig_fast.monitors[rig_fast.mem_ids[0]]
     m_slow = rig_slow.monitors[rig_slow.mem_ids[0]]
     assert m_fast.broadcasts_sent > 2 * m_slow.broadcasts_sent
+
+
+# -- the availability estimate: a received report plus local corrections ----
+
+
+def report(node_id, available, seq, *, ts=0.0, shortage=False):
+    return AvailabilityInfo(
+        node_id=node_id, available_bytes=available, shortage=shortage,
+        seq=seq, timestamp=ts,
+    )
+
+
+def quiet_client():
+    """A client no broadcast has reached (the rig is never run)."""
+    rig = make_rig(n_app=1, n_mem=2, pager_kind="none", limit_bytes=None)
+    return rig.clients[0], rig.mem_ids
+
+
+def test_estimate_clamps_at_zero_at_each_adjustment():
+    client, (m, _) = quiet_client()
+    client.receive(report(m, 1000, seq=1))
+    client.adjust_estimate(m, -1500)
+    assert client.available_bytes(m) == 0
+    # Clamped per step, not a running sum (which would still be -300).
+    client.adjust_estimate(m, +1200)
+    assert client.available_bytes(m) == 1200
+
+
+def test_fresh_broadcast_discards_local_corrections():
+    client, (m, _) = quiet_client()
+    first = report(m, 1000, seq=5)
+    client.receive(first)
+    client.adjust_estimate(m, -400)
+    assert client.available_bytes(m) == 600
+    assert client.table[m] is first  # the report itself stays as received
+    client.receive(report(m, 900, seq=5))  # an equal seq is fresh enough
+    assert client.available_bytes(m) == 900
+    client.adjust_estimate(m, -100)
+    client.receive(report(m, 50, seq=4))  # stale: ignored, corrections kept
+    assert client.available_bytes(m) == 800
+    assert client.table[m].seq == 5
+    client.receive(report(m, 700, seq=6))
+    assert client.available_bytes(m) == 700
+
+
+def test_adjusting_an_unheard_node_does_nothing():
+    client, (m, other) = quiet_client()
+    client.adjust_estimate(other, +500)
+    client.mark_full(other)
+    assert client.available_bytes(other) == 0
+    assert other not in client.table
+    client.receive(report(other, 300, seq=0))
+    assert client.available_bytes(other) == 300  # no correction carried over
+
+
+def test_mark_full_zeroes_until_the_next_report():
+    client, (m, _) = quiet_client()
+    client.receive(report(m, 1000, seq=1))
+    client.mark_full(m)
+    assert client.available_bytes(m) == 0
+    client.adjust_estimate(m, +100)  # a fault-in frees bytes again
+    assert client.available_bytes(m) == 100
+    client.receive(report(m, 1000, seq=2))
+    assert client.available_bytes(m) == 1000
+
+
+def test_predictive_placement_folds_the_adjusted_estimate():
+    client, (m, _) = quiet_client()
+    pol = PredictivePlacement()
+    client.receive(report(m, 200_000, seq=1, ts=0.0))
+    client.adjust_estimate(m, -50_000)
+    pol.choose(client, 100)
+    assert pol._last[m] == (0.0, 150_000.0)
+    # Corrections alone are not a new broadcast: nothing is re-folded.
+    client.adjust_estimate(m, -100_000)
+    pol.choose(client, 100)
+    assert pol._last[m] == (0.0, 150_000.0)
+    client.receive(report(m, 100_000, seq=2, ts=1.0))
+    client.adjust_estimate(m, -20_000)
+    pol.choose(client, 100)
+    assert pol._last[m] == (1.0, 0.5 * 80_000 + 0.5 * 150_000)

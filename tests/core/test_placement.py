@@ -22,13 +22,13 @@ def primed_rig(n_mem=3):
 
 def feed(client, node_id, available, seq, *, ts=0.0, shortage=False):
     """Hand a broadcast to ``client`` as if the monitor had sent it."""
-    client.table[node_id] = AvailabilityInfo(
+    client.receive(AvailabilityInfo(
         node_id=node_id,
         available_bytes=available,
         shortage=shortage,
         seq=seq,
         timestamp=ts,
-    )
+    ))
 
 
 def test_most_available_picks_max():

@@ -453,3 +453,100 @@ def test_walk_counts_a_message_across_a_fault_in_one_settlement():
     assert mgr.mm_table.state(1) is LineState.DISK
     assert list(mgr.policy._members) == [2, 0]
     mgr.check_invariants()
+
+
+def _swap_out_line_0(rig, mgr):
+    """Once the first broadcasts have landed, insert codes 0 and 1:
+    line 1 evicts line 0 to a memory-available node."""
+
+    def proc(env):
+        yield env.timeout(0.05)
+        yield from insert_all(mgr, [0, 1])
+
+    rig.env.process(proc(rig.env))
+
+
+def _two_faulters(rig, mgr, line_codes, finished):
+    """At t = 0.1, two processes — HPA's sender and receiver — count
+    ``line_codes`` at once."""
+
+    def faulter(name):
+        yield rig.env.timeout(0.1)
+        try:
+            yield from count_all(mgr, line_codes)
+            finished.append((name, rig.env.now))
+        except SwapError:
+            finished.append((f"{name} failed", rig.env.now))
+
+    rig.env.process(faulter("sender"))
+    rig.env.process(faulter("receiver"))
+
+
+def test_concurrent_faults_on_one_line_fault_once():
+    rig = make_rig(pager_kind="remote", limit_bytes=bytes_for(1, 1))
+    mgr, pager = rig.managers[0], rig.pagers[0]
+    table = begin_pass(mgr, [0, 1])
+    _swap_out_line_0(rig, mgr)
+    finished = []
+    _two_faulters(rig, mgr, [0], finished)
+    with mock.patch.object(pager, "fault_in", wraps=pager.fault_in) as fault_in, \
+            mock.patch.object(rig.env, "event", wraps=rig.env.event) as make_event:
+        rig.env.run(until=1.0)
+    assert fault_in.call_count == 1
+    assert pager.stats.faults == 1
+    # The second comer made the one completion event and resumed at the
+    # first fault's completion.
+    assert make_event.call_count == 1
+    done_at = 0.1 + pager.stats.fault_time_s
+    assert finished == [("sender", done_at), ("receiver", done_at)]
+    assert table.counts.tolist() == [2, 0]
+    assert mgr._faulting == {}
+    mgr.check_invariants()
+
+
+def test_a_lone_fault_schedules_no_completion_event():
+    rig = make_rig(pager_kind="remote", limit_bytes=bytes_for(1, 1))
+    mgr = rig.managers[0]
+    begin_pass(mgr, [0, 1])
+
+    _swap_out_line_0(rig, mgr)
+
+    def proc(env):
+        yield env.timeout(0.1)
+        yield from count_all(mgr, [0])
+
+    rig.env.process(proc(rig.env))
+    with mock.patch.object(rig.env, "event", wraps=rig.env.event) as make_event:
+        rig.env.run(until=1.0)
+    assert rig.pagers[0].stats.faults == 1
+    assert make_event.call_count == 0
+    assert mgr._faulting == {}
+
+
+def test_a_failed_fault_wakes_its_waiter_to_fault_again():
+    rig = make_rig(pager_kind="remote", limit_bytes=bytes_for(1, 1))
+    mgr, pager = rig.managers[0], rig.pagers[0]
+    table = begin_pass(mgr, [0, 1])
+    _swap_out_line_0(rig, mgr)
+    real_fault_in, calls = pager.fault_in, []
+
+    def fault_in(line_id):
+        calls.append(rig.env.now)
+        if len(calls) == 1:
+            yield rig.env.timeout(0.001)
+            raise SwapError("holder unreachable")
+        return (yield from real_fault_in(line_id))
+
+    finished = []
+    _two_faulters(rig, mgr, [0], finished)
+    with mock.patch.object(pager, "fault_in", fault_in):
+        rig.env.run(until=1.0)
+    # The waiter woke when the first fault raised and faulted itself.
+    assert calls == [0.1, 0.101]
+    assert finished == [
+        ("sender failed", 0.101),
+        ("receiver", 0.101 + pager.stats.fault_time_s),
+    ]
+    assert pager.stats.faults == 1
+    assert table.counts.tolist() == [1, 0]  # the failed access counted nothing
+    assert mgr._faulting == {}
