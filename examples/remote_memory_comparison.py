@@ -11,15 +11,15 @@ pass 2.  Where they go decides everything:
 - remote + update ops   -> no pagefaults at all (the paper's winner)
 
 The four configurations are the named scenarios of the runtime
-catalogue (``repro-bench --list-scenarios``); this example just sweeps
+catalogue (``repro-bench list``); this example just sweeps
 the catalogue entries over the paper's memory-limit knob.
 
 Run:  python examples/remote_memory_comparison.py   (--fast: tiny run)
 
 Pass ``--store DIR`` to persist every run in the same content-addressed
 result store the CLI and benchmarks use; a second invocation (or a
-``repro-bench --store DIR`` afterwards) replays from disk instead of
-re-simulating.
+``repro-bench run EXPERIMENT --store DIR`` cell with the same scenario)
+replays from disk instead of re-simulating.
 """
 
 import sys

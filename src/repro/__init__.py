@@ -20,8 +20,8 @@ Public API tour:
 - :mod:`repro.harness` — the per-table/figure experiment runners
   (also exposed as the ``repro-bench`` command).
 - :mod:`repro.obs` — the telemetry subsystem: event bus, event log,
-  metrics folded from it, trace export (``repro-bench --trace`` /
-  ``repro-trace``).
+  metrics folded from it, trace export (``repro-bench run --trace`` /
+  ``repro-bench trace``).
 """
 
 from repro._version import __version__

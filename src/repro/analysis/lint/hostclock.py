@@ -58,7 +58,7 @@ _ALLOWED_PREFIX = "repro.harness"
 #: spreading to a new harness module is a reviewed decision (add the
 #: module here, with its reason) rather than silent drift.
 HARNESS_HOSTCLOCK_ALLOWLIST = frozenset({
-    "repro.harness.cli",           # per-experiment wall time, --store-gc's now
+    "repro.harness.cli",           # per-experiment wall time, gc's now
     "repro.harness.wallclock",     # PhaseWallClock, the profiler itself
     "repro.harness.sweep.engine",  # sweep wall-clock accounting
 })

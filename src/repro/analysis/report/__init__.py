@@ -10,7 +10,7 @@ seeded-bootstrap confidence intervals and rank tests
 (:mod:`.stat_tests`); :mod:`.rendering` regenerates Figures 3-5 and
 Tables 2-4 as markdown and self-contained HTML with error bars, and
 :mod:`.diff` gates the ``dataclasses.asdict`` payload against a
-committed baseline (``repro-report --diff``) with tolerance bands and
+committed baseline (``repro-bench diff``) with tolerance bands and
 significance-aware verdicts.
 
 Everything here is a pure function of ``(scale, seeds)``: no host

@@ -1,6 +1,6 @@
 """The regression gate: compare a report payload against a baseline.
 
-``repro-report --diff BASELINE.json`` feeds two payloads (the committed
+``repro-bench diff BASELINE.json`` feeds two payloads (the committed
 baseline and a freshly-computed or ``--current`` one) through
 :func:`compare_payloads`, which issues one verdict per cell:
 
@@ -34,10 +34,13 @@ telemetry session.
 
 from __future__ import annotations
 
+import json
+import pathlib
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from repro.analysis.report.stat_tests import mann_whitney_u
+from repro.errors import HarnessError
 from repro.obs import emit_ambient
 
 __all__ = [
@@ -48,6 +51,8 @@ __all__ = [
     "DiffPolicy",
     "DiffReport",
     "compare_payloads",
+    "load_payload",
+    "restrict",
 ]
 
 EXIT_PASS = 0
@@ -257,3 +262,44 @@ def compare_payloads(
             ))
     emit_ambient("report-diff", verdict=report.worst)
     return report
+
+
+def _judgeable(cell: object) -> bool:
+    """Whether the gate can judge ``cell``: an object with a ``group``,
+    an ``x`` and a numeric ``summary.mean``."""
+    if not isinstance(cell, dict) or "group" not in cell or "x" not in cell:
+        return False
+    summary = cell.get("summary")
+    mean = summary.get("mean") if isinstance(summary, dict) else None
+    return isinstance(mean, (int, float)) and not isinstance(mean, bool)
+
+
+def load_payload(path: str) -> dict:
+    """Read a payload file and check the shape the gate walks, so a
+    hand-edited or truncated file is a usage error, not a traceback."""
+    try:
+        data = json.loads(pathlib.Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise HarnessError(f"cannot read payload {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise HarnessError(f"payload {path!r} is not a JSON object")
+    artifacts = data.get("artifacts")
+    if not isinstance(artifacts, dict):
+        raise HarnessError(f"payload {path!r}: 'artifacts' is not an object")
+    for name, art in artifacts.items():
+        cells = art.get("cells") if isinstance(art, dict) else None
+        if not isinstance(cells, list) or not all(map(_judgeable, cells)):
+            raise HarnessError(
+                f"payload {path!r}: artifact {name!r} needs a 'cells' list "
+                "of objects with group, x and a numeric summary.mean"
+            )
+    return data
+
+
+def restrict(payload: dict, names: "Sequence[str]") -> dict:
+    """``payload`` with only the named artifacts."""
+    arts = payload.get("artifacts", {})
+    return {
+        **payload,
+        "artifacts": {n: arts[n] for n in names if n in arts},
+    }

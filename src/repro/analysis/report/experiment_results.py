@@ -35,7 +35,7 @@ from repro.harness.experiments import ALL_SWEEPS
 from repro.harness.scales import SCALES
 from repro.harness.sweep.engine import SweepOutcome, run_sweep_outcome
 
-__all__ = ["REPORT_FORMAT", "ExperimentResults", "default_seeds"]
+__all__ = ["REPORT_FORMAT", "ExperimentResults", "default_seeds", "parse_seeds"]
 
 #: Bumped when the payload layout changes; the diff gate refuses to
 #: compare payloads of different formats (exit 2, a usage error — not a
@@ -52,6 +52,28 @@ def default_seeds(scale: str, n: int = DEFAULT_N_SEEDS) -> "tuple[int, ...]":
         raise HarnessError(f"need at least one seed, got {n}")
     base = SCALES[scale].seed
     return tuple(base + i for i in range(n))
+
+
+def parse_seeds(spec: "Optional[str]", scale: str) -> "tuple[int, ...]":
+    """The seeds a ``--seeds`` value names: a count N (the scale's base
+    seed onward), a comma list such as ``42,43,44``, or ``None`` for
+    :func:`default_seeds`."""
+    if spec is None:
+        return default_seeds(scale)
+    spec = spec.strip()
+    try:
+        if "," in spec:
+            seeds = tuple(int(s) for s in spec.split(","))
+        else:
+            seeds = default_seeds(scale, int(spec))
+    except ValueError as exc:
+        raise HarnessError(
+            f"bad --seeds {spec!r}: expected a count or a comma list "
+            "of integers"
+        ) from exc
+    if min(seeds) < 0:
+        raise HarnessError(f"bad --seeds {spec!r}: seeds must be >= 0")
+    return seeds
 
 
 class ExperimentResults:

@@ -224,7 +224,7 @@ def run_sweep_outcome(
     :func:`~repro.runtime.store.result_store_session` is active.
     ``seed`` re-seeds every grid (and follow-up) cell, giving one
     independent replication of the whole sweep per seed — the axis the
-    ``repro-report`` multi-seed aggregates are built on.  The report
+    ``repro-bench report`` multi-seed aggregates are built on.  The report
     builder sees only the resolved cells.  This is the only walk from a
     sweep to its report.
     """

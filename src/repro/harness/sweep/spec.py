@@ -107,7 +107,7 @@ class Sweep:
     still gains the uniform registry, CLI and timing surfaces.
     """
 
-    #: CLI/registry name (``repro-bench <name>``).
+    #: CLI/registry name (``repro-bench run <name>``).
     name: str
     #: Paper artifact id (``T2``, ``F4``, ``A1``, ...); ``F*`` ids are
     #: figures, the rest tables.

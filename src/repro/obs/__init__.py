@@ -20,8 +20,9 @@ first-class outputs of *any* run instead of bespoke benchmark code:
 - :mod:`~repro.obs.export` — JSONL event traces, Chrome
   ``trace_event``-format timelines, ``metrics.json`` (folded at export)
   and per-run ``manifest.json``;
-- ``repro-trace`` (:mod:`~repro.obs.cli`) — renders per-phase timings
-  and latency histograms from an exported ``events.jsonl``.
+- :mod:`~repro.obs.summary` (``repro-bench trace``) — renders
+  per-phase timings and latency histograms from an exported
+  ``events.jsonl``.
 """
 
 from repro.obs.context import current_telemetry, emit_ambient, telemetry_session

@@ -1,6 +1,6 @@
 """Ambient telemetry session.
 
-``repro-bench --trace`` must observe runs constructed deep inside the
+``repro-bench run --trace`` must observe runs constructed deep inside the
 experiment functions without threading a telemetry object through every
 signature.  A session set here is picked up by
 :meth:`~repro.mining.hpa.HPARun.run` / :meth:`~repro.mining.npa.NPARun.run`

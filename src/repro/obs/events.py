@@ -115,7 +115,7 @@ class ObsEvent:
 
     ``fields`` carries every machine-readable value (durations, byte
     counts, line and peer node ids); ``detail`` is the *name* of a
-    ``span`` / ``phase`` event (what the phase wall clock, ``repro-trace``
+    ``span`` / ``phase`` event (what the phase wall clock, ``repro-bench trace``
     and the Chrome export key on) and empty on simulation-layer events,
     which never format prose.  ``node_id`` -1 means cluster-wide (phase
     boundaries, spans).  ``run`` distinguishes events from different
@@ -136,7 +136,7 @@ class EventBus:
     """Multi-subscriber synchronous event dispatch.
 
     The clock is pluggable so one bus can follow several consecutive
-    simulation environments (the ``repro-bench --trace`` path runs many
+    simulation environments (the ``repro-bench run --trace`` path runs many
     configurations through one bus, tagging each with a run id).  Outside
     a run the bus is host-side: run id :data:`HOST_RUN`, clock
     :func:`host_clock`.

@@ -1,9 +1,4 @@
-"""``repro-trace`` — summarize an exported trace directory.
-
-Usage::
-
-    repro-trace DIR              # manifest, per-phase timings, histograms
-    repro-trace DIR --histogram swap_roundtrip_s
+"""Summarize an exported trace directory (``repro-bench trace DIR``).
 
 Renders per-phase breakdowns and latency histograms (Table 2 / Table 4
 style numbers) from ``manifest.json`` and ``events.jsonl`` alone: the
@@ -15,8 +10,6 @@ helpers the experiments use.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from pathlib import Path
 from typing import Optional
 
@@ -25,21 +18,7 @@ from repro.errors import HarnessError
 from repro.obs.export import read_events_jsonl, read_manifest
 from repro.obs.metrics import Histogram, merged_histogram
 
-__all__ = ["main", "build_parser", "summarize"]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-trace",
-        description="Summarize a trace directory written by repro-bench --trace.",
-    )
-    parser.add_argument("directory", help="trace directory (manifest.json, ...)")
-    parser.add_argument(
-        "--histogram",
-        default="pagefault_latency_s",
-        help="histogram metric to render (default: pagefault_latency_s)",
-    )
-    return parser
+__all__ = ["summarize"]
 
 
 def _render_histogram(name: str, hist: Optional[Histogram]) -> str:
@@ -108,6 +87,11 @@ def _reported_fault_cost(manifest: dict) -> str:
 def summarize(directory, histogram: str = "pagefault_latency_s") -> str:
     """The full text report for one trace directory."""
     directory = Path(directory)
+    for required in ("manifest.json", "events.jsonl"):
+        if not (directory / required).exists():
+            raise HarnessError(
+                f"not a trace directory: missing {directory / required}"
+            )
     manifest = read_manifest(directory / "manifest.json")
     events = read_events_jsonl(directory / "events.jsonl")
     parts = [
@@ -127,23 +111,3 @@ def summarize(directory, histogram: str = "pagefault_latency_s") -> str:
         _reported_fault_cost(manifest),
     ]
     return "\n\n".join(parts)
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
-    directory = Path(args.directory)
-    for required in ("manifest.json", "events.jsonl"):
-        if not (directory / required).exists():
-            print(f"not a trace directory: missing {directory / required}", file=sys.stderr)
-            return 2
-    try:
-        text = summarize(directory, args.histogram)
-    except HarnessError as exc:  # events.jsonl the fold rejects
-        print(f"repro-trace: {exc}", file=sys.stderr)
-        return 2
-    print(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -13,7 +13,7 @@ One telemetry object can follow several consecutive runs — each
 :meth:`attach` rebinds the bus clock to the new run's environment and
 tags subsequent events with a fresh run id until :meth:`end_run`
 (host-side events between runs carry run id -1), which is how
-``repro-bench --trace`` collects a whole experiment sweep into one
+``repro-bench run --trace`` collects a whole experiment sweep into one
 trace directory.
 """
 

@@ -116,7 +116,7 @@ class MiningDriver:
 
         With no argument a fresh private :class:`Telemetry` is created;
         passing an existing one lets several consecutive runs share one
-        trace (how ``repro-bench --trace`` collects a whole sweep).
+        trace (how ``repro-bench run --trace`` collects a whole sweep).
         Every event source emits on the run's one bus, so this hooks
         them all.  Call before :meth:`run`.
         """

@@ -199,7 +199,7 @@ class ScenarioCache:
 
     The cache is inspectable (:meth:`stats`), clearable mid-session,
     and reports each hit and miss as a ``cache-access`` event on the
-    ambient telemetry bus, so ``repro-bench --trace`` metrics show how
+    ambient telemetry bus, so ``repro-bench run --trace`` metrics show how
     much work was actually executed.
     """
 
@@ -318,7 +318,7 @@ def _populate(scenario: Scenario, result: "RunResult") -> None:
 
 
 def clear_cache() -> None:
-    """Drop every cached scenario result (``repro-bench --trace`` uses
+    """Drop every cached scenario result (``repro-bench run --trace`` uses
     this to force real executions into the telemetry stream)."""
     _CACHE.clear()
 

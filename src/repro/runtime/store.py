@@ -9,7 +9,7 @@ self-describing: the scenario dict is the run's one description, stored
 alongside the result (which carries no copy of its configuration).
 Writes are atomic, so a killed sweep leaves at worst one ignorable
 partial temp file and every completed run durable — which is what makes
-a re-run against ``repro-bench --store DIR`` execute only the missing
+a re-run against ``repro-bench run --store DIR`` execute only the missing
 configurations.  An entry that fails to load (torn, corrupt, or from
 another :data:`STORE_FORMAT`) is a miss, and the re-execution that
 follows rewrites it.
@@ -198,10 +198,10 @@ class ResultStore:
         entries from another :data:`STORE_FORMAT`.
 
         ``now`` is the caller's host wall-clock (the runtime layer never
-        reads host time itself — ``repro-bench --store-gc`` passes it
+        reads host time itself — ``repro-bench gc DIR`` passes it
         in).  Temp files younger than ``tmp_age_s`` are kept: they may
         belong to a live writer mid-:meth:`put`.  Returns the summary
-        counts ``repro-bench --store-gc`` prints.
+        counts ``repro-bench gc DIR`` prints.
         """
         removed_tmp = 0
         for tmp in self.path.glob("*.tmp-*"):
@@ -247,7 +247,7 @@ class ResultStore:
     def entry_stats(self) -> "list[dict]":
         """Per-entry sizes, sorted by content address: one
         ``{"key", "bytes", "scenario"}`` dict per stored result (the
-        ``repro-bench --store-stats`` rows).  The scenario summary comes
+        ``repro-bench store DIR`` rows).  The scenario summary comes
         from the entry's self-describing payload; unreadable or partial
         files are skipped rather than reported."""
         rows: "list[dict]" = []

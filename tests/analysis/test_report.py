@@ -293,32 +293,34 @@ def test_diff_format_mismatch_is_a_usage_error():
 # ---------------------------------------------------------------------------
 
 def test_parse_seeds_count_and_list():
-    from repro.analysis.report.cli import _parse_seeds
+    from repro.analysis.report.experiment_results import parse_seeds
 
-    assert _parse_seeds("3", "tiny") == default_seeds("tiny", 3)
-    assert _parse_seeds("7,8,9", "tiny") == (7, 8, 9)
+    assert parse_seeds("3", "tiny") == default_seeds("tiny", 3)
+    assert parse_seeds("7,8,9", "tiny") == (7, 8, 9)
+    assert parse_seeds(None, "tiny") == default_seeds("tiny")
     with pytest.raises(HarnessError):
-        _parse_seeds("x", "tiny")
+        parse_seeds("x", "tiny")
 
 
 def test_cli_negative_seeds_are_a_usage_error(capsys):
-    from repro.analysis.report.cli import main
+    from repro.harness.cli import main
 
-    assert main(["--scale", "tiny", "--seeds=-5,3"]) == 2
+    assert main(["report", "--scale", "tiny", "--seeds=-5,3"]) == 2
     assert "seeds must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_rejects_current_without_diff(capsys):
-    from repro.analysis.report.cli import main
+    from repro.harness.cli import main
 
-    assert main(["--current", "x.json"]) == 2
-    assert main(["--json", "x.json"]) == 2
-    err = capsys.readouterr().err
-    assert "--diff" in err
+    for option in ("--current", "--json"):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", option, "x.json"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_cli_diff_exit_codes(tmp_path, capsys):
-    from repro.analysis.report.cli import main
+    from repro.harness.cli import main
 
     payload = _payload([_artifact([
         _cell("disk", 16, [4.0, 4.1, 4.2]),
@@ -328,12 +330,12 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
     cur = tmp_path / "cur.json"
 
     cur.write_text(json.dumps(copy.deepcopy(payload)))
-    assert main(["--diff", str(base), "--current", str(cur)]) == EXIT_PASS
+    assert main(["diff", str(base), "--current", str(cur)]) == EXIT_PASS
 
     cur.write_text(json.dumps(_perturbed(payload, 1.08)))
     out_json = tmp_path / "verdict.json"
     rc = main([
-        "--diff", str(base), "--current", str(cur),
+        "diff", str(base), "--current", str(cur),
         "--json", str(out_json),
     ])
     assert rc == EXIT_DRIFT
@@ -343,11 +345,11 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
 
     cur.write_text(json.dumps(_perturbed(payload, 1.40)))
     assert main(
-        ["--diff", str(base), "--current", str(cur)]
+        ["diff", str(base), "--current", str(cur)]
     ) == EXIT_REGRESSION
 
     cur.write_text(json.dumps({"format": 99}))
-    assert main(["--diff", str(base), "--current", str(cur)]) == 2
+    assert main(["diff", str(base), "--current", str(cur)]) == 2
     capsys.readouterr()  # drain
 
 
@@ -357,7 +359,7 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
 ])
 def test_cli_diff_malformed_payload_is_a_usage_error(tmp_path, capsys, malformed):
     """A hand-edited or truncated payload exits 2, not with a traceback."""
-    from repro.analysis.report.cli import main
+    from repro.harness.cli import main
 
     base = tmp_path / "base.json"
     base.write_text(json.dumps(_payload([_artifact([
@@ -365,15 +367,15 @@ def test_cli_diff_malformed_payload_is_a_usage_error(tmp_path, capsys, malformed
     ])])))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(malformed))
-    assert main(["--diff", str(base), "--current", str(bad)]) == 2
-    assert main(["--diff", str(bad), "--current", str(base)]) == 2
+    assert main(["diff", str(base), "--current", str(bad)]) == 2
+    assert main(["diff", str(bad), "--current", str(base)]) == 2
     assert "payload" in capsys.readouterr().err
 
 
 def test_cli_diff_only_restricts_both_payloads(tmp_path, capsys):
     """``--only`` names what is compared: artifacts left out of the
     current payload on purpose are not missing from it."""
-    from repro.analysis.report.cli import main
+    from repro.harness.cli import main
 
     fig4 = _artifact([_cell("disk", 16, [4.0, 4.1, 4.2])])
     table3 = _artifact(
@@ -384,7 +386,7 @@ def test_cli_diff_only_restricts_both_payloads(tmp_path, capsys):
     base.write_text(json.dumps(_payload([fig4, table3])))
     cur = tmp_path / "cur.json"
     cur.write_text(json.dumps(_payload([fig4])))
-    argv = ["--diff", str(base), "--current", str(cur)]
+    argv = ["diff", str(base), "--current", str(cur)]
     assert main(argv) == EXIT_REGRESSION
     capsys.readouterr()
     assert main(argv + ["--only", "fig4"]) == EXIT_PASS
@@ -393,12 +395,12 @@ def test_cli_diff_only_restricts_both_payloads(tmp_path, capsys):
 
 
 def test_cli_render_writes_reports_and_reuses_store(tmp_path, capsys):
-    from repro.analysis.report.cli import main
+    from repro.harness.cli import main
 
     store = tmp_path / "store"
     out = tmp_path / "reports"
     argv = [
-        "--scale", "tiny", "--seeds", "2", "--only", "policy",
+        "report", "--scale", "tiny", "--seeds", "2", "--only", "policy",
         "--store", str(store), "--out", str(out),
     ]
     assert main(argv) == 0
@@ -418,9 +420,9 @@ def test_cli_render_writes_reports_and_reuses_store(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cli_jobs_below_one_is_a_usage_error(jobs, capsys):
-    from repro.analysis.report.cli import main
+    from repro.harness.cli import main
 
     with pytest.raises(SystemExit) as exc:
-        main(["--scale", "tiny", "--jobs", jobs])
+        main(["report", "--scale", "tiny", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err

@@ -24,7 +24,7 @@ def _run(hashseed: str, out_dir: Path) -> Path:
     proc = subprocess.run(
         [
             sys.executable, "-m", "repro.harness.cli",
-            "disk", "--scale", "tiny", "--json", str(out_dir),
+            "run", "disk", "--scale", "tiny", "--json", str(out_dir),
         ],
         env=env,
         cwd=REPO,
@@ -55,7 +55,7 @@ def _run_churn(hashseed: str, out_dir: Path) -> Path:
     proc = subprocess.run(
         [
             sys.executable, "-m", "repro.harness.cli",
-            "churn", "--scale", "tiny", "--json", str(out_dir),
+            "run", "churn", "--scale", "tiny", "--json", str(out_dir),
         ],
         env=env,
         cwd=REPO,
@@ -87,8 +87,8 @@ def _run_statistical_report(hashseed: str, out_dir: Path) -> "list[Path]":
     env["PYTHONPATH"] = str(REPO / "src")
     proc = subprocess.run(
         [
-            sys.executable, "-m", "repro.analysis.report.cli",
-            "--scale", "tiny", "--seeds", "2", "--only", "policy,table2",
+            sys.executable, "-m", "repro.harness.cli",
+            "report", "--scale", "tiny", "--seeds", "2", "--only", "policy,table2",
             "--out", str(out_dir),
         ],
         env=env,

@@ -103,9 +103,9 @@ def test_manifest_augmented(tmp_path, traced_run):
 
 
 def test_trace_summarizer_consistency(tmp_path, traced_run):
-    """repro-trace's histogram mean must agree with the run's reported
+    """The trace summary's histogram mean must agree with the run's reported
     per-fault cost (both derive from the same durations)."""
-    from repro.obs.cli import summarize
+    from repro.obs.summary import summarize
 
     _, tel = traced_run
     write_trace_dir(tmp_path / "trc", tel, {"experiments": ["x"]})
@@ -121,7 +121,7 @@ def test_trace_summarizer_consistency(tmp_path, traced_run):
 
 
 def test_trace_summarizer_renders_byte_histograms_in_bytes(tmp_path, traced_run):
-    from repro.obs.cli import summarize
+    from repro.obs.summary import summarize
 
     _, tel = traced_run
     write_trace_dir(tmp_path / "trc", tel, {"experiments": ["x"]})
