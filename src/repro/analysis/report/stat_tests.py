@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -77,6 +78,17 @@ def _as_sorted_array(values: "Iterable[float]") -> "np.ndarray":
 # Bootstrap confidence intervals
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _bootstrap_index(n: int, n_resamples: int, seed: int) -> "np.ndarray":
+    """The ``(n_resamples, n)`` resample index matrix, drawn once per
+    argument triple: it depends on nothing else, and a report draws the
+    same one for every cell of a given replicate count.  Read-only, so
+    no caller can corrupt the shared copy."""
+    idx = np.random.default_rng(seed).integers(0, n, size=(n_resamples, n))
+    idx.flags.writeable = False
+    return idx
+
+
 def bootstrap_ci(
     values: "Iterable[float]",
     confidence: float = DEFAULT_CONFIDENCE,
@@ -94,8 +106,7 @@ def bootstrap_ci(
     if data.size == 1:
         v = float(data[0])
         return (v, v)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, data.size, size=(n_resamples, data.size))
+    idx = _bootstrap_index(int(data.size), n_resamples, seed)
     means = data[idx].mean(axis=1)
     tail = (1.0 - confidence) / 2.0
     lo, hi = np.quantile(means, [tail, 1.0 - tail])

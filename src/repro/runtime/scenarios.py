@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 from repro.cluster.costs import PAPER_COSTS
 from repro.errors import ConfigError
@@ -98,6 +98,11 @@ class Scenario:
     #: transaction database, so every downstream quantity resamples.
     seed: Optional[int] = None
 
+    #: The canonical key, built once in ``__post_init__``.  Declared as a
+    #: ``ClassVar`` so it is no dataclass field: it stays out of
+    #: ``to_dict``, ``__eq__``, ``__repr__`` and the hash.
+    _cache_key: ClassVar[str]
+
     def __post_init__(self) -> None:
         if self.driver not in DRIVERS:
             raise ConfigError(f"unknown driver {self.driver!r}; have {DRIVERS}")
@@ -110,19 +115,27 @@ class Scenario:
         object.__setattr__(
             self, "failures", tuple(tuple(f) for f in self.failures)
         )
+        key = self.to_dict()
+        del key["name"], key["description"]
+        object.__setattr__(self, "_cache_key", json.dumps(key, sort_keys=True))
 
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in asdict(self).items()}
+        # A shallow walk: every field is a scalar or a tuple of scalar
+        # tuples, so this equals the ``dataclasses.asdict`` form.
+        out = {}
+        for k in _FIELD_NAMES:
+            v = getattr(self, k)
+            out[k] = list(v) if isinstance(v, tuple) else v
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
+        unknown = set(data) - set(_FIELD_NAMES)
         if unknown:
             raise ConfigError(f"unknown scenario field(s): {sorted(unknown)}")
         return cls(**data)
@@ -141,11 +154,9 @@ class Scenario:
 
     def cache_key(self) -> str:
         """Canonical key: every field that affects the execution (the
-        cosmetic ``name``/``description`` are excluded)."""
-        d = self.to_dict()
-        d.pop("name")
-        d.pop("description")
-        return json.dumps(d, sort_keys=True)
+        cosmetic ``name``/``description`` are excluded), as built at
+        construction."""
+        return self._cache_key
 
     # -- execution ---------------------------------------------------------
 
@@ -192,6 +203,11 @@ class Scenario:
         for t, idx in self.shortages:
             run.shortage_schedule.append((t, run.mem_ids[idx]))
         return run.run()
+
+
+#: The scenario's field names in declaration order (``fields`` omits the
+#: ``ClassVar`` key that ``__dataclass_fields__`` would list).
+_FIELD_NAMES = tuple(f.name for f in fields(Scenario))
 
 
 class ScenarioCache:

@@ -140,13 +140,12 @@ class ResultStore:
     def get(self, scenario: "Scenario") -> "Optional[RunResult]":
         """The stored result, or ``None``; partial/foreign files are
         misses (a killed writer never poisons the store)."""
-        entry = self.path_for(scenario)
+        payload = _load_entry(self.path_for(scenario))
         try:
-            payload = json.loads(entry.read_text())
-            if payload.get("format") != STORE_FORMAT:
-                raise ValueError(f"unknown store format {payload.get('format')}")
+            if payload is None:
+                raise ValueError("no readable current-format entry")
             result = result_from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):
             self.misses += 1
             emit_ambient("cache-access", tier="store", outcome="miss")
             return None
@@ -155,7 +154,10 @@ class ResultStore:
         return result
 
     def put(self, scenario: "Scenario", result: "RunResult") -> Path:
-        """Persist ``result`` atomically (write temp file, then rename)."""
+        """Persist ``result`` atomically (write temp file, then rename)
+        as canonical compact JSON: sorted keys, no whitespace, which
+        ``json`` encodes in C (``indent`` would force its Python
+        encoder).  Indented entries from earlier writers still load."""
         entry = self.path_for(scenario)
         payload = {
             "format": STORE_FORMAT,
@@ -163,7 +165,7 @@ class ResultStore:
             "result": result_to_dict(result),
         }
         tmp = entry.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         os.replace(tmp, entry)
         self.writes += 1
         emit_ambient("cache-access", tier="store", outcome="write")
@@ -173,13 +175,7 @@ class ResultStore:
         """The raw self-describing payload stored under a content
         address, or ``None`` when the entry is absent, unreadable, or
         from another :data:`STORE_FORMAT`."""
-        try:
-            payload = json.loads(self.path_for_key(key).read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
-            return None
-        return payload
+        return _load_entry(self.path_for_key(key))
 
     def keys(self) -> "list[str]":
         """Every stored content address, sorted."""
@@ -214,13 +210,7 @@ class ResultStore:
         removed_entries = 0
         kept = 0
         for entry in self.path.glob("*.json"):
-            try:
-                payload = json.loads(entry.read_text())
-                ok = isinstance(payload, dict) \
-                    and payload.get("format") == STORE_FORMAT
-            except (OSError, ValueError):
-                ok = False
-            if ok:
+            if _load_entry(entry) is not None:
                 kept += 1
                 continue
             try:
@@ -248,15 +238,17 @@ class ResultStore:
         """Per-entry sizes, sorted by content address: one
         ``{"key", "bytes", "scenario"}`` dict per stored result (the
         ``repro-bench store DIR`` rows).  The scenario summary comes
-        from the entry's self-describing payload; unreadable or partial
-        files are skipped rather than reported."""
+        from the entry's self-describing payload; unreadable, partial or
+        other-format files are skipped rather than reported."""
         rows: "list[dict]" = []
         for entry in sorted(self.path.glob("*.json")):
+            payload = _load_entry(entry)
+            scenario = None if payload is None else payload.get("scenario")
+            if not isinstance(scenario, dict):
+                continue
             try:
                 size = entry.stat().st_size
-                payload = json.loads(entry.read_text())
-                scenario = payload.get("scenario", {})
-            except (OSError, ValueError):
+            except OSError:
                 continue
             rows.append({
                 "key": entry.stem,
@@ -267,6 +259,20 @@ class ResultStore:
                 },
             })
         return rows
+
+
+def _load_entry(entry: Path) -> "Optional[dict]":
+    """The payload of one entry file when it is a JSON object of the
+    current :data:`STORE_FORMAT`, else ``None`` (absent, unreadable,
+    torn, not an object, or another format) — the one decoding every
+    reader shares."""
+    try:
+        payload = json.loads(entry.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
+        return None
+    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.report.stat_tests import (
+    DEFAULT_CONFIDENCE,
+    DEFAULT_RESAMPLES,
     RankTest,
+    _bootstrap_index,
     bootstrap_ci,
     mann_whitney_u,
     permutation_test,
@@ -56,6 +59,33 @@ def test_bootstrap_ci_rejects_empty_and_bad_confidence():
         bootstrap_ci([])
     with pytest.raises(ValueError):
         bootstrap_ci([1.0, 2.0], confidence=1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_memoised_bootstrap_equals_a_fresh_draw(n, seed):
+    values = [2.0 + 0.37 * i * i - 0.11 * i for i in range(n)]
+    data = np.asarray(sorted(values))
+    if n == 1:
+        expected = (float(data[0]), float(data[0]))
+    else:
+        idx = np.random.default_rng(seed).integers(
+            0, n, size=(DEFAULT_RESAMPLES, n)
+        )
+        tail = (1.0 - DEFAULT_CONFIDENCE) / 2.0
+        lo, hi = np.quantile(data[idx].mean(axis=1), [tail, 1.0 - tail])
+        expected = (float(lo), float(hi))
+    for _ in range(2):  # the second call reuses the memoised draw
+        assert bootstrap_ci(values, seed=seed) == expected
+        s = summarize(values, seed=seed)
+        assert (s.ci_low, s.ci_high) == expected
+
+
+def test_memoised_bootstrap_index_is_read_only():
+    idx = _bootstrap_index(3, DEFAULT_RESAMPLES, 0)
+    assert _bootstrap_index(3, DEFAULT_RESAMPLES, 0) is idx
+    with pytest.raises(ValueError):
+        idx[0, 0] = 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import json
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import pytest
@@ -24,6 +24,7 @@ from repro.runtime import (
     register_scenario,
     run_scenario,
 )
+from repro.runtime.store import ResultStore
 
 TINY = Scenario(name="t", scale="tiny", max_k=2)
 
@@ -84,6 +85,74 @@ def test_cache_key_ignores_cosmetic_fields():
     assert a.cache_key() != Scenario(scale="tiny", pager="disk").cache_key()
     # The key is canonical JSON — stable and diffable.
     json.loads(a.cache_key())
+
+
+#: Content addresses recorded before the key was memoised on the
+#: scenario: a change to any of them orphans every existing store entry.
+PINNED_ADDRESSES = {
+    "baseline": "cf59969bc12990957863da04153dddf23c15b0811300af10f2611c9c3b0e1408",
+    "disk-swap": "15b453e4b1f7a6f49d6fd67be6c10e033e749f2d5a39856454160a9f652ba11d",
+    "remote-swap": "2ddfc386a9ae07941b508324053314c0e25ee89a1e2313789785ebb2da393bd5",
+    "remote-update": "6b7c78570804247336ed4f31d6514c49d2708aee0fe12bee7f294b7dc99da537",
+    "migration": "a28176665c6a8bef8b80169c3691387fd34670460dbe90700238908332899126",
+    "npa-baseline": "b641ebf8c49b95a1244e329a31e576c862f73281d25a9fb85b94284d8a8ad498",
+    "npa-remote-update": "d0928e6eac87551588434905e69434bd445f95b7a2f72d81ef57375ac822b924",
+    "churning": "4686c145b45541da9885d72412d660bf1d843247f055f8b10eea087fa30e6652",
+    "node-failure": "d31de9f5e2c45ce89669e8650edfb81381779253fc7ba6eca30fb239968fc4d3",
+    "baseline@13.0/7": "6abb151e631d8859b11cf9b878a9540dd0efdcb110120d33c8f204c9ab7a7ebf",
+    "disk-swap@13.0/7": "2cc37c1c874beb52e8ee0a42ec44e3d0464aae4c69bb97918ece231264b448cb",
+    "remote-swap@13.0/7": "5dbd7e2f371c05ee4d855fd12e3a268bff8254d72d183862893d239bcb8b0c85",
+    "remote-update@13.0/7": "38c4a058aa4bf35365489f2ebac371e319ff5b3ad4d7efe0f5de7d46997d2dfe",
+    "migration@13.0/7": "f19dc6c54be69deeced1b01878c35f5fdb1ad0a568ed63d8d1d51a1b05d4a054",
+    "npa-baseline@13.0/7": "bfab54195e7de052d98715aaeaa0489088d081d758d0a923057120e3b6bc80c7",
+    "npa-remote-update@13.0/7": "0e2edee1b9cbadc1b40643a79dbf6b705c63b16a56c56535cf3c8fbbb69f8148",
+    "churning@13.0/7": "f51d0ae94e0cb04202f8a10e37cdc2cf63cbbac15c6a2112378153a9f40a6db0",
+    "node-failure@13.0/7": "660a2eff0a88b84fc0df83db6e57fd4f7a1837d1923ac812ac8a6aaf62b8e580",
+    "both": "0ae646df23102198e2024f3d0223ffce4f37accbb0ae68c289ac2e960285ebad",
+}
+
+#: A scenario carrying both tuple-of-tuple fields.
+SHORTAGES_AND_FAILURES = Scenario(
+    scale="tiny", pager="remote-update", n_memory_nodes=4, paper_mb=13.0,
+    shortages=((0.05, 0), (0.09, 1)), failures=((0.05, 0, 0.04),),
+)
+
+
+def _pinned_scenarios():
+    yield from ((s.name, s) for s in list_scenarios())
+    for s in list_scenarios():
+        yield f"{s.name}@13.0/7", paper_limited(s, 13.0).with_seed(7)
+    yield "both", SHORTAGES_AND_FAILURES
+
+
+def test_content_addresses_are_pinned():
+    got = {label: ResultStore.key_for(s) for label, s in _pinned_scenarios()}
+    assert got == PINNED_ADDRESSES
+
+
+def test_to_dict_is_the_asdict_form_and_round_trips_the_key():
+    for _, s in _pinned_scenarios():
+        assert s.to_dict() == {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(s).items()
+        }
+        back = Scenario.from_dict(s.to_dict())
+        assert back == s
+        assert back.cache_key() == s.cache_key()
+        assert ResultStore.key_for(back) == ResultStore.key_for(s)
+
+
+def test_stored_key_stays_out_of_fields_eq_and_repr():
+    s = SHORTAGES_AND_FAILURES
+    assert "_cache_key" not in s.to_dict()
+    assert "_cache_key" not in repr(s)
+    with pytest.raises(ConfigError, match="unknown scenario field"):
+        Scenario.from_dict({**s.to_dict(), "_cache_key": s.cache_key()})
+    # Equal scenarios hash alike; a replace() re-derives the key.
+    named = replace(s, name="n", description="d")
+    assert named != s and named.cache_key() == s.cache_key()
+    assert hash(Scenario.from_dict(s.to_dict())) == hash(s)
+    assert replace(s, seed=7).cache_key() == s.with_seed(7).cache_key() != s.cache_key()
 
 
 # -- catalogue -------------------------------------------------------------

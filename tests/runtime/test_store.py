@@ -3,7 +3,11 @@
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
+import pytest
+
+from repro.harness.cli import main
 from repro.runtime import (
     ResultStore,
     Scenario,
@@ -17,6 +21,11 @@ from repro.runtime import (
 from repro.runtime.store import STORE_FORMAT
 
 TINY = Scenario(scale="tiny", pager="remote", n_memory_nodes=2, paper_mb=13.0)
+
+
+@pytest.fixture(scope="module")
+def tiny_result():
+    return TINY.execute()
 
 
 def test_codec_round_trip_is_exact():
@@ -71,6 +80,57 @@ def test_corrupt_and_mismatched_entries_are_misses(tmp_path):
     }
     path.write_text(json.dumps(payload))
     assert store.get(TINY) is None
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "1", '"x"'])
+def test_non_object_entry_is_a_miss_healed_by_the_next_put(
+    tmp_path, capsys, tiny_result, text,
+):
+    """Valid JSON that is not an object is as unusable as a torn file:
+    every reader treats it as absent, and nothing crashes."""
+    store = ResultStore(tmp_path)
+    store.put(TINY, tiny_result)
+    other = replace(TINY, paper_mb=26.0)
+    path = store.path_for(other)
+
+    path.write_text(text)
+    assert store.get(other) is None
+    assert (store.hits, store.misses) == (0, 1)
+    store.put(other, tiny_result)
+    assert store.get(other) == tiny_result
+    assert (store.hits, store.misses) == (1, 1)
+
+    path.write_text(text)
+    assert store.read_payload(store.key_for(other)) is None
+    healthy = [store.key_for(TINY)]
+    assert [row["key"] for row in store.entry_stats()] == healthy
+    assert main(["store", str(tmp_path)]) == 0
+    listed = json.loads(capsys.readouterr().out)["entry_stats"]
+    assert [row["key"] for row in listed] == healthy
+    summary = store.gc(now=path.stat().st_mtime)
+    assert (summary["entries_kept"], summary["entries_removed"]) == (1, 1)
+    assert not path.exists()
+
+
+def test_entries_are_canonical_compact_json_and_indented_ones_load(
+    tmp_path, tiny_result,
+):
+    """``put`` writes sorted-key, whitespace-free JSON; an entry in the
+    ``indent=2`` layout earlier writers used is the same JSON value, so
+    it still loads as a hit equal to the original."""
+    store = ResultStore(tmp_path)
+    path = store.put(TINY, tiny_result)
+    payload = json.loads(path.read_text())
+    assert path.read_text() == json.dumps(
+        payload, sort_keys=True, separators=(",", ":")
+    )
+    assert payload["format"] == STORE_FORMAT == 5
+    assert payload["scenario"] == TINY.to_dict()
+    assert payload["result"] == json.loads(json.dumps(result_to_dict(tiny_result)))
+
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    assert store.get(TINY) == tiny_result
+    assert (store.hits, store.misses) == (1, 0)
 
 
 def test_format_2_entry_with_kernel_field_is_a_clean_miss(tmp_path):
