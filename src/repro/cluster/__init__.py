@@ -91,16 +91,13 @@ class Cluster:
         env: "Environment",
         n_nodes: int,
         spec: NodeSpec = PAPER_NODE,
-        mailbox_capacity: "int | None" = None,
     ) -> None:
         if n_nodes <= 0:
             raise ValueError(f"cluster needs at least one node, got {n_nodes}")
         self.env = env
         self.network = Network(env, nic=spec.nic)
         self.nodes = [Node(env, i, self.network, spec) for i in range(n_nodes)]
-        self.transport = Transport(
-            self.network, mailbox_capacity=mailbox_capacity
-        )
+        self.transport = Transport(self.network)
 
     def __len__(self) -> int:
         return len(self.nodes)

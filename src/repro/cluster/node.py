@@ -41,7 +41,9 @@ class Node:
         self._speed_factor = spec.cpu.speed_factor
         #: The swap target disk (SCSI in the paper's disk-swapping baseline).
         self.swap_disk = Disk(env, spec.disk)
-        #: The IDE data disk holding the transaction file.
+        #: The disk the transaction file is scanned from.  The paper's
+        #: files sat on an IDE disk (``specs.CAVIAR_IDE``); the model
+        #: builds this one from ``spec.disk`` like the swap disk.
         self.data_disk = Disk(env, spec.disk)
         network.register(self.node_id)
         self.network = network

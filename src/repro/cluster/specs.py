@@ -144,7 +144,9 @@ DK3E1T_12000 = DiskSpec(
     transfer_bytes_per_s=15 * MB,
 )
 
-#: WesternDigital Caviar 32500 IDE — holds the transaction data files.
+#: WesternDigital Caviar 32500 IDE — held the paper's transaction data
+#: files.  Only the disk-access probes use it: ``Node.data_disk`` is
+#: built from ``NodeSpec.disk``.
 CAVIAR_IDE = DiskSpec(
     name="WesternDigital Caviar32500 IDE",
     rpm=5200.0,

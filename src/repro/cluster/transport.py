@@ -7,18 +7,16 @@ a :class:`Mailbox`; ``send`` moves a message across the
 destination mailbox, preserving per-sender ordering because each
 sender's egress NIC serialises its transmissions.
 
-Mailboxes are unbounded by default (the paper's TLI endpoints buffer in
-kernel memory); passing ``mailbox_capacity`` bounds every mailbox, so a
-sender whose receiver has fallen behind *blocks in virtual time* —
-back-pressure instead of infinite buffering.  Every mailbox keeps
-delivery/depth/occupancy statistics either way (:meth:`Transport.stats`),
-counted in its ``put``/``get`` around the plain
-:class:`~repro.sim.store.Store` FIFO.
+Mailboxes are unbounded, as the paper's TLI endpoints buffer in kernel
+memory, so a send never waits on its receiver.  Every mailbox keeps
+delivery/depth/occupancy statistics (:meth:`Transport.stats`), counted
+in its ``put``/``get`` around the plain :class:`~repro.sim.store.Store`
+FIFO.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.errors import NetworkError
 from repro.cluster.network import Message, Network
@@ -35,56 +33,41 @@ __all__ = ["Mailbox", "Transport"]
 class Mailbox(Store):
     """A mailbox store that accounts for its own traffic.
 
-    Tracks total deliveries, the peak queue depth, how many puts ever
-    blocked on a full mailbox, and the time-weighted mean depth
-    (*occupancy*) — the queueing picture the flat counters of
+    Tracks total deliveries, the peak queue depth and the time-weighted
+    mean depth (*occupancy*) — the queueing picture the flat counters of
     ``NetworkStats`` can't show.
     """
 
     def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        node_id: int = -1,
-        channel: str = "",
+        self, env: "Environment", node_id: int = -1, channel: str = ""
     ) -> None:
-        super().__init__(env, capacity)
+        super().__init__(env)
         self.node_id = node_id
         self.channel = channel
         self.delivered = 0
         self.peak_depth = 0
-        self.blocked_puts = 0
         self._t0 = env.now
         self._last_t = env.now
         self._depth_area = 0.0
 
     # Occupancy accounting only: same-instant _advance calls fold a
     # zero-width (now - last_t == 0) area term, so the sum is identical
-    # in any order.  It runs whenever the depth may change (an accepted
-    # put, every get) and never for a put that blocks.
+    # in any order.
     def _advance(self) -> None:
         now = self.env.now
         self._depth_area += len(self.items) * (now - self._last_t)
         self._last_t = now
 
     def put(self, item: object) -> Event:
-        if len(self.items) < self.capacity:
-            # A hand-off to a waiting receiver counts depth 1 at its instant.
-            self._advance()
-            self.delivered += 1
-            self.peak_depth = max(self.peak_depth, len(self.items) + 1)
-        else:
-            self.blocked_puts += 1
+        # A hand-off to a waiting receiver counts depth 1 at its instant.
+        self._advance()
+        self.delivered += 1
+        self.peak_depth = max(self.peak_depth, len(self.items) + 1)
         return super().put(item)
 
     def get(self) -> Event:
         self._advance()
-        depth = len(self.items)
-        event = super().get()
-        if depth and len(self.items) == depth:
-            # The freed slot admitted a blocked put: its item arrives now.
-            self.delivered += 1
-        return event
+        return super().get()
 
     def occupancy(self) -> float:
         """Time-weighted mean queue depth since creation."""
@@ -97,7 +80,9 @@ class Mailbox(Store):
             "delivered": self.delivered,
             "depth": len(self.items),
             "peak_depth": self.peak_depth,
-            "blocked_puts": self.blocked_puts,
+            # Always 0 (no put ever waits): kept only because the
+            # benchmark's layer table reads it; ROADMAP item 1 drops both.
+            "blocked_puts": 0,
             "occupancy": self.occupancy(),
         }
 
@@ -109,16 +94,9 @@ class Mailbox(Store):
 class Transport:
     """Channel-addressed messaging on top of :class:`Network`."""
 
-    def __init__(
-        self, network: Network, mailbox_capacity: Optional[int] = None
-    ) -> None:
-        if mailbox_capacity is not None and mailbox_capacity <= 0:
-            raise NetworkError(
-                f"mailbox capacity must be positive, got {mailbox_capacity}"
-            )
+    def __init__(self, network: Network) -> None:
         self.network = network
         self.env = network.env
-        self.mailbox_capacity = mailbox_capacity
         self._mailboxes: dict[tuple[int, str], Mailbox] = {}
 
     def mailbox(self, node_id: int, channel: str) -> Mailbox:
@@ -127,11 +105,7 @@ class Transport:
         if key not in self._mailboxes:
             if node_id not in self.network.node_ids:
                 raise NetworkError(f"unknown node {node_id}")
-            capacity = (
-                float("inf") if self.mailbox_capacity is None
-                else self.mailbox_capacity
-            )
-            self._mailboxes[key] = Mailbox(self.env, capacity, node_id, channel)
+            self._mailboxes[key] = Mailbox(self.env, node_id, channel)
         return self._mailboxes[key]
 
     def send(
@@ -171,10 +145,6 @@ class Transport:
     def recv(self, node_id: int, channel: str) -> Event:
         """Event yielding the next :class:`Message` on the channel."""
         return self.mailbox(node_id, channel).get()
-
-    def pending(self, node_id: int, channel: str) -> int:
-        """Number of undelivered messages waiting in the mailbox."""
-        return len(self.mailbox(node_id, channel))
 
     def stats(self) -> "dict[str, dict]":
         """Per-mailbox delivery/depth/occupancy statistics, keyed

@@ -1,10 +1,9 @@
 """Message stores: FIFO queues between processes.
 
-:class:`Store` is an unbounded-or-bounded FIFO of arbitrary items; it
-backs the cluster's mailboxes.  Every put and get settles at once, in
-O(1), because two invariants hold between calls: stored items and
-waiting getters are never both present, and a putter waits only while
-a bounded store is full.
+:class:`Store` is an unbounded FIFO of arbitrary items; it backs the
+cluster's mailboxes.  Every put and get settles at once, in O(1),
+because stored items and waiting getters are never both present
+between calls.
 """
 
 from __future__ import annotations
@@ -21,53 +20,35 @@ __all__ = ["Store"]
 
 
 class Store:
-    """FIFO item queue with optional capacity bound.
+    """Unbounded FIFO item queue.
 
-    ``put(item)`` returns an event that succeeds once the item is stored;
+    ``put(item)`` returns an event that has already succeeded;
     ``get()`` returns an event that succeeds with the next item.  When a
     put feeds a waiting getter, the put's event is scheduled before the
-    getter's, and a get that frees a slot is scheduled before the putter
-    it admits.
+    getter's.
     """
 
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self._capacity = capacity
         self.items: deque[object] = deque()
         self._getters: deque[Event] = deque()
-        #: Putters blocked on a full store, oldest first, with their items.
-        self._putters: deque[tuple[Event, object]] = deque()
-
-    @property
-    def capacity(self) -> float:
-        """Maximum number of stored items."""
-        return self._capacity
 
     def put(self, item: object) -> Event:
-        """Insert ``item``; the returned event succeeds when accepted."""
-        event = Event(self.env)
-        if len(self.items) >= self._capacity:
-            self._putters.append((event, item))
-            return event
-        self.items.append(item)
-        event.succeed()
+        """Insert ``item``; the returned event has already succeeded."""
+        event = Event(self.env).succeed()
         if self._getters:
-            self._getters.popleft().succeed(self.items.popleft())
+            self._getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
         return event
 
     def get(self) -> Event:
         """Request the next item; the returned event succeeds with it."""
         event = Event(self.env)
-        if not self.items:
+        if self.items:
+            event.succeed(self.items.popleft())
+        else:
             self._getters.append(event)
-            return event
-        event.succeed(self.items.popleft())
-        if self._putters:
-            putter, item = self._putters.popleft()
-            self.items.append(item)
-            putter.succeed()
         return event
 
     def __len__(self) -> int:

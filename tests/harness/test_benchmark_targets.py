@@ -53,6 +53,13 @@ DEAD_BUT_PINNED = {
 }
 
 
+#: Mailbox stat keys that read a constant and stay only because
+#: ``layers.py`` reads them: no put waits on an unbounded mailbox, so
+#: ``blocked_puts`` is always 0.  The ``[benchmark]`` PR that stops
+#: reading a key deletes it from ``Mailbox.stats()`` in the same change.
+CONSTANT_BUT_PINNED = {"blocked_puts"}
+
+
 def _mailbox_stat_keys():
     """The keys ``layers.py`` subscripts off each value of
     ``transport.stats()`` (its ``for mbox in ...stats().values()`` loops)."""
@@ -85,6 +92,25 @@ def test_mailbox_stats_carry_the_keys_the_benchmark_reads():
     env.run()
     stats = cluster.transport.stats()
     assert stats and all(keys <= set(mbox) for mbox in stats.values())
+
+
+def test_constant_stat_keys_are_still_read_and_still_zero():
+    from repro.datagen import generate
+    from repro.mining.hpa import HPAConfig, HPARun
+
+    assert CONSTANT_BUT_PINNED <= _mailbox_stat_keys()
+    run = HPARun(
+        generate("T8.I3.D300", n_items=60, seed=3),
+        HPAConfig(
+            minsup=0.02, n_app_nodes=4, n_memory_nodes=2, pager="remote",
+            memory_limit_bytes=16384, total_lines=128, seed=1,
+        ),
+    )
+    run.run()
+    stats = run.cluster.transport.stats()
+    assert all(
+        mbox[key] == 0 for mbox in stats.values() for key in CONSTANT_BUT_PINNED
+    )
 
 
 def test_every_traced_target_is_called_from_src():

@@ -252,3 +252,22 @@ def test_property_hpa_equals_sequential(txns, minsup, n_nodes):
         HPAConfig(minsup=minsup, n_app_nodes=n_nodes, total_lines=64, seed=0),
     )
     assert res.large_itemsets == ref.large_itemsets
+
+
+@pytest.mark.parametrize("n_app", [4, 8, 16])
+def test_pass1_mailbox_peaks_at_n_minus_1(n_app):
+    """Mailboxes are unbounded because pass 1 needs n - 1 slots.
+
+    Each node posts its count vector to every peer before its first
+    ``recv``, so the deepest ``pass1`` mailbox holds all n - 1 vectors.
+    A mailbox bounded below that deadlocks the exchange, which is why
+    the model has no bound.  If this peak ever changes, pass 1 was
+    restructured and the decision to model unbounded buffers should be
+    revisited."""
+    run = HPARun(DB, cfg(n_app_nodes=n_app, total_lines=512, max_k=2))
+    run.run()
+    stats = run.cluster.transport.stats()
+    pass1 = [s["peak_depth"] for key, s in stats.items() if key.endswith(":pass1")]
+    assert len(pass1) == n_app
+    assert max(pass1) == n_app - 1
+    assert all(s["blocked_puts"] == 0 for s in stats.values())

@@ -1,7 +1,5 @@
 """Tests for Store."""
 
-import pytest
-
 from repro.sim import Environment, Store
 
 
@@ -43,35 +41,6 @@ def test_get_blocks_until_put():
     env.process(producer(env, store))
     env.run()
     assert times == [("late", 5)]
-
-
-def test_bounded_store_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    trace = []
-
-    def producer(env, store):
-        yield store.put("a")
-        trace.append(("a stored", env.now))
-        yield store.put("b")
-        trace.append(("b stored", env.now))
-
-    def consumer(env, store):
-        yield env.timeout(4)
-        item = yield store.get()
-        trace.append((f"got {item}", env.now))
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert ("a stored", 0) in trace
-    assert ("b stored", 4) in trace
-
-
-def test_store_capacity_positive():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
 
 
 def test_store_len():
