@@ -28,14 +28,6 @@ class PagefaultRow:
     max_faults: int
     per_fault_s: float
 
-    def formatted(self) -> str:
-        """The row rendered with the paper's column convention
-        (times in seconds, per-fault in milliseconds)."""
-        return (
-            f"{self.label:>10s}  {self.exec_time_s:9.1f}  {self.diff_time_s:9.1f}  "
-            f"{self.max_faults:9d}  {self.per_fault_s * 1e3:6.2f}"
-        )
-
 
 def pagefault_row(
     label: str,

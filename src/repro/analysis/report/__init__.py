@@ -28,7 +28,6 @@ from repro.analysis.report.diff import (
     EXIT_DRIFT,
     EXIT_PASS,
     EXIT_REGRESSION,
-    DiffPolicy,
     DiffReport,
     compare_payloads,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ArtifactStats",
     "CellStats",
     "Comparison",
-    "DiffPolicy",
     "DiffReport",
     "EXIT_DRIFT",
     "EXIT_PASS",

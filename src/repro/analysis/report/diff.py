@@ -1,7 +1,7 @@
 """The regression gate: compare a report payload against a baseline.
 
-``repro-bench diff BASELINE.json`` feeds two payloads (the committed
-baseline and a freshly-computed or ``--current`` one) through
+``repro-bench diff BASELINE CURRENT`` feeds two payload files (the
+committed baseline and a freshly rendered ``report.json``) through
 :func:`compare_payloads`, which issues one verdict per cell:
 
 ``pass``
@@ -14,7 +14,7 @@ baseline and a freshly-computed or ``--current`` one) through
     it.
 ``regression``
     worse *and* either significant (Mann-Whitney on the two replicate
-    samples, ``p < alpha``) or past ``tolerance * fail_factor``.  The
+    samples, ``p < ALPHA``) or past ``TOLERANCE * FAIL_FACTOR``.  The
     magnitude escape hatch matters because tiny seed counts bound the
     attainable p-value (two-sided minimum ~0.1 at 3 vs 3 replicates):
     the simulation is deterministic per seed, so a large mean shift is
@@ -44,11 +44,13 @@ from repro.errors import HarnessError
 from repro.obs import emit_ambient
 
 __all__ = [
+    "ALPHA",
     "EXIT_DRIFT",
     "EXIT_PASS",
     "EXIT_REGRESSION",
+    "FAIL_FACTOR",
+    "TOLERANCE",
     "CellVerdict",
-    "DiffPolicy",
     "DiffReport",
     "compare_payloads",
     "load_payload",
@@ -63,18 +65,13 @@ EXIT_REGRESSION = 4
 #: worst verdict present.
 _SEVERITY = ("pass", "improved", "drift", "regression")
 
-
-@dataclass(frozen=True)
-class DiffPolicy:
-    """Tolerance bands and significance thresholds for the gate."""
-
-    #: Relative tolerance band around the baseline mean.
-    tolerance: float = 0.05
-    #: Rank-test significance level for promoting drift to regression.
-    alpha: float = 0.05
-    #: Hard cap: worse than ``tolerance * fail_factor`` is a regression
-    #: even without statistical significance (see module docstring).
-    fail_factor: float = 3.0
+#: Relative tolerance band around the baseline mean.
+TOLERANCE = 0.05
+#: Rank-test significance level for promoting drift to regression.
+ALPHA = 0.05
+#: Hard cap: worse than ``TOLERANCE * FAIL_FACTOR`` is a regression even
+#: without statistical significance (see module docstring).
+FAIL_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,6 @@ class CellVerdict:
 class DiffReport:
     """All verdicts from one baseline comparison."""
 
-    policy: DiffPolicy
     verdicts: "list[CellVerdict]" = field(default_factory=list)
 
     def counts(self) -> "dict[str, int]":
@@ -124,7 +120,9 @@ class DiffReport:
 
     def to_dict(self) -> dict:
         return {
-            "policy": asdict(self.policy),
+            "policy": {
+                "tolerance": TOLERANCE, "alpha": ALPHA, "fail_factor": FAIL_FACTOR,
+            },
             "counts": self.counts(),
             "worst": self.worst,
             "exit_code": self.exit_code,
@@ -155,12 +153,7 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def _judge_cell(
-    artifact: str,
-    base_cell: Mapping,
-    cur_cell: Mapping,
-    policy: DiffPolicy,
-) -> CellVerdict:
+def _judge_cell(artifact: str, base_cell: Mapping, cur_cell: Mapping) -> CellVerdict:
     base_mean = float(base_cell["summary"]["mean"])
     cur_mean = float(cur_cell["summary"]["mean"])
     if abs(base_mean) < 1e-12:
@@ -175,7 +168,7 @@ def _judge_cell(
         "cur_mean": cur_mean,
         "rel_delta": rel,
     }
-    if abs(rel) <= policy.tolerance:
+    if abs(rel) <= TOLERANCE:
         return CellVerdict(verdict="pass", **common)
     if rel < 0.0:
         return CellVerdict(verdict="improved", **common)
@@ -184,24 +177,19 @@ def _judge_cell(
     cur_samples = [float(v) for v in cur_cell.get("samples", [])]
     if len(base_samples) > 1 and len(cur_samples) > 1:
         p = mann_whitney_u(base_samples, cur_samples).p_value
-    significant = p is not None and p < policy.alpha
-    if significant or rel > policy.tolerance * policy.fail_factor:
+    significant = p is not None and p < ALPHA
+    if significant or rel > TOLERANCE * FAIL_FACTOR:
         return CellVerdict(verdict="regression", p_value=p, **common)
     return CellVerdict(verdict="drift", p_value=p, **common)
 
 
-def compare_payloads(
-    baseline: Mapping,
-    current: Mapping,
-    policy: "Optional[DiffPolicy]" = None,
-) -> DiffReport:
+def compare_payloads(baseline: Mapping, current: Mapping) -> DiffReport:
     """Judge ``current`` against ``baseline`` (both payload dicts, see
     :meth:`~repro.analysis.report.experiment_results.ExperimentResults.payload`).
 
     Raises :class:`ValueError` on payload-format mismatch — that is a
     usage error, not a verdict.
     """
-    policy = policy or DiffPolicy()
     fmt_base = baseline.get("format")
     fmt_cur = current.get("format")
     if fmt_base != fmt_cur:
@@ -209,7 +197,7 @@ def compare_payloads(
             f"payload format mismatch: baseline {fmt_base!r} vs "
             f"current {fmt_cur!r}"
         )
-    report = DiffReport(policy=policy)
+    report = DiffReport()
     if baseline.get("scale") != current.get("scale") or list(
         baseline.get("seeds", [])
     ) != list(current.get("seeds", [])):
@@ -246,9 +234,7 @@ def compare_payloads(
                     note="cell missing from current payload",
                 ))
                 continue
-            report.verdicts.append(
-                _judge_cell(name, base_cell, cur_cell, policy)
-            )
+            report.verdicts.append(_judge_cell(name, base_cell, cur_cell))
         for key in cur_cells:
             report.verdicts.append(CellVerdict(
                 artifact=name, group=key[0], x=key[1], verdict="drift",

@@ -16,8 +16,8 @@ The toolbox is deliberately small and numpy-only (no scipy):
   tie-corrected normal approximation.  With the tiny replicate counts a
   report uses (3-5 seeds) the attainable p floor is high (two-sided
   minimum ``~0.1`` at n=3 vs 3); the diff gate compensates with a
-  magnitude escape hatch (:class:`~repro.analysis.report.diff.DiffPolicy`
-  ``fail_factor``) rather than pretending significance is reachable.
+  magnitude escape hatch (:data:`~repro.analysis.report.diff.FAIL_FACTOR`)
+  rather than pretending significance is reachable.
 * :func:`permutation_test` — exact mean-difference permutation test for
   small samples (enumerated, no randomness), seeded Monte Carlo above
   :data:`EXACT_ENUMERATION_CAP`.

@@ -11,7 +11,7 @@ Usage::
     repro-bench store DIR                # the store's counters and entry sizes
     repro-bench gc DIR                   # drop orphaned temp files + old-format entries
     repro-bench report --scale tiny --seeds 3 --store DIR --out reports
-    repro-bench diff BASELINE_report.json --current reports/report.json
+    repro-bench diff BASELINE_report.json reports/report.json
     repro-bench trace DIR                # phase timings and a latency histogram
 
 ``run`` prints the same rows/series the paper's table or figure
@@ -22,8 +22,8 @@ persistent result store): every output is byte-identical either way.
 ``report`` writes ``report.md``, ``report.html`` and ``report.json``
 (the machine-readable payload, which doubles as the diff baseline) into
 ``--out``; reports are pure functions of ``(scale, seeds)``.  ``diff``
-compares a payload against a committed baseline and exits with a
-machine-readable code: 0 pass/improved, 3 tolerated drift,
+compares two payload files, a committed baseline and a current report,
+and exits with a machine-readable code: 0 pass/improved, 3 tolerated drift,
 4 significant regression, 2 usage error (such as mismatched payload
 formats).  CI treats 3 as a soft warning and 4 as a failure.
 """
@@ -80,21 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist every scenario result in a content-addressed store "
         "at <DIR> and reuse whatever is already there",
     )
-    replicated = argparse.ArgumentParser(add_help=False)
-    replicated.add_argument(
-        "--seeds",
-        default=None,
-        metavar="N|LIST",
-        help="replication seeds: a count N (the scale's base seed "
-        "onward) or an explicit comma list such as 42,43,44 "
-        "(default: three seeds)",
-    )
-    replicated.add_argument(
+    selecting = argparse.ArgumentParser(add_help=False)
+    selecting.add_argument(
         "--only",
         metavar="LIST",
         default=None,
-        help="comma list restricting the artifacts (default: every core "
-        "artifact; 'churn' is opt-in)",
+        help="comma list restricting the artifacts (report's default: "
+        "every core artifact; 'churn' is opt-in)",
     )
 
     parser = argparse.ArgumentParser(
@@ -151,12 +143,21 @@ def build_parser() -> argparse.ArgumentParser:
         "hour and old-format entries; prints the JSON summary",
     ).add_argument("directory", help="an existing result store")
 
-    command(
+    report = command(
         "report", _report,
         "render the figures and tables across seeds with bootstrap "
         "confidence intervals",
-        executing, replicated,
-    ).add_argument(
+        executing, selecting,
+    )
+    report.add_argument(
+        "--seeds",
+        default=None,
+        metavar="N|LIST",
+        help="replication seeds: a count N (the scale's base seed "
+        "onward) or an explicit comma list such as 42,43,44 "
+        "(default: three seeds)",
+    )
+    report.add_argument(
         "--out",
         metavar="DIR",
         default="reports",
@@ -168,16 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
         "diff", _diff,
         "gate a report payload against a committed baseline "
         "(exit 0 pass, 3 drift, 4 regression, 2 usage error)",
-        executing, replicated,
+        selecting,
     )
     diff.add_argument("baseline", help="the baseline payload (report.json)")
-    diff.add_argument(
-        "--current",
-        metavar="FILE",
-        default=None,
-        help="use this payload file as the current side instead of "
-        "computing one",
-    )
+    diff.add_argument("current", help="the payload to judge (report.json)")
     diff.add_argument(
         "--json",
         metavar="FILE",
@@ -377,39 +372,18 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _diff(args: argparse.Namespace) -> int:
-    from repro.analysis.report.diff import (
-        DiffPolicy,
-        compare_payloads,
-        load_payload,
-        restrict,
-    )
-    from repro.analysis.report.experiment_results import (
-        ExperimentResults,
-        parse_seeds,
-    )
-    from repro.runtime import result_store_session
+    from repro.analysis.report.diff import compare_payloads, load_payload, restrict
+    from repro.analysis.report.experiment_results import ExperimentResults
 
-    seeds = parse_seeds(args.seeds, args.scale)
     baseline = load_payload(args.baseline)
-    only = args.only.split(",") if args.only else None
-    if args.current is not None:
-        current = load_payload(args.current)
-    else:
-        with result_store_session(args.store):
-            results = ExperimentResults(args.scale, seeds, jobs=args.jobs)
-            current = results.payload(only)
-            acct = results.accounting()
-        print(
-            f"[current payload computed: {acct['cached']} cached / "
-            f"{acct['executed']} executed scenario runs]"
-        )
-    if only is not None:
+    current = load_payload(args.current)
+    if args.only:
         # Both sides: an artifact left out on purpose is not "missing".
-        names = ExperimentResults.names(only)
+        names = ExperimentResults.names(args.only.split(","))
         baseline = restrict(baseline, names)
         current = restrict(current, names)
     try:
-        report = compare_payloads(baseline, current, DiffPolicy())
+        report = compare_payloads(baseline, current)
     except ValueError as exc:
         raise HarnessError(str(exc)) from exc
     print(report.render_text())

@@ -12,12 +12,15 @@ persistent result store, and the ``--jobs N`` process pool.  There is
 exactly one execution path — :func:`repro.runtime.run_scenario` — for
 the experiments, benchmarks, CLI, and examples alike.
 
-Every report builder takes ``(scale, results)`` and reads the scale's
-geometry from :data:`SCALES`: a report is a pure function of the scale
-and its stored runs.  Tables 2 and 3 describe HPA runs too (their
-per-pass and per-node counts equal serial Apriori's and the workload
-preparation's), so no builder touches datagen or mining and a warm
-store renders every artifact without either.
+Every grid but Tables 2 and 3 keys its cells by their series position
+``(group, x)``, declared once in the grid; the report builders read
+their series back through :func:`_series`.  Every report builder takes
+``(scale, results)`` and reads the scale's geometry from
+:data:`SCALES`: a report is a pure function of the scale and its stored
+runs.  Tables 2 and 3 describe HPA runs too (their per-pass and
+per-node counts equal serial Apriori's and the workload preparation's),
+so no builder touches datagen or mining and a warm store renders every
+artifact without either.
 
 The paper-vs-measured narrative of each sweep lives in
 ``EXPERIMENTS.md``, one section per sweep name.
@@ -25,8 +28,9 @@ The paper-vs-measured narrative of each sweep lives in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
-from typing import Mapping, Optional
+from typing import Any, Callable, Mapping, TypeVar
 
 from repro.analysis import (
     disk_comparison,
@@ -41,20 +45,35 @@ from repro.harness.scales import SCALES
 from repro.harness.sweep import Fold, Sweep
 from repro.mining import skew_statistics
 from repro.runtime.config import PLACEMENT_POLICIES
-from repro.runtime.results import RunResult
+from repro.runtime.results import PassResult, RunResult
 from repro.runtime.scenarios import Scenario
 
 __all__ = ["ALL_SWEEPS"]
 
-Results = Mapping[str, RunResult]
+#: Cells keyed ``(group, x)``, or by a plain label (Tables 2 and 3).
+Grid = dict[Any, Scenario]
+Results = Mapping[Any, RunResult]
+
+V = TypeVar("V")
+
+
+def _pass2(res: RunResult) -> PassResult:
+    return res.pass_result(2)
 
 
 def _pass2_time(res: RunResult) -> float:
     return res.pass_result(2).duration_s
 
 
-def _limit_label(mb: Optional[float]) -> str:
-    return "no limit" if mb is None else f"{mb:g}MB"
+def _series(
+    results: Results, metric: "Callable[[RunResult], V]"
+) -> "dict[str, dict[Any, V]]":
+    """Nest resolved ``{(group, x): RunResult}`` cells into
+    ``{group: {x: metric(result)}}``, both levels in grid order."""
+    series: "dict[str, dict[Any, V]]" = {}
+    for (group, x), res in results.items():
+        series.setdefault(group, {})[x] = metric(res)
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +86,7 @@ def _limit_label(mb: Optional[float]) -> str:
 TABLE2_MINSUP_FACTOR = 2.5
 
 
-def _grid_table2(scale: str) -> "dict[str, Scenario]":
+def _grid_table2(scale: str) -> Grid:
     """One HPA run to termination (``max_k=0``) at Table 2's support."""
     minsup = SCALES[scale].minsup * TABLE2_MINSUP_FACTOR
     return {"all passes": Scenario(scale=scale, max_k=0, minsup=minsup)}
@@ -109,16 +128,16 @@ def _report_table2(scale: str, results: Results) -> tuple[str, dict]:
 # Table 3 — candidate 2-itemsets per node
 # ---------------------------------------------------------------------------
 
-def _grid_table3(scale: str) -> "dict[str, Scenario]":
+def _grid_table3(scale: str) -> Grid:
     """The plain no-limit HPA run (the same cell as ``npa``'s
-    ``hpa|no limit``)."""
+    ``("HPA", "no limit")``)."""
     return {"no limit": Scenario(scale=scale)}
 
 
 def _report_table3(scale: str, results: Results) -> tuple[str, dict]:
     """Per-node candidate counts are close but skewed (Table 3)."""
     s = SCALES[scale]
-    p2 = results["no limit"].pass_result(2)
+    p2 = _pass2(results["no limit"])
     stats = skew_statistics(p2.per_node_candidates)
     rows = [
         (f"node {i + 1}", c) for i, c in enumerate(p2.per_node_candidates)
@@ -156,18 +175,12 @@ def _report_table3(scale: str, results: Results) -> tuple[str, dict]:
 # Table 4 — execution time of each pagefault
 # ---------------------------------------------------------------------------
 
-def _grid_table4(scale: str) -> "dict[str, Scenario]":
+def _grid_table4(scale: str) -> Grid:
     s = SCALES[scale]
-    n_mem = s.max_memory_nodes
-    cells = {
-        "no limit": Scenario(
-            scale=scale, pager="remote", n_memory_nodes=n_mem
-        )
-    }
+    remote = Scenario(scale=scale, pager="remote", n_memory_nodes=s.max_memory_nodes)
+    cells: Grid = {("pass-2 baseline [s]", "no limit"): remote}
     for mb in s.limits_mb:
-        cells[_limit_label(mb)] = Scenario(
-            scale=scale, pager="remote", n_memory_nodes=n_mem, paper_mb=mb
-        )
+        cells["measured per-fault time", mb] = replace(remote, paper_mb=mb)
     return cells
 
 
@@ -177,35 +190,31 @@ PREDICTED_FAULT_S = PAPER_COSTS.remote_fault_time_s(ATM_155)
 
 def _report_table4(scale: str, results: Results) -> tuple[str, dict]:
     """Per-pagefault time from the Exec/Diff/Max columns (Table 4)."""
-    s = SCALES[scale]
-    n_mem = s.max_memory_nodes
-    baseline = _pass2_time(results["no limit"])
-    rows = []
-    per_fault_ms = {}
-    for mb in s.limits_mb:
-        p2 = results[_limit_label(mb)].pass_result(2)
-        row = pagefault_row(f"{mb:g}MB", p2.duration_s, baseline, p2.max_faults)
-        rows.append(row)
-        per_fault_ms[mb] = row.per_fault_s * 1e3
-    text = "\n".join(
+    p2s = _series(results, _pass2)
+    baseline = p2s["pass-2 baseline [s]"]["no limit"].duration_s
+    rows = {
+        mb: pagefault_row(f"{mb:g}MB", p2.duration_s, baseline, p2.max_faults)
+        for mb, p2 in p2s["measured per-fault time"].items()
+    }
+    table = render_table(
+        ["usage limit", "Exec [s]", "Diff [s]", "Max faults", "PF [ms]"],
         [
-            render_table(
-                ["usage limit", "Exec [s]", "Diff [s]", "Max faults", "PF [ms]"],
-                [
-                    (r.label, r.exec_time_s, r.diff_time_s, r.max_faults,
-                     r.per_fault_s * 1e3)
-                    for r in rows
-                ],
-                title=f"Table 4 equivalent — {n_mem} memory-available nodes, "
-                f"no-limit baseline {baseline:.1f}s",
-            ),
-            f"analytic decomposition (RTT + 4KB transmit + service): "
-            f"{PREDICTED_FAULT_S * 1e3:.2f} ms",
-        ]
+            (r.label, r.exec_time_s, r.diff_time_s, r.max_faults,
+             r.per_fault_s * 1e3)
+            for r in rows.values()
+        ],
+        title=f"Table 4 equivalent — {SCALES[scale].max_memory_nodes} "
+        f"memory-available nodes, no-limit baseline {baseline:.1f}s",
+    )
+    text = (
+        f"{table}\nanalytic decomposition (RTT + 4KB transmit + service): "
+        f"{PREDICTED_FAULT_S * 1e3:.2f} ms"
     )
     return text, {
         "series": {
-            "measured per-fault time": per_fault_ms,
+            "measured per-fault time": {
+                mb: r.per_fault_s * 1e3 for mb, r in rows.items()
+            },
             "pass-2 baseline [s]": {"no limit": baseline},
         },
         "predicted_ms": PREDICTED_FAULT_S * 1e3,
@@ -216,41 +225,32 @@ def _report_table4(scale: str, results: Results) -> tuple[str, dict]:
 # Figure 3 — execution time vs number of memory-available nodes
 # ---------------------------------------------------------------------------
 
-def _grid_fig3(scale: str) -> "dict[str, Scenario]":
+def _grid_fig3(scale: str) -> Grid:
     s = SCALES[scale]
-    return {
-        f"{_limit_label(mb)}|n={n}": Scenario(
-            scale=scale, pager="remote", n_memory_nodes=n, paper_mb=mb
-        )
-        for mb in (*s.limits_mb, None)
-        for n in s.memory_node_counts
-    }
+    cells: Grid = {}
+    for mb in (*s.limits_mb, None):
+        group = "no limit" if mb is None else f"limit {mb:g}MB"
+        for n in s.memory_node_counts:
+            cells[group, n] = Scenario(
+                scale=scale, pager="remote", n_memory_nodes=n, paper_mb=mb
+            )
+    return cells
 
 
 def _report_fig3(scale: str, results: Results) -> tuple[str, dict]:
     """Few memory nodes bottleneck the fault service (Figure 3)."""
-    s = SCALES[scale]
-    series: dict[str, dict[int, float]] = {}
-    for mb in s.limits_mb:
-        series[f"limit {mb:g}MB"] = {
-            n: _pass2_time(results[f"{_limit_label(mb)}|n={n}"])
-            for n in s.memory_node_counts
-        }
-    series["no limit"] = {
-        n: _pass2_time(results[f"no limit|n={n}"])
-        for n in s.memory_node_counts
-    }
+    series = _series(results, _pass2_time)
     text = render_series(
         "#memory nodes",
         series,
         title=f"Figure 3 equivalent — pass 2 execution time [s], "
-        f"{s.n_app_nodes} application nodes",
+        f"{SCALES[scale].n_app_nodes} application nodes",
     )
-    tight = f"limit {s.limits_mb[0]:g}MB"
-    n_min, n_max = min(s.memory_node_counts), max(s.memory_node_counts)
+    # The grid lists the tightest limit first.
+    tight = next(iter(series.values()))
     return text, {
-        "series": {k: dict(v) for k, v in series.items()},
-        "bottleneck_ratio": series[tight][n_min] / series[tight][n_max],
+        "series": series,
+        "bottleneck_ratio": tight[min(tight)] / tight[max(tight)],
     }
 
 
@@ -258,41 +258,36 @@ def _report_fig3(scale: str, results: Results) -> tuple[str, dict]:
 # Figure 4 — disk vs simple swapping vs remote update
 # ---------------------------------------------------------------------------
 
-def _grid_fig4(scale: str) -> "dict[str, Scenario]":
+#: The remote pagers by the series name Figure 4 and Ablation A2 give them.
+REMOTE_PAGERS = {"simple swapping": "remote", "remote update": "remote-update"}
+
+
+def _grid_fig4(scale: str) -> Grid:
     s = SCALES[scale]
-    n_mem = s.max_memory_nodes
-    cells: "dict[str, Scenario]" = {}
+    cells: Grid = {}
     for mb in s.limits_mb:
-        cells[f"disk|{mb:g}"] = Scenario(scale=scale, pager="disk", paper_mb=mb)
-        cells[f"simple|{mb:g}"] = Scenario(
-            scale=scale, pager="remote", n_memory_nodes=n_mem, paper_mb=mb
-        )
-        cells[f"update|{mb:g}"] = Scenario(
-            scale=scale, pager="remote-update", n_memory_nodes=n_mem, paper_mb=mb
-        )
+        cells["disk swapping", mb] = Scenario(scale=scale, pager="disk", paper_mb=mb)
+        for group, pager in REMOTE_PAGERS.items():
+            cells[group, mb] = Scenario(
+                scale=scale, pager=pager, n_memory_nodes=s.max_memory_nodes,
+                paper_mb=mb,
+            )
     return cells
 
 
 def _report_fig4(scale: str, results: Results) -> tuple[str, dict]:
     """The three swapping mechanisms vs usage limit (Figure 4)."""
     s = SCALES[scale]
-    n_mem = s.max_memory_nodes
-    series: dict[str, dict[float, float]] = {
-        "disk swapping": {}, "simple swapping": {}, "remote update": {},
-    }
-    for mb in s.limits_mb:
-        series["disk swapping"][mb] = _pass2_time(results[f"disk|{mb:g}"])
-        series["simple swapping"][mb] = _pass2_time(results[f"simple|{mb:g}"])
-        series["remote update"][mb] = _pass2_time(results[f"update|{mb:g}"])
+    series = _series(results, _pass2_time)
     text = render_series(
         "usage limit [MB]",
         series,
         title=f"Figure 4 equivalent — pass 2 execution time [s], "
-        f"{n_mem} memory-available nodes",
+        f"{s.max_memory_nodes} memory-available nodes",
     )
     tight = s.limits_mb[0]
     return text, {
-        "series": {k: dict(v) for k, v in series.items()},
+        "series": series,
         "disk_over_simple": series["disk swapping"][tight]
         / series["simple swapping"][tight],
         "simple_over_update": series["simple swapping"][tight]
@@ -304,35 +299,31 @@ def _report_fig4(scale: str, results: Results) -> tuple[str, dict]:
 # Figure 5 — dynamic memory migration
 # ---------------------------------------------------------------------------
 
-def _grid_fig5(scale: str) -> "dict[str, Scenario]":
+def _grid_fig5(scale: str) -> Grid:
     s = SCALES[scale]
-    n_mem = s.max_memory_nodes
     return {
-        f"base|{mb:g}": Scenario(
-            scale=scale, pager="remote-update", n_memory_nodes=n_mem, paper_mb=mb
+        ("all memory nodes available", mb): Scenario(
+            scale=scale, pager="remote-update",
+            n_memory_nodes=s.max_memory_nodes, paper_mb=mb,
         )
         for mb in s.limits_mb
     }
 
 
-def _followups_fig5(scale: str, results: Results) -> "dict[str, Scenario]":
+def _followups_fig5(scale: str, results: Results) -> Grid:
     """Derived stage: shortages are scheduled *inside* the measured pass
     of each base run (40 % and 60 % of pass 2), so their injection times
     come from stage-1 results."""
-    s = SCALES[scale]
-    n_mem = s.max_memory_nodes
-    cells: "dict[str, Scenario]" = {}
-    for mb in s.limits_mb:
-        p2 = results[f"base|{mb:g}"].pass_result(2)
+    cells: Grid = {}
+    for (group, mb), base in _grid_fig5(scale).items():
+        p2 = _pass2(results[group, mb])
         t1 = p2.start_time + 0.4 * p2.duration_s
         t2 = p2.start_time + 0.6 * p2.duration_s
-        cells[f"one|{mb:g}"] = Scenario(
-            scale=scale, pager="remote-update", n_memory_nodes=n_mem,
-            paper_mb=mb, shortages=((t1, 0),),
+        cells["1 memory node unavailable", mb] = replace(
+            base, shortages=((t1, 0),)
         )
-        cells[f"two|{mb:g}"] = Scenario(
-            scale=scale, pager="remote-update", n_memory_nodes=n_mem,
-            paper_mb=mb, shortages=((t1, 0), (t2, 1)),
+        cells["2 memory nodes unavailable", mb] = replace(
+            base, shortages=((t1, 0), (t2, 1))
         )
     return cells
 
@@ -341,37 +332,19 @@ def _report_fig5(scale: str, results: Results) -> tuple[str, dict]:
     """Migrating 0/1/2 memory nodes away mid-run changes execution time
     only marginally (Figure 5)."""
     s = SCALES[scale]
-    n_mem = s.max_memory_nodes
-    series: dict[str, dict[float, float]] = {
-        "all memory nodes available": {},
-        "1 memory node unavailable": {},
-        "2 memory nodes unavailable": {},
-    }
-    for mb in s.limits_mb:
-        series["all memory nodes available"][mb] = _pass2_time(
-            results[f"base|{mb:g}"]
-        )
-        series["1 memory node unavailable"][mb] = _pass2_time(
-            results[f"one|{mb:g}"]
-        )
-        series["2 memory nodes unavailable"][mb] = _pass2_time(
-            results[f"two|{mb:g}"]
-        )
+    series = _series(results, _pass2_time)
     text = render_series(
         "usage limit [MB]",
         series,
         title=f"Figure 5 equivalent — pass 2 execution time [s] with "
-        f"mid-run shortages, {n_mem} memory-available nodes",
+        f"mid-run shortages, {s.max_memory_nodes} memory-available nodes",
     )
     tight = s.limits_mb[0]
     overhead = (
         series["2 memory nodes unavailable"][tight]
         / series["all memory nodes available"][tight]
     )
-    return text, {
-        "series": {k: dict(v) for k, v in series.items()},
-        "worst_overhead_ratio": overhead,
-    }
+    return text, {"series": series, "worst_overhead_ratio": overhead}
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +374,11 @@ def _report_disk(scale: str, results: Results) -> tuple[str, dict]:
 MONITOR_INTERVALS_S = (0.02, 0.1, 1.0, 3.0, 10.0)
 
 
-def _grid_monitor(scale: str) -> "dict[str, Scenario]":
+def _grid_monitor(scale: str) -> Grid:
     s = SCALES[scale]
     mb = s.limits_mb[1]
     return {
-        f"interval={i:g}": Scenario(
+        ("pass 2 time [s]", i): Scenario(
             scale=scale, pager="remote", n_memory_nodes=s.max_memory_nodes,
             paper_mb=mb, monitor_interval_s=i,
         )
@@ -417,17 +390,15 @@ def _report_monitor(scale: str, results: Results) -> tuple[str, dict]:
     """§5.4's claim: 1-3 s intervals are free, very short intervals cost
     monitoring/communication overhead."""
     s = SCALES[scale]
-    n_mem = s.max_memory_nodes
-    mb = s.limits_mb[1]
-    times = {
-        i: _pass2_time(results[f"interval={i:g}"]) for i in MONITOR_INTERVALS_S
-    }
+    series = _series(results, _pass2_time)
+    (times,) = series.values()
     text = render_series(
         "monitor interval [s]",
-        {"pass 2 time [s]": times},
-        title=f"§5.4 equivalent — limit {mb:g}MB, {n_mem} memory nodes",
+        series,
+        title=f"§5.4 equivalent — limit {s.limits_mb[1]:g}MB, "
+        f"{s.max_memory_nodes} memory nodes",
     )
-    return text, {"times": dict(times)}
+    return text, {"times": times}
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +408,11 @@ def _report_monitor(scale: str, results: Results) -> tuple[str, dict]:
 REPLACEMENT_SWEEP = ("lru", "fifo", "random")
 
 
-def _grid_policy(scale: str) -> "dict[str, Scenario]":
+def _grid_policy(scale: str) -> Grid:
     s = SCALES[scale]
     mb = s.limits_mb[0]
     return {
-        policy: Scenario(
+        (policy, mb): Scenario(
             scale=scale, pager="remote", n_memory_nodes=s.max_memory_nodes,
             paper_mb=mb, replacement=policy,
         )
@@ -451,19 +422,19 @@ def _grid_policy(scale: str) -> "dict[str, Scenario]":
 
 def _report_policy(scale: str, results: Results) -> tuple[str, dict]:
     """Quantify the paper's LRU choice against FIFO and random."""
-    s = SCALES[scale]
-    mb = s.limits_mb[0]
-    rows = []
-    for policy in REPLACEMENT_SWEEP:
-        p2 = results[policy].pass_result(2)
-        rows.append((policy, p2.duration_s, p2.max_faults))
+    rows = [
+        (policy, p2.duration_s, p2.max_faults)
+        for policy, by_mb in _series(results, _pass2).items()
+        for p2 in by_mb.values()
+    ]
     text = render_table(
         ["policy", "pass 2 time [s]", "max faults"],
         rows,
-        title=f"Ablation — replacement policy at limit {mb:g}MB",
+        title=f"Ablation — replacement policy at limit "
+        f"{SCALES[scale].limits_mb[0]:g}MB",
     )
     return text, {
-        "series": {policy: {mb: t} for policy, t, _ in rows},
+        "series": _series(results, _pass2_time),
         "max_faults": {policy: n for policy, _, n in rows},
     }
 
@@ -490,46 +461,33 @@ CHURN_REGIMES = {
 CHURN_MONITOR_INTERVAL_S = 0.02
 
 
-def _grid_churn(scale: str) -> "dict[str, Scenario]":
+def _grid_churn(scale: str) -> Grid:
     # Every swap-destination policy competes (paper §4.3 prescribes only
     # the first).
     s = SCALES[scale]
-    mb = s.limits_mb[1]
-    cells: "dict[str, Scenario]" = {}
-    for policy in PLACEMENT_POLICIES:
-        for regime, spec in CHURN_REGIMES.items():
-            cells[f"{policy}|{regime}"] = Scenario(
-                scale=scale, pager="remote-update",
-                n_memory_nodes=s.max_memory_nodes, paper_mb=mb,
-                placement=policy, churn=spec,
-                monitor_interval_s=CHURN_MONITOR_INTERVAL_S,
-            )
-    return cells
+    return {
+        (policy, regime): Scenario(
+            scale=scale, pager="remote-update",
+            n_memory_nodes=s.max_memory_nodes, paper_mb=s.limits_mb[1],
+            placement=policy, churn=spec,
+            monitor_interval_s=CHURN_MONITOR_INTERVAL_S,
+        )
+        for policy in PLACEMENT_POLICIES
+        for regime, spec in CHURN_REGIMES.items()
+    }
 
 
 def _report_churn(scale: str, results: Results) -> tuple[str, dict]:
     """The paper's premise — remote memory fluctuates because owners
     reclaim their machines — exercised directly: every placement policy
     races the same churning cluster."""
-    s = SCALES[scale]
-    mb = s.limits_mb[1]
-    rows = []
-    series: "dict[str, dict[str, float]]" = {}
-    for policy in PLACEMENT_POLICIES:
-        times = {
-            regime: _pass2_time(results[f"{policy}|{regime}"])
-            for regime in CHURN_REGIMES
-        }
-        series[policy] = times
-        rows.append(
-            (policy, *(times[regime] for regime in CHURN_REGIMES))
-        )
+    series = _series(results, _pass2_time)
     text = render_table(
         ["placement"] + [f"{regime} [s]" for regime in CHURN_REGIMES],
-        rows,
+        [(policy, *times.values()) for policy, times in series.items()],
         title=(
             f"Cluster dynamics — placement policy vs churn regime "
-            f"at limit {mb:g}MB"
+            f"at limit {SCALES[scale].limits_mb[1]:g}MB"
         ),
     )
     return text, {"series": series}
@@ -542,37 +500,28 @@ def _report_churn(scale: str, results: Results) -> tuple[str, dict]:
 BLOCK_SIZES_B = (1024, 4096, 16384)
 
 
-def _grid_blocksize(scale: str) -> "dict[str, Scenario]":
+def _grid_blocksize(scale: str) -> Grid:
     s = SCALES[scale]
-    n_mem = s.max_memory_nodes
-    mb = s.limits_mb[0]
-    cells: "dict[str, Scenario]" = {}
-    for size in BLOCK_SIZES_B:
-        cells[f"simple|{size}"] = Scenario(
-            scale=scale, pager="remote", n_memory_nodes=n_mem, paper_mb=mb,
-            message_block_bytes=size,
+    return {
+        (group, size): Scenario(
+            scale=scale, pager=pager, n_memory_nodes=s.max_memory_nodes,
+            paper_mb=s.limits_mb[0], message_block_bytes=size,
         )
-        cells[f"update|{size}"] = Scenario(
-            scale=scale, pager="remote-update", n_memory_nodes=n_mem,
-            paper_mb=mb, message_block_bytes=size,
-        )
-    return cells
+        for size in BLOCK_SIZES_B
+        for group, pager in REMOTE_PAGERS.items()
+    }
 
 
 def _report_blocksize(scale: str, results: Results) -> tuple[str, dict]:
     """Vary the 4 KB message block of §5.1."""
-    s = SCALES[scale]
-    mb = s.limits_mb[0]
-    series: dict[str, dict[int, float]] = {"simple swapping": {}, "remote update": {}}
-    for size in BLOCK_SIZES_B:
-        series["simple swapping"][size] = _pass2_time(results[f"simple|{size}"])
-        series["remote update"][size] = _pass2_time(results[f"update|{size}"])
+    series = _series(results, _pass2_time)
     text = render_series(
         "message block [B]",
         series,
-        title=f"Ablation — message block size at limit {mb:g}MB",
+        title=f"Ablation — message block size at limit "
+        f"{SCALES[scale].limits_mb[0]:g}MB",
     )
-    return text, {k: dict(v) for k, v in series.items()}
+    return text, series
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +531,11 @@ def _report_blocksize(scale: str, results: Results) -> tuple[str, dict]:
 ELD_FRACTIONS = (0.0, 0.02, 0.1, 0.3)
 
 
-def _grid_eld(scale: str) -> "dict[str, Scenario]":
+def _grid_eld(scale: str) -> Grid:
     s = SCALES[scale]
     mb = s.limits_mb[1]
     return {
-        f"eld={frac:g}": Scenario(
+        ("remote update", frac): Scenario(
             scale=scale, pager="remote-update",
             n_memory_nodes=s.max_memory_nodes, paper_mb=mb, eld_fraction=frac,
         )
@@ -597,26 +546,24 @@ def _grid_eld(scale: str) -> "dict[str, Scenario]":
 def _report_eld(scale: str, results: Results) -> tuple[str, dict]:
     """The skew-handling extension the paper cites: duplicate the most
     frequent candidates everywhere, count them locally."""
-    s = SCALES[scale]
-    mb = s.limits_mb[1]
-    rows = []
-    data = {}
-    for frac in ELD_FRACTIONS:
-        p2 = results[f"eld={frac:g}"].pass_result(2)
-        rows.append(
+    (p2s,) = _series(results, _pass2).values()
+    text = render_table(
+        ["ELD fraction", "duplicated", "count messages", "pass 2 time [s]"],
+        [
             (f"{frac:g}", p2.n_duplicated, p2.count_messages, p2.duration_s)
-        )
-        data[frac] = {
+            for frac, p2 in p2s.items()
+        ],
+        title=f"Ablation — HPA-ELD duplication at limit "
+        f"{SCALES[scale].limits_mb[1]:g}MB",
+    )
+    return text, {
+        frac: {
             "duplicated": p2.n_duplicated,
             "count_messages": p2.count_messages,
             "time_s": p2.duration_s,
         }
-    text = render_table(
-        ["ELD fraction", "duplicated", "count messages", "pass 2 time [s]"],
-        rows,
-        title=f"Ablation — HPA-ELD duplication at limit {mb:g}MB",
-    )
-    return text, data
+        for frac, p2 in p2s.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +573,11 @@ def _report_eld(scale: str, results: Results) -> tuple[str, dict]:
 LOSS_PROBABILITIES = (0.0, 0.001, 0.01)
 
 
-def _grid_loss(scale: str) -> "dict[str, Scenario]":
+def _grid_loss(scale: str) -> Grid:
     s = SCALES[scale]
     mb = s.limits_mb[1]
     return {
-        f"loss={loss:g}": Scenario(
+        ("simple swapping", loss): Scenario(
             scale=scale, pager="remote", n_memory_nodes=s.max_memory_nodes,
             paper_mb=mb, loss_probability=loss,
         )
@@ -642,36 +589,30 @@ def _report_loss(scale: str, results: Results) -> tuple[str, dict]:
     """Extension: the cluster runs TCP over ATM's UBR class; quantify how
     segment loss (and the retransmission timeout it triggers) erodes the
     remote-memory advantage."""
-    s = SCALES[scale]
-    mb = s.limits_mb[1]
-    rows = []
-    data = {}
-    for loss in LOSS_PROBABILITIES:
-        p2 = results[f"loss={loss:g}"].pass_result(2)
-        rows.append((f"{loss:g}", p2.duration_s))
-        data[loss] = p2.duration_s
+    (times,) = _series(results, _pass2_time).values()
     text = render_table(
         ["loss probability", "pass 2 time [s]"],
-        rows,
-        title=f"Ablation — UBR segment loss at limit {mb:g}MB, simple swapping",
+        [(f"{loss:g}", t) for loss, t in times.items()],
+        title=f"Ablation — UBR segment loss at limit "
+        f"{SCALES[scale].limits_mb[1]:g}MB, simple swapping",
     )
-    return text, data
+    return text, times
 
 
 # ---------------------------------------------------------------------------
 # Baseline — NPA vs HPA under shrinking memory (§2.2's motivation)
 # ---------------------------------------------------------------------------
 
-def _grid_npa(scale: str) -> "dict[str, Scenario]":
+def _grid_npa(scale: str) -> Grid:
     s = SCALES[scale]
-    n_mem = s.max_memory_nodes
-    cells: "dict[str, Scenario]" = {}
+    cells: Grid = {}
     for driver in ("hpa", "npa"):
-        cells[f"{driver}|no limit"] = Scenario(driver=driver, scale=scale)
+        unlimited = Scenario(driver=driver, scale=scale)
+        cells[driver.upper(), "no limit"] = unlimited
         for mb in s.limits_mb:
-            cells[f"{driver}|{mb:g}MB"] = Scenario(
-                driver=driver, scale=scale, pager="remote-update",
-                n_memory_nodes=n_mem, paper_mb=mb,
+            cells[driver.upper(), f"{mb:g}MB"] = replace(
+                unlimited, pager="remote-update",
+                n_memory_nodes=s.max_memory_nodes, paper_mb=mb,
             )
     return cells
 
@@ -680,48 +621,38 @@ def _report_npa(scale: str, results: Results) -> tuple[str, dict]:
     """Quantify §2.2's claim that HPA "effectively utilizes the whole
     memory space of all the processors": NPA duplicates the candidate set
     on every node and collapses first as the per-node limit shrinks."""
-    s = SCALES[scale]
-    series: dict[str, dict[str, float]] = {"HPA": {}, "NPA": {}}
-    data: dict = {}
-    labels = ["no limit"] + [f"{mb:g}MB" for mb in s.limits_mb]
-    for label in labels:
-        hpa = results[f"hpa|{label}"]
-        npa = results[f"npa|{label}"]
-        series["HPA"][label] = hpa.pass_result(2).duration_s
-        series["NPA"][label] = npa.pass_result(2).duration_s
-        data[label] = {
-            "hpa_s": hpa.pass_result(2).duration_s,
-            "npa_s": npa.pass_result(2).duration_s,
-            "npa_swaps": max(npa.pass_result(2).swap_outs_per_node),
-            "hpa_swaps": max(hpa.pass_result(2).swap_outs_per_node),
-        }
+    p2s = _series(results, _pass2)
+    hpa, npa = p2s["HPA"], p2s["NPA"]
     text = render_series(
         "usage limit",
-        series,
+        _series(results, _pass2_time),
         title="Baseline — NPA (full duplication) vs HPA (hash partitioned), "
         "pass 2 time [s], remote update paging",
     )
-    return text, data
+    return text, {
+        label: {
+            "hpa_s": hpa[label].duration_s,
+            "npa_s": npa[label].duration_s,
+            "npa_swaps": max(npa[label].swap_outs_per_node),
+            "hpa_swaps": max(hpa[label].swap_outs_per_node),
+        }
+        for label in hpa
+    }
 
 
 # ---------------------------------------------------------------------------
 # Scaling — speedup with application nodes (paper §3.3's claim)
 # ---------------------------------------------------------------------------
 
-def _scaling_counts(scale: str) -> "list[int]":
-    s = SCALES[scale]
-    return [n for n in (1, 2, 4, 8) if n <= max(8, s.n_app_nodes)]
-
-
-def _grid_scaling(scale: str) -> "dict[str, Scenario]":
+def _grid_scaling(scale: str) -> Grid:
     s = SCALES[scale]
     return {
-        f"n={n}": Scenario(
+        ("no limit", n): Scenario(
             scale=scale,
             n_app_nodes=n,
             total_lines=(s.total_lines // n) * n or n,
         )
-        for n in _scaling_counts(scale)
+        for n in (1, 2, 4, 8)
     }
 
 
@@ -731,23 +662,17 @@ def _report_scaling(scale: str, results: Results) -> tuple[str, dict]:
     §3.3: "When the PC cluster using 100 PCs is employed for this
     problem, reasonably good performance improvement is [obtained]".
     """
-    s = SCALES[scale]
-    counts = _scaling_counts(scale)
-    times = {n: results[f"n={n}"].pass_result(2).duration_s for n in counts}
-    base = times[counts[0]]
-    rows = [
-        (n, times[n], base / times[n], (base / times[n]) / n)
-        for n in counts
-    ]
+    (times,) = _series(results, _pass2_time).values()
+    base = times[min(times)]
     text = render_table(
         ["nodes", "pass 2 time [s]", "speedup", "efficiency"],
-        rows,
-        title=f"Scaling — {s.workload}, no memory limit",
+        [(n, t, base / t, (base / t) / n) for n, t in times.items()],
+        title=f"Scaling — {SCALES[scale].workload}, no memory limit",
     )
-    return text, {"times": times, "speedup": {n: base / times[n] for n in counts}}
+    return text, {"times": times, "speedup": {n: base / t for n, t in times.items()}}
 
 
-def _empty_grid(scale: str) -> "dict[str, Scenario]":
+def _empty_grid(scale: str) -> Grid:
     """Grid of §5.2, which is arithmetic on the paper's constants."""
     return {}
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import atexit
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Hashable, Optional
 
 from repro.errors import HarnessError
 from repro.harness.sweep.spec import ExperimentReport, Sweep
@@ -62,7 +62,8 @@ __all__ = [
 class RunRecord:
     """How one grid cell was resolved."""
 
-    key: str
+    #: The grid's cell key (see :class:`~repro.harness.sweep.spec.Sweep`).
+    key: Hashable
     #: ``cached`` (either tier, or an earlier cell of the same content
     #: address), ``executed`` (in-process), or ``worker`` (executed by a
     #: pool process).
@@ -169,10 +170,10 @@ def _run_pool(
 
 def _resolve(
     sweep: Sweep,
-    cells: "dict[str, Scenario]",
+    cells: "dict[Hashable, Scenario]",
     jobs: int,
     records: "list[RunRecord]",
-) -> "dict[str, RunResult]":
+) -> "dict[Hashable, RunResult]":
     """Resolve ``cells`` to results, in grid-key order.
 
     One path for every ``jobs``: cells group by content address in grid
@@ -190,7 +191,7 @@ def _resolve(
     ahead = _run_pool(firsts, jobs) if jobs > 1 else {}
 
     by_address: "dict[str, RunResult]" = {}
-    results: "dict[str, RunResult]" = {}
+    results: "dict[Hashable, RunResult]" = {}
     for key, scenario in cells.items():
         ck = addresses[key]
         if ck not in by_address:

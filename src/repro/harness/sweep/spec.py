@@ -2,10 +2,11 @@
 
 A :class:`Sweep` is one paper experiment and the only declaration of
 its identity: id, title and the shape the paper states.  Its ``grid``
-maps a scale name to an ordered ``{key: Scenario}`` dict — pure data,
-no execution — and its ``report`` folds ``(scale, {key: RunResult})``
-into the artifact's ``(text, data)``, which the engine stamps
-with that identity as an :class:`ExperimentReport`.  A sweep with a
+maps a scale name to an ordered ``{cell key: Scenario}`` dict — pure
+data, no execution; a cell key is any hashable, usually the cell's
+series position ``(group, x)`` — and its ``report`` folds ``(scale,
+{cell key: RunResult})`` into the artifact's ``(text, data)``, which
+the engine stamps with that identity as an :class:`ExperimentReport`.  A sweep with a
 :class:`Fold` also appears in the multi-seed statistical report.
 Experiments whose later configurations depend on earlier results
 (Figure 5 schedules shortages *inside* the measured pass of a base run)
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional
 
 from repro.errors import HarnessError
 
@@ -75,12 +76,14 @@ class ExperimentReport:
         )
 
 
-#: Stage 1: scale name -> ordered {key: Scenario}.
-GridFn = Callable[[str], "dict[str, Scenario]"]
+#: Stage 1: scale name -> ordered {cell key: Scenario}.
+GridFn = Callable[[str], "dict[Hashable, Scenario]"]
 #: Stage 2 (optional): (scale, stage-1 results) -> more scenarios.
-FollowupFn = Callable[[str, "Mapping[str, RunResult]"], "dict[str, Scenario]"]
+FollowupFn = Callable[
+    [str, "Mapping[Hashable, RunResult]"], "dict[Hashable, Scenario]"
+]
 #: Aggregation: (scale, all results) -> (text, data).
-ReportFn = Callable[[str, "Mapping[str, RunResult]"], "tuple[str, dict]"]
+ReportFn = Callable[[str, "Mapping[Hashable, RunResult]"], "tuple[str, dict]"]
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ class Sweep:
 
     def scenarios(
         self, scale: str, seed: Optional[int] = None
-    ) -> "dict[str, Scenario]":
+    ) -> "dict[Hashable, Scenario]":
         """The stage-1 grid, validated (keys unique and non-empty).
 
         ``seed`` re-seeds every cell (the multi-seed report axis):

@@ -37,12 +37,6 @@ def test_faster_than_baseline_rejected():
         pagefault_row("x", 10.0, 50.0, 100)
 
 
-def test_formatted_row_contains_fields():
-    row = pagefault_row("13MB", 4674.0, 247.0, 1_896_226)
-    s = row.formatted()
-    assert "13MB" in s and "1896226" in s and "2.33" in s
-
-
 def test_disk_comparison_rows():
     rows = disk_comparison()
     assert rows[0].device.startswith("remote memory")

@@ -12,7 +12,6 @@ from repro.analysis.report import (
     EXIT_REGRESSION,
     ArtifactStats,
     CellStats,
-    DiffPolicy,
     ExperimentResults,
     compare_payloads,
     render_html,
@@ -231,23 +230,18 @@ def test_diff_verdict_ladder():
     payload = _payload([_artifact([
         _cell("disk", 16, [4.0, 4.1, 4.2]),
     ])])
-    policy = DiffPolicy(tolerance=0.05, alpha=0.05, fail_factor=3.0)
     # Within tolerance: pass.
-    assert compare_payloads(
-        payload, _perturbed(payload, 1.04), policy
-    ).worst == "pass"
+    assert compare_payloads(payload, _perturbed(payload, 1.04)).worst == "pass"
     # Better by more than tolerance: improved, still exit 0.
-    improved = compare_payloads(payload, _perturbed(payload, 0.90), policy)
+    improved = compare_payloads(payload, _perturbed(payload, 0.90))
     assert improved.worst == "improved"
     assert improved.exit_code == EXIT_PASS
     # Worse but below the hard cap and not significant at n=3: drift.
-    drift = compare_payloads(payload, _perturbed(payload, 1.08), policy)
+    drift = compare_payloads(payload, _perturbed(payload, 1.08))
     assert drift.worst == "drift"
     assert drift.exit_code == EXIT_DRIFT
     # Past tolerance * fail_factor: regression via the magnitude cap.
-    regression = compare_payloads(
-        payload, _perturbed(payload, 1.40), policy
-    )
+    regression = compare_payloads(payload, _perturbed(payload, 1.40))
     assert regression.worst == "regression"
     assert regression.exit_code == EXIT_REGRESSION
     assert "REGRESSION" in regression.render_text()
@@ -330,12 +324,12 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
     cur = tmp_path / "cur.json"
 
     cur.write_text(json.dumps(copy.deepcopy(payload)))
-    assert main(["diff", str(base), "--current", str(cur)]) == EXIT_PASS
+    assert main(["diff", str(base), str(cur)]) == EXIT_PASS
 
     cur.write_text(json.dumps(_perturbed(payload, 1.08)))
     out_json = tmp_path / "verdict.json"
     rc = main([
-        "diff", str(base), "--current", str(cur),
+        "diff", str(base), str(cur),
         "--json", str(out_json),
     ])
     assert rc == EXIT_DRIFT
@@ -345,11 +339,11 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
 
     cur.write_text(json.dumps(_perturbed(payload, 1.40)))
     assert main(
-        ["diff", str(base), "--current", str(cur)]
+        ["diff", str(base), str(cur)]
     ) == EXIT_REGRESSION
 
     cur.write_text(json.dumps({"format": 99}))
-    assert main(["diff", str(base), "--current", str(cur)]) == 2
+    assert main(["diff", str(base), str(cur)]) == 2
     capsys.readouterr()  # drain
 
 
@@ -367,8 +361,8 @@ def test_cli_diff_malformed_payload_is_a_usage_error(tmp_path, capsys, malformed
     ])])))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(malformed))
-    assert main(["diff", str(base), "--current", str(bad)]) == 2
-    assert main(["diff", str(bad), "--current", str(base)]) == 2
+    assert main(["diff", str(base), str(bad)]) == 2
+    assert main(["diff", str(bad), str(base)]) == 2
     assert "payload" in capsys.readouterr().err
 
 
@@ -386,7 +380,7 @@ def test_cli_diff_only_restricts_both_payloads(tmp_path, capsys):
     base.write_text(json.dumps(_payload([fig4, table3])))
     cur = tmp_path / "cur.json"
     cur.write_text(json.dumps(_payload([fig4])))
-    argv = ["diff", str(base), "--current", str(cur)]
+    argv = ["diff", str(base), str(cur)]
     assert main(argv) == EXIT_REGRESSION
     capsys.readouterr()
     assert main(argv + ["--only", "fig4"]) == EXIT_PASS

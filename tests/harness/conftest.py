@@ -37,7 +37,7 @@ def sweep_reports(tmp_path_factory):
         clear_cache()
         with result_store_session(path):
             # The scale's own seed is "no override", as in
-            # ``ExperimentResults._outcome``: default-seed cells.
+            # ``ExperimentResults._fold``: default-seed cells.
             reports = {
                 (name, seed): run_sweep_outcome(
                     sweep, scale,

@@ -80,7 +80,7 @@ def test_flag_surface_is_pinned():
         "store": set(),
         "gc": set(),
         "report": executing | {"--seeds", "--only", "--out"},
-        "diff": executing | {"--seeds", "--only", "--current", "--json"},
+        "diff": {"--only", "--json"},
         "trace": {"--histogram"},
     }
 
@@ -128,6 +128,7 @@ def test_retired_flags_are_rejected(parser, flag):
     ["run"],
     ["diff"],
     ["trace"],
+    ["diff", "b.json"],  # the current payload file is required
 ])
 def test_options_belong_to_their_subcommand(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Tests for the declarative sweep engine (spec, executor, resume)."""
 
+import hashlib
 import os
 import pathlib
 import re
@@ -291,22 +292,92 @@ def test_harness_events_carry_typed_fields_not_detail():
 
 # -- one walk from a sweep to its report -----------------------------------
 
-#: sha256 of ``report.to_json()`` at the tiny scale's own seed:
+#: sha256 of every sweep's ``report.to_json()`` and ``str(report)`` (the
+#: text ``repro-bench run`` prints) at the tiny scale's own seed:
 #: default-seed bytes must not move.
-_DEFAULT_SEED_JSON = {
-    "table2": "26cdee6fcdbf362c2e8c9d3298042832c98a86facf59ecb9d10669c87e180b2f",
-    "table3": "c7044a24b015708159057bf65a99f9d121d878a200b5463ca1bc20ce84bf7989",
+_DEFAULT_SEED_DIGESTS = {
+    "table2": (
+        "26cdee6fcdbf362c2e8c9d3298042832c98a86facf59ecb9d10669c87e180b2f",
+        "de9c557eb1c5010dd12e27012eb195da55c21cd506d201ac33c5b6745f8986ba",
+    ),
+    "table3": (
+        "c7044a24b015708159057bf65a99f9d121d878a200b5463ca1bc20ce84bf7989",
+        "756f2f443cc61ad1ad2d6bf9d5d24aed3fbfbfae83ab810b02c2f5e3d2a80805",
+    ),
+    "table4": (
+        "bcb7b07ae94c428b4b62f4752cb3c7b09f6fc9739fe3117b6116ad3f3e420961",
+        "e53ff67f50d5bbb74d5769b338d95d93ea23c603b3da2298622e7474fc412330",
+    ),
+    "fig3": (
+        "6f17ebfd96d389abc397a1f03ffd18efde6f97d8960febf2e28334719d286449",
+        "88163c521e43c362e8f64a27e73c257fdd5c494a0e5fe6f2a64b274bf020f249",
+    ),
+    "fig4": (
+        "4be4233b2cd1027c37f549ba43a284848ebb9977cae86ad96a9ac796ba8c9623",
+        "ece4e126026f188f8a3329051ce4d2f96d5cd2052576ec069d0cd090563ece9c",
+    ),
+    "fig5": (
+        "c81dff90e77d2e914eb247622070150baadf4e3fdd1becd9f4987c4d4cb7ce5d",
+        "37fbeeb72a154f1c9d6fdba4b202f855a1ccd06d5ecd5b1e16f0a355b64aeb1f",
+    ),
+    "disk": (
+        "b0c18596e9c55a06e8e68850d6eb073aa6f7839a1a48e5b454fed49eeb610080",
+        "2f01b620790a93633d7d215cf066e043730c7fdb179d8a02ddcc7a322049891b",
+    ),
+    "monitor": (
+        "255016b8c06a38b96bcf829ad02fabab82456f602c92f031ae39dbe108f5987a",
+        "0b2fbf9800eae202c0bca9dfc6e0575cac274b8db9ba362f15dd1259827fe48c",
+    ),
+    "policy": (
+        "957a7602b18cc70edb2381b1bb3cc68599ceb6a0c65660f8a526c03cd2355fe4",
+        "817057407699e1d5a491dd3cab5650b5bcfc84e7175ea96788ca90b26f73fa87",
+    ),
+    "churn": (
+        "e5dbd01e5a5c6c5dcd4ea7a64dbe4ba8af8e0b1b367c3fb06a0919ac9eb729e6",
+        "b532a750313267076587da3339505302cf945b54f9e20b8930ede4b1f0b3b8ec",
+    ),
+    "blocksize": (
+        "3dde358b3cc5d7f6e01e72770015941c1e399f5bd19a03f0ce12027f8f8901ac",
+        "066189cc622376dfce97d3e4067c49d19c83e30e42f4e20cc3cec0a2d3190b33",
+    ),
+    "eld": (
+        "d5b0643f952f797c9eb118c5f07a2d5d1e6f67be974c136b1d6eafc9700a5b5e",
+        "df5fa7874b6c36c5fdb6ec1fd1c61d18534c600badd1bbd847022272dcf40cd6",
+    ),
+    "loss": (
+        "0a487ea0ca582bb33fb1f435c4c1fc05799d7d7a82833d0e3e6d0eab5c9239db",
+        "b8c04c14b23565455330a8da689d5ba26a2b5c247616715db861124acd18ae58",
+    ),
+    "scaling": (
+        "fd98576f839bc2ecf34485efffa3b15e65fc9e3723ba83234e19bc5ddcc70532",
+        "30dc3bb550d73f64acf5f24d78f6d7eedde44bd715c92576705a45b85dbf33e2",
+    ),
+    "npa": (
+        "c2f8da208ccfb41aecb63fc69254b6e6da8c0769c2ad372b374ee79fe382691d",
+        "96b0ae1df1bab19957d05e17987f67c6be6ac26e1276a9dde671c7e46e87d1de",
+    ),
 }
 
 
-@pytest.mark.parametrize("name", ["table2", "table3"])
-def test_workload_tables_report_the_seed_asked_for(name):
-    import hashlib
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
-    default = run_sweep_outcome(ALL_SWEEPS[name], "tiny").report
+
+def _default_seed_report(sweep_reports, name):
+    return sweep_reports("tiny").reports[name, claim_seeds("tiny")[0]]
+
+
+@pytest.mark.parametrize("name", list(ALL_SWEEPS))
+def test_default_seed_report_bytes_are_pinned(name, sweep_reports):
+    report = _default_seed_report(sweep_reports, name)
+    digests = (_sha256(report.to_json()), _sha256(str(report)))
+    assert digests == _DEFAULT_SEED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["table2", "table3"])
+def test_workload_tables_report_the_seed_asked_for(name, sweep_reports):
+    default = _default_seed_report(sweep_reports, name)
     seeded = run_sweep_outcome(ALL_SWEEPS[name], "tiny", seed=7).report
-    digest = hashlib.sha256(default.to_json().encode()).hexdigest()
-    assert digest == _DEFAULT_SEED_JSON[name]
     assert seeded.to_json() != default.to_json()
 
 
