@@ -27,7 +27,7 @@ Public API tour:
 from repro._version import __version__
 from repro.datagen import QuestParams, TransactionDatabase, generate
 from repro.mining import AprioriResult, Rule, apriori, derive_rules
-from repro.mining.hpa import HPAConfig, HPAResult, HPARun, run_hpa
+from repro.mining.hpa import HPAConfig, HPARun, run_hpa
 from repro.obs import Telemetry, telemetry_session
 from repro.runtime import (
     ClusterRuntime,
@@ -48,7 +48,6 @@ __all__ = [
     "derive_rules",
     "Rule",
     "HPAConfig",
-    "HPAResult",
     "HPARun",
     "run_hpa",
     "RunConfig",

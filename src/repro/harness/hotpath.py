@@ -12,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.mining.hpa import HPAResult
+from repro.runtime.results import RunResult
 
 __all__ = ["result_hash"]
 
 
-def result_hash(res: HPAResult) -> str:
+def result_hash(res: RunResult) -> str:
     """Digest of every kernel-invariant quantity of a run.
 
     Covers the mined itemsets with exact support counts plus, per pass,

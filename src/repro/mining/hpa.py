@@ -24,10 +24,12 @@ under every pager/limit configuration; only the virtual clock differs.
 That property is what the integration tests pin against sequential
 Apriori.
 
-Cluster bring-up, the pass loop, pass 1, and the telemetry surface live
-in :class:`~repro.runtime.driver.MiningDriver`; this module contains
-only what is HPA-specific: hash-partitioned candidate placement, the
-sender/receiver counting phase, and the determination broadcast.
+Cluster bring-up, the pass loop, pass 1, the candidate pass itself
+(phases, barriers, spans, pager deltas) and the telemetry surface live
+in :class:`~repro.runtime.driver.MiningDriver`; this module supplies
+only its three hooks: hash-partitioned candidate placement (``_place``),
+the sender/receiver counting processes (``_counting``) and the
+determination broadcast with the ELD all-reduce (``_determine``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from typing import Generator
 import numpy as np
 
 from repro.datagen.corpus import TransactionDatabase
-from repro.mining.candidates import generate_candidates
 from repro.mining.hash_table import CandidateHashTable
 from repro.mining.itemsets import ITEMSET_BYTES
 from repro.mining.kernels import (
@@ -50,17 +51,14 @@ from repro.mining.kernels import (
 from repro.mining.partition import HashPartitioner
 from repro.runtime.config import RunConfig
 from repro.runtime.driver import MiningDriver, SendWindow
-from repro.runtime.results import PassResult, RunResult
+from repro.runtime.results import RunResult
 
-__all__ = ["HPAConfig", "HPAResult", "HPARun", "run_hpa"]
+__all__ = ["HPAConfig", "HPARun", "run_hpa"]
 
 #: Sentinel payload closing one sender->receiver stream.
 _EOF = "__eof__"
 
 _NO_CODES = np.empty(0, dtype=np.int64)
-
-#: Historical alias — the result type is driver-independent now.
-HPAResult = RunResult
 
 
 @dataclass(frozen=True)
@@ -82,21 +80,17 @@ class HPARun(MiningDriver):
     def __init__(self, db: TransactionDatabase, config: HPAConfig) -> None:
         super().__init__(db, config)
         self.partitioner = HashPartitioner(config.total_lines, config.n_app_nodes)
+        # The current pass's shared table and its duplicated (ELD) codes
+        # with their folded counts, set by :meth:`_place`.
+        self._table = CandidateHashTable(_NO_CODES)
+        self._dup = self._dup_counts = _NO_CODES
 
-    # -- orchestration ---------------------------------------------------------
+    # -- the driver hooks ------------------------------------------------------
 
-    def _run_pass(
-        self, k: int, prev_rows: np.ndarray, prev_counts: np.ndarray
-    ) -> Generator:
+    def _place(
+        self, candidates: np.ndarray, prev_rows: np.ndarray, prev_counts: np.ndarray
+    ) -> tuple[np.ndarray, list[int], int, int]:
         cfg = self.config
-        t0 = self.env.now
-        self._trace_phase(f"pass {k} start")
-
-        # Generate the candidate set once (every node computes it in the
-        # real system; we charge each node's CPU but share the rows).
-        candidates = generate_candidates(prev_rows, k)
-        n_cand = len(candidates)
-
         # Routing is resolved once per pass, as arrays aligned with the
         # candidate rows; the counting phase never re-hashes per occurrence.
         lines = self.partitioner.lines_of(candidates)
@@ -107,108 +101,48 @@ class HPARun(MiningDriver):
         # routed, removing the heaviest share of itemset traffic.  Ties
         # rank by code, as a stable descending sort leaves them.
         dup = _NO_CODES
-        n_dup = int(cfg.eld_fraction * n_cand)
+        n_dup = int(cfg.eld_fraction * len(candidates))
         if n_dup:
             scores = eld_scores(candidates, prev_rows, prev_counts)
             dup = np.sort(np.argsort(-scores, kind="stable")[:n_dup])
             lines[dup] = -1
             owners[dup] = OWNER_DUPLICATED
+        self._dup = dup
         # Every node's duplicated-candidate occurrences fold into this one
         # array, aligned with ``dup``: the all-reduce that sums them is
         # modelled in time only.
-        dup_counts = np.zeros(n_dup, dtype=np.int64)
+        self._dup_counts = np.zeros(n_dup, dtype=np.int64)
 
         routed = owners != OWNER_DUPLICATED
-        per_node_cands = np.bincount(
-            owners[routed], minlength=cfg.n_app_nodes
-        ).tolist()
-
-        stats_before = [self._pager_snapshot(a) for a in self.app_ids]
+        per_node_cands = np.bincount(owners[routed], minlength=cfg.n_app_nodes)
 
         # One table for the pass: a routed code has exactly one owner.
-        table = CandidateHashTable(lines)
+        self._table = CandidateHashTable(lines)
         for a in self.app_ids:
             self.managers[a].begin_pass(
-                table, np.flatnonzero(owners == a), self.partitioner.lines_of_node(a)
+                self._table, np.flatnonzero(owners == a),
+                self.partitioner.lines_of_node(a),
             )
+        return owners, per_node_cands.tolist(), n_dup, n_dup
 
-        # Phase 1: candidate generation + insertion.
-        yield from self._barrier(
-            [self._candgen_node(a, n_cand, n_dup) for a in self.app_ids]
-        )
-        t_candgen = self.env.now
-        self._trace_phase(f"pass {k} candidates generated")
-        self._span(f"pass{k}/candgen", t0, t_candgen)
-
-        if not n_cand:
-            self._span(f"pass{k}", t0, self.env.now)
-            return (
-                PassResult(
-                    k=k,
-                    n_candidates=0,
-                    per_node_candidates=per_node_cands,
-                    n_large=0,
-                    start_time=t0,
-                    end_time=self.env.now,
-                    candgen_time_s=t_candgen - t0,
-                ),
-                (candidates, _NO_CODES),
-            )
-
-        # Phase 2: counting.
-        kernel = CountingKernel(self.db.n_items, candidates, owners)
-        counting = []
+    def _counting(self, kernel: CountingKernel) -> list[Generator]:
+        counting: list[Generator] = []
         for a in self.app_ids:
             counting.append(self._receiver_node(a, kernel))
-            counting.append(self._sender_node(a, kernel, dup, dup_counts))
-        outcomes = yield from self._barrier(counting)
-        n_count_messages = sum(v for v in outcomes if isinstance(v, int))
-        # Settle outstanding update messages before reading counts.
-        yield from self._barrier([self.managers[a].drain() for a in self.app_ids])
-        t_count = self.env.now
-        self._trace_phase(f"pass {k} counting done")
-        self._span(f"pass{k}/counting", t_candgen, t_count)
+            counting.append(self._sender_node(a, kernel, self._dup, self._dup_counts))
+        return counting
 
-        # Phase 3: determination (+ the ELD all-reduce of duplicated
-        # candidates' partial counts, when the variant is enabled).
+    def _determine(self) -> Generator:
+        """Every node's determination, then the ELD all-reduce of the
+        duplicated candidates' partial counts when the variant is on."""
         yield from self._barrier([self._determine_node(a) for a in self.app_ids])
-        counts = table.counts
-        if n_dup:
-            yield from self._all_reduce(n_dup, "eldgather", "eldlarge")
-            counts[dup] = dup_counts  # no node's table holds these codes
-        large = np.flatnonzero(counts >= self.minsup_count)
-
-        return (
-            self._finish_pass(
-                k,
-                t0,
-                t_candgen,
-                t_count,
-                stats_before,
-                n_candidates=n_cand,
-                per_node_candidates=per_node_cands,
-                n_large=len(large),
-                n_duplicated=n_dup,
-                count_messages=n_count_messages,
-            ),
-            (candidates[large], counts[large]),
-        )
+        counts = self._table.counts
+        if self._dup.size:
+            yield from self._all_reduce(self._dup.size, "eldgather", "eldlarge")
+            counts[self._dup] = self._dup_counts  # no node's table holds these
+        return counts
 
     # -- per-node phase processes ----------------------------------------------
-
-    def _candgen_node(self, a: int, n_candidates: int, n_duplicated: int) -> Generator:
-        """Generate all candidates (CPU), insert the owned ones.
-
-        Duplicated (ELD) candidates live outside the hash table but their
-        footprint still counts against the node's memory-usage limit.
-        """
-        mgr = self.managers[a]
-        mgr.pinned_bytes = ITEMSET_BYTES * n_duplicated
-        if n_candidates:
-            yield from self.cluster[a].compute(
-                self.config.cost.cpu_candgen_per_candidate_s * n_candidates
-            )
-        yield from self._insert_candidates(a, mgr.owned)
 
     def _sender_node(
         self, a: int, kernel: CountingKernel, dup: np.ndarray, dup_counts: np.ndarray
@@ -293,11 +227,7 @@ class HPARun(MiningDriver):
         # FIFO makes this ordering a guarantee, so the model enforces it
         # rather than inheriting it from event-queue insertion order.
         yield from window.drain()
-        for b in dests:
-            yield from window.post(
-                self.cluster.transport.send(a, b, "count", _EOF, 16)
-            )
-        yield from window.drain()
+        yield from self._broadcast(a, dests, "count", 16, _EOF)
         kernel.apply_local_pairs(mgr, local_codes)
         if dup.size and dup_codes:
             seen = np.searchsorted(dup, np.concatenate(dup_codes))
@@ -334,27 +264,16 @@ class HPARun(MiningDriver):
     def _determine_node(self, a: int) -> Generator:
         """Find the locally large itemsets and broadcast them (the
         driver reads L_k off the shared table)."""
-        node = self.cluster[a]
         mgr = self.managers[a]
-        cost = self.config.cost
         n_scanned = yield from mgr.iter_all_lines()
         n_large = np.count_nonzero(mgr.table.counts[mgr.owned] >= self.minsup_count)
         if n_scanned:
-            yield from node.compute(cost.cpu_determine_per_itemset_s * n_scanned)
-        # Broadcast local large itemsets to the other application nodes.
-        window = SendWindow(self.env)
-        payload_bytes = max(16, ITEMSET_BYTES * int(n_large))
-        for b in self.app_ids:
-            if b == a:
-                continue
-            yield from window.post(
-                self.cluster.transport.send(a, b, "large", None, payload_bytes)
+            yield from self.cluster[a].compute(
+                self.config.cost.cpu_determine_per_itemset_s * n_scanned
             )
-        yield from window.drain()
-        for _ in range(len(self.app_ids) - 1):
-            yield self.cluster.transport.recv(a, "large")
+        yield from self._exchange(a, "large", max(16, ITEMSET_BYTES * int(n_large)))
 
 
-def run_hpa(db: TransactionDatabase, config: HPAConfig) -> HPAResult:
+def run_hpa(db: TransactionDatabase, config: HPAConfig) -> RunResult:
     """Convenience wrapper: build an :class:`HPARun` and execute it."""
     return HPARun(db, config).run()

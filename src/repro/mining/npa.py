@@ -10,11 +10,11 @@ processors", §2.2).  Under a per-node memory-usage limit this is
 exactly the regime where the remote-memory machinery earns its keep, so
 NPA doubles as the stress baseline for the swap manager.
 
-The swap manager, pagers, monitors and migration mechanism are shared
-with HPA unchanged (both drivers build on
-:class:`~repro.runtime.driver.MiningDriver`); NPA differs only in
-candidate placement (everyone owns every line) and in its
-counting/reduction phases.
+The swap manager, pagers, monitors, migration mechanism and the
+candidate pass itself are shared with HPA unchanged (both drivers build
+on :class:`~repro.runtime.driver.MiningDriver`); NPA supplies only the
+pass's three hooks: candidate placement (everyone owns every line),
+purely local counting, and the all-reduce of the full count tables.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ import numpy as np
 
 from repro.datagen.corpus import TransactionDatabase
 from repro.errors import ConfigError
-from repro.mining.candidates import generate_candidates
 from repro.mining.hash_table import CandidateHashTable
 from repro.mining.hpa import HPAConfig
 from repro.mining.kernels import CountingKernel
 from repro.mining.partition import HashPartitioner
 from repro.runtime.driver import MiningDriver
-from repro.runtime.results import PassResult, RunResult
+from repro.runtime.results import RunResult
 
 __all__ = ["NPAConfig", "NPARun", "run_npa"]
 
@@ -60,84 +59,44 @@ class NPARun(MiningDriver):
         # One owner: every node holds every line, only the line matters.
         self.partitioner = HashPartitioner(config.total_lines, 1)
 
-    # -- orchestration ---------------------------------------------------------
+    # -- the driver hooks ------------------------------------------------------
 
-    def _run_pass(
-        self, k: int, prev_rows: np.ndarray, prev_counts: np.ndarray
-    ) -> Generator:
-        cfg = self.config
-        t0 = self.env.now
-        self._trace_phase(f"pass {k} start")
-        candidates = generate_candidates(prev_rows, k)
+    def _place(
+        self, candidates: np.ndarray, prev_rows: np.ndarray, prev_counts: np.ndarray
+    ) -> tuple[np.ndarray, list[int], int, int]:
+        # Every node holds (and counts into) its own copy of the table:
+        # EVERY node inserts EVERY candidate (the defining cost).
         lines = self.partitioner.lines_of(candidates)
-
-        stats_before = [self._pager_snapshot(a) for a in self.app_ids]
-
-        # Every node holds (and counts into) its own copy of the table.
         everything = np.arange(len(candidates))
         held = self.partitioner.lines_of_node(0)
         for a in self.app_ids:
             self.managers[a].begin_pass(CandidateHashTable(lines), everything, held)
+        # Every candidate is owned by "node 0" of the one-owner
+        # partitioner, i.e. by whoever counts it; the full set is
+        # duplicated everywhere, and none is pinned outside the tables.
+        n = len(candidates)
+        return np.zeros_like(lines), [n] * self.config.n_app_nodes, n, 0
 
-        # Phase 1: EVERY node inserts EVERY candidate (the defining cost).
-        yield from self._barrier([self._candgen_node(a) for a in self.app_ids])
-        t_candgen = self.env.now
-        self._trace_phase(f"pass {k} candidates generated")
-        self._span(f"pass{k}/candgen", t0, t_candgen)
+    def _counting(self, kernel: CountingKernel) -> list[Generator]:
+        return [self._count_node(a, kernel) for a in self.app_ids]
 
-        if not len(candidates):
-            self._span(f"pass{k}", t0, self.env.now)
-            return (
-                PassResult(
-                    k=k, n_candidates=0,
-                    per_node_candidates=[0] * cfg.n_app_nodes, n_large=0,
-                    start_time=t0, end_time=self.env.now,
-                    candgen_time_s=t_candgen - t0,
-                ),
-                (candidates, np.empty(0, dtype=np.int64)),
-            )
+    def _determine(self) -> Generator:
+        """All-reduce every node's full count table.
 
-        # Phase 2: purely local counting (every candidate owned by "node 0"
-        # of the one-owner partitioner, i.e. by whoever counts it).
-        kernel = CountingKernel(self.db.n_items, candidates, np.zeros_like(lines))
-        yield from self._barrier(
-            [self._count_node(a, kernel) for a in self.app_ids]
-        )
-        yield from self._barrier([self.managers[a].drain() for a in self.app_ids])
-        t_count = self.env.now
-        self._trace_phase(f"pass {k} counting done")
-        self._span(f"pass{k}/counting", t_candgen, t_count)
-
-        # Phase 3: global reduction of the full count tables.
-        merged = yield from self._reduce(len(candidates))
-        large = np.flatnonzero(merged >= self.minsup_count)
-
-        return (
-            self._finish_pass(
-                k,
-                t0,
-                t_candgen,
-                t_count,
-                stats_before,
-                n_candidates=len(candidates),
-                # NPA duplicates the full set everywhere.
-                per_node_candidates=[len(candidates)] * cfg.n_app_nodes,
-                n_large=len(large),
-                n_duplicated=len(candidates),
-                count_messages=0,
-            ),
-            (candidates[large], merged[large]),
-        )
+        The table is large (28 B per candidate), which is NPA's second
+        structural cost next to the duplicated memory.
+        """
+        n_candidates = self.managers[self.app_ids[0]].table.counts.size
+        yield from self._all_reduce(n_candidates, "npa-reduce", "npa-large")
+        # The actual merge (the messages above carried the timing).
+        merged = np.zeros(n_candidates, dtype=np.int64)
+        for a in self.app_ids:
+            mgr = self.managers[a]
+            yield from mgr.iter_all_lines()
+            merged += mgr.table.counts
+        return merged
 
     # -- per-node phases ----------------------------------------------------
-
-    def _candgen_node(self, a: int) -> Generator:
-        codes = self.managers[a].owned
-        if codes.size:
-            yield from self.cluster[a].compute(
-                self.config.cost.cpu_candgen_per_candidate_s * codes.size
-            )
-        yield from self._insert_candidates(a, codes)
 
     def _count_node(self, a: int, kernel: CountingKernel) -> Generator:
         """The HPA sender's loop with nothing remote: every occurrence of
@@ -163,21 +122,6 @@ class NPARun(MiningDriver):
                     * counted
                 )
         kernel.apply_local_pairs(mgr, pending)
-
-    def _reduce(self, n_candidates: int) -> Generator:
-        """All-reduce every node's full count table.
-
-        The table is large (28 B per candidate), which is NPA's second
-        structural cost next to the duplicated memory.
-        """
-        yield from self._all_reduce(n_candidates, "npa-reduce", "npa-large")
-        # The actual merge (the messages above carried the timing).
-        merged = np.zeros(n_candidates, dtype=np.int64)
-        for a in self.app_ids:
-            mgr = self.managers[a]
-            yield from mgr.iter_all_lines()
-            merged += mgr.table.counts
-        return merged
 
 
 def run_npa(db: TransactionDatabase, config: NPAConfig) -> RunResult:

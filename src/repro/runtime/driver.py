@@ -1,16 +1,16 @@
 """MiningDriver: the execution scaffolding shared by HPA and NPA.
 
-Both parallel Apriori drivers are the *same program* outside their
-counting strategy: build a cluster runtime, run pass 1 (local item
-counts + all-to-all count-vector exchange), then iterate candidate
-passes until no large itemsets remain, collecting per-pass pager deltas
-and reporting through the telemetry bus.  This base class owns all of
-that; a driver subclass supplies ``driver_name``, ``pass1_channel``,
-and ``_run_pass`` (plus its own per-node counting processes).
-
-Historically NPA borrowed HPA's telemetry methods by class-attribute
-assignment; inheritance replaces that hack with an actual shared
-surface.
+Both parallel Apriori drivers are the *same program* outside where the
+candidates live and how their counts are combined: build a cluster
+runtime, run pass 1 (local item counts + all-to-all count-vector
+exchange), then iterate candidate passes until no large itemsets
+remain.  Every candidate pass is :meth:`MiningDriver._run_pass` —
+candidate generation, counting and determination, each behind a
+barrier, with its phase marks, spans and per-node pager deltas.  A
+driver subclass supplies ``driver_name``, ``pass1_channel`` and three
+hooks: ``_place`` (attach each node's candidates), ``_counting`` (the
+per-node counting processes) and ``_determine`` (the reduction to one
+support count per candidate).
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import numpy as np
 
 from repro.cluster.dynamics import scripted_shortage
 from repro.errors import MiningError
-from repro.mining.itemsets import Itemset, itemset_tuples
+from repro.mining.candidates import generate_candidates
+from repro.mining.itemsets import ITEMSET_BYTES, Itemset, itemset_tuples
+from repro.mining.kernels import CountingKernel
 from repro.obs import Telemetry, current_telemetry
 from repro.obs.telemetry import run_meta
 from repro.runtime.builder import ClusterRuntime, build_runtime
@@ -42,6 +44,8 @@ CPU_CHUNK = 512
 #: Asynchronous sends one process keeps in flight before it waits for
 #: the oldest to complete.
 SEND_WINDOW = 4
+
+_NO_CODES = np.empty(0, dtype=np.int64)
 
 
 class SendWindow:
@@ -236,11 +240,102 @@ class MiningDriver:
         self, k: int, prev_rows: np.ndarray, prev_counts: np.ndarray
     ) -> Generator:
         """Run one candidate pass over L_{k-1} (lex-sorted rows and their
-        supports); returns ``(PassResult, (rows, counts))`` of L_k.
+        supports); returns ``(PassResult, (rows, counts))`` of L_k."""
+        t0 = self.env.now
+        self._trace_phase(f"pass {k} start")
 
-        The counting strategy — candidate placement, communication,
-        reduction — is the whole difference between drivers.
-        """
+        # Generate the candidate set once (every node computes it in the
+        # real system; we charge each node's CPU but share the rows).
+        candidates = generate_candidates(prev_rows, k)
+        n_cand = len(candidates)
+        stats_before = [self._pager_snapshot(a) for a in self.app_ids]
+        owners, per_node_cands, n_dup, n_pinned = self._place(
+            candidates, prev_rows, prev_counts
+        )
+
+        # Phase 1: candidate generation + insertion.
+        yield from self._barrier(
+            [self._candgen_node(a, n_cand, n_pinned) for a in self.app_ids]
+        )
+        t_candgen = self.env.now
+        self._trace_phase(f"pass {k} candidates generated")
+        self._span(f"pass{k}/candgen", t0, t_candgen)
+
+        if not n_cand:
+            self._span(f"pass{k}", t0, t_candgen)
+            return (
+                PassResult(
+                    k=k,
+                    n_candidates=0,
+                    per_node_candidates=per_node_cands,
+                    n_large=0,
+                    start_time=t0,
+                    end_time=t_candgen,
+                    candgen_time_s=t_candgen - t0,
+                ),
+                (candidates, _NO_CODES),
+            )
+
+        # Phase 2: counting.
+        kernel = CountingKernel(self.db.n_items, candidates, owners)
+        outcomes = yield from self._barrier(self._counting(kernel))
+        n_count_messages = sum(v for v in outcomes if isinstance(v, int))
+        # Settle outstanding update messages before reading counts.
+        yield from self._barrier([self.managers[a].drain() for a in self.app_ids])
+        t_count = self.env.now
+        self._trace_phase(f"pass {k} counting done")
+        self._span(f"pass{k}/counting", t_candgen, t_count)
+
+        # Phase 3: determination.
+        counts = yield from self._determine()
+        large = np.flatnonzero(counts >= self.minsup_count)
+        t_det = self.env.now
+        self._span(f"pass{k}/determine", t_count, t_det)
+        self._span(f"pass{k}", t0, t_det)
+        delta = [
+            tuple(after - before for after, before in zip(self._pager_snapshot(a), snap))
+            for a, snap in zip(self.app_ids, stats_before)
+        ]
+        # Per-pass cleanup: hash tables, guest stores.
+        self.runtime.reset_pass()
+        result = PassResult(
+            k=k,
+            n_candidates=n_cand,
+            per_node_candidates=per_node_cands,
+            n_large=len(large),
+            start_time=t0,
+            end_time=t_det,
+            candgen_time_s=t_candgen - t0,
+            counting_time_s=t_count - t_candgen,
+            determine_time_s=t_det - t_count,
+            faults_per_node=[d[0] for d in delta],
+            swap_outs_per_node=[d[1] for d in delta],
+            update_msgs_per_node=[d[2] for d in delta],
+            fault_time_per_node=[d[3] for d in delta],
+            n_duplicated=n_dup,
+            count_messages=n_count_messages,
+        )
+        return result, (candidates[large], counts[large])
+
+    # -- the three driver hooks --------------------------------------------
+
+    def _place(
+        self, candidates: np.ndarray, prev_rows: np.ndarray, prev_counts: np.ndarray
+    ) -> tuple[np.ndarray, list[int], int, int]:
+        """Attach each node's share of ``candidates`` to its swap manager
+        (``begin_pass``); returns the candidates' owners (the counting
+        kernel's routing), the per-node candidate counts, the number of
+        duplicated candidates and the number pinned outside the hash
+        tables."""
+        raise NotImplementedError
+
+    def _counting(self, kernel: CountingKernel) -> list[Generator]:
+        """The counting phase's processes; an ``int`` a process returns
+        is the number of count messages it shipped."""
+        raise NotImplementedError
+
+    def _determine(self) -> Generator:
+        """Determination: returns the support count of every candidate."""
         raise NotImplementedError
         yield  # pragma: no cover - makes this a generator function
 
@@ -263,29 +358,53 @@ class MiningDriver:
             yield from disk.read(block_bytes, sequential=True)
 
     def _pass1_node(self, a: int) -> Generator:
-        """Scan the partition, count items, exchange count vectors."""
+        """Scan the partition, count items, exchange count vectors (timing
+        only; the orchestrator sums the real vectors)."""
         part = self.partitions[a]
-        node = self.cluster[a]
-        cost = self.config.cost
         # Disk scan + per-item CPU.
         yield from self._scan_blocks(a)
-        yield from node.compute(cost.cpu_count_per_itemset_s * part.total_items)
+        yield from self.cluster[a].compute(
+            self.config.cost.cpu_count_per_itemset_s * part.total_items
+        )
         counts = part.item_counts()
-        # Exchange: send the count vector to every other application node.
+        yield from self._exchange(a, self.pass1_channel, 4 * self.db.n_items)
+        return counts
+
+    def _candgen_node(self, a: int, n_candidates: int, n_pinned: int) -> Generator:
+        """Generate all candidates (CPU), insert the ones ``a`` owns.
+
+        Pinned candidates (HPA-ELD's duplicated ones) live outside the
+        hash table, but their footprint still counts against the node's
+        memory-usage limit.
+        """
+        mgr = self.managers[a]
+        mgr.pinned_bytes = ITEMSET_BYTES * n_pinned
+        if n_candidates:
+            yield from self.cluster[a].compute(
+                self.config.cost.cpu_candgen_per_candidate_s * n_candidates
+            )
+        yield from self._insert_candidates(a, mgr.owned)
+
+    def _broadcast(
+        self, a: int, dests: "list[int]", channel: str, size_bytes: int,
+        payload: object = None,
+    ) -> Generator:
+        """Send one message from ``a`` to each of ``dests`` through a
+        :class:`SendWindow`; returns once every one is delivered."""
         window = SendWindow(self.env)
-        vec_bytes = 4 * self.db.n_items
-        for b in self.app_ids:
-            if b == a:
-                continue
+        for b in dests:
             yield from window.post(
-                self.cluster.transport.send(a, b, self.pass1_channel, None, vec_bytes)
+                self.cluster.transport.send(a, b, channel, payload, size_bytes)
             )
         yield from window.drain()
-        # Receive the other nodes' vectors (timing only; the orchestrator
-        # sums the real vectors).
-        for _ in range(len(self.app_ids) - 1):
-            yield self.cluster.transport.recv(a, self.pass1_channel)
-        return counts
+
+    def _exchange(self, a: int, channel: str, size_bytes: int) -> Generator:
+        """Node ``a``'s share of an all-to-all exchange: broadcast to every
+        other application node, then receive each of theirs."""
+        others = [b for b in self.app_ids if b != a]
+        yield from self._broadcast(a, others, channel, size_bytes)
+        for _ in others:
+            yield self.cluster.transport.recv(a, channel)
 
     def _all_reduce(
         self, n_entries: int, gather_channel: str, result_channel: str
@@ -310,12 +429,7 @@ class MiningDriver:
             yield from self.cluster[0].compute(
                 self.config.cost.cpu_count_per_itemset_s * n_entries * len(self.app_ids)
             )
-            window = SendWindow(self.env)
-            for b in others:
-                yield from window.post(
-                    transport.send(0, b, result_channel, None, vec_bytes)
-                )
-            yield from window.drain()
+            yield from self._broadcast(0, others, result_channel, vec_bytes)
 
         def receive(a: int) -> Generator:
             yield transport.recv(a, result_channel)
@@ -387,49 +501,3 @@ class MiningDriver:
             return (0, 0, 0, 0.0)
         s = pager.stats
         return (s.faults, s.swap_outs, s.update_messages, s.fault_time_s)
-
-    def _finish_pass(
-        self,
-        k: int,
-        t0: float,
-        t_candgen: float,
-        t_count: float,
-        stats_before: "list[tuple]",
-        *,
-        n_candidates: int,
-        per_node_candidates: "list[int]",
-        n_large: int,
-        n_duplicated: int,
-        count_messages: int,
-    ) -> PassResult:
-        """Close pass ``k`` at the current instant: determine/pass spans,
-        per-node pager deltas since ``stats_before`` (one
-        :meth:`_pager_snapshot` per application node), per-pass cleanup,
-        and the result row.
-        """
-        t_det = self.env.now
-        self._span(f"pass{k}/determine", t_count, t_det)
-        self._span(f"pass{k}", t0, t_det)
-        delta = [
-            tuple(after - before for after, before in zip(self._pager_snapshot(a), snap))
-            for a, snap in zip(self.app_ids, stats_before)
-        ]
-        # Per-pass cleanup: hash tables, guest stores.
-        self.runtime.reset_pass()
-        return PassResult(
-            k=k,
-            n_candidates=n_candidates,
-            per_node_candidates=per_node_candidates,
-            n_large=n_large,
-            start_time=t0,
-            end_time=self.env.now,
-            candgen_time_s=t_candgen - t0,
-            counting_time_s=t_count - t_candgen,
-            determine_time_s=t_det - t_count,
-            faults_per_node=[d[0] for d in delta],
-            swap_outs_per_node=[d[1] for d in delta],
-            update_msgs_per_node=[d[2] for d in delta],
-            fault_time_per_node=[d[3] for d in delta],
-            n_duplicated=n_duplicated,
-            count_messages=count_messages,
-        )

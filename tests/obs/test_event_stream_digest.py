@@ -1,4 +1,4 @@
-"""The telemetry event stream of two tiny HPA runs, pinned by digest.
+"""The telemetry event stream of four tiny runs, pinned by digest.
 
 Every emit site on the paging path reads the run's bus and returns
 early when it is ``None``; a guard that drops, reorders or reshapes one
@@ -18,6 +18,7 @@ import pytest
 from repro.datagen import generate
 from repro.harness.hotpath import result_hash
 from repro.mining.hpa import HPAConfig, HPARun
+from repro.mining.npa import NPAConfig, NPARun
 from repro.obs import Telemetry
 from repro.obs.export import write_events_jsonl
 
@@ -38,6 +39,21 @@ REMOTE_UPDATE_SHORTAGE = HPAConfig(
     failures=((0.1, 0, 0.05),),
 )
 
+#: NPA under simple swapping: every node inserts, counts and peeks the
+#: whole candidate table, then the ``npa-reduce`` all-reduce.
+NPA_REMOTE_SWAP = NPAConfig(
+    minsup=0.02, n_app_nodes=2, total_lines=256, max_k=2,
+    pager="remote", n_memory_nodes=2, memory_limit_bytes=65_000,
+)
+
+#: HPA-ELD under simple swapping: pinned duplicated candidates and the
+#: ``eldgather`` / ``eldlarge`` all-reduce of their partial counts.
+ELD_REMOTE_SWAP = HPAConfig(
+    minsup=0.02, n_app_nodes=2, total_lines=256, max_k=2,
+    pager="remote", n_memory_nodes=2, memory_limit_bytes=35_000,
+    eld_fraction=0.1,
+)
+
 #: ``(number of events, sha256 of their records)`` per configuration;
 #: the records keep their field order, so a reordered field fails too.
 PINNED = {
@@ -47,17 +63,27 @@ PINNED = {
     "remote-update-shortage": (
         1865, "c8c278dc649a4310140bb12357df31f7a36d9da4ceed62f95c9eed74305721e6"
     ),
+    "npa-remote-swap": (
+        8120, "63d51c31df2f2a8a9131975468b7e85a5effe1e53aea43e2b54f3c5d09bd0db1"
+    ),
+    "eld-remote-swap": (
+        8023, "23c353aa85509042ab06d6968a9e0da73db800e473d4bd57c72c3306e49ca694"
+    ),
 }
 
+#: ``name -> (driver, config)``.
 CONFIGS = {
-    "remote-swap": REMOTE_SWAP,
-    "remote-update-shortage": REMOTE_UPDATE_SHORTAGE,
+    "remote-swap": (HPARun, REMOTE_SWAP),
+    "remote-update-shortage": (HPARun, REMOTE_UPDATE_SHORTAGE),
+    "npa-remote-swap": (NPARun, NPA_REMOTE_SWAP),
+    "eld-remote-swap": (HPARun, ELD_REMOTE_SWAP),
 }
 
 
 @functools.cache
 def _traced(name: str) -> "tuple[Telemetry, str]":
-    run = HPARun(DB, CONFIGS[name])
+    driver, config = CONFIGS[name]
+    run = driver(DB, config)
     tel = run.enable_telemetry(Telemetry())
     return tel, result_hash(run.run())
 
@@ -81,12 +107,21 @@ def test_event_stream_is_pinned(name, tmp_path):
 
 def test_the_runs_reach_the_paths_they_pin():
     kinds = {name: {ev.kind for ev in _traced(name)[0].events} for name in CONFIGS}
-    swap, update = kinds["remote-swap"], kinds["remote-update-shortage"]
-    assert {"fault", "swap-out", "swap-cost", "placement", "make-room"} <= swap
+    paging = {"fault", "swap-out", "swap-cost", "placement", "make-room"}
+    for name in ("remote-swap", "npa-remote-swap", "eld-remote-swap"):
+        assert paging <= kinds[name]
+    update = kinds["remote-update-shortage"]
     assert {"shortage", "shortage-seen", "migration", "node-recover"} <= update
+    channels = {
+        name: {ev.fields.get("channel") for ev in _traced(name)[0].events}
+        for name in ("npa-remote-swap", "eld-remote-swap")
+    }
+    assert {"npa-reduce", "npa-large"} <= channels["npa-remote-swap"]
+    assert {"eldgather", "eldlarge"} <= channels["eld-remote-swap"]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_telemetry_does_not_change_the_result(name):
-    lean = HPARun(DB, CONFIGS[name]).run()
+    driver, config = CONFIGS[name]
+    lean = driver(DB, config).run()
     assert result_hash(lean) == _traced(name)[1]
