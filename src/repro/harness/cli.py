@@ -9,7 +9,7 @@ Usage::
     repro-bench run fig4 --trace DIR     # full telemetry of every run into DIR
     repro-bench list                     # experiments, then named scenarios
     repro-bench store DIR                # the store's counters and entry sizes
-    repro-bench gc DIR                   # drop orphaned temp files + old-format entries
+    repro-bench gc DIR                   # drop orphaned temp files + unreadable entries
     repro-bench report --scale tiny --seeds 3 --store DIR --out reports
     repro-bench diff BASELINE_report.json reports/report.json
     repro-bench trace DIR                # phase timings and a latency histogram
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(
         "gc", _gc,
         "garbage-collect a result store: drop temp files older than an "
-        "hour and old-format entries; prints the JSON summary",
+        "hour and unreadable entries; prints the JSON summary",
     ).add_argument("directory", help="an existing result store")
 
     report = command(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Mapping
 
 from repro.errors import MiningError
 from repro.mining.itemsets import Itemset
@@ -43,7 +44,7 @@ class Rule:
 
 
 def derive_rules(
-    large_itemsets: dict[Itemset, int],
+    large_itemsets: Mapping[Itemset, int],
     n_transactions: int,
     min_confidence: float,
 ) -> list[Rule]:

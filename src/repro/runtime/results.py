@@ -22,7 +22,7 @@ the drivers themselves).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mining.itemsets import Itemset
@@ -63,9 +63,14 @@ class PassResult:
 
 @dataclass
 class RunResult:
-    """Outcome of a full mining run on the simulated cluster."""
+    """Outcome of a full mining run on the simulated cluster.
 
-    large_itemsets: "dict[Itemset, int]"
+    ``large_itemsets`` is the driver's dict for an executed run and a
+    read-only :class:`~repro.runtime.store.StoredItemsets` for one read
+    from a store; the two compare equal.
+    """
+
+    large_itemsets: "Mapping[Itemset, int]"
     passes: list[PassResult]
     total_time_s: float
 

@@ -10,9 +10,18 @@ alongside the result (which carries no copy of its configuration).
 Writes are atomic, so a killed sweep leaves at worst one ignorable
 partial temp file and every completed run durable — which is what makes
 a re-run against ``repro-bench run --store DIR`` execute only the missing
-configurations.  An entry that fails to load (torn, corrupt, or from
-another :data:`STORE_FORMAT`) is a miss, and the re-execution that
-follows rewrites it.
+configurations.  An entry that fails to load (torn, corrupt, or of an
+unknown format) is a miss, and the re-execution that follows rewrites
+it.
+
+An entry is two lines.  The *header* is compact JSON: the format, the
+scenario, the result without its large itemsets (the per-pass rows
+every report reads) and the byte length and CRC-32 of the *tail*, the
+compact ``[[items...], count]`` list of large itemsets.  A read parses
+the header alone and checks the tail's length and CRC, so a torn or
+bit-flipped tail is a miss even when it still parses; the itemsets
+decode on first access (:class:`StoredItemsets`), which no report fold
+makes.
 
 The store is the *second* cache tier: the in-memory
 :class:`~repro.runtime.scenarios.ScenarioCache` sits above it and the
@@ -33,6 +42,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zlib
+from collections.abc import Mapping
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -40,11 +51,13 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from repro.obs import emit_ambient
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mining.itemsets import Itemset
     from repro.runtime.results import RunResult
     from repro.runtime.scenarios import Scenario
 
 __all__ = [
     "ResultStore",
+    "StoredItemsets",
     "result_to_dict",
     "result_from_dict",
     "current_result_store",
@@ -60,8 +73,14 @@ __all__ = [
 #: Format 4 dropped the config's send-window and per-lender memory
 #: factor fields (one value in use each, so constants now).  Format 5
 #: dropped the result's ``config`` copy: the entry's ``scenario`` is the
-#: run's one description.
-STORE_FORMAT = 5
+#: run's one description.  Format 6 split the entry into a header line
+#: and a CRC-checked itemset tail, so a read parses only the header;
+#: format-5 entries (one JSON object) still load.
+STORE_FORMAT = 6
+_FORMAT_5 = 5
+
+#: Compact JSON: no whitespace, which ``json`` encodes in C.
+_COMPACT = (",", ":")
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +107,61 @@ def result_to_dict(result: "RunResult") -> dict:
 
 def result_from_dict(data: dict) -> "RunResult":
     """Rebuild a result that compares equal to the stored original."""
+    return _result(data, _itemsets(data["large_itemsets"]))
+
+
+def _result(data: dict, large_itemsets: "Mapping[Itemset, int]") -> "RunResult":
+    """A result from its encoded passes and total plus its itemsets."""
     from repro.runtime.results import PassResult, RunResult
 
     return RunResult(
-        large_itemsets={
-            tuple(items): count for items, count in data["large_itemsets"]
-        },
+        large_itemsets=large_itemsets,
         passes=[PassResult(**p) for p in data["passes"]],
         total_time_s=data["total_time_s"],
     )
+
+
+def _itemsets(pairs: list) -> "dict[Itemset, int]":
+    """The itemset dict of an encoded ``[[items...], count]`` list."""
+    return {tuple(items): count for items, count in pairs}
+
+
+class StoredItemsets(Mapping["Itemset", int]):
+    """A stored run's large itemsets, decoded from the entry's tail on
+    first access.
+
+    Read-only, iterates in the tail's (sorted) order, and compares equal
+    (``==`` both ways, via :class:`~collections.abc.Mapping`) to the
+    executed run's dict.  No report fold reads the itemsets, so a warm
+    report never decodes a tail.
+    """
+
+    __slots__ = ("_tail", "_decoded")
+
+    def __init__(self, tail: "bytes | list") -> None:
+        self._tail = tail
+        self._decoded: "Optional[dict[Itemset, int]]" = None
+
+    def _items(self) -> "dict[Itemset, int]":
+        if self._decoded is None:
+            self._decoded = _itemsets(_pairs(self._tail))
+            self._tail = b""
+        return self._decoded
+
+    def __getitem__(self, itemset: "Itemset") -> int:
+        return self._items()[itemset]
+
+    def __iter__(self) -> "Iterator[Itemset]":
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return len(self._items())
+
+
+def _pairs(tail: "bytes | list") -> list:
+    """The ``[[items...], count]`` list of a tail: decoded from a
+    format-6 entry's bytes, or a format-5 entry's already-parsed list."""
+    return json.loads(tail) if isinstance(tail, bytes) else tail
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +204,14 @@ class ResultStore:
 
     def get(self, scenario: "Scenario") -> "Optional[RunResult]":
         """The stored result, or ``None``; partial/foreign files are
-        misses (a killed writer never poisons the store)."""
-        payload = _load_entry(self.path_for(scenario))
+        misses (a killed writer never poisons the store).  Only the
+        header is parsed: the itemsets stay raw bytes until read."""
+        loaded = _load_entry(self.path_for(scenario))
         try:
-            if payload is None:
-                raise ValueError("no readable current-format entry")
-            result = result_from_dict(payload["result"])
+            if loaded is None:
+                raise ValueError("no readable entry")
+            header, tail = loaded
+            result = _result(header["result"], StoredItemsets(tail))
         except (ValueError, KeyError, TypeError):
             self.misses += 1
             emit_ambient("cache-access", tier="store", outcome="miss")
@@ -155,27 +222,40 @@ class ResultStore:
 
     def put(self, scenario: "Scenario", result: "RunResult") -> Path:
         """Persist ``result`` atomically (write temp file, then rename)
-        as canonical compact JSON: sorted keys, no whitespace, which
-        ``json`` encodes in C (``indent`` would force its Python
-        encoder).  Indented entries from earlier writers still load."""
+        as a header line and an itemset tail, both canonical compact
+        JSON: sorted keys, no whitespace, which ``json`` encodes in C
+        (``indent`` would force its Python encoder)."""
         entry = self.path_for(scenario)
-        payload = {
+        encoded = result_to_dict(result)
+        tail = json.dumps(encoded.pop("large_itemsets"), separators=_COMPACT).encode()
+        header = {
             "format": STORE_FORMAT,
             "scenario": scenario.to_dict(),
-            "result": result_to_dict(result),
+            "result": encoded,
+            "tail": {"bytes": len(tail), "crc32": zlib.crc32(tail)},
         }
         tmp = entry.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        tmp.write_bytes(
+            json.dumps(header, sort_keys=True, separators=_COMPACT).encode()
+            + b"\n" + tail
+        )
         os.replace(tmp, entry)
         self.writes += 1
         emit_ambient("cache-access", tier="store", outcome="write")
         return entry
 
     def read_payload(self, key: str) -> "Optional[dict]":
-        """The raw self-describing payload stored under a content
-        address, or ``None`` when the entry is absent, unreadable, or
-        from another :data:`STORE_FORMAT`."""
-        return _load_entry(self.path_for_key(key))
+        """The self-describing payload stored under a content address,
+        its itemsets decoded into ``result["large_itemsets"]`` as the
+        ``[[items...], count]`` list :func:`result_to_dict` writes; or
+        ``None`` when the entry is absent, unreadable, or from an
+        unknown format."""
+        loaded = _load_entry(self.path_for_key(key))
+        if loaded is None:
+            return None
+        header, tail = loaded
+        header["result"]["large_itemsets"] = _pairs(tail)
+        return header
 
     def keys(self) -> "list[str]":
         """Every stored content address, sorted."""
@@ -191,7 +271,8 @@ class ResultStore:
 
     def gc(self, now: float, tmp_age_s: float = 3600.0) -> dict:
         """Compact the entry directory: drop orphaned temp files and
-        entries from another :data:`STORE_FORMAT`.
+        every entry that fails to load (torn, failing its tail check,
+        or from an unknown format); format-5 entries load and stay.
 
         ``now`` is the caller's host wall-clock (the runtime layer never
         reads host time itself — ``repro-bench gc DIR`` passes it
@@ -238,12 +319,12 @@ class ResultStore:
         """Per-entry sizes, sorted by content address: one
         ``{"key", "bytes", "scenario"}`` dict per stored result (the
         ``repro-bench store DIR`` rows).  The scenario summary comes
-        from the entry's self-describing payload; unreadable, partial or
-        other-format files are skipped rather than reported."""
+        from the entry's header; unreadable, partial or other-format
+        files are skipped rather than reported."""
         rows: "list[dict]" = []
         for entry in sorted(self.path.glob("*.json")):
-            payload = _load_entry(entry)
-            scenario = None if payload is None else payload.get("scenario")
+            loaded = _load_entry(entry)
+            scenario = None if loaded is None else loaded[0].get("scenario")
             if not isinstance(scenario, dict):
                 continue
             try:
@@ -261,18 +342,37 @@ class ResultStore:
         return rows
 
 
-def _load_entry(entry: Path) -> "Optional[dict]":
-    """The payload of one entry file when it is a JSON object of the
-    current :data:`STORE_FORMAT`, else ``None`` (absent, unreadable,
-    torn, not an object, or another format) — the one decoding every
-    reader shares."""
+def _load_entry(entry: Path) -> "Optional[tuple[dict, bytes | list]]":
+    """``(header, tail)`` of one entry file, else ``None`` (absent,
+    unreadable, torn, a tail failing its length or CRC check, not an
+    object, or an unknown format) — the one decoding every reader
+    shares.  The header is parsed and the tail only checked.
+
+    A format-5 entry (one JSON object, compact or indented, itemsets
+    inline) loads as the same pair, its tail the already-parsed
+    itemset list (:func:`_pairs` accepts either).
+    """
     try:
-        payload = json.loads(entry.read_text())
-    except (OSError, ValueError):
+        data = entry.read_bytes()
+    except OSError:
         return None
-    if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
+    head, _, tail = data.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError:
+        try:  # an indented format-5 entry spans lines
+            header = json.loads(data)
+        except ValueError:
+            return None
+    result = header.get("result") if isinstance(header, dict) else None
+    if not isinstance(result, dict):
         return None
-    return payload
+    if header.get("format") == STORE_FORMAT:
+        if header.get("tail") == {"bytes": len(tail), "crc32": zlib.crc32(tail)}:
+            return header, tail
+    elif header.get("format") == _FORMAT_5 and "large_itemsets" in result:
+        return header, result.pop("large_itemsets")
+    return None
 
 
 # ---------------------------------------------------------------------------

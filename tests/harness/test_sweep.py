@@ -21,7 +21,13 @@ from repro.harness.sweep import (
     shutdown_pools,
 )
 from repro.obs import Telemetry, merged_histogram, metrics_of, telemetry_session
-from repro.runtime import Scenario, cache_stats, clear_cache, result_store_session
+from repro.runtime import (
+    ResultStore,
+    Scenario,
+    cache_stats,
+    clear_cache,
+    result_store_session,
+)
 from tests.harness.conftest import claim_seeds
 
 
@@ -233,6 +239,9 @@ def test_parallel_resume_submits_only_missing(tmp_path):
     # And the parallel-resumed report matches a cold serial run.
     cold = run_sweep_outcome(sweep, "tiny")
     assert cold.report.to_json() == outcome.report.to_json()
+    # The worker's result, installed by the parent, reads back equal.
+    for scenario in sweep.scenarios("tiny").values():
+        assert ResultStore(tmp_path).get(scenario) == scenario.execute()
 
 
 def test_sweep_events_reach_telemetry():

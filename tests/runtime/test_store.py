@@ -3,11 +3,13 @@
 import json
 import multiprocessing
 import os
+import zlib
 from dataclasses import replace
 
 import pytest
 
 from repro.harness.cli import main
+from repro.harness.hotpath import result_hash
 from repro.runtime import (
     ResultStore,
     Scenario,
@@ -18,7 +20,7 @@ from repro.runtime import (
     result_to_dict,
     run_scenario,
 )
-from repro.runtime.store import STORE_FORMAT
+from repro.runtime.store import STORE_FORMAT, StoredItemsets
 
 TINY = Scenario(scale="tiny", pager="remote", n_memory_nodes=2, paper_mb=13.0)
 
@@ -82,6 +84,33 @@ def test_corrupt_and_mismatched_entries_are_misses(tmp_path):
     assert store.get(TINY) is None
 
 
+def _assert_unusable_until_rewritten(store, capsys, result, bad: bytes):
+    """``bad`` under a second scenario's address is as absent to every
+    reader: a miss the next ``put`` heals, skipped by ``entry_stats``
+    and ``repro-bench store``, and removed by ``gc``.  ``store`` holds
+    ``TINY`` intact."""
+    other = replace(TINY, paper_mb=26.0)
+    path = store.path_for(other)
+
+    path.write_bytes(bad)
+    assert store.get(other) is None
+    assert (store.hits, store.misses) == (0, 1)
+    store.put(other, result)
+    assert store.get(other) == result
+    assert (store.hits, store.misses) == (1, 1)
+
+    path.write_bytes(bad)
+    assert store.read_payload(store.key_for(other)) is None
+    healthy = [store.key_for(TINY)]
+    assert [row["key"] for row in store.entry_stats()] == healthy
+    assert main(["store", str(store.path)]) == 0
+    listed = json.loads(capsys.readouterr().out)["entry_stats"]
+    assert [row["key"] for row in listed] == healthy
+    summary = store.gc(now=path.stat().st_mtime)
+    assert (summary["entries_kept"], summary["entries_removed"]) == (1, 1)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("text", ["[]", "null", "1", '"x"'])
 def test_non_object_entry_is_a_miss_healed_by_the_next_put(
     tmp_path, capsys, tiny_result, text,
@@ -90,47 +119,95 @@ def test_non_object_entry_is_a_miss_healed_by_the_next_put(
     every reader treats it as absent, and nothing crashes."""
     store = ResultStore(tmp_path)
     store.put(TINY, tiny_result)
-    other = replace(TINY, paper_mb=26.0)
-    path = store.path_for(other)
+    _assert_unusable_until_rewritten(store, capsys, tiny_result, text.encode())
 
-    path.write_text(text)
-    assert store.get(other) is None
-    assert (store.hits, store.misses) == (0, 1)
-    store.put(other, tiny_result)
-    assert store.get(other) == tiny_result
-    assert (store.hits, store.misses) == (1, 1)
 
-    path.write_text(text)
-    assert store.read_payload(store.key_for(other)) is None
-    healthy = [store.key_for(TINY)]
-    assert [row["key"] for row in store.entry_stats()] == healthy
-    assert main(["store", str(tmp_path)]) == 0
-    listed = json.loads(capsys.readouterr().out)["entry_stats"]
-    assert [row["key"] for row in listed] == healthy
-    summary = store.gc(now=path.stat().st_mtime)
-    assert (summary["entries_kept"], summary["entries_removed"]) == (1, 1)
-    assert not path.exists()
+def _flip_last_count(entry: bytes) -> bytes:
+    """The entry with its last itemset's count changed in one digit:
+    the same length, and the tail still parses."""
+    i = len(entry) - 3  # the tail ends "...,[[items],<count>]]"
+    assert entry[i:i + 1].isdigit()
+    flipped = entry[:i] + (b"1" if entry[i:i + 1] == b"0" else b"0") + entry[i + 1:]
+    json.loads(flipped.partition(b"\n")[2])
+    return flipped
+
+
+DAMAGE = {
+    "truncated-tail": lambda entry: entry[:-7],
+    "flipped-tail-digit": _flip_last_count,
+    "header-without-tail": lambda entry: entry[:entry.index(b"\n") + 1],
+    "no-newline": lambda entry: entry[:entry.index(b"\n")],
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+def test_damaged_entry_is_a_miss_healed_by_the_next_put(
+    tmp_path, capsys, tiny_result, damage,
+):
+    """The header's tail length and CRC-32 catch a torn or bit-flipped
+    tail, also one that still parses, without decoding it."""
+    store = ResultStore(tmp_path)
+    intact = store.put(TINY, tiny_result).read_bytes()
+    _assert_unusable_until_rewritten(store, capsys, tiny_result, damage(intact))
 
 
 def test_entries_are_canonical_compact_json_and_indented_ones_load(
     tmp_path, tiny_result,
 ):
-    """``put`` writes sorted-key, whitespace-free JSON; an entry in the
-    ``indent=2`` layout earlier writers used is the same JSON value, so
-    it still loads as a hit equal to the original."""
+    """``put`` writes a header line and an itemset tail, both sorted-key,
+    whitespace-free JSON.  A format-5 entry (one JSON object with the
+    itemsets inline, compact or in the ``indent=2`` layout earlier
+    writers used) still loads as a hit equal to the original."""
     store = ResultStore(tmp_path)
     path = store.put(TINY, tiny_result)
-    payload = json.loads(path.read_text())
-    assert path.read_text() == json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    )
-    assert payload["format"] == STORE_FORMAT == 5
-    assert payload["scenario"] == TINY.to_dict()
-    assert payload["result"] == json.loads(json.dumps(result_to_dict(tiny_result)))
+    head, tail = path.read_bytes().split(b"\n")
+    header = json.loads(head)
+    assert head == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    assert header["format"] == STORE_FORMAT == 6
+    assert header["scenario"] == TINY.to_dict()
+    encoded = json.loads(json.dumps(result_to_dict(tiny_result)))
+    itemsets = encoded.pop("large_itemsets")
+    assert header["result"] == encoded
+    assert tail == json.dumps(itemsets, separators=(",", ":")).encode()
+    assert header["tail"] == {"bytes": len(tail), "crc32": zlib.crc32(tail)}
 
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    assert store.get(TINY) == tiny_result
-    assert (store.hits, store.misses) == (1, 0)
+    old = {
+        "format": 5, "scenario": TINY.to_dict(), "result": result_to_dict(tiny_result),
+    }
+    for layout in ({"separators": (",", ":")}, {"indent": 2}):
+        path.write_text(json.dumps(old, sort_keys=True, **layout))
+        stored = store.get(TINY)
+        assert isinstance(stored.large_itemsets._tail, list)  # not re-encoded
+        assert stored == tiny_result
+        payload = store.read_payload(store.key_for(TINY))
+        assert payload["result"]["large_itemsets"] == itemsets
+    assert (store.hits, store.misses, store.writes) == (2, 0, 1)
+
+
+def test_stored_itemsets_decode_on_first_access_and_equal_the_executed_dict(
+    tmp_path, tiny_result,
+):
+    store = ResultStore(tmp_path)
+    store.put(TINY, tiny_result)
+    stored = store.get(TINY)
+    itemsets = stored.large_itemsets
+    assert isinstance(itemsets, StoredItemsets)
+    assert stored.table2_rows() == tiny_result.table2_rows()
+    assert itemsets._decoded is None  # the passes need no itemsets
+
+    assert stored == tiny_result and tiny_result == stored
+    assert itemsets._decoded is not None
+    assert itemsets == tiny_result.large_itemsets
+    assert tiny_result.large_itemsets == itemsets
+    assert itemsets != {} and {} != itemsets
+    assert store.get(TINY) == store.get(TINY)
+    order = [tuple(items) for items, _ in result_to_dict(tiny_result)["large_itemsets"]]
+    assert list(itemsets) == order and len(itemsets) == len(order)
+    assert list(itemsets.items()) == [(i, tiny_result.large_itemsets[i]) for i in order]
+    assert result_hash(stored) == result_hash(tiny_result)
+    assert stored.summary() == tiny_result.summary()
+    with pytest.raises(TypeError):
+        itemsets[order[0]] = 0
 
 
 def test_format_2_entry_with_kernel_field_is_a_clean_miss(tmp_path):
@@ -150,7 +227,8 @@ def test_format_2_entry_with_kernel_field_is_a_clean_miss(tmp_path):
     assert (store.hits, store.misses) == (0, 1)
 
     store.put(TINY, res)
-    assert json.loads(path.read_text())["format"] == STORE_FORMAT == 5
+    header = json.loads(path.read_bytes().partition(b"\n")[0])
+    assert header["format"] == STORE_FORMAT == 6
     assert store.get(TINY) == res
 
     path.write_text(stale)
