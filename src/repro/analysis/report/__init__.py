@@ -9,7 +9,7 @@ replications of the synthetic database) and folds the sweeps'
 seeded-bootstrap confidence intervals and rank tests
 (:mod:`.stat_tests`); :mod:`.rendering` regenerates Figures 3-5 and
 Tables 2-4 as markdown and self-contained HTML with error bars, and
-:mod:`.diff` gates the ``dataclasses.asdict`` payload against a
+:mod:`.diff` gates the plain-dict payload against a
 committed baseline (``repro-bench diff``) with tolerance bands and
 significance-aware verdicts.
 

@@ -96,27 +96,17 @@ class DiffReport:
     verdicts: "list[CellVerdict]" = field(default_factory=list)
 
     def counts(self) -> "dict[str, int]":
-        out = {v: 0 for v in _SEVERITY}
-        for verdict in self.verdicts:
-            out[verdict.verdict] += 1
-        return out
+        return {k: sum(v.verdict == k for v in self.verdicts) for k in _SEVERITY}
 
     @property
     def worst(self) -> str:
-        worst = "pass"
-        for verdict in self.verdicts:
-            if _SEVERITY.index(verdict.verdict) > _SEVERITY.index(worst):
-                worst = verdict.verdict
-        return worst
+        verdicts = (v.verdict for v in self.verdicts)
+        return max(verdicts, key=_SEVERITY.index, default="pass")
 
     @property
     def exit_code(self) -> int:
-        worst = self.worst
-        if worst == "regression":
-            return EXIT_REGRESSION
-        if worst == "drift":
-            return EXIT_DRIFT
-        return EXIT_PASS
+        codes = {"regression": EXIT_REGRESSION, "drift": EXIT_DRIFT}
+        return codes.get(self.worst, EXIT_PASS)
 
     def to_dict(self) -> dict:
         return {

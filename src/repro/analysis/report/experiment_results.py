@@ -21,7 +21,6 @@ and benchmarks.  Nothing here generates, mines or prepares a workload.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Mapping, Optional, Sequence
 
 from repro.analysis.report.samples import (
@@ -198,7 +197,7 @@ class ExperimentResults:
             "format": REPORT_FORMAT,
             "scale": self.scale,
             "seeds": list(self.seeds),
-            "artifacts": {n: asdict(a) for n, a in self.artifacts(only).items()},
+            "artifacts": {n: a.to_dict() for n, a in self.artifacts(only).items()},
         }
 
     def accounting(self) -> dict:

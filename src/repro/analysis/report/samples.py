@@ -7,10 +7,11 @@ each holding the raw per-seed samples plus their
 :class:`Comparison` rank tests between groups at shared x positions
 (pager against pager, policy against policy).
 
-The payload is these dataclasses through :func:`dataclasses.asdict`
-(written with ``sort_keys=True``); the regression gate
-(:mod:`repro.analysis.report.diff`) reads that dict form directly and
-never rebuilds the objects or needs the generating code.
+The payload is these dataclasses as plain dicts
+(:meth:`ArtifactStats.to_dict`, written with ``sort_keys=True``); the
+regression gate (:mod:`repro.analysis.report.diff`) reads that dict
+form directly and never rebuilds the objects or needs the generating
+code.
 
 Ordering discipline: group and x orders are *declaration* orders from
 the first seed's report data (dict insertion order), never set
@@ -26,7 +27,7 @@ from repro.analysis.report.stat_tests import (
     Summary,
     mann_whitney_u,
     permutation_test,
-    summarize,
+    summarize_batch,
 )
 
 __all__ = [
@@ -93,22 +94,23 @@ class ArtifactStats:
     notes: "list[str]" = field(default_factory=list)
 
     def groups(self) -> "list[str]":
-        seen: "dict[str, None]" = {}
-        for cell in self.cells:
-            seen.setdefault(cell.group, None)
-        return list(seen)
+        return list(dict.fromkeys(c.group for c in self.cells))
 
     def xs(self) -> "list[str]":
-        seen: "dict[str, None]" = {}
-        for cell in self.cells:
-            seen.setdefault(cell.x, None)
-        return list(seen)
+        return list(dict.fromkeys(c.x for c in self.cells))
 
     def cell(self, group: str, x: str) -> "Optional[CellStats]":
-        for c in self.cells:
-            if c.group == group and c.x == x:
-                return c
-        return None
+        return next((c for c in self.cells if (c.group, c.x) == (group, x)), None)
+
+    def to_dict(self) -> dict:
+        """:func:`dataclasses.asdict`'s dict without its deep copy: every
+        leaf is an immutable scalar or a tuple of floats."""
+        return {
+            **vars(self),
+            "cells": [{**vars(c), "summary": {**vars(c.summary)}} for c in self.cells],
+            "comparisons": [{**vars(c)} for c in self.comparisons],
+            "notes": list(self.notes),
+        }
 
 
 def aggregate_series(
@@ -120,28 +122,20 @@ def aggregate_series(
     each group's x order; a (group, x) pair absent from some seed simply
     contributes fewer samples, and an x only later seeds have is
     dropped.  Table 2 does this: the number of Apriori passes depends
-    on the seed's database (4/5/4 at ``tiny`` seeds 42-44).
+    on the seed's database (4/5/4 at ``tiny`` seeds 42-44).  Every
+    cell's summary comes from one :func:`summarize_batch` call.
     """
     if not per_seed:
         raise ValueError("no per-seed data")
-    first = per_seed[0]
-    cells: "list[CellStats]" = []
-    for group, points in first.items():
-        for x in points:
-            samples = tuple(
-                float(seed_data[group][x])
-                for seed_data in per_seed
-                if group in seed_data and x in seed_data[group]
-            )
-            cells.append(
-                CellStats(
-                    group=group,
-                    x=format_x(x),
-                    samples=samples,
-                    summary=summarize(samples),
-                )
-            )
-    return cells
+    keys = [(group, x) for group, points in per_seed[0].items() for x in points]
+    samples = [
+        tuple(float(d[group][x]) for d in per_seed if group in d and x in d[group])
+        for group, x in keys
+    ]
+    return [
+        CellStats(group=group, x=format_x(x), samples=cell, summary=summary)
+        for (group, x), cell, summary in zip(keys, samples, summarize_batch(samples))
+    ]
 
 
 def compare_groups(
@@ -151,30 +145,17 @@ def compare_groups(
 ) -> "list[Comparison]":
     """Rank-test ``group_a`` against ``group_b`` at every shared x."""
     by_key = {(c.group, c.x): c for c in cells}
-    xs: "dict[str, None]" = {}
-    for c in cells:
-        if c.group == group_a:
-            xs.setdefault(c.x, None)
     out: "list[Comparison]" = []
-    for x in xs:
-        a = by_key.get((group_a, x))
+    for (group, x), a in by_key.items():
         b = by_key.get((group_b, x))
-        if a is None or b is None:
+        if group != group_a or b is None:
             continue
         rank = mann_whitney_u(a.samples, b.samples)
-        p_perm = permutation_test(a.samples, b.samples)
-        mean_b = b.summary.mean
-        out.append(
-            Comparison(
-                x=x,
-                group_a=group_a,
-                group_b=group_b,
-                mean_a=a.summary.mean,
-                mean_b=mean_b,
-                ratio=a.summary.mean / mean_b if mean_b else 0.0,
-                u_statistic=rank.u_statistic,
-                p_mann_whitney=rank.p_value,
-                p_permutation=p_perm,
-            )
-        )
+        mean_a, mean_b = a.summary.mean, b.summary.mean
+        out.append(Comparison(
+            x=x, group_a=group_a, group_b=group_b, mean_a=mean_a, mean_b=mean_b,
+            ratio=mean_a / mean_b if mean_b else 0.0,
+            u_statistic=rank.u_statistic, p_mann_whitney=rank.p_value,
+            p_permutation=permutation_test(a.samples, b.samples),
+        ))
     return out

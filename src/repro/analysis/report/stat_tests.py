@@ -10,8 +10,8 @@ warm/cold result stores.
 The toolbox is deliberately small and numpy-only (no scipy):
 
 * :func:`bootstrap_ci` — percentile bootstrap CI on the sample mean.
-* :func:`summarize` — mean/median/std plus that CI, as a
-  :class:`Summary`.
+* :func:`summarize_batch` — mean/median/std plus that CI, as one
+  :class:`Summary` per sample; :func:`summarize` is a batch of one.
 * :func:`mann_whitney_u` — two-sided Mann-Whitney U rank test via the
   tie-corrected normal approximation.  With the tiny replicate counts a
   report uses (3-5 seeds) the attainable p floor is high (two-sided
@@ -26,10 +26,11 @@ The toolbox is deliberately small and numpy-only (no scipy):
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "mann_whitney_u",
     "permutation_test",
     "summarize",
+    "summarize_batch",
 ]
 
 DEFAULT_CONFIDENCE = 0.95
@@ -89,6 +91,18 @@ def _bootstrap_index(n: int, n_resamples: int, seed: int) -> "np.ndarray":
     return idx
 
 
+@lru_cache(maxsize=64)
+def _distinct_resamples(n: int, resamples: int, seed: int) -> "tuple[np.ndarray, ...]":
+    """The distinct rows of :func:`_bootstrap_index` and, per resample,
+    the one it repeats: few seeds draw few index sets (27 at n = 3), and
+    a resample's mean depends on its index set alone."""
+    idx = _bootstrap_index(n, resamples, seed)
+    rows, inverse = np.unique(idx, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    rows.flags.writeable = inverse.flags.writeable = False
+    return rows, inverse
+
+
 def bootstrap_ci(
     values: "Iterable[float]",
     confidence: float = DEFAULT_CONFIDENCE,
@@ -100,17 +114,8 @@ def bootstrap_ci(
     A single-observation sample has no resampling variability: the CI
     degenerates to the point itself.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    data = _as_sorted_array(values)
-    if data.size == 1:
-        v = float(data[0])
-        return (v, v)
-    idx = _bootstrap_index(int(data.size), n_resamples, seed)
-    means = data[idx].mean(axis=1)
-    tail = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(means, [tail, 1.0 - tail])
-    return (float(lo), float(hi))
+    s = summarize(values, confidence, n_resamples, seed)
+    return (s.ci_low, s.ci_high)
 
 
 @dataclass(frozen=True)
@@ -132,19 +137,44 @@ def summarize(
     seed: int = 0,
 ) -> Summary:
     """The :class:`Summary` of a replicate sample (sample std, ddof=1)."""
-    data = _as_sorted_array(values)
-    lo, hi = bootstrap_ci(
-        data, confidence=confidence, n_resamples=n_resamples, seed=seed
-    )
-    std = float(data.std(ddof=1)) if data.size > 1 else 0.0
-    return Summary(
-        n=int(data.size),
-        mean=float(data.mean()),
-        median=float(np.median(data)),
-        std=std,
-        ci_low=lo,
-        ci_high=hi,
-    )
+    return summarize_batch([values], confidence, n_resamples, seed)[0]
+
+
+def summarize_batch(
+    samples: "Sequence[Iterable[float]]",
+    confidence: float = DEFAULT_CONFIDENCE,
+    n_resamples: int = DEFAULT_RESAMPLES,
+    seed: int = 0,
+) -> "list[Summary]":
+    """:func:`summarize` of every sample, in order, in one numpy pass
+    per replicate count: the samples of one count stack into a matrix
+    whose row-wise reductions equal the one-sample ones bit for bit."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    tail = (1.0 - confidence) / 2.0
+    rows = [_as_sorted_array(values) for values in samples]
+    by_n: "dict[int, list[int]]" = {}
+    for i, row in enumerate(rows):
+        by_n.setdefault(row.size, []).append(i)
+    out: "dict[int, Summary]" = {}
+    for n, members in by_n.items():
+        data = np.stack([rows[i] for i in members])
+        if n == 1:
+            lo = hi = data[:, 0]
+            std = np.zeros(len(members))
+        else:
+            # Each distinct resample's mean, as one 2-D row-mean (reducing
+            # a 3-D stack's last axis sums in another order from n = 8 on),
+            # then spread to every resample that repeats it.
+            distinct, inverse = _distinct_resamples(n, n_resamples, seed)
+            means = data[:, distinct].reshape(-1, n).mean(axis=1)
+            means = means.reshape(len(members), -1)[:, inverse]
+            lo, hi = np.quantile(means, [tail, 1.0 - tail], axis=1)
+            std = data.std(axis=1, ddof=1)
+        stats = zip(data.mean(axis=1), np.median(data, axis=1), std, lo, hi)
+        for i, row_stats in zip(members, stats):
+            out[i] = Summary(n, *map(float, row_stats))
+    return [out[i] for i in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +204,15 @@ def mann_whitney_u(a: "Iterable[float]", b: "Iterable[float]") -> RankTest:
     statistic, fully deterministic, and good enough for a gate whose
     small-sample power is bounded anyway.
     """
-    xa = _as_sorted_array(a)
-    xb = _as_sorted_array(b)
-    n_a, n_b = int(xa.size), int(xb.size)
-    pooled = np.concatenate([xa, xb])
+    xa = _as_sorted_array(a).tolist()
+    xb = _as_sorted_array(b).tolist()
+    n_a, n_b = len(xa), len(xb)
     n = n_a + n_b
-    # Average ranks (midranks for ties) via the unique-value decomposition.
-    _, inverse, counts = np.unique(
-        pooled, return_inverse=True, return_counts=True
-    )
-    ends = np.cumsum(counts)
-    midranks = (ends - counts + 1 + ends) / 2.0
-    ranks = midranks[inverse]
-    r_a = float(ranks[:n_a].sum())
-    u_a = r_a - n_a * (n_a + 1) / 2.0
+    # U counts the (a, b) pairs a wins, ties half: an exact sum.
+    u_a = sum((x > y) + 0.5 * (x == y) for x in xa for y in xb)
     u_min = min(u_a, n_a * n_b - u_a)
     mu = n_a * n_b / 2.0
-    tie_term = float(((counts.astype(np.float64) ** 3) - counts).sum())
+    tie_term = float(sum(c**3 - c for c in Counter(xa + xb).values()))
     sigma_sq = (n_a * n_b / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     if sigma_sq <= 0.0:
         # All observations tied: the samples are indistinguishable.
@@ -198,6 +220,15 @@ def mann_whitney_u(a: "Iterable[float]", b: "Iterable[float]") -> RankTest:
     z = (u_min - mu + 0.5) / math.sqrt(sigma_sq)
     p = min(1.0, 2.0 * (1.0 - _normal_sf(z)))
     return RankTest(u_statistic=u_a, p_value=p, n_a=n_a, n_b=n_b)
+
+
+@lru_cache(maxsize=64)
+def _relabellings(n: int, n_a: int) -> "np.ndarray":
+    """Every group-A index set of ``n`` pooled observations, a read-only
+    ``(C(n, n_a), n_a)`` matrix whose row sums equal one-set sums."""
+    idx = np.array(list(combinations(range(n), n_a)), dtype=np.intp)
+    idx.flags.writeable = False
+    return idx
 
 
 def permutation_test(
@@ -231,12 +262,9 @@ def permutation_test(
 
     n_exact = math.comb(n, n_a)
     if n_exact <= EXACT_ENUMERATION_CAP:
-        hits = sum(
-            1
-            for idx in combinations(range(n), n_a)
-            if stat(float(pooled[list(idx)].sum())) >= threshold
-        )
-        return hits / n_exact
+        sums = pooled[_relabellings(n, n_a)].sum(axis=1)
+        stats = np.abs(sums / n_a - (total - sums) / (n - n_a))
+        return int((stats >= threshold).sum()) / n_exact
     rng = np.random.default_rng(seed)
     hits = 1  # the identity permutation is always at least as extreme
     for _ in range(n_permutations):

@@ -12,9 +12,10 @@ persistent result store, and the ``--jobs N`` process pool.  There is
 exactly one execution path — :func:`repro.runtime.run_scenario` — for
 the experiments, benchmarks, CLI, and examples alike.
 
-Every grid but Tables 2 and 3 keys its cells by their series position
-``(group, x)``, declared once in the grid; the report builders read
-their series back through :func:`_series`.  Every report builder takes
+Every grid takes ``(scale, seed)`` and builds each cell once, at the
+seed; all but Tables 2 and 3 key their cells by series position
+``(group, x)``, and the report builders read their series back through
+:func:`_series`.  Every report builder takes
 ``(scale, results)`` and reads the scale's geometry from
 :data:`SCALES`: a report is a pure function of the scale and its stored
 runs.  Tables 2 and 3 describe HPA runs too (their per-pass and
@@ -86,10 +87,10 @@ def _series(
 TABLE2_MINSUP_FACTOR = 2.5
 
 
-def _grid_table2(scale: str) -> Grid:
+def _grid_table2(scale: str, seed: int | None) -> Grid:
     """One HPA run to termination (``max_k=0``) at Table 2's support."""
     minsup = SCALES[scale].minsup * TABLE2_MINSUP_FACTOR
-    return {"all passes": Scenario(scale=scale, max_k=0, minsup=minsup)}
+    return {"all passes": Scenario(scale=scale, seed=seed, max_k=0, minsup=minsup)}
 
 
 def _report_table2(scale: str, results: Results) -> tuple[str, dict]:
@@ -128,10 +129,10 @@ def _report_table2(scale: str, results: Results) -> tuple[str, dict]:
 # Table 3 — candidate 2-itemsets per node
 # ---------------------------------------------------------------------------
 
-def _grid_table3(scale: str) -> Grid:
+def _grid_table3(scale: str, seed: int | None) -> Grid:
     """The plain no-limit HPA run (the same cell as ``npa``'s
     ``("HPA", "no limit")``)."""
-    return {"no limit": Scenario(scale=scale)}
+    return {"no limit": Scenario(scale=scale, seed=seed)}
 
 
 def _report_table3(scale: str, results: Results) -> tuple[str, dict]:
@@ -142,26 +143,17 @@ def _report_table3(scale: str, results: Results) -> tuple[str, dict]:
     rows = [
         (f"node {i + 1}", c) for i, c in enumerate(p2.per_node_candidates)
     ]
-    text = "\n".join(
-        [
-            render_table(
-                ["node", "candidate 2-itemsets"],
-                rows,
-                title=f"Table 3 equivalent — {s.workload}, "
-                f"{p2.n_candidates} candidates over "
-                f"{s.n_app_nodes} nodes",
-            ),
-            render_kv(
-                {
-                    "mean": stats.mean,
-                    "max": stats.maximum,
-                    "min": stats.minimum,
-                    "max/mean": stats.max_over_mean,
-                    "coeff. of variation": stats.coefficient_of_variation,
-                }
-            ),
-        ]
+    table = render_table(
+        ["node", "candidate 2-itemsets"],
+        rows,
+        title=f"Table 3 equivalent — {s.workload}, {p2.n_candidates} "
+        f"candidates over {s.n_app_nodes} nodes",
     )
+    text = table + "\n" + render_kv({
+        "mean": stats.mean, "max": stats.maximum, "min": stats.minimum,
+        "max/mean": stats.max_over_mean,
+        "coeff. of variation": stats.coefficient_of_variation,
+    })
     return text, {"series": {
         "per-node candidate 2-itemsets": dict(rows),
         "skew ratio": {
@@ -175,9 +167,10 @@ def _report_table3(scale: str, results: Results) -> tuple[str, dict]:
 # Table 4 — execution time of each pagefault
 # ---------------------------------------------------------------------------
 
-def _grid_table4(scale: str) -> Grid:
+def _grid_table4(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
-    remote = Scenario(scale=scale, pager="remote", n_memory_nodes=s.max_memory_nodes)
+    remote = Scenario(scale=scale, seed=seed, pager="remote",
+                      n_memory_nodes=s.max_memory_nodes)
     cells: Grid = {("pass-2 baseline [s]", "no limit"): remote}
     for mb in s.limits_mb:
         cells["measured per-fault time", mb] = replace(remote, paper_mb=mb)
@@ -225,14 +218,14 @@ def _report_table4(scale: str, results: Results) -> tuple[str, dict]:
 # Figure 3 — execution time vs number of memory-available nodes
 # ---------------------------------------------------------------------------
 
-def _grid_fig3(scale: str) -> Grid:
+def _grid_fig3(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     cells: Grid = {}
     for mb in (*s.limits_mb, None):
         group = "no limit" if mb is None else f"limit {mb:g}MB"
         for n in s.memory_node_counts:
             cells[group, n] = Scenario(
-                scale=scale, pager="remote", n_memory_nodes=n, paper_mb=mb
+                scale=scale, seed=seed, pager="remote", n_memory_nodes=n, paper_mb=mb
             )
     return cells
 
@@ -262,14 +255,15 @@ def _report_fig3(scale: str, results: Results) -> tuple[str, dict]:
 REMOTE_PAGERS = {"simple swapping": "remote", "remote update": "remote-update"}
 
 
-def _grid_fig4(scale: str) -> Grid:
+def _grid_fig4(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     cells: Grid = {}
     for mb in s.limits_mb:
-        cells["disk swapping", mb] = Scenario(scale=scale, pager="disk", paper_mb=mb)
+        cells["disk swapping", mb] = Scenario(scale=scale, seed=seed,
+                                              pager="disk", paper_mb=mb)
         for group, pager in REMOTE_PAGERS.items():
             cells[group, mb] = Scenario(
-                scale=scale, pager=pager, n_memory_nodes=s.max_memory_nodes,
+                scale=scale, seed=seed, pager=pager, n_memory_nodes=s.max_memory_nodes,
                 paper_mb=mb,
             )
     return cells
@@ -299,23 +293,25 @@ def _report_fig4(scale: str, results: Results) -> tuple[str, dict]:
 # Figure 5 — dynamic memory migration
 # ---------------------------------------------------------------------------
 
-def _grid_fig5(scale: str) -> Grid:
+def _grid_fig5(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     return {
         ("all memory nodes available", mb): Scenario(
-            scale=scale, pager="remote-update",
+            scale=scale, seed=seed, pager="remote-update",
             n_memory_nodes=s.max_memory_nodes, paper_mb=mb,
         )
         for mb in s.limits_mb
     }
 
 
-def _followups_fig5(scale: str, results: Results) -> Grid:
+def _followups_fig5(
+    scale: str, grid: Mapping[Any, Scenario], results: Results
+) -> Grid:
     """Derived stage: shortages are scheduled *inside* the measured pass
     of each base run (40 % and 60 % of pass 2), so their injection times
     come from stage-1 results."""
     cells: Grid = {}
-    for (group, mb), base in _grid_fig5(scale).items():
+    for (group, mb), base in grid.items():
         p2 = _pass2(results[group, mb])
         t1 = p2.start_time + 0.4 * p2.duration_s
         t2 = p2.start_time + 0.6 * p2.duration_s
@@ -374,12 +370,12 @@ def _report_disk(scale: str, results: Results) -> tuple[str, dict]:
 MONITOR_INTERVALS_S = (0.02, 0.1, 1.0, 3.0, 10.0)
 
 
-def _grid_monitor(scale: str) -> Grid:
+def _grid_monitor(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     mb = s.limits_mb[1]
     return {
         ("pass 2 time [s]", i): Scenario(
-            scale=scale, pager="remote", n_memory_nodes=s.max_memory_nodes,
+            scale=scale, seed=seed, pager="remote", n_memory_nodes=s.max_memory_nodes,
             paper_mb=mb, monitor_interval_s=i,
         )
         for i in MONITOR_INTERVALS_S
@@ -408,12 +404,12 @@ def _report_monitor(scale: str, results: Results) -> tuple[str, dict]:
 REPLACEMENT_SWEEP = ("lru", "fifo", "random")
 
 
-def _grid_policy(scale: str) -> Grid:
+def _grid_policy(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     mb = s.limits_mb[0]
     return {
         (policy, mb): Scenario(
-            scale=scale, pager="remote", n_memory_nodes=s.max_memory_nodes,
+            scale=scale, seed=seed, pager="remote", n_memory_nodes=s.max_memory_nodes,
             paper_mb=mb, replacement=policy,
         )
         for policy in REPLACEMENT_SWEEP
@@ -461,13 +457,13 @@ CHURN_REGIMES = {
 CHURN_MONITOR_INTERVAL_S = 0.02
 
 
-def _grid_churn(scale: str) -> Grid:
+def _grid_churn(scale: str, seed: int | None) -> Grid:
     # Every swap-destination policy competes (paper §4.3 prescribes only
     # the first).
     s = SCALES[scale]
     return {
         (policy, regime): Scenario(
-            scale=scale, pager="remote-update",
+            scale=scale, seed=seed, pager="remote-update",
             n_memory_nodes=s.max_memory_nodes, paper_mb=s.limits_mb[1],
             placement=policy, churn=spec,
             monitor_interval_s=CHURN_MONITOR_INTERVAL_S,
@@ -500,11 +496,11 @@ def _report_churn(scale: str, results: Results) -> tuple[str, dict]:
 BLOCK_SIZES_B = (1024, 4096, 16384)
 
 
-def _grid_blocksize(scale: str) -> Grid:
+def _grid_blocksize(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     return {
         (group, size): Scenario(
-            scale=scale, pager=pager, n_memory_nodes=s.max_memory_nodes,
+            scale=scale, seed=seed, pager=pager, n_memory_nodes=s.max_memory_nodes,
             paper_mb=s.limits_mb[0], message_block_bytes=size,
         )
         for size in BLOCK_SIZES_B
@@ -531,12 +527,12 @@ def _report_blocksize(scale: str, results: Results) -> tuple[str, dict]:
 ELD_FRACTIONS = (0.0, 0.02, 0.1, 0.3)
 
 
-def _grid_eld(scale: str) -> Grid:
+def _grid_eld(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     mb = s.limits_mb[1]
     return {
         ("remote update", frac): Scenario(
-            scale=scale, pager="remote-update",
+            scale=scale, seed=seed, pager="remote-update",
             n_memory_nodes=s.max_memory_nodes, paper_mb=mb, eld_fraction=frac,
         )
         for frac in ELD_FRACTIONS
@@ -573,12 +569,12 @@ def _report_eld(scale: str, results: Results) -> tuple[str, dict]:
 LOSS_PROBABILITIES = (0.0, 0.001, 0.01)
 
 
-def _grid_loss(scale: str) -> Grid:
+def _grid_loss(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     mb = s.limits_mb[1]
     return {
         ("simple swapping", loss): Scenario(
-            scale=scale, pager="remote", n_memory_nodes=s.max_memory_nodes,
+            scale=scale, seed=seed, pager="remote", n_memory_nodes=s.max_memory_nodes,
             paper_mb=mb, loss_probability=loss,
         )
         for loss in LOSS_PROBABILITIES
@@ -603,11 +599,11 @@ def _report_loss(scale: str, results: Results) -> tuple[str, dict]:
 # Baseline — NPA vs HPA under shrinking memory (§2.2's motivation)
 # ---------------------------------------------------------------------------
 
-def _grid_npa(scale: str) -> Grid:
+def _grid_npa(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     cells: Grid = {}
     for driver in ("hpa", "npa"):
-        unlimited = Scenario(driver=driver, scale=scale)
+        unlimited = Scenario(driver=driver, scale=scale, seed=seed)
         cells[driver.upper(), "no limit"] = unlimited
         for mb in s.limits_mb:
             cells[driver.upper(), f"{mb:g}MB"] = replace(
@@ -644,11 +640,11 @@ def _report_npa(scale: str, results: Results) -> tuple[str, dict]:
 # Scaling — speedup with application nodes (paper §3.3's claim)
 # ---------------------------------------------------------------------------
 
-def _grid_scaling(scale: str) -> Grid:
+def _grid_scaling(scale: str, seed: int | None) -> Grid:
     s = SCALES[scale]
     return {
         ("no limit", n): Scenario(
-            scale=scale,
+            scale=scale, seed=seed,
             n_app_nodes=n,
             total_lines=(s.total_lines // n) * n or n,
         )
@@ -672,7 +668,7 @@ def _report_scaling(scale: str, results: Results) -> tuple[str, dict]:
     return text, {"times": times, "speedup": {n: base / t for n, t in times.items()}}
 
 
-def _empty_grid(scale: str) -> Grid:
+def _empty_grid(scale: str, seed: int | None) -> Grid:
     """Grid of §5.2, which is arithmetic on the paper's constants."""
     return {}
 

@@ -223,7 +223,7 @@ def run_sweep_outcome(
     misses run in a local process pool.  Persistence comes from the
     ambient result store when a
     :func:`~repro.runtime.store.result_store_session` is active.
-    ``seed`` re-seeds every grid (and follow-up) cell, giving one
+    ``seed`` seeds every grid (and follow-up) cell, giving one
     independent replication of the whole sweep per seed — the axis the
     ``repro-bench report`` multi-seed aggregates are built on.  The report
     builder sees only the resolved cells.  This is the only walk from a
@@ -236,9 +236,9 @@ def run_sweep_outcome(
     records: "list[RunRecord]" = []
     results = _resolve(sweep, cells, jobs, records)
     if sweep.followups is not None:
-        extra = sweep.followups(scale, results)
-        if seed is not None:
-            extra = {k: s.with_seed(seed) for k, s in extra.items()}
+        # A cell derived from a stage-1 one already has the seed.
+        extra = sweep.followups(scale, cells, results)
+        extra = {k: s.with_seed(seed) for k, s in extra.items()}
         collisions = set(extra) & set(results)
         if collisions:
             raise HarnessError(

@@ -2,16 +2,17 @@
 
 A :class:`Sweep` is one paper experiment and the only declaration of
 its identity: id, title and the shape the paper states.  Its ``grid``
-maps a scale name to an ordered ``{cell key: Scenario}`` dict — pure
-data, no execution; a cell key is any hashable, usually the cell's
-series position ``(group, x)`` — and its ``report`` folds ``(scale,
-{cell key: RunResult})`` into the artifact's ``(text, data)``, which
-the engine stamps with that identity as an :class:`ExperimentReport`.  A sweep with a
-:class:`Fold` also appears in the multi-seed statistical report.
-Experiments whose later configurations depend on earlier results
-(Figure 5 schedules shortages *inside* the measured pass of a base run)
-declare a ``followups`` stage, which the engine resolves after the grid
-with the same executor.
+maps a scale name and a workload seed to an ordered ``{cell key:
+Scenario}`` dict — pure data, no execution; a cell key is any hashable,
+usually the cell's series position ``(group, x)`` — and its ``report``
+folds ``(scale, {cell key: RunResult})`` into the artifact's ``(text,
+data)``, which the engine stamps with that identity as an
+:class:`ExperimentReport`.  A sweep with a :class:`Fold` also appears
+in the multi-seed statistical report.  Experiments whose later
+configurations depend on earlier results (Figure 5 schedules shortages
+*inside* the measured pass of a base run) declare a ``followups``
+stage, which derives its cells from the stage-1 cells and results and
+which the engine resolves after the grid with the same executor.
 
 Because the grid is data, the engine — not the experiment — decides
 execution order, parallelism, caching, and persistence; and because
@@ -76,11 +77,12 @@ class ExperimentReport:
         )
 
 
-#: Stage 1: scale name -> ordered {cell key: Scenario}.
-GridFn = Callable[[str], "dict[Hashable, Scenario]"]
-#: Stage 2 (optional): (scale, stage-1 results) -> more scenarios.
+#: Stage 1: (scale name, seed or None) -> ordered {cell key: Scenario}.
+GridFn = Callable[[str, Optional[int]], "dict[Hashable, Scenario]"]
+#: Stage 2 (optional): (scale, stage-1 cells, their results) -> more.
 FollowupFn = Callable[
-    [str, "Mapping[Hashable, RunResult]"], "dict[Hashable, Scenario]"
+    [str, "Mapping[Hashable, Scenario]", "Mapping[Hashable, RunResult]"],
+    "dict[Hashable, Scenario]",
 ]
 #: Aggregation: (scale, all results) -> (text, data).
 ReportFn = Callable[[str, "Mapping[Hashable, RunResult]"], "tuple[str, dict]"]
@@ -130,13 +132,11 @@ class Sweep:
     ) -> "dict[Hashable, Scenario]":
         """The stage-1 grid, validated (keys unique and non-empty).
 
-        ``seed`` re-seeds every cell (the multi-seed report axis):
-        the grid stays pure data, and the same declarative sweep yields
-        one statistically independent replication per seed."""
-        cells = self.grid(scale)
+        ``seed`` seeds every cell (the multi-seed report axis), each
+        built once: the same declarative sweep yields one statistically
+        independent replication per seed."""
+        cells = self.grid(scale, seed)
         for key in cells:
             if not key:
                 raise HarnessError(f"sweep {self.name!r}: empty grid key")
-        if seed is not None:
-            cells = {k: s.with_seed(seed) for k, s in cells.items()}
         return cells

@@ -14,14 +14,15 @@ configurations.  An entry that fails to load (torn, corrupt, or of an
 unknown format) is a miss, and the re-execution that follows rewrites
 it.
 
-An entry is two lines.  The *header* is compact JSON: the format, the
-scenario, the result without its large itemsets (the per-pass rows
-every report reads) and the byte length and CRC-32 of the *tail*, the
-compact ``[[items...], count]`` list of large itemsets.  A read parses
-the header alone and checks the tail's length and CRC, so a torn or
-bit-flipped tail is a miss even when it still parses; the itemsets
-decode on first access (:class:`StoredItemsets`), which no report fold
-makes.
+An entry is three lines: the decimal CRC-32 of the two that follow,
+the *header* — compact JSON: the format, the scenario and the result
+without its large itemsets (the per-pass rows every report reads) —
+and the *tail*, the compact ``[[items...], count]`` list of large
+itemsets.  A read checks the CRC over bytes it has read anyway and
+parses the header alone, so a torn entry, or one with a digit flipped
+in its header or its tail, is a miss even when it still parses; the
+itemsets decode on first access (:class:`StoredItemsets`), which no
+report fold makes.
 
 The store is the *second* cache tier: the in-memory
 :class:`~repro.runtime.scenarios.ScenarioCache` sits above it and the
@@ -75,8 +76,9 @@ __all__ = [
 #: dropped the result's ``config`` copy: the entry's ``scenario`` is the
 #: run's one description.  Format 6 split the entry into a header line
 #: and a CRC-checked itemset tail, so a read parses only the header;
-#: format-5 entries (one JSON object) still load.
-STORE_FORMAT = 6
+#: format 7 put one CRC line over both; format-6 and -5 entries load.
+STORE_FORMAT = 7
+_FORMAT_6 = 6
 _FORMAT_5 = 5
 
 #: Compact JSON: no whitespace, which ``json`` encodes in C.
@@ -159,8 +161,8 @@ class StoredItemsets(Mapping["Itemset", int]):
 
 
 def _pairs(tail: "bytes | list") -> list:
-    """The ``[[items...], count]`` list of a tail: decoded from a
-    format-6 entry's bytes, or a format-5 entry's already-parsed list."""
+    """The ``[[items...], count]`` list of a tail: decoded from an
+    entry's tail bytes, or a format-5 entry's already-parsed list."""
     return json.loads(tail) if isinstance(tail, bytes) else tail
 
 
@@ -222,23 +224,22 @@ class ResultStore:
 
     def put(self, scenario: "Scenario", result: "RunResult") -> Path:
         """Persist ``result`` atomically (write temp file, then rename)
-        as a header line and an itemset tail, both canonical compact
-        JSON: sorted keys, no whitespace, which ``json`` encodes in C
-        (``indent`` would force its Python encoder)."""
+        as a CRC line, a header line and an itemset tail, both canonical
+        compact JSON: sorted keys, no whitespace, which ``json`` encodes
+        in C (``indent`` would force its Python encoder)."""
         entry = self.path_for(scenario)
         encoded = result_to_dict(result)
-        tail = json.dumps(encoded.pop("large_itemsets"), separators=_COMPACT).encode()
+        tail = json.dumps(encoded.pop("large_itemsets"), separators=_COMPACT)
         header = {
             "format": STORE_FORMAT,
             "scenario": scenario.to_dict(),
             "result": encoded,
-            "tail": {"bytes": len(tail), "crc32": zlib.crc32(tail)},
         }
+        body = (
+            json.dumps(header, sort_keys=True, separators=_COMPACT) + "\n" + tail
+        ).encode()
         tmp = entry.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_bytes(
-            json.dumps(header, sort_keys=True, separators=_COMPACT).encode()
-            + b"\n" + tail
-        )
+        tmp.write_bytes(b"%d\n" % zlib.crc32(body) + body)
         os.replace(tmp, entry)
         self.writes += 1
         emit_ambient("cache-access", tier="store", outcome="write")
@@ -271,8 +272,8 @@ class ResultStore:
 
     def gc(self, now: float, tmp_age_s: float = 3600.0) -> dict:
         """Compact the entry directory: drop orphaned temp files and
-        every entry that fails to load (torn, failing its tail check,
-        or from an unknown format); format-5 entries load and stay.
+        every entry that fails to load (torn, failing its CRC check,
+        or from an unknown format); format-5 and -6 entries stay.
 
         ``now`` is the caller's host wall-clock (the runtime layer never
         reads host time itself — ``repro-bench gc DIR`` passes it
@@ -344,19 +345,21 @@ class ResultStore:
 
 def _load_entry(entry: Path) -> "Optional[tuple[dict, bytes | list]]":
     """``(header, tail)`` of one entry file, else ``None`` (absent,
-    unreadable, torn, a tail failing its length or CRC check, not an
-    object, or an unknown format) — the one decoding every reader
-    shares.  The header is parsed and the tail only checked.
+    unreadable, torn, failing its CRC check, not an object, or an
+    unknown format) — the one decoding every reader shares.  The header
+    is parsed and the tail only checked.
 
-    A format-5 entry (one JSON object, compact or indented, itemsets
-    inline) loads as the same pair, its tail the already-parsed
-    itemset list (:func:`_pairs` accepts either).
+    A format-6 entry (its header checks the tail alone) loads as the
+    same pair, as does a format-5 one (one JSON object, compact or
+    indented), its tail the parsed itemset list (:func:`_pairs` takes either).
     """
     try:
         data = entry.read_bytes()
     except OSError:
         return None
-    head, _, tail = data.partition(b"\n")
+    check, _, body = data.partition(b"\n")
+    checked = check.isdigit() and int(check) == zlib.crc32(body)
+    head, _, tail = (body if checked else data).partition(b"\n")
     try:
         header = json.loads(head)
     except ValueError:
@@ -367,10 +370,13 @@ def _load_entry(entry: Path) -> "Optional[tuple[dict, bytes | list]]":
     result = header.get("result") if isinstance(header, dict) else None
     if not isinstance(result, dict):
         return None
-    if header.get("format") == STORE_FORMAT:
+    fmt = header.get("format")
+    if fmt == STORE_FORMAT and checked:
+        return header, tail
+    if fmt == _FORMAT_6:
         if header.get("tail") == {"bytes": len(tail), "crc32": zlib.crc32(tail)}:
             return header, tail
-    elif header.get("format") == _FORMAT_5 and "large_itemsets" in result:
+    elif fmt == _FORMAT_5 and "large_itemsets" in result:
         return header, result.pop("large_itemsets")
     return None
 

@@ -5,8 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.report.stat_tests import (
     DEFAULT_CONFIDENCE,
@@ -17,6 +22,7 @@ from repro.analysis.report.stat_tests import (
     mann_whitney_u,
     permutation_test,
     summarize,
+    summarize_batch,
 )
 
 
@@ -180,3 +186,90 @@ def test_permutation_byte_identical_across_hash_seeds():
         )
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# Batched statistics equal the one-sample formulas bit for bit
+# ---------------------------------------------------------------------------
+
+#: Few distinct values, so ties are common.
+_VALUES = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, 2.25, 3.1, 7.75, 1e-3, 2.05e4]),
+    st.floats(-1e6, 1e6),
+)
+#: Replicate counts 1-6 (the pair tests enumerate every relabelling).
+_SAMPLE = st.lists(_VALUES, min_size=1, max_size=6)
+
+
+def _hex(summary) -> "tuple":
+    return (summary.n, *(float(getattr(summary, f)).hex() for f in (
+        "mean", "median", "std", "ci_low", "ci_high")))
+
+
+def _one_sample_summary(values) -> "tuple":
+    """The per-cell formulas on one 1-D sample (no batching)."""
+    data = np.asarray(sorted(values), dtype=np.float64)
+    if data.size == 1:
+        lo = hi = float(data[0])
+    else:
+        means = data[_bootstrap_index(data.size, DEFAULT_RESAMPLES, 0)].mean(axis=1)
+        tail = (1.0 - DEFAULT_CONFIDENCE) / 2.0
+        lo, hi = np.quantile(means, [tail, 1.0 - tail])
+    std = float(data.std(ddof=1)) if data.size > 1 else 0.0
+    return (int(data.size), *(float(v).hex() for v in (
+        data.mean(), np.median(data), std, lo, hi)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_VALUES, min_size=1, max_size=9), min_size=1, max_size=8))
+def test_batched_summaries_equal_one_sample_summaries(samples):
+    """A batch mixing replicate counts (Table 2's ragged seeds) folds
+    every sample exactly as a batch of one and the 1-D formulas do;
+    counts of 8 and more catch a resample mean summed in another order."""
+    batch = summarize_batch(samples)
+    assert [_hex(s) for s in batch] == [_hex(summarize(v)) for v in samples]
+    assert [_hex(s) for s in batch] == [_one_sample_summary(v) for v in samples]
+    assert [(s.ci_low, s.ci_high) for s in batch] == [bootstrap_ci(v) for v in samples]
+
+
+def _one_set_permutation_p(a, b) -> float:
+    """The exact permutation p-value, one relabelling at a time."""
+    xa, xb = np.sort(np.asarray(a, float)), np.sort(np.asarray(b, float))
+    pooled = np.concatenate([xa, xb])
+    n, n_a = pooled.size, xa.size
+    total = pooled.sum()
+    observed = abs(float(xa.mean()) - float(xb.mean()))
+    threshold = observed - 1e-12 * max(1.0, observed)
+    hits = 0
+    for idx in combinations(range(n), n_a):
+        sum_a = float(pooled[list(idx)].sum())
+        hits += abs(sum_a / n_a - (total - sum_a) / (n - n_a)) >= threshold
+    return hits / math.comb(n, n_a)
+
+
+def _midrank_u(a, b) -> "tuple[float, float]":
+    """U and p of the midrank form of the Mann-Whitney test."""
+    pooled = np.concatenate([np.sort(a), np.sort(b)])
+    n_a, n_b, n = len(a), len(b), len(a) + len(b)
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    u_a = float(((ends - counts + 1 + ends) / 2.0)[inverse][:n_a].sum())
+    u_a -= n_a * (n_a + 1) / 2.0
+    tie_term = float(((counts.astype(np.float64) ** 3) - counts).sum())
+    sigma_sq = (n_a * n_b / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
+    if sigma_sq <= 0.0:
+        return u_a, 1.0
+    z = (min(u_a, n_a * n_b - u_a) - n_a * n_b / 2.0 + 0.5) / math.sqrt(sigma_sq)
+    return u_a, min(1.0, 2.0 * (1.0 - 0.5 * math.erfc(z / math.sqrt(2.0))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SAMPLE, _SAMPLE)
+def test_pair_tests_equal_their_one_set_forms(a, b):
+    """The permutation test's cached relabelling table and the
+    Mann-Whitney pair count give the one-set enumeration's and the
+    midrank form's numbers bit for bit, ties included."""
+    assert permutation_test(a, b).hex() == _one_set_permutation_p(a, b).hex()
+    rank = mann_whitney_u(a, b)
+    u_a, p = _midrank_u(a, b)
+    assert (rank.u_statistic.hex(), rank.p_value.hex()) == (u_a.hex(), p.hex())

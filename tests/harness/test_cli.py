@@ -203,7 +203,7 @@ def test_traced_sweep_metrics_are_a_fold_of_its_events(
     # A follow-up re-asks for the grid's "a" cell, so the scenario cache
     # hits once (the grid's own alias is recorded cached without a probe).
     monkeypatch.setitem(ALL_SWEEPS, "toy", _toy_sweep(
-        followups=lambda scale, results: {"a-later": _toy_sweep().grid(scale)["a"]},
+        followups=lambda scale, cells, results: {"a-later": cells["a"]},
     ))
     trace_dir = tmp_path / "trc"
     assert main(["run", "toy", "--scale", "tiny", "--trace", str(trace_dir)]) == 0

@@ -45,14 +45,14 @@ def _toy_sweep(**overrides):
         exp_id="X1",
         title="toy sweep",
         shape="toy shape",
-        grid=lambda scale: {
-            "a": Scenario(scale=scale, pager="remote", n_memory_nodes=2,
-                          paper_mb=13.0),
-            "b": Scenario(scale=scale, pager="remote", n_memory_nodes=2,
-                          paper_mb=15.0),
+        grid=lambda scale, seed: {
+            "a": Scenario(scale=scale, seed=seed, pager="remote",
+                          n_memory_nodes=2, paper_mb=13.0),
+            "b": Scenario(scale=scale, seed=seed, pager="remote",
+                          n_memory_nodes=2, paper_mb=15.0),
             # Aliased cell: same semantics as "a" under another label.
-            "a-again": Scenario(scale=scale, pager="remote", n_memory_nodes=2,
-                                paper_mb=13.0),
+            "a-again": Scenario(scale=scale, seed=seed, pager="remote",
+                                n_memory_nodes=2, paper_mb=13.0),
         },
         report=lambda scale, results: (
             "toy",
@@ -162,7 +162,8 @@ def test_killed_pool_worker_sweep_still_completes():
 def test_followups_see_stage_one_results():
     seen = {}
 
-    def followups(scale, results):
+    def followups(scale, cells, results):
+        assert set(cells) == set(results)
         seen.update(results)
         return {
             "f": Scenario(scale=scale, pager="remote", n_memory_nodes=2,
@@ -178,7 +179,7 @@ def test_followups_see_stage_one_results():
 
 def test_followup_key_collision_rejected():
     sweep = _toy_sweep(
-        followups=lambda scale, results: {
+        followups=lambda scale, cells, results: {
             "a": Scenario(scale=scale, paper_mb=12.0, pager="remote",
                           n_memory_nodes=2)
         }
@@ -188,7 +189,7 @@ def test_followup_key_collision_rejected():
 
 
 def test_empty_grid_key_rejected():
-    sweep = _toy_sweep(grid=lambda scale: {"": Scenario(scale=scale)})
+    sweep = _toy_sweep(grid=lambda scale, seed: {"": Scenario(scale=scale)})
     with pytest.raises(HarnessError, match="empty grid key"):
         run_sweep_outcome(sweep, "tiny")
 
@@ -466,6 +467,56 @@ def test_report_folds_exactly_each_seeds_series(name, sweep_reports):
         assert any(
             (c.group_a, c.group_b) == (a, b) for c in art.comparisons
         ), (a, b)
+
+
+def test_only_render_resolves_and_reads_only_its_sweep(sweep_reports, monkeypatch):
+    """``artifacts(["table3"])`` runs table3's sweep once per seed and
+    no other; a later ``payload`` of it re-folds nothing and reads no
+    store entry."""
+    from dataclasses import asdict
+
+    import repro.analysis.report.experiment_results as experiment_results
+
+    fill = sweep_reports("tiny")
+    seeds = claim_seeds("tiny")
+    clear_cache()
+    with result_store_session(fill.store) as store:
+        results = ExperimentResults("tiny", seeds)
+        art = results.artifacts(["table3"])["table3"]
+        assert results.accounting()["sweeps"] == len(seeds)
+        assert (store.hits, store.misses) == (len(seeds), 0)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("payload re-folded an artifact")
+
+        monkeypatch.setattr(experiment_results, "run_sweep_outcome", unreachable)
+        monkeypatch.setattr(experiment_results, "aggregate_series", unreachable)
+        payload = results.payload(["table3"])
+        assert (store.hits, store.misses) == (len(seeds), 0)
+    assert results.accounting()["sweeps"] == len(seeds)
+    assert payload["artifacts"] == {"table3": asdict(art)}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SWEEPS))
+def test_seeded_grid_builds_each_cell_once(name, monkeypatch):
+    """A seeded grid constructs every cell's ``Scenario`` once, at the
+    seed, with the content address re-seeding the default grid gives."""
+    unseeded = ALL_SWEEPS[name].scenarios("tiny")
+    built = []
+    post_init = Scenario.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counting)
+    cells = ALL_SWEEPS[name].scenarios("tiny", 77)
+    assert sorted(map(id, built)) == sorted({id(s) for s in cells.values()})
+    monkeypatch.undo()
+    assert all(s.seed == 77 for s in cells.values())
+    assert {k: ResultStore.key_for(s) for k, s in cells.items()} == {
+        k: ResultStore.key_for(s.with_seed(77)) for k, s in unseeded.items()
+    }
 
 
 def test_cell_backed_reports_render_warm_without_workload_code(

@@ -122,21 +122,32 @@ def test_non_object_entry_is_a_miss_healed_by_the_next_put(
     _assert_unusable_until_rewritten(store, capsys, tiny_result, text.encode())
 
 
-def _flip_last_count(entry: bytes) -> bytes:
-    """The entry with its last itemset's count changed in one digit:
-    the same length, and the tail still parses."""
-    i = len(entry) - 3  # the tail ends "...,[[items],<count>]]"
+def _flip_digit(entry: bytes, i: int, line: int) -> bytes:
+    """The entry with the digit at ``i`` changed: the same length, and
+    line ``line`` (1 the header, 2 the tail) still parses."""
     assert entry[i:i + 1].isdigit()
     flipped = entry[:i] + (b"1" if entry[i:i + 1] == b"0" else b"0") + entry[i + 1:]
-    json.loads(flipped.partition(b"\n")[2])
+    json.loads(flipped.split(b"\n")[line])
     return flipped
+
+
+def _flip_last_count(entry: bytes) -> bytes:
+    """The entry with its last itemset's count changed in one digit."""
+    return _flip_digit(entry, len(entry) - 3, 2)  # "...,[[items],<count>]]"
+
+
+def _flip_total_time(entry: bytes) -> bytes:
+    """The entry with the last digit of the header's ``total_time_s``
+    (the result's last key) flipped."""
+    return _flip_digit(entry, entry.index(b"}", entry.index(b'"total_time_s"')) - 1, 1)
 
 
 DAMAGE = {
     "truncated-tail": lambda entry: entry[:-7],
     "flipped-tail-digit": _flip_last_count,
-    "header-without-tail": lambda entry: entry[:entry.index(b"\n") + 1],
-    "no-newline": lambda entry: entry[:entry.index(b"\n")],
+    "flipped-header-digit": _flip_total_time,
+    "header-without-tail": lambda entry: entry[:entry.rindex(b"\n") + 1],
+    "no-newline": lambda entry: entry[:entry.rindex(b"\n")],
 }
 
 
@@ -144,8 +155,9 @@ DAMAGE = {
 def test_damaged_entry_is_a_miss_healed_by_the_next_put(
     tmp_path, capsys, tiny_result, damage,
 ):
-    """The header's tail length and CRC-32 catch a torn or bit-flipped
-    tail, also one that still parses, without decoding it."""
+    """The CRC line catches a torn entry and a digit flipped in the
+    header or the tail, also one that still parses, without decoding
+    the tail."""
     store = ResultStore(tmp_path)
     intact = store.put(TINY, tiny_result).read_bytes()
     _assert_unusable_until_rewritten(store, capsys, tiny_result, damage(intact))
@@ -154,23 +166,32 @@ def test_damaged_entry_is_a_miss_healed_by_the_next_put(
 def test_entries_are_canonical_compact_json_and_indented_ones_load(
     tmp_path, tiny_result,
 ):
-    """``put`` writes a header line and an itemset tail, both sorted-key,
-    whitespace-free JSON.  A format-5 entry (one JSON object with the
-    itemsets inline, compact or in the ``indent=2`` layout earlier
-    writers used) still loads as a hit equal to the original."""
+    """``put`` writes the decimal CRC-32 of the rest, then a header line
+    and an itemset tail, both sorted-key, whitespace-free JSON.  A
+    format-6 entry (no CRC line, the tail's length and CRC in the
+    header) and a format-5 one (one JSON object with the itemsets
+    inline, compact or in the ``indent=2`` layout earlier writers used)
+    still load as hits equal to the original."""
     store = ResultStore(tmp_path)
     path = store.put(TINY, tiny_result)
-    head, tail = path.read_bytes().split(b"\n")
+    check, head, tail = path.read_bytes().split(b"\n")
+    assert check == str(zlib.crc32(head + b"\n" + tail)).encode()
     header = json.loads(head)
     assert head == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    assert header["format"] == STORE_FORMAT == 6
+    assert header["format"] == STORE_FORMAT == 7
     assert header["scenario"] == TINY.to_dict()
     encoded = json.loads(json.dumps(result_to_dict(tiny_result)))
     itemsets = encoded.pop("large_itemsets")
     assert header["result"] == encoded
     assert tail == json.dumps(itemsets, separators=(",", ":")).encode()
-    assert header["tail"] == {"bytes": len(tail), "crc32": zlib.crc32(tail)}
 
+    format_6 = {
+        **header, "format": 6, "tail": {"bytes": len(tail), "crc32": zlib.crc32(tail)},
+    }
+    path.write_bytes(json.dumps(format_6).encode() + b"\n" + tail)
+    assert store.get(TINY) == tiny_result
+    payload = store.read_payload(store.key_for(TINY))
+    assert payload["result"]["large_itemsets"] == itemsets
     old = {
         "format": 5, "scenario": TINY.to_dict(), "result": result_to_dict(tiny_result),
     }
@@ -181,7 +202,7 @@ def test_entries_are_canonical_compact_json_and_indented_ones_load(
         assert stored == tiny_result
         payload = store.read_payload(store.key_for(TINY))
         assert payload["result"]["large_itemsets"] == itemsets
-    assert (store.hits, store.misses, store.writes) == (2, 0, 1)
+    assert (store.hits, store.misses, store.writes) == (3, 0, 1)
 
 
 def test_stored_itemsets_decode_on_first_access_and_equal_the_executed_dict(
@@ -227,8 +248,8 @@ def test_format_2_entry_with_kernel_field_is_a_clean_miss(tmp_path):
     assert (store.hits, store.misses) == (0, 1)
 
     store.put(TINY, res)
-    header = json.loads(path.read_bytes().partition(b"\n")[0])
-    assert header["format"] == STORE_FORMAT == 6
+    header = json.loads(path.read_bytes().split(b"\n")[1])
+    assert header["format"] == STORE_FORMAT == 7
     assert store.get(TINY) == res
 
     path.write_text(stale)
