@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.errors import HarnessError
+
 __all__ = [
     "ObsEvent",
     "EventBus",
@@ -27,11 +29,10 @@ __all__ = [
 ]
 
 #: The canonical telemetry vocabulary: every event kind any component may
-#: ``emit``.  The bus itself stays stringly-typed (emission must be cheap
-#: and decoupled), so a typo'd kind is not a runtime error — it simply
-#: reaches no consumer logic and vanishes from traces.  ``repro-lint``'s
-#: RPL301 checker holds every literal ``emit(...)`` site to this set;
-#: adding an event kind means declaring it here first.
+#: ``emit``.  :meth:`EventBus.emit` raises on a kind outside it whenever
+#: someone listens, so a typo'd kind fails the first instrumented run
+#: instead of vanishing from traces; adding an event kind means declaring
+#: it here first.
 EVENT_KINDS = frozenset({
     # pager / swap manager (repro.core)
     "fault",            # one pagefault service, with source + duration
@@ -68,10 +69,10 @@ EVENT_KINDS = frozenset({
 })
 
 #: The canonical metric vocabulary: every counter/histogram/gauge name
-#: :func:`~repro.obs.metrics.metrics_of` folds from the event log.
-#: RPL302 holds every literal accessor call to this set, for the same
-#: reason as :data:`EVENT_KINDS` — an undeclared metric records into a
-#: series nothing exports or asserts on.
+#: :func:`~repro.obs.metrics.metrics_of` folds from the event log.  The
+#: fold and :func:`~repro.obs.metrics.merged_histogram` raise on a name
+#: outside it, for the same reason as :data:`EVENT_KINDS`: an undeclared
+#: metric records into a series nothing exports or asserts on.
 METRIC_NAMES = frozenset({
     # pagers, swap managers, network, placement, monitors
     "pagefaults", "fault_bytes_in", "pagefault_latency_s",
@@ -165,9 +166,15 @@ class EventBus:
         return len(self._subscribers)
 
     def emit(self, kind: str, node_id: int, *, detail: str = "", **fields) -> None:
-        """Publish one event at the current clock time to all subscribers."""
+        """Publish one event at the current clock time to all subscribers;
+        raises :class:`~repro.errors.HarnessError` on a kind outside
+        :data:`EVENT_KINDS` (checked only when someone listens)."""
         if not self._subscribers:
             return
+        if kind not in EVENT_KINDS:
+            raise HarnessError(
+                f"event kind {kind!r} is not declared in repro.obs.events.EVENT_KINDS"
+            )
         event = ObsEvent(
             time=self.clock(),
             node_id=node_id,

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from typing import Iterable, Optional
 
 from repro.errors import HarnessError
-from repro.obs.events import ObsEvent
+from repro.obs.events import METRIC_NAMES, ObsEvent
 
 __all__ = [
     "Histogram",
@@ -116,6 +116,16 @@ class Histogram:
 _Key = tuple[str, tuple]
 
 
+def _key(name: str, labels: dict) -> _Key:
+    """The series key of ``name``; a name outside
+    :data:`~repro.obs.events.METRIC_NAMES` raises."""
+    if name not in METRIC_NAMES:
+        raise HarnessError(
+            f"metric name {name!r} is not declared in repro.obs.events.METRIC_NAMES"
+        )
+    return name, tuple(sorted(labels.items()))
+
+
 def _fold(events: Iterable[ObsEvent]) -> tuple[dict, dict, dict]:
     """Every series ``events`` defines, in one pass.
 
@@ -132,17 +142,15 @@ def _fold(events: Iterable[ObsEvent]) -> tuple[dict, dict, dict]:
     def counter(name: str, amount: float = 1, **labels) -> None:
         if amount < 0:
             raise HarnessError(f"counter increment must be >= 0, got {amount}")
-        key = (name, tuple(sorted(labels.items())))
-        counters.setdefault(key, [labels, 0])[1] += amount
+        counters.setdefault(_key(name, labels), [labels, 0])[1] += amount
 
     def gauge(name: str, value: float, **labels) -> None:
-        entry = gauges.setdefault((name, tuple(sorted(labels.items()))), [labels, 0, 0])
+        entry = gauges.setdefault(_key(name, labels), [labels, 0, 0])
         entry[1] = value
         entry[2] += 1
 
     def histogram(name: str, value: float, buckets: tuple, **labels) -> None:
-        key = (name, tuple(sorted(labels.items())))
-        histograms.setdefault(key, (labels, buckets, []))[2].append(value)
+        histograms.setdefault(_key(name, labels), (labels, buckets, []))[2].append(value)
 
     # Last placement per (run, destination node), for the
     # latency-to-shortage histogram: how long after a policy last routed
@@ -283,7 +291,8 @@ def metrics_of(events: Iterable[ObsEvent]) -> dict:
 def merged_histogram(name: str, events: Iterable[ObsEvent]) -> Optional[Histogram]:
     """One histogram folding every label set of ``name`` in ``events``
     together (e.g. cluster-wide pagefault latency from per-node series);
-    ``None`` when no event defines it."""
+    ``None`` when no event defines it; an undeclared ``name`` raises."""
+    _key(name, {})
     parts = [
         (buckets, samples)
         for (series, _), (_, buckets, samples) in sorted(_fold(events)[2].items())

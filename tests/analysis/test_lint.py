@@ -1,7 +1,7 @@
 """Self-tests for ``repro-lint``: every checker fires on its seeded
 fixture at exactly the pinned (code, line) pairs, every clean twin is
-silent, and the framework plumbing (suppressions, fixture skipping,
-select, exit codes) behaves."""
+silent, and the framework plumbing (fixture skipping, select, exit
+codes) behaves."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.analysis.lint.framework import (
     module_name_for,
     resolve_call,
 )
-from repro.analysis.lint.hostclock import (
+from repro.analysis.lint.rules import (
     HARNESS_HOSTCLOCK_ALLOWLIST,
     HOST_CLOCK_CALLS,
 )
@@ -31,20 +31,11 @@ VIOLATION_FIXTURES = {
     "sim/fx_hostclock_violation.py": [
         ("RPL101", 13), ("RPL101", 16), ("RPL101", 21),
     ],
-    "core/fx_random_violation.py": [
-        ("RPL201", 15), ("RPL201", 20), ("RPL201", 24), ("RPL201", 25),
-    ],
     "core/fx_setiter_violation.py": [
         ("RPL202", 10), ("RPL202", 16), ("RPL202", 22),
     ],
     "core/fx_layer_violation.py": [
         ("RPL601", 7), ("RPL601", 8), ("RPL601", 9), ("RPL601", 14),
-    ],
-    "obs/fx_contract_violation.py": [
-        ("RPL301", 11), ("RPL302", 13), ("RPL302", 14), ("RPL302", 24),
-    ],
-    "runtime/fx_frozen_violation.py": [
-        ("RPL401", 9), ("RPL401", 14), ("RPL401", 15), ("RPL401", 20),
     ],
     "runtime/fx_float_violation.py": [
         ("RPL501", 9), ("RPL501", 15),
@@ -57,11 +48,8 @@ VIOLATION_FIXTURES = {
 CLEAN_FIXTURES = [
     "sim/fx_hostclock_clean.py",
     "harness/wallclock.py",
-    "core/fx_random_clean.py",
     "core/fx_setiter_clean.py",
     "core/fx_layer_clean.py",
-    "obs/fx_contract_clean.py",
-    "runtime/fx_frozen_clean.py",
     "runtime/fx_float_clean.py",
 ]
 
@@ -114,11 +102,8 @@ def test_every_code_has_exactly_one_checker():
             assert code not in seen, f"{code} claimed twice"
             assert name and hint
             seen[code] = name
-    assert sorted(seen) == [
-        "RPL101", "RPL102", "RPL201", "RPL202", "RPL301", "RPL302",
-        "RPL401", "RPL501", "RPL601",
-    ]
-    assert len(ALL_CHECKERS) == 8
+    assert sorted(seen) == ["RPL101", "RPL102", "RPL202", "RPL501", "RPL601"]
+    assert len(ALL_CHECKERS) == 4
 
 
 @pytest.mark.parametrize("module", sorted(HARNESS_HOSTCLOCK_ALLOWLIST))
@@ -135,40 +120,6 @@ def test_hostclock_allowlist_entries_are_live(module):
         and resolve_call(node, aliases) in HOST_CLOCK_CALLS
         for node in ast.walk(tree)
     ), f"allowlisted module {module} reads no host clock"
-
-
-def test_line_pragma_suppresses_exactly_that_code(tmp_path):
-    target = tmp_path / "repro" / "sim" / "fx_pragma.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(
-        "import time\n"
-        "\n"
-        "def a():\n"
-        "    return time.time()  # repro-lint: disable=RPL101\n"
-        "\n"
-        "def b():\n"
-        "    return time.time()\n"
-    )
-    code, report = run_cli_json([target])
-    assert code == 1
-    assert [(f["code"], f["line"]) for f in report["findings"]] == [
-        ("RPL101", 7)
-    ]
-
-
-def test_file_pragma_suppresses_whole_file(tmp_path):
-    target = tmp_path / "repro" / "sim" / "fx_pragma_file.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(
-        "# repro-lint: disable-file=RPL101\n"
-        "import time\n"
-        "\n"
-        "def a():\n"
-        "    return time.time()\n"
-    )
-    code, report = run_cli_json([target])
-    assert code == 0
-    assert report["n_findings"] == 0
 
 
 def test_walk_skips_fixture_dirs_but_explicit_files_lint():
@@ -193,11 +144,12 @@ def test_module_name_derivation():
 
 def test_select_restricts_codes():
     code, report = run_cli_json(
-        [FIXTURES / "obs" / "fx_contract_violation.py"],
-        "--select", "RPL301",
+        [FIXTURES / "sim" / "fx_hostclock_violation.py",
+         FIXTURES / "core" / "fx_setiter_violation.py"],
+        "--select", "RPL202",
     )
     assert code == 1
-    assert {f["code"] for f in report["findings"]} == {"RPL301"}
+    assert {f["code"] for f in report["findings"]} == {"RPL202"}
 
 
 def test_cli_usage_errors_and_catalogue(capsys):
@@ -206,9 +158,10 @@ def test_cli_usage_errors_and_catalogue(capsys):
     capsys.readouterr()
     assert main(["--list-codes"]) == 0
     out = capsys.readouterr().out
-    for code in ("RPL101", "RPL102", "RPL201", "RPL202", "RPL301",
-                 "RPL302", "RPL401", "RPL501"):
+    for code in ("RPL101", "RPL102", "RPL202", "RPL501", "RPL601"):
         assert code in out
+    for code in ("RPL201", "RPL301", "RPL302", "RPL401"):
+        assert code not in out
 
 
 def test_parse_error_fails_the_run(tmp_path):

@@ -1,9 +1,10 @@
 """The acceptance gate: the repository's own tree is repro-lint clean.
 
 This is the enforcement point for the domain invariants — any host-clock
-read in the simulation layers, unseeded randomness, undeclared telemetry
-name, frozen-config mutation, or float equality in codec code fails the
-tier-1 suite, not just the CI lint job."""
+read in the simulation layers or off the harness allowlist, set iteration
+feeding an ordered sink, float equality in codec code, or a model layer
+importing repro.analysis fails the tier-1 suite, not just the CI lint
+job."""
 
 from __future__ import annotations
 

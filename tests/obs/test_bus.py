@@ -53,10 +53,10 @@ def test_clock_and_run_tagging():
     bus = EventBus(clock=lambda: t["now"])
     seen = []
     bus.subscribe(seen.append)
-    bus.emit("a", 0)
+    bus.emit("phase", 0)
     bus.run = 1
     t["now"] = 0.25  # a new run's clock restarts
-    bus.emit("b", 0)
+    bus.emit("span", 0)
     assert (seen[0].time, seen[0].run) == (1.5, -1)
     assert (seen[1].time, seen[1].run) == (0.25, 1)
 

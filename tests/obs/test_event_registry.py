@@ -1,16 +1,19 @@
 """The canonical telemetry registry (repro.obs.events) really is
-canonical: instrumented runs emit no event kind and touch no metric
-name outside the declared sets, and together a few tiny runs emit every
-simulation-side kind.  Static coverage of the same contract is enforced
-per call site by repro-lint (RPL301/RPL302)."""
+canonical: the bus refuses an undeclared event kind, the metrics fold
+and ``merged_histogram`` refuse an undeclared metric name, instrumented
+runs emit no event kind and touch no metric name outside the declared
+sets, and together a few tiny runs emit every simulation-side kind."""
 
 from __future__ import annotations
 
 import functools
 
+import pytest
+
 from repro.datagen import generate
+from repro.errors import HarnessError
 from repro.mining.hpa import HPAConfig, HPARun
-from repro.obs import Telemetry, metrics_of
+from repro.obs import EventBus, Telemetry, merged_histogram, metrics_of
 from repro.obs.events import EVENT_KINDS, METRIC_NAMES
 
 DB = generate("T8.I3.D400", n_items=80, seed=3)
@@ -54,6 +57,23 @@ def _run(config: HPAConfig) -> Telemetry:
 
 def _instrumented_run() -> Telemetry:
     return _run(REGISTRY_CONFIG)
+
+
+def test_emitting_an_undeclared_kind_raises():
+    bus = EventBus()
+    seen = []
+    bus.subscribe(seen.append)
+    with pytest.raises(HarnessError, match="'falt' is not declared"):
+        bus.emit("falt", 0, duration_s=0.002)
+    bus.emit("fault", 0, duration_s=0.002)
+    assert [ev.kind for ev in seen] == ["fault"]
+
+
+def test_reading_an_undeclared_metric_name_raises():
+    events = _instrumented_run().events
+    with pytest.raises(HarnessError, match="'pagefault_latency_sec' is not"):
+        merged_histogram("pagefault_latency_sec", events)
+    assert merged_histogram("pagefault_latency_s", events).count > 0
 
 
 def test_emitted_kinds_are_all_declared():
